@@ -3,7 +3,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -ldflags "-X cludistream/internal/buildinfo.Version=$(VERSION) -X cludistream/internal/buildinfo.Commit=$(COMMIT)"
 
-.PHONY: all build vet lint test race race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-compare obs-demo trace-demo dst dst-tree dst-long
+.PHONY: all build vet lint test race race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-compare bench-e2e bench-e2e-test obs-demo trace-demo dst dst-tree dst-long
 
 all: check
 
@@ -70,8 +70,11 @@ alloc-gate-query:
 # iterations is enough to enforce the gate. The regex is a prefix match,
 # so it covers both the exact-path and the K=16 pruned-path benchmarks —
 # the latter gates the shared-stats workspace and bound accumulators.
+# Neither may one evaluation of the merge objective: FitMerge's simplex
+# runs ~160 of them per group re-fit on the coordinator's critical path.
 alloc-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkSiteSteadyState' -benchtime 100x .
+	$(GO) test -run 'TestMergeObjectiveDoesNotAllocate' -count=1 ./internal/gaussian/
 
 # Crash-recovery gate: the coordinator is killed mid-merge under 20%
 # message loss and must recover bit-identical state from its checkpoint +
@@ -82,7 +85,7 @@ recover:
 	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix' ./internal/netio/
 
 # Full pre-merge gate.
-check: build lint race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover race dst dst-tree
+check: build lint race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover race dst dst-tree bench-e2e-test
 
 # Deterministic simulation testing (internal/dst): sweep seeded
 # whole-system scenarios — random deployments, drift programs, and fault
@@ -144,6 +147,20 @@ bench-compare:
 	  | $(GO) run $(LDFLAGS) ./cmd/benchjson > $$tmp && \
 	$(GO) run ./cmd/benchjson -compare BENCH_quick.json $$tmp; \
 	rc=$$?; rm -f $$tmp; exit $$rc
+
+# The end-to-end benchmark BENCHMARK.json declares: the real daemon
+# pipeline on four workloads, every metric printed by name (see
+# bench/README.md). Runs in the foreground and exits on its own; ARGS
+# passes flags through, e.g.
+# `make bench-e2e ARGS="-workload sliding -seed 11 -trace 1"`.
+bench-e2e:
+	bash bench/run.sh $(ARGS)
+
+# The benchmark's own tests: every workload smoke-run with all self-checks,
+# traced-path parity, BENCHMARK.json ↔ metric catalogue, and the pin that
+# its configuration mirrors the daemons' defaults.
+bench-e2e-test:
+	$(GO) test -count=1 ./bench/
 
 # Live observability demo: run the distributed example with debug
 # endpoints up, snapshot them mid-flight with obsdump, and print the

@@ -513,12 +513,23 @@ func BenchmarkQuadFormPanel(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/record")
 }
 
+// BenchmarkFitMerge is one re-fit of a two-member group as the daemons run
+// it: d = 4, two sites' fits of one cluster, record-count weights, the
+// coordinator's default merge options.
 func BenchmarkFitMerge(b *testing.B) {
-	a := gaussian.Spherical(linalg.Vector{-1, 0, 0, 0}, 1)
-	c := gaussian.Spherical(linalg.Vector{1, 0.5, 0, 0}, 1.5)
+	cov := linalg.NewSymFrom(4, []float64{
+		1.2, 0.3, -0.2, 0.1,
+		0.3, 0.9, 0.25, 0,
+		-0.2, 0.25, 1.5, -0.3,
+		0.1, 0, -0.3, 0.7,
+	})
+	a := gaussian.MustComponent(linalg.Vector{-6.1, 2.3, 0.4, 7.2}, cov)
+	cov.ScaleInPlace(1.1)
+	c := gaussian.MustComponent(linalg.Vector{-5.9, 2.2, 0.6, 7.1}, cov)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = gaussian.FitMerge(0.5, a, 0.5, c, gaussian.MergeOptions{Seed: 1})
+		_, _ = gaussian.FitMerge(3072, a, 2560, c, gaussian.MergeOptions{Seed: 1})
 	}
 }
 

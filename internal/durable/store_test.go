@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -357,5 +358,112 @@ func TestStoreEpochResetSurvivesReplay(t *testing.T) {
 	defer s2.Close()
 	if got := stateBytes(t, rec2.Coord, rec2.Dedupe, s2.Applied()); !bytes.Equal(got, want) {
 		t.Fatal("epoch reset did not survive replay")
+	}
+}
+
+// paletteMix is site siteID's fit of regime r of a palette both sites
+// share: the same two 4-d clusters, each seen through the site's own small
+// estimation error, so every cluster is a two-member group at the
+// coordinator and every touch of it runs the simplex-fitted merge.
+func paletteMix(siteID int32, r int) *gaussian.Mixture {
+	const d = 4
+	truth := rand.New(rand.NewSource(int64(10 + r)))
+	noise := rand.New(rand.NewSource(int64(100*r) + int64(siteID)))
+	ws := make([]float64, 2)
+	comps := make([]*gaussian.Component, 2)
+	for j := range comps {
+		mean := linalg.NewVector(d)
+		for i := range mean {
+			mean[i] = 20*truth.Float64() - 10 + 0.05*noise.NormFloat64()
+		}
+		cov := linalg.NewSym(d)
+		for n := 0; n < d+2; n++ {
+			v := linalg.NewVector(d)
+			for i := range v {
+				v[i] = 0.5 * truth.NormFloat64()
+			}
+			cov.AddOuterScaled(1+0.02*noise.Float64(), v)
+		}
+		for i := 0; i < d; i++ {
+			cov.Add(i, i, 0.2)
+		}
+		comps[j] = gaussian.MustComponent(mean, cov)
+		ws[j] = 1 + truth.Float64() + 0.05*noise.Float64()
+	}
+	return gaussian.MustMixture(ws, comps)
+}
+
+// TestStoreCrashRecoveryDaemonMerge is the crash → Open contract at the
+// configuration the daemons run: coordinator.Config{Dim: 4}, simplex-
+// fitted merge (every other test here uses MomentOnly). The sequence
+// crosses a checkpoint, so the recovered state is a loaded checkpoint —
+// mixtures read back from disk — plus a replayed WAL tail, and it must
+// still be the crashed coordinator's state byte for byte.
+func TestStoreCrashRecoveryDaemonMerge(t *testing.T) {
+	cfg := coordinator.Config{Dim: 4}
+	dir := t.TempDir()
+	s, rec, err := Open(dir, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := map[int32]uint64{}
+	apply := func(kind transport.MsgKind, siteID, modelID int32, count int64, mix *gaussian.Mixture) {
+		t.Helper()
+		seq[siteID]++
+		payload := transport.Encode(transport.Message{
+			Kind: kind, SiteID: siteID, ModelID: modelID, Count: count, Epoch: 1, Seq: seq[siteID], Mixture: mix,
+		})
+		// The server applies what it decoded from the wire, which is also
+		// what a WAL replay decodes.
+		msg, err := transport.Decode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := ReplayApply(rec.Coord, rec.Dedupe, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(transport.MsgNewModel, 1, 1, 256, paletteMix(1, 0))
+	apply(transport.MsgNewModel, 2, 1, 256, paletteMix(2, 0))
+	apply(transport.MsgWeightUpdate, 1, 1, 256, nil)
+	apply(transport.MsgNewModel, 2, 2, 256, paletteMix(2, 1))
+	apply(transport.MsgWeightUpdate, 2, 1, 512, nil)
+	if err := s.Checkpoint(rec.Coord, rec.Dedupe); err != nil {
+		t.Fatal(err)
+	}
+	apply(transport.MsgNewModel, 1, 2, 256, paletteMix(1, 1))
+	apply(transport.MsgDeletion, 1, 1, 256, nil)
+	apply(transport.MsgWeightUpdate, 2, 2, 768, nil)
+	apply(transport.MsgDeletion, 1, 1, 256, nil) // site 1's model 1 is drained
+	apply(transport.MsgDeletion, 2, 1, 256, nil)
+	const tail = 5
+
+	multi := 0
+	for _, g := range rec.Coord.Groups() {
+		if g.Size() > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no multi-member group: the sequence never ran a merge")
+	}
+	want := stateBytes(t, rec.Coord, rec.Dedupe, s.Applied())
+	if err := s.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rec2, err := Open(dir, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !rec2.CheckpointLoaded || rec2.RecordsReplayed != tail {
+		t.Fatalf("recovery loaded checkpoint=%v and replayed %d records, want true and %d", rec2.CheckpointLoaded, rec2.RecordsReplayed, tail)
+	}
+	if got := stateBytes(t, rec2.Coord, rec2.Dedupe, s2.Applied()); !bytes.Equal(got, want) {
+		t.Fatal("recovered state differs from the crashed coordinator's")
 	}
 }

@@ -64,13 +64,18 @@ func NewComponent(mean linalg.Vector, cov *linalg.Sym, minVar float64) (*Compone
 			return nil, ErrSingular
 		}
 	}
-	d := float64(len(mean))
 	return &Component{
 		mean:    mean.Clone(),
 		cov:     cov.Clone(),
 		chol:    chol,
-		logNorm: -0.5*d*log2Pi - 0.5*chol.LogDet(),
+		logNorm: logNormOf(chol),
 	}, nil
+}
+
+// logNormOf returns the log normalizing constant of a Gaussian whose
+// covariance has the factor chol.
+func logNormOf(chol *linalg.Cholesky) float64 {
+	return -0.5*float64(chol.Order())*log2Pi - 0.5*chol.LogDet()
 }
 
 // MustComponent is NewComponent that panics on error; for tests and
@@ -139,12 +144,10 @@ func (c *Component) MahalanobisSq(x linalg.Vector) float64 {
 
 // SampleInto draws one sample x = μ + L·z (z standard normal) into dst.
 func (c *Component) SampleInto(rng *rand.Rand, dst linalg.Vector) {
-	d := c.Dim()
-	z := make(linalg.Vector, d)
-	for i := range z {
-		z[i] = rng.NormFloat64()
+	for i := range dst {
+		dst[i] = rng.NormFloat64()
 	}
-	c.chol.MulLVecInto(z, dst)
+	c.chol.MulLVecInto(dst, dst) // z lives in dst: no per-draw allocation
 	dst.AddInPlace(c.mean)
 }
 

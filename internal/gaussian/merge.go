@@ -48,30 +48,90 @@ func MomentMerge(wi float64, ci *Component, wj float64, cj *Component) (float64,
 // |a(x) − b(x)|/q(x). The estimator is unbiased wherever q > 0, and the
 // merged density i′ always lives between the parents, so coverage is good.
 // nSamples around 256 gives a stable enough signal to steer Nelder–Mead.
+//
+// The draws and the parent densities do not depend on the merged component,
+// so they live in a lossPanel; L1Loss draws one and scores merged on it.
 func L1Loss(wi float64, ci *Component, wj float64, cj *Component, merged *Component, nSamples int, rng *rand.Rand) float64 {
 	if nSamples <= 0 {
 		nSamples = 256
 	}
+	return newLossPanel(wi, ci, wj, cj, nSamples, rng).lossOf(merged)
+}
+
+// lossPanel is the part of the L1Loss estimator that is the same for every
+// candidate merged component of one parent pair: the sample points and the
+// parent mixture evaluated on them. FitMerge's objective uses common random
+// numbers — every evaluation sees the same draws — so one panel serves the
+// whole simplex search and an evaluation only has to score its candidate.
+type lossPanel struct {
+	w float64 // w_i + w_j
+	n int     // samples drawn: the estimator's divisor
+	// The samples at which q is positive and finite, in draw order; the
+	// estimator skips the others, so they are not kept.
+	xs []linalg.Vector
+	a  []float64 // w_i·p_i(x) + w_j·p_j(x)
+	q  []float64 // a / w, the importance density
+	// Scratch of one evaluation: the d × len(xs) dimension-major panel of
+	// x − μ′ and the squared Mahalanobis distances it reduces to.
+	diff []float64
+	maha []float64
+}
+
+// newLossPanel draws nSamples points from the normalized parent pair,
+// consuming rng exactly as a per-candidate estimator would, and evaluates
+// the parents on them.
+func newLossPanel(wi float64, ci *Component, wj float64, cj *Component, nSamples int, rng *rand.Rand) *lossPanel {
+	d := ci.Dim()
 	w := wi + wj
 	pi := wi / w
-	x := linalg.NewVector(ci.Dim())
-	var acc float64
+	p := &lossPanel{
+		w:    w,
+		n:    nSamples,
+		xs:   make([]linalg.Vector, 0, nSamples),
+		a:    make([]float64, 0, nSamples),
+		q:    make([]float64, 0, nSamples),
+		diff: make([]float64, d*nSamples),
+		maha: make([]float64, nSamples),
+	}
+	points := make([]float64, d*nSamples)
+	diff, half := linalg.NewVector(d), linalg.NewVector(d)
 	for s := 0; s < nSamples; s++ {
+		x := linalg.Vector(points[s*d : (s+1)*d : (s+1)*d])
 		if rng.Float64() < pi {
 			ci.SampleInto(rng, x)
 		} else {
 			cj.SampleInto(rng, x)
 		}
-		a := wi*ci.Prob(x) + wj*cj.Prob(x)
-		b := w * merged.Prob(x)
+		a := wi*math.Exp(ci.LogProbScratch(x, diff, half)) + wj*math.Exp(cj.LogProbScratch(x, diff, half))
 		q := a / w
 		if q <= 0 || math.IsInf(q, 0) || math.IsNaN(q) {
 			continue
 		}
-		acc += math.Abs(a-b) / q
+		p.xs = append(p.xs, x)
+		p.a = append(p.a, a)
+		p.q = append(p.q, q)
 	}
-	return acc / float64(nSamples)
+	return p
 }
+
+// loss scores the Gaussian with the given mean, covariance factor and log
+// normalizing constant on the panel. It does not allocate. The candidate's
+// log-densities go through the batched kernels, which are bit-identical to
+// Component.LogProb per sample (see Mixture.scoreBlock).
+func (p *lossPanel) loss(mean linalg.Vector, chol *linalg.Cholesky, logNorm float64) float64 {
+	count := len(p.xs)
+	linalg.SubRowsInto(p.xs, mean, p.diff, count, count)
+	chol.QuadFormPanel(p.diff, count, count, p.maha)
+	var acc float64
+	for s := 0; s < count; s++ {
+		b := p.w * math.Exp(logNorm-0.5*p.maha[s])
+		acc += math.Abs(p.a[s]-b) / p.q[s]
+	}
+	return acc / float64(p.n)
+}
+
+// lossOf scores component c on the panel.
+func (p *lossPanel) lossOf(c *Component) float64 { return p.loss(c.mean, c.chol, c.logNorm) }
 
 // MergeOptions tunes FitMerge. The zero value selects the defaults the
 // experiments use.
@@ -117,58 +177,86 @@ func FitMerge(wi float64, ci *Component, wj float64, cj *Component, opt MergeOpt
 		opt.MaxIter = 25 * d
 	}
 
-	// Parameter vector: [μ_1..μ_d, log s_1..log s_d] where Σ′ has entries
-	// Σ′[a][b] = s_a·s_b·Σ0[a][b] — a diagonal congruence of the moment
-	// covariance, which preserves positive definiteness for any s > 0.
-	obj := func(p []float64) float64 {
-		mean := linalg.Vector(p[:d])
-		cov := linalg.NewSym(d)
-		for a := 0; a < d; a++ {
-			sa := math.Exp(p[d+a])
-			// The merged covariance may shrink or grow only moderately
-			// relative to the moment match: merge candidates are close (the
-			// coordinator gates on M_merge), and an unbounded scale lets
-			// the simplex chase Monte-Carlo noise into degenerate shapes.
-			if sa > 2 || sa < 0.5 {
-				return math.Inf(1)
-			}
-			for b := 0; b <= a; b++ {
-				sb := math.Exp(p[d+b])
-				cov.Set(a, b, sa*sb*cov0.At(a, b))
-			}
-		}
-		cand, err := NewComponent(mean, cov, 0)
-		if err != nil {
-			return math.Inf(1)
-		}
-		// Common random numbers: same seed each evaluation.
-		return L1Loss(wi, ci, wj, cj, cand, opt.Samples, rand.New(rand.NewSource(seed)))
-	}
+	// Common random numbers: every objective evaluation, and the moment
+	// merge it is finally compared with, is scored on the one panel drawn
+	// from this seed.
+	obj := newMergeObjective(cov0, newLossPanel(wi, ci, wj, cj, opt.Samples, rand.New(rand.NewSource(seed))))
 
 	p0 := make([]float64, 2*d)
 	copy(p0, mean0)
-	res, err := simplex.Minimize(obj, p0, simplex.Options{MaxIter: opt.MaxIter, Step: 0.05, TolF: 1e-6, TolX: 1e-6})
+	res, err := simplex.Minimize(obj.eval, p0, simplex.Options{MaxIter: opt.MaxIter, Step: 0.05, TolF: 1e-6, TolX: 1e-6})
 	if err != nil {
 		return w, base
 	}
 	// Only accept the refined parameters if they actually improve on the
 	// moment merge under the same CRN stream.
-	baseLoss := L1Loss(wi, ci, wj, cj, base, opt.Samples, rand.New(rand.NewSource(seed)))
-	if res.F >= baseLoss {
+	if res.F >= obj.panel.lossOf(base) {
 		return w, base
 	}
-	mean := linalg.Vector(res.X[:d]).Clone()
-	cov := linalg.NewSym(d)
-	for a := 0; a < d; a++ {
-		sa := math.Exp(res.X[d+a])
-		for b := 0; b <= a; b++ {
-			sb := math.Exp(res.X[d+b])
-			cov.Set(a, b, sa*sb*cov0.At(a, b))
-		}
-	}
-	merged, err2 := NewComponent(mean, cov, 0)
+	obj.setCov(res.X[d:])
+	merged, err2 := NewComponent(linalg.Vector(res.X[:d]), obj.cov, 0)
 	if err2 != nil {
 		return w, base
 	}
 	return w, merged
+}
+
+// mergeObjective is the function FitMerge's simplex minimizes, with the
+// scratch one evaluation needs so that it does not allocate. Its parameter
+// vector is [μ_1..μ_d, log s_1..log s_d] where Σ′ has entries
+// Σ′[a][b] = s_a·s_b·Σ0[a][b] — a diagonal congruence of the moment
+// covariance Σ0, which preserves positive definiteness for any s > 0.
+type mergeObjective struct {
+	cov0  *linalg.Sym
+	panel *lossPanel
+	scale linalg.Vector   // s of the last setCov
+	cov   *linalg.Sym     // Σ′ of the last setCov
+	chol  linalg.Cholesky // its factor
+}
+
+func newMergeObjective(cov0 *linalg.Sym, panel *lossPanel) *mergeObjective {
+	d := cov0.Order()
+	return &mergeObjective{cov0: cov0, panel: panel, scale: linalg.NewVector(d), cov: linalg.NewSym(d)}
+}
+
+// setCov fills o.scale and o.cov from the log scale factors.
+func (o *mergeObjective) setCov(logScale []float64) {
+	for a := range o.scale {
+		o.scale[a] = math.Exp(logScale[a])
+	}
+	for a, sa := range o.scale {
+		for b := 0; b <= a; b++ {
+			o.cov.Set(a, b, sa*o.scale[b]*o.cov0.At(a, b))
+		}
+	}
+}
+
+// eval returns the panel's L1 loss of the candidate p describes, +Inf for
+// a candidate that is out of bounds or not a Gaussian.
+func (o *mergeObjective) eval(p []float64) float64 {
+	d := len(o.scale)
+	mean := linalg.Vector(p[:d])
+	o.setCov(p[d:])
+	for _, sa := range o.scale {
+		// The merged covariance may shrink or grow only moderately
+		// relative to the moment match: merge candidates are close (the
+		// coordinator gates on M_merge), and an unbounded scale lets
+		// the simplex chase Monte-Carlo noise into degenerate shapes.
+		if sa > 2 || sa < 0.5 {
+			return math.Inf(1)
+		}
+	}
+	if !mean.IsFinite() || !o.cov.IsFinite() {
+		return math.Inf(1)
+	}
+	// NewComponent's arithmetic, on scratch the search reuses; a covariance
+	// that does not factor takes NewComponent's own repair path.
+	if linalg.CholeskyDecomposeInto(o.cov, &o.chol) != nil {
+		cand, err := NewComponent(mean, o.cov, 0)
+		if err != nil {
+			return math.Inf(1)
+		}
+		return o.panel.lossOf(cand)
+	}
+	return o.panel.loss(mean, &o.chol, logNormOf(&o.chol))
 }

@@ -33,37 +33,69 @@ var ErrEmptyMixture = errors.New("gaussian: mixture needs at least one component
 // weights are copied and normalized to sum to 1; they must be non-negative
 // with a positive sum, and every component must share one dimensionality.
 func NewMixture(weights []float64, comps []*Component) (*Mixture, error) {
-	if len(comps) == 0 {
-		return nil, ErrEmptyMixture
-	}
-	if len(weights) != len(comps) {
-		return nil, fmt.Errorf("gaussian: %d weights for %d components", len(weights), len(comps))
-	}
-	d := comps[0].Dim()
-	var sum float64
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("gaussian: negative or NaN weight %v at %d", w, i)
-		}
-		if comps[i].Dim() != d {
-			return nil, fmt.Errorf("gaussian: component %d has dim %d, want %d", i, comps[i].Dim(), d)
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		return nil, errors.New("gaussian: weights sum to zero")
+	sum, err := checkMixture(weights, comps)
+	if err != nil {
+		return nil, err
 	}
 	ws := make([]float64, len(weights))
 	for i, w := range weights {
 		ws[i] = w / sum
 	}
+	return newMixture(ws, comps), nil
+}
+
+// NewNormalizedMixture is NewMixture for weights that are already a
+// normalized mixture's — read back from a checkpoint or an archive. They
+// are kept bit for bit: a sum of doubles that were each divided by their
+// total is often 1 − 2⁻⁵³, so dividing by it once more moves weights by an
+// ulp and a recovered coordinator would no longer be bit-identical to the
+// one that wrote the checkpoint. The sum must be 1 to within 1e-9.
+func NewNormalizedMixture(weights []float64, comps []*Component) (*Mixture, error) {
+	sum, err := checkMixture(weights, comps)
+	if err != nil {
+		return nil, err
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		return nil, fmt.Errorf("gaussian: weights sum to %v, want 1", sum)
+	}
+	return newMixture(append([]float64(nil), weights...), comps), nil
+}
+
+// checkMixture validates parallel weight/component slices and returns the
+// weight sum.
+func checkMixture(weights []float64, comps []*Component) (float64, error) {
+	if len(comps) == 0 {
+		return 0, ErrEmptyMixture
+	}
+	if len(weights) != len(comps) {
+		return 0, fmt.Errorf("gaussian: %d weights for %d components", len(weights), len(comps))
+	}
+	d := comps[0].Dim()
+	var sum float64
+	for i, w := range weights {
+		if w < 0 || math.IsNaN(w) {
+			return 0, fmt.Errorf("gaussian: negative or NaN weight %v at %d", w, i)
+		}
+		if comps[i].Dim() != d {
+			return 0, fmt.Errorf("gaussian: component %d has dim %d, want %d", i, comps[i].Dim(), d)
+		}
+		sum += w
+	}
+	if sum <= 0 {
+		return 0, errors.New("gaussian: weights sum to zero")
+	}
+	return sum, nil
+}
+
+// newMixture takes ownership of ws and copies comps.
+func newMixture(ws []float64, comps []*Component) *Mixture {
 	cs := make([]*Component, len(comps))
 	copy(cs, comps)
 	lw := make([]float64, len(ws))
 	for i, w := range ws {
 		lw[i] = math.Log(w) // Log(0) = -Inf, matching the zero-weight skip
 	}
-	return &Mixture{weights: ws, comps: cs, logW: lw}, nil
+	return &Mixture{weights: ws, comps: cs, logW: lw}
 }
 
 // MustMixture is NewMixture that panics on error.

@@ -22,8 +22,22 @@ type Cholesky struct {
 // CholeskyDecompose factors a into L·Lᵀ. It returns
 // ErrNotPositiveDefinite if a pivot is not strictly positive.
 func CholeskyDecompose(a *Sym) (*Cholesky, error) {
+	c := &Cholesky{}
+	if err := CholeskyDecomposeInto(a, c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// CholeskyDecomposeInto is CholeskyDecompose into a caller-owned factor,
+// for loops that factor one candidate matrix after another: c's storage is
+// reused once it has a's order (the zero Cholesky is a valid first
+// argument). When it returns an error, c holds no usable factor.
+func CholeskyDecomposeInto(a *Sym, c *Cholesky) error {
 	n := a.n
-	c := &Cholesky{n: n, l: make([]float64, len(a.data))}
+	if c.n != n {
+		c.n, c.l = n, make([]float64, len(a.data))
+	}
 	copy(c.l, a.data)
 	for j := 0; j < n; j++ {
 		// Diagonal pivot: l[j][j] = sqrt(a[j][j] - sum_k l[j][k]^2).
@@ -33,7 +47,7 @@ func CholeskyDecompose(a *Sym) (*Cholesky, error) {
 			d -= ljk * ljk
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
+			return ErrNotPositiveDefinite
 		}
 		d = math.Sqrt(d)
 		c.set(j, j, d)
@@ -46,7 +60,7 @@ func CholeskyDecompose(a *Sym) (*Cholesky, error) {
 			c.set(i, j, v/d)
 		}
 	}
-	return c, nil
+	return nil
 }
 
 func (c *Cholesky) at(i, j int) float64     { return c.l[i*(i+1)/2+j] }
@@ -183,7 +197,8 @@ func (c *Cholesky) Inverse() *Sym {
 }
 
 // MulLVecInto computes dst = L · v, used when sampling from a Gaussian
-// (x = μ + L z with z standard normal).
+// (x = μ + L z with z standard normal). dst may alias v: rows are written
+// from the last one up, and row i reads only v[0..i].
 func (c *Cholesky) MulLVecInto(v, dst Vector) {
 	if len(v) != c.n || len(dst) != c.n {
 		panic("linalg: Cholesky MulLVec dimension mismatch")

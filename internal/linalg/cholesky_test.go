@@ -166,3 +166,57 @@ func TestCholeskyLogDetScaling(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestCholeskyMulLVecIntoAliased(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for n := 1; n <= 6; n++ {
+		c, err := CholeskyDecompose(randSPD(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := randVec(rng, n)
+		want := NewVector(n)
+		c.MulLVecInto(v, want)
+		c.MulLVecInto(v, v)
+		for i := range v {
+			if math.Float64bits(v[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: in-place L·v differs at %d: %v vs %v", n, i, v[i], want[i])
+			}
+		}
+	}
+}
+
+func TestCholeskyDecomposeIntoReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var scratch Cholesky
+	for n := 1; n <= 6; n++ {
+		for rep := 0; rep < 3; rep++ {
+			a := randSPD(rng, n)
+			want, err := CholeskyDecompose(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep == 1 {
+				// A failed factorization must not poison the next one.
+				if err := CholeskyDecomposeInto(NewSym(n), &scratch); err != ErrNotPositiveDefinite {
+					t.Fatalf("zero matrix: err = %v", err)
+				}
+			}
+			if err := CholeskyDecomposeInto(a, &scratch); err != nil {
+				t.Fatal(err)
+			}
+			if scratch.n != want.n {
+				t.Fatalf("order %d, want %d", scratch.n, want.n)
+			}
+			for i := range want.l {
+				if math.Float64bits(scratch.l[i]) != math.Float64bits(want.l[i]) {
+					t.Fatalf("n=%d: factor differs at %d", n, i)
+				}
+			}
+		}
+		l := &scratch.l[0]
+		if err := CholeskyDecomposeInto(randSPD(rng, n), &scratch); err != nil || &scratch.l[0] != l {
+			t.Fatalf("n=%d: storage not reused (err %v)", n, err)
+		}
+	}
+}

@@ -9,6 +9,8 @@ import (
 	"testing/quick"
 
 	"cludistream/internal/coordinator"
+	"cludistream/internal/gaussian"
+	"cludistream/internal/linalg"
 )
 
 // randomCoordState builds an arbitrary but format-valid coordinator
@@ -198,4 +200,101 @@ func FuzzLoadCoordinatorState(f *testing.F) {
 			t.Fatalf("re-load failed: %v", err)
 		}
 	})
+}
+
+// offNormalMixture returns a mixture whose normalized weights sum to
+// 1 − 2⁻⁵³ and change when divided by that sum once more: the case in
+// which a loader that re-normalizes hands back a different mixture.
+func offNormalMixture(t *testing.T) *gaussian.Mixture {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	comps := []*gaussian.Component{
+		gaussian.Spherical(linalg.Vector{-1, 0}, 1),
+		gaussian.Spherical(linalg.Vector{0, 2}, 0.5),
+		gaussian.Spherical(linalg.Vector{3, 1}, 2),
+	}
+	for try := 0; try < 10000; try++ {
+		raw := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		m := gaussian.MustMixture(raw, comps)
+		var sum float64
+		for _, w := range m.Weights() {
+			sum += w
+		}
+		if sum != math.Nextafter(1, 0) {
+			continue
+		}
+		for _, w := range m.Weights() {
+			if w/sum != w {
+				return m
+			}
+		}
+	}
+	t.Fatal("no weight vector summing to Nextafter(1, 0) found")
+	return nil
+}
+
+// TestCoordStateKeepsOffNormalWeights: a checkpoint load must hand back
+// the mixture weights bit for bit even when they sum to 1 − 2⁻⁵³, or the
+// recovered coordinator is an ulp away from the one that crashed.
+func TestCoordStateKeepsOffNormalWeights(t *testing.T) {
+	mix := offNormalMixture(t)
+	st := &CoordinatorState{Applied: 3, Snapshot: &coordinator.Snapshot{
+		Dim:         2,
+		NextGroupID: 2,
+		Models:      []coordinator.SnapshotModel{{SiteID: 1, ModelID: 1, Counter: 1000, Mixture: mix}},
+		Groups: []coordinator.SnapshotGroup{{ID: 1, Members: []coordinator.SnapshotMember{
+			{Key: coordinator.MemberKey{SiteID: 1, ModelID: 1, Comp: 0}, MRemergeAtJoin: math.Inf(1)},
+			{Key: coordinator.MemberKey{SiteID: 1, ModelID: 1, Comp: 1}, MRemergeAtJoin: 2},
+			{Key: coordinator.MemberKey{SiteID: 1, ModelID: 1, Comp: 2}, MRemergeAtJoin: 3},
+		}}},
+	}}
+	var first bytes.Buffer
+	if err := SaveCoordinatorState(&first, st); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadCoordinatorState(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := got.Snapshot.Models[0].Mixture
+	for j := 0; j < mix.K(); j++ {
+		if math.Float64bits(loaded.Weight(j)) != math.Float64bits(mix.Weight(j)) {
+			t.Fatalf("weight %d: loaded %x, saved %x", j, math.Float64bits(loaded.Weight(j)), math.Float64bits(mix.Weight(j)))
+		}
+	}
+	var second bytes.Buffer
+	if err := SaveCoordinatorState(&second, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("checkpoint round trip is not byte-identical")
+	}
+}
+
+// TestReadMixtureRejectsBadWeights: weights are loaded verbatim, so the
+// reader itself must refuse what normalization used to refuse or repair.
+func TestReadMixtureRejectsBadWeights(t *testing.T) {
+	encode := func(w0, w1 float64) []byte {
+		var buf bytes.Buffer
+		writeU32(&buf, 2) // K
+		writeU32(&buf, 1) // d
+		for _, v := range []float64{w0, w1, -1, 1, 1, 1} {
+			writeF64(&buf, v) // weights, means, variances
+		}
+		return buf.Bytes()
+	}
+	if _, err := readMixture(bytes.NewReader(encode(0.25, 0.75))); err != nil {
+		t.Fatalf("valid mixture rejected: %v", err)
+	}
+	for name, w := range map[string][2]float64{
+		"negative":     {-0.5, 1.5},
+		"NaN":          {math.NaN(), 1},
+		"zero sum":     {0, 0},
+		"infinite":     {math.Inf(1), 0},
+		"unnormalized": {1, 1},
+	} {
+		if _, err := readMixture(bytes.NewReader(encode(w[0], w[1]))); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s weights: err = %v, want ErrBadFormat", name, err)
+		}
+	}
 }

@@ -383,7 +383,9 @@ func readMixture(r io.Reader) (*gaussian.Mixture, error) {
 		}
 		comps[j] = c
 	}
-	mix, err := gaussian.NewMixture(weights, comps)
+	// The weights were normalized when the mixture was built; they are kept
+	// bit for bit so that a checkpoint round trip is the identity.
+	mix, err := gaussian.NewNormalizedMixture(weights, comps)
 	if err != nil {
 		return nil, badFormat("invalid mixture: %v", err)
 	}

@@ -15,8 +15,8 @@ import (
 // randomMixture builds a mixture whose serialization is a fixed point of
 // Save/Load. Weights are dyadic rationals n/2^20 summing to exactly 2^20
 // numerator total, so every weight and every partial sum is exact in
-// float64 and NewMixture's re-normalization on load divides by exactly
-// 1.0. Covariances are strictly diagonally dominant, so the Cholesky in
+// float64 and NewMixture's normalization divides by exactly 1.0 (the
+// loader itself keeps weights verbatim). Covariances are strictly diagonally dominant, so the Cholesky in
 // NewComponent succeeds and the matrix is stored verbatim, never repaired.
 func randomMixture(rng *rand.Rand, d int) *gaussian.Mixture {
 	const denom = 1 << 20
