@@ -130,7 +130,7 @@ fuzz:
 # when performance-relevant code changes.
 bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkAblation' -benchtime 1x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkMixture|BenchmarkEMFit|BenchmarkSite|BenchmarkSystem|BenchmarkCholesky|BenchmarkFitMerge|BenchmarkSMEM|BenchmarkScore|BenchmarkPosterior|BenchmarkQuadForm|BenchmarkTelemetry|BenchmarkMultiTest|BenchmarkRemerge' -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkMixture|BenchmarkEMFit|BenchmarkSite|BenchmarkSystem|BenchmarkCholesky|BenchmarkFitMerge|BenchmarkCoordinator|BenchmarkSMEM|BenchmarkScore|BenchmarkPosterior|BenchmarkQuadForm|BenchmarkTelemetry|BenchmarkMultiTest|BenchmarkRemerge' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchmem ./internal/query/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTreeLoad' -benchtime 1x ./internal/tree/ ; } \
 	  | tee /dev/stderr | $(GO) run $(LDFLAGS) ./cmd/benchjson > BENCH_quick.json
@@ -142,7 +142,7 @@ bench:
 # in the snapshot show up as informational "(no baseline)" rows.
 bench-compare:
 	@tmp=$$(mktemp) && \
-	{ $(GO) test -run '^$$' -bench 'BenchmarkMixture|BenchmarkEMFit|BenchmarkSite|BenchmarkSystem|BenchmarkCholesky|BenchmarkFitMerge|BenchmarkSMEM|BenchmarkScore|BenchmarkPosterior|BenchmarkQuadForm|BenchmarkTelemetry|BenchmarkMultiTest|BenchmarkRemerge' -benchmem . ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkMixture|BenchmarkEMFit|BenchmarkSite|BenchmarkSystem|BenchmarkCholesky|BenchmarkFitMerge|BenchmarkCoordinator|BenchmarkSMEM|BenchmarkScore|BenchmarkPosterior|BenchmarkQuadForm|BenchmarkTelemetry|BenchmarkMultiTest|BenchmarkRemerge' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchmem ./internal/query/ ; } \
 	  | $(GO) run $(LDFLAGS) ./cmd/benchjson > $$tmp && \
 	$(GO) run ./cmd/benchjson -compare BENCH_quick.json $$tmp; \

@@ -533,6 +533,70 @@ func BenchmarkFitMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkCoordinatorSlidingSteadyState is one chunk of a full sliding
+// window at the coordinator, at the daemons' shape: two sites hold their own
+// fit of one K = 5, d = 4 palette, so every cluster is a two-member group,
+// and a chunk is a WeightUpdate(+M) and the Deletion(−M) of the chunk that
+// left the window, the sites taking turns. The counters oscillate, so after
+// one turn each every pair merge is one the coordinator has fitted before:
+// the benchmark fails unless fits/op is 0.
+func BenchmarkCoordinatorSlidingSteadyState(b *testing.B) {
+	const m, window = 1567, 12 // records per chunk at d = 4, chunks per window
+	reg := telemetry.NewRegistry()
+	c, err := coordinator.New(coordinator.Config{Dim: 4, Telemetry: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	truth := benchMixture(5, 4)
+	rng := rand.New(rand.NewSource(2))
+	for siteID := 1; siteID <= 2; siteID++ {
+		comps := make([]*gaussian.Component, truth.K())
+		ws := make([]float64, truth.K())
+		for j := range comps {
+			mean := truth.Component(j).Mean().Clone()
+			for i := range mean {
+				mean[i] += 0.05 * rng.NormFloat64()
+			}
+			comps[j] = gaussian.MustComponent(mean, truth.Component(j).Cov())
+			ws[j] = 1 + 0.1*rng.Float64()
+		}
+		if err := c.HandleUpdate(site.Update{SiteID: siteID, ModelID: 1, Kind: site.NewModel,
+			Mixture: gaussian.MustMixture(ws, comps), Count: window * m}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if got := len(c.Groups()); got != truth.K() {
+		b.Fatalf("%d groups, want %d two-member groups", got, truth.K())
+	}
+	chunk := func(i int) {
+		siteID := 1 + i%2
+		if err := c.HandleUpdate(site.Update{SiteID: siteID, ModelID: 1, Kind: site.WeightUpdate, Count: m}); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.HandleDeletion(siteID, 1, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fits := reg.Counter("coord.merge_fits")
+	chunk(0)
+	chunk(1)
+	warm := fits.Value()
+	if warm == 0 {
+		b.Fatal("the warm-up fitted no merge")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chunk(i)
+	}
+	b.StopTimer()
+	perOp := float64(fits.Value()-warm) / float64(b.N)
+	b.ReportMetric(perOp, "fits/op")
+	if perOp != 0 {
+		b.Fatalf("%v merges fitted per steady-state chunk, want 0", perOp)
+	}
+}
+
 // BenchmarkTelemetryOverheadEMFit pins the disabled-telemetry cost of the
 // EM hot path at (approximately) zero: the "off" and "on" sub-benchmarks
 // run the identical d=8, K=4, n=4096 fit with and without a registry

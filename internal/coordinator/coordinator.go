@@ -146,9 +146,15 @@ type coordTele struct {
 	remergeDirty  *telemetry.Counter
 	remergeClean  *telemetry.Counter
 	auditViol     *telemetry.Counter
-	groups        *telemetry.Gauge
-	leaves        *telemetry.Gauge
-	mixtureVer    *telemetry.Gauge
+	// How the merges were scheduled, not what they produced: like the
+	// remerge sweep's dirty/clean counts these are telemetry only, because a
+	// recovered coordinator starts with a cold memo and reaches the same tree.
+	mergeFits   *telemetry.Counter
+	memoHits    *telemetry.Counter
+	memoEntries *telemetry.Gauge
+	groups      *telemetry.Gauge
+	leaves      *telemetry.Gauge
+	mixtureVer  *telemetry.Gauge
 }
 
 // setSizes publishes the current group/leaf population after a handled
@@ -177,6 +183,9 @@ func newCoordTele(reg *telemetry.Registry) coordTele {
 		remergeDirty:  reg.Counter("coord.remerge_dirty_groups"),
 		remergeClean:  reg.Counter("coord.remerge_clean_groups"),
 		auditViol:     reg.Counter("coord.remerge_audit_violations"),
+		mergeFits:     reg.Counter("coord.merge_fits"),
+		memoHits:      reg.Counter("coord.merge_memo_hits"),
+		memoEntries:   reg.Gauge("coord.merge_memo_entries"),
 		groups:        reg.Gauge("coord.groups"),
 		leaves:        reg.Gauge("coord.leaves"),
 		mixtureVer:    reg.Gauge("coord.mixture_version"),
@@ -218,6 +227,14 @@ type Coordinator struct {
 	workScratch []int
 	keysScratch []MemberKey
 
+	// merge is memoMerge, the remembered pair merge every representative is
+	// folded with; memoCur/memoOld are its two generations of at most
+	// memoLimit (= memoGeneration) entries. The parity tests swap merge for
+	// the unremembered gaussian.FitMerge and shrink memoLimit.
+	merge            pairMerge
+	memoLimit        int
+	memoCur, memoOld map[mergeKey]mergeVal
+
 	// Trace context of the message being handled (zeros when untraced):
 	// installed from the update itself or via SetTraceContext, cleared by
 	// finishApply. mixtureVer numbers successfully applied mutations of
@@ -251,7 +268,11 @@ func New(cfg Config) (*Coordinator, error) {
 		location: make(map[MemberKey]int),
 		dirty:    make(map[int]struct{}),
 		tele:     newCoordTele(cfg.Telemetry),
+
+		memoLimit: memoGeneration,
+		memoCur:   make(map[mergeKey]mergeVal, memoGeneration),
 	}
+	c.merge = c.memoMerge
 	if !cfg.DisableIndex {
 		c.index = kdtree.New(cfg.Dim)
 	}
@@ -536,7 +557,7 @@ func (c *Coordinator) candidates(m *member) []*Group {
 // through here, so it is also the single point where groups are marked
 // dirty for the incremental stability sweep.
 func (c *Coordinator) refreshGroup(g *Group) {
-	g.recomputeRep(c.cfg.Merge)
+	g.recomputeRep(c.merge)
 	c.dirty[g.id] = struct{}{}
 	if g.Size() == 0 {
 		c.hasEmpty = true

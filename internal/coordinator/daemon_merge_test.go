@@ -135,6 +135,9 @@ func globalBytes(c *coordinator.Coordinator) []byte {
 		}
 	}
 	gm := c.GlobalMixture()
+	if gm == nil {
+		return nil
+	}
 	for j := 0; j < gm.K(); j++ {
 		put(gm.Weight(j))
 		for _, v := range gm.Component(j).Mean() {

@@ -105,9 +105,9 @@ func (g *Group) remove(i int) *member {
 }
 
 // recomputeRep rebuilds the representative by pairwise merging the members
-// in deterministic (key) order. Pair merges use opts (simplex-fitted by
-// default; MomentOnly for the cheap ablation).
-func (g *Group) recomputeRep(opts gaussian.MergeOptions) {
+// in deterministic (key) order through merge — the coordinator's remembered
+// gaussian.FitMerge (see Coordinator.memoMerge).
+func (g *Group) recomputeRep(merge pairMerge) {
 	if len(g.members) == 0 {
 		g.rep = nil
 		g.weight = 0
@@ -116,7 +116,7 @@ func (g *Group) recomputeRep(opts gaussian.MergeOptions) {
 	w := g.members[0].weight
 	rep := g.members[0].comp
 	for _, m := range g.members[1:] {
-		w, rep = gaussian.FitMerge(w, rep, m.weight, m.comp, opts)
+		w, rep = merge(w, rep, m.weight, m.comp)
 	}
 	g.rep = rep
 	g.weight = w

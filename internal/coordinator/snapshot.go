@@ -173,7 +173,7 @@ func FromSnapshot(cfg Config, snap *Snapshot) (*Coordinator, error) {
 		}
 		// recomputeRep runs after every live mutation (refreshGroup), so
 		// the live rep and weight always equal this recomputation.
-		g.recomputeRep(c.cfg.Merge)
+		g.recomputeRep(c.merge)
 		c.groups = append(c.groups, g)
 		c.byID[g.id] = g
 		if c.index != nil && g.rep != nil {

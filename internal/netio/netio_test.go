@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -234,6 +235,69 @@ func TestSlidingWindowDeletionsOverTCP(t *testing.T) {
 		}
 		if math.Abs(total-400) > 1e-6 {
 			t.Fatalf("coordinator mass = %v, want 400 (horizon 2 × 200)", total)
+		}
+	})
+}
+
+// TestSlidingReactivatedModelIsNotLost drives a sliding client whose horizon
+// (2 chunks) is shorter than its regime cycle (3 chunks of A, 3 of B, A
+// again): while B runs, every record of A's model expires, its weight drains
+// to zero at the coordinator and Section 7's rule deletes it there. When A
+// returns the site re-activates its archived model and emits a bare
+// WeightUpdate, which the coordinator can only refuse; the client, which
+// sent the deletions, must send the synopsis again instead.
+func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
+	const chunkSize, horizon = 200, 2
+	srv, err := NewServer("127.0.0.1:0", newCoord(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	st := mustSlidingSite(t)
+	c, err := Dial(srv.Addr().String(), st, 1, DialOptions{SlidingHorizonChunks: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	rng := rand.New(rand.NewSource(3))
+	for _, mix := range []*gaussian.Mixture{regime(0), regime(100), regime(0), regime(100)} {
+		for rec := 0; rec < 3*chunkSize; rec++ {
+			if err := c.Observe(mix.Sample(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.Flush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(st.Models()); got != 2 {
+		t.Fatalf("site holds %d models, want 2 (the returning regimes re-activate the archive)", got)
+	}
+	if got := c.Delivery().Rejected; got != 0 {
+		t.Errorf("client: %d messages rejected", got)
+	}
+	if got := srv.DeliveryStats().ApplyErrors; got != 0 {
+		t.Errorf("server: %d apply errors", got)
+	}
+	// The coordinator's counters must be the site's in-window record counts.
+	inWindow := map[int]int{}
+	for chunk := st.ChunksSeen() - horizon + 1; chunk <= st.ChunksSeen(); chunk++ {
+		id, ok := st.Events().ModelAt(chunk)
+		if !ok {
+			id = st.Current().ID
+		}
+		inWindow[id] += chunkSize
+	}
+	var want []coordinator.ModelWeight
+	for _, m := range st.Models() {
+		if n := inWindow[m.ID]; n > 0 {
+			want = append(want, coordinator.ModelWeight{SiteID: 1, ModelID: m.ID, Counter: n})
+		}
+	}
+	srv.Snapshot(func(co *coordinator.Coordinator) {
+		if got := co.ModelWeights(); !reflect.DeepEqual(got, want) {
+			t.Errorf("coordinator.ModelWeights() = %v, the site's window holds %v", got, want)
 		}
 	})
 }

@@ -75,6 +75,16 @@ func TestTelemetryBitIdentical(t *testing.T) {
 	if off != on {
 		t.Fatalf("telemetry changed clustering output:\n--- off ---\n%s--- on ---\n%s", off, on)
 	}
+	// The identical run counted its pair merges: the coordinator's memo
+	// instruments saw work and, like the rest, moved nothing.
+	snap := cfg.Telemetry.Snapshot()
+	if snap.Counters["coord.merge_fits"] == 0 || snap.Counters["coord.merge_memo_hits"] == 0 {
+		t.Errorf("coord.merge_fits = %d, coord.merge_memo_hits = %d: want both > 0",
+			snap.Counters["coord.merge_fits"], snap.Counters["coord.merge_memo_hits"])
+	}
+	if got := snap.Gauges["coord.merge_memo_entries"]; got <= 0 || got > 512 {
+		t.Errorf("coord.merge_memo_entries = %v, want in 1..512", got)
+	}
 }
 
 // TestTelemetryBitIdenticalFaulty repeats the pin under fault-tolerant
