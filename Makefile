@@ -3,7 +3,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -ldflags "-X cludistream/internal/buildinfo.Version=$(VERSION) -X cludistream/internal/buildinfo.Commit=$(COMMIT)"
 
-.PHONY: all build vet lint test race race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-compare bench-e2e bench-e2e-test obs-demo trace-demo dst dst-tree dst-long
+.PHONY: all build vet lint test race race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-compare bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-tree dst-long
 
 all: check
 
@@ -155,6 +155,18 @@ bench-compare:
 # `make bench-e2e ARGS="-workload sliding -seed 11 -trace 1"`.
 bench-e2e:
 	bash bench/run.sh $(ARGS)
+
+# Paired runs of bench-e2e on a base revision and the working tree, which
+# is how a gain is claimed: the sides alternate with the order flipped every
+# pair, seeds from 11 up, and the script prints each end-to-end metric's
+# medians, quartiles, per-pair ratios and win count. Foreground only, e.g.
+# `make bench-pair BASE=HEAD~1 WORKLOAD=steady PAIRS=10 RUN_SECONDS=28`.
+WORKLOAD ?= steady
+PAIRS ?= 10
+RUN_SECONDS ?= 28
+bench-pair:
+	@test -n "$(BASE)" || { echo "bench-pair: set BASE=<rev>"; exit 2; }
+	bash scripts/bench-pair.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(RUN_SECONDS)"
 
 # The benchmark's own tests: every workload smoke-run with all self-checks,
 # traced-path parity, BENCHMARK.json ↔ metric catalogue, and the pin that

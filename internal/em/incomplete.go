@@ -104,7 +104,7 @@ func FitIncomplete(data []linalg.Vector, cfg Config) (*Result, error) {
 			for j := 0; j < cfg.K; j++ {
 				lp := math.Log(mix.Weight(j)) + cache.marginalLogProb(j, mask, x)
 				post[j] = lp
-				lse = logAddEM(lse, lp)
+				lse = gaussian.LogAdd(lse, lp)
 			}
 			sumLL += lse
 			for j := 0; j < cfg.K; j++ {
@@ -289,19 +289,4 @@ func (c *condCache) impute(j int, mask uint64, x, xhat linalg.Vector) *linalg.Sy
 		xhat[am] = mu[am] + e.b[mi].Dot(diff)
 	}
 	return e.cond
-}
-
-// logAddEM is a local stable log-sum-exp step (avoids importing gaussian's
-// unexported helper).
-func logAddEM(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
 }

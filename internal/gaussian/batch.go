@@ -78,7 +78,7 @@ func (m *Mixture) scoreBlock(xs []linalg.Vector, s *BatchScratch) {
 	}
 }
 
-// lseRows reduces each K-wide row of logp with the same sequential logAdd
+// lseRows reduces each K-wide row of logp with the same sequential LogAdd
 // chain the scalar path uses (−Inf entries are no-ops), keeping the fused
 // reduction bit-identical to LogPDF.
 func lseRows(logp []float64, count, k int, dst []float64) {
@@ -86,7 +86,7 @@ func lseRows(logp []float64, count, k int, dst []float64) {
 		row := logp[p*k : p*k+k]
 		lse := math.Inf(-1)
 		for _, lp := range row {
-			lse = logAdd(lse, lp)
+			lse = LogAdd(lse, lp)
 		}
 		dst[p] = lse
 	}

@@ -156,7 +156,7 @@ func (m *Mixture) logPDFScratch(x, diff, half linalg.Vector) float64 {
 			continue
 		}
 		lp := m.logW[j] + c.LogProbScratch(x, diff, half)
-		lse = logAdd(lse, lp)
+		lse = LogAdd(lse, lp)
 	}
 	return lse
 }
@@ -212,7 +212,7 @@ func (m *Mixture) PosteriorInto(x linalg.Vector, dst []float64) float64 {
 			continue
 		}
 		dst[j] = m.logW[j] + c.LogProbScratch(x, diff, half)
-		lse = logAdd(lse, dst[j])
+		lse = LogAdd(lse, dst[j])
 	}
 	for j := range dst {
 		if math.IsInf(dst[j], -1) {
@@ -326,8 +326,21 @@ func (m *Mixture) ApproxEqual(o *Mixture, weightTol, meanTol float64) bool {
 	return true
 }
 
-// logAdd returns log(e^a + e^b) stably.
-func logAdd(a, b float64) float64 {
+// LogAdd returns log(e^a + e^b) stably, as a + log1p(e^(b−a)) with a ≥ b.
+// It is the one log-sum-exp step of the repository: the J_fit test, the
+// E-step and the query tier all reduce through it, so they agree bit for
+// bit by construction.
+//
+// It returns a without evaluating Exp and Log1p when that sum provably
+// rounds back to a. With biased exponent e ≥ 1, |a| ≥ 2^(e−1023), so both
+// floats next to a are at least 2^(e−1076) away and any t < 2^(e−1077)
+// added to a rounds to a. Since log1p(x) ≤ x, skipping only when
+// e^(b−a) < 2^(e−1078) leaves a factor of two for the rounding of Exp,
+// Log1p and the threshold itself. Zero and subnormal a (e = 0) always
+// take the formula, which keeps −0 + 0 = +0. NaN fails the comparison, so
+// it also takes the formula. The result is bit-identical to the formula;
+// TestLogAddMatchesFormula checks this.
+func LogAdd(a, b float64) float64 {
 	if math.IsInf(a, -1) {
 		return b
 	}
@@ -337,5 +350,9 @@ func logAdd(a, b float64) float64 {
 	if a < b {
 		a, b = b, a
 	}
-	return a + math.Log1p(math.Exp(b-a))
+	d := b - a
+	if e := int(math.Float64bits(a) >> 52 & 0x7ff); e != 0 && d < float64(e-1078)*math.Ln2 {
+		return a
+	}
+	return a + math.Log1p(math.Exp(d))
 }

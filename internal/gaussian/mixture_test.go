@@ -307,16 +307,172 @@ func TestMixtureSignatureAndApproxEqual(t *testing.T) {
 }
 
 func TestLogAddStability(t *testing.T) {
-	// logAdd must not overflow for large magnitude inputs.
-	got := logAdd(-1000, -1000)
+	// LogAdd must not overflow for large magnitude inputs.
+	got := LogAdd(-1000, -1000)
 	want := -1000 + math.Log(2)
 	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("logAdd(-1000,-1000) = %v, want %v", got, want)
+		t.Fatalf("LogAdd(-1000,-1000) = %v, want %v", got, want)
 	}
-	if got := logAdd(math.Inf(-1), -5); got != -5 {
-		t.Fatalf("logAdd(-inf, -5) = %v", got)
+	if got := LogAdd(math.Inf(-1), -5); got != -5 {
+		t.Fatalf("LogAdd(-inf, -5) = %v", got)
 	}
-	if got := logAdd(-5, math.Inf(-1)); got != -5 {
-		t.Fatalf("logAdd(-5, -inf) = %v", got)
+	if got := LogAdd(-5, math.Inf(-1)); got != -5 {
+		t.Fatalf("LogAdd(-5, -inf) = %v", got)
 	}
+}
+
+// logAddFormula is LogAdd without its skip rule — the reference
+// TestLogAddMatchesFormula holds it to.
+func logAddFormula(a, b float64) float64 {
+	if math.IsInf(a, -1) {
+		return b
+	}
+	if math.IsInf(b, -1) {
+		return a
+	}
+	if a < b {
+		a, b = b, a
+	}
+	return a + math.Log1p(math.Exp(b-a))
+}
+
+// skipThreshold is the b−a below which LogAdd returns the larger input a
+// without evaluating the formula; zero and subnormal a never skip.
+func skipThreshold(a float64) float64 {
+	e := int(math.Float64bits(a) >> 52 & 0x7ff)
+	if e == 0 {
+		return math.Inf(-1)
+	}
+	return float64(e-1078) * math.Ln2
+}
+
+// TestLogAddMatchesFormula: LogAdd's skip rule never changes a bit. Every
+// pair is checked in both argument orders against the plain formula, on
+// 10⁷ seeded random pairs plus the adversarial cases: powers of two and
+// their neighbours, |a| < 1, b−a stepped ulp by ulp across the skip
+// threshold and across the true rounding boundary one ln 2 above it, b−a
+// where Exp returns subnormals and below, and the special values.
+func TestLogAddMatchesFormula(t *testing.T) {
+	var pairs, skips int
+	check := func(a, b float64) {
+		for _, p := range [2][2]float64{{a, b}, {b, a}} {
+			got, want := LogAdd(p[0], p[1]), logAddFormula(p[0], p[1])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("LogAdd(%v, %v) = %v (%#x), formula gives %v (%#x)",
+					p[0], p[1], got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		pairs++
+		if hi := math.Max(a, b); math.Min(a, b)-hi < skipThreshold(hi) {
+			skips++
+		}
+	}
+	// walk checks b = fl(a+d) and its 64 float neighbours on either side,
+	// which steps b−a across d by one ulp of b at a time.
+	walk := func(a, d float64) {
+		b := a + d
+		for i, lo := 0, b; i < 64; i++ {
+			lo = math.Nextafter(lo, math.Inf(-1))
+			check(a, lo)
+		}
+		for i, hi := 0, b; i <= 64; i++ {
+			check(a, hi)
+			hi = math.Nextafter(hi, math.Inf(1))
+		}
+	}
+	// around walks b−a across the skip threshold and across the true
+	// rounding boundary (half a gap is twice the skip bound), and over a
+	// coarse grid between them.
+	around := func(a float64) {
+		thr := skipThreshold(a)
+		if math.IsInf(thr, -1) {
+			thr = -745 // zero and subnormal a: where Exp underflows
+		}
+		walk(a, thr)
+		walk(a, thr+math.Ln2)
+		for d := thr - 4; d <= thr+4; d += 1.0 / 64 {
+			check(a, a+d)
+		}
+	}
+
+	// Powers of two and their neighbours: the gap below |a| = 2^k is half
+	// the gap above it.
+	for k := -20; k <= 20; k++ {
+		for _, s := range []float64{1, -1} {
+			a := s * math.Ldexp(1, k)
+			for _, x := range []float64{math.Nextafter(a, math.Inf(-1)), a, math.Nextafter(a, math.Inf(1))} {
+				around(x)
+			}
+		}
+	}
+	// |a| < 1, down through the subnormals to zero.
+	smalls := []float64{0, 5e-324, math.Nextafter(0x1p-1022, 0), 0x1p-1022, 1e-300, 1e-20, 0.5, math.Nextafter(1, 0)}
+	for k := -1074; k < 0; k += 13 {
+		smalls = append(smalls, math.Ldexp(1.37, k))
+	}
+	for _, v := range smalls {
+		for _, a := range []float64{v, -v} {
+			around(a)
+			for _, d := range []float64{-1, -10, -37, -38, -39, -40, -1000, -1e300} {
+				check(a, a+d)
+			}
+		}
+	}
+	// b−a where Exp returns subnormals (−708 … −745) and below it.
+	for _, a := range []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022, -0x1p-1022,
+		0x1p-1000, -0x1p-1000, 1e-300, -1e-300, 1, -1, 1000, -1000} {
+		for d := -700.0; d >= -760; d -= 1.0 / 32 {
+			check(a, a+d)
+		}
+		for _, d := range []float64{-800, -1e5, -1e300, -math.MaxFloat64} {
+			check(a, a+d)
+		}
+	}
+	// Special values, every ordered pair: a = b, ±0, ±Inf, NaN, extremes.
+	specials := []float64{0, math.Copysign(0, -1), 1, -1, 5e-324, -5e-324, 0x1p-1022, 1e-300, -1e-300,
+		0.5, -0.5, 38, -38, -1000, 0x1p53, -0x1p53, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, a := range specials {
+		for _, b := range specials {
+			check(a, b)
+		}
+	}
+
+	// Seeded random pairs: log-uniform magnitudes on both sides of 1, and
+	// b−a near the threshold, moderate, deep, or an independent b.
+	rng := rand.New(rand.NewSource(25))
+	draw := func() float64 {
+		if rng.Intn(8) == 0 {
+			return 2*rng.Float64() - 1
+		}
+		v := math.Ldexp(1+rng.Float64(), rng.Intn(141)-60)
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	const randomPairs = 10_000_000
+	for i := 0; i < randomPairs; i++ {
+		a := draw()
+		var b float64
+		switch r := rng.Intn(10); {
+		case r < 4:
+			thr := skipThreshold(a)
+			if math.IsInf(thr, -1) {
+				thr = -745
+			}
+			b = a + thr + 8*(rng.Float64()-0.5)
+		case r < 7:
+			b = a - 60*rng.Float64()
+		case r < 9:
+			b = a - 200*rng.ExpFloat64()
+		default:
+			b = draw()
+		}
+		check(a, b)
+	}
+	if skips < pairs/4 || pairs-skips < pairs/4 {
+		t.Fatalf("%d pairs, %d in the skip region: the test does not exercise both paths", pairs, skips)
+	}
+	t.Logf("%d pairs in both orders, %d in the skip region", pairs, skips)
 }

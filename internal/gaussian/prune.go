@@ -8,7 +8,7 @@
 //
 //	lo  = the log-sum-exp over the m candidate components alone
 //	      (a subset of the full sum, hence a lower bound), and
-//	hi  = logAdd(lo, ub) where ub bounds the total mass of every skipped
+//	hi  = LogAdd(lo, ub) where ub bounds the total mass of every skipped
 //	      component: for a skipped component j the squared Mahalanobis
 //	      distance satisfies (x−μ_j)ᵀΣ_j⁻¹(x−μ_j) ≥ ‖x−μ_j‖²/λmax(Σ_j)
 //	      ≥ dm²/λmax(model), with dm the distance to the m-th nearest
@@ -67,7 +67,7 @@ func buildScoreIndex(m *Mixture) *ScoreIndex {
 			continue
 		}
 		tree.Insert(j, c.mean)
-		logSumWN = logAdd(logSumWN, m.logW[j]+c.logNorm)
+		logSumWN = LogAdd(logSumWN, m.logW[j]+c.logNorm)
 		eig, _ := linalg.JacobiEigen(c.cov)
 		for _, lam := range eig {
 			if lam > lambdaMax {
@@ -124,11 +124,11 @@ func (m *Mixture) AvgLogLikelihoodBounds(data []linalg.Vector, topM int, s *Batc
 		for _, nb := range nbrs {
 			j := nb.ID
 			lp := m.logW[j] + m.comps[j].LogProbScratch(x, diff, half)
-			loR = logAdd(loR, lp)
+			loR = LogAdd(loR, lp)
 		}
 		ubSkip := idx.logSumWN - 0.5*dm/idx.lambdaMax
 		sumLo += loR
-		sumHi += logAdd(loR, ubSkip)
+		sumHi += LogAdd(loR, ubSkip)
 	}
 	n := float64(len(data))
 	lo, hi = sumLo/n, sumHi/n

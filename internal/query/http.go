@@ -28,10 +28,15 @@ type Source interface {
 //	/query/snapshot               — snapshot metadata (JSON)
 //	POST /query/batch             — binary batch protocol (see wire.go)
 //
-// All endpoints answer 503 until the first snapshot is published. Query
-// scratch is pooled, so steady-state request handling does not allocate
-// on the scoring path (the HTTP stack itself still allocates per
-// request; the binary batch endpoint amortizes that across records).
+// All endpoints answer 503 until the first snapshot is published, and 400
+// to a coordinate that is not finite. A finite point can still score
+// outside float64: far enough from every component its density underflows
+// (log_density −Inf, log_posterior NaN) or its squared distance overflows
+// (dist_sq +Inf). JSON has no such numbers, so those fields are null; the
+// batch endpoint sends the f64 bits as they are. Query scratch is pooled,
+// so steady-state request handling does not allocate on the scoring path
+// (the HTTP stack itself still allocates per request; the binary batch
+// endpoint amortizes that across records).
 func Handler(src Source) http.Handler {
 	h := &httpHandler{src: src}
 	h.pool.New = func() any { return src.NewQuerier() }
@@ -93,9 +98,22 @@ func parseX(r *http.Request, dim int) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("x[%d]: %v", i, err)
 		}
+		if !finite(v) {
+			return nil, fmt.Errorf("x[%d] = %v: coordinates must be finite", i, v)
+		}
 		x[i] = v
 	}
 	return x, nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// jsonNumber is v, or nil — JSON null — when v is ±Inf or NaN.
+func jsonNumber(v float64) *float64 {
+	if !finite(v) {
+		return nil
+	}
+	return &v
 }
 
 func (h *httpHandler) classify(w http.ResponseWriter, r *http.Request) {
@@ -112,11 +130,11 @@ func (h *httpHandler) classify(w http.ResponseWriter, r *http.Request) {
 	res := sn.Classify(x, q.scratch)
 	q.nClassify++
 	writeJSON(w, struct {
-		Version      uint64  `json:"version"`
-		Component    int     `json:"component"`
-		LogPosterior float64 `json:"log_posterior"`
-		LogDensity   float64 `json:"log_density"`
-	}{sn.Version(), res.Component, res.LogPosterior, res.LogDensity})
+		Version      uint64   `json:"version"`
+		Component    int      `json:"component"`
+		LogPosterior *float64 `json:"log_posterior"`
+		LogDensity   *float64 `json:"log_density"`
+	}{sn.Version(), res.Component, jsonNumber(res.LogPosterior), jsonNumber(res.LogDensity)})
 }
 
 func (h *httpHandler) density(w http.ResponseWriter, r *http.Request) {
@@ -133,9 +151,9 @@ func (h *httpHandler) density(w http.ResponseWriter, r *http.Request) {
 	ld := sn.LogDensity(x, q.scratch)
 	q.nDensity++
 	writeJSON(w, struct {
-		Version    uint64  `json:"version"`
-		LogDensity float64 `json:"log_density"`
-	}{sn.Version(), ld})
+		Version    uint64   `json:"version"`
+		LogDensity *float64 `json:"log_density"`
+	}{sn.Version(), jsonNumber(ld)})
 }
 
 func (h *httpHandler) topk(w http.ResponseWriter, r *http.Request) {
@@ -160,13 +178,13 @@ func (h *httpHandler) topk(w http.ResponseWriter, r *http.Request) {
 	nbrs := sn.TopK(x, k, q.scratch)
 	q.nTopK++
 	type nbr struct {
-		Component int     `json:"component"`
-		DistSq    float64 `json:"dist_sq"`
-		Weight    float64 `json:"weight"`
+		Component int      `json:"component"`
+		DistSq    *float64 `json:"dist_sq"`
+		Weight    float64  `json:"weight"`
 	}
 	out := make([]nbr, len(nbrs))
 	for i, n := range nbrs {
-		out[i] = nbr{n.ID, n.DistSq, sn.Weight(n.ID)}
+		out[i] = nbr{n.ID, jsonNumber(n.DistSq), sn.Weight(n.ID)}
 	}
 	writeJSON(w, struct {
 		Version   uint64 `json:"version"`
@@ -263,6 +281,10 @@ func (h *httpHandler) batch(w http.ResponseWriter, r *http.Request) {
 	for i := 0; i < n; i++ {
 		for d := 0; d < dim; d++ {
 			x[d] = math.Float64frombits(binary.LittleEndian.Uint64(raw[(i*dim+d)*8:]))
+			if !finite(x[d]) {
+				http.Error(w, fmt.Sprintf("batch record %d: x[%d] = %v: coordinates must be finite", i, d, x[d]), http.StatusBadRequest)
+				return
+			}
 		}
 		switch op {
 		case OpClassify:
@@ -298,9 +320,16 @@ func (h *httpHandler) batch(w http.ResponseWriter, r *http.Request) {
 	w.Write(out)
 }
 
+// writeJSON encodes v before writing a byte, so a value that fails to
+// encode is a 500, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, "query: encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	json.NewEncoder(w).Encode(v) // best-effort, like telemetry's debug surface
+	w.Write(append(body, '\n'))
 }
 
 // Server is a running query HTTP listener.

@@ -224,6 +224,76 @@ func TestHTTPBinaryBatch(t *testing.T) {
 	}
 }
 
+// TestHTTPNonFinite: a non-finite coordinate is a 400 on every path, and a
+// finite point whose result is not finite is a 200 with the field null —
+// never the 200 with an empty body encoding/json's UnsupportedValueError
+// used to leave behind.
+func TestHTTPNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	p := NewPublisher(Options{})
+	if _, err := p.Publish(randMixture(rng, 3, 2), 7, 100); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(p))
+	defer srv.Close()
+
+	for _, path := range []string{"/query/density?x=NaN,0", "/query/classify?x=Inf,0", "/query/topk?x=0,-Inf&k=1"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+
+	// x = (1e200, 0): the density underflows, the squared distance overflows.
+	var den struct {
+		Version    uint64   `json:"version"`
+		LogDensity *float64 `json:"log_density"`
+	}
+	getJSON(t, srv.URL+"/query/density?x=1e200,0", &den)
+	if den.Version != 7 || den.LogDensity != nil {
+		t.Fatalf("density of a far point = %+v, want version 7 and log_density null", den)
+	}
+	var cls struct {
+		Version      uint64   `json:"version"`
+		LogPosterior *float64 `json:"log_posterior"`
+		LogDensity   *float64 `json:"log_density"`
+	}
+	getJSON(t, srv.URL+"/query/classify?x=1e200,0", &cls)
+	if cls.Version != 7 || cls.LogPosterior != nil || cls.LogDensity != nil {
+		t.Fatalf("classify of a far point = %+v, want version 7 and null scores", cls)
+	}
+	var top struct {
+		Neighbors []struct {
+			DistSq *float64 `json:"dist_sq"`
+		} `json:"neighbors"`
+	}
+	getJSON(t, srv.URL+"/query/topk?x=1e200,0&k=1", &top)
+	if len(top.Neighbors) != 1 || top.Neighbors[0].DistSq != nil {
+		t.Fatalf("topk of a far point = %+v, want one neighbor with dist_sq null", top)
+	}
+
+	// CLUQ: one NaN coordinate in the second record rejects the batch.
+	var req bytes.Buffer
+	req.WriteString(batchMagicQ)
+	req.WriteByte(batchVer)
+	req.WriteByte(OpDensity)
+	for _, v := range []any{uint16(0), uint32(2), uint16(2), 0.5, -0.5, 1.0, math.NaN()} {
+		binary.Write(&req, binary.LittleEndian, v)
+	}
+	resp, err := http.Post(srv.URL+"/query/batch", "application/octet-stream", &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch with a NaN coordinate: status %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestHTTPServesShardSet: the handler accepts a ShardSet source and
 // serves the reduced mixture.
 func TestHTTPServesShardSet(t *testing.T) {

@@ -142,19 +142,19 @@ func (sn *Snapshot) Classify(x linalg.Vector, s *Scratch) Classification {
 		if lp > bestLP {
 			best, bestLP = j, lp
 		}
-		total = logAdd(total, lp)
+		total = gaussian.LogAdd(total, lp)
 	}
 	return Classification{Component: best, LogPosterior: bestLP - total, LogDensity: total}
 }
 
-// LogDensity returns log p(x) under the snapshot mixture, evaluated with
-// the same stable log-sum-exp recurrence as gaussian.Mixture.LogPDF (same
-// component order → bit-identical result). Zero allocations.
+// LogDensity returns log p(x) under the snapshot mixture, reduced with
+// gaussian.LogAdd like gaussian.Mixture.LogPDF (same component order →
+// bit-identical result). Zero allocations.
 func (sn *Snapshot) LogDensity(x linalg.Vector, s *Scratch) float64 {
 	s.ensure(sn.dim)
 	total := math.Inf(-1)
 	for j, c := range sn.comps {
-		total = logAdd(total, sn.logW[j]+c.LogProbScratch(x, s.diff, s.half))
+		total = gaussian.LogAdd(total, sn.logW[j]+c.LogProbScratch(x, s.diff, s.half))
 	}
 	return total
 }
@@ -174,19 +174,4 @@ func (sn *Snapshot) TopK(x linalg.Vector, k int, s *Scratch) []kdtree.Neighbor {
 	}
 	s.nbrs = sn.kd.NearestKInto(x, k, s.nbrs[:0])
 	return s.nbrs
-}
-
-// logAdd returns log(exp(a)+exp(b)) stably; mirrors gaussian.logAdd so
-// LogDensity reproduces Mixture.LogPDF bit-for-bit.
-func logAdd(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
 }
