@@ -3,7 +3,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -ldflags "-X cludistream/internal/buildinfo.Version=$(VERSION) -X cludistream/internal/buildinfo.Commit=$(COMMIT)"
 
-.PHONY: all build vet lint test race race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-compare bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-tree dst-long
+.PHONY: all build vet lint test race race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-tree dst-long
 
 all: check
 
@@ -39,9 +39,10 @@ race-em:
 race-parallel:
 	$(GO) test -race -run 'TestShardedApplyMatchesMutex|TestFeedCloseConcurrencyHammer|TestQueueDepthGauges' -count 2 ./internal/parallel/
 
-# The sublinear scoring hot path under the race detector at several
-# GOMAXPROCS settings: the per-model score index builds lazily on first
-# use and the pruned/shared/incremental parity suites hammer it.
+# The sublinear hot paths under the race detector at several GOMAXPROCS
+# settings: the per-model score index builds lazily on first use, and the
+# pruned-J_fit and dirty-group remerge parity tests hammer it against their
+# test oracles (the exact scan, the every-group sweep).
 race-score:
 	for procs in 1 2 4; do \
 		GOMAXPROCS=$$procs $(GO) test -race -count=1 \
@@ -68,8 +69,9 @@ alloc-gate-query:
 # Steady-state ingest must not allocate: the benchmark itself asserts
 # 0 allocs/record via testing.AllocsPerRun before timing, so a handful of
 # iterations is enough to enforce the gate. The regex is a prefix match,
-# so it covers both the exact-path and the K=16 pruned-path benchmarks —
-# the latter gates the shared-stats workspace and bound accumulators.
+# so it covers BenchmarkSiteSteadyState (K=5: exact scan, since pruning
+# needs K ≥ 8) and BenchmarkSiteSteadyStatePruned (K=16) — the latter
+# gates the k-d candidate walk and bound accumulators.
 # Neither may one evaluation of the merge objective: FitMerge's simplex
 # runs ~160 of them per group re-fit on the coordinator's critical path.
 alloc-gate:
@@ -134,19 +136,6 @@ bench:
 	  $(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchmem ./internal/query/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTreeLoad' -benchtime 1x ./internal/tree/ ; } \
 	  | tee /dev/stderr | $(GO) run $(LDFLAGS) ./cmd/benchjson > BENCH_quick.json
-
-# Regression check against the committed snapshot: rerun the hot-path
-# micro-benchmarks (skipping the slow figure reproductions), convert to
-# JSON, and diff ns/op against BENCH_quick.json. Fails when any shared
-# benchmark slowed down by more than 10%; figure benchmarks present only
-# in the snapshot show up as informational "(no baseline)" rows.
-bench-compare:
-	@tmp=$$(mktemp) && \
-	{ $(GO) test -run '^$$' -bench 'BenchmarkMixture|BenchmarkEMFit|BenchmarkSite|BenchmarkSystem|BenchmarkCholesky|BenchmarkFitMerge|BenchmarkCoordinator|BenchmarkSMEM|BenchmarkScore|BenchmarkPosterior|BenchmarkQuadForm|BenchmarkTelemetry|BenchmarkMultiTest|BenchmarkRemerge' -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchmem ./internal/query/ ; } \
-	  | $(GO) run $(LDFLAGS) ./cmd/benchjson > $$tmp && \
-	$(GO) run ./cmd/benchjson -compare BENCH_quick.json $$tmp; \
-	rc=$$?; rm -f $$tmp; exit $$rc
 
 # The end-to-end benchmark BENCHMARK.json declares: the real daemon
 # pipeline on four workloads, every metric printed by name (see

@@ -747,46 +747,38 @@ func BenchmarkSiteRefit(b *testing.B) {
 }
 
 // BenchmarkScorePruned measures the steady-state J_fit test at growing K
-// with the k-d-pruned scorer off (exact per-record scan over all K
-// components) and on (top-m candidates from the mean index, exact-fallback
-// guarded). Decisions are bit-identical across arms — the pruned bound only
-// replaces scans it can prove decisive — so the records/s gap is pure
-// pruning win. At K=4 the prune gate (K ≥ 2m) keeps both arms exact.
+// (top-m candidates from the mean index, exact-fallback guarded). At K=4
+// the prune gate (K ≥ 8) keeps the exact scan.
 func BenchmarkScorePruned(b *testing.B) {
 	for _, k := range []int{4, 16, 64} {
-		for _, arm := range []struct {
-			name string
-			topM int
-		}{{"exact", -1}, {"pruned", 0}} {
-			b.Run(fmt.Sprintf("K=%d/%s", k, arm.name), func(b *testing.B) {
-				st, err := site.New(site.Config{
-					SiteID: 1, Dim: 4, K: k, Epsilon: 0.1, FitEps: 8, Delta: 0.01,
-					Seed: 1, ChunkSize: 64 * k, PruneTopM: arm.topM,
-				})
-				if err != nil {
+		b.Run(fmt.Sprintf("K=%d/pruned", k), func(b *testing.B) {
+			st, err := site.New(site.Config{
+				SiteID: 1, Dim: 4, K: k, Epsilon: 0.1, FitEps: 8, Delta: 0.01,
+				Seed: 1, ChunkSize: 64 * k,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := benchData(benchMixture(k, 4), 50_000, 2)
+			defer func() {
+				if st.Stats().Refits > 1 {
+					b.Fatalf("stream refit %d times; the loop is no longer pure test-mode", st.Stats().Refits)
+				}
+			}()
+			for _, x := range data[:2*st.ChunkSize()] {
+				if _, err := st.Observe(x); err != nil {
 					b.Fatal(err)
 				}
-				data := benchData(benchMixture(k, 4), 50_000, 2)
-				defer func() {
-					if st.Stats().Refits > 1 {
-						b.Fatalf("stream refit %d times; the loop is no longer pure test-mode", st.Stats().Refits)
-					}
-				}()
-				for _, x := range data[:2*st.ChunkSize()] {
-					if _, err := st.Observe(x); err != nil {
-						b.Fatal(err)
-					}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.Observe(data[i%len(data)]); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := st.Observe(data[i%len(data)]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
 	}
 }
 
@@ -847,10 +839,9 @@ func benchPhaseMix(k int, phase float64) *gaussian.Mixture {
 
 // BenchmarkMultiTestDepth drives a regime-cycling stream that keeps the
 // CMax archive full, so every chunk runs the multi-test deep before
-// refitting. The rescan arm re-traverses the chunk for every probe and
-// refit re-score; the shared arm (default) completes the chunk once and
-// serves refit re-scores from the multi-test memo. stat-hits/chunk reports
-// how many chunk traversals the memo absorbed.
+// refitting. The site completes the chunk once and serves refit re-scores
+// from the multi-test memo; stat-hits/refit reports how many chunk
+// traversals the memo absorbed.
 func BenchmarkMultiTestDepth(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	var data []linalg.Vector
@@ -860,16 +851,13 @@ func BenchmarkMultiTestDepth(b *testing.B) {
 		// multi-test workload Algorithm 1 produces.
 		data = append(data, benchPhaseMix(8, 0.45*float64(c)).SampleN(rng, 200)...)
 	}
-	run := func(b *testing.B, shared string) {
+	b.Run("shared", func(b *testing.B) {
 		var last site.Stats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st, err := site.New(site.Config{
 				SiteID: 1, Dim: 2, K: 8, Epsilon: 0.5, Delta: 0.01, CMax: 4,
-				Seed: 7, ChunkSize: 200, SharedChunkStats: shared,
-				// Pruning off isolates the shared-workspace axis: probes
-				// score exactly, so refit re-scores can hit the memo.
-				PruneTopM: -1,
+				Seed: 7, ChunkSize: 200,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -888,16 +876,13 @@ func BenchmarkMultiTestDepth(b *testing.B) {
 		if last.Refits > 0 {
 			b.ReportMetric(float64(last.StatCacheHits)/float64(last.Refits), "stat-hits/refit")
 		}
-	}
-	b.Run("rescan", func(b *testing.B) { run(b, site.SharedStatsOff) })
-	b.Run("shared", func(b *testing.B) { run(b, site.SharedStatsOn) })
+	})
 }
 
 // BenchmarkRemergeIncremental replays one deterministic model-update stream
-// through the coordinator under the exhaustive per-update stability sweep
-// ("exact") and the default dirty-group schedule ("on"). Both reach
-// bit-identical trees (pinned by TestIncrementalRemergeMatchesExact); the
-// updates/s gap is the work the dirty tracking avoids.
+// through the coordinator's dirty-group stability sweep, which reaches the
+// tree the every-group sweep reaches (pinned by
+// TestIncrementalRemergeMatchesExact).
 func BenchmarkRemergeIncremental(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	type upd struct {
@@ -916,15 +901,10 @@ func BenchmarkRemergeIncremental(b *testing.B) {
 		}
 		updates = append(updates, upd{siteID, i/40 + 1, rng.Intn(500) + 50, gaussian.MustMixture(ws, comps)})
 	}
-	run := func(b *testing.B, mode string) {
+	b.Run("on", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c, err := coordinator.New(coordinator.Config{
-				Dim:                1,
-				Merge:              gaussian.MergeOptions{MomentOnly: true},
-				IndexMinGroups:     4,
-				IncrementalRemerge: mode,
-			})
+			c, err := coordinator.New(coordinator.Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -938,7 +918,5 @@ func BenchmarkRemergeIncremental(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.N)*float64(len(updates))/b.Elapsed().Seconds(), "updates/s")
-	}
-	b.Run("exact", func(b *testing.B) { run(b, coordinator.RemergeExact) })
-	b.Run("on", func(b *testing.B) { run(b, coordinator.RemergeOn) })
+	})
 }

@@ -86,25 +86,6 @@ type Config struct {
 	// while still warm-starting (default 4×FitEps; negative disables the
 	// bound; see site.Config.WarmMargin).
 	WarmMargin float64
-	// PruneTopM bounds each site's per-record J_fit scoring to the top-m
-	// nearest-mean components via a k-d index, with an exact-fallback guard
-	// that keeps every decision bit-identical to the exact scan (see
-	// site.Config.PruneTopM). Zero selects the default (4); negative
-	// disables pruning.
-	PruneTopM int
-	// SharedChunkStats controls the sites' shared per-chunk scoring
-	// workspace (see site.Config.SharedChunkStats). Empty selects
-	// site.SharedStatsOn; site.SharedStatsOff restores per-probe re-scans.
-	SharedChunkStats string
-	// IncrementalRemerge schedules the coordinator's Algorithm-2 stability
-	// checks (see coordinator.Config.IncrementalRemerge). Empty selects
-	// coordinator.RemergeOn — the dirty-group sweep; "exact" re-checks
-	// every group per update; "off" restores the legacy
-	// updated-model-only check.
-	IncrementalRemerge string
-	// RemergeAuditEvery, when positive, audits the coordinator's dirty
-	// tracking every Nth update (see coordinator.Config.RemergeAuditEvery).
-	RemergeAuditEvery int
 
 	// LinkLatency is the one-way site→coordinator delay in simulated
 	// seconds (default 0.05).
@@ -296,11 +277,7 @@ func New(cfg Config) (*System, error) {
 		sim: netsim.NewSimulator(),
 		fed: make([]int, cfg.NumSites),
 	}
-	coordCfg := coordinator.Config{
-		Dim: cfg.Dim, Merge: cfg.Merge, Telemetry: cfg.Telemetry,
-		IncrementalRemerge: cfg.IncrementalRemerge,
-		RemergeAuditEvery:  cfg.RemergeAuditEvery,
-	}
+	coordCfg := coordinator.Config{Dim: cfg.Dim, Merge: cfg.Merge, Telemetry: cfg.Telemetry}
 	if cfg.Durability != nil {
 		opts, err := cfg.Durability.storeOptions(cfg.Telemetry)
 		if err != nil {
@@ -337,25 +314,23 @@ func New(cfg Config) (*System, error) {
 	}
 	for i := 0; i < cfg.NumSites; i++ {
 		sc := site.Config{
-			SiteID:           i + 1,
-			Dim:              cfg.Dim,
-			K:                cfg.K,
-			Epsilon:          cfg.Epsilon,
-			FitEps:           cfg.FitEps,
-			Delta:            cfg.Delta,
-			CMax:             cfg.CMax,
-			EM:               cfg.EM,
-			Seed:             cfg.Seed + int64(i)*7919, // distinct, deterministic
-			SharpTest:        cfg.SharpTest,
-			UseSMEM:          cfg.UseSMEM,
-			AutoKMax:         cfg.AutoKMax,
-			AutoKMin:         cfg.AutoKMin,
-			ChunkSize:        cfg.ChunkSize,
-			WarmStart:        cfg.WarmStart,
-			WarmAuditEvery:   cfg.WarmAuditEvery,
-			WarmMargin:       cfg.WarmMargin,
-			PruneTopM:        cfg.PruneTopM,
-			SharedChunkStats: cfg.SharedChunkStats,
+			SiteID:         i + 1,
+			Dim:            cfg.Dim,
+			K:              cfg.K,
+			Epsilon:        cfg.Epsilon,
+			FitEps:         cfg.FitEps,
+			Delta:          cfg.Delta,
+			CMax:           cfg.CMax,
+			EM:             cfg.EM,
+			Seed:           cfg.Seed + int64(i)*7919, // distinct, deterministic
+			SharpTest:      cfg.SharpTest,
+			UseSMEM:        cfg.UseSMEM,
+			AutoKMax:       cfg.AutoKMax,
+			AutoKMin:       cfg.AutoKMin,
+			ChunkSize:      cfg.ChunkSize,
+			WarmStart:      cfg.WarmStart,
+			WarmAuditEvery: cfg.WarmAuditEvery,
+			WarmMargin:     cfg.WarmMargin,
 			// Sliding windows require the coordinator's weights to track
 			// the site counters, or deletions would underflow.
 			EmitFitWeightUpdates: cfg.SlidingHorizonChunks > 0,
@@ -653,11 +628,7 @@ func (s *System) CrashCoordinator() error {
 	if err != nil {
 		return err
 	}
-	coordCfg := coordinator.Config{
-		Dim: s.cfg.Dim, Merge: s.cfg.Merge, Telemetry: s.cfg.Telemetry,
-		IncrementalRemerge: s.cfg.IncrementalRemerge,
-		RemergeAuditEvery:  s.cfg.RemergeAuditEvery,
-	}
+	coordCfg := coordinator.Config{Dim: s.cfg.Dim, Merge: s.cfg.Merge, Telemetry: s.cfg.Telemetry}
 	store, rec, err := durable.Open(s.cfg.Durability.Dir, coordCfg, opts)
 	if err != nil {
 		return err

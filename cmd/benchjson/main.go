@@ -3,10 +3,8 @@
 // (ns/op, B/op, allocs/op) and any custom b.ReportMetric units the
 // benchmarks emit (figure metrics like clud-bytes or avgLL, per-record
 // timings). `make bench` pipes through it to produce BENCH_quick.json.
-//
-// With -compare old.json new.json it instead diffs two such reports,
-// printing per-benchmark ns/op deltas, and exits non-zero when any shared
-// benchmark regressed by more than -threshold (default 10%).
+// Comparing two commits is `make bench-pair`'s job (paired end-to-end
+// runs), not a diff of two single-sample reports.
 package main
 
 import (
@@ -14,11 +12,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -50,8 +45,7 @@ type Report struct {
 	Gomaxprocs int    `json:"gomaxprocs"`
 	// Commit is the git commit the Makefile stamped into this binary
 	// ("unknown" under plain `go run`), so an archived baseline records
-	// exactly which tree produced it. -compare ignores it: reports with
-	// and without the field diff fine.
+	// exactly which tree produced it.
 	Commit     string      `json:"commit,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -96,117 +90,6 @@ func parseLine(line string) (Benchmark, bool) {
 	return b, len(b.Metrics) > 0
 }
 
-// compareRow is one benchmark's old-vs-new ns/op comparison.
-type compareRow struct {
-	Name     string
-	Old, New float64 // ns/op; NaN when the side lacks the benchmark
-	Pct      float64 // (new-old)/old in percent; NaN when either side missing
-}
-
-// Regressed reports whether the row is a slowdown beyond threshold
-// percent. Benchmarks present on only one side never regress — they are
-// informational (added/removed) rather than comparable.
-func (r compareRow) Regressed(threshold float64) bool {
-	return !math.IsNaN(r.Pct) && r.Pct > threshold
-}
-
-// compareReports matches benchmarks by name and returns one row per name
-// seen on either side, sorted by name so output is deterministic.
-func compareReports(oldRep, newRep *Report) []compareRow {
-	nsOp := func(rep *Report) map[string]float64 {
-		m := make(map[string]float64, len(rep.Benchmarks))
-		for _, b := range rep.Benchmarks {
-			if v, ok := b.Metrics["ns/op"]; ok {
-				m[b.Name] = v
-			}
-		}
-		return m
-	}
-	oldNs, newNs := nsOp(oldRep), nsOp(newRep)
-	names := make(map[string]bool, len(oldNs)+len(newNs))
-	for n := range oldNs {
-		names[n] = true
-	}
-	for n := range newNs {
-		names[n] = true
-	}
-	rows := make([]compareRow, 0, len(names))
-	for n := range names {
-		row := compareRow{Name: n, Old: math.NaN(), New: math.NaN(), Pct: math.NaN()}
-		o, hasOld := oldNs[n]
-		v, hasNew := newNs[n]
-		if hasOld {
-			row.Old = o
-		}
-		if hasNew {
-			row.New = v
-		}
-		if hasOld && hasNew && o > 0 {
-			row.Pct = (v - o) / o * 100
-		}
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
-	return rows
-}
-
-// writeComparison renders the rows and returns whether any benchmark
-// regressed beyond threshold percent.
-func writeComparison(w io.Writer, rows []compareRow, threshold float64) bool {
-	regressed := false
-	fmtNs := func(v float64) string {
-		if math.IsNaN(v) {
-			return "-"
-		}
-		return strconv.FormatFloat(v, 'f', 1, 64)
-	}
-	for _, r := range rows {
-		mark := ""
-		switch {
-		case r.Regressed(threshold):
-			regressed = true
-			mark = "  REGRESSION"
-		case math.IsNaN(r.Pct):
-			mark = "  (no baseline)"
-		}
-		pct := "-"
-		if !math.IsNaN(r.Pct) {
-			pct = fmt.Sprintf("%+.1f%%", r.Pct)
-		}
-		fmt.Fprintf(w, "%-60s %14s %14s %9s%s\n", r.Name, fmtNs(r.Old), fmtNs(r.New), pct, mark)
-	}
-	return regressed
-}
-
-func loadReport(path string) (*Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rep Report
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(rep.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks in report", path)
-	}
-	return &rep, nil
-}
-
-func runCompare(oldPath, newPath string, threshold float64, w io.Writer) (bool, error) {
-	oldRep, err := loadReport(oldPath)
-	if err != nil {
-		return false, err
-	}
-	newRep, err := loadReport(newPath)
-	if err != nil {
-		return false, err
-	}
-	fmt.Fprintf(w, "%-60s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
-	return writeComparison(w, compareReports(oldRep, newRep), threshold), nil
-}
-
 // commitStamp returns the ldflags-injected commit, or "" (omitting the
 // field) when the binary was built without the Makefile's stamp.
 func commitStamp() string {
@@ -217,25 +100,7 @@ func commitStamp() string {
 }
 
 func main() {
-	compare := flag.Bool("compare", false, "diff two benchjson reports: benchjson -compare old.json new.json")
-	threshold := flag.Float64("threshold", 10, "ns/op regression threshold in percent for -compare")
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: benchjson -compare old.json new.json")
-			os.Exit(2)
-		}
-		regressed, err := runCompare(flag.Arg(0), flag.Arg(1), *threshold, os.Stdout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		if regressed {
-			fmt.Fprintf(os.Stderr, "benchjson: ns/op regression beyond %.0f%% detected\n", *threshold)
-			os.Exit(1)
-		}
-		return
-	}
 	rep := Report{GoVersion: runtime.Version(), Gomaxprocs: runtime.GOMAXPROCS(0), Commit: commitStamp()}
 	var lines int
 	sc := bufio.NewScanner(os.Stdin)

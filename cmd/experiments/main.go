@@ -3,14 +3,17 @@
 // Usage:
 //
 //	experiments -list
-//	experiments [-profile quick|paper] [-seed N] [-workers N]
+//	experiments [-profile quick|paper] [-seed N] [-workers N] [-cold]
+//	            [-telemetry text|json|FILE [-trace]]
 //	            [-cpuprofile out.pprof] [-memprofile out.pprof] [name ...]
 //
 // With no names, the whole suite runs in paper order. Each experiment
 // prints its table (series + notes comparing the measured shape with the
-// paper's claim) to stdout. The -cpuprofile/-memprofile flags write pprof
-// profiles covering the selected experiments, so kernel regressions in the
-// hot scoring/E-step paths can be diagnosed with `go tool pprof`.
+// paper's claim) to stdout. -cold refits every model from a cold k-means++
+// start (the warm-start A/B baseline). The -cpuprofile/-memprofile flags
+// write pprof profiles covering the selected experiments, so kernel
+// regressions in the hot scoring/E-step paths can be diagnosed with
+// `go tool pprof`.
 package main
 
 import (
@@ -25,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"cludistream/internal/coordinator"
 	"cludistream/internal/experiments"
 	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
@@ -37,8 +39,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment names and exit")
 	workers := flag.Int("workers", 0, "EM worker goroutines per fit (0 = GOMAXPROCS; results are identical at any value)")
 	cold := flag.Bool("cold", false, "disable warm-start refit seeding (A/B baseline: every EM refit uses cold k-means++ init)")
-	exact := flag.Bool("exact", false, "disable the sublinear hot paths (A/B baseline: exact J_fit scans, per-probe re-scans, exhaustive remerge sweeps; results are bit-identical either way)")
-	pruneTopM := flag.Int("prune-top-m", 0, "top-m candidates for k-d-pruned J_fit scoring (0 = default 4, negative = exact scan)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	telemetryOut := flag.String("telemetry", "", `end-of-run telemetry dump: "text", "json", or a file path (.json gets JSON)`)
@@ -66,12 +66,6 @@ func main() {
 	p.EMWorkers = *workers
 	if *cold {
 		p.WarmStart = site.WarmStartCold
-	}
-	p.PruneTopM = *pruneTopM
-	if *exact {
-		p.PruneTopM = -1
-		p.SharedChunkStats = site.SharedStatsOff
-		p.IncrementalRemerge = coordinator.RemergeExact
 	}
 	var reg *telemetry.Registry
 	if *telemetryOut != "" {

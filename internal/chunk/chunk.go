@@ -87,10 +87,18 @@ func (c *Chunker) Size() int { return c.size }
 // Add copies one record into the buffer. When the buffer reaches the chunk
 // size, the full chunk is returned (valid until the caller recycles it)
 // and filling switches to the spare buffer; otherwise Add returns nil.
-// Records of the wrong dimension are rejected with an error.
+// Records of the wrong dimension and records with an infinite attribute are
+// rejected with an error, before anything is copied, so a rejected record
+// leaves the Chunker untouched. NaN is accepted: it marks a missing
+// attribute (see em.IsIncomplete).
 func (c *Chunker) Add(x linalg.Vector) ([]linalg.Vector, error) {
 	if len(x) != c.dim {
 		return nil, fmt.Errorf("chunk: record dim %d, want %d", len(x), c.dim)
+	}
+	for j, v := range x {
+		if math.IsInf(v, 0) {
+			return nil, fmt.Errorf("chunk: record attribute %d is %v", j, v)
+		}
 	}
 	copy(c.buf[c.fill], x)
 	c.fill++

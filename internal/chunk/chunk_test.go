@@ -119,6 +119,34 @@ func TestChunkerDimValidation(t *testing.T) {
 	}
 }
 
+// TestChunkerRejectsInfinity: a ±Inf attribute is refused before anything
+// is copied, so the buffered records and the next chunk are exactly those
+// of the stream without the bad record; NaN (a missing attribute) is kept.
+func TestChunkerRejectsInfinity(t *testing.T) {
+	c := NewChunker(3, 2)
+	if _, err := c.Add(linalg.Vector{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []linalg.Vector{{math.Inf(1), 0}, {0, math.Inf(-1)}} {
+		if full, err := c.Add(bad); err == nil || full != nil {
+			t.Fatalf("Add(%v) = %v, %v; want an error and no chunk", bad, full, err)
+		}
+	}
+	if c.Pending() != 1 {
+		t.Fatalf("pending = %d after rejected records, want 1", c.Pending())
+	}
+	if _, err := c.Add(linalg.Vector{math.NaN(), 4}); err != nil {
+		t.Fatalf("NaN (missing attribute) rejected: %v", err)
+	}
+	full, err := c.Add(linalg.Vector{5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != 3 || full[0][0] != 1 || !math.IsNaN(full[1][0]) || full[2][1] != 6 {
+		t.Fatalf("chunk = %v, want [[1 2] [NaN 4] [5 6]]", full)
+	}
+}
+
 func TestChunkerConstructorPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewChunker(0, 1) },

@@ -32,59 +32,12 @@ type Config struct {
 	// Merge tunes the pairwise merge fitting (simplex budget, samples,
 	// MomentOnly ablation).
 	Merge gaussian.MergeOptions
-	// IndexMinGroups is the group count above which placement queries the
-	// k-d index over representative means instead of scanning every group
-	// (the paper's future-work "index structure to accelerate merge and
-	// split"). Default 32. The index pre-selects nearest-mean candidates;
-	// the exact M_merge criterion is still evaluated on them, so results
-	// only differ when the best group is not among the nearest means —
-	// rare, and bounded by the same MaxMergeDistance gate.
-	IndexMinGroups int
-	// DisableIndex forces exhaustive scans (the ablation baseline).
-	DisableIndex bool
-	// IncrementalRemerge selects how Algorithm 2's M_split/M_remerge
-	// stability check is scheduled after an update:
-	//
-	//   "on" (the default) — dirty-group sweep: every group whose membership
-	//   or representative changed since its last check is re-evaluated, in
-	//   ascending group-id order, and untouched groups are skipped. Skipping
-	//   is sound because a member's split criterion depends only on its own
-	//   component, its frozen M_remerge reference and the group
-	//   representative — none of which can change without the group being
-	//   marked dirty — so a clean group re-check is provably a no-op.
-	//
-	//   "exact" — re-evaluate every group on every update. The reference
-	//   the sweep is provably equivalent to (clean-group checks are no-ops),
-	//   kept as the parity baseline the tests compare against.
-	//
-	//   "off" — the legacy schedule: only the updated site model's own
-	//   components are re-checked, so drift introduced into a group by a
-	//   sibling's arrival is not noticed until that sibling's model updates
-	//   again.
-	IncrementalRemerge string
-	// RemergeAuditEvery, when positive, runs a full stability audit every
-	// Nth handled update under IncrementalRemerge "on": every clean
-	// (not-dirty) group is verified to contain no splittable member, and
-	// violations — which would mean the dirty tracking missed a mutation —
-	// are counted in Stats.RemergeAuditViolations and journaled. Purely
-	// observational; the audit never mutates the tree.
-	RemergeAuditEvery int
 	// Telemetry, when non-nil, receives merge/split/re-merge counters and
 	// journal events alongside the Stats the experiments already read.
 	// Observational only — the tree it describes is bit-identical with or
 	// without it.
 	Telemetry *telemetry.Registry
 }
-
-// Accepted Config.IncrementalRemerge values.
-const (
-	// RemergeOn re-checks dirty groups only (the default).
-	RemergeOn = "on"
-	// RemergeExact re-checks every group on every update (parity reference).
-	RemergeExact = "exact"
-	// RemergeOff re-checks only the updated model's components (legacy).
-	RemergeOff = "off"
-)
 
 func (c Config) withDefaults() Config {
 	if c.MaxMergeDistance <= 0 {
@@ -93,14 +46,17 @@ func (c Config) withDefaults() Config {
 	if c.Merge.Seed == 0 {
 		c.Merge.Seed = 1
 	}
-	if c.IndexMinGroups <= 0 {
-		c.IndexMinGroups = 32
-	}
-	if c.IncrementalRemerge == "" {
-		c.IncrementalRemerge = RemergeOn
-	}
 	return c
 }
+
+// indexMinGroups is the group count above which placement queries the k-d
+// index over representative means instead of scanning every group (the
+// paper's future-work "index structure to accelerate merge and split").
+// The index pre-selects the indexCandidates nearest-mean groups and the
+// exact M_merge criterion is evaluated on those, so placement only differs
+// from the exhaustive scan when the best group is not among the nearest
+// means — rare, and bounded by the same MaxMergeDistance gate.
+const indexMinGroups = 32
 
 // indexCandidates is how many nearest-mean groups the index hands to the
 // exact criterion.
@@ -117,16 +73,11 @@ type Stats struct {
 	GroupsCreated  int
 	GroupsRemoved  int
 	SiteResets     int
-
-	// RemergeAuditViolations counts unstable members the periodic audit
-	// found inside clean groups — always zero unless dirty tracking is
-	// broken (pinned by tests and the DST invariant suite). The sweep's
-	// dirty-vs-clean scheduling counts live in telemetry only
+	// The sweep's dirty-vs-clean scheduling counts live in telemetry only
 	// (coord.remerge_dirty_groups / coord.remerge_clean_groups): they
 	// describe how work was scheduled, not what state was reached, and a
 	// recovered coordinator legitimately re-schedules more than the
 	// original did while reaching the identical tree.
-	RemergeAuditViolations int
 }
 
 // coordTele holds the coordinator's telemetry instruments, resolved once
@@ -145,7 +96,6 @@ type coordTele struct {
 	siteResets    *telemetry.Counter
 	remergeDirty  *telemetry.Counter
 	remergeClean  *telemetry.Counter
-	auditViol     *telemetry.Counter
 	// How the merges were scheduled, not what they produced: like the
 	// remerge sweep's dirty/clean counts these are telemetry only, because a
 	// recovered coordinator starts with a cold memo and reaches the same tree.
@@ -182,7 +132,6 @@ func newCoordTele(reg *telemetry.Registry) coordTele {
 		siteResets:    reg.Counter("coord.site_resets"),
 		remergeDirty:  reg.Counter("coord.remerge_dirty_groups"),
 		remergeClean:  reg.Counter("coord.remerge_clean_groups"),
-		auditViol:     reg.Counter("coord.remerge_audit_violations"),
 		mergeFits:     reg.Counter("coord.merge_fits"),
 		memoHits:      reg.Counter("coord.merge_memo_hits"),
 		memoEntries:   reg.Gauge("coord.merge_memo_entries"),
@@ -206,17 +155,21 @@ type Coordinator struct {
 	groups []*Group // insertion order; compacted in place
 	byID   map[int]*Group
 	nextID int
-	// index holds representative means for accelerated placement; nil when
-	// disabled.
-	index *kdtree.Tree
+	// index holds representative means for accelerated placement, consulted
+	// once there are indexMin (= indexMinGroups) groups; the placement
+	// parity tests lower indexMin, or raise it to force exhaustive scans.
+	index    *kdtree.Tree
+	indexMin int
 
 	models map[int]map[int]*siteModel // siteID → modelID → model
 	// location maps each leaf to the id of the group holding it.
 	location map[MemberKey]int
 
 	// dirty holds ids of groups whose membership or representative changed
-	// since their last stability sweep (IncrementalRemerge on/exact).
-	dirty map[int]struct{}
+	// since their last stability sweep. sweepAll makes every sweep visit
+	// every group instead: the oracle of the dirty-tracking parity tests.
+	dirty    map[int]struct{}
+	sweepAll bool
 	// sweepGen numbers stability sweeps; member.checked carries the last
 	// sweep that evaluated the member.
 	sweepGen uint64
@@ -254,16 +207,12 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("coordinator: Dim = %d", cfg.Dim)
 	}
 	cfg = cfg.withDefaults()
-	switch cfg.IncrementalRemerge {
-	case RemergeOn, RemergeExact, RemergeOff:
-	default:
-		return nil, fmt.Errorf("coordinator: IncrementalRemerge = %q (want %q, %q or %q)",
-			cfg.IncrementalRemerge, RemergeOn, RemergeExact, RemergeOff)
-	}
 	c := &Coordinator{
 		cfg:      cfg,
 		byID:     make(map[int]*Group),
 		nextID:   1,
+		index:    kdtree.New(cfg.Dim),
+		indexMin: indexMinGroups,
 		models:   make(map[int]map[int]*siteModel),
 		location: make(map[MemberKey]int),
 		dirty:    make(map[int]struct{}),
@@ -273,9 +222,6 @@ func New(cfg Config) (*Coordinator, error) {
 		memoCur:   make(map[mergeKey]mergeVal, memoGeneration),
 	}
 	c.merge = c.memoMerge
-	if !cfg.DisableIndex {
-		c.index = kdtree.New(cfg.Dim)
-	}
 	return c, nil
 }
 
@@ -340,10 +286,6 @@ func (c *Coordinator) HandleUpdate(u site.Update) error {
 		c.finishApply(span, err)
 		return err
 	}
-	if err == nil && c.cfg.RemergeAuditEvery > 0 && c.cfg.IncrementalRemerge == RemergeOn &&
-		c.stats.UpdatesHandled%c.cfg.RemergeAuditEvery == 0 {
-		c.auditStability()
-	}
 	c.finishApply(span, err)
 	return err
 }
@@ -380,19 +322,8 @@ func (c *Coordinator) handleNewModel(u site.Update) error {
 		}
 		c.place(m)
 	}
-	c.restabilize(sm)
-	return nil
-}
-
-// restabilize runs the configured Algorithm-2 stability pass after an
-// update touched sm: the dirty-group sweep (or full sweep under "exact"),
-// or the legacy updated-model-only check under "off".
-func (c *Coordinator) restabilize(sm *siteModel) {
-	if c.cfg.IncrementalRemerge == RemergeOff {
-		c.checkSiteModel(sm)
-		return
-	}
 	c.stabilize()
+	return nil
 }
 
 func (c *Coordinator) handleWeightUpdate(u site.Update) error {
@@ -440,9 +371,7 @@ func (c *Coordinator) ResetSite(siteID int) {
 		}
 	}
 	delete(c.models, siteID)
-	if c.cfg.IncrementalRemerge != RemergeOff {
-		c.stabilize()
-	}
+	c.stabilize()
 	c.stats.SiteResets++
 	c.tele.siteResets.Inc()
 	c.tele.reg.Record(telemetry.Event{Kind: "site-reset", Site: siteID})
@@ -460,12 +389,9 @@ func (c *Coordinator) shiftWeight(sm *siteModel, delta int) error {
 			c.removeLeaf(key)
 		}
 		delete(c.models[sm.siteID], sm.modelID)
-		if c.cfg.IncrementalRemerge != RemergeOff {
-			// The departures changed representatives of the surviving
-			// groups; re-check them (the legacy path leaves them until
-			// their own models update).
-			c.stabilize()
-		}
+		// The departures changed representatives of the surviving groups;
+		// re-check them.
+		c.stabilize()
 		return nil
 	}
 	for j := 0; j < sm.mix.K(); j++ {
@@ -483,7 +409,7 @@ func (c *Coordinator) shiftWeight(sm *siteModel, delta int) error {
 	// Weights changed every father containing a leaf of this model;
 	// refresh their representatives and re-check stability.
 	c.refreshModelGroups(sm)
-	c.restabilize(sm)
+	c.stabilize()
 	return nil
 }
 
@@ -502,7 +428,7 @@ func (c *Coordinator) refreshModelGroups(sm *siteModel) {
 
 // place inserts a leaf into the group with the largest M_merge against the
 // group representative, or seeds a new group when every group is farther
-// than MaxMergeDistance. Above IndexMinGroups groups, the k-d index
+// than MaxMergeDistance. From indexMinGroups groups on, the k-d index
 // pre-selects the nearest-mean candidates and the exact criterion is
 // evaluated on those only.
 func (c *Coordinator) place(m *member) {
@@ -541,7 +467,7 @@ func (c *Coordinator) place(m *member) {
 // candidates returns the groups to evaluate for placement: all of them
 // below the index threshold, otherwise the nearest-mean short list.
 func (c *Coordinator) candidates(m *member) []*Group {
-	if c.index == nil || len(c.groups) < c.cfg.IndexMinGroups {
+	if len(c.groups) < c.indexMin {
 		return c.groups
 	}
 	nbs := c.index.NearestK(m.comp.Mean(), indexCandidates)
@@ -562,9 +488,6 @@ func (c *Coordinator) refreshGroup(g *Group) {
 	if g.Size() == 0 {
 		c.hasEmpty = true
 	}
-	if c.index == nil {
-		return
-	}
 	if g.rep == nil {
 		c.index.Remove(g.id)
 		return
@@ -572,52 +495,24 @@ func (c *Coordinator) refreshGroup(g *Group) {
 	c.index.Insert(g.id, g.rep.Mean())
 }
 
-// checkSiteModel is Algorithm 2's loop: for each component of the updated
-// site model, compare M_split against the stored 1/M_remerge; split and
-// re-merge components that drifted.
-func (c *Coordinator) checkSiteModel(sm *siteModel) {
-	for j := 0; j < sm.mix.K(); j++ {
-		key := MemberKey{SiteID: sm.siteID, ModelID: sm.modelID, Comp: j}
-		g := c.groupOf(key)
-		if g == nil || g.Size() <= 1 {
-			continue
-		}
-		i := g.find(key)
-		m := g.members[i]
-		msplit := gaussian.MSplitComp(m.comp, g.rep)
-		if msplit <= 1/m.mremergeAtJoin {
-			continue // stable: no need to split
-		}
-		// Split from the father...
-		c.stats.Splits++
-		c.tele.splits.Inc()
-		c.tele.reg.Record(telemetry.Event{
-			Kind: "split", Site: sm.siteID, Model: sm.modelID, Value: msplit, N: j,
-		})
-		g.remove(i)
-		c.refreshGroup(g)
-		delete(c.location, key)
-		// ...and re-merge into the sibling mixture with the largest
-		// M_remerge (which may be a brand-new group if none is close).
-		c.place(m)
-	}
-	c.compact()
-}
-
-// stabilize is the incremental Algorithm-2 pass: sweep every dirty group
-// (every group under RemergeExact), in ascending id order, re-checking its
-// members' M_split/M_remerge stability. The worklist is fixed at sweep
-// start; groups dirtied during the sweep — by splits landing elsewhere, or
-// by this sweep's own mutations — are deferred to the next update's sweep,
-// which keeps each sweep bounded and makes the "on" and "exact" schedules
-// provably equivalent: a group that is not dirty had every member verified
-// stable against a representative that has not changed since, so checking
-// it again cannot do anything.
+// stabilize is Algorithm 2's stability pass, run after every update: sweep
+// every dirty group, in ascending id order, re-checking its members'
+// M_split/M_remerge stability and re-merging the ones that drifted. Clean
+// groups are skipped: a member's split criterion depends only on its own
+// component, its frozen M_remerge reference and the group representative,
+// none of which can change without the group being marked dirty, so a
+// clean group had every member verified stable against a representative
+// that has not changed since, and checking it again cannot do anything.
+// The worklist is fixed at sweep start; groups dirtied during the sweep —
+// by splits landing elsewhere, or by this sweep's own mutations — are
+// deferred to the next update's sweep, which keeps each sweep bounded and
+// makes the dirty sweep provably equivalent to sweeping every group
+// (sweepAll, the test oracle).
 func (c *Coordinator) stabilize() {
 	span := c.tele.tracer.Begin(c.curTrace, c.curParent, "remerge", 0, 0)
 	c.sweepGen++
 	work := c.workScratch[:0]
-	if c.cfg.IncrementalRemerge == RemergeExact {
+	if c.sweepAll {
 		for _, g := range c.groups {
 			work = append(work, g.id)
 		}
@@ -692,31 +587,6 @@ func (c *Coordinator) checkGroup(g *Group) {
 	}
 }
 
-// auditStability is the RemergeAuditEvery knob: verify that no clean group
-// holds a splittable member. A violation means a mutation escaped the
-// dirty tracking — it is counted and journaled, never repaired, so tests
-// and the simulation harness can assert the count stays zero.
-func (c *Coordinator) auditStability() {
-	for _, g := range c.groups {
-		if g.Size() <= 1 {
-			continue
-		}
-		if _, pending := c.dirty[g.id]; pending {
-			continue // legitimately awaiting the next sweep
-		}
-		for _, m := range g.members {
-			if gaussian.MSplitComp(m.comp, g.rep) > 1/m.mremergeAtJoin {
-				c.stats.RemergeAuditViolations++
-				c.tele.auditViol.Inc()
-				c.tele.reg.Record(telemetry.Event{
-					Kind: "remerge-audit-violation",
-					Site: m.key.SiteID, Model: m.key.ModelID, N: m.key.Comp,
-				})
-			}
-		}
-	}
-}
-
 // removeLeaf deletes a leaf from its group entirely.
 func (c *Coordinator) removeLeaf(key MemberKey) {
 	g := c.groupOf(key)
@@ -751,9 +621,7 @@ func (c *Coordinator) compact() {
 		c.tele.groupsRemoved.Inc()
 		delete(c.byID, g.id)
 		delete(c.dirty, g.id)
-		if c.index != nil {
-			c.index.Remove(g.id)
-		}
+		c.index.Remove(g.id)
 	}
 	c.groups = out
 }

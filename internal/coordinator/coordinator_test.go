@@ -283,17 +283,16 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestIndexedPlacementMatchesExhaustive(t *testing.T) {
-	// Well above IndexMinGroups groups: the k-d accelerated coordinator
-	// must build the same group structure as the exhaustive one.
-	build := func(disable bool) *Coordinator {
-		c, err := New(Config{
-			Dim:            1,
-			Merge:          gaussian.MergeOptions{MomentOnly: true},
-			IndexMinGroups: 8,
-			DisableIndex:   disable,
-		})
+	// Well above the index threshold: the k-d accelerated coordinator must
+	// build the same group structure as the exhaustive one.
+	build := func(exhaustive bool) *Coordinator {
+		c, err := New(Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}})
 		if err != nil {
 			t.Fatal(err)
+		}
+		c.SetIndexMinGroups(8)
+		if exhaustive {
+			c.UseExhaustivePlacement()
 		}
 		// 60 well-separated cluster centers across 3 sites: 20 per site.
 		for s := 1; s <= 3; s++ {
@@ -328,10 +327,11 @@ func TestIndexedPlacementMatchesExhaustive(t *testing.T) {
 }
 
 func TestIndexSurvivesDeletion(t *testing.T) {
-	c, err := New(Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}, IndexMinGroups: 2})
+	c, err := New(Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetIndexMinGroups(2)
 	for m := 1; m <= 10; m++ {
 		if err := c.HandleUpdate(newModelUpdate(1, m, mix1d(float64(m)*30), 100)); err != nil {
 			t.Fatal(err)
@@ -353,13 +353,16 @@ func TestIndexSurvivesDeletion(t *testing.T) {
 }
 
 func BenchmarkPlacementIndexedVsExhaustive(b *testing.B) {
-	run := func(b *testing.B, disable bool) {
+	run := func(b *testing.B, exhaustive bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			c, err := New(Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}, DisableIndex: disable})
+			c, err := New(Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if exhaustive {
+				c.UseExhaustivePlacement()
 			}
 			b.StartTimer()
 			// 500 well-separated models → 500 groups; each placement scans

@@ -1,6 +1,10 @@
 package coordinator
 
-import "cludistream/internal/gaussian"
+import (
+	"math"
+
+	"cludistream/internal/gaussian"
+)
 
 // UseFromScratchFold makes c fold every representative with the
 // unremembered gaussian.FitMerge, as every coordinator did before the memo:
@@ -14,3 +18,37 @@ func (c *Coordinator) UseFromScratchFold() {
 // SetMemoGeneration replaces the memo's generation size (memoGeneration) so
 // a short test sequence can make it roll over.
 func (c *Coordinator) SetMemoGeneration(n int) { c.memoLimit = n }
+
+// UseFullSweep makes every stability sweep visit every group, not only the
+// dirty ones: the oracle of the dirty-tracking parity tests.
+func (c *Coordinator) UseFullSweep() { c.sweepAll = true }
+
+// SetIndexMinGroups replaces indexMinGroups so a small test tree already
+// places through the k-d index.
+func (c *Coordinator) SetIndexMinGroups(n int) { c.indexMin = n }
+
+// UseExhaustivePlacement makes placement scan every group, never the k-d
+// index: the oracle of the indexed-placement parity tests.
+func (c *Coordinator) UseExhaustivePlacement() { c.indexMin = math.MaxInt }
+
+// AuditStability verifies that no clean group holds a splittable member and
+// returns how many it found. A violation means a mutation escaped the dirty
+// tracking; the audit never repairs it, so the tests can assert the count
+// stays zero.
+func (c *Coordinator) AuditStability() int {
+	violations := 0
+	for _, g := range c.groups {
+		if g.Size() <= 1 {
+			continue
+		}
+		if _, pending := c.dirty[g.id]; pending {
+			continue // legitimately awaiting the next sweep
+		}
+		for _, m := range g.members {
+			if gaussian.MSplitComp(m.comp, g.rep) > 1/m.mremergeAtJoin {
+				violations++
+			}
+		}
+	}
+	return violations
+}

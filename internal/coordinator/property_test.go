@@ -23,14 +23,12 @@ import (
 func TestInvariantsUnderRandomOpSequences(t *testing.T) {
 	f := func(seed int64, opsRaw []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c, err := New(Config{
-			Dim:            1,
-			Merge:          gaussian.MergeOptions{MomentOnly: true},
-			IndexMinGroups: 4, // exercise the indexed path early
-		})
+		c, err := New(Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}})
 		if err != nil {
 			return false
 		}
+		// Exercise the indexed path early.
+		c.SetIndexMinGroups(4)
 		nextModel := map[int]int{} // siteID → next model id
 		var models []liveModel
 

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,11 +15,13 @@ import (
 // applyRandomOps drives every coordinator in cs through one identical,
 // seed-deterministic stream of NewModel / WeightUpdate / Deletion /
 // ResetSite operations and returns how many operations were applied.
-// idBase offsets the model ids so consecutive calls against the same
-// coordinator never collide.
-func applyRandomOps(t *testing.T, seed int64, idBase, n int, cs ...*Coordinator) int {
+// Component means have the first coordinator's dimensionality. idBase
+// offsets the model ids so consecutive calls against the same coordinator
+// never collide. afterOp, when non-nil, runs after every operation.
+func applyRandomOps(t *testing.T, seed int64, idBase, n int, afterOp func(), cs ...*Coordinator) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	dim := cs[0].cfg.Dim
 	nextModel := map[int]int{}
 	var models []liveModel
 	for op := 0; op < n; op++ {
@@ -31,7 +34,11 @@ func applyRandomOps(t *testing.T, seed int64, idBase, n int, cs ...*Coordinator)
 			comps := make([]*gaussian.Component, k)
 			ws := make([]float64, k)
 			for j := range comps {
-				comps[j] = gaussian.Spherical(linalg.Vector{rng.NormFloat64() * 30}, 0.5+rng.Float64())
+				mean := make(linalg.Vector, dim)
+				for d := range mean {
+					mean[d] = rng.NormFloat64() * 30
+				}
+				comps[j] = gaussian.Spherical(mean, 0.5+rng.Float64())
 				ws[j] = rng.Float64() + 0.2
 			}
 			count := rng.Intn(500) + 50
@@ -84,47 +91,83 @@ func applyRandomOps(t *testing.T, seed int64, idBase, n int, cs ...*Coordinator)
 			}
 			models = kept
 		}
+		if afterOp != nil {
+			afterOp()
+		}
 	}
 	return n
 }
 
-func remergeConfig(mode string) Config {
-	return Config{
-		Dim:                1,
-		Merge:              gaussian.MergeOptions{MomentOnly: true},
-		IndexMinGroups:     4,
-		IncrementalRemerge: mode,
+// remergeConfig is the 1-d moment-merge coordinator the remerge tests run.
+func remergeConfig() Config {
+	return Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}}
+}
+
+// newRemergeCoord builds a coordinator for the remerge tests that places
+// through the k-d index from 4 groups on, so small trees exercise it too.
+func newRemergeCoord(t *testing.T, cfg Config) *Coordinator {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	c.SetIndexMinGroups(4)
+	return c
 }
 
 // TestIncrementalRemergeMatchesExact is the dirty-tracking soundness proof
-// in test form: the default dirty-group sweep ("on") must reach exactly the
-// state the exhaustive per-update sweep ("exact") reaches — same tree, same
-// split/remerge counts, same global mixture — over random op sequences,
-// while provably skipping work (the clean-group telemetry counter is
-// nonzero).
+// in test form: the dirty-group sweep must reach exactly the state the
+// every-group sweep (UseFullSweep) reaches — same tree, same split/remerge
+// counts, same global mixture, same model weights — over random op
+// sequences, while provably skipping work (the clean-group telemetry
+// counter is nonzero). Most seeds run the 1-d moment merge; a few run 2-d
+// records and the daemons' simplex-fitted merge.
 func TestIncrementalRemergeMatchesExact(t *testing.T) {
+	type arm struct {
+		dim    int
+		merge  gaussian.MergeOptions
+		seeds  int
+		seed0  int64
+		ops    int
+		detail string
+	}
+	moment := gaussian.MergeOptions{MomentOnly: true}
+	arms := []arm{
+		{dim: 1, merge: moment, seeds: 40, seed0: 1, ops: 200, detail: "1-d moment"},
+		{dim: 2, merge: moment, seeds: 4, seed0: 101, ops: 200, detail: "2-d moment"},
+		{dim: 1, merge: gaussian.MergeOptions{}, seeds: 3, seed0: 201, ops: 200, detail: "1-d daemon merge"},
+		{dim: 2, merge: gaussian.MergeOptions{}, seeds: 2, seed0: 301, ops: 200, detail: "2-d daemon merge"},
+	}
+	if testing.Short() {
+		for i := range arms {
+			arms[i].seeds = (arms[i].seeds + 4) / 5
+			arms[i].ops = 60
+		}
+	}
 	var cleanSkipped int64
-	for seed := int64(1); seed <= 6; seed++ {
-		regOn := telemetry.NewRegistry()
-		cfgOn := remergeConfig(RemergeOn)
-		cfgOn.Telemetry = regOn
-		on, err := New(cfgOn)
-		if err != nil {
-			t.Fatal(err)
+	for _, a := range arms {
+		for seed := a.seed0; seed < a.seed0+int64(a.seeds); seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", a.detail, seed), func(t *testing.T) {
+				cfg := Config{Dim: a.dim, Merge: a.merge}
+				regOn := telemetry.NewRegistry()
+				cfgOn := cfg
+				cfgOn.Telemetry = regOn
+				on := newRemergeCoord(t, cfgOn)
+				exact := newRemergeCoord(t, cfg)
+				exact.UseFullSweep()
+				applyRandomOps(t, seed, 0, a.ops, nil, on, exact)
+				if got, want := on.Snapshot(), exact.Snapshot(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("incremental snapshot diverged from exact\n on:    %+v\n exact: %+v", got, want)
+				}
+				if got, want := on.Stats(), exact.Stats(); got != want {
+					t.Fatalf("stats diverged: %+v vs %+v", got, want)
+				}
+				if got, want := on.ModelWeights(), exact.ModelWeights(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("model weights diverged: %v vs %v", got, want)
+				}
+				cleanSkipped += regOn.Snapshot().Counters["coord.remerge_clean_groups"]
+			})
 		}
-		exact, err := New(remergeConfig(RemergeExact))
-		if err != nil {
-			t.Fatal(err)
-		}
-		applyRandomOps(t, seed, 0, 60, on, exact)
-		if got, want := on.Snapshot(), exact.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: incremental snapshot diverged from exact\n on:    %+v\n exact: %+v", seed, got, want)
-		}
-		if got, want := on.ModelWeights(), exact.ModelWeights(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: model weights diverged: %v vs %v", seed, got, want)
-		}
-		cleanSkipped += regOn.Snapshot().Counters["coord.remerge_clean_groups"]
 	}
 	if cleanSkipped == 0 {
 		t.Fatal("incremental sweep never skipped a clean group — parity test is not exercising the fast path")
@@ -132,17 +175,15 @@ func TestIncrementalRemergeMatchesExact(t *testing.T) {
 }
 
 // TestRemergeExactSweepsEveryGroup pins the telemetry meaning of the two
-// sweep counters: the exhaustive mode never skips, so its clean-group
+// sweep counters: the every-group sweep never skips, so its clean-group
 // counter stays zero while the dirty counter advances.
 func TestRemergeExactSweepsEveryGroup(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := remergeConfig(RemergeExact)
+	cfg := remergeConfig()
 	cfg.Telemetry = reg
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyRandomOps(t, 11, 0, 40, c)
+	c := newRemergeCoord(t, cfg)
+	c.UseFullSweep()
+	applyRandomOps(t, 11, 0, 40, nil, c)
 	counters := reg.Snapshot().Counters
 	if counters["coord.remerge_dirty_groups"] == 0 {
 		t.Fatal("exact mode swept no groups")
@@ -152,38 +193,18 @@ func TestRemergeExactSweepsEveryGroup(t *testing.T) {
 	}
 }
 
-// TestRemergeAuditFindsNoDrift turns the full-sweep audit to its most
-// aggressive setting (every update) and asserts it never catches the dirty
-// tracking leaving an unstable member behind in a clean group.
+// TestRemergeAuditFindsNoDrift audits the whole tree after every update and
+// asserts the audit never catches the dirty tracking leaving an unstable
+// member behind in a clean group.
 func TestRemergeAuditFindsNoDrift(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	cfg := remergeConfig(RemergeOn)
-	cfg.RemergeAuditEvery = 1
-	cfg.Telemetry = reg
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	c := newRemergeCoord(t, remergeConfig())
+	audit := func() {
+		if got := c.AuditStability(); got != 0 {
+			t.Fatalf("audit found %d unstable members in clean groups; dirty tracking is unsound", got)
+		}
 	}
 	for seed := int64(20); seed < 24; seed++ {
-		applyRandomOps(t, seed, int(seed)*1000, 50, c)
-	}
-	if got := c.Stats().RemergeAuditViolations; got != 0 {
-		t.Fatalf("audit found %d unstable members in clean groups; dirty tracking is unsound", got)
-	}
-	if got := reg.Snapshot().Counters["coord.remerge_audit_violations"]; got != 0 {
-		t.Fatalf("audit telemetry counted %d violations; want 0", got)
-	}
-}
-
-// TestRemergeModeValidation rejects unknown scheduling modes up front.
-func TestRemergeModeValidation(t *testing.T) {
-	if _, err := New(remergeConfig("eventually")); err == nil {
-		t.Fatal("unknown IncrementalRemerge mode accepted")
-	}
-	for _, mode := range []string{"", RemergeOn, RemergeExact, RemergeOff} {
-		if _, err := New(remergeConfig(mode)); err != nil {
-			t.Fatalf("mode %q rejected: %v", mode, err)
-		}
+		applyRandomOps(t, seed, int(seed)*1000, 50, audit, c)
 	}
 }
 
@@ -191,16 +212,14 @@ func TestRemergeModeValidation(t *testing.T) {
 // the restored coordinator (which conservatively marks every group dirty)
 // must apply a future op stream to exactly the state the original reaches.
 func TestRemergeRestoreStaysInParity(t *testing.T) {
-	orig, err := New(remergeConfig(RemergeOn))
+	orig := newRemergeCoord(t, remergeConfig())
+	applyRandomOps(t, 31, 0, 40, nil, orig)
+	restored, err := FromSnapshot(remergeConfig(), orig.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyRandomOps(t, 31, 0, 40, orig)
-	restored, err := FromSnapshot(remergeConfig(RemergeOn), orig.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyRandomOps(t, 32, 1000, 30, orig, restored)
+	restored.SetIndexMinGroups(4)
+	applyRandomOps(t, 32, 1000, 30, nil, orig, restored)
 	if got, want := restored.Snapshot(), orig.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored coordinator diverged after snapshot\n restored: %+v\n original: %+v", got, want)
 	}

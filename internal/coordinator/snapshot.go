@@ -176,7 +176,7 @@ func FromSnapshot(cfg Config, snap *Snapshot) (*Coordinator, error) {
 		g.recomputeRep(c.merge)
 		c.groups = append(c.groups, g)
 		c.byID[g.id] = g
-		if c.index != nil && g.rep != nil {
+		if g.rep != nil {
 			c.index.Insert(g.id, g.rep.Mean())
 		}
 	}

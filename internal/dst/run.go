@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"reflect"
 
 	"cludistream"
 	"cludistream/internal/coordinator"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
 	"cludistream/internal/netsim"
-	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
 )
 
@@ -35,9 +33,6 @@ type Violation struct {
 	// "fit-soundness", "comm-bound", "memory-bound", "conservation",
 	// "schedule-independence", "recovery" (a coordinator restart recovered
 	// to a state that differs from the persisted pre-crash state),
-	// "pruned-parity" (the default sublinear hot paths — k-d-pruned J_fit
-	// scoring, shared chunk statistics, incremental remerge — produced a
-	// different global state than the exact reference paths),
 	// "trace-conservation" (an applied update's causal trace is missing,
 	// has a broken span chain, or the cumulative span counts disagree with
 	// the delivery-layer accounting), "snapshot-consistency" (a query-tier
@@ -108,9 +103,6 @@ func Run(sc Scenario, opts Options) (*Result, error) {
 	cleanFP, cleanWeights, err := cleanReplay(sc, streams)
 	if err != nil {
 		return nil, fmt.Errorf("dst: fault-free reference replay: %w", err)
-	}
-	if v := prunedParityCheck(sc, streams, cleanFP, cleanWeights); v != nil {
-		return &Result{Scenario: sc, Violation: v, CleanFingerprint: cleanFP}, nil
 	}
 
 	reg := telemetry.NewRegistry()
@@ -266,51 +258,10 @@ func systemConfig(sc Scenario, reg *telemetry.Registry) cludistream.Config {
 // cleanReplay runs the scenario's streams through a fault-free deployment
 // (perfect links, v1 encoding, no crashes) and returns the canonical
 // fingerprint and per-model weights the faulted run must converge to.
-// The deployment uses the default sublinear hot paths; exactReplay runs
-// the same streams with every exact reference path forced on.
 func cleanReplay(sc Scenario, streams [][]linalg.Vector) (uint64, []coordinator.ModelWeight, error) {
-	return referenceReplay(sc, streams, false)
-}
-
-// exactReplay is cleanReplay with the sublinear hot paths disabled:
-// exhaustive J_fit scans, per-probe chunk re-scans, and the exhaustive
-// per-update remerge sweep.
-func exactReplay(sc Scenario, streams [][]linalg.Vector) (uint64, []coordinator.ModelWeight, error) {
-	return referenceReplay(sc, streams, true)
-}
-
-// prunedParityCheck enforces the "pruned-parity" invariant: the fast and
-// exact deployments must reach bit-identical global state on every
-// scenario's fault-free stream.
-func prunedParityCheck(sc Scenario, streams [][]linalg.Vector, cleanFP uint64, cleanWeights []coordinator.ModelWeight) *Violation {
-	exactFP, exactWeights, err := exactReplay(sc, streams)
-	if err != nil {
-		return &Violation{Invariant: "pruned-parity", Detail: fmt.Sprintf("exact reference replay failed: %v", err)}
-	}
-	if exactFP != cleanFP {
-		return &Violation{
-			Invariant: "pruned-parity",
-			Detail:    fmt.Sprintf("global-mixture fingerprint %016x on the sublinear paths, %016x on the exact paths", cleanFP, exactFP),
-		}
-	}
-	if !reflect.DeepEqual(exactWeights, cleanWeights) {
-		return &Violation{
-			Invariant: "pruned-parity",
-			Detail:    fmt.Sprintf("model weights diverged: sublinear %v, exact %v", cleanWeights, exactWeights),
-		}
-	}
-	return nil
-}
-
-func referenceReplay(sc Scenario, streams [][]linalg.Vector, exact bool) (uint64, []coordinator.ModelWeight, error) {
 	cfg := systemConfig(sc, nil)
 	cfg.Fault = nil
 	cfg.Telemetry = nil
-	if exact {
-		cfg.PruneTopM = -1
-		cfg.SharedChunkStats = site.SharedStatsOff
-		cfg.IncrementalRemerge = coordinator.RemergeExact
-	}
 	sys, err := cludistream.New(cfg)
 	if err != nil {
 		return 0, nil, err

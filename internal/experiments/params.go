@@ -55,18 +55,6 @@ type Params struct {
 	// iterations without changing which chunks refit. site.WarmStartCold
 	// restores the pre-warm-start cold k-means++ path for A/B runs.
 	WarmStart string
-	// PruneTopM selects the sites' k-d-pruned J_fit scoring (0 ⇒ the
-	// default top-4; negative disables pruning for A/B runs). Decisions are
-	// bit-identical either way (see site.Config.PruneTopM).
-	PruneTopM int
-	// SharedChunkStats selects the sites' shared per-chunk scoring
-	// workspace (empty ⇒ site.SharedStatsOn; site.SharedStatsOff restores
-	// per-probe re-scans for A/B runs).
-	SharedChunkStats string
-	// IncrementalRemerge selects the coordinator's stability-sweep
-	// scheduling (empty ⇒ coordinator.RemergeOn; "exact" and "off" are the
-	// reference schedules; see coordinator.Config.IncrementalRemerge).
-	IncrementalRemerge string
 	// EMWorkers caps the worker goroutines of every inner EM fit (0 ⇒
 	// GOMAXPROCS). Fitted models are bit-identical at any value — the
 	// fused E-step reduces on fixed shard boundaries — so figures never
@@ -125,19 +113,17 @@ func (p Params) nfdParams() Params {
 // siteConfig builds the standard remote-site configuration.
 func (p Params) siteConfig(id int) site.Config {
 	return site.Config{
-		SiteID:           id,
-		Dim:              p.Dim,
-		K:                p.K,
-		Epsilon:          p.Epsilon,
-		FitEps:           p.FitEps,
-		Delta:            p.Delta,
-		CMax:             p.CMax,
-		Seed:             p.Seed + int64(id)*7919,
-		EM:               em.Config{MaxIter: 50, Tol: 1e-3, MinVar: 1e-4, Workers: p.EMWorkers},
-		WarmStart:        p.WarmStart,
-		PruneTopM:        p.PruneTopM,
-		SharedChunkStats: p.SharedChunkStats,
-		Telemetry:        p.Telemetry,
+		SiteID:    id,
+		Dim:       p.Dim,
+		K:         p.K,
+		Epsilon:   p.Epsilon,
+		FitEps:    p.FitEps,
+		Delta:     p.Delta,
+		CMax:      p.CMax,
+		Seed:      p.Seed + int64(id)*7919,
+		EM:        em.Config{MaxIter: 50, Tol: 1e-3, MinVar: 1e-4, Workers: p.EMWorkers},
+		WarmStart: p.WarmStart,
+		Telemetry: p.Telemetry,
 	}
 }
 
@@ -223,20 +209,17 @@ func runSEM(cfg sem.Config, gen stream.Generator, n int) (*sem.SEM, time.Duratio
 // newSystem builds a full CluDistream deployment with these parameters.
 func newSystem(p Params, dim, sites int) (*root.System, error) {
 	return root.New(root.Config{
-		NumSites:           sites,
-		Dim:                dim,
-		K:                  p.K,
-		Epsilon:            p.Epsilon,
-		FitEps:             p.FitEps,
-		Delta:              p.Delta,
-		CMax:               p.CMax,
-		Seed:               p.Seed,
-		EM:                 em.Config{MaxIter: 50, Tol: 1e-3, MinVar: 1e-4, Workers: p.EMWorkers},
-		WarmStart:          p.WarmStart,
-		PruneTopM:          p.PruneTopM,
-		SharedChunkStats:   p.SharedChunkStats,
-		IncrementalRemerge: p.IncrementalRemerge,
-		Telemetry:          p.Telemetry,
+		NumSites:  sites,
+		Dim:       dim,
+		K:         p.K,
+		Epsilon:   p.Epsilon,
+		FitEps:    p.FitEps,
+		Delta:     p.Delta,
+		CMax:      p.CMax,
+		Seed:      p.Seed,
+		EM:        em.Config{MaxIter: 50, Tol: 1e-3, MinVar: 1e-4, Workers: p.EMWorkers},
+		WarmStart: p.WarmStart,
+		Telemetry: p.Telemetry,
 	})
 }
 

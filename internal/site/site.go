@@ -144,31 +144,6 @@ type Config struct {
 	// Default 4×FitEps (a few Theorem-2 noise widths past the test
 	// boundary); negative means no bound.
 	WarmMargin float64
-	// PruneTopM bounds the per-record J_fit evaluation to the top-m
-	// nearest-mean components via the mixture's k-d score index
-	// (gaussian.AvgLogLikelihoodBounds). The pruned pass yields a sound
-	// interval around the exact average log-likelihood; the verdict is
-	// taken from the interval only when it decides the ε test with slack
-	// beyond floating-point roundoff, and falls back to the exact batched
-	// scan otherwise — so every fit/refit decision, every update emitted
-	// and every warm-start seed is bit-identical to the exact path (the
-	// golden-fingerprint and property tests pin this). Pruning engages
-	// only for models with K ≥ 2·PruneTopM components and never under
-	// SharpTest (the sharpened statistic keeps the exact scan). On chunks
-	// where a pruned verdict was used, the telemetry margin histogram and
-	// journal Values carry the proven bound instead of the exact margin —
-	// diagnostics only; decisions and outputs are unaffected. 0 means the
-	// default (4); negative disables pruning (the exact reference path).
-	PruneTopM int
-	// SharedChunkStats controls the shared per-chunk scoring workspace:
-	// "on" (the default) computes the chunk's complete-records view once
-	// per chunk and reuses it across the whole multi-test, memoizes exact
-	// scores computed during the test loop, and re-scores the tested
-	// models of a refit in one fused pass over the chunk
-	// (gaussian.AvgLogLikelihoodMulti); "off" re-derives everything per
-	// probe — the reference re-scan path, bit-identical by construction
-	// since all cached values are pure functions of the chunk.
-	SharedChunkStats string
 	// EmitFitWeightUpdates makes a fitting chunk emit a WeightUpdate for
 	// the current model instead of staying silent. Landmark-window
 	// deployments leave this off (Section 5.3's stability property);
@@ -205,17 +180,20 @@ const (
 	WarmStartCold = "cold"
 )
 
-// Accepted Config.SharedChunkStats values.
-const (
-	// SharedStatsOn caches per-chunk views and scores across the multi-test.
-	SharedStatsOn = "on"
-	// SharedStatsOff re-derives everything per probe (reference path).
-	SharedStatsOff = "off"
-)
-
-// defaultPruneTopM is the candidate-set size the pruned scorer evaluates
-// per record when Config.PruneTopM is zero.
-const defaultPruneTopM = 4
+// pruneTopM is the candidate-set size of the pruned J_fit scorer: each
+// record is scored against the pruneTopM nearest-mean components of the
+// model's k-d score index (gaussian.AvgLogLikelihoodBounds), which yields
+// a sound interval around the exact average log-likelihood. The verdict is
+// taken from the interval only when it decides the ε test with slack beyond
+// floating-point roundoff, and from the exact batched scan otherwise, so
+// every fit/refit decision, every update emitted and every warm-start seed
+// is bit-identical to the exact scan (the parity tests pin this). Pruning
+// engages only for models with K ≥ 2·pruneTopM components and never under
+// SharpTest (the sharpened statistic keeps the exact scan). On chunks where
+// a pruned verdict was used, the telemetry margin histogram and journal
+// Values carry the proven bound instead of the exact margin — diagnostics
+// only; decisions and outputs are unaffected.
+const pruneTopM = 4
 
 // pruneGuardRel scales the decision slack of the pruned J_fit verdict:
 // the bound interval must clear the ε threshold by
@@ -234,14 +212,6 @@ const warmRelTol = 1e-4
 func (c Config) withDefaults() Config {
 	if c.CMax <= 0 {
 		c.CMax = 4
-	}
-	if c.PruneTopM == 0 {
-		c.PruneTopM = defaultPruneTopM
-	} else if c.PruneTopM < 0 {
-		c.PruneTopM = 0 // disabled: exact scans only
-	}
-	if c.SharedChunkStats == "" {
-		c.SharedChunkStats = SharedStatsOn
 	}
 	if c.FitEps == 0 {
 		c.FitEps = c.Epsilon
@@ -285,10 +255,10 @@ type Stats struct {
 	WarmAudits      int // warm refits that also ran the cold comparison fit
 	IterationsSaved int // Σ (cold iters − warm iters) over audited refits; can go negative
 
-	// Pruned-scoring accounting (zero with PruneTopM disabled).
+	// Pruned-scoring accounting (zero while every model has K < 2·pruneTopM).
 	PruneHits      int // J_fit verdicts decided by the pruned bound interval
 	PruneFallbacks int // pruned intervals too wide to decide: exact re-scan ran
-	// Shared-stats memo accounting (zero with SharedChunkStats off).
+	// Multi-test memo accounting.
 	StatCacheHits   int // refit re-scores served from the multi-test memo
 	StatCacheMisses int // refit re-scores that had to scan the chunk
 }
@@ -371,10 +341,12 @@ type Site struct {
 	// every model it ever tests.
 	scratch *gaussian.BatchScratch
 
-	// scan is the shared per-chunk workspace (SharedChunkStats on): the
-	// complete-records view is filtered once per chunk and reused by every
-	// probe of the multi-test.
+	// scan is the shared per-chunk workspace: the complete-records view is
+	// filtered once per chunk and reused by every probe of the multi-test.
 	scan chunk.Scan
+	// exactScan turns the pruned J_fit scorer off, so every test runs the
+	// exact batched scan: the oracle of the pruned parity tests.
+	exactScan bool
 	// tested records the models probed on the current chunk, in test
 	// order, with any exactly computed score — the refit path replays the
 	// exact warm-seed selection from it (and the memo saves re-scans).
@@ -424,9 +396,6 @@ func New(cfg Config) (*Site, error) {
 	if cfg.WarmStart != WarmStartOn && cfg.WarmStart != WarmStartCold {
 		return nil, fmt.Errorf("site: WarmStart = %q (want %q or %q)", cfg.WarmStart, WarmStartOn, WarmStartCold)
 	}
-	if cfg.SharedChunkStats != SharedStatsOn && cfg.SharedChunkStats != SharedStatsOff {
-		return nil, fmt.Errorf("site: SharedChunkStats = %q (want %q or %q)", cfg.SharedChunkStats, SharedStatsOn, SharedStatsOff)
-	}
 	m := cfg.ChunkSize
 	if m <= 0 {
 		m = chunk.Size(cfg.Dim, cfg.Epsilon, cfg.Delta)
@@ -456,12 +425,14 @@ func (s *Site) ChunkSize() int { return s.m }
 func (s *Site) ID() int { return s.cfg.SiteID }
 
 // Observe consumes one record and returns any updates produced (non-nil
-// only when a chunk completed and changed the model state). The record is
-// copied into the chunk buffer, so the caller may reuse x immediately; in
-// steady-state test mode (chunk fits, nothing transmitted) the whole path
-// — buffering, chunk completion, batched J_fit scoring — performs zero
-// heap allocations per record, with chunk storage recycled through the
-// chunker's two-buffer protocol.
+// only when a chunk completed and changed the model state). A record of the
+// wrong dimension or with an infinite attribute is rejected with an error
+// and leaves the model state unchanged. The record is copied into the chunk
+// buffer, so the caller may reuse x immediately; in steady-state test mode
+// (chunk fits, nothing transmitted) the whole path — buffering, chunk
+// completion, batched J_fit scoring — performs zero heap allocations per
+// record, with chunk storage recycled through the chunker's two-buffer
+// protocol.
 func (s *Site) Observe(x linalg.Vector) ([]Update, error) {
 	// Trace ingest time: the clock reading when a chunk's first record
 	// arrives. With tracing off this is one nil check per record, which is
@@ -563,7 +534,7 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 	s.stats.Tests++
 	s.tele.tests.Inc()
 	s.tele.tested.Inc()
-	avg, margin, ok, exact := s.fitScore(s.current, data)
+	avg, margin, ok, exact := s.fitScore(s.current)
 	s.tested = append(s.tested, testedModel{m: s.current, avg: avg, exact: exact})
 	s.tele.jfitMargin.Observe(margin)
 	if ok {
@@ -597,7 +568,7 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 		s.tele.tests.Inc()
 		budget--
 		depth++
-		avg, margin, ok, exact := s.fitScore(cand, data)
+		avg, margin, ok, exact := s.fitScore(cand)
 		s.tested = append(s.tested, testedModel{m: cand, avg: avg, exact: exact})
 		s.tele.jfitMargin.Observe(margin)
 		if ok {
@@ -627,7 +598,7 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 	// WarmMargin bound describes a different regime and would steer EM
 	// into a worse basin than a cold start.
 	testSpan.End(len(s.tested), "refit")
-	bestSeed := s.refitSeed(data)
+	bestSeed := s.refitSeed()
 	s.retireCurrent()
 	return s.clusterNewModel(data, bestSeed)
 }
@@ -637,40 +608,27 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 // exceeds WarmMargin. The selection replays the exact path's bookkeeping
 // — first tested model initializes, later ones replace it on strictly
 // higher average log-likelihood — over exact scores: probes decided by
-// the pruned bound are re-scored exactly here (one fused pass over the
-// chunk with SharedChunkStats on), probes that already ran the exact scan
-// reuse the memoized value. Refits are the rare path and the re-scan is
-// amortized against the EM run that follows, so pruning keeps its win on
-// fitting chunks without perturbing a single refit decision.
-func (s *Site) refitSeed(data []linalg.Vector) *gaussian.Mixture {
+// the pruned bound are re-scored exactly here, in one fused pass over the
+// chunk; probes that already ran the exact scan reuse the memoized value.
+// Refits are the rare path and the re-scan is amortized against the EM run
+// that follows, so pruning keeps its win on fitting chunks without
+// perturbing a single refit decision.
+func (s *Site) refitSeed() *gaussian.Mixture {
 	if len(s.tested) == 0 {
 		return nil
 	}
-	shared := s.cfg.SharedChunkStats == SharedStatsOn
 	s.rescanMix = s.rescanMix[:0]
 	s.rescanIdx = s.rescanIdx[:0]
 	for i := range s.tested {
 		if s.tested[i].exact {
-			// The score was computed during the test loop — the legacy path
-			// also reused it (bestAvg tracking), so this is not shared-stats
-			// specific; only the accounting is.
-			if shared {
-				s.stats.StatCacheHits++
-				s.tele.statHits.Inc()
-			}
+			s.stats.StatCacheHits++
+			s.tele.statHits.Inc()
 			continue
 		}
-		if shared {
-			s.stats.StatCacheMisses++
-			s.tele.statMisses.Inc()
-			s.rescanMix = append(s.rescanMix, s.tested[i].m.Mixture)
-			s.rescanIdx = append(s.rescanIdx, i)
-			continue
-		}
-		// Reference path: one exact scan per probe, like the pre-shared
-		// code would have run.
-		s.tested[i].avg = s.tested[i].m.Mixture.AvgLogLikelihoodScratch(s.evalRecords(data), s.scratch)
-		s.tested[i].exact = true
+		s.stats.StatCacheMisses++
+		s.tele.statMisses.Inc()
+		s.rescanMix = append(s.rescanMix, s.tested[i].m.Mixture)
+		s.rescanIdx = append(s.rescanIdx, i)
 	}
 	if len(s.rescanMix) > 0 {
 		gaussian.AvgLogLikelihoodMulti(s.rescanMix, s.scan.Complete(), s.rescanAvg[:len(s.rescanMix)], s.scratch)
@@ -699,17 +657,17 @@ func (s *Site) refitSeed(data []linalg.Vector) *gaussian.Mixture {
 // is computed over the chunk's complete records only — incomplete ones
 // have no well-defined joint likelihood — matching the reference Avg_Pr0.
 //
-// With pruning enabled, the model's k-d score index restricts each record
-// to the PruneTopM nearest-mean components, yielding a sound interval
-// around the exact average; when the interval decides the ε test with
-// slack beyond the pruneGuardRel roundoff guard, the verdict is provably
-// the exact path's and the scan is skipped (avg and margin then carry the
-// proven bound, exact=false). An indecisive interval journals a
+// For models with K ≥ 2·pruneTopM, the model's k-d score index restricts
+// each record to the pruneTopM nearest-mean components, yielding a sound
+// interval around the exact average; when the interval decides the ε test
+// with slack beyond the pruneGuardRel roundoff guard, the verdict is
+// provably the exact scan's and the scan is skipped (avg and margin then
+// carry the proven bound, exact=false). An indecisive interval journals a
 // "prune-fallback" event and runs the exact scan.
-func (s *Site) fitScore(m *Model, data []linalg.Vector) (avg, margin float64, ok, exact bool) {
-	eval := s.evalRecords(data)
-	if topM := s.cfg.PruneTopM; topM > 0 && !s.cfg.SharpTest && m.Mixture.K() >= 2*topM {
-		if lo, hi, bok := m.Mixture.AvgLogLikelihoodBounds(eval, topM, s.scratch); bok {
+func (s *Site) fitScore(m *Model) (avg, margin float64, ok, exact bool) {
+	eval := s.scan.Complete()
+	if !s.exactScan && !s.cfg.SharpTest && m.Mixture.K() >= 2*pruneTopM {
+		if lo, hi, bok := m.Mixture.AvgLogLikelihoodBounds(eval, pruneTopM, s.scratch); bok {
 			loM, hiM := marginInterval(lo, hi, m.RefAvgLL)
 			guard := pruneGuardRel * (1 + math.Abs(m.RefAvgLL) + math.Max(math.Abs(lo), math.Abs(hi)))
 			switch {
@@ -754,43 +712,6 @@ func marginInterval(lo, hi, ref float64) (loM, hiM float64) {
 	default:
 		return 0, math.Max(ref-lo, hi-ref)
 	}
-}
-
-// evalRecords returns the chunk's complete-records view: served from the
-// shared per-chunk scan when SharedChunkStats is on, recomputed per probe
-// (the reference path) otherwise.
-func (s *Site) evalRecords(data []linalg.Vector) []linalg.Vector {
-	if s.cfg.SharedChunkStats == SharedStatsOn {
-		return s.scan.Complete()
-	}
-	return completeOnly(data)
-}
-
-// completeOnly filters out records with missing attributes; it returns the
-// input slice unchanged (no copy) when everything is complete.
-func completeOnly(data []linalg.Vector) []linalg.Vector {
-	for i, x := range data {
-		if hasNaN(x) {
-			out := make([]linalg.Vector, 0, len(data))
-			out = append(out, data[:i]...)
-			for _, y := range data[i+1:] {
-				if !hasNaN(y) {
-					out = append(out, y)
-				}
-			}
-			return out
-		}
-	}
-	return data
-}
-
-func hasNaN(x linalg.Vector) bool {
-	for _, v := range x {
-		if math.IsNaN(v) {
-			return true
-		}
-	}
-	return false
 }
 
 // clusterNewModel applies the configured clustering (plain EM, SMEM or a
@@ -849,9 +770,9 @@ func (s *Site) clusterNewModel(data []linalg.Vector, seed *gaussian.Mixture) ([]
 
 	var refLL float64
 	if s.cfg.SharpTest {
-		refLL = mixture.AvgMaxComponentLLScratch(s.evalRecords(data), s.scratch)
+		refLL = mixture.AvgMaxComponentLLScratch(s.scan.Complete(), s.scratch)
 	} else {
-		refLL = mixture.AvgLogLikelihoodScratch(s.evalRecords(data), s.scratch)
+		refLL = mixture.AvgLogLikelihoodScratch(s.scan.Complete(), s.scratch)
 	}
 	m := &Model{
 		ID:         s.nextModelID,

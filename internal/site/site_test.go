@@ -2,6 +2,7 @@ package site
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -232,6 +233,50 @@ func TestObserveDimValidation(t *testing.T) {
 	s, _ := New(testConfig())
 	if _, err := s.Observe(linalg.Vector{1, 2}); err == nil {
 		t.Fatal("wrong-dim record accepted")
+	}
+}
+
+// TestObserveRejectsInfiniteRecord: a ±Inf coordinate is refused by the
+// Observe call that carries it, and the site goes on exactly as if the
+// record had never arrived — the same updates, event table and counters as
+// the stream without it. (Accepting it would fail the chunk's EM only at
+// chunk close, after the current model was already retired.)
+func TestObserveRejectsInfiniteRecord(t *testing.T) {
+	cfg := Config{SiteID: 1, Dim: 2, K: 3, Epsilon: 0.5, Delta: 0.01, Seed: 5, ChunkSize: 100}
+	rng := rand.New(rand.NewSource(17))
+	stream := append(kRegime(3, 6, 0).SampleN(rng, 200), kRegime(3, 6, 1).SampleN(rng, 200)...)
+	wantFP, wantEv, wantSt := replayStream(t, cfg, false, stream)
+	const bad = 150
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := newUpdateFingerprint()
+		for i, x := range stream {
+			if i == bad {
+				if ups, err := s.Observe(linalg.Vector{x[0], inf}); err == nil || ups != nil {
+					t.Fatalf("record %d with %v: Observe = %v, %v; want an error", i, inf, ups, err)
+				}
+			}
+			ups, err := s.Observe(x)
+			if err != nil {
+				t.Fatalf("record %d after the rejected one: %v", i, err)
+			}
+			fp.add(ups)
+		}
+		if got := fp.h.Sum64(); got != wantFP {
+			t.Errorf("%v: update fingerprint %#x, want %#x (the stream without the record)", inf, got, wantFP)
+		}
+		if got := s.Events().All(); !reflect.DeepEqual(got, wantEv) {
+			t.Errorf("%v: events %v, want %v", inf, got, wantEv)
+		}
+		if got := s.Stats(); got != wantSt {
+			t.Errorf("%v: stats %+v, want %+v", inf, got, wantSt)
+		}
+	}
+	if wantSt.Refits < 2 {
+		t.Fatalf("stream refit %d times; the regime shift should force a second model", wantSt.Refits)
 	}
 }
 
@@ -739,7 +784,7 @@ func TestSiteSteadyStateZeroAlloc(t *testing.T) {
 
 // kRegime builds a k-component 2-d mixture with deterministic means on a
 // circle of the given radius — enough components to engage the pruned
-// scorer (which needs K ≥ 2·PruneTopM).
+// scorer (which needs K ≥ 2·pruneTopM).
 func kRegime(k int, radius, phase float64) *gaussian.Mixture {
 	comps := make([]*gaussian.Component, k)
 	weights := make([]float64, k)
@@ -751,54 +796,67 @@ func kRegime(k int, radius, phase float64) *gaussian.Mixture {
 	return gaussian.MustMixture(weights, comps)
 }
 
+// updateFingerprint hashes an update stream (kinds, model ids, counts and
+// every mixture parameter bit) with FNV-1a.
+type updateFingerprint struct{ h hash.Hash64 }
+
+func newUpdateFingerprint() updateFingerprint { return updateFingerprint{fnv.New64a()} }
+
+func (f updateFingerprint) add(ups []Update) {
+	wf := func(v float64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		f.h.Write(b[:])
+	}
+	wi := func(v int) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		f.h.Write(b[:])
+	}
+	for _, u := range ups {
+		wi(int(u.Kind))
+		wi(u.ModelID)
+		wi(u.Count)
+		if u.Mixture == nil {
+			continue
+		}
+		for j := 0; j < u.Mixture.K(); j++ {
+			wf(u.Mixture.Weight(j))
+			c := u.Mixture.Component(j)
+			for _, v := range c.Mean() {
+				wf(v)
+			}
+			cov := c.Cov()
+			for r := 0; r < len(c.Mean()); r++ {
+				for q := 0; q < len(c.Mean()); q++ {
+					wf(cov.At(r, q))
+				}
+			}
+		}
+	}
+}
+
 // replayStream feeds a pre-generated record stream through a fresh site and
 // returns the FNV fingerprint of its update stream, the event table, and
-// the final stats — the full observable behaviour of Algorithm 1.
-func replayStream(t *testing.T, cfg Config, stream []linalg.Vector) (uint64, []events.Entry, Stats) {
+// the final stats — the full observable behaviour of Algorithm 1. With
+// exact set, the site scores every J_fit test with the exact scan: the
+// oracle of the pruned parity tests.
+func replayStream(t *testing.T, cfg Config, exact bool, stream []linalg.Vector) (uint64, []events.Entry, Stats) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	wf := func(v float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	wi := func(v int) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:])
-	}
+	s.exactScan = exact
+	fp := newUpdateFingerprint()
 	for _, x := range stream {
 		ups, err := s.Observe(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, u := range ups {
-			wi(int(u.Kind))
-			wi(u.ModelID)
-			wi(u.Count)
-			if u.Mixture == nil {
-				continue
-			}
-			for j := 0; j < u.Mixture.K(); j++ {
-				wf(u.Mixture.Weight(j))
-				c := u.Mixture.Component(j)
-				for _, v := range c.Mean() {
-					wf(v)
-				}
-				cov := c.Cov()
-				for r := 0; r < len(c.Mean()); r++ {
-					for q := 0; q < len(c.Mean()); q++ {
-						wf(cov.At(r, q))
-					}
-				}
-			}
-		}
+		fp.add(ups)
 	}
-	return h.Sum64(), s.Events().All(), s.Stats()
+	return fp.h.Sum64(), s.Events().All(), s.Stats()
 }
 
 // prunedParityStream builds a drifting K=8 stream that exercises fits,
@@ -814,7 +872,7 @@ func prunedParityStream(seed int64, chunks int) []linalg.Vector {
 	return stream
 }
 
-// prunedCfg is the fast path: pruning and shared stats at their defaults.
+// prunedCfg is a K=8 site: large enough for the pruned scorer to engage.
 func prunedCfg() Config {
 	return Config{
 		SiteID: 1, Dim: 2, K: 8, Epsilon: 0.5, Delta: 0.01,
@@ -822,22 +880,14 @@ func prunedCfg() Config {
 	}
 }
 
-// exactCfg is the reference path: pruning disabled, per-probe re-scans.
-func exactCfg() Config {
-	c := prunedCfg()
-	c.PruneTopM = -1
-	c.SharedChunkStats = SharedStatsOff
-	return c
-}
-
-// TestPrunedPathBitIdenticalToExact pins the tentpole contract: with
-// pruning and shared chunk stats on (the defaults), the site's update
-// stream, event table and decision counters are bit-identical to the exact
-// reference path — and the fast path actually took pruned shortcuts.
+// TestPrunedPathBitIdenticalToExact pins the pruned scorer's contract: the
+// site's update stream, event table and decision counters are
+// bit-identical to the exact scan's — and the fast path actually took
+// pruned shortcuts.
 func TestPrunedPathBitIdenticalToExact(t *testing.T) {
 	stream := prunedParityStream(99, 24)
-	fastFP, fastEv, fastSt := replayStream(t, prunedCfg(), stream)
-	refFP, refEv, refSt := replayStream(t, exactCfg(), stream)
+	fastFP, fastEv, fastSt := replayStream(t, prunedCfg(), false, stream)
+	refFP, refEv, refSt := replayStream(t, prunedCfg(), true, stream)
 	if fastFP != refFP {
 		t.Fatalf("pruned update stream fingerprint %#x != exact %#x", fastFP, refFP)
 	}
@@ -863,15 +913,15 @@ func TestPrunedPathBitIdenticalToExact(t *testing.T) {
 	if fastSt.PruneHits == 0 {
 		t.Error("pruned path never used a bound verdict — parity test is vacuous")
 	}
-	if refSt.PruneHits != 0 || refSt.StatCacheHits != 0 {
-		t.Errorf("exact path recorded fast-path work: %+v", refSt)
+	if refSt.PruneHits != 0 || refSt.PruneFallbacks != 0 || refSt.StatCacheMisses != 0 {
+		t.Errorf("exact scan recorded pruned work: %+v", refSt)
 	}
 }
 
 // TestPrunedParityQuick is the testing/quick property: across random
 // regimes (random seeds, drift schedules and component counts) the pruned
-// + shared-stats site produces identical fit/refit event tables and update
-// streams to the exact reference path.
+// site produces identical fit/refit event tables and update streams to the
+// exact scan.
 func TestPrunedParityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick property test")
@@ -885,14 +935,11 @@ func TestPrunedParityQuick(t *testing.T) {
 			phase := math.Abs(rng.NormFloat64()) * 0.6
 			stream = append(stream, kRegime(k, 6+2*rng.Float64(), phase).SampleN(rng, 160)...)
 		}
-		fast := prunedCfg()
-		fast.K = k
-		fast.Seed = seed
-		ref := exactCfg()
-		ref.K = k
-		ref.Seed = seed
-		fastFP, fastEv, _ := replayStream(t, fast, stream)
-		refFP, refEv, _ := replayStream(t, ref, stream)
+		cfg := prunedCfg()
+		cfg.K = k
+		cfg.Seed = seed
+		fastFP, fastEv, _ := replayStream(t, cfg, false, stream)
+		refFP, refEv, _ := replayStream(t, cfg, true, stream)
 		if fastFP != refFP || len(fastEv) != len(refEv) {
 			return false
 		}
@@ -918,11 +965,11 @@ func TestPrunedParityQuick(t *testing.T) {
 // telemetry on and off while the pruned fast path is active.
 func TestTelemetryDoesNotPerturbPrunedPath(t *testing.T) {
 	stream := prunedParityStream(123, 12)
-	plainFP, _, plainSt := replayStream(t, prunedCfg(), stream)
+	plainFP, _, plainSt := replayStream(t, prunedCfg(), false, stream)
 	teleCfg := prunedCfg()
 	reg := telemetry.NewRegistry()
 	teleCfg.Telemetry = reg
-	teleFP, _, teleSt := replayStream(t, teleCfg, stream)
+	teleFP, _, teleSt := replayStream(t, teleCfg, false, stream)
 	if plainFP != teleFP {
 		t.Fatalf("telemetry changed the update stream: %#x != %#x", teleFP, plainFP)
 	}
