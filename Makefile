@@ -61,8 +61,10 @@ race-query:
 		  ./internal/query/ || exit 1; \
 	done
 
-# The query read path must not allocate: Classify, LogDensity, TopK and
-# Current are all asserted at 0 allocs/op via testing.AllocsPerRun.
+# The query read path must not allocate: Classify, LogDensity, TopK,
+# Current and the CLUQ batch ops (decoded and scored block by block
+# through a Querier) are all asserted at 0 allocs/op via
+# testing.AllocsPerRun.
 alloc-gate-query:
 	$(GO) test -run 'TestQueryReadPathZeroAlloc' -count=1 ./internal/query/
 
@@ -116,10 +118,12 @@ dst-long:
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 
-# Short fuzz pass over the wire decoders, the frame/ack protocol, and the
-# durable formats (site archive, coordinator checkpoint, WAL).
+# Short fuzz pass over the wire decoders (sites' and the CLUQ batch
+# endpoint's), the frame/ack protocol, and the durable formats (site
+# archive, coordinator checkpoint, WAL).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/transport/
+	$(GO) test -run=^$$ -fuzz=FuzzBatch -fuzztime=10s ./internal/query/
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/netio/
 	$(GO) test -run=^$$ -fuzz=FuzzReadAck -fuzztime=5s ./internal/netio/
 	$(GO) test -run=^$$ -fuzz=FuzzLoad$$ -fuzztime=10s ./internal/persist/

@@ -8,21 +8,23 @@ import (
 	"cludistream/internal/linalg"
 )
 
-// batchBlock is the number of records a batched scoring pass processes per
+// BatchBlock is the number of records a batched scoring pass processes per
 // block: large enough to amortize per-component setup (log-weights,
 // factor walks) across many records, small enough that the d×block panel
-// and block×K log-prob tile stay resident in L1/L2 cache.
-const batchBlock = 128
+// and block×K log-prob tile stay resident in L1/L2 cache. Callers that
+// decode records as they score them (the query tier's batch endpoint)
+// feed the kernels one block at a time.
+const BatchBlock = 128
 
 // BatchScratch is the caller-owned workspace of the batched scoring
 // kernels. One scratch serves any mixture — buffers grow on demand and are
 // reused across calls — but it is not safe for concurrent use; give each
 // goroutine its own (the parallel E-step keeps one per worker).
 type BatchScratch struct {
-	panel []float64 // d × batchBlock dimension-major diff/half-solve panel
-	logp  []float64 // batchBlock × K per-record component log-probs
-	maha  []float64 // batchBlock squared Mahalanobis distances
-	vals  []float64 // batchBlock per-record reductions (logpdf, max, min)
+	panel []float64 // d × BatchBlock dimension-major diff/half-solve panel
+	logp  []float64 // BatchBlock × K per-record component log-probs
+	maha  []float64 // BatchBlock squared Mahalanobis distances
+	vals  []float64 // BatchBlock per-record reductions (logpdf, max, min)
 	// nbrs backs the pruned scorer's per-record nearest-mean query
 	// (see prune.go); sized to the query's topM on first use.
 	nbrs []kdtree.Neighbor
@@ -32,19 +34,19 @@ type BatchScratch struct {
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
 func (s *BatchScratch) ensure(d, k int) {
-	if need := d * batchBlock; cap(s.panel) < need {
+	if need := d * BatchBlock; cap(s.panel) < need {
 		s.panel = make([]float64, need)
 	} else {
 		s.panel = s.panel[:need]
 	}
-	if need := batchBlock * k; cap(s.logp) < need {
+	if need := BatchBlock * k; cap(s.logp) < need {
 		s.logp = make([]float64, need)
 	} else {
 		s.logp = s.logp[:need]
 	}
-	if cap(s.maha) < batchBlock {
-		s.maha = make([]float64, batchBlock)
-		s.vals = make([]float64, batchBlock)
+	if cap(s.maha) < BatchBlock {
+		s.maha = make([]float64, BatchBlock)
+		s.vals = make([]float64, BatchBlock)
 	}
 }
 
@@ -54,11 +56,11 @@ func (s *BatchScratch) ensure(d, k int) {
 var scratchPool = sync.Pool{New: func() any { return NewBatchScratch() }}
 
 // scoreBlock fills s.logp[p*K+j] = log(w_j·p(x_p|j)) for the records xs
-// (at most batchBlock of them), batched per component: one diff panel,
-// one blocked triangular solve, one Mahalanobis reduction per component.
-// Per record the arithmetic and its order match the scalar
-// logW[j] + (logNorm − ½·QuadForm) path exactly, so every entry is
-// bit-identical to what PosteriorInto/logPDFScratch would compute.
+// (at most BatchBlock of them), batched per component: one
+// Cholesky.QuadFormRows call per component. Per record the arithmetic and
+// its order match the scalar logW[j] + (logNorm − ½·QuadForm) path
+// exactly, so every entry is bit-identical to what
+// PosteriorInto/logPDFScratch would compute.
 func (m *Mixture) scoreBlock(xs []linalg.Vector, s *BatchScratch) {
 	k := len(m.comps)
 	count := len(xs)
@@ -69,8 +71,7 @@ func (m *Mixture) scoreBlock(xs []linalg.Vector, s *BatchScratch) {
 			}
 			continue
 		}
-		linalg.SubRowsInto(xs, c.mean, s.panel, batchBlock, count)
-		c.chol.QuadFormPanel(s.panel, batchBlock, count, s.maha)
+		c.chol.QuadFormRows(xs, c.mean, s.panel, s.maha)
 		lw, ln := m.logW[j], c.logNorm
 		for p := 0; p < count; p++ {
 			s.logp[p*k+j] = lw + (ln - 0.5*s.maha[p])
@@ -94,8 +95,7 @@ func lseRows(logp []float64, count, k int, dst []float64) {
 
 // ScoreBatch writes log p(x) for every record of data into dst (len(data)
 // long), bit-identical to calling LogPDF per record but batched: per-model
-// constants are loaded once per block instead of once per record, and the
-// per-component inner loops stream through one contiguous panel. Pass a
+// constants are loaded once per block instead of once per record. Pass a
 // reusable scratch for allocation-free operation, or nil to borrow one
 // from an internal pool.
 func (m *Mixture) ScoreBatch(data []linalg.Vector, dst []float64, s *BatchScratch) {
@@ -108,10 +108,44 @@ func (m *Mixture) ScoreBatch(data []linalg.Vector, dst []float64, s *BatchScratc
 	}
 	k := len(m.comps)
 	s.ensure(m.Dim(), k)
-	for base := 0; base < len(data); base += batchBlock {
-		xs := data[base:min(base+batchBlock, len(data))]
+	for base := 0; base < len(data); base += BatchBlock {
+		xs := data[base:min(base+BatchBlock, len(data))]
 		m.scoreBlock(xs, s)
 		lseRows(s.logp, len(xs), k, dst[base:base+len(xs)])
+	}
+}
+
+// ClassifyBatch assigns every record of data to its argmax-posterior
+// component: idx[p] is the winner (strict >, so ties go to the lowest
+// index), logPDF[p] is log p(x) reduced with the same sequential LogAdd
+// chain as LogPDF, and logPost[p] is the winner's log w_j·p(x|j) minus
+// logPDF[p]. All three must be len(data) long. It is the block kernel of
+// classification, as ScoreBatch is of density.
+func (m *Mixture) ClassifyBatch(data []linalg.Vector, idx []int, logPost, logPDF []float64, s *BatchScratch) {
+	if len(idx) != len(data) || len(logPost) != len(data) || len(logPDF) != len(data) {
+		panic("gaussian: ClassifyBatch dst length mismatch")
+	}
+	if s == nil {
+		s = scratchPool.Get().(*BatchScratch)
+		defer scratchPool.Put(s)
+	}
+	k := len(m.comps)
+	s.ensure(m.Dim(), k)
+	for base := 0; base < len(data); base += BatchBlock {
+		xs := data[base:min(base+BatchBlock, len(data))]
+		m.scoreBlock(xs, s)
+		lse := logPDF[base : base+len(xs)]
+		lseRows(s.logp, len(xs), k, lse)
+		for p := range xs {
+			best, bestLP := 0, math.Inf(-1)
+			for j, lp := range s.logp[p*k : p*k+k] {
+				if lp > bestLP {
+					best, bestLP = j, lp
+				}
+			}
+			idx[base+p] = best
+			logPost[base+p] = bestLP - lse[p]
+		}
 	}
 }
 
@@ -133,8 +167,8 @@ func (m *Mixture) PosteriorBatch(data []linalg.Vector, post *linalg.Matrix, logp
 	post.Reset(len(data), k)
 	out := post.Data()
 	var sum float64
-	for base := 0; base < len(data); base += batchBlock {
-		xs := data[base:min(base+batchBlock, len(data))]
+	for base := 0; base < len(data); base += BatchBlock {
+		xs := data[base:min(base+BatchBlock, len(data))]
 		m.scoreBlock(xs, s)
 		lseRows(s.logp, len(xs), k, s.vals)
 		for p := 0; p < len(xs); p++ {
@@ -171,8 +205,8 @@ func (m *Mixture) AvgLogLikelihoodScratch(data []linalg.Vector, s *BatchScratch)
 	k := len(m.comps)
 	s.ensure(m.Dim(), k)
 	var sum float64
-	for base := 0; base < len(data); base += batchBlock {
-		xs := data[base:min(base+batchBlock, len(data))]
+	for base := 0; base < len(data); base += BatchBlock {
+		xs := data[base:min(base+BatchBlock, len(data))]
 		m.scoreBlock(xs, s)
 		lseRows(s.logp, len(xs), k, s.vals)
 		for p := 0; p < len(xs); p++ {
@@ -204,8 +238,8 @@ func AvgLogLikelihoodMulti(ms []*Mixture, data []linalg.Vector, dst []float64, s
 		s = scratchPool.Get().(*BatchScratch)
 		defer scratchPool.Put(s)
 	}
-	for base := 0; base < len(data); base += batchBlock {
-		xs := data[base:min(base+batchBlock, len(data))]
+	for base := 0; base < len(data); base += BatchBlock {
+		xs := data[base:min(base+BatchBlock, len(data))]
 		for i, m := range ms {
 			k := len(m.comps)
 			s.ensure(m.Dim(), k)
@@ -233,8 +267,8 @@ func (m *Mixture) AvgMaxComponentLLScratch(data []linalg.Vector, s *BatchScratch
 	k := len(m.comps)
 	s.ensure(m.Dim(), k)
 	var sum float64
-	for base := 0; base < len(data); base += batchBlock {
-		xs := data[base:min(base+batchBlock, len(data))]
+	for base := 0; base < len(data); base += BatchBlock {
+		xs := data[base:min(base+BatchBlock, len(data))]
 		m.scoreBlock(xs, s)
 		for p := 0; p < len(xs); p++ {
 			row := s.logp[p*k : p*k+k]
@@ -261,8 +295,8 @@ func (m *Mixture) NearestComponents(data []linalg.Vector, idx []int, dist []floa
 		defer scratchPool.Put(s)
 	}
 	s.ensure(m.Dim(), len(m.comps))
-	for base := 0; base < len(data); base += batchBlock {
-		xs := data[base:min(base+batchBlock, len(data))]
+	for base := 0; base < len(data); base += BatchBlock {
+		xs := data[base:min(base+BatchBlock, len(data))]
 		best := s.vals[:len(xs)]
 		bestJ := s.logp[:len(xs)] // reuse as float-encoded winners
 		for p := range best {
@@ -270,8 +304,7 @@ func (m *Mixture) NearestComponents(data []linalg.Vector, idx []int, dist []floa
 			bestJ[p] = 0
 		}
 		for j, c := range m.comps {
-			linalg.SubRowsInto(xs, c.mean, s.panel, batchBlock, len(xs))
-			c.chol.QuadFormPanel(s.panel, batchBlock, len(xs), s.maha)
+			c.chol.QuadFormRows(xs, c.mean, s.panel, s.maha)
 			for p := 0; p < len(xs); p++ {
 				if s.maha[p] < best[p] {
 					best[p] = s.maha[p]

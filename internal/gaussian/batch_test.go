@@ -191,3 +191,67 @@ func TestBatchScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchKernelsMatchScalarEveryDim runs every block kernel against the
+// scalar per-record path for d = 1..8 (order 4 takes QuadFormRows'
+// register path, every other order the panel) and counts on both sides of
+// a block: ScoreBatch against LogPDF, PosteriorBatch against
+// PosteriorInto, NearestComponents against MahalanobisSq, and
+// ClassifyBatch against an ascending strict-> argmax over
+// log w_j + LogProb with a sequential LogAdd chain.
+func TestBatchKernelsMatchScalarEveryDim(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	s := NewBatchScratch()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for d := 1; d <= 8; d++ {
+		for _, n := range []int{1, 127, 128, 129, 1000} {
+			k := 1 + rng.Intn(6)
+			m := randMixture(t, rng, k, d, k > 1 && n%2 == 0)
+			data := randData(rng, n, d)
+			dens := make([]float64, n)
+			m.ScoreBatch(data, dens, s)
+			post := linalg.NewMatrix(0, 0)
+			logpdf := make([]float64, n)
+			m.PosteriorBatch(data, post, logpdf, s)
+			near, nearD := make([]int, n), make([]float64, n)
+			m.NearestComponents(data, near, nearD, s)
+			cls, clsPost, clsDens := make([]int, n), make([]float64, n), make([]float64, n)
+			m.ClassifyBatch(data, cls, clsPost, clsDens, s)
+
+			scalarPost := make([]float64, k)
+			for p, x := range data {
+				want := m.LogPDF(x)
+				lse := m.PosteriorInto(x, scalarPost)
+				best, bestLP, bestN, bestD := 0, math.Inf(-1), 0, math.Inf(1)
+				total := math.Inf(-1)
+				for j := 0; j < k; j++ {
+					lp := math.Inf(-1)
+					if m.Weight(j) != 0 {
+						lp = m.logW[j] + m.Component(j).LogProb(x)
+					}
+					if lp > bestLP {
+						best, bestLP = j, lp
+					}
+					total = LogAdd(total, lp)
+					if md := m.Component(j).MahalanobisSq(x); md < bestD {
+						bestN, bestD = j, md
+					}
+					if !same(post.At(p, j), scalarPost[j]) {
+						t.Fatalf("d=%d n=%d record %d: posterior[%d] %v, want %v", d, n, p, j, post.At(p, j), scalarPost[j])
+					}
+				}
+				switch {
+				case !same(dens[p], want):
+					t.Fatalf("d=%d n=%d record %d: ScoreBatch %v, LogPDF %v", d, n, p, dens[p], want)
+				case !same(logpdf[p], lse):
+					t.Fatalf("d=%d n=%d record %d: PosteriorBatch logpdf %v, want %v", d, n, p, logpdf[p], lse)
+				case near[p] != bestN || !same(nearD[p], bestD):
+					t.Fatalf("d=%d n=%d record %d: NearestComponents (%d, %v), want (%d, %v)", d, n, p, near[p], nearD[p], bestN, bestD)
+				case cls[p] != best || !same(clsDens[p], total) || !same(clsDens[p], want) || !same(clsPost[p], bestLP-total):
+					t.Fatalf("d=%d n=%d record %d: ClassifyBatch (%d, %v, %v), want (%d, %v, %v)",
+						d, n, p, cls[p], clsPost[p], clsDens[p], best, bestLP-total, total)
+				}
+			}
+		}
+	}
+}

@@ -163,6 +163,51 @@ func (c *Cholesky) QuadFormPanel(panel []float64, stride, count int, dst []float
 	SumSqPanel(panel, stride, count, c.n, dst)
 }
 
+// QuadFormRows computes dst[p] = (xs[p]−mean)ᵀ A⁻¹ (xs[p]−mean) for every
+// record of xs, each bit-identical to QuadFormScratch on xs[p].Sub(mean).
+// It is the one Mahalanobis kernel behind every batched scorer. At order 4
+// the ten factor entries and the mean stay in registers and each record is
+// solved on its own, in HalfSolveInto's order: v = x_i−μ_i, then
+// v −= l_ik·y_k for k ascending, then y_i = v/l_ii, then the squares summed
+// from 0 like Vector.Dot. Every other order goes through SubRowsInto and
+// QuadFormPanel on panel, which needs Order()·len(xs) floats (it is not
+// touched at order 4).
+func (c *Cholesky) QuadFormRows(xs []Vector, mean Vector, panel, dst []float64) {
+	count := len(xs)
+	dst = dst[:count]
+	if c.n != 4 {
+		SubRowsInto(xs, mean, panel, count, count)
+		c.QuadFormPanel(panel, count, count, dst)
+		return
+	}
+	l := c.l[:10]
+	l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 := l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7], l[8], l[9]
+	mean = mean[:4]
+	m0, m1, m2, m3 := mean[0], mean[1], mean[2], mean[3]
+	for p, x := range xs {
+		x = x[:4]
+		y0 := (x[0] - m0) / l00
+		v := x[1] - m1
+		v -= l10 * y0
+		y1 := v / l11
+		v = x[2] - m2
+		v -= l20 * y0
+		v -= l21 * y1
+		y2 := v / l22
+		v = x[3] - m3
+		v -= l30 * y0
+		v -= l31 * y1
+		v -= l32 * y2
+		y3 := v / l33
+		var q float64
+		q += y0 * y0
+		q += y1 * y1
+		q += y2 * y2
+		q += y3 * y3
+		dst[p] = q
+	}
+}
+
 // QuadForm returns the quadratic form bᵀ A⁻¹ b using the factor, allocating
 // one scratch vector.
 func (c *Cholesky) QuadForm(b Vector) float64 {

@@ -220,3 +220,100 @@ func TestCholeskyDecomposeIntoReusesScratch(t *testing.T) {
 		}
 	}
 }
+
+// adversarialCoord draws a coordinate that is usually ordinary but often
+// one of the values a fused or reordered kernel would round differently:
+// ±0, subnormals, and ±1e150 (whose squares reach 1e300).
+func adversarialCoord(rng *rand.Rand) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return math.Copysign(0, rng.NormFloat64())
+	case 1:
+		return rng.NormFloat64() * 1e-310 // subnormal
+	case 2:
+		return math.Copysign(1e150, rng.NormFloat64()) * (1 + rng.Float64())
+	default:
+		return rng.NormFloat64() * 3
+	}
+}
+
+// randFactor builds an order-n factor entry by entry. With nearSingular
+// set, some pivots are tiny (1e-150 down to 1e-300) next to O(1) ones.
+func randFactor(rng *rand.Rand, n int, nearSingular bool) *Cholesky {
+	c := &Cholesky{n: n, l: make([]float64, n*(n+1)/2)}
+	for i := 0; i < n; i++ {
+		for k := 0; k < i; k++ {
+			c.set(i, k, rng.NormFloat64())
+		}
+		d := 0.1 + rng.Float64()
+		if nearSingular && rng.Intn(3) == 0 {
+			d = math.Pow(10, -150-150*rng.Float64())
+		}
+		c.set(i, i, d)
+	}
+	return c
+}
+
+// TestQuadFormRowsBitIdentical pins QuadFormRows to QuadFormScratch on the
+// per-record difference, bit for bit: 10⁶ order-4 records (the register
+// path) against ordinary, near-singular and decomposed factors with
+// adversarial coordinates, then every other order 1..8 (the panel path)
+// with counts around a block.
+func TestQuadFormRowsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	check := func(c *Cholesky, xs []Vector, mean Vector) {
+		t.Helper()
+		n := c.Order()
+		panel := make([]float64, n*len(xs))
+		got := make([]float64, len(xs))
+		c.QuadFormRows(xs, mean, panel, got)
+		diff, half := NewVector(n), NewVector(n)
+		for p, x := range xs {
+			x.SubInto(mean, diff)
+			want := c.QuadFormScratch(diff, half)
+			if math.Float64bits(got[p]) != math.Float64bits(want) {
+				t.Fatalf("order %d record %d x=%v mean=%v: QuadFormRows=%v (%#x), QuadFormScratch=%v (%#x)",
+					n, p, x, mean, got[p], math.Float64bits(got[p]), want, math.Float64bits(want))
+			}
+		}
+	}
+	records := func(n, count int, adversarial bool) []Vector {
+		xs := make([]Vector, count)
+		for p := range xs {
+			xs[p] = NewVector(n)
+			for i := range xs[p] {
+				if adversarial {
+					xs[p][i] = adversarialCoord(rng)
+				} else {
+					xs[p][i] = rng.NormFloat64() * 3
+				}
+			}
+		}
+		return xs
+	}
+	factors, perFactor := 2000, 500
+	if testing.Short() {
+		factors = 200
+	}
+	for f := 0; f < factors; f++ {
+		var c *Cholesky
+		switch f % 3 {
+		case 0:
+			c, _ = CholeskyDecompose(randSPD(rng, 4))
+		case 1:
+			c = randFactor(rng, 4, false)
+		default:
+			c = randFactor(rng, 4, true)
+		}
+		mean := NewVector(4)
+		for i := range mean {
+			mean[i] = adversarialCoord(rng)
+		}
+		check(c, records(4, perFactor, f%2 == 1), mean)
+	}
+	for n := 1; n <= 8; n++ {
+		for _, count := range []int{1, 127, 128, 129} {
+			check(randFactor(rng, n, count%2 == 1), records(n, count, true), records(n, 1, true)[0])
+		}
+	}
+}

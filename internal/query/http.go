@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"cludistream/internal/gaussian"
 )
 
 // Source is anything that serves snapshots: a Publisher or a ShardSet.
@@ -224,9 +226,14 @@ const (
 	batchMagicQ = "CLUQ"
 	batchMagicR = "CLUR"
 	batchVer    = 1
+	batchHdrQ   = 14 // request header bytes
+	batchHdrR   = 18 // reply header bytes
 	// maxBatch bounds one request's record count (64 MiB of f64s at
-	// dim=16) so a bad length prefix cannot balloon allocation.
-	maxBatch = 1 << 19
+	// dim=16) so a bad length prefix cannot balloon allocation, and
+	// maxBatchReply bounds the reply the same way: topk pads every record
+	// to k slots, so n and k alone could otherwise ask for ~400 GB.
+	maxBatch      = 1 << 19
+	maxBatchReply = 64 << 20
 )
 
 func (h *httpHandler) batch(w http.ResponseWriter, r *http.Request) {
@@ -240,7 +247,7 @@ func (h *httpHandler) batch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.release(q)
 
-	var hdr [14]byte
+	var hdr [batchHdrQ]byte
 	if _, err := io.ReadFull(r.Body, hdr[:]); err != nil {
 		http.Error(w, "short batch header", http.StatusBadRequest)
 		return
@@ -261,63 +268,99 @@ func (h *httpHandler) batch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("batch n %d out of range [1,%d]", n, maxBatch), http.StatusBadRequest)
 		return
 	}
-	if op == OpTopK && k < 1 {
-		http.Error(w, "topk batch needs k >= 1", http.StatusBadRequest)
+	var per int // reply bytes per record
+	switch op {
+	case OpClassify:
+		per = 4 + 8 + 8
+	case OpDensity:
+		per = 8
+	case OpTopK:
+		if k < 1 {
+			http.Error(w, "topk batch needs k >= 1", http.StatusBadRequest)
+			return
+		}
+		per = k * (4 + 8)
+	default:
+		http.Error(w, fmt.Sprintf("unknown op %d", op), http.StatusBadRequest)
 		return
 	}
-	raw := make([]byte, n*dim*8)
-	if _, err := io.ReadFull(r.Body, raw); err != nil {
-		http.Error(w, "short batch payload", http.StatusBadRequest)
+	size := batchHdrR + n*per
+	if size > maxBatchReply {
+		http.Error(w, fmt.Sprintf("batch reply of %d bytes exceeds %d", size, maxBatchReply), http.StatusBadRequest)
 		return
 	}
 
-	out := make([]byte, 0, 14+n*20)
+	out := make([]byte, 0, size)
 	out = append(out, batchMagicR...)
 	out = append(out, batchVer, byte(op))
 	out = binary.LittleEndian.AppendUint64(out, sn.Version())
 	out = binary.LittleEndian.AppendUint32(out, uint32(n))
-
-	x := make([]float64, dim)
-	for i := 0; i < n; i++ {
-		for d := 0; d < dim; d++ {
-			x[d] = math.Float64frombits(binary.LittleEndian.Uint64(raw[(i*dim+d)*8:]))
-			if !finite(x[d]) {
-				http.Error(w, fmt.Sprintf("batch record %d: x[%d] = %v: coordinates must be finite", i, d, x[d]), http.StatusBadRequest)
-				return
-			}
-		}
-		switch op {
-		case OpClassify:
-			res := sn.Classify(x, q.scratch)
-			q.nClassify++
-			out = binary.LittleEndian.AppendUint32(out, uint32(res.Component))
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(res.LogPosterior))
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(res.LogDensity))
-		case OpDensity:
-			ld := sn.LogDensity(x, q.scratch)
-			q.nDensity++
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ld))
-		case OpTopK:
-			nbrs := sn.TopK(x, k, q.scratch)
-			q.nTopK++
-			// Pad with sentinel ^uint32(0) entries when k > K so every
-			// record occupies exactly k slots and the client can index.
-			for j := 0; j < k; j++ {
-				if j < len(nbrs) {
-					out = binary.LittleEndian.AppendUint32(out, uint32(nbrs[j].ID))
-					out = binary.LittleEndian.AppendUint64(out, math.Float64bits(nbrs[j].DistSq))
-				} else {
-					out = binary.LittleEndian.AppendUint32(out, ^uint32(0))
-					out = binary.LittleEndian.AppendUint64(out, math.Float64bits(math.Inf(1)))
-				}
-			}
-		default:
-			http.Error(w, fmt.Sprintf("unknown op %d", op), http.StatusBadRequest)
-			return
-		}
+	out, err := q.appendBatch(out, sn, op, k, n, r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(out)
+}
+
+// appendBatch reads n records of sn.Dim() f64 coordinates from body one
+// gaussian.BatchBlock at a time, scores each block with op and appends
+// the replies to out. Classify and density run on the mixture's block
+// kernels, TopK on the kd tree per record. Scratch is one block, whatever
+// n is. The caller has validated op, k ≥ 1 for topk, and n.
+func (q *Querier) appendBatch(out []byte, sn *Snapshot, op, k, n int, body io.Reader) ([]byte, error) {
+	s, dim := q.scratch, sn.Dim()
+	s.ensure(dim)
+	for base := 0; base < n; base += gaussian.BatchBlock {
+		count := min(gaussian.BatchBlock, n-base)
+		raw := s.raw[:count*dim*8]
+		if _, err := io.ReadFull(body, raw); err != nil {
+			return nil, fmt.Errorf("short batch payload")
+		}
+		for i := range s.flat[:count*dim] {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+			if !finite(v) {
+				return nil, fmt.Errorf("batch record %d: x[%d] = %v: coordinates must be finite", base+i/dim, i%dim, v)
+			}
+			s.flat[i] = v
+		}
+		xs := s.xs[:count]
+		switch op {
+		case OpClassify:
+			sn.mix.ClassifyBatch(xs, s.comp[:count], s.post[:count], s.dens[:count], &s.batch)
+			q.nClassify += int64(count)
+			for p := range xs {
+				out = binary.LittleEndian.AppendUint32(out, uint32(s.comp[p]))
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.post[p]))
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.dens[p]))
+			}
+		case OpDensity:
+			sn.mix.ScoreBatch(xs, s.dens[:count], &s.batch)
+			q.nDensity += int64(count)
+			for p := range xs {
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.dens[p]))
+			}
+		case OpTopK:
+			for _, x := range xs {
+				nbrs := sn.TopK(x, k, s)
+				q.nTopK++
+				// Pad with sentinel ^uint32(0) entries when k > K so
+				// every record occupies exactly k slots and the client
+				// can index.
+				for j := 0; j < k; j++ {
+					if j < len(nbrs) {
+						out = binary.LittleEndian.AppendUint32(out, uint32(nbrs[j].ID))
+						out = binary.LittleEndian.AppendUint64(out, math.Float64bits(nbrs[j].DistSq))
+					} else {
+						out = binary.LittleEndian.AppendUint32(out, ^uint32(0))
+						out = binary.LittleEndian.AppendUint64(out, math.Float64bits(math.Inf(1)))
+					}
+				}
+			}
+		}
+	}
+	return out, nil
 }
 
 // writeJSON encodes v before writing a byte, so a value that fails to

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"cludistream/internal/gaussian"
 	"cludistream/internal/telemetry"
 )
 
@@ -102,42 +104,87 @@ func TestHTTPJSONEndpoints(t *testing.T) {
 	}
 }
 
-func TestHTTPBinaryBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	p := NewPublisher(Options{})
-	mix := randMixture(rng, 5, 3)
-	if _, err := p.Publish(mix, 3, 100); err != nil {
-		t.Fatal(err)
+// batchReq encodes a CLUQ request for pts.
+func batchReq(op byte, k uint16, pts [][]float64) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(batchMagicQ)
+	buf.WriteByte(batchVer)
+	buf.WriteByte(op)
+	var hdr [8]byte
+	binary.LittleEndian.PutUint16(hdr[0:2], k)
+	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(pts)))
+	binary.LittleEndian.PutUint16(hdr[6:8], uint16(len(pts[0])))
+	buf.Write(hdr[:])
+	for _, x := range pts {
+		for _, v := range x {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			buf.Write(b[:])
+		}
 	}
-	srv := httptest.NewServer(Handler(p))
-	defer srv.Close()
+	return buf.Bytes()
+}
 
-	const n, dim = 17, 3
-	pts := make([][]float64, n)
-	for i := range pts {
-		pts[i] = randPoint(rng, dim)
+// checkBatchReply verifies a 200 CLUR reply to a (op, k, pts) request
+// bit for bit against the per-point ops on sn. It returns "" or what is
+// wrong.
+func checkBatchReply(sn *Snapshot, op byte, k int, pts [][]float64, out []byte) string {
+	per := map[byte]int{OpClassify: 20, OpDensity: 8, OpTopK: 12 * k}[op]
+	if len(out) != batchHdrR+len(pts)*per {
+		return fmt.Sprintf("reply is %d bytes, want %d", len(out), batchHdrR+len(pts)*per)
 	}
-	buildReq := func(op byte, k uint16) []byte {
-		var buf bytes.Buffer
-		buf.WriteString(batchMagicQ)
-		buf.WriteByte(batchVer)
-		buf.WriteByte(op)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint16(hdr[0:2], k)
-		binary.LittleEndian.PutUint32(hdr[2:6], n)
-		binary.LittleEndian.PutUint16(hdr[6:8], dim)
-		buf.Write(hdr[:])
-		for _, x := range pts {
-			for _, v := range x {
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				buf.Write(b[:])
+	if string(out[0:4]) != batchMagicR || out[4] != batchVer || out[5] != op {
+		return fmt.Sprintf("bad reply header % x", out[:6])
+	}
+	if v := binary.LittleEndian.Uint64(out[6:14]); v != sn.Version() {
+		return fmt.Sprintf("reply version %d, want %d", v, sn.Version())
+	}
+	if c := binary.LittleEndian.Uint32(out[14:18]); int(c) != len(pts) {
+		return fmt.Sprintf("reply n %d, want %d", c, len(pts))
+	}
+	sc := NewScratch()
+	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(out[off:]) }
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(out[off:]) }
+	for i, x := range pts {
+		rec := batchHdrR + i*per
+		switch op {
+		case OpClassify:
+			want := sn.Classify(x, sc)
+			if int(u32(rec)) != want.Component || u64(rec+4) != math.Float64bits(want.LogPosterior) ||
+				u64(rec+12) != math.Float64bits(want.LogDensity) {
+				return fmt.Sprintf("classify record %d: (%d, %v, %v), want %+v", i, u32(rec),
+					math.Float64frombits(u64(rec+4)), math.Float64frombits(u64(rec+12)), want)
+			}
+		case OpDensity:
+			if want := sn.LogDensity(x, sc); u64(rec) != math.Float64bits(want) {
+				return fmt.Sprintf("density record %d: %v, want %v", i, math.Float64frombits(u64(rec)), want)
+			}
+		case OpTopK:
+			// Padded with sentinel entries when k > K.
+			nbrs := sn.TopK(x, k, sc)
+			for j := 0; j < k; j++ {
+				comp, d2 := u32(rec+j*12), u64(rec+j*12+4)
+				if j < len(nbrs) {
+					if int(comp) != nbrs[j].ID || d2 != math.Float64bits(nbrs[j].DistSq) {
+						return fmt.Sprintf("topk record %d[%d]: (%d, %v), want %+v", i, j, comp, math.Float64frombits(d2), nbrs[j])
+					}
+				} else if comp != ^uint32(0) || d2 != math.Float64bits(math.Inf(1)) {
+					return fmt.Sprintf("topk record %d[%d]: (%d, %v), want the sentinel", i, j, comp, math.Float64frombits(d2))
+				}
 			}
 		}
-		return buf.Bytes()
 	}
-	post := func(body []byte) (*http.Response, []byte) {
-		resp, err := http.Post(srv.URL+"/query/batch", "application/octet-stream", bytes.NewReader(body))
+	return ""
+}
+
+// TestHTTPBinaryBatch: every CLUQ reply equals the per-point ops bit for
+// bit, for K ∈ {1, 5, 54} and d ∈ {3, 4} (d = 4 is QuadFormRows' register
+// path) and a batch that spans three scoring blocks; malformed requests
+// are 4xx.
+func TestHTTPBinaryBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	post := func(url string, body []byte) (*http.Response, []byte) {
+		resp, err := http.Post(url+"/query/batch", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,73 +193,63 @@ func TestHTTPBinaryBatch(t *testing.T) {
 		out.ReadFrom(resp.Body)
 		return resp, out.Bytes()
 	}
-
-	sc := NewScratch()
-
-	// classify
-	resp, out := post(buildReq(OpClassify, 0))
-	if resp.StatusCode != 200 {
-		t.Fatalf("classify batch: status %d: %s", resp.StatusCode, out)
-	}
-	if string(out[0:4]) != batchMagicR || out[4] != batchVer || out[5] != OpClassify {
-		t.Fatalf("bad response header % x", out[:6])
-	}
-	if v := binary.LittleEndian.Uint64(out[6:14]); v != 3 {
-		t.Fatalf("response version %d, want 3", v)
-	}
-	if c := binary.LittleEndian.Uint32(out[14:18]); c != n {
-		t.Fatalf("response n %d, want %d", c, n)
-	}
-	rec := out[18:]
-	for i, x := range pts {
-		want := p.Current().Classify(x, sc)
-		comp := binary.LittleEndian.Uint32(rec[i*20:])
-		ld := math.Float64frombits(binary.LittleEndian.Uint64(rec[i*20+12:]))
-		if int(comp) != want.Component || ld != want.LogDensity {
-			t.Fatalf("record %d: comp %d density %v, want %d %v", i, comp, ld, want.Component, want.LogDensity)
-		}
-	}
-
-	// density
-	_, out = post(buildReq(OpDensity, 0))
-	rec = out[18:]
-	for i, x := range pts {
-		got := math.Float64frombits(binary.LittleEndian.Uint64(rec[i*8:]))
-		if want := p.Current().LogDensity(x, sc); got != want {
-			t.Fatalf("density record %d: %v, want %v", i, got, want)
-		}
-	}
-
-	// topk with k > K: padded with sentinel entries
-	k := mix.K() + 2
-	_, out = post(buildReq(OpTopK, uint16(k)))
-	rec = out[18:]
-	stride := k * 12
-	for i, x := range pts {
-		wantN := p.Current().TopK(x, k, sc)
-		for j := 0; j < k; j++ {
-			comp := binary.LittleEndian.Uint32(rec[i*stride+j*12:])
-			d2 := math.Float64frombits(binary.LittleEndian.Uint64(rec[i*stride+j*12+4:]))
-			if j < len(wantN) {
-				if int(comp) != wantN[j].ID || d2 != wantN[j].DistSq {
-					t.Fatalf("topk record %d[%d]: comp %d d2 %v, want %+v", i, j, comp, d2, wantN[j])
-				}
-			} else if comp != ^uint32(0) || !math.IsInf(d2, 1) {
-				t.Fatalf("topk record %d[%d]: expected sentinel, got comp %d d2 %v", i, j, comp, d2)
+	for _, dim := range []int{3, 4} {
+		for _, k := range []int{1, 5, 54} {
+			p := NewPublisher(Options{})
+			mix := randMixture(rng, k, dim)
+			sn, err := p.Publish(mix, 3, 100)
+			if err != nil {
+				t.Fatal(err)
 			}
+			srv := httptest.NewServer(Handler(p))
+			pts := make([][]float64, 2*gaussian.BatchBlock+17)
+			for i := range pts {
+				pts[i] = randPoint(rng, dim)
+			}
+			for _, c := range []struct {
+				op   byte
+				topk int
+			}{{OpClassify, 0}, {OpDensity, 0}, {OpTopK, 3}, {OpTopK, k + 2}} {
+				resp, out := post(srv.URL, batchReq(c.op, uint16(c.topk), pts))
+				if resp.StatusCode != 200 {
+					t.Fatalf("K=%d d=%d op %d: status %d: %s", k, dim, c.op, resp.StatusCode, out)
+				}
+				if msg := checkBatchReply(sn, c.op, c.topk, pts, out); msg != "" {
+					t.Fatalf("K=%d d=%d op %d k=%d: %s", k, dim, c.op, c.topk, msg)
+				}
+			}
+			// The per-point ops themselves agree with the source mixture.
+			sc := NewScratch()
+			for _, x := range pts {
+				if got, want := sn.LogDensity(x, sc), mix.LogPDF(x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("K=%d d=%d: LogDensity %v, mixture LogPDF %v", k, dim, got, want)
+				}
+			}
+			srv.Close()
 		}
 	}
 
-	// malformed: bad magic, wrong dim, GET
-	resp, _ = post([]byte("XXXX"))
+	// malformed: bad magic, wrong dim, unknown op, GET
+	p := NewPublisher(Options{})
+	if _, err := p.Publish(randMixture(rng, 5, 3), 3, 100); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(p))
+	defer srv.Close()
+	pts := [][]float64{randPoint(rng, 3), randPoint(rng, 3)}
+	resp, _ := post(srv.URL, []byte("XXXX"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad magic: status %d, want 400", resp.StatusCode)
 	}
-	bad := buildReq(OpClassify, 0)
+	bad := batchReq(OpClassify, 0, pts)
 	binary.LittleEndian.PutUint16(bad[12:14], 99)
-	resp, _ = post(bad)
+	resp, _ = post(srv.URL, bad)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("wrong dim: status %d, want 400", resp.StatusCode)
+	}
+	resp, _ = post(srv.URL, batchReq(9, 0, pts))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown op: status %d, want 400", resp.StatusCode)
 	}
 	getResp, err := http.Get(srv.URL + "/query/batch")
 	if err != nil {
@@ -335,4 +372,121 @@ func getJSON(t *testing.T, url string, dst any) {
 	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
 		t.Fatalf("%s: decode: %v", url, err)
 	}
+}
+
+// TestTopKHugeK: k is clamped to K before anything is sized, so a huge k
+// neither allocates k slots nor panics (k = 2⁶² is past makeslice's cap
+// limit), over the Go API and over HTTP; and a CLUQ batch whose padded
+// topk reply would exceed maxBatchReply is a 400 before any scoring.
+func TestTopKHugeK(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	p := NewPublisher(Options{})
+	sn, err := p.Publish(randMixture(rng, 5, 3), 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randPoint(rng, 3)
+	for _, k := range []int{1 << 20, 1 << 62} {
+		sc := NewScratch()
+		if nbrs := sn.TopK(x, k, sc); len(nbrs) != 5 || cap(sc.nbrs) > 5 {
+			t.Fatalf("TopK(k=%d): %d neighbors in a %d-slot buffer, want 5 in at most 5", k, len(nbrs), cap(sc.nbrs))
+		}
+	}
+
+	srv := httptest.NewServer(Handler(p))
+	defer srv.Close()
+	var top struct {
+		Neighbors []struct {
+			Component int `json:"component"`
+		} `json:"neighbors"`
+	}
+	getJSON(t, fmt.Sprintf("%s/query/topk?x=0,0,0&k=%d", srv.URL, int64(1)<<62), &top)
+	if len(top.Neighbors) != 5 {
+		t.Fatalf("topk k=2^62: %d neighbors, want 5", len(top.Neighbors))
+	}
+
+	// 18 + 5600·1000·12 bytes is just over 64 MiB.
+	pts := make([][]float64, 5600)
+	for i := range pts {
+		pts[i] = randPoint(rng, 3)
+	}
+	resp, err := http.Post(srv.URL+"/query/batch", "application/octet-stream", bytes.NewReader(batchReq(OpTopK, 1000, pts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("topk batch with a %d-byte reply: status %d, want 400", batchHdrR+5600*1000*12, resp.StatusCode)
+	}
+}
+
+// FuzzBatch throws arbitrary bodies at POST /query/batch: it must never
+// panic, must answer 200 exactly when the request is well formed (header,
+// dim, n, op, k, a full payload of finite coordinates, a reply within
+// maxBatchReply) and 400 otherwise, and every 200 must equal the
+// per-point ops bit for bit.
+func FuzzBatch(f *testing.F) {
+	rng := rand.New(rand.NewSource(25))
+	p := NewPublisher(Options{})
+	sn, err := p.Publish(randMixture(rng, 3, 2), 9, 100)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := Handler(p)
+	pts := [][]float64{{0.5, -1}, {3, 4}, {-7, 1e-310}, {1e200, 0}}
+	for _, op := range []byte{OpClassify, OpDensity, OpTopK, 0, 4} {
+		f.Add(batchReq(op, 2, pts))
+		f.Add(batchReq(op, 65535, pts[:1]))
+	}
+	trunc := batchReq(OpDensity, 0, pts)
+	f.Add(trunc[:len(trunc)-3])
+	f.Add([]byte("CLUQ"))
+	f.Add(append(batchReq(OpClassify, 0, pts), 1, 2, 3))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", bytes.NewReader(body)))
+		decoded, ok := decodeBatchReq(body, sn.Dim())
+		switch {
+		case !ok && rec.Code != http.StatusBadRequest:
+			t.Fatalf("malformed request: status %d, want 400", rec.Code)
+		case ok && rec.Code != http.StatusOK:
+			t.Fatalf("well-formed request: status %d: %s", rec.Code, rec.Body.Bytes())
+		case ok:
+			if msg := checkBatchReply(sn, decoded.op, decoded.k, decoded.pts, rec.Body.Bytes()); msg != "" {
+				t.Fatal(msg)
+			}
+		}
+	})
+}
+
+type decodedBatch struct {
+	op  byte
+	k   int
+	pts [][]float64
+}
+
+// decodeBatchReq is the reference reading of a CLUQ request: the request
+// and whether the handler must accept it.
+func decodeBatchReq(body []byte, dim int) (decodedBatch, bool) {
+	if len(body) < batchHdrQ || string(body[:4]) != batchMagicQ || body[4] != batchVer {
+		return decodedBatch{}, false
+	}
+	d := decodedBatch{op: body[5], k: int(binary.LittleEndian.Uint16(body[6:8]))}
+	n := int(binary.LittleEndian.Uint32(body[8:12]))
+	per := map[byte]int{OpClassify: 20, OpDensity: 8, OpTopK: 12 * d.k}[d.op]
+	if int(binary.LittleEndian.Uint16(body[12:14])) != dim || n < 1 || n > maxBatch || per == 0 ||
+		batchHdrR+n*per > maxBatchReply || len(body) < batchHdrQ+n*dim*8 {
+		return decodedBatch{}, false
+	}
+	for i := 0; i < n; i++ {
+		x := make([]float64, dim)
+		for j := range x {
+			x[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[batchHdrQ+(i*dim+j)*8:]))
+			if !finite(x[j]) {
+				return decodedBatch{}, false
+			}
+		}
+		d.pts = append(d.pts, x)
+	}
+	return d, true
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -407,5 +408,28 @@ func TestQueryReadPathZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, func() { _ = p.Current() }); allocs != 0 {
 		t.Fatalf("Current allocated %.1f times per op, want 0", allocs)
+	}
+
+	// The CLUQ batch ops, decoded and scored block by block through the
+	// same Querier: 300 records span three blocks.
+	sn := p.Current()
+	pts := make([][]float64, 300)
+	for i := range pts {
+		pts[i] = randPoint(rng, 4)
+	}
+	for _, op := range []int{OpClassify, OpDensity, OpTopK} {
+		payload := batchReq(byte(op), 4, pts)[batchHdrQ:]
+		body := bytes.NewReader(payload)
+		out := make([]byte, 0, len(pts)*20*4)
+		run := func() {
+			body.Reset(payload)
+			if _, err := q.appendBatch(out, sn, op, 4, len(pts), body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the block buffers
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Fatalf("batch op %d allocated %.1f times per call, want 0", op, allocs)
+		}
 	}
 }

@@ -16,7 +16,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 
 	"cludistream/internal/gaussian"
 	"cludistream/internal/kdtree"
@@ -31,34 +30,24 @@ type Snapshot struct {
 	mass        float64
 	publishedAt float64 // publisher clock seconds
 
-	weights []float64 // verbatim from the source mixture (already normalized)
-	logW    []float64
-	comps   []*gaussian.Component // deep copies — no sharing with the coordinator
-	kd      *kdtree.Tree          // component means, IDs = component indices
-	dim     int
+	mix *gaussian.Mixture // deep copy — no sharing with the coordinator
+	kd  *kdtree.Tree      // component means, IDs = component indices
 }
 
 // newSnapshot deep-copies mix so that no byte of the snapshot is shared
-// with coordinator state. Weights are taken verbatim (no renormalization:
-// the source mixture already normalized once, and dividing again by a
-// sum≈1 could perturb last-ulp bits, breaking the DST prefix-equality
-// invariant).
+// with coordinator state. Weights are taken verbatim
+// (NewNormalizedMixture: the source mixture already normalized once, and
+// dividing again by a sum≈1 could perturb last-ulp bits, breaking the DST
+// prefix-equality invariant), so the mixture's log-weights keep their
+// bits too.
 func newSnapshot(mix *gaussian.Mixture, version uint64, mass, now float64) (*Snapshot, error) {
 	if mix == nil || mix.K() == 0 {
 		return nil, fmt.Errorf("query: cannot snapshot empty mixture")
 	}
 	k, dim := mix.K(), mix.Dim()
-	sn := &Snapshot{
-		version:     version,
-		mass:        mass,
-		publishedAt: now,
-		weights:     mix.Weights(), // Weights() returns a fresh copy
-		logW:        make([]float64, k),
-		comps:       make([]*gaussian.Component, k),
-		kd:          kdtree.New(dim),
-		dim:         dim,
-	}
-	for j := 0; j < k; j++ {
+	comps := make([]*gaussian.Component, k)
+	kd := kdtree.New(dim)
+	for j := range comps {
 		src := mix.Component(j)
 		// NewComponent clones mean and cov into fresh arrays and
 		// recomputes the (deterministic) Cholesky, so the copy is deep
@@ -67,11 +56,14 @@ func newSnapshot(mix *gaussian.Mixture, version uint64, mass, now float64) (*Sna
 		if err != nil {
 			return nil, fmt.Errorf("query: snapshot component %d: %w", j, err)
 		}
-		sn.comps[j] = c
-		sn.logW[j] = math.Log(sn.weights[j])
-		sn.kd.Insert(j, c.Mean())
+		comps[j] = c
+		kd.Insert(j, c.Mean())
 	}
-	return sn, nil
+	cp, err := gaussian.NewNormalizedMixture(mix.Weights(), comps)
+	if err != nil {
+		return nil, fmt.Errorf("query: snapshot: %w", err)
+	}
+	return &Snapshot{version: version, mass: mass, publishedAt: now, mix: cp, kd: kd}, nil
 }
 
 // Version is the coordinator mixture version this snapshot was built from
@@ -86,39 +78,53 @@ func (sn *Snapshot) Mass() float64 { return sn.mass }
 func (sn *Snapshot) PublishedAt() float64 { return sn.publishedAt }
 
 // K returns the number of components.
-func (sn *Snapshot) K() int { return len(sn.comps) }
+func (sn *Snapshot) K() int { return sn.mix.K() }
 
 // Dim returns the data dimensionality.
-func (sn *Snapshot) Dim() int { return sn.dim }
+func (sn *Snapshot) Dim() int { return sn.mix.Dim() }
 
 // Weight returns component j's mixing weight.
-func (sn *Snapshot) Weight(j int) float64 { return sn.weights[j] }
+func (sn *Snapshot) Weight(j int) float64 { return sn.mix.Weight(j) }
 
 // Component returns component j (immutable, owned by the snapshot).
-func (sn *Snapshot) Component(j int) *gaussian.Component { return sn.comps[j] }
+func (sn *Snapshot) Component(j int) *gaussian.Component { return sn.mix.Component(j) }
 
-// Mixture rebuilds a gaussian.Mixture view of the snapshot. It allocates;
-// use the read ops for serving. Intended for tests and invariant checks.
-func (sn *Snapshot) Mixture() (*gaussian.Mixture, error) {
-	return gaussian.NewMixture(sn.weights, sn.comps)
-}
-
-// Scratch holds the per-goroutine workspace the read ops need. One
-// Scratch must not be used by two goroutines at once; acquire one per
+// Scratch holds the per-goroutine workspace the read ops need: one block
+// of decoded records and their results for the mixture's batch kernels.
+// One Scratch must not be used by two goroutines at once; acquire one per
 // worker (or via the HTTP handler's pool) and reuse it across calls.
 type Scratch struct {
-	diff, half linalg.Vector
-	nbrs       []kdtree.Neighbor
+	batch gaussian.BatchScratch
+	one   [1]linalg.Vector  // a single-record call's view of its caller's x
+	xs    []linalg.Vector   // gaussian.BatchBlock rows over flat
+	flat  []float64         // backing of xs
+	raw   []byte            // one block of CLUQ payload
+	comp  []int             // per-record argmax component
+	post  []float64         // per-record log posterior
+	dens  []float64         // per-record log density
+	nbrs  []kdtree.Neighbor // TopK result, at most K long
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use and are
 // reused afterwards, so steady-state queries do not allocate.
 func NewScratch() *Scratch { return &Scratch{} }
 
+// ensure sizes the block buffers for records of dim coordinates.
 func (s *Scratch) ensure(dim int) {
-	if len(s.diff) != dim {
-		s.diff = make(linalg.Vector, dim)
-		s.half = make(linalg.Vector, dim)
+	const n = gaussian.BatchBlock
+	if len(s.flat) == n*dim {
+		return
+	}
+	s.flat = make([]float64, n*dim)
+	s.raw = make([]byte, n*dim*8)
+	if s.xs == nil {
+		s.xs = make([]linalg.Vector, n)
+		s.comp = make([]int, n)
+		s.post = make([]float64, n)
+		s.dens = make([]float64, n)
+	}
+	for p := range s.xs {
+		s.xs[p] = s.flat[p*dim : (p+1)*dim : (p+1)*dim]
 	}
 }
 
@@ -131,32 +137,26 @@ type Classification struct {
 	LogDensity   float64
 }
 
-// Classify assigns x to the highest-posterior component. Zero
-// allocations; bit-stable for a given snapshot.
+// Classify assigns x to the highest-posterior component (ties to the
+// lowest index): a one-record call of gaussian.Mixture.ClassifyBatch, so
+// it is bit-identical to the batch endpoint. Zero allocations.
 func (sn *Snapshot) Classify(x linalg.Vector, s *Scratch) Classification {
-	s.ensure(sn.dim)
-	best, bestLP := 0, math.Inf(-1)
-	total := math.Inf(-1)
-	for j, c := range sn.comps {
-		lp := sn.logW[j] + c.LogProbScratch(x, s.diff, s.half)
-		if lp > bestLP {
-			best, bestLP = j, lp
-		}
-		total = gaussian.LogAdd(total, lp)
-	}
-	return Classification{Component: best, LogPosterior: bestLP - total, LogDensity: total}
+	s.ensure(sn.Dim())
+	s.one[0] = x
+	sn.mix.ClassifyBatch(s.one[:], s.comp[:1], s.post[:1], s.dens[:1], &s.batch)
+	s.one[0] = nil
+	return Classification{Component: s.comp[0], LogPosterior: s.post[0], LogDensity: s.dens[0]}
 }
 
-// LogDensity returns log p(x) under the snapshot mixture, reduced with
-// gaussian.LogAdd like gaussian.Mixture.LogPDF (same component order →
-// bit-identical result). Zero allocations.
+// LogDensity returns log p(x) under the snapshot mixture: a one-record
+// call of gaussian.Mixture.ScoreBatch, bit-identical to Mixture.LogPDF.
+// Zero allocations.
 func (sn *Snapshot) LogDensity(x linalg.Vector, s *Scratch) float64 {
-	s.ensure(sn.dim)
-	total := math.Inf(-1)
-	for j, c := range sn.comps {
-		total = gaussian.LogAdd(total, sn.logW[j]+c.LogProbScratch(x, s.diff, s.half))
-	}
-	return total
+	s.ensure(sn.Dim())
+	s.one[0] = x
+	sn.mix.ScoreBatch(s.one[:], s.dens[:1], &s.batch)
+	s.one[0] = nil
+	return s.dens[0]
 }
 
 // Neighbor is a top-k result: ID is the component index, DistSq the
@@ -165,10 +165,12 @@ type Neighbor = kdtree.Neighbor
 
 // TopK returns the k components whose means are nearest to x in Euclidean
 // distance, closest first (Neighbor.ID is the component index). k larger
-// than K() is clamped. The returned slice aliases the Scratch and is valid
-// until the next TopK call on the same Scratch. Zero allocations once the
-// Scratch buffer has grown to k.
+// than K() is clamped before anything is sized, so the Scratch never grows
+// past K entries whatever k a caller asks for. The returned slice aliases
+// the Scratch and is valid until the next TopK call on the same Scratch.
+// Zero allocations once the Scratch buffer has grown to min(k, K).
 func (sn *Snapshot) TopK(x linalg.Vector, k int, s *Scratch) []kdtree.Neighbor {
+	k = min(k, sn.K())
 	if cap(s.nbrs) < k {
 		s.nbrs = make([]kdtree.Neighbor, 0, k)
 	}
