@@ -3,7 +3,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -ldflags "-X cludistream/internal/buildinfo.Version=$(VERSION) -X cludistream/internal/buildinfo.Commit=$(COMMIT)"
 
-.PHONY: all build vet lint test race race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-tree dst-long
+.PHONY: all build vet lint test race race-em race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-tree dst-long
 
 all: check
 
@@ -29,15 +29,9 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the parallel fused E-step and everything that
-# embeds it (sites score chunks through it, the goroutine-per-site layer
-# pins Workers=1 on top of it).
+# embeds it (sites score chunks through it).
 race-em:
-	$(GO) test -race ./internal/em/ ./internal/gaussian/ ./internal/parallel/
-
-# Sharded-apply determinism and Feed/Close lifecycle races, run twice so
-# goroutine interleavings get a second roll of the dice.
-race-parallel:
-	$(GO) test -race -run 'TestShardedApplyMatchesMutex|TestFeedCloseConcurrencyHammer|TestQueueDepthGauges' -count 2 ./internal/parallel/
+	$(GO) test -race ./internal/em/ ./internal/gaussian/
 
 # The sublinear hot paths under the race detector at several GOMAXPROCS
 # settings: the per-model score index builds lazily on first use, and the
@@ -89,7 +83,7 @@ recover:
 	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix' ./internal/netio/
 
 # Full pre-merge gate.
-check: build lint race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover race dst dst-tree bench-e2e-test
+check: build lint race-em race-score race-query alloc-gate alloc-gate-query recover race dst dst-tree bench-e2e-test
 
 # Deterministic simulation testing (internal/dst): sweep seeded
 # whole-system scenarios — random deployments, drift programs, and fault
@@ -119,10 +113,12 @@ tier1:
 	$(GO) build ./... && $(GO) test ./...
 
 # Short fuzz pass over the wire decoders (sites' and the CLUQ batch
-# endpoint's), the frame/ack protocol, and the durable formats (site
-# archive, coordinator checkpoint, WAL).
+# endpoint's), the coordinator's receive step behind them, the frame/ack
+# protocol, and the durable formats (site archive, coordinator checkpoint,
+# WAL).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/transport/
+	$(GO) test -run=^$$ -fuzz=FuzzReceive -fuzztime=10s ./internal/durable/
 	$(GO) test -run=^$$ -fuzz=FuzzBatch -fuzztime=10s ./internal/query/
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/netio/
 	$(GO) test -run=^$$ -fuzz=FuzzReadAck -fuzztime=5s ./internal/netio/

@@ -217,32 +217,19 @@ type System struct {
 	siteCfgs []site.Config // kept verbatim so CrashSite can rebuild a site
 	trackers []*window.Tracker
 	links    []*netsim.Link
-	coord    *coordinator.Coordinator
 	fed      []int // records fed per site (drives the virtual clock)
 
-	// outstanding mirrors, per site, each model's net record count at the
-	// coordinator (sends minus deletions, in emission order — links and
-	// couriers are FIFO, so the mirror matches the coordinator's state at
-	// the moment each message is applied). The coordinator deletes a model
-	// whose weight drains to zero (Section 7's sliding-window rule), so a
-	// later WeightUpdate referencing it must be upgraded to a full
-	// synopsis; see sendUpdate.
-	outstanding []map[int]int
+	// recv is the coordinator's receive step, the one netio.Server runs:
+	// the coordinator, its exactly-once dedupe table (seq-0 messages from
+	// perfect links bypass it) and, with cfg.Durability, the store.
+	recv  durable.Receiver
+	recov RecoveryStats
 
 	// Fault-tolerant mode (cfg.Fault != nil): per-site couriers, sender
-	// epochs and sequence numbers, plus the coordinator-side dedupe table
-	// shared with netio.Server (durable.Dedupe). The table also exists in
-	// durable mode without faults so checkpoints always carry it.
+	// epochs and sequence numbers.
 	couriers []*netsim.Courier
 	epochs   []uint32
 	seqs     []uint64
-	ded      *durable.Dedupe
-	dup      int
-	resets   int
-
-	// Coordinator durability (cfg.Durability != nil).
-	store *durable.Store
-	recov RecoveryStats
 
 	// Facade-level delivery instruments (nil ⇒ no-op).
 	teleDedupe *telemetry.Counter
@@ -256,8 +243,8 @@ type System struct {
 	// dedupeBroken disables the sequence-number half of the exactly-once
 	// dedupe — a deliberately injected bug used by the deterministic
 	// simulation tests to prove their invariant suite has teeth. Never set
-	// in production paths; see InjectDedupeFault. Mirrored into ded so it
-	// survives coordinator restarts.
+	// in production paths; see InjectDedupeFault. Mirrored into the dedupe
+	// table so it survives coordinator restarts.
 	dedupeBroken bool
 
 	deliveryErr error
@@ -287,18 +274,13 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.store = store
-		s.coord = rec.Coord
-		s.ded = rec.Dedupe
+		s.recv = durable.Receiver{Coord: rec.Coord, Dedupe: rec.Dedupe, Store: store}
 	} else {
 		coord, err := coordinator.New(coordCfg)
 		if err != nil {
 			return nil, err
 		}
-		s.coord = coord
-		if cfg.Fault != nil {
-			s.ded = durable.NewDedupe()
-		}
+		s.recv = durable.Receiver{Coord: coord, Dedupe: durable.NewDedupe()}
 	}
 	if cfg.Telemetry != nil {
 		s.teleDedupe = cfg.Telemetry.Counter("coord.dedupe_dropped")
@@ -306,6 +288,17 @@ func New(cfg Config) (*System, error) {
 		if tr := cfg.Telemetry.Tracer(); tr != nil {
 			tr.SetClock(s.sim.Now)
 			s.tracer = tr
+			s.recv.Tracer = tr
+		}
+	}
+	// A reset is counted before the observer runs, so the telemetry it
+	// reads agrees with DeliveryStats.
+	s.recv.OnApply = func(msg transport.Message, v durable.Verdict) {
+		if v == durable.AdmitNewEpoch {
+			s.teleResets.Inc()
+		}
+		if cfg.OnApply != nil {
+			cfg.OnApply(msg)
 		}
 	}
 	if cfg.Fault != nil {
@@ -342,7 +335,6 @@ func New(cfg Config) (*System, error) {
 		}
 		s.siteCfgs = append(s.siteCfgs, sc)
 		s.sites = append(s.sites, st)
-		s.outstanding = append(s.outstanding, make(map[int]int))
 		link, err := s.sim.NewFaultyLink(cfg.LinkLatency, cfg.LinkBandwidth, cfg.Fault, s.deliver)
 		if err != nil {
 			return nil, err
@@ -391,80 +383,22 @@ func (d *DurabilityConfig) storeOptions(reg *telemetry.Registry) (durable.Option
 }
 
 // deliver runs inside the simulation when a message arrives at the
-// coordinator. In durable mode the payload is WAL-logged first — replay
-// re-runs the byte stream through the identical dedupe-then-apply path —
-// and in fault-tolerant mode the dedupe mirrors netio.Server:
-// sequence-numbered messages are applied at most once per (site, epoch),
-// and a higher epoch resets the dead incarnation's state first.
+// coordinator: the receive step netio.Server runs (WAL append in durable
+// mode, exactly-once dedupe of sequence-numbered messages, epoch reset,
+// apply, checkpoint). The first error is kept and surfaces from the next
+// Feed or Drain.
 func (s *System) deliver(payload []byte) {
 	msg, err := transport.Decode(payload)
 	if err != nil {
 		s.deliveryErr = err
 		return
 	}
-	if s.store != nil {
-		walSpan := s.tracer.Begin(msg.TraceID, msg.SpanID, "wal-append", int(msg.SiteID), int(msg.ModelID))
-		err := s.store.Append(payload)
-		walSpan.End(len(payload), "")
-		if err != nil {
-			if s.deliveryErr == nil {
-				s.deliveryErr = err
-			}
-			return
-		}
-	}
-	if s.ded != nil {
-		verdict := s.ded.Admit(msg.SiteID, msg.Epoch, msg.Seq)
-		if s.tracer != nil && msg.TraceID != 0 {
-			now := s.tracer.Now()
-			s.tracer.Record(msg.TraceID, msg.SpanID, "dedupe",
-				int(msg.SiteID), int(msg.ModelID), now, now, 0, verdictNote(verdict))
-		}
-		switch verdict {
-		case durable.DropStale, durable.DropDuplicate:
-			s.dup++
-			s.teleDedupe.Inc()
-			return
-		case durable.AdmitNewEpoch:
-			s.coord.ResetSite(int(msg.SiteID))
-			s.resets++
-			s.teleResets.Inc()
-		}
-	}
-	switch msg.Kind {
-	case transport.MsgDeletion:
-		// Deletions carry no site.Update, so the trace context rides in
-		// side-band; HandleUpdate reads it off the update itself.
-		s.coord.SetTraceContext(msg.TraceID, msg.SpanID)
-		err = s.coord.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
-	default:
-		err = s.coord.HandleUpdate(msg.ToSiteUpdate())
-	}
-	if err != nil && s.deliveryErr == nil {
+	res := s.recv.Receive(payload, msg)
+	if err := res.Err(); err != nil && s.deliveryErr == nil {
 		s.deliveryErr = err
 	}
-	if s.cfg.OnApply != nil {
-		s.cfg.OnApply(msg)
-	}
-	if s.store != nil && s.store.NeedCheckpoint() {
-		if err := s.store.Checkpoint(s.coord, s.ded); err != nil && s.deliveryErr == nil {
-			s.deliveryErr = err
-		}
-	}
-}
-
-// verdictNote maps a dedupe verdict to the span note recorded on the
-// trace's "dedupe" span.
-func verdictNote(v durable.Verdict) string {
-	switch v {
-	case durable.DropDuplicate:
-		return "dup"
-	case durable.DropStale:
-		return "stale"
-	case durable.AdmitNewEpoch:
-		return "new-epoch"
-	default:
-		return "admit"
+	if res.AppendErr == nil && res.Verdict.Dropped() {
+		s.teleDedupe.Inc()
 	}
 }
 
@@ -475,9 +409,7 @@ func verdictNote(v durable.Verdict) string {
 // anywhere else forfeits the exactly-once guarantee.
 func (s *System) InjectDedupeFault() {
 	s.dedupeBroken = true
-	if s.ded != nil {
-		s.ded.Broken = true
-	}
+	s.recv.Dedupe.Broken = true
 }
 
 // Feed delivers one record to site siteIdx (0-based). The simulated clock
@@ -505,7 +437,6 @@ func (s *System) Feed(siteIdx int, x linalg.Vector) error {
 		// from the last minted chunk trace.
 		delTrace, delSpan := s.sites[siteIdx].LastTrace()
 		for _, d := range s.trackers[siteIdx].Expire(siteIdx + 1) {
-			s.outstanding[siteIdx][d.ModelID] -= d.Count
 			s.send(siteIdx, transport.Message{
 				Kind:    transport.MsgDeletion,
 				SiteID:  int32(d.SiteID),
@@ -519,24 +450,14 @@ func (s *System) Feed(siteIdx int, x linalg.Vector) error {
 	return s.deliveryErr
 }
 
-// sendUpdate routes one site update to the coordinator, upgrading a
-// WeightUpdate whose model the coordinator has deleted (sliding windows:
-// every record of the model expired, so its weight drained to zero and
-// Section 7's rule removed it) into a full NewModel synopsis. The site
-// cannot know the coordinator dropped the model — only the sender, which
-// also emits the deletions, can; without the upgrade the coordinator
-// would reject the update as referencing an unknown model.
+// sendUpdate routes one site update to the coordinator. Under a sliding
+// window the site's tracker upgrades a WeightUpdate for a model the
+// coordinator has drained to a full NewModel synopsis (see
+// window.Tracker.Send).
 func (s *System) sendUpdate(siteIdx int, u site.Update) {
-	if u.Kind == site.WeightUpdate && s.outstanding[siteIdx][u.ModelID] <= 0 {
-		for _, m := range s.sites[siteIdx].Models() {
-			if m.ID == u.ModelID {
-				u.Kind = site.NewModel
-				u.Mixture = m.Mixture
-				break
-			}
-		}
+	if s.trackers != nil {
+		u = s.trackers[siteIdx].Send(u)
 	}
-	s.outstanding[siteIdx][u.ModelID] += u.Count
 	s.send(siteIdx, transport.FromSiteUpdate(u))
 }
 
@@ -591,9 +512,6 @@ func (s *System) CrashSite(siteIdx int) error {
 	s.epochs[siteIdx]++
 	s.seqs[siteIdx] = 0
 	s.fed[siteIdx] = 0
-	// The coordinator discards the dead incarnation's models on the first
-	// higher-epoch message; the outstanding mirror starts over with it.
-	s.outstanding[siteIdx] = make(map[int]int)
 	return nil
 }
 
@@ -611,17 +529,17 @@ func (s *System) CrashSite(siteIdx int) error {
 // byte-compared against the recovered state and any divergence returns
 // ErrRecoveryMismatch.
 func (s *System) CrashCoordinator() error {
-	if s.store == nil {
+	if s.recv.Store == nil {
 		return fmt.Errorf("cludistream: CrashCoordinator requires Config.Durability")
 	}
 	var want []byte
 	if s.cfg.Durability.SelfCheck {
 		var err error
-		if want, err = encodeState(s.coord, s.ded, s.store.Applied()); err != nil {
+		if want, err = encodeState(&s.recv); err != nil {
 			return err
 		}
 	}
-	if err := s.store.Crash(); err != nil {
+	if err := s.recv.Store.Crash(); err != nil {
 		return err
 	}
 	opts, err := s.cfg.Durability.storeOptions(s.cfg.Telemetry)
@@ -633,15 +551,13 @@ func (s *System) CrashCoordinator() error {
 	if err != nil {
 		return err
 	}
-	s.store = store
-	s.coord = rec.Coord
-	s.ded = rec.Dedupe
-	s.ded.Broken = s.dedupeBroken
+	s.recv.Store, s.recv.Coord, s.recv.Dedupe = store, rec.Coord, rec.Dedupe
+	s.recv.Dedupe.Broken = s.dedupeBroken
 	s.recov.Restarts++
 	s.recov.RecordsReplayed += rec.RecordsReplayed
 	s.recov.TornBytes += rec.TornBytes
 	if want != nil {
-		got, err := encodeState(s.coord, s.ded, s.store.Applied())
+		got, err := encodeState(&s.recv)
 		if err != nil {
 			return err
 		}
@@ -670,9 +586,9 @@ func (s *System) Recovery() RecoveryStats { return s.recov }
 
 // encodeState serializes the full durable state for self-check
 // comparison.
-func encodeState(coord *coordinator.Coordinator, ded *durable.Dedupe, applied uint64) ([]byte, error) {
+func encodeState(r *durable.Receiver) ([]byte, error) {
 	var buf bytes.Buffer
-	st := &persist.CoordinatorState{Applied: applied, Snapshot: coord.Snapshot(), Dedupe: ded.Entries()}
+	st := &persist.CoordinatorState{Applied: r.Store.Applied(), Snapshot: r.Coord.Snapshot(), Dedupe: r.Dedupe.Entries()}
 	if err := persist.SaveCoordinatorState(&buf, st); err != nil {
 		return nil, err
 	}
@@ -698,7 +614,7 @@ func (s *System) Drain() error {
 }
 
 // GlobalMixture returns the coordinator's merged model (after Drain).
-func (s *System) GlobalMixture() *gaussian.Mixture { return s.coord.GlobalMixture() }
+func (s *System) GlobalMixture() *gaussian.Mixture { return s.recv.Coord.GlobalMixture() }
 
 // Site returns site i (0-based).
 func (s *System) Site(i int) *site.Site { return s.sites[i] }
@@ -707,7 +623,7 @@ func (s *System) Site(i int) *site.Site { return s.sites[i] }
 func (s *System) NumSites() int { return len(s.sites) }
 
 // Coordinator exposes the coordinator for inspection.
-func (s *System) Coordinator() *coordinator.Coordinator { return s.coord }
+func (s *System) Coordinator() *coordinator.Coordinator { return s.recv.Coord }
 
 // Now returns the simulated time in seconds.
 func (s *System) Now() float64 { return s.sim.Now() }
@@ -752,8 +668,9 @@ func (s *System) DeliveryStats() DeliveryStats {
 		d.Retries += c.Retries()
 		d.Pending += c.Pending()
 	}
-	d.Duplicates = s.dup
-	d.SiteResets = s.resets
+	st := s.recv.Stats()
+	d.Duplicates = st.Duplicates
+	d.SiteResets = st.SiteResets
 	return d
 }
 

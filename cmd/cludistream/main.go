@@ -15,10 +15,7 @@ import (
 	"os"
 	"time"
 
-	"cludistream/internal/coordinator"
 	"cludistream/internal/linalg"
-	"cludistream/internal/parallel"
-	"cludistream/internal/site"
 	"cludistream/internal/stream"
 
 	root "cludistream"
@@ -37,7 +34,6 @@ func main() {
 	pd := flag.Float64("pd", 0.1, "new-distribution probability per regime boundary")
 	horizon := flag.Int("sliding-chunks", 0, "sliding-window horizon in chunks (0 = landmark)")
 	seed := flag.Int64("seed", 1, "random seed")
-	par := flag.Bool("parallel", false, "run sites on goroutines (multi-core) instead of the simulated clock")
 	flag.Parse()
 
 	var data []linalg.Vector
@@ -71,11 +67,6 @@ func main() {
 	if len(data) == 0 {
 		fmt.Fprintln(os.Stderr, "no input records")
 		os.Exit(2)
-	}
-
-	if *par {
-		runParallel(data, *sites, *dim, *k, *eps, *fitEps, *delta, *cmax, *horizon, *seed)
-		return
 	}
 
 	sys, err := root.New(root.Config{
@@ -130,44 +121,5 @@ func main() {
 			eval = eval[len(eval)-5000:]
 		}
 		fmt.Printf("average log-likelihood on the most recent %d records: %.4f\n", len(eval), gm.AvgLogLikelihood(eval))
-	}
-}
-
-// runParallel drives the deployment on the multi-core runtime.
-func runParallel(data []linalg.Vector, sites, dim, k int, eps, fitEps, delta float64, cmax, horizon int, seed int64) {
-	scs := make([]site.Config, sites)
-	for i := range scs {
-		scs[i] = site.Config{
-			Dim: dim, K: k, Epsilon: eps, FitEps: fitEps, Delta: delta,
-			CMax: cmax, Seed: seed + int64(i)*7919,
-		}
-	}
-	cl, err := parallel.New(parallel.Config{
-		Sites:                scs,
-		Coord:                coordinator.Config{Dim: dim},
-		SlidingHorizonChunks: horizon,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	start := time.Now()
-	for i, x := range data {
-		if err := cl.Feed(i%sites, x); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if err := cl.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	elapsed := time.Since(start)
-	bytesOut, messages := cl.Stats()
-	fmt.Printf("parallel runtime: %d records across %d site goroutines in %v (%.0f records/s)\n",
-		len(data), sites, elapsed.Round(time.Millisecond), float64(len(data))/elapsed.Seconds())
-	fmt.Printf("communication-equivalent: %d messages, %d bytes\n", messages, bytesOut)
-	if gm := cl.GlobalMixture(); gm != nil {
-		fmt.Printf("global mixture: K=%d components\n", gm.K())
 	}
 }

@@ -2,12 +2,13 @@
 // checkpoint + write-ahead-log pair in a state directory, and recovery
 // (Open) rebuilds the coordinator and its exactly-once dedupe table
 // bit-identically — load the latest checkpoint, replay the WAL tail
-// through the same dedupe-then-apply path the live server uses, rotate to
+// through the Receiver every live coordinator receives through, rotate to
 // a fresh generation.
 //
-// The package also centralizes the dedupe protocol itself (Dedupe), which
-// was previously duplicated between netio.Server and the cludistream
-// facade: one implementation, three users, no drift.
+// The package also holds the receive step itself: the dedupe protocol
+// (Dedupe) and the Receiver that chains WAL append, dedupe, epoch reset,
+// apply and checkpoint. netio.Server, the cludistream facade, tree nodes
+// and WAL replay all call it, so no copy can drift.
 package durable
 
 import (
@@ -37,6 +38,23 @@ const (
 	// re-apply.
 	DropDuplicate
 )
+
+// Dropped reports whether the message must not be (re-)applied.
+func (v Verdict) Dropped() bool { return v == DropStale || v == DropDuplicate }
+
+// String is the verdict's note on a trace's "dedupe" span.
+func (v Verdict) String() string {
+	switch v {
+	case DropDuplicate:
+		return "dup"
+	case DropStale:
+		return "stale"
+	case AdmitNewEpoch:
+		return "new-epoch"
+	default:
+		return "admit"
+	}
+}
 
 // Dedupe is the per-site (epoch, seq) watermark table that makes
 // at-least-once delivery exactly-once in effect. Not safe for concurrent

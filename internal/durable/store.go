@@ -173,9 +173,11 @@ func Open(dir string, cfg coordinator.Config, opts Options) (*Store, *Recovery, 
 }
 
 // replayWAL re-applies the WAL tail of generation gen to the recovered
-// coordinator through the same dedupe-then-apply path the live server
-// uses. A missing file (crash between checkpoint rename and WAL create)
-// is an empty log; a torn tail is tolerated and counted.
+// coordinator through the Receiver the live path runs, minus the store:
+// drop verdicts are silent no-ops, so a replayed record and a
+// retransmitted frame behave identically. A missing file (crash between
+// checkpoint rename and WAL create) is an empty log; a torn tail is
+// tolerated and counted.
 func (s *Store) replayWAL(gen uint64, rec *Recovery) error {
 	path := s.walPath(gen)
 	if _, err := os.Stat(path); os.IsNotExist(err) {
@@ -189,6 +191,7 @@ func (s *Store) replayWAL(gen uint64, rec *Recovery) error {
 		return fmt.Errorf("%w: WAL generation %d does not extend checkpoint %d", persist.ErrBadFormat, walGen, gen)
 	}
 	rec.TornBytes = torn
+	recv := Receiver{Coord: rec.Coord, Dedupe: rec.Dedupe}
 	for _, payload := range records {
 		msg, err := transport.Decode(payload)
 		if err != nil {
@@ -196,32 +199,15 @@ func (s *Store) replayWAL(gen uint64, rec *Recovery) error {
 			// produced by the live apply path: refuse the state.
 			return fmt.Errorf("durable: %w: WAL record undecodable: %v", persist.ErrBadFormat, err)
 		}
-		if err := ReplayApply(rec.Coord, rec.Dedupe, msg); err != nil && s.opts.Logf != nil {
+		if res := recv.Receive(payload, msg); res.ApplyErr != nil && s.opts.Logf != nil {
 			// Mirrors the live server: the watermark advanced, the apply
 			// failed, delivery moved on. Replay must do the same.
-			s.opts.Logf("durable: replay apply %v from site %d: %v", msg.Kind, msg.SiteID, err)
+			s.opts.Logf("durable: replay apply %v from site %d: %v", msg.Kind, msg.SiteID, res.ApplyErr)
 		}
 		rec.Applied++
 		rec.RecordsReplayed++
 	}
 	return nil
-}
-
-// ReplayApply runs one admitted-or-not message through the dedupe-then-
-// apply sequence — the exact protocol netio.Server and the cludistream
-// facade run live. Drop verdicts are silent no-ops so a WAL replay and a
-// retransmitted frame behave identically.
-func ReplayApply(coord *coordinator.Coordinator, ded *Dedupe, msg transport.Message) error {
-	switch ded.Admit(msg.SiteID, msg.Epoch, msg.Seq) {
-	case DropStale, DropDuplicate:
-		return nil
-	case AdmitNewEpoch:
-		coord.ResetSite(int(msg.SiteID))
-	}
-	if msg.Kind == transport.MsgDeletion {
-		return coord.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
-	}
-	return coord.HandleUpdate(msg.ToSiteUpdate())
 }
 
 // Append logs one applied payload to the WAL.

@@ -44,15 +44,17 @@ func weightMsg(siteID, modelID int32, seq uint64, delta int64) transport.Message
 	}
 }
 
-// applyLive mirrors the server's apply protocol: WAL-append first, then
-// dedupe-then-apply. A failed append would nack the frame, so nothing is
-// applied that was not logged.
+// applyLive runs the live receive step with the WAL append done by hand,
+// so the caller decides when to checkpoint. A failed append would nack the
+// frame, so nothing is applied that was not logged.
 func applyLive(t *testing.T, s *Store, coord *coordinator.Coordinator, ded *Dedupe, msg transport.Message) {
 	t.Helper()
-	if err := s.Append(transport.Encode(msg)); err != nil {
+	payload := transport.Encode(msg)
+	if err := s.Append(payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayApply(coord, ded, msg); err != nil {
+	recv := Receiver{Coord: coord, Dedupe: ded}
+	if err := recv.Receive(payload, msg).Err(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -422,7 +424,8 @@ func TestStoreCrashRecoveryDaemonMerge(t *testing.T) {
 		if err := s.Append(payload); err != nil {
 			t.Fatal(err)
 		}
-		if err := ReplayApply(rec.Coord, rec.Dedupe, msg); err != nil {
+		recv := Receiver{Coord: rec.Coord, Dedupe: rec.Dedupe}
+		if err := recv.Receive(payload, msg).Err(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -161,7 +161,18 @@ type MergeOptions struct {
 // marginal gain.
 func FitMerge(wi float64, ci *Component, wj float64, cj *Component, opt MergeOptions) (float64, *Component) {
 	w, mean0, cov0 := MomentMerge(wi, ci, wj, cj)
-	base := MustComponent(mean0, cov0)
+	base, err := NewComponent(mean0, cov0, 0)
+	if err != nil {
+		// Only numerically absurd parents — means near overflow, variances
+		// hundreds of orders of magnitude apart, as a corrupt or hostile
+		// model can carry — have a moment merge with no finite Cholesky
+		// factor. The pair merges to its heavier parent's shape instead of
+		// taking the coordinator down.
+		if wj > wi {
+			return w, cj
+		}
+		return w, ci
+	}
 	if opt.MomentOnly {
 		return w, base
 	}

@@ -130,6 +130,26 @@ func TestFitMergeMomentOnly(t *testing.T) {
 	}
 }
 
+// TestFitMergeUnfactorableMomentMerge: parents whose means sit near
+// overflow have a moment-merged covariance that is not finite. FitMerge
+// must return the heavier parent (the first on a tie) with the summed
+// weight, not panic.
+func TestFitMergeUnfactorableMomentMerge(t *testing.T) {
+	a := Spherical(linalg.Vector{1e300}, 1)
+	b := Spherical(linalg.Vector{-1e300}, 2)
+	for _, opt := range []MergeOptions{{}, {MomentOnly: true}} {
+		for _, tc := range []struct {
+			wi, wj float64
+			want   *Component
+		}{{1, 1, a}, {1, 3, b}, {3, 1, a}} {
+			w, c := FitMerge(tc.wi, a, tc.wj, b, opt)
+			if w != tc.wi+tc.wj || c != tc.want {
+				t.Fatalf("FitMerge(%v, %v, %+v) = %v, %v; want %v and the heavier parent", tc.wi, tc.wj, opt, w, c.Mean(), tc.wi+tc.wj)
+			}
+		}
+	}
+}
+
 func TestFitMergeDeterministic(t *testing.T) {
 	a := Spherical(linalg.Vector{-2, 1}, 1.5)
 	b := Spherical(linalg.Vector{2, -1}, 0.8)

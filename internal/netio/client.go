@@ -562,10 +562,6 @@ type Client struct {
 	st      *site.Site
 	siteID  int
 	tracker *window.Tracker
-	// outstanding mirrors, per model, the record counter the coordinator
-	// holds once everything queued is applied: +Count per update, −Count per
-	// deletion this client emitted. Sliding mode only; see sendUpdate.
-	outstanding map[int]int
 }
 
 // DialOptions tunes Dial.
@@ -605,7 +601,6 @@ func Dial(addr string, st *site.Site, siteID int, opts DialOptions) (*Client, er
 			return nil, err
 		}
 		c.tracker = tr
-		c.outstanding = make(map[int]int)
 	}
 	return c, nil
 }
@@ -636,7 +631,6 @@ func (c *Client) Observe(x linalg.Vector) error {
 		// off, leaving the messages untraced).
 		delTrace, delSpan := c.st.LastTrace()
 		for _, d := range c.tracker.Expire(c.siteID) {
-			c.outstanding[d.ModelID] -= d.Count
 			msg := transport.Message{
 				Kind:    transport.MsgDeletion,
 				SiteID:  int32(d.SiteID),
@@ -663,26 +657,12 @@ func (c *Client) ObserveAll(xs []linalg.Vector) error {
 	return nil
 }
 
-// sendUpdate queues one site update. Under a sliding window a model whose
-// every record expired has drained to zero at the coordinator, and Section
-// 7's rule deleted it there; the site cannot know, but this client emitted
-// the deletions and can. A WeightUpdate for such a model (the site
-// re-activated it: horizon shorter than the regime cycle) is upgraded to a
-// full NewModel synopsis — the coordinator would reject the bare weight as
-// referencing an unknown model and the records would be lost. The facade's
-// System.sendUpdate applies the same rule.
+// sendUpdate queues one site update. Under a sliding window the tracker
+// upgrades a WeightUpdate for a model the coordinator has drained to a full
+// NewModel synopsis (see window.Tracker.Send).
 func (c *Client) sendUpdate(u site.Update) error {
 	if c.tracker != nil {
-		if u.Kind == site.WeightUpdate && c.outstanding[u.ModelID] <= 0 {
-			for _, m := range c.st.Models() {
-				if m.ID == u.ModelID {
-					u.Kind = site.NewModel
-					u.Mixture = m.Mixture
-					break
-				}
-			}
-		}
-		c.outstanding[u.ModelID] += u.Count
+		u = c.tracker.Send(u)
 	}
 	return c.send(transport.FromSiteUpdate(u))
 }

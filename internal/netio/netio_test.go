@@ -11,9 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"cludistream"
 	"cludistream/internal/coordinator"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
+	"cludistream/internal/netsim"
 	"cludistream/internal/site"
 )
 
@@ -239,67 +241,116 @@ func TestSlidingWindowDeletionsOverTCP(t *testing.T) {
 	})
 }
 
-// TestSlidingReactivatedModelIsNotLost drives a sliding client whose horizon
+// TestSlidingReactivatedModelIsNotLost drives a sliding sender whose horizon
 // (2 chunks) is shorter than its regime cycle (3 chunks of A, 3 of B, A
 // again): while B runs, every record of A's model expires, its weight drains
 // to zero at the coordinator and Section 7's rule deletes it there. When A
 // returns the site re-activates its archived model and emits a bare
-// WeightUpdate, which the coordinator can only refuse; the client, which
-// sent the deletions, must send the synopsis again instead.
+// WeightUpdate, which the coordinator can only refuse; the sender, which
+// emitted the deletions, must send the synopsis again instead. The one
+// scenario runs through every sender: a netio.Client over TCP, and the
+// facade on perfect and on lossy, duplicating links.
 func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
 	const chunkSize, horizon = 200, 2
-	srv, err := NewServer("127.0.0.1:0", newCoord(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	st := mustSlidingSite(t)
-	c, err := Dial(srv.Addr().String(), st, 1, DialOptions{SlidingHorizonChunks: horizon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	rng := rand.New(rand.NewSource(3))
-	for _, mix := range []*gaussian.Mixture{regime(0), regime(100), regime(0), regime(100)} {
-		for rec := 0; rec < 3*chunkSize; rec++ {
-			if err := c.Observe(mix.Sample(rng)); err != nil {
+	// A sender returns its site, the record sink, and drain, which delivers
+	// everything queued, fails the test on any rejection or apply error, and
+	// returns the coordinator's model weights.
+	type sender func(t *testing.T) (*site.Site, func(linalg.Vector) error, func() []coordinator.ModelWeight)
+	overTCP := func(t *testing.T) (*site.Site, func(linalg.Vector) error, func() []coordinator.ModelWeight) {
+		srv, err := NewServer("127.0.0.1:0", newCoord(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		st := mustSlidingSite(t)
+		c, err := Dial(srv.Addr().String(), st, 1, DialOptions{SlidingHorizonChunks: horizon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return st, c.Observe, func() (weights []coordinator.ModelWeight) {
+			if err := c.Flush(5 * time.Second); err != nil {
 				t.Fatal(err)
+			}
+			if got := c.Delivery().Rejected; got != 0 {
+				t.Errorf("client: %d messages rejected", got)
+			}
+			if got := srv.DeliveryStats().ApplyErrors; got != 0 {
+				t.Errorf("server: %d apply errors", got)
+			}
+			srv.Snapshot(func(co *coordinator.Coordinator) { weights = co.ModelWeights() })
+			return weights
+		}
+	}
+	facade := func(fault *netsim.FaultPlan) sender {
+		return func(t *testing.T) (*site.Site, func(linalg.Vector) error, func() []coordinator.ModelWeight) {
+			// The facade builds mustSlidingSite's site: site 1, seed 1.
+			sys, err := cludistream.New(cludistream.Config{
+				NumSites: 1, Dim: 1, K: 2, Epsilon: 0.1, FitEps: 0.8, Delta: 0.01,
+				Seed: 1, ChunkSize: chunkSize, Merge: gaussian.MergeOptions{MomentOnly: true},
+				SlidingHorizonChunks: horizon, Fault: fault,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			observe := func(x linalg.Vector) error { return sys.Feed(0, x) }
+			// A rejected update is the facade's delivery error, surfacing
+			// from Feed or Drain.
+			return sys.Site(0), observe, func() []coordinator.ModelWeight {
+				if err := sys.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				if d := sys.DeliveryStats(); d.Pending != 0 {
+					t.Fatalf("%d messages still queued after Drain", d.Pending)
+				}
+				return sys.Coordinator().ModelWeights()
 			}
 		}
 	}
-	if err := c.Flush(5 * time.Second); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		start sender
+	}{
+		{"netio.Client", overTCP},
+		{"System", facade(nil)},
+		{"System+Fault", facade(&netsim.FaultPlan{DropProb: 0.2, DupProb: 0.2, Rand: rand.New(rand.NewSource(5))})},
 	}
-	if got := len(st.Models()); got != 2 {
-		t.Fatalf("site holds %d models, want 2 (the returning regimes re-activate the archive)", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, observe, drain := tc.start(t)
+			rng := rand.New(rand.NewSource(3))
+			for _, mix := range []*gaussian.Mixture{regime(0), regime(100), regime(0), regime(100)} {
+				for rec := 0; rec < 3*chunkSize; rec++ {
+					if err := observe(mix.Sample(rng)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			got := drain()
+			if n := len(st.Models()); n != 2 {
+				t.Fatalf("site holds %d models, want 2 (the returning regimes re-activate the archive)", n)
+			}
+			// The coordinator's counters must be the site's in-window record
+			// counts.
+			inWindow := map[int]int{}
+			for chunk := st.ChunksSeen() - horizon + 1; chunk <= st.ChunksSeen(); chunk++ {
+				id, ok := st.Events().ModelAt(chunk)
+				if !ok {
+					id = st.Current().ID
+				}
+				inWindow[id] += chunkSize
+			}
+			var want []coordinator.ModelWeight
+			for _, m := range st.Models() {
+				if n := inWindow[m.ID]; n > 0 {
+					want = append(want, coordinator.ModelWeight{SiteID: 1, ModelID: m.ID, Counter: n})
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("coordinator.ModelWeights() = %v, the site's window holds %v", got, want)
+			}
+		})
 	}
-	if got := c.Delivery().Rejected; got != 0 {
-		t.Errorf("client: %d messages rejected", got)
-	}
-	if got := srv.DeliveryStats().ApplyErrors; got != 0 {
-		t.Errorf("server: %d apply errors", got)
-	}
-	// The coordinator's counters must be the site's in-window record counts.
-	inWindow := map[int]int{}
-	for chunk := st.ChunksSeen() - horizon + 1; chunk <= st.ChunksSeen(); chunk++ {
-		id, ok := st.Events().ModelAt(chunk)
-		if !ok {
-			id = st.Current().ID
-		}
-		inWindow[id] += chunkSize
-	}
-	var want []coordinator.ModelWeight
-	for _, m := range st.Models() {
-		if n := inWindow[m.ID]; n > 0 {
-			want = append(want, coordinator.ModelWeight{SiteID: 1, ModelID: m.ID, Counter: n})
-		}
-	}
-	srv.Snapshot(func(co *coordinator.Coordinator) {
-		if got := co.ModelWeights(); !reflect.DeepEqual(got, want) {
-			t.Errorf("coordinator.ModelWeights() = %v, the site's window holds %v", got, want)
-		}
-	})
 }
 
 func mustSlidingSite(t *testing.T) *site.Site {

@@ -192,13 +192,15 @@ func TestServerRestartRecoveryOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	refDed := durable.NewDedupe()
+	ref := durable.Receiver{Coord: refCoord, Dedupe: refDed}
 	for i, m := range stream {
 		m.Epoch, m.Seq = 1, uint64(i+1)
-		msg, err := transport.Decode(transport.Encode(m))
+		payload := transport.Encode(m)
+		msg, err := transport.Decode(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := durable.ReplayApply(refCoord, refDed, msg); err != nil {
+		if err := ref.Receive(payload, msg).Err(); err != nil {
 			t.Fatal(err)
 		}
 	}

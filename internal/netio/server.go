@@ -16,32 +16,27 @@ import (
 
 // Server is the coordinator endpoint: it accepts site connections, decodes
 // frames, and applies them to the shared Coordinator under a mutex. It is
-// safe for any number of concurrent site connections. With a durable.Store
-// attached, every decodable frame is logged to the WAL *before* the
-// dedupe-then-apply sequence runs, so a crash-recovered server replays the
-// byte stream through the identical path and lands on identical state; a
-// frame the WAL refuses is nacked with no state change and the site
-// retries it.
+// safe for any number of concurrent site connections. Every decodable frame
+// runs through a durable.Receiver; with a durable.Store attached it is
+// logged to the WAL *before* the dedupe-then-apply sequence runs, so a
+// crash-recovered server replays the byte stream through the identical
+// path and lands on identical state; a frame the WAL refuses is nacked with
+// no state change and the site retries it.
 type Server struct {
-	ln    net.Listener
-	coord *coordinator.Coordinator
+	ln net.Listener
 	// Logf receives connection-level errors; nil silences them. Set before
 	// Serve is running.
 	Logf func(format string, args ...any)
 
-	mu       sync.Mutex // guards coord, store, counters and dedupe state
-	bytesIn  int
-	messages int
-	applyErr int
-	dup      int
-	dupBytes int
-	resets   int
-	// ded tracks the highest (epoch, seq) applied per site; retransmitted
-	// frames and frames from dead incarnations are acked without
-	// re-applying, making delivery exactly-once in effect.
-	ded   *durable.Dedupe
-	store *durable.Store
-	tele  serverTele
+	mu          sync.Mutex // guards recv (coordinator, store, dedupe state) and the counters
+	bytesIn     int
+	undecodable int
+	// recv is the receive step. Its dedupe table tracks the highest
+	// (epoch, seq) applied per site; retransmitted frames and frames from
+	// dead incarnations are acked without re-applying, making delivery
+	// exactly-once in effect.
+	recv durable.Receiver
+	tele serverTele
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -55,7 +50,6 @@ type Server struct {
 // (all nil ⇒ no-op).
 type serverTele struct {
 	reg        *telemetry.Registry
-	tracer     *telemetry.Tracer
 	bytesIn    *telemetry.Counter
 	applied    *telemetry.Counter
 	applyErrs  *telemetry.Counter
@@ -72,7 +66,6 @@ func newServerTele(reg *telemetry.Registry) serverTele {
 	}
 	return serverTele{
 		reg:        reg,
-		tracer:     reg.Tracer(),
 		bytesIn:    reg.Counter("srv.bytes_in"),
 		applied:    reg.Counter("srv.applied"),
 		applyErrs:  reg.Counter("srv.apply_errors"),
@@ -125,12 +118,13 @@ func NewServerOpts(addr string, coord *coordinator.Coordinator, opts ServerOptio
 	}
 	s := &Server{
 		ln:      ln,
-		coord:   coord,
 		conns:   make(map[net.Conn]struct{}),
 		closing: make(chan struct{}),
-		ded:     ded,
-		store:   opts.Store,
+		recv:    durable.Receiver{Coord: coord, Dedupe: ded, Store: opts.Store},
 		tele:    newServerTele(opts.Telemetry),
+	}
+	if opts.Telemetry != nil {
+		s.recv.Tracer = opts.Telemetry.Tracer()
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -213,108 +207,58 @@ func (s *Server) respond(conn net.Conn, payload []byte) error {
 	if err != nil {
 		s.logf("netio: decode: %v", err)
 		s.mu.Lock()
-		s.applyErr++
+		s.undecodable++
 		s.mu.Unlock()
 		s.tele.applyErrs.Inc()
 		return writeAck(conn, false)
 	}
 	if msg.Kind == transport.MsgHello {
 		s.mu.Lock()
-		w := s.ded.Watermark(msg.SiteID)
+		w := s.recv.Dedupe.Watermark(msg.SiteID)
 		s.mu.Unlock()
 		s.tele.hellos.Inc()
 		// Grant the trace-suffix capability only when the site asked for it
 		// and this server actually has a tracer to receive the context.
-		traced := msg.Count&helloTraceBit != 0 && s.tele.tracer != nil
+		traced := msg.Count&helloTraceBit != 0 && s.recv.Tracer != nil
 		return writeWatermarkAck(conn, w.Epoch, w.MaxSeq, traced)
 	}
 	return writeAck(conn, s.apply(payload, msg))
 }
 
-// apply logs and applies one decoded message, returning whether it
-// succeeded. Versioned messages are deduped by (site, epoch, seq):
-// duplicates are acked without re-applying, and a higher epoch first
-// resets the site's coordinator state (the restarted site replays its
-// model list).
+// apply runs one decoded message through the receive step and returns the
+// ack: a frame the WAL refused or the coordinator rejected is nacked, a
+// duplicate is acked so the sender stops retrying.
 func (s *Server) apply(payload []byte, msg transport.Message) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bytesIn += len(payload)
 	s.tele.bytesIn.Add(int64(len(payload)))
-	if s.store != nil {
-		// Log before mutating anything: a frame the WAL cannot hold is
-		// refused with the dedupe watermark untouched, so the site's retry
-		// of the same (epoch, seq) is admitted, not dropped as a duplicate.
-		walSpan := s.tele.tracer.Begin(msg.TraceID, msg.SpanID, "wal-append", int(msg.SiteID), int(msg.ModelID))
-		err := s.store.Append(payload)
-		walSpan.End(len(payload), "")
-		if err != nil {
-			s.logf("netio: wal append: %v", err)
-			s.tele.walErrs.Inc()
-			return false
-		}
+	res := s.recv.Receive(payload, msg)
+	if res.AppendErr != nil {
+		s.logf("netio: wal append: %v", res.AppendErr)
+		s.tele.walErrs.Inc()
+		return false
 	}
-	verdict := s.ded.Admit(msg.SiteID, msg.Epoch, msg.Seq)
-	if s.tele.tracer != nil && msg.TraceID != 0 {
-		now := s.tele.tracer.Now()
-		s.tele.tracer.Record(msg.TraceID, msg.SpanID, "dedupe",
-			int(msg.SiteID), int(msg.ModelID), now, now, 0, dedupeNote(verdict))
-	}
-	switch verdict {
-	case durable.DropStale, durable.DropDuplicate:
-		// Ack so the sender stops retrying, but never (re-)apply.
-		s.dup++
-		s.dupBytes += len(payload)
+	if res.Verdict.Dropped() {
+		// Ack so the sender stops retrying; the message was never applied.
 		s.tele.dups.Inc()
 		s.tele.dupBytes.Add(int64(len(payload)))
 		return true
-	case durable.AdmitNewEpoch:
-		s.coord.ResetSite(int(msg.SiteID))
-		s.resets++
+	}
+	if res.Verdict == durable.AdmitNewEpoch {
 		s.tele.siteResets.Inc()
 		s.logf("netio: site %d returned with epoch %d, state reset", msg.SiteID, msg.Epoch)
 	}
-	s.messages++
 	s.tele.applied.Inc()
-	var err error
-	switch msg.Kind {
-	case transport.MsgDeletion:
-		// Deletions carry no site.Update, so the trace context rides in
-		// side-band; updates carry their own (see coordinator.HandleUpdate).
-		s.coord.SetTraceContext(msg.TraceID, msg.SpanID)
-		err = s.coord.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
-	default:
-		err = s.coord.HandleUpdate(msg.ToSiteUpdate())
-	}
-	ok := err == nil
-	if !ok {
-		s.applyErr++
+	if res.ApplyErr != nil {
 		s.tele.applyErrs.Inc()
-		s.logf("netio: apply %v from site %d: %v", msg.Kind, msg.SiteID, err)
+		s.logf("netio: apply %v from site %d: %v", msg.Kind, msg.SiteID, res.ApplyErr)
 	}
-	if s.store != nil && s.store.NeedCheckpoint() {
-		if cerr := s.store.Checkpoint(s.coord, s.ded); cerr != nil {
-			// The previous generation stays armed; replay just gets longer.
-			s.logf("netio: checkpoint: %v", cerr)
-			s.tele.walErrs.Inc()
-		}
+	if res.CheckpointErr != nil {
+		s.logf("netio: checkpoint: %v", res.CheckpointErr)
+		s.tele.walErrs.Inc()
 	}
-	return ok
-}
-
-// dedupeNote maps a dedupe verdict to the note on the trace's "dedupe"
-// span.
-func dedupeNote(v durable.Verdict) string {
-	switch v {
-	case durable.DropDuplicate:
-		return "dup"
-	case durable.DropStale:
-		return "stale"
-	case durable.AdmitNewEpoch:
-		return "new-epoch"
-	default:
-		return "admit"
-	}
+	return res.ApplyErr == nil
 }
 
 // Snapshot runs fn with the coordinator locked — the only safe way to read
@@ -322,14 +266,13 @@ func dedupeNote(v durable.Verdict) string {
 func (s *Server) Snapshot(fn func(*coordinator.Coordinator)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fn(s.coord)
+	fn(s.recv.Coord)
 }
 
 // Stats returns (bytes received, messages applied, apply errors).
 func (s *Server) Stats() (bytesIn, messages, applyErrors int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesIn, s.messages, s.applyErr
+	st := s.DeliveryStats()
+	return st.BytesIn, st.Applied, st.ApplyErrors
 }
 
 // ServerStats is the coordinator-side delivery accounting.
@@ -353,13 +296,14 @@ type ServerStats struct {
 func (s *Server) DeliveryStats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st := s.recv.Stats()
 	return ServerStats{
 		BytesIn:        s.bytesIn,
-		Applied:        s.messages,
-		ApplyErrors:    s.applyErr,
-		Duplicates:     s.dup,
-		DuplicateBytes: s.dupBytes,
-		SiteResets:     s.resets,
+		Applied:        st.Applied,
+		ApplyErrors:    st.ApplyErrors + s.undecodable,
+		Duplicates:     st.Duplicates,
+		DuplicateBytes: st.DuplicateBytes,
+		SiteResets:     st.SiteResets,
 	}
 }
 
@@ -371,11 +315,11 @@ func (s *Server) Close() error {
 	err := s.sever()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.store != nil {
-		if cerr := s.store.Close(); err == nil {
+	if s.recv.Store != nil {
+		if cerr := s.recv.Store.Close(); err == nil {
 			err = cerr
 		}
-		s.store = nil
+		s.recv.Store = nil
 	}
 	return err
 }
@@ -402,14 +346,14 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	s.connMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.store != nil {
-		if cerr := s.store.Checkpoint(s.coord, s.ded); cerr != nil && err == nil {
+	if st := s.recv.Store; st != nil {
+		if cerr := st.Checkpoint(s.recv.Coord, s.recv.Dedupe); cerr != nil && err == nil {
 			err = cerr
 		}
-		if cerr := s.store.Close(); cerr != nil && err == nil {
+		if cerr := st.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
-		s.store = nil
+		s.recv.Store = nil
 	}
 	return err
 }

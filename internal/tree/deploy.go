@@ -117,17 +117,14 @@ type node struct {
 	idx      int
 	pseudoID int // sender id at its parent (0 for the root)
 	depth    int
-	coord    *coordinator.Coordinator
-	ded      *durable.Dedupe
-	store    *durable.Store // nil unless this node has scheduled crashes
+	// recv is the node's receive step; its Store is nil unless this node
+	// has scheduled crashes.
+	recv     durable.Receiver
 	stateDir string
 	mirror   *hier.UploadMirror // nil for the root
 	up       *edge              // nil for the root
 	crashed  bool
 	preCrash []byte // SelfCheck state snapshot taken at crash time
-
-	duplicates int
-	resets     int
 }
 
 type leafNode struct {
@@ -208,13 +205,16 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 			if err != nil {
 				return nil, err
 			}
-			nd.store, nd.coord, nd.ded = store, rec.Coord, rec.Dedupe
+			nd.recv = durable.Receiver{Coord: rec.Coord, Dedupe: rec.Dedupe, Store: store}
 		} else {
 			coord, err := coordinator.New(cfg.Coord)
 			if err != nil {
 				return nil, err
 			}
-			nd.coord, nd.ded = coord, durable.NewDedupe()
+			nd.recv = durable.Receiver{Coord: coord, Dedupe: durable.NewDedupe()}
+		}
+		if cfg.OnApply != nil {
+			nd.recv.OnApply = func(msg transport.Message, _ durable.Verdict) { cfg.OnApply(n, msg) }
 		}
 		if n > 0 {
 			nd.mirror = &hier.UploadMirror{
@@ -345,8 +345,11 @@ func (d *Deployment) send(e *edge, msg transport.Message) {
 	e.cour.Send(payload)
 }
 
-// deliver is every edge's receive path: WAL-append before dedupe (crashing
-// nodes), admit, apply, observe, upload-on-change toward the parent.
+// deliver is every edge's receive path: the receive step (WAL append on
+// crashing nodes, dedupe, epoch reset, apply, observe, checkpoint), then
+// upload-on-change toward the parent. OnApply observes a message even when
+// its apply was rejected — a rejected duplicate is exactly what the DST
+// shadow dedupe wants to pin, matching the facade's OnApply semantics.
 func (d *Deployment) deliver(e *edge, payload []byte) {
 	if d.deliveryErr != nil {
 		return
@@ -362,44 +365,17 @@ func (d *Deployment) deliver(e *edge, payload []byte) {
 		d.deliveryErr = fmt.Errorf("tree: node %d decode: %w", n.idx, err)
 		return
 	}
-	if n.store != nil {
-		if err := n.store.Append(payload); err != nil {
-			d.deliveryErr = fmt.Errorf("tree: node %d WAL append: %w", n.idx, err)
-			return
-		}
+	res := n.recv.Receive(payload, msg)
+	switch {
+	case res.AppendErr != nil:
+		d.deliveryErr = fmt.Errorf("tree: node %d WAL append: %w", n.idx, res.AppendErr)
+	case res.ApplyErr != nil:
+		d.deliveryErr = fmt.Errorf("tree: node %d apply: %w", n.idx, res.ApplyErr)
+	case res.CheckpointErr != nil:
+		d.deliveryErr = fmt.Errorf("tree: node %d checkpoint: %w", n.idx, res.CheckpointErr)
+	case !res.Verdict.Dropped():
+		d.syncUp(n)
 	}
-	switch n.ded.Admit(msg.SiteID, msg.Epoch, msg.Seq) {
-	case durable.DropStale, durable.DropDuplicate:
-		n.duplicates++
-		return
-	case durable.AdmitNewEpoch:
-		n.coord.ResetSite(int(msg.SiteID))
-		n.resets++
-	}
-	if msg.Kind == transport.MsgDeletion {
-		err = n.coord.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
-	} else {
-		err = n.coord.HandleUpdate(msg.ToSiteUpdate())
-	}
-	if err != nil && d.deliveryErr == nil {
-		d.deliveryErr = fmt.Errorf("tree: node %d apply: %w", n.idx, err)
-	}
-	// Observers see the message even when the apply was rejected — a
-	// rejected duplicate is exactly what the DST shadow dedupe wants to
-	// pin, matching the facade's OnApply semantics.
-	if d.cfg.OnApply != nil {
-		d.cfg.OnApply(n.idx, msg)
-	}
-	if d.deliveryErr != nil {
-		return
-	}
-	if n.store != nil && n.store.NeedCheckpoint() {
-		if err := n.store.Checkpoint(n.coord, n.ded); err != nil {
-			d.deliveryErr = fmt.Errorf("tree: node %d checkpoint: %w", n.idx, err)
-			return
-		}
-	}
-	d.syncUp(n)
 }
 
 // syncUp runs the node's upload-on-change rule toward its parent.
@@ -407,7 +383,7 @@ func (d *Deployment) syncUp(n *node) {
 	if n.up == nil || d.deliveryErr != nil {
 		return
 	}
-	for _, msg := range n.mirror.Sync(n.coord.GlobalMixture(), n.coord.TotalWeight()) {
+	for _, msg := range n.mirror.Sync(n.recv.Coord.GlobalMixture(), n.recv.Coord.TotalWeight()) {
 		d.send(n.up, msg)
 	}
 }
@@ -425,7 +401,7 @@ func (d *Deployment) crashNode(n *node) {
 		}
 		n.preCrash = want
 	}
-	if err := n.store.Crash(); err != nil {
+	if err := n.recv.Store.Crash(); err != nil {
 		d.deliveryErr = fmt.Errorf("tree: node %d crash: %w", n.idx, err)
 		return
 	}
@@ -444,7 +420,7 @@ func (d *Deployment) recoverNode(n *node) {
 		d.deliveryErr = fmt.Errorf("tree: node %d recover: %w", n.idx, err)
 		return
 	}
-	n.store, n.coord, n.ded = store, rec.Coord, rec.Dedupe
+	n.recv.Store, n.recv.Coord, n.recv.Dedupe = store, rec.Coord, rec.Dedupe
 	n.crashed = false
 	d.recov.Restarts++
 	d.recov.RecordsReplayed += rec.RecordsReplayed
@@ -476,7 +452,7 @@ func (d *Deployment) recoverNode(n *node) {
 func encodeNodeState(n *node) ([]byte, error) {
 	var buf bytes.Buffer
 	st := &persist.CoordinatorState{
-		Applied: n.store.Applied(), Snapshot: n.coord.Snapshot(), Dedupe: n.ded.Entries(),
+		Applied: n.recv.Store.Applied(), Snapshot: n.recv.Coord.Snapshot(), Dedupe: n.recv.Dedupe.Entries(),
 	}
 	if err := persist.SaveCoordinatorState(&buf, st); err != nil {
 		return nil, err
@@ -548,8 +524,8 @@ func (d *Deployment) Drain() error {
 func (d *Deployment) Close() error {
 	var first error
 	for _, n := range d.nodes {
-		if n.store != nil && !n.crashed {
-			if err := n.store.Close(); err != nil && first == nil {
+		if n.recv.Store != nil && !n.crashed {
+			if err := n.recv.Store.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -562,7 +538,7 @@ func (d *Deployment) Close() error {
 // teeth. Never set in production paths.
 func (d *Deployment) InjectDedupeFault() {
 	for _, n := range d.nodes {
-		n.ded.Broken = true
+		n.recv.Dedupe.Broken = true
 	}
 }
 
@@ -581,13 +557,13 @@ func (d *Deployment) Now() float64 { return d.sim.Now() }
 func (d *Deployment) LeafSite(i int) *site.Site { return d.leaves[i].st }
 
 // NodeCoordinator returns internal node n's coordinator.
-func (d *Deployment) NodeCoordinator(n int) *coordinator.Coordinator { return d.nodes[n].coord }
+func (d *Deployment) NodeCoordinator(n int) *coordinator.Coordinator { return d.nodes[n].recv.Coord }
 
 // NodePseudoID returns the wire id node n presents to its parent.
 func (d *Deployment) NodePseudoID(n int) int { return d.nodes[n].pseudoID }
 
 // RootMixture returns the root coordinator's merged model.
-func (d *Deployment) RootMixture() *gaussian.Mixture { return d.nodes[0].coord.GlobalMixture() }
+func (d *Deployment) RootMixture() *gaussian.Mixture { return d.nodes[0].recv.Coord.GlobalMixture() }
 
 // Recovery returns crash/recovery accounting.
 func (d *Deployment) Recovery() RecoveryStats { return d.recov }

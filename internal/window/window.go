@@ -20,12 +20,19 @@ type Deletion struct {
 	Count   int
 }
 
-// Tracker watches a site's chunk history and converts chunks that leave a
-// sliding window of horizonChunks chunks into Deletion messages.
+// Tracker is a sliding-window sender's bookkeeping: it watches a site's
+// chunk history, converts chunks that leave a window of horizonChunks
+// chunks into Deletion messages, and applies the send rule for models the
+// coordinator has drained (see Send).
 type Tracker struct {
 	s             *site.Site
 	horizonChunks int
 	expired       int // chunks already expired
+	// outstanding mirrors, per model, the record count the coordinator
+	// holds once every message counted here is applied: +Count per update
+	// (Send), −Count per deletion (Expire). Links and outboxes are FIFO, so
+	// the mirror matches the coordinator at the moment each message applies.
+	outstanding map[int]int
 }
 
 // NewTracker wraps a site with a sliding-window horizon measured in chunks
@@ -35,12 +42,34 @@ func NewTracker(s *site.Site, horizonChunks int) (*Tracker, error) {
 	if horizonChunks < 1 {
 		return nil, fmt.Errorf("window: horizon %d chunks", horizonChunks)
 	}
-	return &Tracker{s: s, horizonChunks: horizonChunks}, nil
+	return &Tracker{s: s, horizonChunks: horizonChunks, outstanding: make(map[int]int)}, nil
+}
+
+// Send counts one site update the sender is about to ship and returns it,
+// upgraded to a full NewModel synopsis when it is a WeightUpdate for a
+// model whose count has drained to zero. Section 7's rule removed that
+// model at the coordinator when its last records expired (the site
+// re-activated it: horizon shorter than the regime cycle); the site cannot
+// know, but the sender emitted the deletions and can. Without the upgrade
+// the coordinator would reject the bare weight as referencing an unknown
+// model and the records would be lost.
+func (t *Tracker) Send(u site.Update) site.Update {
+	if u.Kind == site.WeightUpdate && t.outstanding[u.ModelID] <= 0 {
+		for _, m := range t.s.Models() {
+			if m.ID == u.ModelID {
+				u.Kind = site.NewModel
+				u.Mixture = m.Mixture
+				break
+			}
+		}
+	}
+	t.outstanding[u.ModelID] += u.Count
+	return u
 }
 
 // Expire returns deletion messages for every chunk that has fallen out of
-// the window since the last call. Call it after feeding records to the
-// site.
+// the window since the last call, and counts them against their models.
+// Call it after feeding records to the site and sending its updates.
 func (t *Tracker) Expire(siteID int) []Deletion {
 	var out []Deletion
 	newest := t.s.ChunksSeen()
@@ -52,7 +81,11 @@ func (t *Tracker) Expire(siteID int) []Deletion {
 		}
 		t.expired++
 	}
-	return coalesce(out)
+	out = coalesce(out)
+	for _, d := range out {
+		t.outstanding[d.ModelID] -= d.Count
+	}
+	return out
 }
 
 // ExpiredChunks returns how many chunks have been expired so far.

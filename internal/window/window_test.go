@@ -40,9 +40,57 @@ func feed(t *testing.T, s *site.Site, mix *gaussian.Mixture, n int, rng *rand.Ra
 	}
 }
 
+// TestTrackerValidation: horizon 0 is the landmark window, which has no
+// tracker, so nothing deletes and the send rule never applies.
 func TestTrackerValidation(t *testing.T) {
 	if _, err := NewTracker(newSite(t), 0); err == nil {
 		t.Fatal("horizon 0 accepted")
+	}
+}
+
+// TestTrackerSendUpgradesDrainedModels pins the sliding-window send rule: a
+// WeightUpdate becomes a NewModel carrying the site's synopsis exactly when
+// the model's outstanding count (+Count per Send, −Count per Expire) is ≤ 0.
+// Every chunk is the one regime, so model 1 governs all of them.
+func TestTrackerSendUpgradesDrainedModels(t *testing.T) {
+	s := newSite(t)
+	tr, err := NewTracker(s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i, step := range []struct {
+		chunks      int // chunks fed, then expired, before the update
+		outstanding int
+		upgrade     bool
+	}{
+		{1, 0, true},    // never sent: the coordinator does not hold it
+		{0, 200, false}, // held
+		{2, 0, true},    // 400 sent, 400 expired: drained exactly
+		{2, -200, true}, // more expired than sent
+		{0, 0, true},    // the last send only brought it back to 0
+		{0, 200, false}, // held again
+	} {
+		feed(t, s, regime(0), step.chunks*200, rng)
+		tr.Expire(1)
+		if got := tr.outstanding[1]; got != step.outstanding {
+			t.Fatalf("step %d: outstanding %d, want %d", i, got, step.outstanding)
+		}
+		u := tr.Send(site.Update{Kind: site.WeightUpdate, SiteID: 1, ModelID: 1, Count: 200})
+		if upgraded := u.Kind == site.NewModel; upgraded != step.upgrade {
+			t.Fatalf("step %d: upgraded = %v, want %v", i, upgraded, step.upgrade)
+		}
+		if step.upgrade && u.Mixture != s.Models()[0].Mixture {
+			t.Fatalf("step %d: upgrade does not carry the site's synopsis", i)
+		}
+		if !step.upgrade && u.Mixture != nil {
+			t.Fatalf("step %d: a held model's WeightUpdate grew a synopsis", i)
+		}
+	}
+	// A NewModel is never rewritten, only counted.
+	nm := site.Update{Kind: site.NewModel, SiteID: 1, ModelID: 1, Count: 200, Mixture: regime(0)}
+	if got := tr.Send(nm); got.Kind != site.NewModel || got.Mixture != nm.Mixture || tr.outstanding[1] != 600 {
+		t.Fatalf("NewModel rewritten (%v) or miscounted (%d)", got.Kind, tr.outstanding[1])
 	}
 }
 
