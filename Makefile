@@ -3,7 +3,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -ldflags "-X cludistream/internal/buildinfo.Version=$(VERSION) -X cludistream/internal/buildinfo.Commit=$(COMMIT)"
 
-.PHONY: all build vet lint test race race-em race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-tree dst-long
+.PHONY: all build vet lint test race race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-tree dst-long
 
 all: check
 
@@ -27,11 +27,6 @@ test:
 # The chaos and concurrency suites must be race-clean.
 race:
 	$(GO) test -race ./...
-
-# Focused race pass over the parallel fused E-step and everything that
-# embeds it (sites score chunks through it).
-race-em:
-	$(GO) test -race ./internal/em/ ./internal/gaussian/
 
 # The sublinear hot paths under the race detector at several GOMAXPROCS
 # settings: the per-model score index builds lazily on first use, and the
@@ -77,13 +72,14 @@ alloc-gate:
 # Crash-recovery gate: the coordinator is killed mid-merge under 20%
 # message loss and must recover bit-identical state from its checkpoint +
 # WAL store — in-process (chaos test) and across a real TCP server
-# restart with the reconnect handshake.
+# restart with the reconnect handshake. A quick named gate: `race` runs
+# the same tests inside `check`.
 recover:
 	$(GO) test -race -run 'TestChaosCoordinatorCrashRecovery' .
 	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix' ./internal/netio/
 
 # Full pre-merge gate.
-check: build lint race-em race-score race-query alloc-gate alloc-gate-query recover race dst dst-tree bench-e2e-test
+check: build lint race-score race-query alloc-gate alloc-gate-query race dst dst-tree bench-e2e-test
 
 # Deterministic simulation testing (internal/dst): sweep seeded
 # whole-system scenarios — random deployments, drift programs, and fault
@@ -114,8 +110,8 @@ tier1:
 
 # Short fuzz pass over the wire decoders (sites' and the CLUQ batch
 # endpoint's), the coordinator's receive step behind them, the frame/ack
-# protocol, and the durable formats (site archive, coordinator checkpoint,
-# WAL).
+# protocol, the durable formats (site archive, coordinator checkpoint,
+# WAL), and tree topologies as scenario files carry them.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/transport/
 	$(GO) test -run=^$$ -fuzz=FuzzReceive -fuzztime=10s ./internal/durable/
@@ -125,6 +121,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLoad$$ -fuzztime=10s ./internal/persist/
 	$(GO) test -run=^$$ -fuzz=FuzzLoadCoordinatorState -fuzztime=10s ./internal/persist/
 	$(GO) test -run=^$$ -fuzz=FuzzReadWAL -fuzztime=10s ./internal/persist/
+	$(GO) test -run=^$$ -fuzz=FuzzTopology -fuzztime=10s ./internal/tree/
 
 # Machine-readable benchmark snapshot: one pass over every figure
 # reproduction (-benchtime 1x — each figure is a full experiment) plus the

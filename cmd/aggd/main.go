@@ -96,18 +96,15 @@ func main() {
 			if up == nil {
 				continue
 			}
-			var mix *coordinatorSnapshot
+			var mix *gaussian.Mixture
+			var weight float64
 			srv.Snapshot(func(c *coordinator.Coordinator) {
-				var total float64
-				for _, g := range c.Groups() {
-					total += g.Weight()
-				}
-				mix = &coordinatorSnapshot{m: c.GlobalMixture(), weight: total}
+				mix, weight = c.GlobalMixture(), c.TotalWeight()
 			})
-			if mix == nil || mix.m == nil {
+			if mix == nil {
 				continue
 			}
-			sent, err := up.Sync(mix.m, mix.weight)
+			sent, err := up.Sync(mix, weight)
 			if err != nil {
 				// The connection's outbox keeps retrying delivery; a
 				// rejected upload is logged and retried at the next tick
@@ -116,7 +113,7 @@ func main() {
 				continue
 			}
 			if sent {
-				fmt.Printf("aggd %d: uploaded refreshed model (K=%d)\n", *nodeID, mix.m.K())
+				fmt.Printf("aggd %d: uploaded refreshed model (K=%d)\n", *nodeID, mix.K())
 			}
 		case sig := <-sigCh:
 			fmt.Printf("aggd %d: %v — shutting down (waiting up to %v)\n", *nodeID, sig, *shutdownTimeout)
@@ -137,12 +134,6 @@ func main() {
 			return
 		}
 	}
-}
-
-// coordinatorSnapshot carries state out of the Snapshot closure.
-type coordinatorSnapshot struct {
-	m      *gaussian.Mixture
-	weight float64
 }
 
 // dialConnRetry retries the parent dial with doubling backoff so an

@@ -17,9 +17,9 @@ import (
 	"math/rand"
 
 	"cludistream/internal/coordinator"
-	"cludistream/internal/hier"
 	"cludistream/internal/linalg"
 	"cludistream/internal/site"
+	"cludistream/internal/tree"
 )
 
 // sensorStream models one sensor: (temperature, humidity) readings around
@@ -42,63 +42,67 @@ func (s *sensorStream) next() linalg.Vector {
 }
 
 func main() {
-	tree, err := hier.NewTree(hier.Config{
-		Branching: 3,
-		Depth:     2, // 9 leaves, 3 aggregators, 1 root
+	// Three rooms, one aggregator each: Build hangs leaf i under aggregator
+	// i % 3, so sensor i sits in room i % 3.
+	topo, err := tree.Spec{Leaves: 9, AggLayers: 1, FanOut: 3, Link: tree.LinkSpec{Latency: 0.05}}.Build()
+	if err != nil {
+		log.Fatal(err)
+	}
+	dep, err := tree.NewDeployment(tree.Config{
+		Topology: topo,
 		Site: site.Config{
-			Dim: 2, K: 2, Epsilon: 0.1, FitEps: 1.0, Delta: 0.01,
-			Seed: 3, ChunkSize: 250,
+			Dim: 2, K: 2, Epsilon: 0.1, FitEps: 1.0, Delta: 0.01, ChunkSize: 250,
 		},
 		Coord: coordinator.Config{Dim: 2},
+		Seed:  3,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	leaves := tree.Leaves()
-	fmt.Printf("sensor network: %d nodes, %d leaf sensors\n", tree.NumNodes(), len(leaves))
+	fmt.Printf("sensor network: %d leaf sensors under %d aggregators under 1 root\n",
+		dep.NumSites(), dep.NumNodes()-1)
 
-	// Three rooms: each aggregator's sensors share a climate.
-	sensors := make([]*sensorStream, len(leaves))
+	// Each aggregator's sensors share a climate.
+	sensors := make([]*sensorStream, dep.NumSites())
 	for i := range sensors {
-		room := i / 3
+		room := i % 3
 		sensors[i] = &sensorStream{
 			rng:    rand.New(rand.NewSource(int64(50 + i))),
 			center: linalg.Vector{18 + float64(room)*4, 40 + float64(room)*10},
 		}
 	}
-
-	const phase1 = 1500
-	for rec := 0; rec < phase1; rec++ {
-		for i := range sensors {
-			if err := tree.ObserveLeaf(i, sensors[i].next()); err != nil {
-				log.Fatal(err)
+	// run feeds every sensor n readings, then delivers what is in flight.
+	run := func(n int) {
+		for rec := 0; rec < n; rec++ {
+			for i := range sensors {
+				if err := dep.Feed(i, sensors[i].next()); err != nil {
+					log.Fatal(err)
+				}
 			}
 		}
+		if err := dep.Drain(); err != nil {
+			log.Fatal(err)
+		}
 	}
-	fmt.Printf("phase 1 (stable climates): root model K=%d, upload traffic %d bytes\n",
-		tree.GlobalMixture().K(), tree.TotalUploadBytes())
-	before := tree.TotalUploadBytes()
+
+	run(1500)
+	fmt.Printf("phase 1 (stable climates): root model K=%d, upload traffic %d bytes (%d into the root)\n",
+		dep.RootMixture().K(), dep.TotalBytes(), dep.LayerBytes()[0])
+	before, rootBefore := dep.TotalBytes(), dep.LayerBytes()[0]
 
 	// Sensor 0's room heats up: a genuine distribution change.
 	sensors[0].center = linalg.Vector{35, 20}
-	const phase2 = 1500
-	for rec := 0; rec < phase2; rec++ {
-		for i := range sensors {
-			if err := tree.ObserveLeaf(i, sensors[i].next()); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	fmt.Printf("phase 2 (sensor 0 drifted): root model K=%d, +%d upload bytes\n",
-		tree.GlobalMixture().K(), tree.TotalUploadBytes()-before)
+	run(1500)
+	fmt.Printf("phase 2 (sensor 0 drifted): root model K=%d, +%d upload bytes (+%d into the root)\n",
+		dep.RootMixture().K(), dep.TotalBytes()-before, dep.LayerBytes()[0]-rootBefore)
 
 	// The leaf's event table records the change (Section 7: change
 	// detection = fit-test failure).
-	leaf := leaves[0].Site()
+	leaf := dep.LeafSite(0)
 	fmt.Printf("sensor 0 event table: %d spans, detected changes at chunks %v\n",
 		leaf.Events().Len(), leaf.Events().Changes())
 
-	gm := tree.GlobalMixture()
+	gm := dep.RootMixture()
 	fmt.Println("root's merged climate model:")
 	for j := 0; j < gm.K(); j++ {
 		c := gm.Component(j)

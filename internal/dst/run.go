@@ -219,7 +219,8 @@ func Run(sc Scenario, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// violationLabel classifies a Feed/Drain error: recovery self-check
+// violationLabel classifies a Feed/Drain error of a flat or tree run (the
+// facade's ErrRecoveryMismatch is the tree's): recovery self-check
 // mismatches get their own invariant name, everything else is a delivery
 // failure.
 func violationLabel(err error) string {

@@ -1,7 +1,6 @@
 package dst
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -77,9 +76,15 @@ func RunTree(sc TreeScenario, opts TreeOptions) (*TreeResult, error) {
 		ArrivalRate: sc.ArrivalRate,
 		// Bit-level change detection on every mirror: DST demands faithful
 		// replication at every hop, not tolerance-suppressed drift.
-		ExactSync:   true,
-		DropProb:    sc.DropProb,
-		DupProb:     sc.DupProb,
+		ExactSync: true,
+		// One Rand for every edge's drops and duplicates, as in flat runs.
+		// Never nil: every hop runs couriers and versioned frames, what the
+		// per-hop exactly-once shadow checks.
+		Fault: &netsim.FaultPlan{
+			DropProb: sc.DropProb,
+			DupProb:  sc.DupProb,
+			Rand:     rand.New(rand.NewSource(sc.Seed*31 + 7)),
+		},
 		NodeOutages: partitions,
 		Crashes:     sc.Crashes,
 		OnApply:     chk.onApply,
@@ -123,7 +128,7 @@ func RunTree(sc TreeScenario, opts TreeOptions) (*TreeResult, error) {
 		li := interleave.Intn(len(live))
 		i := live[li]
 		if err := dep.Feed(i, streams[i][cursors[i]]); err != nil {
-			chk.fail(treeViolationLabel(err), err.Error())
+			chk.fail(violationLabel(err), err.Error())
 			break
 		}
 		cursors[i]++
@@ -133,7 +138,7 @@ func RunTree(sc TreeScenario, opts TreeOptions) (*TreeResult, error) {
 	}
 	if chk.violation == nil {
 		if err := dep.Drain(); err != nil {
-			chk.fail(treeViolationLabel(err), err.Error())
+			chk.fail(violationLabel(err), err.Error())
 		}
 	}
 	if chk.violation == nil {
@@ -152,14 +157,4 @@ func RunTree(sc TreeScenario, opts TreeOptions) (*TreeResult, error) {
 		FlatMemoryBytes: ref.MemoryBytes(),
 		Recovery:        dep.Recovery(),
 	}, nil
-}
-
-// treeViolationLabel classifies a Feed/Drain error: recovery self-check
-// mismatches get their own invariant name, everything else is a delivery
-// failure.
-func treeViolationLabel(err error) string {
-	if errors.Is(err, tree.ErrRecoveryMismatch) {
-		return "recovery"
-	}
-	return "delivery"
 }

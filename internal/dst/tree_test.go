@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"cludistream/internal/gaussian"
+	"cludistream/internal/linalg"
 	"cludistream/internal/tree"
 )
 
@@ -174,6 +176,59 @@ func TestRunTreeDedupeFaultHasTeeth(t *testing.T) {
 			first = res.Violation
 		} else if *first != *res.Violation {
 			t.Fatalf("teeth test is not deterministic:\n%+v\n%+v", first, res.Violation)
+		}
+	}
+}
+
+// TestMixturesDiff pins what the root-vs-flat check accepts: identical
+// mixtures up to rounding, and a regrouping of one component at the merge
+// gate (the greedy grouping's order dependence). It must reject a
+// regrouping of components far apart even when the moments of what was
+// regrouped still agree, and mass moved inside a regrouping.
+func TestMixturesDiff(t *testing.T) {
+	type part struct{ w, mean, v float64 }
+	mix := func(parts ...part) *gaussian.Mixture {
+		var ws []float64
+		var cs []*gaussian.Component
+		for _, p := range parts {
+			cov := linalg.NewSym(1)
+			cov.Set(0, 0, p.v)
+			ws = append(ws, p.w)
+			cs = append(cs, gaussian.MustComponent(linalg.Vector{p.mean}, cov))
+		}
+		m, err := gaussian.NewMixture(ws, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// merged is the moment-preserving merge of a and b.
+	merged := func(a, b part) part {
+		w := a.w + b.w
+		mean := (a.w*a.mean + b.w*b.mean) / w
+		return part{w, mean, (a.w*(a.v+a.mean*a.mean)+b.w*(b.v+b.mean*b.mean))/w - mean*mean}
+	}
+	lo, hi := part{0.3, -4, 1}, part{0.197, 4, 1}
+	// stray sits just past the gate (4·d = 4) from hi: CrossMahalanobisSq ≈ 4.8.
+	stray := part{0.003, 4.63, 0.094}
+	left, right := part{0.25, 196, 1}, part{0.25, 204, 1}
+	flat := mix(lo, hi, stray, left, right)
+	for _, tc := range []struct {
+		name   string
+		root   *gaussian.Mixture
+		accept bool
+	}{
+		{"identical", flat, true},
+		{"rounding", mix(lo, part{hi.w, hi.mean * (1 + 1e-12), hi.v}, stray, left, right), true},
+		{"gate regrouping", mix(lo, merged(hi, stray), left, right), true},
+		{"far regrouping", mix(lo, hi, stray, merged(left, right)), false},
+		{"mass moved in a regrouping", mix(part{lo.w - 0.001, lo.mean, lo.v}, merged(part{hi.w + 0.001, hi.mean, hi.v}, stray), left, right), false},
+		{"component lost", mix(lo, hi, left, right), false},
+		{"nil root", nil, false},
+	} {
+		diff := mixturesDiff(tc.root, flat)
+		if (diff == "") != tc.accept {
+			t.Errorf("%s: accept = %v, want %v (%s)", tc.name, diff == "", tc.accept, diff)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"cludistream/internal/coordinator"
+	"cludistream/internal/gaussian"
 	"cludistream/internal/transport"
 	"cludistream/internal/tree"
 )
@@ -312,48 +313,94 @@ func (c *treeChecker) finalChecks() {
 		c.fail("schedule-independence", fmt.Sprintf("root record mass %v != flat reference %v", root.TotalWeight(), c.ref.TotalWeight()))
 		return
 	}
-	if diff := mixturesDiff(root, c.ref); diff != "" {
+	if diff := mixturesDiff(root.GlobalMixture(), c.ref.GlobalMixture()); diff != "" {
 		c.fail("schedule-independence", "root mixture diverged from the flat deployment: "+diff)
 	}
 }
 
-// mixturesDiff compares the tree root's global mixture against the flat
-// reference positionally (both canonically ordered), returning "" when
-// equivalent. Bit-equality is not expected — moment-preserving merges are
-// associative only in exact arithmetic — so weights, means and
-// covariances must agree to floating-point scale, not exactly.
-func mixturesDiff(root, ref *coordinator.Coordinator) string {
-	rm, fm := root.GlobalMixture(), ref.GlobalMixture()
+// gateBand bounds how far, in units of the coordinator's MaxMergeDistance,
+// a regrouped component may lie from its counterpart in the other mixture.
+const gateBand = 2
+
+// mixturesDiff compares the tree root's global mixture rm against the flat
+// reference's fm, returning "" when equivalent. Components are paired one
+// to one, in canonical order, with a component of the other mixture that
+// agrees in weight, mean and covariance (momentsClose); two identical
+// mixtures pair positionally, component by component.
+//
+// Components left unpaired pass only as a regrouping at the merge gate. An
+// aggregator groups its subtree before the root sees it, and the
+// coordinator's greedy grouping depends on arrival order, so a component
+// whose distance to a group lies near MaxMergeDistance can join it in one
+// coordinator and stand apart, or join another group, in the other. Such a
+// regrouping is local and moves no mass: every unpaired component must lie
+// within gateBand·MaxMergeDistance (CrossMahalanobisSq) of an unpaired
+// component of the other mixture, and the unpaired components of each
+// mixture must fold to the same moment-preserving merge.
+func mixturesDiff(rm, fm *gaussian.Mixture) string {
 	if (rm == nil) != (fm == nil) {
 		return fmt.Sprintf("root mixture nil=%v, reference nil=%v", rm == nil, fm == nil)
 	}
 	if rm == nil {
 		return ""
 	}
-	if rm.K() != fm.K() {
-		return fmt.Sprintf("root has %d components, flat reference %d", rm.K(), fm.K())
+	mixes, rest := [2]*gaussian.Mixture{rm, fm}, [2][]int{}
+	paired := make([]bool, fm.K())
+	for i := 0; i < rm.K(); i++ {
+		j := 0
+		for j < fm.K() && (paired[j] || !momentsClose(rm.Weight(i), rm.Component(i), fm.Weight(j), fm.Component(j))) {
+			j++
+		}
+		if j == fm.K() {
+			rest[0] = append(rest[0], i)
+		} else {
+			paired[j] = true
+		}
 	}
-	const tol = 1e-6
-	close := func(a, b float64) bool {
-		return math.Abs(a-b) <= tol*(1+math.Max(math.Abs(a), math.Abs(b)))
+	for j, p := range paired {
+		if !p {
+			rest[1] = append(rest[1], j)
+		}
 	}
-	for j := 0; j < rm.K(); j++ {
-		if !close(rm.Weight(j), fm.Weight(j)) {
-			return fmt.Sprintf("component %d weight %v vs %v", j, rm.Weight(j), fm.Weight(j))
-		}
-		cr, cf := rm.Component(j), fm.Component(j)
-		for i := 0; i < rm.Dim(); i++ {
-			if !close(cr.Mean()[i], cf.Mean()[i]) {
-				return fmt.Sprintf("component %d mean %v vs %v", j, cr.Mean(), cf.Mean())
+	// Both coordinators run on the default gate, 4·d.
+	limit := gateBand * 4 * float64(rm.Dim())
+	var w [2]float64
+	var merged [2]*gaussian.Component
+	for s, mix := range mixes {
+		for _, i := range rest[s] {
+			c, other := mix.Component(i), mixes[1-s]
+			nearest := math.Inf(1)
+			for _, j := range rest[1-s] {
+				nearest = math.Min(nearest, gaussian.CrossMahalanobisSq(c, other.Component(j)))
 			}
-		}
-		for r := 0; r < rm.Dim(); r++ {
-			for cc := r; cc < rm.Dim(); cc++ {
-				if !close(cr.Cov().At(r, cc), cf.Cov().At(r, cc)) {
-					return fmt.Sprintf("component %d cov[%d,%d] %v vs %v", j, r, cc, cr.Cov().At(r, cc), cf.Cov().At(r, cc))
-				}
+			if nearest > limit {
+				return fmt.Sprintf("%s component %v (weight %v) regrouped with no counterpart within %v (nearest %v)",
+					[2]string{"root", "flat"}[s], c, mix.Weight(i), limit, nearest)
 			}
+			if merged[s] == nil {
+				w[s], merged[s] = mix.Weight(i), c
+				continue
+			}
+			mw, mean, cov := gaussian.MomentMerge(w[s], merged[s], mix.Weight(i), c)
+			w[s], merged[s] = mw, gaussian.MustComponent(mean, cov)
 		}
+	}
+	if merged[0] != nil && !momentsClose(w[0], merged[0], w[1], merged[1]) {
+		return fmt.Sprintf("regrouped components merge to %v·%v (root) vs %v·%v (flat)", w[0], merged[0], w[1], merged[1])
 	}
 	return ""
+}
+
+// momentsClose reports whether two weighted components agree in weight,
+// mean and covariance to floating-point scale: moment-preserving merges are
+// associative only in exact arithmetic, so bit-equality is not expected.
+func momentsClose(wa float64, a *gaussian.Component, wb float64, b *gaussian.Component) bool {
+	x := append(append([]float64{wa}, a.Mean()...), a.Cov().Packed()...)
+	y := append(append([]float64{wb}, b.Mean()...), b.Cov().Packed()...)
+	for i := range x {
+		if math.Abs(x[i]-y[i]) > 1e-6*(1+math.Max(math.Abs(x[i]), math.Abs(y[i]))) {
+			return false
+		}
+	}
+	return true
 }

@@ -3,10 +3,10 @@ package experiments
 import (
 	"cludistream/internal/coordinator"
 	"cludistream/internal/gaussian"
-	"cludistream/internal/hier"
 	"cludistream/internal/linalg"
 	"cludistream/internal/site"
 	"cludistream/internal/stream"
+	"cludistream/internal/tree"
 )
 
 // AblationSnapshots reproduces the Section-7 argument against static
@@ -162,7 +162,7 @@ func AblationSnapshots(p Params) (*Table, error) {
 // moves slowly.
 func AblationHierarchy(p Params) (*Table, error) {
 	const branching = 2
-	leaves := branching * branching // depth-2 tree: 4 leaves, 2 aggregators
+	leaves := branching * branching // 2 aggregators × 2 leaves
 	m := chunkSizeFor(p)
 	// Each leaf must cycle its 4 regimes (8 chunks per cycle) several times
 	// to reach steady state; the profile's Updates alone may be too short.
@@ -228,13 +228,19 @@ func AblationHierarchy(p Params) (*Table, error) {
 		return nil, err
 	}
 
-	// Tree: same leaf streams, aggregators in between. Root-link bytes =
-	// total uploads minus the leaf→aggregator edges.
-	tree, err := hier.NewTree(hier.Config{
-		Branching: branching,
-		Depth:     2,
-		Site:      p.siteConfig(0),
-		Coord:     coordinator.Config{Dim: p.Dim},
+	// Tree: same leaf streams, one aggregator per pair of leaves, on the
+	// flat star's perfect links; root-link bytes = the layer into the root.
+	// No Drain: its exact final sync flushes drift the aggregators'
+	// tolerances suppressed — end-of-run bookkeeping, not steady state.
+	topo, err := tree.Spec{Leaves: leaves, AggLayers: 1, FanOut: branching, Link: tree.LinkSpec{Latency: 0.05}}.Build()
+	if err != nil {
+		return nil, err
+	}
+	dep, err := tree.NewDeployment(tree.Config{
+		Topology: topo,
+		Site:     p.siteConfig(0),
+		Coord:    coordinator.Config{Dim: p.Dim},
+		Seed:     p.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -243,22 +249,15 @@ func AblationHierarchy(p Params) (*Table, error) {
 	for i := range treeGens {
 		treeGens[i] = mkGen(i)
 	}
-	rootLinkBytes := func() int {
-		var leafBytes int
-		for _, l := range tree.Leaves() {
-			leafBytes += l.BytesUploaded()
-		}
-		return tree.TotalUploadBytes() - leafBytes
-	}
 	treeCut := 0
 	for rec := 0; rec < perLeaf; rec++ {
 		for i, g := range treeGens {
-			if err := tree.ObserveLeaf(i, g.Next()); err != nil {
+			if err := dep.Feed(i, g.Next()); err != nil {
 				return nil, err
 			}
 		}
 		if rec == cut {
-			treeCut = rootLinkBytes()
+			treeCut = dep.LayerBytes()[0]
 		}
 	}
 
@@ -267,7 +266,7 @@ func AblationHierarchy(p Params) (*Table, error) {
 		Columns: []string{"topology (0=flat,1=tree)", "root bytes learning", "root bytes steady state"},
 	}
 	t.AddRow(0, float64(flatCut), float64(flat.TotalBytes()-flatCut))
-	t.AddRow(1, float64(treeCut), float64(rootLinkBytes()-treeCut))
+	t.AddRow(1, float64(treeCut), float64(dep.LayerBytes()[0]-treeCut))
 	t.AddNote("§7: once the aggregators have absorbed the shared regimes their merged models stop changing materially, so the tree's root link goes quiet while the flat root keeps receiving per-leaf weight updates")
 	return t, nil
 }

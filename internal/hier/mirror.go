@@ -1,3 +1,8 @@
+// Package hier holds the upload-on-change rule of Section 7's multi-layer
+// networks: every internal node of the tree uploads its locally merged
+// global mixture to its parent only when that mixture changes, which keeps
+// upper links quiet while lower levels churn. cmd/aggd runs it over real
+// links (netio.Uploader), internal/tree over simulated ones.
 package hier
 
 import (

@@ -17,6 +17,7 @@ import (
 	"cludistream/internal/linalg"
 	"cludistream/internal/netsim"
 	"cludistream/internal/site"
+	"cludistream/internal/tree"
 )
 
 func newCoord(t *testing.T) *coordinator.Coordinator {
@@ -248,15 +249,18 @@ func TestSlidingWindowDeletionsOverTCP(t *testing.T) {
 // returns the site re-activates its archived model and emits a bare
 // WeightUpdate, which the coordinator can only refuse; the sender, which
 // emitted the deletions, must send the synopsis again instead. The one
-// scenario runs through every sender: a netio.Client over TCP, and the
-// facade on perfect and on lossy, duplicating links.
+// scenario runs through every sender: a netio.Client over TCP, the facade
+// on perfect and on lossy, duplicating links, and a tree.Deployment whose
+// sliding leaf sits behind an aggregator.
 func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
 	const chunkSize, horizon = 200, 2
 	// A sender returns its site, the record sink, and drain, which delivers
 	// everything queued, fails the test on any rejection or apply error, and
-	// returns the coordinator's model weights.
-	type sender func(t *testing.T) (*site.Site, func(linalg.Vector) error, func() []coordinator.ModelWeight)
-	overTCP := func(t *testing.T) (*site.Site, func(linalg.Vector) error, func() []coordinator.ModelWeight) {
+	// returns the model weights of the coordinator the site sends to and
+	// the record mass at the root.
+	type drainFunc func() (weights []coordinator.ModelWeight, rootMass float64)
+	type sender func(t *testing.T) (*site.Site, func(linalg.Vector) error, drainFunc)
+	overTCP := func(t *testing.T) (*site.Site, func(linalg.Vector) error, drainFunc) {
 		srv, err := NewServer("127.0.0.1:0", newCoord(t))
 		if err != nil {
 			t.Fatal(err)
@@ -268,7 +272,7 @@ func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		return st, c.Observe, func() (weights []coordinator.ModelWeight) {
+		return st, c.Observe, func() (weights []coordinator.ModelWeight, rootMass float64) {
 			if err := c.Flush(5 * time.Second); err != nil {
 				t.Fatal(err)
 			}
@@ -278,12 +282,12 @@ func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
 			if got := srv.DeliveryStats().ApplyErrors; got != 0 {
 				t.Errorf("server: %d apply errors", got)
 			}
-			srv.Snapshot(func(co *coordinator.Coordinator) { weights = co.ModelWeights() })
-			return weights
+			srv.Snapshot(func(co *coordinator.Coordinator) { weights, rootMass = co.ModelWeights(), co.TotalWeight() })
+			return weights, rootMass
 		}
 	}
 	facade := func(fault *netsim.FaultPlan) sender {
-		return func(t *testing.T) (*site.Site, func(linalg.Vector) error, func() []coordinator.ModelWeight) {
+		return func(t *testing.T) (*site.Site, func(linalg.Vector) error, drainFunc) {
 			// The facade builds mustSlidingSite's site: site 1, seed 1.
 			sys, err := cludistream.New(cludistream.Config{
 				NumSites: 1, Dim: 1, K: 2, Epsilon: 0.1, FitEps: 0.8, Delta: 0.01,
@@ -296,15 +300,43 @@ func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
 			observe := func(x linalg.Vector) error { return sys.Feed(0, x) }
 			// A rejected update is the facade's delivery error, surfacing
 			// from Feed or Drain.
-			return sys.Site(0), observe, func() []coordinator.ModelWeight {
+			return sys.Site(0), observe, func() ([]coordinator.ModelWeight, float64) {
 				if err := sys.Drain(); err != nil {
 					t.Fatal(err)
 				}
 				if d := sys.DeliveryStats(); d.Pending != 0 {
 					t.Fatalf("%d messages still queued after Drain", d.Pending)
 				}
-				return sys.Coordinator().ModelWeights()
+				return sys.Coordinator().ModelWeights(), sys.Coordinator().TotalWeight()
 			}
+		}
+	}
+	// behindAggregator hangs the sliding leaf under one aggregator: the
+	// aggregator receives the site's messages, the root its pseudo-model.
+	behindAggregator := func(t *testing.T) (*site.Site, func(linalg.Vector) error, drainFunc) {
+		topo, err := tree.Spec{Leaves: 1, AggLayers: 1, FanOut: 1, Link: tree.LinkSpec{Latency: 0.05}}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := tree.NewDeployment(tree.Config{
+			Topology: topo,
+			Site: site.Config{
+				Dim: 1, K: 2, Epsilon: 0.1, FitEps: 0.8, Delta: 0.01, ChunkSize: chunkSize,
+			},
+			Coord:                coordinator.Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}},
+			Seed:                 1,
+			SlidingHorizonChunks: horizon,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		observe := func(x linalg.Vector) error { return dep.Feed(0, x) }
+		// Every node's apply error is the deployment's delivery error.
+		return dep.LeafSite(0), observe, func() ([]coordinator.ModelWeight, float64) {
+			if err := dep.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			return dep.NodeCoordinator(1).ModelWeights(), dep.NodeCoordinator(0).TotalWeight()
 		}
 	}
 	cases := []struct {
@@ -314,6 +346,7 @@ func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
 		{"netio.Client", overTCP},
 		{"System", facade(nil)},
 		{"System+Fault", facade(&netsim.FaultPlan{DropProb: 0.2, DupProb: 0.2, Rand: rand.New(rand.NewSource(5))})},
+		{"tree.Deployment", behindAggregator},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -326,7 +359,7 @@ func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
 					}
 				}
 			}
-			got := drain()
+			got, rootMass := drain()
 			if n := len(st.Models()); n != 2 {
 				t.Fatalf("site holds %d models, want 2 (the returning regimes re-activate the archive)", n)
 			}
@@ -341,13 +374,18 @@ func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
 				inWindow[id] += chunkSize
 			}
 			var want []coordinator.ModelWeight
+			var mass float64
 			for _, m := range st.Models() {
 				if n := inWindow[m.ID]; n > 0 {
 					want = append(want, coordinator.ModelWeight{SiteID: 1, ModelID: m.ID, Counter: n})
+					mass += float64(n)
 				}
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("coordinator.ModelWeights() = %v, the site's window holds %v", got, want)
+			}
+			if rootMass != mass {
+				t.Errorf("root holds %v records, the site's window %v", rootMass, mass)
 			}
 		})
 	}

@@ -17,9 +17,10 @@ import (
 	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
 	"cludistream/internal/transport"
+	"cludistream/internal/window"
 )
 
-// ErrRecoveryMismatch reports that a recovered aggregator's state is not
+// ErrRecoveryMismatch reports that a recovered node's state is not
 // bit-identical to its pre-crash state (surfaced by Config.SelfCheck).
 var ErrRecoveryMismatch = errors.New("tree: recovered node state differs from pre-crash state")
 
@@ -37,39 +38,55 @@ type CrashSpec struct {
 type Config struct {
 	Topology Topology
 	// Site is the per-leaf template; SiteID and Seed are assigned per leaf
-	// (SiteID 1..NumSites, Seed derived from Config.Seed).
+	// (leaf i gets SiteID i+1 and Seed Config.Seed + i·7919).
 	Site site.Config
 	// Coord is the per-internal-node coordinator template.
 	Coord coordinator.Config
-	// Seed drives leaf seeds and all per-edge fault randomness.
+	// Seed drives the leaf seeds and the couriers' backoff jitter.
 	Seed int64
 	// ArrivalRate is records/second per site on the virtual clock
 	// (default 1000).
 	ArrivalRate float64
+	// SlidingHorizonChunks, when positive, ages every leaf's records out of
+	// a sliding window of that many chunks: each leaf sends through a
+	// window.Tracker and emits deletion messages (Section 7). Zero keeps the
+	// landmark window.
+	SlidingHorizonChunks int
 
-	// WeightTol/MeanTol tune each aggregator's upload-on-change detection
-	// (zero = the aggd defaults 0.05/0.25); ExactSync forces bit-level
-	// change detection, which DST uses so every hop replicates faithfully.
-	WeightTol, MeanTol float64
-	ExactSync          bool
+	// ExactSync forces bit-level change detection on every aggregator's
+	// upload mirror instead of the aggd tolerances (hier.NewUploadMirror);
+	// DST uses it so every hop replicates faithfully.
+	ExactSync bool
 
-	// DropProb/DupProb inject iid loss and duplicate delivery on every
-	// edge; NodeOutages adds partition windows during which nothing
-	// reaches the given internal node (state intact — distinct from
-	// Crashes, which lose in-memory state and recover from disk).
-	DropProb, DupProb float64
-	NodeOutages       map[int][]netsim.Outage
+	// Fault, when non-nil, subjects every edge to the plan: its drops and
+	// duplicates draw from the plan's one Rand, shared by all edges, and its
+	// outages black out every receiver. NodeOutages adds receiver-down
+	// windows on single internal nodes (state intact — distinct from
+	// Crashes, which lose in-memory state and recover from disk). A
+	// deployment with no Fault, no NodeOutages and no Crashes has perfect
+	// links: every edge sends the legacy v1 encoding straight onto its
+	// link, with no courier, preserving the paper's byte-for-byte cost
+	// model. Anything else puts a retransmitting courier on every edge and
+	// stamps each frame with the edge's epoch and sequence number.
+	Fault       *netsim.FaultPlan
+	NodeOutages map[int][]netsim.Outage
 	// RetryBackoff/RetryMaxBackoff shape courier retransmission (defaults
-	// 0.05/2.0 simulated seconds).
+	// 0.1/2 simulated seconds).
 	RetryBackoff, RetryMaxBackoff float64
 
 	// Crashes schedules interior-node crash/recovery through the durable
-	// path; StateDir must be set when Crashes is non-empty. Only crashing
-	// nodes pay for a durable store.
-	Crashes         []CrashSpec
+	// path. Only crashing nodes, and the root under DurableRoot, pay for a
+	// durable store; StateDir must be set when any node does. Node n's
+	// store lives in StateDir/node<n>.
+	Crashes []CrashSpec
+	// DurableRoot opens the root's durable store without a scheduled crash,
+	// so RestartNode(0) can recover it. With no Crashes the root is the
+	// only durable node and its store is StateDir itself.
+	DurableRoot     bool
 	StateDir        string
 	CheckpointEvery int
 	Fsync           persist.FsyncMode
+	FsyncInterval   int
 	// SelfCheck byte-compares pre-crash vs recovered state on every
 	// recovery (requires Fsync always, the default).
 	SelfCheck bool
@@ -78,18 +95,19 @@ type Config struct {
 	// OnApply observes every message applied at an internal node, after
 	// the dedupe verdict admitted it — the DST per-layer invariant hook.
 	OnApply func(node int, msg transport.Message)
-	// OnEmit observes every update a leaf site emits, before transport —
+	// OnEmit observes every update a leaf site sends, before transport —
 	// DST tees these into a flat reference coordinator.
 	OnEmit func(leafID int, u site.Update)
 }
 
 // edge is one directed uplink: child (a leaf or an aggregator) → internal
-// node, carrying versioned frames through an exactly-once courier.
+// node, carrying frames straight onto a perfect link or through an
+// exactly-once courier.
 type edge struct {
 	fromID int // wire SiteID of the sender
 	toNode int
 	link   *netsim.Link
-	cour   *netsim.Courier
+	cour   *netsim.Courier // nil on a perfect link
 	epoch  uint32
 	seq    uint64
 	// sent is the per-epoch sender-side entitlement at exact wire sizes:
@@ -118,7 +136,7 @@ type node struct {
 	pseudoID int // sender id at its parent (0 for the root)
 	depth    int
 	// recv is the node's receive step; its Store is nil unless this node
-	// has scheduled crashes.
+	// is durable.
 	recv     durable.Receiver
 	stateDir string
 	mirror   *hier.UploadMirror // nil for the root
@@ -129,8 +147,10 @@ type node struct {
 
 type leafNode struct {
 	st  *site.Site
+	cfg site.Config     // kept verbatim so a crash can rebuild the site
+	win *window.Tracker // nil under a landmark window
 	up  *edge
-	fed int
+	fed int // records fed this incarnation (drives the virtual clock)
 }
 
 // RecoveryStats aggregates crash/recovery accounting across all nodes.
@@ -138,6 +158,22 @@ type RecoveryStats struct {
 	Restarts        int
 	RecordsReplayed int
 	TornBytes       int
+}
+
+// DeliveryStats is the fault-tolerance accounting summed over every edge
+// and internal node: goodput (payload bytes that reached a receiver,
+// counted once), the retransmission overhead on top, losses, and the
+// receivers' dedupe work. All zeros on perfect links.
+type DeliveryStats struct {
+	GoodputBytes    int
+	RetransmitBytes int
+	DroppedMessages int
+	DroppedBytes    int
+	DupDelivered    int // messages the fault plan delivered twice
+	Retries         int
+	Duplicates      int
+	SiteResets      int
+	Pending         int // payloads still queued in couriers
 }
 
 // Deployment is a live tree on the virtual clock.
@@ -148,13 +184,23 @@ type Deployment struct {
 	leaves []*leafNode
 	order  []*node // internal nodes, deepest first (final-sync order)
 
-	recov       RecoveryStats
-	deliveryErr error
+	// tracer is the registry's tracer when tracing is enabled (nil
+	// otherwise), its clock bound to the simulator so every span timestamp
+	// is virtual time.
+	tracer     *telemetry.Tracer
+	teleDedupe *telemetry.Counter
+	teleResets *telemetry.Counter
+
+	// dedupeBroken survives node recoveries; see InjectDedupeFault.
+	dedupeBroken bool
+	recov        RecoveryStats
+	deliveryErr  error
 }
 
 // NewDeployment validates the configuration and builds the tree: leaves
 // are real site processors, internal nodes are real coordinators with
-// upload mirrors, edges are faulty netsim links behind couriers.
+// upload mirrors, edges are netsim links, behind couriers unless the
+// deployment has perfect links.
 func NewDeployment(cfg Config) (*Deployment, error) {
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
@@ -163,10 +209,10 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		cfg.ArrivalRate = 1000
 	}
 	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 0.05
+		cfg.RetryBackoff = 0.1
 	}
 	if cfg.RetryMaxBackoff <= 0 {
-		cfg.RetryMaxBackoff = 2.0
+		cfg.RetryMaxBackoff = 2
 	}
 	if cfg.Fsync == "" {
 		cfg.Fsync = persist.FsyncAlways
@@ -184,23 +230,30 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		}
 		crashing[c.Node] = append(crashing[c.Node], netsim.Outage{Start: c.Start, End: c.End})
 	}
-	if len(crashing) > 0 && cfg.StateDir == "" {
-		return nil, fmt.Errorf("tree: Crashes need a StateDir for the durable stores")
+	if (len(crashing) > 0 || cfg.DurableRoot) && cfg.StateDir == "" {
+		return nil, fmt.Errorf("tree: durable nodes need a StateDir")
 	}
 
 	d := &Deployment{cfg: cfg, sim: netsim.NewSimulator()}
+	if reg := cfg.Telemetry; reg != nil {
+		d.teleDedupe = reg.Counter("coord.dedupe_dropped")
+		d.teleResets = reg.Counter("coord.epoch_resets")
+		if tr := reg.Tracer(); tr != nil {
+			tr.SetClock(d.sim.Now)
+			d.tracer = tr
+		}
+	}
 	topo := &cfg.Topology
 
 	// Internal nodes. A node's arrivals are lost during its partition and
-	// crash windows; only crash-scheduled nodes open a durable store.
+	// crash windows; only durable nodes open a store.
 	for n := 0; n < topo.NumNodes(); n++ {
-		nd := &node{
-			idx:      n,
-			depth:    topo.NodeDepth(n),
-			pseudoID: pseudoSiteID(topo, n),
-		}
-		if _, willCrash := crashing[n]; willCrash {
+		nd := &node{idx: n, depth: topo.NodeDepth(n)}
+		if _, willCrash := crashing[n]; willCrash || (n == 0 && cfg.DurableRoot) {
 			nd.stateDir = filepath.Join(cfg.StateDir, fmt.Sprintf("node%d", n))
+			if len(crashing) == 0 {
+				nd.stateDir = cfg.StateDir // the only durable node
+			}
 			store, rec, err := durable.Open(nd.stateDir, cfg.Coord, d.storeOptions())
 			if err != nil {
 				return nil, err
@@ -213,57 +266,61 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 			}
 			nd.recv = durable.Receiver{Coord: coord, Dedupe: durable.NewDedupe()}
 		}
-		if cfg.OnApply != nil {
-			nd.recv.OnApply = func(msg transport.Message, _ durable.Verdict) { cfg.OnApply(n, msg) }
+		nd.recv.Tracer = d.tracer
+		// A reset is counted before the observer runs, so the telemetry it
+		// reads agrees with DeliveryStats.
+		nd.recv.OnApply = func(msg transport.Message, v durable.Verdict) {
+			if v == durable.AdmitNewEpoch {
+				d.teleResets.Inc()
+			}
+			if cfg.OnApply != nil {
+				cfg.OnApply(n, msg)
+			}
 		}
 		if n > 0 {
-			nd.mirror = &hier.UploadMirror{
-				NodeID:    nd.pseudoID,
-				WeightTol: cfg.WeightTol,
-				MeanTol:   cfg.MeanTol,
-				Exact:     cfg.ExactSync,
-			}
-			if nd.mirror.WeightTol == 0 {
-				nd.mirror.WeightTol = 0.05
-			}
-			if nd.mirror.MeanTol == 0 {
-				nd.mirror.MeanTol = 0.25
-			}
+			// Leaf sites own wire ids 1..NumSites; aggregators follow.
+			nd.pseudoID = topo.NumSites() + n
+			nd.mirror = hier.NewUploadMirror(nd.pseudoID)
+			nd.mirror.Exact = cfg.ExactSync
 		}
 		d.nodes = append(d.nodes, nd)
 	}
 
 	// Receiver-side fault windows: partitions plus crash windows.
+	perfect := cfg.Fault == nil && len(cfg.NodeOutages) == 0 && len(crashing) == 0
 	outages := func(n int) []netsim.Outage {
 		return append(append([]netsim.Outage(nil), cfg.NodeOutages[n]...), crashing[n]...)
 	}
 
 	// Aggregator uplinks.
-	edgeOrdinal := 0
 	for n := 1; n < topo.NumNodes(); n++ {
 		spec := topo.Aggs[n-1]
-		e, err := d.newEdge(d.nodes[n].pseudoID, spec.Parent, spec.Link, outages(spec.Parent), edgeOrdinal)
+		e, err := d.newEdge(d.nodes[n].pseudoID, spec.Parent, spec.Link, perfect, outages(spec.Parent))
 		if err != nil {
 			return nil, err
 		}
 		d.nodes[n].up = e
-		edgeOrdinal++
 	}
 	// Leaves and their uplinks.
 	for i, spec := range topo.Leaves {
 		sc := cfg.Site
 		sc.SiteID = i + 1
-		sc.Seed = cfg.Seed + int64(i+1)*7919
-		st, err := site.New(sc)
+		sc.Seed = cfg.Seed + int64(i)*7919
+		if cfg.SlidingHorizonChunks > 0 {
+			// Sliding windows require the receiver's weights to track the
+			// site counters, or deletions would underflow.
+			sc.EmitFitWeightUpdates = true
+		}
+		lf := &leafNode{cfg: sc}
+		if err := d.startLeaf(lf); err != nil {
+			return nil, err
+		}
+		e, err := d.newEdge(sc.SiteID, spec.Parent, spec.Link, perfect, outages(spec.Parent))
 		if err != nil {
 			return nil, err
 		}
-		e, err := d.newEdge(sc.SiteID, spec.Parent, spec.Link, outages(spec.Parent), edgeOrdinal)
-		if err != nil {
-			return nil, err
-		}
-		d.leaves = append(d.leaves, &leafNode{st: st, up: e})
-		edgeOrdinal++
+		lf.up = e
+		d.leaves = append(d.leaves, lf)
 	}
 
 	// Deepest-first node order for final sync rounds.
@@ -283,36 +340,43 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	return d, nil
 }
 
-// pseudoSiteID returns the wire id internal node n presents to its parent:
-// leaf sites own 1..NumSites, aggregators follow.
-func pseudoSiteID(topo *Topology, n int) int {
-	if n == 0 {
-		return 0
+// startLeaf builds a fresh incarnation of the leaf's site, and its window
+// tracker under a sliding window, from the leaf's configuration.
+func (d *Deployment) startLeaf(lf *leafNode) error {
+	st, err := site.New(lf.cfg)
+	if err != nil {
+		return err
 	}
-	return topo.NumSites() + n
+	lf.st, lf.win = st, nil
+	if d.cfg.SlidingHorizonChunks > 0 {
+		if lf.win, err = window.NewTracker(st, d.cfg.SlidingHorizonChunks); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (d *Deployment) storeOptions() durable.Options {
 	return durable.Options{
 		CheckpointEvery: d.cfg.CheckpointEvery,
 		Fsync:           d.cfg.Fsync,
+		FsyncInterval:   d.cfg.FsyncInterval,
 		Telemetry:       d.cfg.Telemetry,
-		Logf:            func(string, ...any) {},
 	}
 }
 
-func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, outages []netsim.Outage, ordinal int) (*edge, error) {
+// newEdge builds the uplink from wire sender fromID to internal node
+// toNode. Its courier's jitter is seeded from the sender id, so a leaf's
+// retransmission schedule does not depend on the shape of the tree.
+func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, perfect bool, outages []netsim.Outage) (*edge, error) {
 	e := &edge{fromID: fromID, toNode: toNode, epoch: 1, sent: map[uint32]*SendTally{}}
 	var plan *netsim.FaultPlan
-	if d.cfg.DropProb > 0 || d.cfg.DupProb > 0 || len(outages) > 0 {
-		plan = &netsim.FaultPlan{
-			DropProb: d.cfg.DropProb,
-			DupProb:  d.cfg.DupProb,
-			Outages:  outages,
+	if d.cfg.Fault != nil || len(outages) > 0 {
+		plan = &netsim.FaultPlan{}
+		if d.cfg.Fault != nil {
+			*plan = *d.cfg.Fault // shares the plan's Rand across edges
 		}
-		if plan.DropProb > 0 || plan.DupProb > 0 {
-			plan.Rand = rand.New(rand.NewSource(d.cfg.Seed*31 + int64(ordinal)*1000003 + 7))
-		}
+		plan.Outages = append(append([]netsim.Outage(nil), plan.Outages...), outages...)
 	}
 	link, err := d.sim.NewFaultyLink(spec.Latency, spec.Bandwidth, plan, func(payload []byte) {
 		d.deliver(e, payload)
@@ -321,35 +385,52 @@ func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, outages []netsim
 		return nil, err
 	}
 	link.SetTelemetry(d.cfg.Telemetry)
-	cour, err := d.sim.NewCourier(link, d.cfg.RetryBackoff, d.cfg.RetryMaxBackoff,
-		rand.New(rand.NewSource(d.cfg.Seed*17+int64(ordinal)*999983+3)))
-	if err != nil {
+	e.link = link
+	if perfect {
+		return e, nil
+	}
+	rng := rand.New(rand.NewSource(d.cfg.Seed + 104729*int64(fromID)))
+	if e.cour, err = d.sim.NewCourier(link, d.cfg.RetryBackoff, d.cfg.RetryMaxBackoff, rng); err != nil {
 		return nil, err
 	}
-	cour.SetTelemetry(d.cfg.Telemetry)
-	e.link, e.cour = link, cour
+	e.cour.SetTelemetry(d.cfg.Telemetry)
 	return e, nil
 }
 
-// send stamps the next (epoch, seq) on msg, charges the sender-side
-// entitlement, and hands the frame to the edge's courier.
+// send charges the sender-side entitlement and hands msg to the edge: on a
+// perfect link straight onto the wire in the v1 encoding, otherwise
+// stamped with the edge's epoch and next sequence number and queued on the
+// courier. Trace context rides along, so every transmission records its
+// wire-send span under the message's trace.
 func (d *Deployment) send(e *edge, msg transport.Message) {
-	e.seq++
-	msg.Seq = e.seq
-	msg.Epoch = e.epoch
 	msg.SiteID = int32(e.fromID)
+	if d.tracer != nil && msg.TraceID != 0 {
+		// Enqueue is a point span: in the simulation the outbox hands the
+		// payload to the link or courier at the same virtual instant.
+		now := d.tracer.Now()
+		d.tracer.Record(msg.TraceID, msg.SpanID, "enqueue",
+			int(msg.SiteID), int(msg.ModelID), now, now, msg.WireSize(), "")
+	}
+	if e.cour != nil {
+		e.seq++
+		msg.Seq, msg.Epoch = e.seq, e.epoch
+	}
 	payload := transport.Encode(msg)
 	t := e.tally()
 	t.Msgs++
 	t.Bytes += len(payload)
-	e.cour.Send(payload)
+	if e.cour == nil {
+		e.link.TrySendTraced(payload, false, msg.TraceID, msg.SpanID)
+		return
+	}
+	e.cour.SendTraced(payload, msg.TraceID, msg.SpanID)
 }
 
 // deliver is every edge's receive path: the receive step (WAL append on
-// crashing nodes, dedupe, epoch reset, apply, observe, checkpoint), then
+// durable nodes, dedupe, epoch reset, apply, observe, checkpoint), then
 // upload-on-change toward the parent. OnApply observes a message even when
 // its apply was rejected — a rejected duplicate is exactly what the DST
-// shadow dedupe wants to pin, matching the facade's OnApply semantics.
+// shadow dedupe wants to pin.
 func (d *Deployment) deliver(e *edge, payload []byte) {
 	if d.deliveryErr != nil {
 		return
@@ -366,26 +447,28 @@ func (d *Deployment) deliver(e *edge, payload []byte) {
 		return
 	}
 	res := n.recv.Receive(payload, msg)
-	switch {
-	case res.AppendErr != nil:
-		d.deliveryErr = fmt.Errorf("tree: node %d WAL append: %w", n.idx, res.AppendErr)
-	case res.ApplyErr != nil:
-		d.deliveryErr = fmt.Errorf("tree: node %d apply: %w", n.idx, res.ApplyErr)
-	case res.CheckpointErr != nil:
-		d.deliveryErr = fmt.Errorf("tree: node %d checkpoint: %w", n.idx, res.CheckpointErr)
-	case !res.Verdict.Dropped():
-		d.syncUp(n)
-	}
-}
-
-// syncUp runs the node's upload-on-change rule toward its parent.
-func (d *Deployment) syncUp(n *node) {
-	if n.up == nil || d.deliveryErr != nil {
+	if err := res.Err(); err != nil {
+		d.deliveryErr = fmt.Errorf("tree: node %d receive: %w", n.idx, err)
 		return
 	}
-	for _, msg := range n.mirror.Sync(n.recv.Coord.GlobalMixture(), n.recv.Coord.TotalWeight()) {
+	if res.Verdict.Dropped() {
+		d.teleDedupe.Inc()
+		return
+	}
+	d.syncUp(n)
+}
+
+// syncUp runs the node's upload-on-change rule toward its parent and
+// reports whether it sent anything.
+func (d *Deployment) syncUp(n *node) bool {
+	if n.up == nil || d.deliveryErr != nil {
+		return false
+	}
+	msgs := n.mirror.Sync(n.recv.Coord.GlobalMixture(), n.recv.Coord.TotalWeight())
+	for _, msg := range msgs {
 		d.send(n.up, msg)
 	}
+	return len(msgs) > 0
 }
 
 func (d *Deployment) crashNode(n *node) {
@@ -405,7 +488,7 @@ func (d *Deployment) crashNode(n *node) {
 		d.deliveryErr = fmt.Errorf("tree: node %d crash: %w", n.idx, err)
 		return
 	}
-	if n.up != nil {
+	if n.up != nil && n.up.cour != nil {
 		// The uplink retransmission queue lives in the dead process.
 		n.up.cour.Crash()
 	}
@@ -421,6 +504,7 @@ func (d *Deployment) recoverNode(n *node) {
 		return
 	}
 	n.recv.Store, n.recv.Coord, n.recv.Dedupe = store, rec.Coord, rec.Dedupe
+	n.recv.Dedupe.Broken = d.dedupeBroken
 	n.crashed = false
 	d.recov.Restarts++
 	d.recov.RecordsReplayed += rec.RecordsReplayed
@@ -460,8 +544,67 @@ func encodeNodeState(n *node) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// RestartNode models internal node n's process dying and recovering from
+// its durable store at once: the in-memory coordinator and dedupe table
+// are dropped, the WAL is abandoned without flushing (records a sync
+// policy weaker than "always" had not synced are lost, as a real crash
+// would lose them), and the replacement is rebuilt from the latest
+// checkpoint plus the surviving WAL tail. Queued retransmissions toward
+// the node are unaffected; the recovered dedupe table drops what was
+// already applied. With SelfCheck, a recovered state that differs from
+// the persisted pre-crash state returns ErrRecoveryMismatch.
+func (d *Deployment) RestartNode(n int) error {
+	if n < 0 || n >= len(d.nodes) {
+		return fmt.Errorf("tree: node index %d of %d", n, len(d.nodes))
+	}
+	nd := d.nodes[n]
+	if nd.recv.Store == nil {
+		return fmt.Errorf("tree: node %d has no durable store to recover from", n)
+	}
+	d.crashNode(nd)
+	d.recoverNode(nd)
+	return d.deliveryErr
+}
+
+// RestartNodeAt schedules RestartNode(n) at virtual time t; a failure
+// surfaces from the next Feed or Drain.
+func (d *Deployment) RestartNodeAt(n int, t float64) {
+	d.sim.ScheduleAt(t, func() {
+		if err := d.RestartNode(n); err != nil && d.deliveryErr == nil {
+			d.deliveryErr = err
+		}
+	})
+}
+
+// CrashLeaf models leaf i's site process dying and restarting: its
+// in-memory site state, window tracker and queued retransmissions are
+// lost, and the replacement — same configuration and seed — comes back
+// under a bumped epoch with a fresh sequence space and its clock at record
+// zero, so the parent discards the dead incarnation's contribution when
+// the restarted site replays its stream. Perfect links have no epochs to
+// bump, so a crash needs fault-tolerant edges.
+func (d *Deployment) CrashLeaf(i int) error {
+	if i < 0 || i >= len(d.leaves) {
+		return fmt.Errorf("tree: leaf index %d of %d", i, len(d.leaves))
+	}
+	lf := d.leaves[i]
+	if lf.up.cour == nil {
+		return fmt.Errorf("tree: crashing a leaf requires fault-tolerant links (Config.Fault)")
+	}
+	if err := d.startLeaf(lf); err != nil {
+		return err
+	}
+	lf.up.cour.Crash()
+	lf.up.epoch++
+	lf.up.seq = 0
+	lf.fed = 0
+	return nil
+}
+
 // Feed hands one record to leaf i, advancing the virtual clock by the
-// leaf's arrival rate, and ships any resulting site updates on its uplink.
+// leaf's arrival rate, and ships any resulting site updates on its uplink
+// — under a sliding window through the leaf's tracker, followed by the
+// deletions for chunks that left the window.
 func (d *Deployment) Feed(i int, x linalg.Vector) error {
 	if i < 0 || i >= len(d.leaves) {
 		return fmt.Errorf("tree: leaf index %d of %d", i, len(d.leaves))
@@ -475,10 +618,28 @@ func (d *Deployment) Feed(i int, x linalg.Vector) error {
 		return err
 	}
 	for _, u := range ups {
+		if lf.win != nil {
+			u = lf.win.Send(u)
+		}
 		if d.cfg.OnEmit != nil {
 			d.cfg.OnEmit(i+1, u)
 		}
 		d.send(lf.up, transport.FromSiteUpdate(u))
+	}
+	if lf.win != nil {
+		// Deletions ride the trace of the chunk whose completion expired
+		// them: the site has no Update in hand, so the trace context comes
+		// from the last minted chunk trace.
+		trace, span := lf.st.LastTrace()
+		for _, del := range lf.win.Expire(i + 1) {
+			d.send(lf.up, transport.Message{
+				Kind:    transport.MsgDeletion,
+				ModelID: int32(del.ModelID),
+				Count:   int64(del.Count),
+				TraceID: trace,
+				SpanID:  span,
+			})
+		}
 	}
 	return d.deliveryErr
 }
@@ -501,9 +662,7 @@ func (d *Deployment) Drain() error {
 			// Tolerance-suppressed drift must flush at the end of the
 			// run, so the final barrier uses exact change detection.
 			n.mirror.Exact = true
-			before := n.up.seq
-			d.syncUp(n)
-			if n.up.seq != before {
+			if d.syncUp(n) {
 				sent = true
 			}
 			n.mirror.Exact = d.cfg.ExactSync
@@ -533,10 +692,11 @@ func (d *Deployment) Close() error {
 	return first
 }
 
-// InjectDedupeFault breaks every node's sequence-number dedupe — the
-// deliberate bug DST uses to prove the per-hop exactly-once invariant has
-// teeth. Never set in production paths.
+// InjectDedupeFault breaks every node's sequence-number dedupe, across
+// recoveries too — the deliberate bug DST uses to prove the exactly-once
+// invariant has teeth. Never set in production paths.
 func (d *Deployment) InjectDedupeFault() {
+	d.dedupeBroken = true
 	for _, n := range d.nodes {
 		n.recv.Dedupe.Broken = true
 	}
@@ -568,14 +728,32 @@ func (d *Deployment) RootMixture() *gaussian.Mixture { return d.nodes[0].recv.Co
 // Recovery returns crash/recovery accounting.
 func (d *Deployment) Recovery() RecoveryStats { return d.recov }
 
-// Pending sums undelivered courier queue depths across all edges.
-func (d *Deployment) Pending() int {
-	total := 0
+// DeliveryStats sums the fault-tolerance counters over every edge and
+// internal node.
+func (d *Deployment) DeliveryStats() DeliveryStats {
+	var s DeliveryStats
 	for _, e := range d.edges() {
-		total += e.cour.Pending()
+		s.GoodputBytes += e.link.GoodputBytes()
+		s.RetransmitBytes += e.link.RetransmitBytes()
+		m, b := e.link.Dropped()
+		s.DroppedMessages += m
+		s.DroppedBytes += b
+		s.DupDelivered += e.link.DupDelivered()
+		if e.cour != nil {
+			s.Retries += e.cour.Retries()
+			s.Pending += e.cour.Pending()
+		}
 	}
-	return total
+	for _, n := range d.nodes {
+		st := n.recv.Stats()
+		s.Duplicates += st.Duplicates
+		s.SiteResets += st.SiteResets
+	}
+	return s
 }
+
+// Pending sums undelivered courier queue depths across all edges.
+func (d *Deployment) Pending() int { return d.DeliveryStats().Pending }
 
 func (d *Deployment) edges() []*edge {
 	var out []*edge
@@ -630,7 +808,6 @@ type EdgeStats struct {
 	GoodputBytes    int
 	RetransmitBytes int
 	DroppedBytes    int
-	Pending         int
 }
 
 // EdgeStatsAll returns per-edge accounting (aggregator uplinks first, then
@@ -638,10 +815,7 @@ type EdgeStats struct {
 func (d *Deployment) EdgeStatsAll() []EdgeStats {
 	var out []EdgeStats
 	for _, e := range d.edges() {
-		cur := e.sent[e.epoch]
-		if cur == nil {
-			cur = &SendTally{}
-		}
+		cur := e.tally()
 		_, droppedBytes := e.link.Dropped()
 		out = append(out, EdgeStats{
 			From: e.fromID, To: e.toNode,
@@ -651,7 +825,6 @@ func (d *Deployment) EdgeStatsAll() []EdgeStats {
 			SentBytes: cur.Bytes,
 			WireBytes: e.link.BytesSent(), GoodputBytes: e.link.GoodputBytes(),
 			RetransmitBytes: e.link.RetransmitBytes(), DroppedBytes: droppedBytes,
-			Pending: e.cour.Pending(),
 		})
 	}
 	return out
@@ -674,4 +847,28 @@ func (d *Deployment) TotalBytes() int {
 		total += e.link.BytesSent()
 	}
 	return total
+}
+
+// TotalMessages counts transmissions over every edge, retransmissions
+// included.
+func (d *Deployment) TotalMessages() int {
+	total := 0
+	for _, e := range d.edges() {
+		total += e.link.Messages()
+	}
+	return total
+}
+
+// CostSeries returns the cumulative wire bytes over every edge, sampled
+// every width simulated seconds — the paper's per-second cost collection.
+func (d *Deployment) CostSeries(width float64) []int {
+	until := d.sim.Now()
+	if until <= 0 {
+		until = width
+	}
+	var series [][]int
+	for _, e := range d.edges() {
+		series = append(series, e.link.CostSeries(width, until))
+	}
+	return netsim.MergeCostSeries(series...)
 }

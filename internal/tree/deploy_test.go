@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cludistream/internal/coordinator"
+	"cludistream/internal/durable"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
 	"cludistream/internal/netsim"
@@ -123,6 +124,39 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
+// TestDeploymentIndexBounds: leaf and node indices are bounds-checked, and
+// a crash needs what it recovers through: couriers for a leaf, a durable
+// store for a node.
+func TestDeploymentIndexBounds(t *testing.T) {
+	d, err := NewDeployment(Config{
+		Topology: Topology{Leaves: []LeafSpec{{}, {}}}, Site: testSiteCfg(), Coord: testCoordCfg(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{-1, 2, 99} {
+		if err := d.Feed(i, linalg.Vector{0}); err == nil {
+			t.Errorf("Feed accepted leaf index %d", i)
+		}
+		if err := d.CrashLeaf(i); err == nil {
+			t.Errorf("CrashLeaf accepted leaf index %d", i)
+		}
+		if err := d.RestartNode(i); err == nil {
+			t.Errorf("RestartNode accepted node index %d", i)
+		}
+	}
+	if err := d.CrashLeaf(0); err == nil {
+		t.Error("leaf crash accepted on perfect links")
+	}
+	if err := d.RestartNode(0); err == nil {
+		t.Error("restart accepted for a node without a durable store")
+	}
+	d.RestartNodeAt(0, 0)
+	if err := d.Drain(); err == nil {
+		t.Error("scheduled restart of a node without a durable store did not surface")
+	}
+}
+
 func TestBalancedSpecShapes(t *testing.T) {
 	topo, err := Spec{Leaves: 500, AggLayers: 2, FanOut: 8, Link: LinkSpec{Latency: 0.01}}.Build()
 	if err != nil {
@@ -152,41 +186,151 @@ func TestBalancedSpecShapes(t *testing.T) {
 	}
 }
 
+// TestTreeMatchesFlatReference: Section 7's claim that layering is a
+// composition, not an approximation. Every shape — the balanced tree, the
+// depth-1 star of the base paper, a chain of single-child aggregators and
+// a deep fan-out-2 tree — must land its root on the flat deployment of the
+// same leaf updates, with traffic on every edge and a byte ledger that
+// closes.
 func TestTreeMatchesFlatReference(t *testing.T) {
-	topo, err := Spec{Leaves: 6, AggLayers: 1, FanOut: 3, Link: LinkSpec{Latency: 0.01}}.Build()
+	link := LinkSpec{Latency: 0.01}
+	build := func(s Spec) Topology {
+		topo, err := s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	cases := []struct {
+		name  string
+		topo  Topology
+		depth int
+	}{
+		{"balanced", build(Spec{Leaves: 6, AggLayers: 1, FanOut: 3, Link: link}), 2},
+		{"star", build(Spec{Leaves: 3, Link: link}), 1},
+		{"chain", Topology{
+			Aggs:   []AggSpec{{Parent: 0, Link: link}, {Parent: 1, Link: link}},
+			Leaves: []LeafSpec{{Parent: 2, Link: link}},
+		}, 3},
+		{"deep", build(Spec{Leaves: 8, AggLayers: 2, FanOut: 2, Link: link}), 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.topo.Depth(); got != tc.depth {
+				t.Fatalf("depth = %d, want %d", got, tc.depth)
+			}
+			ref, onEmit := refCoordinator(t)
+			d, err := NewDeployment(Config{
+				Topology: tc.topo, Site: testSiteCfg(), Coord: testCoordCfg(),
+				Seed: 3, ExactSync: true, OnEmit: onEmit,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedAll(t, d, []float64{0, 200, -200}, 250)
+			if err := d.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if d.Pending() != 0 {
+				t.Fatalf("%d frames still queued after drain", d.Pending())
+			}
+			if d.RootMixture() == nil {
+				t.Fatal("leaf updates never reached the root")
+			}
+			assertEquivalent(t, d.NodeCoordinator(0), ref)
+			// Byte accounting closes: per-edge wire bytes sum to the
+			// totals, and per-layer sums partition them. Every edge carried
+			// traffic: an aggregator whose subtree changed always uploads.
+			var perEdge, perLayer int
+			for _, es := range d.EdgeStatsAll() {
+				if es.WireBytes == 0 {
+					t.Fatalf("edge %d->%d carried nothing", es.From, es.To)
+				}
+				perEdge += es.WireBytes
+			}
+			for _, b := range d.LayerBytes() {
+				perLayer += b
+			}
+			if perEdge != d.TotalBytes() || perLayer != d.TotalBytes() {
+				t.Fatalf("edge sum %d, layer sum %d, total %d", perEdge, perLayer, d.TotalBytes())
+			}
+		})
+	}
+}
+
+// TestStableStreamSilencesUpperLinks: once every leaf has learned its
+// stationary stream, fitting chunks send nothing, so no aggregator's
+// mixture changes and the root link stays silent.
+func TestStableStreamSilencesUpperLinks(t *testing.T) {
+	topo, err := Spec{Leaves: 4, AggLayers: 1, FanOut: 2, Link: LinkSpec{Latency: 0.01}}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, onEmit := refCoordinator(t)
-	d, err := NewDeployment(Config{
-		Topology: topo, Site: testSiteCfg(), Coord: testCoordCfg(),
-		Seed: 3, ExactSync: true, OnEmit: onEmit,
-	})
+	d, err := NewDeployment(Config{Topology: topo, Site: testSiteCfg(), Coord: testCoordCfg(), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedAll(t, d, []float64{0, 200, -200}, 250)
+	feedAll(t, d, []float64{0}, 200)
 	if err := d.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Pending() != 0 {
-		t.Fatalf("%d frames still queued after drain", d.Pending())
+	learned := d.LayerBytes()[0]
+	if learned == 0 {
+		t.Fatal("no upload reached the root")
 	}
-	assertEquivalent(t, d.NodeCoordinator(0), ref)
-	// Byte accounting closes: per-edge wire bytes sum to the totals, and
-	// per-layer sums partition them.
-	var perEdge, perLayer int
+	feedAll(t, d, []float64{0}, 600)
+	if err := d.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.LayerBytes()[0]; got != learned {
+		t.Fatalf("stable stream still uploading to the root: %d -> %d bytes", learned, got)
+	}
+}
+
+// TestEmptyMixtureChildren: only one subtree receives data. The aggregator
+// over silent children contributes nothing and sends nothing, the root
+// holds the active aggregator's one pseudo-model, and a late joiner under
+// the empty aggregator surfaces at the root once its first chunk closes.
+func TestEmptyMixtureChildren(t *testing.T) {
+	topo, err := Spec{Leaves: 4, AggLayers: 1, FanOut: 2, Link: LinkSpec{Latency: 0.01}}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDeployment(Config{Topology: topo, Site: testSiteCfg(), Coord: testCoordCfg(), Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	feed := func(leaf int, mean float64) {
+		for rec := 0; rec < 200; rec++ {
+			if err := d.Feed(leaf, linalg.Vector{mean + 4*float64(1-2*(rec%2)) + rng.NormFloat64()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Build assigns leaves round-robin: leaves 0 and 2 under node 1,
+	// leaves 1 and 3 under node 2.
+	feed(0, 0)
+	if got := d.NodeCoordinator(2).NumModels(); got != 0 {
+		t.Fatalf("silent aggregator holds %d models", got)
+	}
 	for _, es := range d.EdgeStatsAll() {
-		perEdge += es.WireBytes
+		if es.From == d.NodePseudoID(2) && es.WireBytes != 0 {
+			t.Fatalf("silent aggregator uploaded %d bytes", es.WireBytes)
+		}
 	}
-	for _, b := range d.LayerBytes() {
-		perLayer += b
+	if got := d.NodeCoordinator(0).NumModels(); got != 1 {
+		t.Fatalf("root models = %d, want the active aggregator's 1 pseudo-model", got)
 	}
-	if perEdge != d.TotalBytes() || perLayer != d.TotalBytes() {
-		t.Fatalf("edge sum %d, layer sum %d, total %d", perEdge, perLayer, d.TotalBytes())
+	feed(3, 80)
+	if got := d.NodeCoordinator(0).NumModels(); got != 2 {
+		t.Fatalf("root models after late join = %d, want 2", got)
 	}
-	if d.TotalBytes() == 0 {
-		t.Fatal("no traffic at all")
+	if ll := d.RootMixture().AvgLogLikelihood([]linalg.Vector{{76}, {84}}); ll < -8 {
+		t.Fatalf("late joiner's regime missing from root: LL=%v", ll)
 	}
 }
 
@@ -199,7 +343,7 @@ func TestTreeMatchesFlatUnderFaults(t *testing.T) {
 	d, err := NewDeployment(Config{
 		Topology: topo, Site: testSiteCfg(), Coord: testCoordCfg(),
 		Seed: 4, ExactSync: true, OnEmit: onEmit,
-		DropProb: 0.2, DupProb: 0.2,
+		Fault: &netsim.FaultPlan{DropProb: 0.2, DupProb: 0.2, Rand: rand.New(rand.NewSource(4))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +379,7 @@ func TestAggregatorCrashRecovery(t *testing.T) {
 	d, err := NewDeployment(Config{
 		Topology: topo, Site: testSiteCfg(), Coord: testCoordCfg(),
 		Seed: 5, ExactSync: true, OnEmit: onEmit,
-		DropProb: 0.1, DupProb: 0.1,
+		Fault:    &netsim.FaultPlan{DropProb: 0.1, DupProb: 0.1, Rand: rand.New(rand.NewSource(5))},
 		Crashes:  []CrashSpec{{Node: 1, Start: 0.12, End: 0.2}},
 		StateDir: t.TempDir(), CheckpointEvery: 4, SelfCheck: true,
 	})
@@ -256,6 +400,47 @@ func TestAggregatorCrashRecovery(t *testing.T) {
 		t.Fatalf("aggregator uplink epoch = %d after crash, want ≥ 2", ep)
 	}
 	assertEquivalent(t, d.NodeCoordinator(0), ref)
+}
+
+// TestDurableRootStoreLayout: a root made durable by DurableRoot alone
+// keeps its store in StateDir itself, so a directory an earlier run wrote
+// is recovered, not started fresh, by the next deployment on it.
+func TestDurableRootStoreLayout(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		Topology: Topology{Leaves: []LeafSpec{{}, {}}}, Site: testSiteCfg(), Coord: testCoordCfg(),
+		DurableRoot: true, StateDir: dir,
+	}
+	d, err := NewDeployment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAll(t, d, []float64{0, 200}, 300)
+	if err := d.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	want := d.NodeCoordinator(0).TotalWeight()
+	d.Close()
+	if want == 0 {
+		t.Fatal("no records reached the root")
+	}
+	store, rec, err := durable.Open(dir, testCoordCfg(), durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rec.Coord.TotalWeight()
+	store.Close()
+	if got != want {
+		t.Fatalf("store in StateDir recovers mass %v, the run ended at %v", got, want)
+	}
+	again, err := NewDeployment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if got := again.NodeCoordinator(0).TotalWeight(); got != want {
+		t.Fatalf("reopened deployment starts at mass %v, want the recovered %v", got, want)
+	}
 }
 
 func TestPartitionedAggregatorCatchesUp(t *testing.T) {
