@@ -3,7 +3,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -ldflags "-X cludistream/internal/buildinfo.Version=$(VERSION) -X cludistream/internal/buildinfo.Commit=$(COMMIT)"
 
-.PHONY: all build vet lint test race race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-tree dst-long
+.PHONY: all build vet lint test race race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-long
 
 all: check
 
@@ -79,22 +79,17 @@ recover:
 	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix' ./internal/netio/
 
 # Full pre-merge gate.
-check: build lint race-score race-query alloc-gate alloc-gate-query race dst dst-tree bench-e2e-test
+check: build lint race-score race-query alloc-gate alloc-gate-query race dst bench-e2e-test
 
 # Deterministic simulation testing (internal/dst): sweep seeded
-# whole-system scenarios — random deployments, drift programs, and fault
-# schedules — under the full invariant suite. A failure prints the seed
-# and writes a replayable artifact; `go run ./cmd/dst replay -seed N`
+# whole-system scenarios — flat stars, then random 1-2-layer trees of 100+
+# sites with heterogeneous links, node partitions and aggregator
+# crash/recovery — under one invariant suite checked at every hop. Seeds
+# fan out across cores. A failure prints the lowest failing seed and
+# writes a replayable artifact; `go run ./cmd/dst replay -scenario <file>`
 # reproduces it bit-identically.
 dst:
 	$(GO) run ./cmd/dst run -seeds 150
-
-# Tree-topology DST: random 1-3-layer trees of 100+ sites with
-# heterogeneous links, interior-node partitions, and aggregator
-# crash/recovery, checked hop by hop (per-layer exactly-once, Theorem-3
-# byte/memory bounds, tree-vs-flat equivalence). Seeds fan out across
-# cores; `go run ./cmd/dst replay -tree -seed N` reproduces a failure.
-dst-tree:
 	$(GO) run ./cmd/dst run -tree -seeds 150
 
 # Nightly depth: more seeds, larger deployments and drift programs, and
@@ -129,7 +124,7 @@ fuzz:
 # when performance-relevant code changes.
 bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkAblation' -benchtime 1x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkMixture|BenchmarkEMFit|BenchmarkSite|BenchmarkSystem|BenchmarkCholesky|BenchmarkFitMerge|BenchmarkCoordinator|BenchmarkSMEM|BenchmarkScore|BenchmarkPosterior|BenchmarkQuadForm|BenchmarkTelemetry|BenchmarkMultiTest|BenchmarkRemerge' -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkMixture|BenchmarkEMFit|BenchmarkSite|BenchmarkSystem|BenchmarkCholesky|BenchmarkFitMerge|BenchmarkCoordinator|BenchmarkSMEM|BenchmarkScore|BenchmarkPosterior|BenchmarkQuadForm|BenchmarkMultiTest|BenchmarkRemerge' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchmem ./internal/query/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTreeLoad' -benchtime 1x ./internal/tree/ ; } \
 	  | tee /dev/stderr | $(GO) run $(LDFLAGS) ./cmd/benchjson > BENCH_quick.json

@@ -597,61 +597,6 @@ func BenchmarkCoordinatorSlidingSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverheadEMFit pins the disabled-telemetry cost of the
-// EM hot path at (approximately) zero: the "off" and "on" sub-benchmarks
-// run the identical d=8, K=4, n=4096 fit with and without a registry
-// attached. Instruments fire per EM *fit*, never per record or iteration,
-// so both arms should agree within noise (< 2%).
-func BenchmarkTelemetryOverheadEMFit(b *testing.B) {
-	m := benchMixture(4, 8)
-	data := benchData(m, 4096, 8)
-	run := func(b *testing.B, reg *telemetry.Registry) {
-		for i := 0; i < b.N; i++ {
-			if _, err := em.Fit(data, em.Config{K: 4, Seed: 1, MaxIter: 30, Tol: 1e-4, Telemetry: reg}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("on", func(b *testing.B) { run(b, telemetry.NewRegistry()) })
-}
-
-// BenchmarkTelemetryOverheadSystem measures the end-to-end stream path —
-// site chunking, J_fit tests, EM refits, simulated delivery, coordinator
-// merging — with telemetry off and on. This covers the per-record
-// instrument (one atomic increment) plus all per-chunk decision tracing.
-func BenchmarkTelemetryOverheadSystem(b *testing.B) {
-	g, err := stream.NewSynthetic(stream.SyntheticConfig{Dim: 1, K: 2, Pd: 0.5, RegimeLen: 250, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := stream.Take(g, 200*5*3)
-	run := func(b *testing.B, attach bool) {
-		for i := 0; i < b.N; i++ {
-			cfg := cludistream.Config{
-				NumSites: 3, Dim: 1, K: 2, Epsilon: 0.5, Delta: 0.01,
-				Seed: 1, ChunkSize: 200,
-				Merge: gaussian.MergeOptions{MomentOnly: true},
-			}
-			if attach {
-				cfg.Telemetry = telemetry.NewRegistry()
-			}
-			sys, err := cludistream.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.FeedRoundRobin(records); err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.Drain(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, false) })
-	b.Run("on", func(b *testing.B) { run(b, true) })
-}
-
 // benchDriftMix builds the warm-start drift workload mixture: three
 // overlapping 4-d components centred near mean (overlap is what makes cold
 // k-means++ EM iterate long enough for warm seeding to matter).

@@ -29,7 +29,6 @@ import (
 	"cludistream/internal/persist"
 	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
-	"cludistream/internal/transport"
 	"cludistream/internal/tree"
 )
 
@@ -116,14 +115,6 @@ type Config struct {
 	// check; clustering output is bit-identical either way, because
 	// telemetry only reads values the algorithms already computed.
 	Telemetry *telemetry.Registry
-
-	// OnApply, when non-nil, is invoked inside the simulation immediately
-	// after a delivered message is applied to the coordinator — after the
-	// exactly-once dedupe let it through. The deterministic simulation
-	// tests hang their per-update invariant suite on this hook; it must
-	// not mutate the system. Duplicates and stale-epoch messages that the
-	// dedupe drops never reach it.
-	OnApply func(transport.Message)
 
 	// Durability, when non-nil, makes the coordinator crash-durable: every
 	// delivered payload is logged to a write-ahead log before the
@@ -247,9 +238,6 @@ func New(cfg Config) (*System, error) {
 		RetryMaxBackoff:      cfg.RetryMaxBackoff,
 		Telemetry:            cfg.Telemetry,
 	}
-	if cfg.OnApply != nil {
-		tc.OnApply = func(_ int, msg transport.Message) { cfg.OnApply(msg) }
-	}
 	if dur := cfg.Durability; dur != nil {
 		mode, err := persist.ParseFsyncMode(dur.Fsync)
 		if err != nil {
@@ -265,13 +253,6 @@ func New(cfg Config) (*System, error) {
 	}
 	return &System{d: d}, nil
 }
-
-// InjectDedupeFault deliberately breaks the sequence-number dedupe so
-// duplicate deliveries are applied twice. It exists solely for the
-// deterministic simulation tests (internal/dst), which use it to prove
-// the exactly-once invariant catches a real dedupe regression; calling it
-// anywhere else forfeits the exactly-once guarantee.
-func (s *System) InjectDedupeFault() { s.d.InjectDedupeFault() }
 
 // Feed delivers one record to site siteIdx (0-based). The simulated clock
 // advances to the record's arrival time (records arrive at ArrivalRate per
@@ -298,11 +279,10 @@ func (s *System) CrashSite(siteIdx int) error { return s.d.CrashLeaf(siteIdx) }
 // persisted pre-crash state returns ErrRecoveryMismatch.
 func (s *System) CrashCoordinator() error { return s.d.RestartNode(0) }
 
-// RestartCoordinatorAt schedules a CrashCoordinator at simulated time t —
-// how the deterministic simulation tests model a coordinator-restart
-// outage window: the coordinator dies at the window's start (arrivals in
-// the window are already lost to the outage) and recovers from disk at
-// its end. A recovery failure surfaces from the next Feed or Drain.
+// RestartCoordinatorAt schedules a CrashCoordinator at simulated time t,
+// the end of a coordinator-restart outage window: arrivals in the window
+// are already lost to the outage, and the coordinator recovers from disk
+// when it ends. A recovery failure surfaces from the next Feed or Drain.
 func (s *System) RestartCoordinatorAt(t float64) { s.d.RestartNodeAt(0, t) }
 
 // Recovery returns the accumulated coordinator crash-recovery counters.

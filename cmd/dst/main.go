@@ -1,26 +1,25 @@
 // Command dst drives the deterministic simulation testing harness
 // (internal/dst): seeded whole-system scenarios with fault injection, a
-// per-update invariant suite, replayable failures, and a greedy schedule
-// minimizer.
+// per-update invariant suite, replayable failures, and a greedy scenario
+// minimizer. Flat stars and multi-layer trees are the same kind of
+// scenario; -tree only picks the generator.
 //
 // Usage:
 //
-//	dst run -seeds 100                 # sweep seeds 1..100 (short scenarios)
+//	dst run -seeds 150                 # flat stars, seeds 1..150 (short scenarios)
 //	dst run -seeds 500 -long           # nightly: bigger deployments
-//	dst run -tree -seeds 150           # tree topologies: 100+ sites behind aggregators
-//	dst replay -seed 42                # re-run one seed twice, prove bit-identical
-//	dst replay -tree -seed 42          # same, for a tree scenario
-//	dst replay -scenario fail.json     # replay a written scenario file
-//	dst shrink -scenario fail.json -o min.json
+//	dst run -tree -seeds 150           # trees: 100+ sites behind aggregators
+//	dst replay -seed 42 [-tree]        # re-run one seed twice, prove bit-identical
+//	dst replay -scenario dst-fail-seed42.json
+//	dst shrink -scenario dst-fail-seed42.json -o min.json
 //
-// A violating run writes a self-contained artifact (dst-fail-seed<N>.json
-// or dst-tree-fail-seed<N>.json: seed, scenario, violation) and exits 1.
-// replay exits 2 if two runs of the same input ever diverge — that would
-// mean the harness itself lost determinism.
-//
-// Tree scenarios are independent per seed, so the tree sweep fans out
-// across CPUs; flat scenarios stay sequential to preserve the exact
-// first-failure ordering older artifacts were minimized against.
+// A violating sweep writes a self-contained artifact for its lowest
+// failing seed (dst-fail-seed<N>.json: core, scenario, journal) and exits
+// 1; replay and shrink load that file, and shrink writes the minimized
+// run's artifact in the same format. Pass the sweep's -inject-dedupe-bug
+// again when replaying a self-test failure. replay exits 2 if two runs of
+// the same input ever diverge — that would mean the harness itself lost
+// determinism.
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -59,129 +57,121 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: dst <run|replay|shrink> [flags]")
 }
 
-// cmdRun sweeps a seed range, stopping at the first violation with a
-// written artifact.
+// generator picks the scenario generator -tree selects.
+func generator(tree bool) func(int64, bool) dst.Scenario {
+	if tree {
+		return dst.GenerateTree
+	}
+	return dst.Generate
+}
+
+// cmdRun sweeps a seed range across the CPUs and reports the lowest
+// failing seed, with a written artifact.
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	seeds := fs.Int("seeds", 100, "number of seeds to run")
 	start := fs.Int64("start", 1, "first seed")
 	long := fs.Bool("long", false, "long mode: larger deployments and drift programs")
-	treeMode := fs.Bool("tree", false, "tree mode: random multi-layer topologies with interior faults")
-	inject := fs.Bool("inject-dedupe-bug", false, "deliberately break the coordinator dedupe (harness self-test)")
+	tree := fs.Bool("tree", false, "generate random multi-layer trees instead of flat stars")
+	inject := fs.Bool("inject-dedupe-bug", false, "deliberately break every node's dedupe (harness self-test)")
 	dir := fs.String("artifact-dir", ".", "directory for failure artifacts")
 	verbose := fs.Bool("v", false, "print each seed's summary")
 	fs.Parse(args)
 
-	if *treeMode {
-		runTreeSweep(*seeds, *start, *long, *inject, *dir, *verbose)
+	gen, opts := generator(*tree), dst.Options{InjectDedupeFault: *inject}
+	t0 := time.Now()
+	results := sweep(*seeds, *start, func(seed int64) (*dst.Result, error) {
+		return dst.Run(gen(seed, !*long), opts)
+	}, *verbose)
+	var failed []int64
+	for _, res := range results {
+		if res.Violation != nil {
+			failed = append(failed, res.Scenario.Seed)
+		}
+	}
+	if len(failed) == 0 {
+		fmt.Printf("dst: %d seeds green in %.1fs\n", *seeds, time.Since(t0).Seconds())
 		return
 	}
-	opts := dst.Options{InjectDedupeFault: *inject}
-	t0 := time.Now()
-	for seed := *start; seed < *start+int64(*seeds); seed++ {
-		sc := dst.Generate(seed, !*long)
-		res, err := dst.Run(sc, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dst: seed %d: %v\n", seed, err)
-			os.Exit(1)
-		}
-		if *verbose {
-			fmt.Printf("seed %-6d sites=%d dim=%d updates=%-4d dup=%-3d retries=%-4d t=%.1fs fp=%016x\n",
-				seed, sc.NumSites, sc.Dim, res.Updates, res.Delivery.DupDelivered, res.Delivery.Retries, res.SimTime, res.Fingerprint)
-		}
-		if res.Violation != nil {
-			path := filepath.Join(*dir, fmt.Sprintf("dst-fail-seed%d.json", seed))
-			if err := writeArtifact(path, res); err != nil {
-				fmt.Fprintf(os.Stderr, "dst: writing artifact: %v\n", err)
-			}
-			fmt.Fprintf(os.Stderr, "dst: seed %d FAILED: %v\n  artifact: %s\n  replay:   dst replay -seed %d%s\n",
-				seed, res.Violation, path, seed, longFlag(*long))
-			os.Exit(1)
-		}
+	res := results[failed[0]-*start]
+	path := filepath.Join(*dir, fmt.Sprintf("dst-fail-seed%d.json", failed[0]))
+	if err := writeArtifact(path, res); err != nil {
+		fmt.Fprintf(os.Stderr, "dst: writing artifact: %v\n", err)
 	}
-	fmt.Printf("dst: %d seeds green in %.1fs\n", *seeds, time.Since(t0).Seconds())
+	replay := "dst replay -scenario " + path
+	if *inject {
+		replay += " -inject-dedupe-bug"
+	}
+	fmt.Fprintf(os.Stderr, "dst: seed %d FAILED: %v\n  artifact: %s\n  replay:   %s\n", failed[0], res.Violation, path, replay)
+	if len(failed) > 1 {
+		fmt.Fprintf(os.Stderr, "dst: %d seeds failed in all: %v\n", len(failed), failed)
+	}
+	os.Exit(1)
 }
 
-// runTreeSweep sweeps tree-topology seeds across the CPUs. Each seed is
-// an independent pure function, so the fan-out changes nothing about the
-// results; the sweep runs every seed and reports the lowest failing one,
-// writing an artifact per failure.
-func runTreeSweep(seeds int, start int64, long, inject bool, dir string, verbose bool) {
-	opts := dst.TreeOptions{InjectDedupeFault: inject}
-	t0 := time.Now()
+// sweep runs seeds start..start+n-1 on every CPU — each seed is an
+// independent pure function, so the fan-out changes nothing about the
+// results — and returns them in seed order, printing each seed's summary
+// in seed order as the prefix completes. A seed whose scenario cannot run
+// ends the process.
+func sweep(n int, start int64, run func(int64) (*dst.Result, error), verbose bool) []*dst.Result {
 	type outcome struct {
-		seed int64
-		res  *dst.TreeResult
-		err  error
+		i   int
+		res *dst.Result
+		err error
 	}
-	jobs := make(chan int64)
-	results := make(chan outcome, seeds)
+	jobs := make(chan int)
+	done := make(chan outcome)
 	var wg sync.WaitGroup
 	for w := 0; w < runtime.NumCPU(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for seed := range jobs {
-				res, err := dst.RunTree(dst.GenerateTree(seed, !long), opts)
-				results <- outcome{seed: seed, res: res, err: err}
+			for i := range jobs {
+				res, err := run(start + int64(i))
+				done <- outcome{i, res, err}
 			}
 		}()
 	}
 	go func() {
-		for seed := start; seed < start+int64(seeds); seed++ {
-			jobs <- seed
+		for i := 0; i < n; i++ {
+			jobs <- i
 		}
 		close(jobs)
 		wg.Wait()
-		close(results)
+		close(done)
 	}()
-
-	var failed []outcome
-	for o := range results {
+	results := make([]*dst.Result, n)
+	next := 0
+	for o := range done {
 		if o.err != nil {
-			fmt.Fprintf(os.Stderr, "dst: tree seed %d: %v\n", o.seed, o.err)
+			fmt.Fprintf(os.Stderr, "dst: seed %d: %v\n", start+int64(o.i), o.err)
 			os.Exit(1)
 		}
-		if verbose {
-			sc := o.res.Scenario
-			fmt.Printf("tree seed %-6d sites=%-4d layers=%d updates=%-5d crashes=%d restarts=%d t=%.1fs fp=%016x\n",
-				o.seed, sc.NumSites(), sc.Topology.Depth()-1, o.res.Updates, len(sc.Crashes), o.res.Recovery.Restarts, o.res.SimTime, o.res.Fingerprint)
-		}
-		if o.res.Violation != nil {
-			failed = append(failed, o)
-		}
-	}
-	if len(failed) > 0 {
-		sort.Slice(failed, func(i, j int) bool { return failed[i].seed < failed[j].seed })
-		for _, o := range failed {
-			path := filepath.Join(dir, fmt.Sprintf("dst-tree-fail-seed%d.json", o.seed))
-			if err := writeTreeArtifact(path, o.res); err != nil {
-				fmt.Fprintf(os.Stderr, "dst: writing artifact: %v\n", err)
+		results[o.i] = o.res
+		for ; next < n && results[next] != nil; next++ {
+			if r := results[next]; verbose {
+				sc := r.Scenario
+				fmt.Printf("seed %-6d sites=%-4d aggs=%-3d dim=%d updates=%-5d dup=%-4d retries=%-5d restarts=%d t=%.1fs fp=%016x\n",
+					sc.Seed, len(sc.Sites), len(sc.Topology.Aggs), sc.Dim, r.Updates, r.Delivery.DupDelivered, r.Delivery.Retries, r.Recovery.Restarts, r.SimTime, r.Fingerprint)
 			}
-			fmt.Fprintf(os.Stderr, "dst: tree seed %d FAILED: %v\n  artifact: %s\n  replay:   dst replay -tree -seed %d%s\n",
-				o.seed, o.res.Violation, path, o.seed, longFlag(long))
 		}
-		os.Exit(1)
 	}
-	fmt.Printf("dst: %d tree seeds green in %.1fs\n", seeds, time.Since(t0).Seconds())
+	return results
 }
 
-// cmdReplay runs one seed (or scenario file) twice and proves the two
+// cmdReplay runs one seed (or artifact file) twice and proves the two
 // runs are bit-identical, printing the deterministic core.
 func cmdReplay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	seed := fs.Int64("seed", 0, "seed to replay (generates the scenario)")
-	scenarioPath := fs.String("scenario", "", "scenario file to replay instead of a seed")
+	path := fs.String("scenario", "", "artifact file to replay instead of a seed")
 	long := fs.Bool("long", false, "long mode (must match the run that failed)")
-	treeMode := fs.Bool("tree", false, "replay a tree scenario")
-	inject := fs.Bool("inject-dedupe-bug", false, "deliberately break the coordinator dedupe")
+	tree := fs.Bool("tree", false, "generate a tree scenario from -seed")
+	inject := fs.Bool("inject-dedupe-bug", false, "deliberately break every node's dedupe")
 	fs.Parse(args)
 
-	if *treeMode {
-		replayTree(*seed, *scenarioPath, *long, *inject)
-		return
-	}
-	sc, err := loadScenario(*seed, *scenarioPath, *long)
+	sc, err := loadScenario(*path, *seed, generator(*tree), *long)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dst:", err)
 		os.Exit(2)
@@ -195,8 +185,7 @@ func cmdReplay(args []string) {
 			fmt.Fprintf(os.Stderr, "dst: replay %d: %v\n", i+1, err)
 			os.Exit(2)
 		}
-		core := coreJSON(res)
-		cores[i] = core
+		cores[i], _ = json.Marshal(res.Core())
 		last = res
 	}
 	if string(cores[0]) != string(cores[1]) {
@@ -209,74 +198,18 @@ func cmdReplay(args []string) {
 	}
 }
 
-// replayTree is cmdReplay for tree scenarios: two runs of the same input
-// must produce bit-identical deterministic cores.
-func replayTree(seed int64, path string, long, inject bool) {
-	var sc dst.TreeScenario
-	switch {
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dst:", err)
-			os.Exit(2)
-		}
-		var rerr error
-		sc, rerr = dst.ReadTreeScenario(f)
-		f.Close()
-		if rerr != nil {
-			fmt.Fprintln(os.Stderr, "dst:", rerr)
-			os.Exit(2)
-		}
-	case seed != 0:
-		sc = dst.GenerateTree(seed, !long)
-	default:
-		fmt.Fprintln(os.Stderr, "dst: need -seed or -scenario")
-		os.Exit(2)
-	}
-	opts := dst.TreeOptions{InjectDedupeFault: inject}
-	var cores [2][]byte
-	var last *dst.TreeResult
-	for i := range cores {
-		res, err := dst.RunTree(sc, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dst: replay %d: %v\n", i+1, err)
-			os.Exit(2)
-		}
-		c := dst.TreeCore{
-			Seed:           res.Scenario.Seed,
-			Updates:        res.Updates,
-			SimTime:        res.SimTime,
-			Fingerprint:    res.Fingerprint,
-			RefFingerprint: res.RefFingerprint,
-		}
-		if res.Violation != nil {
-			c.Violation = *res.Violation
-		}
-		b, _ := json.Marshal(c)
-		cores[i] = b
-		last = res
-	}
-	if string(cores[0]) != string(cores[1]) {
-		fmt.Fprintf(os.Stderr, "dst: NON-DETERMINISTIC: tree replays diverged\nfirst:  %s\nsecond: %s\n", cores[0], cores[1])
-		os.Exit(2)
-	}
-	fmt.Printf("tree replay bit-identical across 2 runs:\n%s\n", cores[0])
-	if last.Violation != nil {
-		os.Exit(1)
-	}
-}
-
-// cmdShrink minimizes a failing scenario.
+// cmdShrink minimizes a failing scenario and writes the minimized run's
+// artifact.
 func cmdShrink(args []string) {
 	fs := flag.NewFlagSet("shrink", flag.ExitOnError)
-	seed := fs.Int64("seed", 0, "seed to shrink (generates the scenario)")
-	scenarioPath := fs.String("scenario", "", "scenario file to shrink")
+	seed := fs.Int64("seed", 0, "seed to shrink (generates a flat scenario)")
+	path := fs.String("scenario", "", "artifact file to shrink (either shape)")
 	long := fs.Bool("long", false, "long mode")
-	inject := fs.Bool("inject-dedupe-bug", false, "deliberately break the coordinator dedupe")
-	out := fs.String("o", "dst-min.json", "output path for the minimized scenario")
+	inject := fs.Bool("inject-dedupe-bug", false, "deliberately break every node's dedupe")
+	out := fs.String("o", "dst-min.json", "output path for the minimized run's artifact")
 	fs.Parse(args)
 
-	sc, err := loadScenario(*seed, *scenarioPath, *long)
+	sc, err := loadScenario(*path, *seed, dst.Generate, *long)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dst:", err)
 		os.Exit(2)
@@ -292,22 +225,17 @@ func cmdShrink(args []string) {
 		fmt.Fprintln(os.Stderr, "dst: input scenario does not fail; nothing to shrink")
 		os.Exit(1)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
+	if err := writeArtifact(*out, res); err != nil {
 		fmt.Fprintln(os.Stderr, "dst:", err)
 		os.Exit(2)
 	}
-	defer f.Close()
-	if err := dst.WriteScenario(f, min); err != nil {
-		fmt.Fprintln(os.Stderr, "dst:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("shrunk after %d runs: %d sites, %d outages, drop=%.2f dup=%.2f — still fails with: %v\nwrote %s\n",
-		runs, min.NumSites, len(min.Outages), min.DropProb, min.DupProb, res.Violation, *out)
+	fmt.Printf("shrunk after %d runs: %d sites, %d aggregators, %d outages, %d crashes, drop=%.2f dup=%.2f — still fails with: %v\nwrote %s\n",
+		runs, len(min.Sites), len(min.Topology.Aggs), len(min.Outages), len(min.Crashes), min.DropProb, min.DupProb, res.Violation, *out)
 }
 
-// loadScenario resolves the -seed/-scenario flags.
-func loadScenario(seed int64, path string, long bool) (dst.Scenario, error) {
+// loadScenario resolves the -scenario/-seed flags: an artifact file as
+// run or shrink wrote it, or a scenario generated from the seed.
+func loadScenario(path string, seed int64, gen func(int64, bool) dst.Scenario, long bool) (dst.Scenario, error) {
 	switch {
 	case path != "":
 		f, err := os.Open(path)
@@ -315,21 +243,16 @@ func loadScenario(seed int64, path string, long bool) (dst.Scenario, error) {
 			return dst.Scenario{}, err
 		}
 		defer f.Close()
-		return dst.ReadScenario(f)
+		a, err := dst.ReadArtifact(f)
+		if err != nil {
+			return dst.Scenario{}, err
+		}
+		return a.Scenario, nil
 	case seed != 0:
-		return dst.Generate(seed, !long), nil
+		return gen(seed, !long), nil
 	default:
 		return dst.Scenario{}, fmt.Errorf("need -seed or -scenario")
 	}
-}
-
-func writeTreeArtifact(path string, res *dst.TreeResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return dst.WriteTreeArtifact(f, res.ToArtifact())
 }
 
 func writeArtifact(path string, res *dst.Result) error {
@@ -339,26 +262,4 @@ func writeArtifact(path string, res *dst.Result) error {
 	}
 	defer f.Close()
 	return dst.WriteArtifact(f, res.ToArtifact())
-}
-
-func coreJSON(res *dst.Result) []byte {
-	c := dst.Core{
-		Seed:             res.Scenario.Seed,
-		Updates:          res.Updates,
-		SimTime:          res.SimTime,
-		Fingerprint:      res.Fingerprint,
-		CleanFingerprint: res.CleanFingerprint,
-	}
-	if res.Violation != nil {
-		c.Violation = *res.Violation
-	}
-	b, _ := json.Marshal(c)
-	return b
-}
-
-func longFlag(long bool) string {
-	if long {
-		return " -long"
-	}
-	return ""
 }

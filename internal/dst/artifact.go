@@ -2,6 +2,7 @@ package dst
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"cludistream/internal/persist"
@@ -9,57 +10,56 @@ import (
 )
 
 // Artifact serialization tags (persist's versioned JSON envelope).
-// Version 2 added the scenario's coordinator-durability knobs
-// (checkpoint_every, wal_fsync); version-1 files load fine — the knobs
-// default to zero, matching pre-durability behaviour.
+// Version 3 gave flat and tree runs one scenario shape — a topology,
+// node outages and aggregator crashes — and one artifact; files of
+// earlier versions no longer load (regenerate them from their seed).
 const (
 	artifactFormat = "cludistream-dst-artifact"
-	scenarioFormat = "cludistream-dst-scenario"
-	formatVersion  = 2
+	formatVersion  = 3
 )
+
+// Core is the deterministic portion of a run: two replays of the same
+// scenario must produce equal Cores bit for bit.
+type Core struct {
+	Seed           int64     `json:"seed"`
+	Violation      Violation `json:"violation"`
+	Updates        int       `json:"updates"`
+	SimTime        float64   `json:"sim_time"`
+	Fingerprint    uint64    `json:"fingerprint"`
+	RefFingerprint uint64    `json:"ref_fingerprint"`
+}
+
+// Core projects the result onto its replay-stable fields (a zero
+// Violation on a green run).
+func (r *Result) Core() Core {
+	c := Core{
+		Seed:           r.Scenario.Seed,
+		Updates:        r.Updates,
+		SimTime:        r.SimTime,
+		Fingerprint:    r.Fingerprint,
+		RefFingerprint: r.RefFingerprint,
+	}
+	if r.Violation != nil {
+		c.Violation = *r.Violation
+	}
+	return c
+}
 
 // Artifact is a self-contained failure report: everything needed to
 // understand and replay a violation without the process that found it —
-// the seed, the full scenario, the violation itself, the run's
-// fingerprints, and the tail of the telemetry decision journal leading up
-// to the failure. Journal entries carry wall-clock timestamps, so replay
-// equality is defined on Core(), not on the journal.
+// the deterministic core, the full scenario, and the tail of the telemetry
+// decision journal leading up to the failure. It is the one file format
+// `dst run` and `dst shrink` write and `dst replay` and `dst shrink` read.
+// Journal entries carry wall-clock timestamps, so replay equality is
+// defined on Core, not on the journal.
 type Artifact struct {
-	Seed             int64             `json:"seed"`
-	Scenario         Scenario          `json:"scenario"`
-	Violation        Violation         `json:"violation"`
-	Updates          int               `json:"updates"`
-	SimTime          float64           `json:"sim_time"`
-	Fingerprint      uint64            `json:"fingerprint"`
-	CleanFingerprint uint64            `json:"clean_fingerprint"`
-	Journal          []telemetry.Event `json:"journal,omitempty"`
+	Core
+	Scenario Scenario          `json:"scenario"`
+	Journal  []telemetry.Event `json:"journal,omitempty"`
 	// Traces is the tracer snapshot at the violation: cumulative span
 	// counts plus the slowest ingest→visible exemplar traces. Like the
 	// journal it is debugging context, not part of the replay-stable Core.
 	Traces *telemetry.TracerSnapshot `json:"traces,omitempty"`
-}
-
-// Core is the deterministic portion of an artifact: two replays of the
-// same seed must produce equal Cores bit for bit.
-type Core struct {
-	Seed             int64     `json:"seed"`
-	Violation        Violation `json:"violation"`
-	Updates          int       `json:"updates"`
-	SimTime          float64   `json:"sim_time"`
-	Fingerprint      uint64    `json:"fingerprint"`
-	CleanFingerprint uint64    `json:"clean_fingerprint"`
-}
-
-// Core projects the artifact onto its replay-stable fields.
-func (a *Artifact) Core() Core {
-	return Core{
-		Seed:             a.Seed,
-		Violation:        a.Violation,
-		Updates:          a.Updates,
-		SimTime:          a.SimTime,
-		Fingerprint:      a.Fingerprint,
-		CleanFingerprint: a.CleanFingerprint,
-	}
 }
 
 // ToArtifact packages a violating result (nil for green runs).
@@ -67,17 +67,7 @@ func (r *Result) ToArtifact() *Artifact {
 	if r.Violation == nil {
 		return nil
 	}
-	return &Artifact{
-		Seed:             r.Scenario.Seed,
-		Scenario:         r.Scenario,
-		Violation:        *r.Violation,
-		Updates:          r.Updates,
-		SimTime:          r.SimTime,
-		Fingerprint:      r.Fingerprint,
-		CleanFingerprint: r.CleanFingerprint,
-		Journal:          r.Journal,
-		Traces:           r.Traces,
-	}
+	return &Artifact{Core: r.Core(), Scenario: r.Scenario, Journal: r.Journal, Traces: r.Traces}
 }
 
 // WriteArtifact serializes an artifact into persist's envelope.
@@ -85,34 +75,23 @@ func WriteArtifact(w io.Writer, a *Artifact) error {
 	return persist.SaveJSONEnvelope(w, artifactFormat, formatVersion, a)
 }
 
-// ReadArtifact loads an artifact written by WriteArtifact; foreign or
-// corrupted inputs return persist.ErrBadFormat-wrapped errors.
+// ReadArtifact loads an artifact written by WriteArtifact and validates
+// its scenario; foreign, outdated or corrupted inputs return
+// persist.ErrBadFormat-wrapped errors.
 func ReadArtifact(r io.Reader) (*Artifact, error) {
-	payload, _, err := persist.LoadJSONEnvelope(r, artifactFormat, formatVersion)
+	payload, version, err := persist.LoadJSONEnvelope(r, artifactFormat, formatVersion)
 	if err != nil {
 		return nil, err
+	}
+	if version < formatVersion {
+		return nil, fmt.Errorf("%w: version %d predates the one scenario shape of version %d", persist.ErrBadFormat, version, formatVersion)
 	}
 	var a Artifact
 	if err := json.Unmarshal(payload, &a); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", persist.ErrBadFormat, err)
+	}
+	if err := a.Scenario.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", persist.ErrBadFormat, err)
 	}
 	return &a, nil
-}
-
-// WriteScenario serializes a scenario alone (the shrink output).
-func WriteScenario(w io.Writer, sc Scenario) error {
-	return persist.SaveJSONEnvelope(w, scenarioFormat, formatVersion, sc)
-}
-
-// ReadScenario loads a scenario written by WriteScenario and validates it.
-func ReadScenario(r io.Reader) (Scenario, error) {
-	payload, _, err := persist.LoadJSONEnvelope(r, scenarioFormat, formatVersion)
-	if err != nil {
-		return Scenario{}, err
-	}
-	var sc Scenario
-	if err := json.Unmarshal(payload, &sc); err != nil {
-		return Scenario{}, err
-	}
-	return sc, sc.Validate()
 }

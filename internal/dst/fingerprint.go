@@ -30,20 +30,24 @@ func Fingerprint(m *gaussian.Mixture) uint64 {
 // and rebuilding one would renormalize the weights, perturbing last-ulp
 // bits and defeating the bit-identity the invariant pins).
 func fingerprintModel(k int, weight func(int) float64, comp func(int) *gaussian.Component) uint64 {
-	recs := make([][]byte, 0, k)
+	// One buffer holds every record; recs slices it per component.
+	var buf []byte
+	ends := make([]int, k)
 	for j := 0; j < k; j++ {
 		c := comp(j)
-		b := appendBits(nil, weight(j))
+		buf = appendBits(buf, weight(j))
 		for _, v := range c.Mean() {
-			b = appendBits(b, v)
+			buf = appendBits(buf, v)
 		}
-		cov := c.Cov()
-		for i := 0; i < cov.Order(); i++ {
-			for k := 0; k <= i; k++ {
-				b = appendBits(b, cov.At(i, k))
-			}
+		// Packed is the lower triangle row by row: (0,0), (1,0), (1,1), …
+		for _, v := range c.Cov().Packed() {
+			buf = appendBits(buf, v)
 		}
-		recs = append(recs, b)
+		ends[j] = len(buf)
+	}
+	recs := make([][]byte, k)
+	for j, start := 0, 0; j < k; j++ {
+		recs[j], start = buf[start:ends[j]], ends[j]
 	}
 	sort.Slice(recs, func(a, b int) bool { return bytes.Compare(recs[a], recs[b]) < 0 })
 	h := fnv.New64a()

@@ -2,101 +2,123 @@ package dst
 
 import (
 	"fmt"
+	"math"
 
-	"cludistream"
 	"cludistream/internal/coordinator"
+	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
 	"cludistream/internal/query"
 	"cludistream/internal/telemetry"
 	"cludistream/internal/transport"
+	"cludistream/internal/tree"
 )
 
-// epochCounts tallies the updates applied from one site incarnation —
-// the observables the Theorem-2/3 invariants compare against the site's
-// own decision counters.
-type epochCounts struct {
-	newModels     int
-	weightUpdates int
-	deletions     int
-	bytes         int
+// hop identifies one directed edge of the deployment by its receiving
+// internal node and the wire sender id the receiver sees (a leaf SiteID or
+// an aggregator's pseudo-site id).
+type hop struct {
+	node  int
+	child int32
 }
 
-// shadowMark mirrors the coordinator's per-site exactly-once watermark.
+// shadowMark mirrors a receiver's per-sender exactly-once watermark.
 type shadowMark struct {
 	epoch  uint32
 	maxSeq uint64
 }
 
-// checker is the invariant suite. It observes every applied coordinator
-// update through the facade's OnApply hook, maintains an independent
-// exactly-once shadow (its own dedupe watermarks plus a reference
-// coordinator fed the same updates), and checks the full suite after each
-// one. The first violation is retained; later checks are skipped so the
-// artifact pins the earliest deterministic failure point.
+// hopTally is the receiver-side ledger for one (hop, epoch): what the
+// node actually applied, priced at exact wire sizes, split by kind.
+type hopTally struct {
+	msgs, bytes                         int
+	newModels, weightUpdates, deletions int
+}
+
+// liveModel is one registered model the checker believes a node holds:
+// its running record counter and the component count its mixture
+// contributes to the node's leaf table.
+type liveModel struct {
+	counter int
+	comps   int
+}
+
+// checker is the invariant suite. It observes every message applied at
+// every internal node through the deployment's OnApply hook and keeps, per
+// hop, an independent exactly-once shadow — its own dedupe watermarks and
+// the live models and counters the applied stream implies — and a
+// receiver-side ledger it compares against the sender-side entitlement.
+// The emission reference, a coordinator fed every leaf send directly (no
+// network), anchors the final schedule-independence check. The first
+// violation is retained; later checks are skipped so the artifact pins the
+// earliest deterministic failure point.
 type checker struct {
 	sc  Scenario
-	sys *cludistream.System
+	dep *tree.Deployment
 	reg *telemetry.Registry
 	// tracer backs the trace-conservation invariant (DST always enables
 	// tracing before building the checker).
 	tracer *telemetry.Tracer
 
-	ref   *coordinator.Coordinator
-	marks map[int32]*shadowMark
-	// perEpoch is keyed by site ID and reset on epoch advance, so its
-	// counts always describe the site's *current* incarnation.
-	perEpoch map[int32]*epochCounts
-
-	// curEpoch is each site's live incarnation epoch (1-based), advanced by
-	// the runner on every crash. Theorem-2/3 checks compare delivered
-	// counts against the live site's decision counters, so they only run
-	// on updates from the live epoch — in-flight messages from a dead
-	// incarnation may still legitimately arrive right after a crash.
-	curEpoch []uint32
+	ref     *coordinator.Coordinator
+	marks   map[hop]*shadowMark
+	applied map[hop]map[uint32]*hopTally
+	models  map[hop]map[int32]*liveModel
+	// nmodels and leaves are each node's expected model count and
+	// leaf-table size (the sum over live models of their component counts),
+	// maintained incrementally.
+	nmodels, leaves []int
+	// live is each site's live incarnation epoch (1-based), advanced on
+	// every crash. Theorem-2/3 checks compare delivered counts against the
+	// live site's decision counters, so they only run on updates from the
+	// live epoch — in-flight messages from a dead incarnation may still
+	// legitimately arrive right after a crash.
+	live []uint32
 
 	// Query-tier state (snapshot-consistency invariant): the real RCU
 	// publisher driven on the virtual clock, a scratch for read-op parity
-	// checks, and the pinned snapshots re-verified on every update.
+	// checks, the pinned snapshots re-verified after every root apply, and
+	// a buffer for their current values.
 	pub      *query.Publisher
 	qscratch *query.Scratch
 	held     []heldSnap
+	qvals    []float64
 
-	updates   int
-	violation *Violation
+	// updates counts applied messages at every node; traced counts those
+	// from leaves, the only senders that carry trace context.
+	updates, traced int
+	violation       *Violation
 
-	// Wire sizes of the v2 encodings, fixed by the scenario's K and Dim.
+	// Wire sizes of a leaf's v2 traced encodings, fixed by K and Dim.
 	newModelWire int
 	smallWire    int
 }
 
-// newChecker builds the suite; the runner assigns sys before feeding.
+// newChecker builds the suite; the runner assigns dep and pub before
+// feeding.
 func newChecker(sc Scenario, reg *telemetry.Registry) (*checker, error) {
-	ref, err := coordinator.New(coordinator.Config{Dim: sc.Dim, Merge: mergeOpts()})
-	if err != nil {
-		return nil, err
-	}
 	c := &checker{
 		sc:       sc,
 		reg:      reg,
 		tracer:   reg.Tracer(),
-		ref:      ref,
-		marks:    make(map[int32]*shadowMark),
-		perEpoch: make(map[int32]*epochCounts),
-		curEpoch: make([]uint32, sc.NumSites),
-		// v2 framing: header (17) + marker/epoch/seq (13); a NewModel adds
-		// K, d and K·(1 + d + packed(d)) float64s.
-		smallWire: 17 + 13,
-	}
-	for i := range c.curEpoch {
-		c.curEpoch[i] = 1
-	}
-	if c.tracer != nil {
-		// With tracing on, every message carries the 16-byte trace suffix,
-		// so the Theorem-3 wire bound prices it in.
-		c.smallWire += transport.TraceSuffixSize
+		marks:    make(map[hop]*shadowMark),
+		applied:  make(map[hop]map[uint32]*hopTally),
+		models:   make(map[hop]map[int32]*liveModel),
+		nmodels:  make([]int, sc.Topology.NumNodes()),
+		leaves:   make([]int, sc.Topology.NumNodes()),
+		live:     make([]uint32, len(sc.Sites)),
+		qscratch: query.NewScratch(),
+		// v2 framing: header (17) + marker/epoch/seq (13) + the 16-byte
+		// trace suffix every leaf message carries; a NewModel adds K, d and
+		// K·(1 + d + packed(d)) float64s.
+		smallWire: 17 + 13 + transport.TraceSuffixSize,
 	}
 	c.newModelWire = c.smallWire + 8 + sc.K*8*(1+sc.Dim+linalg.PackedLen(sc.Dim))
-	return c, nil
+	for i := range c.live {
+		c.live[i] = 1
+	}
+	var err error
+	c.ref, err = coordinator.New(coordinator.Config{Dim: sc.Dim, Merge: mergeOpts()})
+	return c, err
 }
 
 // fail records the first violation, pinned to the current update count
@@ -109,98 +131,215 @@ func (c *checker) fail(invariant, detail string) {
 		Invariant: invariant,
 		Detail:    detail,
 		Update:    c.updates,
-		SimTime:   c.sys.Now(),
+		SimTime:   c.dep.Now(),
 	}
 }
 
-// beforeCrash is called by the runner just before a site incarnation is
-// killed, advancing the checker's view of the live epoch.
-func (c *checker) beforeCrash(siteIdx int) { c.curEpoch[siteIdx]++ }
+// onEmit feeds the emission reference every message a leaf sends.
+func (c *checker) onEmit(msg transport.Message) {
+	var err error
+	if msg.Kind == transport.MsgDeletion {
+		err = c.ref.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
+	} else {
+		err = c.ref.HandleUpdate(msg.ToSiteUpdate())
+	}
+	if err != nil {
+		c.fail("delivery", fmt.Sprintf("emission reference rejected site %d's own message: %v", msg.SiteID, err))
+	}
+}
 
-// onApply is the per-update invariant suite, invoked by the system under
-// test immediately after it applies a delivered message.
-func (c *checker) onApply(msg transport.Message) {
+// crashLeaf is called by the runner just before leaf i's incarnation is
+// killed: the reference forgets it, as the leaf's parent will on the
+// restarted incarnation's first message, and the live epoch advances.
+func (c *checker) crashLeaf(i int) {
+	c.ref.ResetSite(i + 1)
+	c.live[i]++
+}
+
+// onApply is the per-update invariant suite, invoked by the deployment at
+// whichever internal node just applied a delivered message.
+func (c *checker) onApply(node int, msg transport.Message) {
 	if c.violation != nil {
 		return
 	}
 	c.updates++
+	h := hop{node: node, child: msg.SiteID}
+	leaf := int(msg.SiteID) <= len(c.sc.Sites)
+	if leaf {
+		c.traced++
+	}
 
-	// Invariant: exactly-once application. The shadow replays the
-	// coordinator's dedupe protocol from scratch; any applied message the
-	// shadow would have dropped is a duplicate or a stale-epoch leak.
+	// Invariant: exactly-once through this hop. The shadow replays the
+	// dedupe protocol from scratch; any applied message it would have
+	// dropped is a duplicate or stale-epoch leak at this specific edge.
 	if msg.Seq == 0 {
-		c.fail("exactly-once", fmt.Sprintf("site %d applied an unversioned (v1) message in fault-tolerant mode", msg.SiteID))
+		c.fail("exactly-once", fmt.Sprintf("node %d applied an unversioned (v1) message from sender %d", node, msg.SiteID))
 		return
 	}
-	w := c.marks[msg.SiteID]
+	w := c.marks[h]
 	if w == nil {
 		w = &shadowMark{}
-		c.marks[msg.SiteID] = w
+		c.marks[h] = w
 	}
 	switch {
 	case msg.Epoch < w.epoch:
-		c.fail("exactly-once", fmt.Sprintf("site %d applied a stale-epoch message: epoch %d < watermark epoch %d", msg.SiteID, msg.Epoch, w.epoch))
+		c.fail("exactly-once", fmt.Sprintf("node %d applied a stale-epoch message from sender %d: epoch %d < watermark epoch %d", node, msg.SiteID, msg.Epoch, w.epoch))
 		return
 	case msg.Epoch > w.epoch:
 		if w.epoch != 0 {
-			c.ref.ResetSite(int(msg.SiteID))
+			// The node reset this sender: its dead incarnation's models left
+			// the leaf table.
+			for _, lm := range c.models[h] {
+				c.leaves[node] -= lm.comps
+			}
+			c.nmodels[node] -= len(c.models[h])
+			c.models[h] = nil
 		}
 		w.epoch, w.maxSeq = msg.Epoch, 0
-		c.perEpoch[msg.SiteID] = &epochCounts{}
 	}
 	if msg.Seq <= w.maxSeq {
-		c.fail("exactly-once", fmt.Sprintf("site %d epoch %d applied seq %d twice (watermark %d): duplicate delivery was not deduped", msg.SiteID, msg.Epoch, msg.Seq, w.maxSeq))
+		c.fail("exactly-once", fmt.Sprintf("node %d: sender %d epoch %d applied seq %d twice (watermark %d): duplicate delivery was not deduped", node, msg.SiteID, msg.Epoch, msg.Seq, w.maxSeq))
 		return
 	}
 	w.maxSeq = msg.Seq
 
-	// Feed the reference coordinator the same update and compare the full
-	// per-model weight tables: a dedupe bug that slips a duplicate through
-	// any other path shows up as a counter mismatch here.
-	var err error
+	// Receiver-side ledger for the Theorem-3 communication bound: what a
+	// node applies from a sender can never exceed what the sender's edge
+	// handed to transport in that epoch, priced at exact wire sizes.
+	byEpoch := c.applied[h]
+	if byEpoch == nil {
+		byEpoch = make(map[uint32]*hopTally)
+		c.applied[h] = byEpoch
+	}
+	t := byEpoch[msg.Epoch]
+	if t == nil {
+		t = &hopTally{}
+		byEpoch[msg.Epoch] = t
+	}
+	t.msgs++
+	t.bytes += msg.WireSize()
 	switch msg.Kind {
+	case transport.MsgNewModel:
+		t.newModels++
+	case transport.MsgWeightUpdate:
+		t.weightUpdates++
 	case transport.MsgDeletion:
-		err = c.ref.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
-	default:
-		err = c.ref.HandleUpdate(msg.ToSiteUpdate())
+		t.deletions++
 	}
-	if err != nil {
-		c.fail("exactly-once", fmt.Sprintf("reference coordinator rejected replayed update: %v", err))
-		return
-	}
-	if diff := weightsDiff(c.sys.Coordinator().ModelWeights(), c.ref.ModelWeights()); diff != "" {
-		c.fail("exactly-once", "coordinator diverged from exactly-once reference: "+diff)
+	sent := c.dep.SentTally(node, int(msg.SiteID), msg.Epoch)
+	if t.msgs > sent.Msgs || t.bytes > sent.Bytes {
+		c.fail("comm-bound", fmt.Sprintf("node %d applied %d msgs / %d bytes from sender %d in epoch %d, but the sender only emitted %d msgs / %d bytes",
+			node, t.msgs, t.bytes, msg.SiteID, msg.Epoch, sent.Msgs, sent.Bytes))
 		return
 	}
 
-	pc := c.perEpoch[msg.SiteID]
-	if pc == nil {
-		pc = &epochCounts{}
-		c.perEpoch[msg.SiteID] = pc
+	// Track the sender's live models: the node's exactly-once shadow, which
+	// also prices its memory (checkNode).
+	mods := c.models[h]
+	if mods == nil {
+		mods = make(map[int32]*liveModel)
+		c.models[h] = mods
 	}
 	switch msg.Kind {
 	case transport.MsgNewModel:
-		pc.newModels++
+		if mods[msg.ModelID] != nil {
+			c.fail("exactly-once", fmt.Sprintf("node %d: sender %d re-registered model %d", node, msg.SiteID, msg.ModelID))
+			return
+		}
+		mods[msg.ModelID] = &liveModel{counter: int(msg.Count), comps: msg.Mixture.K()}
+		c.leaves[node] += msg.Mixture.K()
+		c.nmodels[node]++
 	case transport.MsgWeightUpdate:
-		pc.weightUpdates++
+		lm := mods[msg.ModelID]
+		if lm == nil {
+			c.fail("exactly-once", fmt.Sprintf("node %d: sender %d weight update for unregistered model %d", node, msg.SiteID, msg.ModelID))
+			return
+		}
+		lm.counter += int(msg.Count)
 	case transport.MsgDeletion:
-		pc.deletions++
+		lm := mods[msg.ModelID]
+		if lm == nil {
+			c.fail("exactly-once", fmt.Sprintf("node %d: sender %d deletion for unregistered model %d", node, msg.SiteID, msg.ModelID))
+			return
+		}
+		lm.counter -= int(msg.Count)
+		if lm.counter <= 0 {
+			c.leaves[node] -= lm.comps
+			c.nmodels[node]--
+			delete(mods, msg.ModelID)
+		}
 	}
-	pc.bytes += msg.WireSize()
 
-	c.checkTrace(msg)
-	c.checkSite(int(msg.SiteID), false)
-	c.checkConservation()
-	c.checkQueryTier()
+	// Invariant: the upload-on-change protocol keeps each aggregator child
+	// down to at most one live pseudo-model at its parent — the deletion
+	// always lands before the replacement on the FIFO edge.
+	if !leaf && len(mods) > 1 {
+		c.fail("upload-protocol", fmt.Sprintf("node %d holds %d live pseudo-models for aggregator child %d, want at most 1", node, len(mods), msg.SiteID))
+		return
+	}
+
+	c.checkNode(node)
+	if leaf {
+		c.checkTrace(msg)
+		c.checkSite(int(msg.SiteID)-1, false)
+	}
+	if node == 0 {
+		// The ledgers are cumulative, so checking them where the query tier
+		// runs — every root apply, and so every apply of a star — leaves no
+		// drift unseen for long.
+		c.checkConservation()
+		c.checkQueryTier()
+	}
+}
+
+// checkNode holds node n to what its applied message stream implies.
+// Exactly-once application: the coordinator registers exactly the live
+// models and counters of the stream, so an apply that slips past OnApply
+// (a replay or recovery path gone wrong) shows up as a mismatch. The
+// per-layer Theorem-3 memory bound: it tracks exactly the live components
+// — no leak across deletions, resets or recoveries — and its bytes stay
+// within the 2·leaves·per envelope (leaf table plus at most one group per
+// leaf), independent of how many records the subtree has absorbed.
+func (c *checker) checkNode(n int) {
+	if c.violation != nil {
+		return
+	}
+	co := c.dep.NodeCoordinator(n)
+	got := co.ModelWeights()
+	if len(got) != c.nmodels[n] {
+		c.fail("exactly-once", fmt.Sprintf("node %d registers %d models, but the applied stream leaves %d", n, len(got), c.nmodels[n]))
+		return
+	}
+	for _, mw := range got {
+		lm := c.models[hop{node: n, child: int32(mw.SiteID)}][int32(mw.ModelID)]
+		if lm == nil {
+			c.fail("exactly-once", fmt.Sprintf("node %d registers sender %d's model %d, which the applied stream does not leave live", n, mw.SiteID, mw.ModelID))
+			return
+		}
+		if lm.counter != mw.Counter {
+			c.fail("exactly-once", fmt.Sprintf("node %d: sender %d's model %d has counter %d, but the applied stream says %d", n, mw.SiteID, mw.ModelID, mw.Counter, lm.counter))
+			return
+		}
+	}
+	want := c.leaves[n]
+	if got := co.NumLeaves(); got != want {
+		c.fail("memory-bound", fmt.Sprintf("node %d tracks %d leaf components, but the applied stream registers %d", n, got, want))
+		return
+	}
+	d := c.sc.Dim
+	per := 8 * (1 + d + d*(d+1)/2)
+	if limit := 2 * want * per; co.MemoryBytes() > limit {
+		c.fail("memory-bound", fmt.Sprintf("node %d coordinator holds %d bytes > per-layer bound %d (%d live components)", n, co.MemoryBytes(), limit, want))
+	}
 }
 
 // checkTrace is the per-update half of the trace-conservation invariant:
-// with tracing on, an applied message must carry trace context, its trace
-// must still be live, the span chain must be contiguous (exactly one root
+// a message applied from a leaf must carry trace context, its trace must
+// still be live, the span chain must be contiguous (exactly one root
 // "chunk" span; every other parent resolves within the trace), and an
 // "apply" span must exist by the time OnApply fires.
 func (c *checker) checkTrace(msg transport.Message) {
-	if c.violation != nil || c.tracer == nil {
+	if c.violation != nil {
 		return
 	}
 	if msg.TraceID == 0 {
@@ -242,17 +381,18 @@ func (c *checker) checkTrace(msg transport.Message) {
 	}
 }
 
-// checkSite verifies the originating site's paper structures: the event
-// list (Algorithm 1's ⟨model ID, start, end⟩ table), Theorem-2 fit-test
-// soundness, the Theorem-3 communication and memory bounds, and the
-// site's own decision-counter conservation. final additionally requires
-// the delivered counts to have caught up exactly (everything emitted in
-// the current epoch applied once).
-func (c *checker) checkSite(siteID int, final bool) {
+// checkSite verifies site i's paper structures across its uplink: the
+// event list (Algorithm 1's ⟨model ID, start, end⟩ table), Theorem-2
+// fit-test soundness, the Theorem-3 communication and memory bounds, and
+// the site's own decision-counter conservation. final additionally
+// requires the delivered counts to have caught up exactly (everything
+// emitted in the current epoch applied once).
+func (c *checker) checkSite(i int, final bool) {
 	if c.violation != nil {
 		return
 	}
-	st := c.sys.Site(siteID - 1)
+	siteID := i + 1
+	st := c.dep.LeafSite(i)
 	stats := st.Stats()
 
 	// Conservation: every processed chunk took exactly one of the three
@@ -295,27 +435,25 @@ func (c *checker) checkSite(siteID int, final bool) {
 	}
 
 	// Invariant: Theorem-2 fit-test soundness. A chunk that fits transmits
-	// nothing (landmark mode), so the coordinator can never apply more
-	// NewModel messages than the site ran refits, nor more weight updates
-	// than reactivations (plus fits, in sliding mode where fitting chunks
-	// emit weight updates by design). Delivered counts describe whichever
-	// epoch the coordinator last applied; they are only comparable to the
-	// live site's counters once that is the live incarnation's epoch.
-	if w := c.marks[int32(siteID)]; w == nil || w.epoch != c.curEpoch[siteID-1] {
+	// nothing (landmark mode), so the parent can never apply more NewModel
+	// messages than the site ran refits, nor more weight updates than
+	// reactivations (plus fits, in sliding mode where fitting chunks emit
+	// weight updates by design). Delivered counts describe whichever epoch
+	// the parent last applied; they are only comparable to the live site's
+	// counters once that is the live incarnation's epoch.
+	h := hop{node: c.sc.Topology.Leaves[i].Parent, child: int32(siteID)}
+	if w := c.marks[h]; w == nil || w.epoch != c.live[i] {
 		if final {
-			c.fail("delivery", fmt.Sprintf("site %d: live incarnation (epoch %d) never reached the coordinator after drain", siteID, c.curEpoch[siteID-1]))
+			c.fail("delivery", fmt.Sprintf("site %d: live incarnation (epoch %d) never reached its parent after drain", siteID, c.live[i]))
 		}
 		return
 	}
-	pc := c.perEpoch[int32(siteID)]
-	if pc == nil {
-		pc = &epochCounts{}
-	}
+	pc := c.applied[h][c.live[i]]
 	if c.sc.Sliding > 0 {
 		// Sliding mode: every chunk carries exactly one update (fits emit
 		// weight updates by design, and a weight update whose model the
-		// coordinator deleted is upgraded to a NewModel synopsis), so the
-		// sound bound is on the total.
+		// parent deleted is upgraded to a NewModel synopsis), so the sound
+		// bound is on the total.
 		sent := stats.Refits + stats.Reactivated + stats.Fits
 		if got := pc.newModels + pc.weightUpdates; got > sent {
 			c.fail("fit-soundness", fmt.Sprintf("site %d: %d updates applied but only %d chunks warranted one", siteID, got, sent))
@@ -328,6 +466,12 @@ func (c *checker) checkSite(siteID int, final bool) {
 			}
 		}
 	} else {
+		// Landmark mode never expires a model, so a landmark site has
+		// nothing to delete.
+		if pc.deletions > 0 {
+			c.fail("fit-soundness", fmt.Sprintf("site %d emitted %d deletions in landmark mode", siteID, pc.deletions))
+			return
+		}
 		if pc.newModels > stats.Refits {
 			c.fail("fit-soundness", fmt.Sprintf("site %d: %d NewModel messages applied but only %d refits ran — a fitting chunk transmitted a model", siteID, pc.newModels, stats.Refits))
 			return
@@ -363,9 +507,8 @@ func (c *checker) checkSite(siteID int, final bool) {
 		c.fail("memory-bound", fmt.Sprintf("site %d: model list %d bytes > Theorem-3 bound %d", siteID, st.ModelListBytes(), limit))
 		return
 	}
-	if st.BufferBytes() != 8*c.sys.ChunkSize()*d {
-		c.fail("memory-bound", fmt.Sprintf("site %d: buffer %d bytes != 8·M·d = %d", siteID, st.BufferBytes(), 8*c.sys.ChunkSize()*d))
-		return
+	if st.BufferBytes() != 8*c.sc.ChunkSize*d {
+		c.fail("memory-bound", fmt.Sprintf("site %d: buffer %d bytes != 8·M·d = %d", siteID, st.BufferBytes(), 8*c.sc.ChunkSize*d))
 	}
 }
 
@@ -377,8 +520,8 @@ func (c *checker) checkConservation() {
 	if c.violation != nil {
 		return
 	}
-	d := c.sys.DeliveryStats()
-	total := c.sys.TotalBytes()
+	d := c.dep.DeliveryStats()
+	total := c.dep.TotalBytes()
 	if total != d.GoodputBytes+d.DroppedBytes {
 		c.fail("conservation", fmt.Sprintf("bytes sent %d != goodput %d + dropped %d", total, d.GoodputBytes, d.DroppedBytes))
 		return
@@ -404,49 +547,73 @@ func (c *checker) checkConservation() {
 	}
 
 	// Trace-conservation, aggregate half: the cumulative span counts must
-	// reconcile with the delivery-layer accounting. Every link transmission
-	// records exactly one wire-send span; every delivered payload records
-	// exactly one dedupe span (admitted → applied, dropped → Duplicates);
-	// and every live apply records exactly one apply span. WAL replay after
-	// a coordinator restart re-applies updates through the same handlers
-	// without OnApply, so apply spans may only exceed the applied count
-	// when the run actually restarted the coordinator.
-	if c.tracer != nil {
-		if got, want := c.tracer.SpanCount("wire-send"), int64(c.sys.TotalMessages()); got != want {
-			c.fail("trace-conservation", fmt.Sprintf("%d wire-send spans recorded but the links transmitted %d messages", got, want))
-			return
+	// reconcile with the delivery-layer accounting of traced messages, the
+	// ones leaves send. Every transmission on a leaf uplink records exactly
+	// one wire-send span; every payload delivered there records exactly one
+	// dedupe span (admitted → applied, dropped → duplicate); and every live
+	// apply records exactly one apply span. WAL replay after a recovery
+	// re-applies messages through the same handlers without OnApply, so
+	// apply spans may only exceed the applied count when the run actually
+	// recovered a node.
+	var wire, dups int
+	for _, es := range c.dep.EdgeStatsAll() {
+		if es.From <= len(c.sc.Sites) {
+			wire += es.Msgs
+			dups += es.Duplicates
 		}
-		if got, want := c.tracer.SpanCount("dedupe"), int64(c.updates+d.Duplicates); got != want {
-			c.fail("trace-conservation", fmt.Sprintf("%d dedupe spans != %d applied + %d dedupe-dropped deliveries", got, c.updates, d.Duplicates))
-			return
-		}
-		applySpans := c.tracer.SpanCount("apply")
-		if applySpans < int64(c.updates) {
-			c.fail("trace-conservation", fmt.Sprintf("%d apply spans < %d applied updates", applySpans, c.updates))
-			return
-		}
-		if c.sys.Recovery().Restarts == 0 && applySpans != int64(c.updates) {
-			c.fail("trace-conservation", fmt.Sprintf("%d apply spans != %d applied updates with no coordinator restart to explain the surplus", applySpans, c.updates))
-			return
-		}
+	}
+	if got := c.tracer.SpanCount("wire-send"); got != int64(wire) {
+		c.fail("trace-conservation", fmt.Sprintf("%d wire-send spans recorded but the leaf uplinks transmitted %d messages", got, wire))
+		return
+	}
+	if got := c.tracer.SpanCount("dedupe"); got != int64(c.traced+dups) {
+		c.fail("trace-conservation", fmt.Sprintf("%d dedupe spans != %d applied + %d dedupe-dropped leaf deliveries", got, c.traced, dups))
+		return
+	}
+	applySpans := c.tracer.SpanCount("apply")
+	if applySpans < int64(c.traced) {
+		c.fail("trace-conservation", fmt.Sprintf("%d apply spans < %d applied leaf updates", applySpans, c.traced))
+		return
+	}
+	if c.dep.Recovery().Restarts == 0 && applySpans != int64(c.traced) {
+		c.fail("trace-conservation", fmt.Sprintf("%d apply spans != %d applied leaf updates with no recovery to explain the surplus", applySpans, c.traced))
 	}
 }
 
-// finalChecks runs after Drain on a violation-free run: no update may
-// still be pending, the per-site delivered counts must equal the sites'
-// decision counters exactly, and the coordinator must have converged to
-// the fault-free reference — same canonical fingerprint, same per-model
-// weights — regardless of the delivery schedule.
-func (c *checker) finalChecks(cleanFP uint64, cleanWeights []coordinator.ModelWeight) {
+// finalChecks runs after Drain on a violation-free run: nothing pending,
+// per-edge byte conservation, the current-epoch entitlement applied
+// exactly (at-least-once transport + dedupe = exactly-once per hop), every
+// site caught up, every node's memory exact, the ledgers balanced, and the
+// root equal to the emission reference regardless of the delivery
+// schedule.
+func (c *checker) finalChecks() {
 	if c.violation != nil {
 		return
 	}
-	if d := c.sys.DeliveryStats(); d.Pending != 0 {
-		c.fail("delivery", fmt.Sprintf("%d payloads still pending in couriers after drain", d.Pending))
+	if p := c.dep.Pending(); p != 0 {
+		c.fail("delivery", fmt.Sprintf("%d payloads still pending in couriers after drain", p))
 		return
 	}
-	for i := 0; i < c.sys.NumSites(); i++ {
-		c.checkSite(i+1, true)
+	for _, es := range c.dep.EdgeStatsAll() {
+		if es.WireBytes != es.GoodputBytes+es.DroppedBytes {
+			c.fail("conservation", fmt.Sprintf("edge %d->%d: wire %d != goodput %d + dropped %d", es.From, es.To, es.WireBytes, es.GoodputBytes, es.DroppedBytes))
+			return
+		}
+		t := c.applied[hop{node: es.To, child: int32(es.From)}][es.Epoch]
+		if t == nil {
+			t = &hopTally{}
+		}
+		if t.msgs != es.SentMsgs || t.bytes != es.SentBytes {
+			c.fail("delivery", fmt.Sprintf("edge %d->%d epoch %d: applied %d msgs / %d bytes != sent %d msgs / %d bytes after drain",
+				es.From, es.To, es.Epoch, t.msgs, t.bytes, es.SentMsgs, es.SentBytes))
+			return
+		}
+	}
+	for i := range c.sc.Sites {
+		c.checkSite(i, true)
+	}
+	for n := range c.leaves {
+		c.checkNode(n)
 	}
 	c.checkConservation()
 	// Snapshots pinned mid-run must still serve their publish-time state
@@ -455,12 +622,25 @@ func (c *checker) finalChecks(cleanFP uint64, cleanWeights []coordinator.ModelWe
 	if c.violation != nil {
 		return
 	}
-	if fp := Fingerprint(c.sys.GlobalMixture()); fp != cleanFP {
-		c.fail("schedule-independence", fmt.Sprintf("final global mixture fingerprint %016x != fault-free replay %016x", fp, cleanFP))
+	root := c.dep.NodeCoordinator(0)
+	if len(c.sc.Topology.Aggs) == 0 {
+		// Without aggregators the root applies exactly what the sites
+		// emitted, so it must equal the reference bit for bit.
+		if fp, want := Fingerprint(root.GlobalMixture()), Fingerprint(c.ref.GlobalMixture()); fp != want {
+			c.fail("schedule-independence", fmt.Sprintf("final global mixture fingerprint %016x != emission reference %016x", fp, want))
+			return
+		}
+		if diff := weightsDiff(root.ModelWeights(), c.ref.ModelWeights()); diff != "" {
+			c.fail("schedule-independence", "final model weights diverged from the emission reference: "+diff)
+		}
 		return
 	}
-	if diff := weightsDiff(c.sys.Coordinator().ModelWeights(), cleanWeights); diff != "" {
-		c.fail("schedule-independence", "final model weights diverged from fault-free replay: "+diff)
+	if math.Round(root.TotalWeight()) != math.Round(c.ref.TotalWeight()) {
+		c.fail("schedule-independence", fmt.Sprintf("root record mass %v != emission reference %v", root.TotalWeight(), c.ref.TotalWeight()))
+		return
+	}
+	if _, diff := mixturesDiff(root.GlobalMixture(), c.ref.GlobalMixture()); diff != "" {
+		c.fail("schedule-independence", "root mixture diverged from the emission reference: "+diff)
 	}
 }
 
@@ -477,4 +657,93 @@ func weightsDiff(got, want []coordinator.ModelWeight) string {
 		}
 	}
 	return ""
+}
+
+// gateBand bounds how far, in units of the coordinator's MaxMergeDistance,
+// a regrouped component may lie from its counterpart in the other mixture.
+const gateBand = 2
+
+// mixturesDiff compares the root's global mixture rm against the emission
+// reference's fm, returning "" when equivalent, and how many components of
+// either mixture were left unpaired. Components are paired one to one, in
+// canonical order, with a component of the other mixture that agrees in
+// weight, mean and covariance (momentsClose); two identical mixtures pair
+// positionally, component by component.
+//
+// Components left unpaired pass only as a regrouping at the merge gate. An
+// aggregator groups its subtree before the root sees it, and the
+// coordinator's greedy grouping depends on arrival order, so a component
+// whose distance to a group lies near MaxMergeDistance can join it in one
+// coordinator and stand apart, or join another group, in the other. Such a
+// regrouping is local and moves no mass: every unpaired component must lie
+// within gateBand·MaxMergeDistance (CrossMahalanobisSq) of an unpaired
+// component of the other mixture, and the unpaired components of each
+// mixture must fold to the same moment-preserving merge.
+func mixturesDiff(rm, fm *gaussian.Mixture) (unpaired int, diff string) {
+	if (rm == nil) != (fm == nil) {
+		return 0, fmt.Sprintf("root mixture nil=%v, reference nil=%v", rm == nil, fm == nil)
+	}
+	if rm == nil {
+		return 0, ""
+	}
+	mixes, rest := [2]*gaussian.Mixture{rm, fm}, [2][]int{}
+	paired := make([]bool, fm.K())
+	for i := 0; i < rm.K(); i++ {
+		j := 0
+		for j < fm.K() && (paired[j] || !momentsClose(rm.Weight(i), rm.Component(i), fm.Weight(j), fm.Component(j))) {
+			j++
+		}
+		if j == fm.K() {
+			rest[0] = append(rest[0], i)
+		} else {
+			paired[j] = true
+		}
+	}
+	for j, p := range paired {
+		if !p {
+			rest[1] = append(rest[1], j)
+		}
+	}
+	unpaired = len(rest[0]) + len(rest[1])
+	// Both coordinators run on the default gate, 4·d.
+	limit := gateBand * 4 * float64(rm.Dim())
+	var w [2]float64
+	var merged [2]*gaussian.Component
+	for s, mix := range mixes {
+		for _, i := range rest[s] {
+			c, other := mix.Component(i), mixes[1-s]
+			nearest := math.Inf(1)
+			for _, j := range rest[1-s] {
+				nearest = math.Min(nearest, gaussian.CrossMahalanobisSq(c, other.Component(j)))
+			}
+			if nearest > limit {
+				return unpaired, fmt.Sprintf("%s component %v (weight %v) regrouped with no counterpart within %v (nearest %v)",
+					[2]string{"root", "reference"}[s], c, mix.Weight(i), limit, nearest)
+			}
+			if merged[s] == nil {
+				w[s], merged[s] = mix.Weight(i), c
+				continue
+			}
+			mw, mean, cov := gaussian.MomentMerge(w[s], merged[s], mix.Weight(i), c)
+			w[s], merged[s] = mw, gaussian.MustComponent(mean, cov)
+		}
+	}
+	if merged[0] != nil && !momentsClose(w[0], merged[0], w[1], merged[1]) {
+		return unpaired, fmt.Sprintf("regrouped components merge to %v·%v (root) vs %v·%v (reference)", w[0], merged[0], w[1], merged[1])
+	}
+	return unpaired, ""
+}
+
+// momentsClose reports whether two weighted components agree in weight,
+// mean and covariance to floating-point scale: moment-preserving merges are
+// associative only in exact arithmetic, so bit-equality is not expected.
+func momentsClose(wa float64, a *gaussian.Component, wb float64, b *gaussian.Component) bool {
+	x := append(append([]float64{wa}, a.Mean()...), a.Cov().Packed()...)
+	y := append(append([]float64{wb}, b.Mean()...), b.Cov().Packed()...)
+	for i := range x {
+		if math.Abs(x[i]-y[i]) > 1e-6*(1+math.Max(math.Abs(x[i]), math.Abs(y[i]))) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,31 +2,33 @@ package dst
 
 import (
 	"fmt"
+	"math"
 
 	"cludistream/internal/query"
 )
 
 // The snapshot-vs-ingest race invariant: every snapshot the query tier
-// serves must equal the coordinator's state at some applied-update
-// prefix — exactly, bit for bit — and must stay that way for as long as
-// any reader holds it, no matter how much ingest, remerge or compaction
-// runs afterwards. DST drives the real Publisher on the virtual clock
-// after every applied update, fingerprints the coordinator's mixture at
-// that prefix, pins a sample of published snapshots, and re-verifies
-// every pin on every later update and at final drain.
+// serves must equal the root's state at some applied-update prefix —
+// exactly, bit for bit — and must stay that way for as long as any reader
+// holds it, no matter how much ingest, remerge or compaction runs
+// afterwards. DST drives the real Publisher on the virtual clock after
+// every update the root applies, fingerprints the root's mixture at that
+// prefix, pins a sample of published snapshots, and re-verifies every pin
+// after every later root apply and at final drain.
 
 // heldSnap is a pinned published snapshot plus the prefix fingerprint it
-// must keep matching.
+// matched at publish and the exact values it served then.
 type heldSnap struct {
-	sn *query.Snapshot
-	fp uint64
+	sn   *query.Snapshot
+	fp   uint64
+	vals []float64
 	// update is the applied-update prefix the snapshot was published at
 	// (for the violation message).
 	update int
 }
 
 // pinEvery is the sampling interval for pinned snapshots; maxPins caps
-// the re-verification work per update.
+// the re-verification work per root apply.
 const (
 	pinEvery = 8
 	maxPins  = 32
@@ -38,22 +40,26 @@ func snapshotFingerprint(sn *query.Snapshot) uint64 {
 	return fingerprintModel(sn.K(), sn.Weight, sn.Component)
 }
 
-// checkQueryTier runs after every applied update: publish the post-apply
-// mixture through the real RCU publisher, verify the served snapshot is
-// bit-identical to the coordinator state at this exact prefix, verify
+// snapshotValues appends every value sn serves — each component's weight,
+// mean and packed covariance, in component order — to dst.
+func snapshotValues(dst []float64, sn *query.Snapshot) []float64 {
+	for j := 0; j < sn.K(); j++ {
+		c := sn.Component(j)
+		dst = append(append(append(dst, sn.Weight(j)), c.Mean()...), c.Cov().Packed()...)
+	}
+	return dst
+}
+
+// checkQueryTier runs after every update the root applies: publish the
+// post-apply mixture through the real RCU publisher, verify the served
+// snapshot is bit-identical to the root's state at this exact prefix, verify
 // the read ops reproduce the mixture's own scoring, and re-verify every
 // pinned snapshot still matches the prefix it was published at.
 func (c *checker) checkQueryTier() {
 	if c.violation != nil {
 		return
 	}
-	if c.pub == nil {
-		// Lazily bound: the publisher reads the virtual clock, which only
-		// exists once the runner has assigned c.sys.
-		c.pub = query.NewPublisher(query.Options{Clock: c.sys.Now})
-		c.qscratch = query.NewScratch()
-	}
-	coord := c.sys.Coordinator()
+	coord := c.dep.NodeCoordinator(0)
 	mix := coord.GlobalMixture()
 	if mix == nil {
 		return
@@ -89,22 +95,37 @@ func (c *checker) checkQueryTier() {
 		return
 	}
 	if c.updates%pinEvery == 0 && len(c.held) < maxPins {
-		c.held = append(c.held, heldSnap{sn: sn, fp: prefixFP, update: c.updates})
+		c.held = append(c.held, heldSnap{sn: sn, fp: prefixFP, vals: snapshotValues(nil, sn), update: c.updates})
 	}
 	c.recheckHeldSnapshots()
 }
 
-// recheckHeldSnapshots re-fingerprints every pinned snapshot: a pin that
-// stops matching its publish-time prefix means later ingest mutated
-// served state — the deep-copy isolation is broken.
+// recheckHeldSnapshots compares every pinned snapshot, bit for bit, with
+// the values it served at publish, when it matched its prefix's
+// fingerprint: a pin that changes means later ingest mutated served
+// state — the deep-copy isolation is broken.
 func (c *checker) recheckHeldSnapshots() {
 	if c.violation != nil {
 		return
 	}
 	for _, h := range c.held {
-		if fp := snapshotFingerprint(h.sn); fp != h.fp {
-			c.fail("snapshot-consistency", fmt.Sprintf("snapshot published at update %d changed after later ingest: fingerprint %016x, was %016x at publish", h.update, fp, h.fp))
+		c.qvals = snapshotValues(c.qvals[:0], h.sn)
+		if !sameBits(c.qvals, h.vals) {
+			c.fail("snapshot-consistency", fmt.Sprintf("snapshot published at update %d changed after later ingest: fingerprint %016x, was %016x at publish", h.update, snapshotFingerprint(h.sn), h.fp))
 			return
 		}
 	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

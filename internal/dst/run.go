@@ -6,20 +6,22 @@ import (
 	"math/rand"
 	"os"
 
-	"cludistream"
 	"cludistream/internal/coordinator"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
 	"cludistream/internal/netsim"
+	"cludistream/internal/persist"
+	"cludistream/internal/query"
+	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
+	"cludistream/internal/tree"
 )
 
 // Options tunes a simulation run.
 type Options struct {
-	// InjectDedupeFault deliberately breaks the coordinator's
-	// sequence-number dedupe (see cludistream.System.InjectDedupeFault).
-	// Used by the harness's own tests to prove the exactly-once invariant
-	// catches a real regression.
+	// InjectDedupeFault deliberately breaks every node's sequence-number
+	// dedupe (tree.Deployment.InjectDedupeFault). Used by the harness's own
+	// tests to prove the exactly-once invariant catches a real regression.
 	InjectDedupeFault bool
 	// JournalTail is how many telemetry journal events a failure artifact
 	// embeds (default 200).
@@ -30,20 +32,20 @@ type Options struct {
 // in the run where it was detected.
 type Violation struct {
 	// Invariant names the violated property: "exactly-once", "event-list",
-	// "fit-soundness", "comm-bound", "memory-bound", "conservation",
-	// "schedule-independence", "recovery" (a coordinator restart recovered
-	// to a state that differs from the persisted pre-crash state),
-	// "trace-conservation" (an applied update's causal trace is missing,
-	// has a broken span chain, or the cumulative span counts disagree with
-	// the delivery-layer accounting), "snapshot-consistency" (a query-tier
-	// snapshot published through the RCU publisher stopped matching the
-	// coordinator state at its applied-update prefix, its read ops
-	// diverged from the mixture's own scoring, or a pinned snapshot's
-	// bytes changed under later ingest), or "delivery".
+	// "fit-soundness", "comm-bound", "memory-bound", "upload-protocol",
+	// "conservation", "schedule-independence", "recovery" (a restarted or
+	// crashed node recovered to a state that differs from its persisted
+	// pre-crash state), "trace-conservation" (an applied update's causal
+	// trace is missing, has a broken span chain, or the cumulative span
+	// counts disagree with the delivery-layer accounting),
+	// "snapshot-consistency" (a query-tier snapshot published through the
+	// RCU publisher stopped matching the root's state at its applied-update
+	// prefix, its read ops diverged from the mixture's own scoring, or a
+	// pinned snapshot's bytes changed under later ingest), or "delivery".
 	Invariant string `json:"invariant"`
 	Detail    string `json:"detail"`
-	// Update is how many applied coordinator updates had been observed
-	// when the violation was raised (0 = before any).
+	// Update is how many applied messages, over every node, had been
+	// observed when the violation was raised (0 = before any).
 	Update int `json:"update"`
 	// SimTime is the virtual clock at detection.
 	SimTime float64 `json:"sim_time"`
@@ -57,18 +59,25 @@ func (v Violation) Error() string {
 type Result struct {
 	Scenario  Scenario   `json:"scenario"`
 	Violation *Violation `json:"violation,omitempty"`
-	// Updates is the number of coordinator updates applied (post-dedupe).
+	// Updates counts messages applied across every internal node
+	// (post-dedupe, all layers).
 	Updates int `json:"updates"`
-	// Fingerprint and CleanFingerprint are the canonical global-mixture
-	// hashes of the faulty run and the fault-free reference replay; equal
-	// on a green run.
-	Fingerprint      uint64                    `json:"fingerprint"`
-	CleanFingerprint uint64                    `json:"clean_fingerprint"`
-	SimTime          float64                   `json:"sim_time"`
-	Delivery         cludistream.DeliveryStats `json:"delivery"`
-	// Recovery counts the coordinator crash-recovery work of the run
-	// (all zeros unless the scenario restarts the coordinator).
-	Recovery cludistream.RecoveryStats `json:"recovery"`
+	// Fingerprint and RefFingerprint are the canonical hashes of the root's
+	// global mixture and of the emission reference's: equal on a green run
+	// without aggregators, and apart by merge association otherwise.
+	Fingerprint    uint64             `json:"fingerprint"`
+	RefFingerprint uint64             `json:"ref_fingerprint"`
+	SimTime        float64            `json:"sim_time"`
+	Delivery       tree.DeliveryStats `json:"delivery"`
+	Recovery       tree.RecoveryStats `json:"recovery"`
+	// LayerBytes is wire traffic by receiving layer: index 0 into the
+	// root, index 1 into depth-1 aggregators, and so on.
+	LayerBytes []int `json:"layer_bytes"`
+	// RootMemoryBytes vs RefMemoryBytes is the aggregation dividend: what
+	// the root tracks behind the fan-in versus what one coordinator holds
+	// for every site's models.
+	RootMemoryBytes int `json:"root_memory_bytes"`
+	RefMemoryBytes  int `json:"ref_memory_bytes"`
 	// Journal is the tail of the telemetry decision journal (populated on
 	// violation; the artifact's debugging context).
 	Journal []telemetry.Event `json:"journal,omitempty"`
@@ -78,19 +87,20 @@ type Result struct {
 	Traces *telemetry.TracerSnapshot `json:"traces,omitempty"`
 }
 
-// feedOp is one step of a site's feed plan: deliver a record, or crash.
-type feedOp struct {
-	x     linalg.Vector // nil means crash
-	crash bool
+// Run executes one scenario with the invariant suite attached to every
+// message applied at every internal node. It returns an error only when
+// the scenario itself cannot run; invariant failures come back in
+// Result.Violation.
+func Run(sc Scenario, opts Options) (*Result, error) {
+	res, _, err := run(sc, opts)
+	return res, err
 }
 
-// Run executes one scenario: a fault-free reference replay first, then
-// the faulted run with the invariant suite attached to every applied
-// update. It returns an error only when the scenario itself cannot run;
-// invariant failures come back in Result.Violation.
-func Run(sc Scenario, opts Options) (*Result, error) {
+// run is Run, also handing back the checker so tests can inspect the
+// final root and reference coordinators.
+func run(sc Scenario, opts Options) (*Result, *checker, error) {
 	if err := sc.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if opts.JournalTail <= 0 {
 		opts.JournalTail = 200
@@ -100,193 +110,156 @@ func Run(sc Scenario, opts Options) (*Result, error) {
 		streams[i] = script.stream(sc.ChunkSize, sc.Dim)
 	}
 
-	cleanFP, cleanWeights, err := cleanReplay(sc, streams)
-	if err != nil {
-		return nil, fmt.Errorf("dst: fault-free reference replay: %w", err)
-	}
-
 	reg := telemetry.NewRegistry()
 	// Tracing is always on under DST: the trace-conservation invariant
-	// reads the span ledger, and the facade rebinds the tracer clock to
-	// the virtual clock so every span timestamp is replayable. MaxActive
-	// is sized so no trace is evicted mid-run — eviction would orphan the
+	// reads the span ledger, and the deployment binds the tracer clock to
+	// the virtual clock so every span timestamp is replayable. MaxActive is
+	// sized so no trace is evicted mid-run — eviction would orphan the
 	// per-trace chain checks.
 	reg.EnableTracing(telemetry.TraceOptions{MaxActive: 1 << 20})
 	chk, err := newChecker(sc, reg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cfg := systemConfig(sc, reg)
-	if sc.hasCoordRestart() {
-		// Coordinator restarts go through the real checkpoint + WAL path:
-		// the durable store lives in a per-run scratch directory and the
-		// byte-level self-check turns any recovery divergence into a
-		// "recovery" violation.
-		dir, err := os.MkdirTemp("", "dst-coord-*")
+	outages := make(map[int][]netsim.Outage)
+	for _, o := range sc.Outages {
+		outages[o.Node] = append(outages[o.Node], netsim.Outage{Start: o.Start, End: o.End})
+	}
+	cfg := tree.Config{
+		Topology:             sc.Topology,
+		Site:                 site.Config{Dim: sc.Dim, K: sc.K, Epsilon: 0.5, ChunkSize: sc.ChunkSize, Telemetry: reg},
+		Coord:                coordinator.Config{Dim: sc.Dim, Merge: mergeOpts(), Telemetry: reg},
+		Seed:                 sc.Seed,
+		ArrivalRate:          sc.ArrivalRate,
+		SlidingHorizonChunks: sc.Sliding,
+		// Bit-level change detection on every mirror: DST demands faithful
+		// replication at every hop, not tolerance-suppressed drift.
+		ExactSync: true,
+		// One Rand, derived from the seed, for every edge's drops,
+		// duplicates and backoff jitter. Never nil: every hop runs couriers
+		// and versioned frames, what the per-hop exactly-once shadow checks.
+		Fault: &netsim.FaultPlan{
+			DropProb: sc.DropProb,
+			DupProb:  sc.DupProb,
+			Rand:     rand.New(rand.NewSource(sc.Seed*31 + 7)),
+		},
+		NodeOutages: outages,
+		Crashes:     sc.Crashes,
+		Telemetry:   reg,
+		OnApply:     chk.onApply,
+		OnEmit:      chk.onEmit,
+	}
+	if sc.restarts() || len(sc.Crashes) > 0 {
+		// Recoveries go through the real checkpoint + WAL path: the durable
+		// stores live in a per-run scratch directory and the byte-level
+		// self-check turns any recovery divergence into a "recovery"
+		// violation.
+		dir, err := os.MkdirTemp("", "dst-*")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		defer os.RemoveAll(dir)
-		cfg.Durability = &cludistream.DurabilityConfig{
-			Dir:             dir,
-			CheckpointEvery: sc.CheckpointEvery,
-			Fsync:           sc.WALFsync,
-			SelfCheck:       true,
-		}
+		cfg.DurableRoot = sc.restarts()
+		cfg.StateDir = dir
+		cfg.CheckpointEvery = sc.CheckpointEvery
+		cfg.Fsync = persist.FsyncMode(sc.WALFsync)
+		cfg.SelfCheck = true
 	}
-	cfg.OnApply = chk.onApply
-	sys, err := cludistream.New(cfg)
+	dep, err := tree.NewDeployment(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	chk.sys = sys // OnApply cannot fire before the first Feed
+	defer dep.Close()
+	chk.dep = dep // OnApply and OnEmit cannot fire before the first Feed
+	chk.pub = query.NewPublisher(query.Options{Clock: dep.Now})
 	if opts.InjectDedupeFault {
-		sys.InjectDedupeFault()
+		dep.InjectDedupeFault()
 	}
-	// Schedule the coordinator crashes: the process dies with the outage
-	// and recovers from disk when the window lifts.
+	// A root restart dies with its outage and recovers from disk when the
+	// window lifts.
 	for _, o := range sc.Outages {
-		if o.CoordRestart {
-			sys.RestartCoordinatorAt(o.End)
+		if o.Restart {
+			dep.RestartNodeAt(0, o.End)
 		}
 	}
 
-	// Feed plans: the stream up to the crash point, the crash, then the
-	// restarted incarnation's full replay. A seeded interleave picks which
-	// site advances next, so every run explores a different — but
-	// replayable — delivery schedule.
-	plans := make([][]feedOp, len(sc.Sites))
-	for i, script := range sc.Sites {
-		var plan []feedOp
-		if script.CrashAfter > 0 {
-			for _, x := range streams[i][:script.CrashAfter] {
-				plan = append(plan, feedOp{x: x})
-			}
-			plan = append(plan, feedOp{crash: true})
+	// Each site's feed is its stream up to the crash point, the crash, then
+	// the restarted incarnation's full replay. A seeded interleave picks
+	// which site advances next, so every run explores a different — but
+	// replayable — delivery schedule; the live list is pruned in place as
+	// feeds exhaust.
+	feedLen := func(i int) int {
+		if k := sc.Sites[i].CrashAfter; k > 0 {
+			return k + 1 + len(streams[i])
 		}
-		for _, x := range streams[i] {
-			plan = append(plan, feedOp{x: x})
-		}
-		plans[i] = plan
+		return len(streams[i])
 	}
 	interleave := rand.New(rand.NewSource(sc.Seed*1000003 + 5))
-	cursors := make([]int, len(plans))
-	res := &Result{Scenario: sc, CleanFingerprint: cleanFP}
-	for chk.violation == nil {
-		var live []int
-		for i, c := range cursors {
-			if c < len(plans[i]) {
-				live = append(live, i)
-			}
-		}
-		if len(live) == 0 {
-			break
-		}
-		i := live[interleave.Intn(len(live))]
-		op := plans[i][cursors[i]]
+	cursors := make([]int, len(streams))
+	live := make([]int, len(streams))
+	for i := range live {
+		live[i] = i
+	}
+	for chk.violation == nil && len(live) > 0 {
+		li := interleave.Intn(len(live))
+		i := live[li]
+		c := cursors[i]
 		cursors[i]++
-		if op.crash {
-			chk.beforeCrash(i)
-			if err := sys.CrashSite(i); err != nil {
-				return nil, err
+		if cursors[i] == feedLen(i) {
+			live = append(live[:li], live[li+1:]...)
+		}
+		if k := sc.Sites[i].CrashAfter; k > 0 && c >= k {
+			if c == k {
+				chk.crashLeaf(i)
+				if err := dep.CrashLeaf(i); err != nil {
+					return nil, nil, err
+				}
+				continue
 			}
-			continue
+			c -= k + 1
 		}
-		if err := sys.Feed(i, op.x); err != nil {
+		if err := dep.Feed(i, streams[i][c]); err != nil {
 			chk.fail(violationLabel(err), err.Error())
 		}
 	}
 	if chk.violation == nil {
-		if err := sys.Drain(); err != nil {
+		if err := dep.Drain(); err != nil {
 			chk.fail(violationLabel(err), err.Error())
 		}
 	}
 	if chk.violation == nil {
-		chk.finalChecks(cleanFP, cleanWeights)
+		chk.finalChecks()
 	}
 
-	res.Violation = chk.violation
-	res.Updates = chk.updates
-	res.Fingerprint = Fingerprint(sys.GlobalMixture())
-	res.SimTime = sys.Now()
-	res.Delivery = sys.DeliveryStats()
-	res.Recovery = sys.Recovery()
+	res := &Result{
+		Scenario:        sc,
+		Violation:       chk.violation,
+		Updates:         chk.updates,
+		Fingerprint:     Fingerprint(dep.RootMixture()),
+		RefFingerprint:  Fingerprint(chk.ref.GlobalMixture()),
+		SimTime:         dep.Now(),
+		Delivery:        dep.DeliveryStats(),
+		Recovery:        dep.Recovery(),
+		LayerBytes:      dep.LayerBytes(),
+		RootMemoryBytes: dep.NodeCoordinator(0).MemoryBytes(),
+		RefMemoryBytes:  chk.ref.MemoryBytes(),
+	}
 	if res.Violation != nil {
 		res.Journal = reg.Journal().Tail(opts.JournalTail)
 		snap := reg.Tracer().Snapshot()
 		res.Traces = &snap
 	}
-	return res, nil
+	return res, chk, nil
 }
 
-// violationLabel classifies a Feed/Drain error of a flat or tree run (the
-// facade's ErrRecoveryMismatch is the tree's): recovery self-check
+// violationLabel classifies a Feed/Drain error: recovery self-check
 // mismatches get their own invariant name, everything else is a delivery
 // failure.
 func violationLabel(err error) string {
-	if errors.Is(err, cludistream.ErrRecoveryMismatch) {
+	if errors.Is(err, tree.ErrRecoveryMismatch) {
 		return "recovery"
 	}
 	return "delivery"
-}
-
-// systemConfig maps a scenario onto the facade configuration. The fault
-// plan's RNG is derived from the scenario seed, so drops, duplicates and
-// backoff jitter are part of the replayable schedule.
-func systemConfig(sc Scenario, reg *telemetry.Registry) cludistream.Config {
-	return cludistream.Config{
-		NumSites:             sc.NumSites,
-		Dim:                  sc.Dim,
-		K:                    sc.K,
-		Epsilon:              0.5,
-		Seed:                 sc.Seed,
-		ChunkSize:            sc.ChunkSize,
-		Merge:                mergeOpts(),
-		LinkLatency:          sc.LinkLatency,
-		LinkBandwidth:        sc.LinkBandwidth,
-		ArrivalRate:          sc.ArrivalRate,
-		SlidingHorizonChunks: sc.Sliding,
-		Fault: &netsim.FaultPlan{
-			DropProb: sc.DropProb,
-			DupProb:  sc.DupProb,
-			Outages:  sc.outages(),
-			Rand:     rand.New(rand.NewSource(sc.Seed*31 + 7)),
-		},
-		Telemetry: reg,
-	}
-}
-
-// cleanReplay runs the scenario's streams through a fault-free deployment
-// (perfect links, v1 encoding, no crashes) and returns the canonical
-// fingerprint and per-model weights the faulted run must converge to.
-func cleanReplay(sc Scenario, streams [][]linalg.Vector) (uint64, []coordinator.ModelWeight, error) {
-	cfg := systemConfig(sc, nil)
-	cfg.Fault = nil
-	cfg.Telemetry = nil
-	sys, err := cludistream.New(cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	cursors := make([]int, len(streams))
-	for {
-		done := true
-		for i := range streams {
-			if cursors[i] < len(streams[i]) {
-				done = false
-				if err := sys.Feed(i, streams[i][cursors[i]]); err != nil {
-					return 0, nil, err
-				}
-				cursors[i]++
-			}
-		}
-		if done {
-			break
-		}
-	}
-	if err := sys.Drain(); err != nil {
-		return 0, nil, err
-	}
-	return Fingerprint(sys.GlobalMixture()), sys.Coordinator().ModelWeights(), nil
 }
 
 // mergeOpts is the coordinator merge configuration every run uses:

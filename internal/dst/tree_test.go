@@ -1,43 +1,12 @@
 package dst
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
-	"cludistream/internal/tree"
 )
-
-// smallTreeScenario hand-builds a compact tree scenario (6 sites behind
-// two aggregators) for the fast, targeted harness tests; the generator
-// sweep covers the 100+-site shapes.
-func smallTreeScenario(seed int64) TreeScenario {
-	topo, err := tree.Spec{Leaves: 6, AggLayers: 1, FanOut: 3, Link: tree.LinkSpec{Latency: 0.01}}.Build()
-	if err != nil {
-		panic(err)
-	}
-	sc := TreeScenario{
-		Seed:        seed,
-		Dim:         1,
-		K:           2,
-		ChunkSize:   60,
-		Topology:    topo,
-		ArrivalRate: 1000,
-	}
-	for i := 0; i < topo.NumSites(); i++ {
-		sc.Sites = append(sc.Sites, SiteScript{
-			StreamSeed: seed ^ (int64(i+1) * 7919),
-			Regimes: []Regime{
-				{Mean: regimePalette[i%3], Chunks: 2},
-				{Mean: regimePalette[(i+1)%3], Chunks: 1},
-			},
-		})
-	}
-	return sc
-}
 
 func TestGenerateTreeIsDeterministicAndValid(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -48,7 +17,7 @@ func TestGenerateTreeIsDeterministicAndValid(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if n := a.NumSites(); n < 100 || n > 220 {
+		if n := len(a.Sites); n < 100 || n > 220 {
 			t.Fatalf("seed %d: %d sites outside the short-mode 100..220 range", seed, n)
 		}
 		if d := a.Topology.Depth(); d < 2 || d > 3 {
@@ -60,124 +29,16 @@ func TestGenerateTreeIsDeterministicAndValid(t *testing.T) {
 	if err := long.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if n := long.NumSites(); n < 100 || n > 1000 {
+	if n := len(long.Sites); n < 100 || n > 1000 {
 		t.Fatalf("long mode: %d sites outside 100..1000", n)
 	}
 }
 
-func TestRunTreeGreenSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed tree sweep")
-	}
-	sawCrash, sawFault := false, false
-	for seed := int64(1); seed <= 5; seed++ {
-		sc := GenerateTree(seed, true)
-		res, err := RunTree(sc, TreeOptions{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if res.Violation != nil {
-			t.Fatalf("seed %d: %v", seed, res.Violation)
-		}
-		if res.Updates == 0 {
-			t.Fatalf("seed %d: no updates applied", seed)
-		}
-		if len(res.LayerBytes) != sc.Topology.Depth() {
-			t.Fatalf("seed %d: %d layer-byte entries for depth %d", seed, len(res.LayerBytes), sc.Topology.Depth())
-		}
-		if len(sc.Crashes) > 0 {
-			sawCrash = true
-			if res.Recovery.Restarts < len(sc.Crashes) {
-				t.Fatalf("seed %d: %d restarts for %d scheduled crashes", seed, res.Recovery.Restarts, len(sc.Crashes))
-			}
-		}
-		if sc.DropProb > 0 || sc.DupProb > 0 {
-			sawFault = true
-		}
-		// The aggregation dividend: the root tracks one pseudo-model per
-		// direct child, not one model per site.
-		if res.RootMemoryBytes >= res.FlatMemoryBytes {
-			t.Fatalf("seed %d: root coordinator memory %d >= flat deployment's %d — fan-in bought nothing",
-				seed, res.RootMemoryBytes, res.FlatMemoryBytes)
-		}
-	}
-	if !sawCrash || !sawFault {
-		t.Fatalf("sweep exercised crash=%v fault=%v; widen the seed range", sawCrash, sawFault)
-	}
-}
-
-func TestRunTreeReplayBitIdentical(t *testing.T) {
-	sc := smallTreeScenario(11)
-	sc.DropProb, sc.DupProb = 0.2, 0.2
-	var cores [2][]byte
-	for i := range cores {
-		res, err := RunTree(sc, TreeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Violation != nil {
-			t.Fatal(res.Violation)
-		}
-		core := TreeCore{
-			Seed:           res.Scenario.Seed,
-			Updates:        res.Updates,
-			SimTime:        res.SimTime,
-			Fingerprint:    res.Fingerprint,
-			RefFingerprint: res.RefFingerprint,
-		}
-		b, err := json.Marshal(core)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cores[i] = b
-	}
-	if !bytes.Equal(cores[0], cores[1]) {
-		t.Fatalf("replays diverged:\n%s\n%s", cores[0], cores[1])
-	}
-}
-
-func TestRunTreeAggregatorCrashGreen(t *testing.T) {
-	sc := smallTreeScenario(13)
-	sc.DropProb, sc.DupProb = 0.1, 0.1
-	sc.Crashes = []tree.CrashSpec{{Node: 1, Start: 0.1, End: 0.16}}
-	sc.CheckpointEvery = 3
-	sc.WALFsync = "always"
-	res, err := RunTree(sc, TreeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation != nil {
-		t.Fatal(res.Violation)
-	}
-	if res.Recovery.Restarts != 1 {
-		t.Fatalf("restarts = %d, want 1", res.Recovery.Restarts)
-	}
-}
-
-// TestRunTreeDedupeFaultHasTeeth proves the per-hop exactly-once
-// invariant catches a real dedupe regression: with every node's dedupe
-// broken and duplicates guaranteed, the suite must fail, deterministically.
-func TestRunTreeDedupeFaultHasTeeth(t *testing.T) {
-	sc := smallTreeScenario(17)
-	sc.DupProb = 0.9
-	var first *Violation
-	for i := 0; i < 2; i++ {
-		res, err := RunTree(sc, TreeOptions{InjectDedupeFault: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Violation == nil {
-			t.Fatal("broken dedupe under 90% duplication produced no violation")
-		}
-		if res.Violation.Invariant != "exactly-once" {
-			t.Fatalf("violation invariant %q, want exactly-once (%s)", res.Violation.Invariant, res.Violation.Detail)
-		}
-		if first == nil {
-			first = res.Violation
-		} else if *first != *res.Violation {
-			t.Fatalf("teeth test is not deterministic:\n%+v\n%+v", first, res.Violation)
-		}
-	}
+// TestTreeScenarioRoundTrip: generated tree scenarios, topology and
+// aggregator faults included, survive the same artifact envelope as flat
+// ones bit-identically.
+func TestTreeScenarioRoundTrip(t *testing.T) {
+	checkScenarioRoundTrip(t, []Scenario{GenerateTree(23, true), GenerateTree(7, false)})
 }
 
 // TestMixturesDiff pins what the root-vs-flat check accepts: identical
@@ -226,59 +87,73 @@ func TestMixturesDiff(t *testing.T) {
 		{"component lost", mix(lo, hi, left, right), false},
 		{"nil root", nil, false},
 	} {
-		diff := mixturesDiff(tc.root, flat)
+		_, diff := mixturesDiff(tc.root, flat)
 		if (diff == "") != tc.accept {
 			t.Errorf("%s: accept = %v, want %v (%s)", tc.name, diff == "", tc.accept, diff)
 		}
 	}
 }
 
-func TestTreeScenarioRoundTrip(t *testing.T) {
-	sc := GenerateTree(23, true)
-	var buf bytes.Buffer
-	if err := WriteTreeScenario(&buf, sc); err != nil {
-		t.Fatal(err)
+// TestGateRegroupingOnRealSeeds pins two short tree seeds whose root
+// passes the emission-reference check only through the gate-regrouping
+// branch of mixturesDiff: each run is green and leaves a non-empty
+// unpaired set. Each of the branch's two conditions then has to reject a
+// perturbation of the same real root that only it catches: two far-apart
+// components merged into one (the regrouped moments still fold to the
+// reference's, so only the gate distance rejects it), and one component's
+// mean moved by 0.01 (still within the gate of its counterpart, so only
+// the folded moments reject it).
+func TestGateRegroupingOnRealSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full tree runs")
 	}
-	got, err := ReadTreeScenario(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sc) {
-		t.Fatal("scenario did not round-trip through the envelope")
-	}
-}
+	for _, seed := range []int64{28, 106} {
+		res, chk, err := run(GenerateTree(seed, true), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Violation != nil {
+			t.Fatalf("seed %d: %v", seed, res.Violation)
+		}
+		root, ref := chk.dep.RootMixture(), chk.ref.GlobalMixture()
+		if unpaired, diff := mixturesDiff(root, ref); diff != "" || unpaired == 0 {
+			t.Fatalf("seed %d: %d unpaired components (%q), want the gate-regrouping branch to accept", seed, unpaired, diff)
+		}
 
-func TestTreeArtifactRoundTrip(t *testing.T) {
-	sc := smallTreeScenario(29)
-	sc.DupProb = 0.9
-	res, err := RunTree(sc, TreeOptions{InjectDedupeFault: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := res.ToArtifact()
-	if a == nil {
-		t.Fatal("violating run produced no artifact")
-	}
-	var buf bytes.Buffer
-	if err := WriteTreeArtifact(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTreeArtifact(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Core() != a.Core() {
-		t.Fatalf("artifact core did not round-trip:\n%+v\n%+v", got.Core(), a.Core())
-	}
-	if err := got.Scenario.Validate(); err != nil {
-		t.Fatalf("embedded scenario invalid after round-trip: %v", err)
-	}
-	// The embedded scenario replays to the same violation.
-	res2, err := RunTree(got.Scenario, TreeOptions{InjectDedupeFault: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Violation == nil || *res2.Violation != got.Violation {
-		t.Fatalf("replayed violation %+v != artifact violation %+v", res2.Violation, got.Violation)
+		ws, cs := make([]float64, root.K()), make([]*gaussian.Component, root.K())
+		for i := range cs {
+			ws[i], cs[i] = root.Weight(i), root.Component(i)
+		}
+		far := [2]int{}
+		for i := range cs {
+			for j := i + 1; j < len(cs); j++ {
+				if gaussian.CrossMahalanobisSq(cs[i], cs[j]) > gaussian.CrossMahalanobisSq(cs[far[0]], cs[far[1]]) {
+					far = [2]int{i, j}
+				}
+			}
+		}
+		w, mean, cov := gaussian.MomentMerge(ws[far[0]], cs[far[0]], ws[far[1]], cs[far[1]])
+		var mws []float64
+		var mcs []*gaussian.Component
+		for i := range cs {
+			if i != far[0] && i != far[1] {
+				mws, mcs = append(mws, ws[i]), append(mcs, cs[i])
+			}
+		}
+		merged := gaussian.MustMixture(append(mws, w), append(mcs, gaussian.MustComponent(mean, cov)))
+
+		moved := append([]*gaussian.Component(nil), cs...)
+		shifted := cs[0].Mean().Clone()
+		shifted[0] += 0.01
+		moved[0] = gaussian.MustComponent(shifted, cs[0].Cov())
+
+		for name, m := range map[string]*gaussian.Mixture{
+			"far pair merged": merged,
+			"component moved": gaussian.MustMixture(ws, moved),
+		} {
+			if _, diff := mixturesDiff(m, ref); diff == "" {
+				t.Errorf("seed %d: %s: accepted", seed, name)
+			}
+		}
 	}
 }

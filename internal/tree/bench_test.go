@@ -6,7 +6,7 @@ import (
 
 	"cludistream/internal/coordinator"
 	"cludistream/internal/linalg"
-	"cludistream/internal/site"
+	"cludistream/internal/transport"
 )
 
 // BenchmarkTreeLoad500 is the scale proof for multi-layer deployments:
@@ -36,9 +36,9 @@ func BenchmarkTreeLoad500(b *testing.B) {
 		d, err := NewDeployment(Config{
 			Topology: topo, Site: testSiteCfg(), Coord: testCoordCfg(),
 			Seed: int64(i + 1), ExactSync: true,
-			OnEmit: func(leafID int, u site.Update) {
-				if err := ref.HandleUpdate(u); err != nil {
-					b.Fatalf("reference apply (leaf %d): %v", leafID, err)
+			OnEmit: func(msg transport.Message) {
+				if err := applyEmitted(ref, msg); err != nil {
+					b.Fatalf("reference apply (site %d): %v", msg.SiteID, err)
 				}
 			},
 		})

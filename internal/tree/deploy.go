@@ -93,11 +93,12 @@ type Config struct {
 
 	Telemetry *telemetry.Registry
 	// OnApply observes every message applied at an internal node, after
-	// the dedupe verdict admitted it — the DST per-layer invariant hook.
+	// the dedupe verdict admitted it — the DST per-hop invariant hook.
 	OnApply func(node int, msg transport.Message)
-	// OnEmit observes every update a leaf site sends, before transport —
-	// DST tees these into a flat reference coordinator.
-	OnEmit func(leafID int, u site.Update)
+	// OnEmit observes every message a leaf sends, deletions included,
+	// before transport stamps it; msg.SiteID is the leaf's wire id. DST
+	// tees these into a reference coordinator that sees no network.
+	OnEmit func(msg transport.Message)
 }
 
 // edge is one directed uplink: child (a leaf or an aggregator) → internal
@@ -110,6 +111,7 @@ type edge struct {
 	cour   *netsim.Courier // nil on a perfect link
 	epoch  uint32
 	seq    uint64
+	dups   int // deliveries the receiver's dedupe dropped
 	// sent is the per-epoch sender-side entitlement at exact wire sizes:
 	// what the receiver applies can never exceed it, and must equal the
 	// current epoch's tally once the deployment drains.
@@ -183,6 +185,9 @@ type Deployment struct {
 	nodes  []*node
 	leaves []*leafNode
 	order  []*node // internal nodes, deepest first (final-sync order)
+	// uplinks is every edge: aggregator uplinks first, then leaf uplinks,
+	// both in topology order.
+	uplinks []*edge
 
 	// tracer is the registry's tracer when tracing is enabled (nil
 	// otherwise), its clock bound to the simulator so every span timestamp
@@ -386,6 +391,7 @@ func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, perfect bool, ou
 	}
 	link.SetTelemetry(d.cfg.Telemetry)
 	e.link = link
+	d.uplinks = append(d.uplinks, e)
 	if perfect {
 		return e, nil
 	}
@@ -452,6 +458,7 @@ func (d *Deployment) deliver(e *edge, payload []byte) {
 		return
 	}
 	if res.Verdict.Dropped() {
+		e.dups++
 		d.teleDedupe.Inc()
 		return
 	}
@@ -621,10 +628,7 @@ func (d *Deployment) Feed(i int, x linalg.Vector) error {
 		if lf.win != nil {
 			u = lf.win.Send(u)
 		}
-		if d.cfg.OnEmit != nil {
-			d.cfg.OnEmit(i+1, u)
-		}
-		d.send(lf.up, transport.FromSiteUpdate(u))
+		d.sendLeaf(lf, transport.FromSiteUpdate(u))
 	}
 	if lf.win != nil {
 		// Deletions ride the trace of the chunk whose completion expired
@@ -632,8 +636,9 @@ func (d *Deployment) Feed(i int, x linalg.Vector) error {
 		// from the last minted chunk trace.
 		trace, span := lf.st.LastTrace()
 		for _, del := range lf.win.Expire(i + 1) {
-			d.send(lf.up, transport.Message{
+			d.sendLeaf(lf, transport.Message{
 				Kind:    transport.MsgDeletion,
+				SiteID:  int32(i + 1),
 				ModelID: int32(del.ModelID),
 				Count:   int64(del.Count),
 				TraceID: trace,
@@ -642,6 +647,14 @@ func (d *Deployment) Feed(i int, x linalg.Vector) error {
 		}
 	}
 	return d.deliveryErr
+}
+
+// sendLeaf shows one of a leaf's messages to OnEmit, then sends it.
+func (d *Deployment) sendLeaf(lf *leafNode, msg transport.Message) {
+	if d.cfg.OnEmit != nil {
+		d.cfg.OnEmit(msg)
+	}
+	d.send(lf.up, msg)
 }
 
 // Drain runs the simulator dry and then forces exact final sync rounds,
@@ -732,7 +745,7 @@ func (d *Deployment) Recovery() RecoveryStats { return d.recov }
 // internal node.
 func (d *Deployment) DeliveryStats() DeliveryStats {
 	var s DeliveryStats
-	for _, e := range d.edges() {
+	for _, e := range d.uplinks {
 		s.GoodputBytes += e.link.GoodputBytes()
 		s.RetransmitBytes += e.link.RetransmitBytes()
 		m, b := e.link.Dropped()
@@ -755,19 +768,6 @@ func (d *Deployment) DeliveryStats() DeliveryStats {
 // Pending sums undelivered courier queue depths across all edges.
 func (d *Deployment) Pending() int { return d.DeliveryStats().Pending }
 
-func (d *Deployment) edges() []*edge {
-	var out []*edge
-	for _, n := range d.nodes {
-		if n.up != nil {
-			out = append(out, n.up)
-		}
-	}
-	for _, lf := range d.leaves {
-		out = append(out, lf.up)
-	}
-	return out
-}
-
 // SenderEpoch returns the current epoch of the edge child→node (child is
 // the wire SiteID the receiver sees).
 func (d *Deployment) SenderEpoch(toNode, childID int) uint32 {
@@ -789,7 +789,7 @@ func (d *Deployment) SentTally(toNode, childID int, epoch uint32) SendTally {
 }
 
 func (d *Deployment) findEdge(toNode, childID int) *edge {
-	for _, e := range d.edges() {
+	for _, e := range d.uplinks {
 		if e.toNode == toNode && e.fromID == childID {
 			return e
 		}
@@ -805,6 +805,8 @@ type EdgeStats struct {
 	SentMsgs        int // current-epoch entitlement
 	SentBytes       int
 	WireBytes       int // link-level total, including retransmissions
+	Msgs            int // link-level transmissions, retransmissions included
+	Duplicates      int // deliveries the receiver's dedupe dropped
 	GoodputBytes    int
 	RetransmitBytes int
 	DroppedBytes    int
@@ -813,8 +815,8 @@ type EdgeStats struct {
 // EdgeStatsAll returns per-edge accounting (aggregator uplinks first, then
 // leaf uplinks, both in topology order).
 func (d *Deployment) EdgeStatsAll() []EdgeStats {
-	var out []EdgeStats
-	for _, e := range d.edges() {
+	out := make([]EdgeStats, 0, len(d.uplinks))
+	for _, e := range d.uplinks {
 		cur := e.tally()
 		_, droppedBytes := e.link.Dropped()
 		out = append(out, EdgeStats{
@@ -825,6 +827,7 @@ func (d *Deployment) EdgeStatsAll() []EdgeStats {
 			SentBytes: cur.Bytes,
 			WireBytes: e.link.BytesSent(), GoodputBytes: e.link.GoodputBytes(),
 			RetransmitBytes: e.link.RetransmitBytes(), DroppedBytes: droppedBytes,
+			Msgs: e.link.Messages(), Duplicates: e.dups,
 		})
 	}
 	return out
@@ -834,7 +837,7 @@ func (d *Deployment) EdgeStatsAll() []EdgeStats {
 // index 0 is traffic into the root, index 1 into depth-1 aggregators, etc.
 func (d *Deployment) LayerBytes() []int {
 	out := make([]int, d.cfg.Topology.Depth())
-	for _, e := range d.edges() {
+	for _, e := range d.uplinks {
 		out[d.nodes[e.toNode].depth] += e.link.BytesSent()
 	}
 	return out
@@ -843,7 +846,7 @@ func (d *Deployment) LayerBytes() []int {
 // TotalBytes sums wire bytes over every edge.
 func (d *Deployment) TotalBytes() int {
 	total := 0
-	for _, e := range d.edges() {
+	for _, e := range d.uplinks {
 		total += e.link.BytesSent()
 	}
 	return total
@@ -853,7 +856,7 @@ func (d *Deployment) TotalBytes() int {
 // included.
 func (d *Deployment) TotalMessages() int {
 	total := 0
-	for _, e := range d.edges() {
+	for _, e := range d.uplinks {
 		total += e.link.Messages()
 	}
 	return total
@@ -867,7 +870,7 @@ func (d *Deployment) CostSeries(width float64) []int {
 		until = width
 	}
 	var series [][]int
-	for _, e := range d.edges() {
+	for _, e := range d.uplinks {
 		series = append(series, e.link.CostSeries(width, until))
 	}
 	return netsim.MergeCostSeries(series...)

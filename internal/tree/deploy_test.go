@@ -11,6 +11,7 @@ import (
 	"cludistream/internal/linalg"
 	"cludistream/internal/netsim"
 	"cludistream/internal/site"
+	"cludistream/internal/transport"
 )
 
 func testSiteCfg() site.Config {
@@ -39,17 +40,27 @@ func feedAll(t *testing.T, d *Deployment, regimes []float64, n int) {
 
 // refCoordinator builds the flat-deployment reference: every leaf update
 // teed straight into one coordinator.
-func refCoordinator(t *testing.T) (*coordinator.Coordinator, func(int, site.Update)) {
+func refCoordinator(t *testing.T) (*coordinator.Coordinator, func(transport.Message)) {
 	t.Helper()
 	ref, err := coordinator.New(testCoordCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ref, func(leafID int, u site.Update) {
-		if err := ref.HandleUpdate(u); err != nil {
-			t.Fatalf("reference apply (leaf %d): %v", leafID, err)
+	return ref, func(msg transport.Message) {
+		if err := applyEmitted(ref, msg); err != nil {
+			t.Fatalf("reference apply (site %d): %v", msg.SiteID, err)
 		}
 	}
+}
+
+// applyEmitted applies one leaf send, as OnEmit observes it, to a
+// reference coordinator: deletions by model and count, everything else as
+// the site update it carries.
+func applyEmitted(ref *coordinator.Coordinator, msg transport.Message) error {
+	if msg.Kind == transport.MsgDeletion {
+		return ref.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
+	}
+	return ref.HandleUpdate(msg.ToSiteUpdate())
 }
 
 // assertEquivalent compares the root mixture against the flat reference:
