@@ -105,7 +105,7 @@ tier1:
 
 # Short fuzz pass over the wire decoders (sites' and the CLUQ batch
 # endpoint's), the coordinator's receive step behind them, the frame/ack
-# protocol, the durable formats (site archive, coordinator checkpoint,
+# protocol and its restart handshake, the durable formats (site archive, coordinator checkpoint,
 # WAL), and tree topologies as scenario files carry them.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/transport/
@@ -113,6 +113,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzBatch -fuzztime=10s ./internal/query/
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/netio/
 	$(GO) test -run=^$$ -fuzz=FuzzReadAck -fuzztime=5s ./internal/netio/
+	$(GO) test -run=^$$ -fuzz=FuzzWatermarkAck -fuzztime=10s ./internal/netio/
 	$(GO) test -run=^$$ -fuzz=FuzzLoad$$ -fuzztime=10s ./internal/persist/
 	$(GO) test -run=^$$ -fuzz=FuzzLoadCoordinatorState -fuzztime=10s ./internal/persist/
 	$(GO) test -run=^$$ -fuzz=FuzzReadWAL -fuzztime=10s ./internal/persist/

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"cludistream/internal/coordinator"
@@ -406,18 +407,21 @@ func BenchmarkPosteriorBatch(b *testing.B) {
 }
 
 // BenchmarkEMFitWorkers measures the fused parallel E+M pass at several
-// worker counts on a d=8, K=4, n=4096 workload. The fitted model is
-// bit-identical at every count (see em.TestFitWorkerCountInvariant), so
-// the sub-benchmarks differ only in wall clock; on a multi-core machine
-// workers=4/8 should beat workers=1 by the core count, saturating at
-// GOMAXPROCS.
+// worker counts on a d=8, K=4, n=4096 workload. The pool is GOMAXPROCS
+// wide, so each sub-benchmark pins GOMAXPROCS to its worker count. The
+// fitted model is bit-identical at every count (see
+// em.TestFitGOMAXPROCSInvariant), so the sub-benchmarks differ only in
+// wall clock; on a multi-core machine workers=4/8 should beat workers=1
+// by the core count.
 func BenchmarkEMFitWorkers(b *testing.B) {
 	m := benchMixture(4, 8)
 	data := benchData(m, 4096, 8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			runtime.GOMAXPROCS(workers)
 			for i := 0; i < b.N; i++ {
-				if _, err := em.Fit(data, em.Config{K: 4, Seed: 1, MaxIter: 30, Tol: 1e-4, Workers: workers}); err != nil {
+				if _, err := em.Fit(data, em.Config{K: 4, Seed: 1, MaxIter: 30, Tol: 1e-4}); err != nil {
 					b.Fatal(err)
 				}
 			}

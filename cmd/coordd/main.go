@@ -1,23 +1,23 @@
-// Command coordd is the coordinator daemon: it listens for remote-site
-// connections (cmd/sited) on TCP and maintains the merged global mixture.
-// With -state-dir it is crash-durable: every applied frame is WAL-logged
-// before the ack, checkpoints rotate automatically, and a restart
-// recovers the exact pre-crash state from disk before accepting
-// reconnecting sites (whose restart handshake skips everything already
-// applied). On SIGINT/SIGTERM it shuts down gracefully — waiting up to
-// -shutdown-timeout for sites to hang up, writing a final checkpoint —
-// and prints a final model summary; with -status it also prints a
-// periodic one-line status.
+// Command coordd is the coordinator daemon: it accepts sites (cmd/sited)
+// and child aggregators over TCP and maintains the merged global mixture.
+// With -connect it is itself an aggregator, the interior node of Section
+// 7's multi-layer network: it uploads its merged mixture to a parent coordd
+// as pseudo-site -node-id whenever that mixture changes. With -state-dir it
+// is crash-durable (WAL before every ack, rotating checkpoints, exact
+// recovery before reconnecting children resume). SIGINT/SIGTERM is the
+// graceful stop: drain children, final checkpoint, final upload, final
+// model summary. The body is internal/daemon.StartCoordinator.
 //
 // Usage:
 //
 //	coordd -listen :7070 -dim 4 -state-dir /var/lib/coordd
+//	coordd -listen :7071 -connect localhost:7070 -node-id 100 -dim 4
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -25,237 +25,47 @@ import (
 
 	"cludistream/internal/buildinfo"
 	"cludistream/internal/coordinator"
-	"cludistream/internal/durable"
-	"cludistream/internal/gaussian"
-	"cludistream/internal/netio"
+	"cludistream/internal/daemon"
 	"cludistream/internal/persist"
-	"cludistream/internal/query"
-	"cludistream/internal/telemetry"
 )
 
 func main() {
-	listen := flag.String("listen", ":7070", "TCP address to listen on")
+	var cfg daemon.CoordinatorConfig
+	flag.StringVar(&cfg.Listen, "listen", ":7070", "TCP address to accept sites and child aggregators on")
 	dim := flag.Int("dim", 4, "data dimensionality d")
-	status := flag.Duration("status", 10*time.Second, "status print interval (0 disables)")
-	stateDir := flag.String("state-dir", "", "checkpoint + WAL directory (empty = in-memory only, no crash durability)")
+	flag.DurationVar(&cfg.Status, "status", 10*time.Second, "status print interval (0 disables)")
+	flag.StringVar(&cfg.StateDir, "state-dir", "", "checkpoint + WAL directory (empty = in-memory only, no crash durability)")
 	checkpointEvery := flag.Int("checkpoint-every", 256, "WAL records between automatic checkpoints")
 	fsync := flag.String("fsync", "always", "WAL sync policy: always, interval or never")
-	fsyncInterval := flag.Int("fsync-interval", 32, "records per sync when -fsync=interval")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 5*time.Second, "graceful-shutdown wait for connected sites")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/vars, /debug/events and pprof on this address (empty = off)")
-	trace := flag.Bool("trace", false, "with -debug-addr: record apply/remerge traces and grant sites the wire trace suffix (/debug/traces)")
-	queryAddr := flag.String("query-addr", "", "serve the lock-free query tier (/query/classify, /query/density, /query/topk, /query/batch) on this address (empty = off)")
-	publishEvery := flag.Duration("publish-every", 200*time.Millisecond, "with -query-addr: snapshot publication interval (only changed mixtures are republished)")
+	flag.IntVar(&cfg.Durable.FsyncInterval, "fsync-interval", 32, "records per sync when -fsync=interval")
+	shutdownTimeout := flag.Duration("shutdown-timeout", 5*time.Second, "graceful-shutdown wait for connected children and the uplink drain")
+	flag.StringVar(&cfg.DebugAddr, "debug-addr", "", "serve /debug/vars, /debug/events and pprof on this address (empty = off)")
+	trace := flag.Bool("trace", false, "with -debug-addr: record apply/remerge/upload traces and negotiate the wire trace suffix with children and parent (/debug/traces)")
+	flag.StringVar(&cfg.QueryAddr, "query-addr", "", "serve the lock-free query tier (/query/classify, /query/density, /query/topk, /query/batch) on this address (empty = off)")
+	flag.DurationVar(&cfg.PublishEvery, "publish-every", 200*time.Millisecond, "with -query-addr: snapshot publication interval (only changed mixtures are republished)")
+	flag.StringVar(&cfg.Connect, "connect", "", "parent coordinator address: run as an aggregator uploading to it (empty = root)")
+	flag.IntVar(&cfg.NodeID, "node-id", 100, "with -connect: pseudo-site id this aggregator uses at its parent")
+	flag.DurationVar(&cfg.Interval, "interval", 2*time.Second, "with -connect: how often to check for model changes to upload")
+	flag.IntVar(&cfg.MaxRetry, "max-retry", 12, "with -connect: initial parent-dial attempts before giving up (-1 = retry forever)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("coordd"))
 		return
 	}
-	// Validate the flag set before recovery replay starts: a -query-addr
-	// that collides with -debug-addr or -listen would otherwise surface
-	// as a bind failure only after a potentially long WAL replay.
-	if _, err := persist.ParseFsyncMode(*fsync); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := validateAddrs(*listen, *debugAddr, *queryAddr); err != nil {
-		fmt.Fprintln(os.Stderr, "coordd:", err)
-		os.Exit(2)
-	}
-	if *queryAddr != "" && *publishEvery <= 0 {
-		fmt.Fprintln(os.Stderr, "coordd: -publish-every must be positive when -query-addr is set")
-		os.Exit(2)
-	}
 
-	var reg *telemetry.Registry
-	if *debugAddr != "" {
-		reg = telemetry.NewRegistry()
-		if *trace {
-			reg.EnableTracing(telemetry.TraceOptions{})
-		}
-		dbg, err := telemetry.Serve(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer dbg.Close()
-		fmt.Printf("coordd: debug endpoints on http://%v/debug/vars\n", dbg.Addr())
-	}
-
-	coordCfg := coordinator.Config{Dim: *dim, Telemetry: reg}
-	var coord *coordinator.Coordinator
-	var srvOpts netio.ServerOptions
-	srvOpts.Telemetry = reg
-	if *stateDir != "" {
-		store, rec, err := durable.Open(*stateDir, coordCfg, durable.Options{
-			CheckpointEvery: *checkpointEvery,
-			Fsync:           persist.FsyncMode(*fsync),
-			FsyncInterval:   *fsyncInterval,
-			Telemetry:       reg,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "coordd: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if rec.CheckpointLoaded {
-			fmt.Printf("coordd: recovered %s — %d models over %d sites, %d WAL records replayed (%d torn bytes) in %v, %d applied total\n",
-				*stateDir, rec.Coord.NumModels(), rec.Dedupe.Len(), rec.RecordsReplayed,
-				rec.TornBytes, rec.Duration.Round(time.Millisecond), rec.Applied)
-		} else {
-			fmt.Printf("coordd: fresh state directory %s\n", *stateDir)
-		}
-		coord = rec.Coord
-		srvOpts.Store = store
-		srvOpts.Dedupe = rec.Dedupe
-	} else {
-		var err error
-		coord, err = coordinator.New(coordCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	srv, err := netio.NewServerOpts(*listen, coord, srvOpts)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	reg := daemon.Registry(cfg.DebugAddr, *trace)
+	cfg.Coord = coordinator.Config{Dim: *dim, Telemetry: reg}
+	cfg.Durable.CheckpointEvery, cfg.Durable.Fsync = *checkpointEvery, persist.FsyncMode(*fsync)
+	c, err := daemon.StartCoordinator(ctx, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(os.Stderr, "coordd:", err)
+		os.Exit(daemon.ExitCode(err))
 	}
-	fmt.Printf("coordd: version=%s listen=%v dim=%d status=%v state_dir=%s fsync=%s debug_addr=%s\n",
-		buildinfo.Version, srv.Addr(), *dim, *status, *stateDir, *fsync, *debugAddr)
-
-	if *queryAddr != "" {
-		pub := query.NewPublisher(query.Options{Telemetry: reg})
-		qsrv, err := query.Serve(*queryAddr, pub)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "coordd: query listener:", err)
-			os.Exit(2)
-		}
-		defer qsrv.Close()
-		fmt.Printf("coordd: query tier on http://%v/query/classify (publish every %v)\n", qsrv.Addr(), *publishEvery)
-		stopPub := make(chan struct{})
-		defer close(stopPub)
-		go func() {
-			t := time.NewTicker(*publishEvery)
-			defer t.Stop()
-			var lastVer uint64
-			for {
-				select {
-				case <-stopPub:
-					return
-				case <-t.C:
-				}
-				// Capture mixture, version and mass atomically under the
-				// apply lock so the snapshot equals the coordinator state
-				// at an exact applied-update prefix; the deep copy and
-				// kd-index build happen outside the lock (the captured
-				// mixture is immutable).
-				var mix *gaussian.Mixture
-				var ver uint64
-				var mass float64
-				srv.Snapshot(func(c *coordinator.Coordinator) {
-					if ver = c.MixtureVersion(); ver != lastVer {
-						mix = c.GlobalMixture()
-						mass = c.TotalWeight()
-					}
-				})
-				if mix == nil { // unchanged since last publish, or still empty
-					continue
-				}
-				if _, err := pub.Publish(mix, ver, mass); err != nil {
-					fmt.Fprintln(os.Stderr, "coordd: publish:", err)
-					continue
-				}
-				lastVer = ver
-			}
-		}()
+	<-ctx.Done()
+	if err := c.Stop(*shutdownTimeout); err != nil {
+		fmt.Fprintln(os.Stderr, "coordd: shutdown:", err)
 	}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if *status > 0 {
-		ticker = time.NewTicker(*status)
-		tick = ticker.C
-		defer ticker.Stop()
-	}
-
-	for {
-		select {
-		case <-tick:
-			ds := srv.DeliveryStats()
-			srv.Snapshot(func(c *coordinator.Coordinator) {
-				fmt.Printf("coordd: %d models / %d leaves / %d groups | %d msgs, %d bytes, %d errors | %d dups dropped, %d site resets\n",
-					c.NumModels(), c.NumLeaves(), len(c.Groups()), ds.Applied, ds.BytesIn, ds.ApplyErrors,
-					ds.Duplicates, ds.SiteResets)
-			})
-		case sig := <-sigCh:
-			fmt.Printf("coordd: %v — shutting down (waiting up to %v for sites)\n", sig, *shutdownTimeout)
-			// Shutdown writes a final checkpoint when durable, so the
-			// next start replays an empty WAL.
-			if err := srv.Shutdown(*shutdownTimeout); err != nil {
-				fmt.Fprintf(os.Stderr, "coordd: shutdown: %v\n", err)
-			} else if *stateDir != "" {
-				fmt.Printf("coordd: final checkpoint written to %s\n", *stateDir)
-			}
-			ds := srv.DeliveryStats()
-			srv.Snapshot(func(c *coordinator.Coordinator) {
-				fmt.Printf("coordd: final state — %d site models, %d merged groups\n",
-					c.NumModels(), len(c.Groups()))
-				if ds.Duplicates > 0 || ds.SiteResets > 0 {
-					fmt.Printf("coordd: exactly-once — %d duplicate msgs (%d bytes) dropped, %d site resets\n",
-						ds.Duplicates, ds.DuplicateBytes, ds.SiteResets)
-				}
-				if gm := c.GlobalMixture(); gm != nil {
-					for j := 0; j < gm.K(); j++ {
-						fmt.Printf("  component %2d: weight %.4f, mean %v\n",
-							j, gm.Weight(j), gm.Component(j).Mean())
-					}
-				}
-			})
-			return
-		}
-	}
-}
-
-// validateAddrs rejects listen/debug/query address collisions up front,
-// before recovery replay, instead of letting the second bind fail late.
-// Two addresses collide when their ports match and their hosts overlap —
-// equal hosts, or either side binding the wildcard.
-func validateAddrs(listen, debug, query string) error {
-	type bound struct{ flag, addr string }
-	var bounds []bound
-	for _, b := range []bound{{"-listen", listen}, {"-debug-addr", debug}, {"-query-addr", query}} {
-		if b.addr != "" {
-			bounds = append(bounds, b)
-		}
-	}
-	for i := 0; i < len(bounds); i++ {
-		for j := i + 1; j < len(bounds); j++ {
-			if addrsCollide(bounds[i].addr, bounds[j].addr) {
-				return fmt.Errorf("%s and %s would both bind %s — pick distinct addresses",
-					bounds[i].flag, bounds[j].flag, bounds[j].addr)
-			}
-		}
-	}
-	return nil
-}
-
-func addrsCollide(a, b string) bool {
-	ha, pa, errA := net.SplitHostPort(a)
-	hb, pb, errB := net.SplitHostPort(b)
-	if errA != nil || errB != nil {
-		// Unparseable addresses fail at bind with their own clear error.
-		return a == b
-	}
-	if pa != pb || pa == "0" {
-		return false // different ports, or ephemeral ports that never collide
-	}
-	wild := func(h string) bool { return h == "" || h == "0.0.0.0" || h == "::" }
-	return ha == hb || wild(ha) || wild(hb)
 }

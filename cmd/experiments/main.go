@@ -3,7 +3,7 @@
 // Usage:
 //
 //	experiments -list
-//	experiments [-profile quick|paper] [-seed N] [-workers N] [-cold]
+//	experiments [-profile quick|paper] [-seed N] [-cold]
 //	            [-telemetry text|json|FILE [-trace]]
 //	            [-cpuprofile out.pprof] [-memprofile out.pprof] [name ...]
 //
@@ -37,7 +37,6 @@ func main() {
 	profile := flag.String("profile", "quick", "parameter profile: quick or paper")
 	seed := flag.Int64("seed", 1, "global random seed")
 	list := flag.Bool("list", false, "list experiment names and exit")
-	workers := flag.Int("workers", 0, "EM worker goroutines per fit (0 = GOMAXPROCS; results are identical at any value)")
 	cold := flag.Bool("cold", false, "disable warm-start refit seeding (A/B baseline: every EM refit uses cold k-means++ init)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -63,7 +62,6 @@ func main() {
 		os.Exit(2)
 	}
 	p.Seed = *seed
-	p.EMWorkers = *workers
 	if *cold {
 		p.WarmStart = site.WarmStartCold
 	}

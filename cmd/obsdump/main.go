@@ -1,6 +1,6 @@
-// Command obsdump pretty-prints the telemetry of a running daemon (sited,
-// coordd or aggd started with -debug-addr) or of a snapshot file written by
-// `experiments -telemetry out.json`.
+// Command obsdump pretty-prints the telemetry of a running daemon (sited
+// or coordd, root or aggregator, started with -debug-addr) or of a
+// snapshot file written by `experiments -telemetry out.json`.
 //
 // Usage:
 //

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"cludistream/internal/coordinator"
+	"cludistream/internal/daemon"
 	"cludistream/internal/netio"
 	"cludistream/internal/persist"
 	"cludistream/internal/site"
@@ -38,13 +39,11 @@ func main() {
 	linger := flag.Duration("linger", 0, "keep the process alive this long after the run (for inspecting -debug-addr)")
 	flag.Parse()
 
-	var reg *telemetry.Registry
-	if *debugAddr != "" {
-		reg = telemetry.NewRegistry()
-		// Tracing is always on in the demo: `make trace-demo` renders the
-		// span waterfalls from /debug/traces, and the clustering output is
-		// bit-identical with or without it.
-		reg.EnableTracing(telemetry.TraceOptions{})
+	// Tracing is always on in the demo: `make trace-demo` renders the span
+	// waterfalls from /debug/traces, and the clustering output is
+	// bit-identical with or without it.
+	reg := daemon.Registry(*debugAddr, true)
+	if reg != nil {
 		dbg, err := telemetry.Serve(*debugAddr, reg)
 		if err != nil {
 			log.Fatal(err)
@@ -57,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := netio.NewServerTelemetry("127.0.0.1:0", coord, reg)
+	srv, err := netio.NewServerOpts("127.0.0.1:0", coord, netio.ServerOptions{Telemetry: reg})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -64,13 +64,6 @@ type Config struct {
 	// (weights, means and covariances); it takes precedence over InitMeans.
 	// This is how SEM continues from its current model on every refit.
 	InitModel *gaussian.Mixture
-	// Workers caps the worker goroutines of the fused E+M pass (0 ⇒
-	// GOMAXPROCS). The pass shards the data on fixed boundaries and reduces
-	// partial statistics in fixed order, so the fitted mixture is
-	// bit-identical at every worker count; Workers only trades wall-clock
-	// for cores. Embedders that already parallelize across sites (the
-	// parallel package, the daemons) pin this to 1 to avoid oversubscription.
-	Workers int
 	// Telemetry, when non-nil, receives per-fit counters (runs, iteration
 	// totals, convergence outcomes) and an "em-fit" journal event with the
 	// final average log-likelihood. Purely observational: it reads values
@@ -154,7 +147,7 @@ func Fit(data []linalg.Vector, cfg Config) (*Result, error) {
 	for j := range stats {
 		stats[j] = NewSuffStats(d)
 	}
-	ws := newEWorkspace(n, d, cfg.K, cfg.Workers)
+	ws := newEWorkspace(n, d, cfg.K)
 
 	prevAvgLL := math.Inf(-1)
 	var iter int

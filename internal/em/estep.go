@@ -43,12 +43,13 @@ type eWorkspace struct {
 }
 
 // newEWorkspace sizes a workspace for n records of dimension d with k
-// components, running on the requested worker count (0 ⇒ GOMAXPROCS).
-func newEWorkspace(n, d, k, workers int) *eWorkspace {
+// components, running on GOMAXPROCS workers (at most one per shard). The
+// pass shards the data on fixed boundaries and reduces partial statistics
+// in fixed order, so the fitted mixture is bit-identical at every worker
+// count.
+func newEWorkspace(n, d, k int) *eWorkspace {
 	numShards := (n + eShardSize - 1) / eShardSize
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > numShards {
 		workers = numShards
 	}

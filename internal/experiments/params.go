@@ -55,11 +55,6 @@ type Params struct {
 	// iterations without changing which chunks refit. site.WarmStartCold
 	// restores the pre-warm-start cold k-means++ path for A/B runs.
 	WarmStart string
-	// EMWorkers caps the worker goroutines of every inner EM fit (0 ⇒
-	// GOMAXPROCS). Fitted models are bit-identical at any value — the
-	// fused E-step reduces on fixed shard boundaries — so figures never
-	// depend on the core count they were produced on.
-	EMWorkers int
 	// Telemetry, when non-nil, instruments every site, EM fit, system and
 	// coordinator the suite constructs. Figures are unchanged with it on
 	// (telemetry never alters clustering output).
@@ -121,7 +116,7 @@ func (p Params) siteConfig(id int) site.Config {
 		Delta:     p.Delta,
 		CMax:      p.CMax,
 		Seed:      p.Seed + int64(id)*7919,
-		EM:        em.Config{MaxIter: 50, Tol: 1e-3, MinVar: 1e-4, Workers: p.EMWorkers},
+		EM:        em.Config{MaxIter: 50, Tol: 1e-3, MinVar: 1e-4},
 		WarmStart: p.WarmStart,
 		Telemetry: p.Telemetry,
 	}
@@ -134,7 +129,7 @@ func (p Params) semConfig() sem.Config {
 		Dim:        p.Dim,
 		BufferSize: p.SEMBuffer,
 		Seed:       p.Seed,
-		EM:         em.Config{MaxIter: 25, Tol: 1e-3, MinVar: 1e-4, Workers: p.EMWorkers, Telemetry: p.Telemetry},
+		EM:         em.Config{MaxIter: 25, Tol: 1e-3, MinVar: 1e-4, Telemetry: p.Telemetry},
 	}
 }
 
@@ -217,7 +212,7 @@ func newSystem(p Params, dim, sites int) (*root.System, error) {
 		Delta:     p.Delta,
 		CMax:      p.CMax,
 		Seed:      p.Seed,
-		EM:        em.Config{MaxIter: 50, Tol: 1e-3, MinVar: 1e-4, Workers: p.EMWorkers},
+		EM:        em.Config{MaxIter: 50, Tol: 1e-3, MinVar: 1e-4},
 		WarmStart: p.WarmStart,
 		Telemetry: p.Telemetry,
 	})

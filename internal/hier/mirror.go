@@ -1,8 +1,9 @@
 // Package hier holds the upload-on-change rule of Section 7's multi-layer
 // networks: every internal node of the tree uploads its locally merged
 // global mixture to its parent only when that mixture changes, which keeps
-// upper links quiet while lower levels churn. cmd/aggd runs it over real
-// links (netio.Uploader), internal/tree over simulated ones.
+// upper links quiet while lower levels churn. An aggregator (coordd
+// -connect, internal/daemon) runs it over real links, internal/tree over
+// simulated ones.
 package hier
 
 import (
@@ -13,8 +14,8 @@ import (
 )
 
 // UploadMirror is the merge-and-upload-on-change rule every internal node of
-// a Section-7 multi-layer network runs toward its parent, extracted from
-// cmd/aggd so it can be unit-tested and shared: the node presents itself to
+// a Section-7 multi-layer network runs toward its parent, shared by the
+// real aggregator and the simulated tree: the node presents itself to
 // the parent as a single pseudo-site whose one model is replaced — stale
 // deletion followed by a fresh NewModel — whenever the locally merged global
 // mixture changes, and transmits nothing while the mixture is stable. Sync
@@ -38,8 +39,8 @@ type UploadMirror struct {
 	lastMix     *gaussian.Mixture
 }
 
-// NewUploadMirror returns a mirror for pseudo-site nodeID with the aggd
-// default tolerances (0.05, 0.25).
+// NewUploadMirror returns a mirror for pseudo-site nodeID with the
+// aggregator's default tolerances (0.05, 0.25).
 func NewUploadMirror(nodeID int) *UploadMirror {
 	return &UploadMirror{NodeID: nodeID, WeightTol: 0.05, MeanTol: 0.25}
 }
@@ -96,13 +97,6 @@ func (u *UploadMirror) Reset() {
 // Invalidate forces the next Sync to re-send even if the mixture has not
 // changed, without forgetting the pseudo-model the parent may still hold.
 func (u *UploadMirror) Invalidate() { u.lastMix = nil }
-
-// LastModelID returns the id of the most recently uploaded pseudo-model
-// (0 when nothing has been uploaded this epoch).
-func (u *UploadMirror) LastModelID() int { return u.lastModelID }
-
-// LastCount returns the record count of the most recent upload.
-func (u *UploadMirror) LastCount() int { return u.lastCount }
 
 func (u *UploadMirror) unchanged(mix *gaussian.Mixture) bool {
 	if u.Exact {

@@ -33,8 +33,8 @@ func TestMirrorFirstUploadIsSingleNewModel(t *testing.T) {
 	if got.Mixture == nil {
 		t.Fatal("upload without mixture payload")
 	}
-	if m.LastModelID() != 1 || m.LastCount() != 200 {
-		t.Fatalf("mirror state = (%d, %d)", m.LastModelID(), m.LastCount())
+	if m.lastModelID != 1 || m.lastCount != 200 {
+		t.Fatalf("mirror state = (%d, %d)", m.lastModelID, m.lastCount)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestMirrorNilMixtureIsNoop(t *testing.T) {
 	if got := m.Sync(nil, 0); got != nil {
 		t.Fatalf("nil mixture after upload produced %d messages", len(got))
 	}
-	if m.LastModelID() != 1 {
-		t.Fatalf("nil sync disturbed state: lastModelID = %d", m.LastModelID())
+	if m.lastModelID != 1 {
+		t.Fatalf("nil sync disturbed state: lastModelID = %d", m.lastModelID)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestMirrorResetRestartsEpochState(t *testing.T) {
 	m := NewUploadMirror(7)
 	m.Sync(mirrorMix(0, 0.5), 100)
 	m.Sync(mirrorMix(40, 0.5), 100)
-	if m.LastModelID() != 2 {
-		t.Fatalf("lastModelID = %d", m.LastModelID())
+	if m.lastModelID != 2 {
+		t.Fatalf("lastModelID = %d", m.lastModelID)
 	}
 	// Epoch bump: the parent forgot this pseudo-site, so no deletion is
 	// owed and ids restart from 1.

@@ -222,12 +222,6 @@ type Conn struct {
 // immediately drops connections).
 const stormStreak = 3
 
-// DialConn opens a protocol connection to a Server with the default
-// retry policy.
-func DialConn(addr string, timeout time.Duration) (*Conn, error) {
-	return DialConnRetry(addr, RetryPolicy{DialTimeout: timeout})
-}
-
 // DialConnRetry opens a protocol connection with an explicit retry
 // policy. The initial dial is eager: an unreachable coordinator is
 // reported immediately so callers can apply their own startup policy.
@@ -522,14 +516,6 @@ func (c *Conn) popHead() {
 	c.outbox = c.outbox[1:]
 }
 
-// Stats returns (goodput bytes, messages acknowledged) — the pre-retry
-// accounting surface, preserved for the cost experiments.
-func (c *Conn) Stats() (bytesOut, messages int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats.GoodputBytes, c.stats.Acked
-}
-
 // Delivery returns the full fault-tolerance counters.
 func (c *Conn) Delivery() DeliveryStats {
 	c.mu.Lock()
@@ -566,9 +552,6 @@ type Client struct {
 
 // DialOptions tunes Dial.
 type DialOptions struct {
-	// Timeout bounds the TCP connect (default 10s); shorthand for
-	// Retry.DialTimeout.
-	Timeout time.Duration
 	// Retry tunes fault-tolerant delivery (zero value: defaults).
 	Retry RetryPolicy
 	// SlidingHorizonChunks enables sliding-window deletions (Section 7)
@@ -583,9 +566,6 @@ func Dial(addr string, st *site.Site, siteID int, opts DialOptions) (*Client, er
 		return nil, fmt.Errorf("netio: sliding horizon %d chunks", opts.SlidingHorizonChunks)
 	}
 	pol := opts.Retry
-	if pol.DialTimeout == 0 {
-		pol.DialTimeout = opts.Timeout
-	}
 	if pol.SiteID == 0 {
 		pol.SiteID = int32(siteID) // enable the restart handshake
 	}
@@ -675,11 +655,6 @@ func (c *Client) send(msg transport.Message) error {
 // Flush blocks until every queued update is delivered (see Conn.Flush).
 func (c *Client) Flush(timeout time.Duration) error {
 	return c.conn.Flush(timeout)
-}
-
-// Stats returns (goodput bytes, messages acknowledged).
-func (c *Client) Stats() (bytesOut, messages int) {
-	return c.conn.Stats()
 }
 
 // Delivery returns the fault-tolerance counters.

@@ -103,3 +103,64 @@ func FuzzReadAck(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWatermarkAck covers the client half of the restart handshake:
+// readWatermarkAck accepts exactly the 13-byte replies that open with a
+// watermark status byte, round-trips writeWatermarkAck, and pruneOutbox
+// keeps exactly the queued entries above the decoded (epoch, maxSeq)
+// watermark, in their original order. outbox encodes one queued entry per
+// byte pair (epoch mod 4, seq mod 8) so entries straddle small watermarks.
+func FuzzWatermarkAck(f *testing.F) {
+	reply := func(status byte, epoch uint32, maxSeq uint64) []byte {
+		b := []byte{status}
+		b = binary.LittleEndian.AppendUint32(b, epoch)
+		return binary.LittleEndian.AppendUint64(b, maxSeq)
+	}
+	f.Add(reply(ackWatermark, 1, 3), []byte{1, 1, 1, 2, 1, 3, 1, 4, 2, 1})
+	f.Add(reply(ackWatermarkTraced, 2, 0), []byte{0, 7, 1, 5, 2, 0, 2, 1, 3, 3})
+	f.Add(reply(ackWatermark, 0, 0), []byte{0, 0, 0, 1})
+	f.Add(append(reply(ackWatermark, 3, 7), 0xEE), []byte{3, 7, 3, 6, 3, 8})
+	f.Add(reply(ackOK, 1, 1), []byte{1, 1})
+	f.Add(reply(ackWatermark, 1, 1)[:12], []byte{})
+	f.Fuzz(func(t *testing.T, data, outbox []byte) {
+		epoch, maxSeq, traced, err := readWatermarkAck(bytes.NewReader(data))
+		valid := len(data) >= watermarkAckSize && (data[0] == ackWatermark || data[0] == ackWatermarkTraced)
+		if (err == nil) != valid {
+			t.Fatalf("reply % x: err = %v, want valid=%v", data, err, valid)
+		}
+		if err != nil {
+			return
+		}
+		if traced != (data[0] == ackWatermarkTraced) {
+			t.Fatalf("reply % x: traced = %v", data, traced)
+		}
+		var buf bytes.Buffer
+		if err := writeWatermarkAck(&buf, epoch, maxSeq, traced); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data[:watermarkAckSize]) {
+			t.Fatalf("re-encoded % x, read % x", buf.Bytes(), data[:watermarkAckSize])
+		}
+
+		c := &Conn{}
+		var want []pending
+		for i := 0; i+1 < len(outbox); i += 2 {
+			p := pending{payload: []byte{byte(i)}, epoch: uint32(outbox[i] % 4), seq: uint64(outbox[i+1] % 8)}
+			c.outbox = append(c.outbox, p)
+			if p.epoch > epoch || (p.epoch == epoch && p.seq > maxSeq) {
+				want = append(want, p)
+			}
+		}
+		total := len(c.outbox)
+		c.pruneOutbox(epoch, maxSeq)
+		if len(c.outbox) != len(want) || c.stats.HandshakePruned != total-len(want) {
+			t.Fatalf("watermark (%d,%d): kept %d pruned %d of %d, want kept %d",
+				epoch, maxSeq, len(c.outbox), c.stats.HandshakePruned, total, len(want))
+		}
+		for i, p := range c.outbox {
+			if p.epoch != want[i].epoch || p.seq != want[i].seq || !bytes.Equal(p.payload, want[i].payload) {
+				t.Fatalf("kept entry %d = %+v, want %+v", i, p, want[i])
+			}
+		}
+	})
+}

@@ -128,12 +128,12 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 
 	// Synchronous acks mean everything sent has been applied.
-	_, messages, applyErrs := srv.Stats()
-	if messages != 3 {
-		t.Fatalf("server applied %d messages, want 3", messages)
+	ds := srv.DeliveryStats()
+	if ds.Applied != 3 {
+		t.Fatalf("server applied %d messages, want 3", ds.Applied)
 	}
-	if applyErrs != 0 {
-		t.Fatalf("apply errors: %d", applyErrs)
+	if ds.ApplyErrors != 0 {
+		t.Fatalf("apply errors: %d", ds.ApplyErrors)
 	}
 	srv.Snapshot(func(c *coordinator.Coordinator) {
 		if c.NumModels() != 3 {
@@ -151,14 +151,13 @@ func TestEndToEndOverTCP(t *testing.T) {
 	// Client accounting matches server accounting.
 	var clientBytes int
 	for _, c := range clients {
-		b, m := c.Stats()
-		clientBytes += b
-		if m != 1 {
-			t.Fatalf("client messages = %d", m)
+		d := c.Delivery()
+		clientBytes += d.GoodputBytes
+		if d.Acked != 1 {
+			t.Fatalf("client messages = %d", d.Acked)
 		}
 	}
-	serverBytes, _, _ := srv.Stats()
-	if clientBytes != serverBytes {
+	if serverBytes := srv.DeliveryStats().BytesIn; clientBytes != serverBytes {
 		t.Fatalf("byte accounting: clients %d vs server %d", clientBytes, serverBytes)
 	}
 }
@@ -419,12 +418,12 @@ func TestUploaderTwoLevelHierarchy(t *testing.T) {
 	}
 	defer aggSrv.Close()
 
-	upConn, err := DialConn(rootSrv.Addr().String(), 0)
+	upConn, err := DialConnRetry(rootSrv.Addr().String(), RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer upConn.Close()
-	up := NewUploader(upConn, 100)
+	up := newUploader(upConn, 100)
 
 	// Two sites feed the aggregator.
 	rng := rand.New(rand.NewSource(5))
@@ -525,8 +524,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 	if err := readAck(conn); err != ErrRemote {
 		t.Fatalf("garbage frame ack = %v, want ErrRemote", err)
 	}
-	_, _, applyErrs := srv.Stats()
-	if applyErrs != 1 {
+	if applyErrs := srv.DeliveryStats().ApplyErrors; applyErrs != 1 {
 		t.Fatalf("applyErrs = %d", applyErrs)
 	}
 }
@@ -556,8 +554,8 @@ func TestClientObserveAllAndSite(t *testing.T) {
 	if err := c.ObserveAll(batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, messages := c.Stats(); messages != 1 {
-		t.Fatalf("messages = %d", messages)
+	if acked := c.Delivery().Acked; acked != 1 {
+		t.Fatalf("messages = %d", acked)
 	}
 	// A wrong-dimension record aborts the batch with the site's error.
 	if err := c.ObserveAll([]linalg.Vector{{1, 2, 3}}); err == nil {
@@ -591,7 +589,7 @@ func TestServerCustomLogf(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", newSite(t, 1), 1, DialOptions{Timeout: 200 * time.Millisecond}); err == nil {
+	if _, err := Dial("127.0.0.1:1", newSite(t, 1), 1, DialOptions{Retry: RetryPolicy{DialTimeout: 200 * time.Millisecond}}); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }

@@ -97,16 +97,10 @@ func NewServer(addr string, coord *coordinator.Coordinator) (*Server, error) {
 	return NewServerOpts(addr, coord, ServerOptions{})
 }
 
-// NewServerTelemetry is NewServer with receive-side srv.* instruments
-// registered in reg (nil reg behaves exactly like NewServer). A separate
-// constructor because NewServer starts accepting before it returns, so
-// instruments cannot be attached after the fact without racing apply.
-func NewServerTelemetry(addr string, coord *coordinator.Coordinator, reg *telemetry.Registry) (*Server, error) {
-	return NewServerOpts(addr, coord, ServerOptions{Telemetry: reg})
-}
-
 // NewServerOpts is the full constructor: telemetry plus optional
 // durability (a store and a recovered dedupe table from durable.Open).
+// Instruments are attached here because serving starts before it
+// returns, so they cannot be added after the fact without racing apply.
 func NewServerOpts(addr string, coord *coordinator.Coordinator, opts ServerOptions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -267,12 +261,6 @@ func (s *Server) Snapshot(fn func(*coordinator.Coordinator)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fn(s.recv.Coord)
-}
-
-// Stats returns (bytes received, messages applied, apply errors).
-func (s *Server) Stats() (bytesIn, messages, applyErrors int) {
-	st := s.DeliveryStats()
-	return st.BytesIn, st.Applied, st.ApplyErrors
 }
 
 // ServerStats is the coordinator-side delivery accounting.

@@ -49,7 +49,7 @@ func TestTraceCapabilityNegotiation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := NewServerTelemetry("127.0.0.1:0", coord, sreg)
+			srv, err := NewServerOpts("127.0.0.1:0", coord, ServerOptions{Telemetry: sreg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,10 +78,10 @@ func TestTraceCapabilityNegotiation(t *testing.T) {
 				}
 			}
 
-			goodput, acked := client.Stats()
-			serverBytes, applied, applyErrs := srv.Stats()
-			if applyErrs != 0 || applied != acked || acked < 1 {
-				t.Fatalf("delivery: acked=%d applied=%d errors=%d", acked, applied, applyErrs)
+			d, ds := client.Delivery(), srv.DeliveryStats()
+			goodput, acked, serverBytes := d.GoodputBytes, d.Acked, ds.BytesIn
+			if ds.ApplyErrors != 0 || ds.Applied != acked || acked < 1 {
+				t.Fatalf("delivery: acked=%d applied=%d errors=%d", acked, ds.Applied, ds.ApplyErrors)
 			}
 
 			suffixBytes := 0

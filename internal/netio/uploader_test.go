@@ -6,8 +6,31 @@ import (
 
 	"cludistream/internal/coordinator"
 	"cludistream/internal/durable"
+	"cludistream/internal/gaussian"
+	"cludistream/internal/hier"
 	"cludistream/internal/linalg"
 )
+
+// uploader is an aggregator's uplink as coordd -connect runs it: the
+// upload mirror's messages queued on one connection.
+type uploader struct {
+	conn *Conn
+	*hier.UploadMirror
+}
+
+func newUploader(conn *Conn, nodeID int) uploader {
+	return uploader{conn, hier.NewUploadMirror(nodeID)}
+}
+
+func (u uploader) Sync(mix *gaussian.Mixture, totalWeight float64) (bool, error) {
+	msgs := u.UploadMirror.Sync(mix, totalWeight)
+	for _, m := range msgs {
+		if err := u.conn.Send(m); err != nil {
+			return false, err
+		}
+	}
+	return len(msgs) > 0, nil
+}
 
 // TestUploaderReconnectPreservesDedupeWatermark: an aggregator child
 // disconnects (its parent restarts in place, keeping coordinator + dedupe
@@ -31,7 +54,7 @@ func TestUploaderReconnectPreservesDedupeWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	up := NewUploader(conn, child)
+	up := newUploader(conn, child)
 
 	// First upload while connected.
 	sent, err := up.Sync(regime(0), 200)

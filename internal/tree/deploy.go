@@ -54,7 +54,7 @@ type Config struct {
 	SlidingHorizonChunks int
 
 	// ExactSync forces bit-level change detection on every aggregator's
-	// upload mirror instead of the aggd tolerances (hier.NewUploadMirror);
+	// upload mirror instead of the aggregator's tolerances (hier.NewUploadMirror);
 	// DST uses it so every hop replicates faithfully.
 	ExactSync bool
 

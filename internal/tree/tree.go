@@ -2,14 +2,14 @@
 // networks of Section 7 first-class: a declarative topology — aggregator
 // nodes with arbitrary fan-in and heterogeneous per-link latency/bandwidth
 // — deployed over the netsim virtual clock, with every aggregator running
-// the real coordinator-merge plus upload-on-change logic from cmd/aggd
-// (hier.UploadMirror). The flat star of the base paper is the topology
-// with no aggregators; the cludistream facade runs exactly that. Perfect
-// links carry the legacy v1 encoding straight onto the wire; under any
+// the real coordinator-merge plus upload-on-change logic of `coordd
+// -connect` (hier.UploadMirror). The flat star of the base paper is the
+// topology with no aggregators; the cludistream facade runs exactly that.
+// Perfect links carry the legacy v1 encoding straight onto the wire; under any
 // fault configuration every edge carries the versioned v2 protocol
 // through an exactly-once courier. Interior crashes recover through the
 // durable checkpoint/WAL path and re-join their parent under a bumped
-// epoch, exactly like a real aggd process restarting.
+// epoch, exactly like a real aggregator process restarting.
 package tree
 
 import (
