@@ -28,14 +28,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The sublinear hot paths under the race detector at several GOMAXPROCS
-# settings: the per-model score index builds lazily on first use, and the
-# pruned-J_fit and dirty-group remerge parity tests hammer it against their
-# test oracles (the exact scan, the every-group sweep).
+# Every gate below first checks that each of its -run/-bench patterns
+# selects a test in each package it names (scripts/require-tests.sh), so a
+# renamed or deleted test fails the gate instead of silently emptying it.
+REQUIRE_TESTS = GO=$(GO) bash scripts/require-tests.sh
+
+# The J_fit and remerge fast paths under the race detector at several
+# GOMAXPROCS settings: concurrent interval scoring of one mixture, and the
+# interval-verdict and dirty-group remerge parity tests against their test
+# oracles (the exact scan, the every-group sweep).
+RACE_SCORE_TESTS = TestIntervalConcurrentScoring|TestPrunedPathBitIdenticalToExact|TestIntervalParityDaemonShape|TestPrunedParityQuick|TestIncrementalRemergeMatchesExact
 race-score:
+	$(REQUIRE_TESTS) '$(RACE_SCORE_TESTS)' ./internal/site/ ./internal/gaussian/ ./internal/coordinator/
 	for procs in 1 2 4; do \
-		GOMAXPROCS=$$procs $(GO) test -race -count=1 \
-		  -run 'TestScoreIndexConcurrentBuild|TestPrunedPathBitIdenticalToExact|TestPrunedParityQuick|TestIncrementalRemergeMatchesExact' \
+		GOMAXPROCS=$$procs $(GO) test -race -count=1 -run '$(RACE_SCORE_TESTS)' \
 		  ./internal/site/ ./internal/gaussian/ ./internal/coordinator/ || exit 1; \
 	done
 
@@ -55,17 +61,20 @@ race-query:
 # through a Querier) are all asserted at 0 allocs/op via
 # testing.AllocsPerRun.
 alloc-gate-query:
+	$(REQUIRE_TESTS) 'TestQueryReadPathZeroAlloc' ./internal/query/
 	$(GO) test -run 'TestQueryReadPathZeroAlloc' -count=1 ./internal/query/
 
 # Steady-state ingest must not allocate: the benchmark itself asserts
 # 0 allocs/record via testing.AllocsPerRun before timing, so a handful of
 # iterations is enough to enforce the gate. The regex is a prefix match,
-# so it covers BenchmarkSiteSteadyState (K=5: exact scan, since pruning
-# needs K ≥ 8) and BenchmarkSiteSteadyStatePruned (K=16) — the latter
-# gates the k-d candidate walk and bound accumulators.
+# so it covers BenchmarkSiteSteadyState (the daemons' K=5) and
+# BenchmarkSiteSteadyStatePruned (K=16); both also fail unless the
+# interval verdict decided tests, so the gate covers that path.
 # Neither may one evaluation of the merge objective: FitMerge's simplex
 # runs ~160 of them per group re-fit on the coordinator's critical path.
 alloc-gate:
+	$(REQUIRE_TESTS) 'BenchmarkSiteSteadyState' .
+	$(REQUIRE_TESTS) 'TestMergeObjectiveDoesNotAllocate' ./internal/gaussian/
 	$(GO) test -run '^$$' -bench 'BenchmarkSiteSteadyState' -benchtime 100x .
 	$(GO) test -run 'TestMergeObjectiveDoesNotAllocate' -count=1 ./internal/gaussian/
 
@@ -75,6 +84,8 @@ alloc-gate:
 # restart with the reconnect handshake. A quick named gate: `race` runs
 # the same tests inside `check`.
 recover:
+	$(REQUIRE_TESTS) 'TestChaosCoordinatorCrashRecovery' .
+	$(REQUIRE_TESTS) 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix' ./internal/netio/
 	$(GO) test -race -run 'TestChaosCoordinatorCrashRecovery' .
 	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix' ./internal/netio/
 

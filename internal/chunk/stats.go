@@ -29,6 +29,9 @@ func (s *Scan) Reset(data []linalg.Vector) {
 	s.done = false
 }
 
+// Data returns the chunk the scan is bound to, incomplete records included.
+func (s *Scan) Data() []linalg.Vector { return s.data }
+
 // Complete returns the chunk's records with every incomplete (NaN-bearing)
 // record removed, computing the filter on first call and serving the
 // cached view afterwards. When all records are complete — the common case

@@ -142,6 +142,42 @@ func FitIncomplete(data []linalg.Vector, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// AvgMarginalLogLikelihood returns the average over data of
+// log Σ_j w_j·N(x_o; μ_o, Σ_oo): each record is scored on its observed
+// (non-NaN) attributes alone, the likelihood FitIncomplete maximizes.
+// Records with no observed attribute are skipped. It returns NaN when no
+// record has one, or when d exceeds the 64 attributes an observation mask
+// holds.
+func AvgMarginalLogLikelihood(mix *gaussian.Mixture, data []linalg.Vector) float64 {
+	if mix.Dim() > maxMissingDims {
+		return math.NaN()
+	}
+	cache := newCondCache(mix)
+	var sum float64
+	n := 0
+	for _, x := range data {
+		var mask uint64
+		for a, v := range x {
+			if !math.IsNaN(v) {
+				mask |= 1 << a
+			}
+		}
+		if mask == 0 {
+			continue
+		}
+		lse := math.Inf(-1)
+		for j := 0; j < mix.K(); j++ {
+			lse = gaussian.LogAdd(lse, math.Log(mix.Weight(j))+cache.marginalLogProb(j, mask, x))
+		}
+		sum += lse
+		n++
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
+}
+
 // meanImpute fills missing entries with per-attribute observed means.
 func meanImpute(data []linalg.Vector, masks []uint64) []linalg.Vector {
 	d := len(data[0])

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"cludistream/internal/kdtree"
 	"cludistream/internal/linalg"
 )
 
@@ -25,9 +24,6 @@ type BatchScratch struct {
 	logp  []float64 // BatchBlock × K per-record component log-probs
 	maha  []float64 // BatchBlock squared Mahalanobis distances
 	vals  []float64 // BatchBlock per-record reductions (logpdf, max, min)
-	// nbrs backs the pruned scorer's per-record nearest-mean query
-	// (see prune.go); sized to the query's topM on first use.
-	nbrs []kdtree.Neighbor
 }
 
 // NewBatchScratch returns an empty scratch; buffers are sized lazily.
@@ -214,6 +210,86 @@ func (m *Mixture) AvgLogLikelihoodScratch(data []linalg.Vector, s *BatchScratch)
 		}
 	}
 	return sum / float64(len(data))
+}
+
+// AvgLogLikelihoodInterval returns an interval [lo, hi] around
+// AvgLogLikelihoodScratch(data) without a single Exp or Log1p call. The
+// per-record terms l_j = log(w_j·p(x|j)) come from scoreBlock, bit-identical
+// to the exact path's, and each record's log-sum-exp is bounded by its row
+// maximum m:
+//
+//	m ≤ log Σ_j e^(l_j) = m + log1p(S) ≤ m + S,   S = Σ_{j≠argmax} e^(l_j−m),
+//
+// with every term of S replaced by expUpper's bound. lo is the mean of the
+// row maxima; the exact LogAdd chain never falls below its largest term and
+// float addition is monotone, so lo never exceeds the exact average. hi
+// brackets it up to the rounding of that chain, of order K·2⁻⁵²·|avg|, so a
+// caller that decides on the interval keeps a guard of that order. ok is
+// false — run the exact scan — for empty data, any NaN, and a non-finite lo
+// or hi.
+func (m *Mixture) AvgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch) (lo, hi float64, ok bool) {
+	if len(data) == 0 {
+		return 0, 0, false
+	}
+	if s == nil {
+		s = scratchPool.Get().(*BatchScratch)
+		defer scratchPool.Put(s)
+	}
+	k := len(m.comps)
+	s.ensure(m.Dim(), k)
+	var sumLo, sumHi float64
+	for base := 0; base < len(data); base += BatchBlock {
+		xs := data[base:min(base+BatchBlock, len(data))]
+		m.scoreBlock(xs, s)
+		for p := range xs {
+			row := s.logp[p*k : p*k+k]
+			top, arg := row[0], 0
+			for j := 1; j < k; j++ {
+				if row[j] > top {
+					top, arg = row[j], j
+				}
+			}
+			var rest float64
+			for j, lp := range row {
+				if j != arg {
+					rest += expUpper(lp - top)
+				}
+			}
+			sumLo += top
+			sumHi += top + rest
+		}
+	}
+	n := float64(len(data))
+	lo, hi = sumLo/n, sumHi/n
+	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return 0, 0, false
+	}
+	return lo, hi, true
+}
+
+// expUpper bounds e^d from above for d ≤ 0 without a transcendental call.
+// Split y = d·log₂e as n + f with n = ⌈y⌉ and f ∈ (−1, 0]. On [−1, 0] the
+// convex 2^f lies under its chord 1 + f/2, so e^d ≤ 2^n·(1 + f/2), built by
+// adding n to the exponent bits of 1 + f/2; it overestimates by at most
+// 6.15 %. Below y = −60 the bound is the constant 2⁻⁶⁰. NaN stays NaN.
+func expUpper(d float64) float64 {
+	y := d * math.Log2E
+	switch {
+	case y < -60:
+		return 0x1p-60
+	case y != y:
+		return y
+	}
+	n := int64(y) // truncation toward zero is ⌈y⌉ for y ≤ 0
+	f := y - float64(n)
+	return math.Float64frombits(math.Float64bits(1+0.5*f) + uint64(n)<<52)
+}
+
+// AvgLogLikelihoodBounds is AvgLogLikelihoodInterval; topM is ignored. It
+// keeps the signature of the k-d-pruned scorer it replaced for the
+// benchmark's kernel probe.
+func (m *Mixture) AvgLogLikelihoodBounds(data []linalg.Vector, topM int, s *BatchScratch) (lo, hi float64, ok bool) {
+	return m.AvgLogLikelihoodInterval(data, s)
 }
 
 // AvgLogLikelihoodMulti writes, for each mixture of ms, the average

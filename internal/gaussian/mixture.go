@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"cludistream/internal/linalg"
 )
@@ -20,10 +19,6 @@ type Mixture struct {
 	// immutable, so the cache is computed once in NewMixture instead of
 	// once per record in every scoring loop.
 	logW []float64
-	// prune is the lazily built pruning index of prune.go; pruneOnce makes
-	// the build race-free when concurrent goroutines score one mixture.
-	pruneOnce sync.Once
-	prune     *ScoreIndex
 }
 
 // ErrEmptyMixture is returned by constructors given no components.

@@ -180,28 +180,18 @@ const (
 	WarmStartCold = "cold"
 )
 
-// pruneTopM is the candidate-set size of the pruned J_fit scorer: each
-// record is scored against the pruneTopM nearest-mean components of the
-// model's k-d score index (gaussian.AvgLogLikelihoodBounds), which yields
-// a sound interval around the exact average log-likelihood. The verdict is
-// taken from the interval only when it decides the ε test with slack beyond
-// floating-point roundoff, and from the exact batched scan otherwise, so
-// every fit/refit decision, every update emitted and every warm-start seed
-// is bit-identical to the exact scan (the parity tests pin this). Pruning
-// engages only for models with K ≥ 2·pruneTopM components and never under
-// SharpTest (the sharpened statistic keeps the exact scan). On chunks where
-// a pruned verdict was used, the telemetry margin histogram and journal
-// Values carry the proven bound instead of the exact margin — diagnostics
-// only; decisions and outputs are unaffected.
-const pruneTopM = 4
-
-// pruneGuardRel scales the decision slack of the pruned J_fit verdict:
-// the bound interval must clear the ε threshold by
-// pruneGuardRel·(1 + |Avg_Pr0| + |bound|) before the pruned verdict is
-// trusted. The slack is orders of magnitude above the roundoff of the
-// batched log-sum-exp (~K·2⁻⁵²·|avg|) and orders of magnitude below any
-// meaningful ε, so pruned verdicts provably agree with the exact path.
-const pruneGuardRel = 1e-9
+// intervalGuardRel scales the decision slack of the interval J_fit verdict
+// (gaussian.AvgLogLikelihoodInterval): the interval must clear the ε
+// threshold by intervalGuardRel·(1 + |Avg_Pr0| + |bound|) before its verdict
+// is trusted. The slack is orders of magnitude above the roundoff of the
+// exact batched log-sum-exp (~K·2⁻⁵²·|avg|) and orders of magnitude below
+// any meaningful ε, so interval verdicts provably agree with the exact scan,
+// and every fit/refit decision, update and warm-start seed is bit-identical
+// to it (the parity tests pin this). SharpTest keeps the exact scan. On
+// chunks decided by the interval, the telemetry margin histogram and journal
+// Values carry the decided bound instead of the exact margin — diagnostics
+// only.
+const intervalGuardRel = 1e-9
 
 // warmRelTol is the relative log-likelihood stop applied to warm-started
 // refits when Config.EM.RelTol is unset. Audited refits compare against a
@@ -255,9 +245,9 @@ type Stats struct {
 	WarmAudits      int // warm refits that also ran the cold comparison fit
 	IterationsSaved int // Σ (cold iters − warm iters) over audited refits; can go negative
 
-	// Pruned-scoring accounting (zero while every model has K < 2·pruneTopM).
-	PruneHits      int // J_fit verdicts decided by the pruned bound interval
-	PruneFallbacks int // pruned intervals too wide to decide: exact re-scan ran
+	// Interval-verdict accounting (the names predate the interval kernel).
+	PruneHits      int // J_fit verdicts decided by the transcendental-free interval
+	PruneFallbacks int // intervals too wide (or unavailable) to decide: exact scan ran
 	// Multi-test memo accounting.
 	StatCacheHits   int // refit re-scores served from the multi-test memo
 	StatCacheMisses int // refit re-scores that had to scan the chunk
@@ -344,8 +334,8 @@ type Site struct {
 	// scan is the shared per-chunk workspace: the complete-records view is
 	// filtered once per chunk and reused by every probe of the multi-test.
 	scan chunk.Scan
-	// exactScan turns the pruned J_fit scorer off, so every test runs the
-	// exact batched scan: the oracle of the pruned parity tests.
+	// exactScan turns the interval verdict off, so every test runs the
+	// exact batched scan: the oracle of the parity tests.
 	exactScan bool
 	// tested records the models probed on the current chunk, in test
 	// order, with any exactly computed score — the refit path replays the
@@ -376,12 +366,15 @@ type Site struct {
 }
 
 // testedModel is one multi-test probe: the model, the chunk's average
-// log-likelihood under it when computed exactly, and whether it was (a
-// pruned verdict leaves avg as a bound, to be replaced before use).
+// log-likelihood under it when computed exactly, and whether it was (an
+// interval verdict leaves avg as a bound, to be replaced before use).
+// floor is a lower bound on the exact J_fit margin: the margin itself when
+// exact, the interval's guarded lower bound otherwise.
 type testedModel struct {
 	m     *Model
 	avg   float64
 	exact bool
+	floor float64
 }
 
 // New constructs a Site. Dim, K, Epsilon and Delta are required.
@@ -528,14 +521,14 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 	// Test 1: current model (line 5, FitDistribution). Each probe's score
 	// is memoized in s.tested; if every test fails, refitSeed replays the
 	// exact best-scoring-model selection from the memo (re-scoring any
-	// probe whose verdict came from the pruned bound), so the warm-start
-	// seed is bit-identical to the exact path's.
+	// probe whose verdict came from the interval), so the warm-start seed
+	// is bit-identical to the exact path's.
 	testSpan := s.tele.tracer.Begin(s.curTrace, s.curRoot, "chunk-test", s.cfg.SiteID, s.current.ID)
 	s.stats.Tests++
 	s.tele.tests.Inc()
 	s.tele.tested.Inc()
-	avg, margin, ok, exact := s.fitScore(s.current)
-	s.tested = append(s.tested, testedModel{m: s.current, avg: avg, exact: exact})
+	probe, margin, ok := s.fitScore(s.current)
+	s.tested = append(s.tested, probe)
 	s.tele.jfitMargin.Observe(margin)
 	if ok {
 		testSpan.End(1, "fit")
@@ -568,8 +561,8 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 		s.tele.tests.Inc()
 		budget--
 		depth++
-		avg, margin, ok, exact := s.fitScore(cand)
-		s.tested = append(s.tested, testedModel{m: cand, avg: avg, exact: exact})
+		probe, margin, ok := s.fitScore(cand)
+		s.tested = append(s.tested, probe)
 		s.tele.jfitMargin.Observe(margin)
 		if ok {
 			testSpan.End(1+depth, "reactivated")
@@ -608,13 +601,19 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 // exceeds WarmMargin. The selection replays the exact path's bookkeeping
 // — first tested model initializes, later ones replace it on strictly
 // higher average log-likelihood — over exact scores: probes decided by
-// the pruned bound are re-scored exactly here, in one fused pass over the
+// the interval are re-scored exactly here, in one fused pass over the
 // chunk; probes that already ran the exact scan reuse the memoized value.
-// Refits are the rare path and the re-scan is amortized against the EM run
-// that follows, so pruning keeps its win on fitting chunks without
-// perturbing a single refit decision.
+//
+// The pass is skipped when every probe's margin floor already exceeds
+// WarmMargin: then the best probe's exact margin does too, so no seed can
+// pass whichever probe ranks first — the case of a chunk from a novel
+// regime, which every probe misses by far.
 func (s *Site) refitSeed() *gaussian.Mixture {
-	if len(s.tested) == 0 {
+	novel := true
+	for _, tm := range s.tested {
+		novel = novel && tm.floor > s.cfg.WarmMargin
+	}
+	if novel {
 		return nil
 	}
 	s.rescanMix = s.rescanMix[:0]
@@ -650,55 +649,68 @@ func (s *Site) refitSeed() *gaussian.Mixture {
 }
 
 // fitScore evaluates the test criterion J_fit = |Avg_Prn − Avg_Pr0| ≤ ε
-// (Eq. 4, justified by Theorem 2), returning the chunk's average
-// log-likelihood under the model (the warm-start ranking key), the margin
-// |Avg_Prn − Avg_Pr0| (the Theorem-2 observable telemetry journals), the
-// verdict, and whether avg/margin are the exact statistics. The statistic
-// is computed over the chunk's complete records only — incomplete ones
-// have no well-defined joint likelihood — matching the reference Avg_Pr0.
+// (Eq. 4, justified by Theorem 2), returning the probe to memoize (with the
+// chunk's average log-likelihood under the model, the warm-start ranking
+// key), the margin |Avg_Prn − Avg_Pr0| (the Theorem-2 observable telemetry
+// journals) and the verdict. The statistic is chunkAvgLL's, matching the
+// reference Avg_Pr0.
 //
-// For models with K ≥ 2·pruneTopM, the model's k-d score index restricts
-// each record to the pruneTopM nearest-mean components, yielding a sound
-// interval around the exact average; when the interval decides the ε test
-// with slack beyond the pruneGuardRel roundoff guard, the verdict is
-// provably the exact scan's and the scan is skipped (avg and margin then
-// carry the proven bound, exact=false). An indecisive interval journals a
+// gaussian.AvgLogLikelihoodInterval brackets the exact average without a
+// transcendental call; when the interval decides the ε test with slack
+// beyond the intervalGuardRel roundoff guard, the verdict is provably the
+// exact scan's and the scan is skipped (the probe's avg and the margin then
+// carry the decided bound). An indecisive interval journals a
 // "prune-fallback" event and runs the exact scan.
-func (s *Site) fitScore(m *Model) (avg, margin float64, ok, exact bool) {
+func (s *Site) fitScore(m *Model) (probe testedModel, margin float64, ok bool) {
 	eval := s.scan.Complete()
-	if !s.exactScan && !s.cfg.SharpTest && m.Mixture.K() >= 2*pruneTopM {
-		if lo, hi, bok := m.Mixture.AvgLogLikelihoodBounds(eval, pruneTopM, s.scratch); bok {
+	if !s.exactScan && !s.cfg.SharpTest && len(eval) > 0 {
+		lo, hi, bok := m.Mixture.AvgLogLikelihoodInterval(eval, s.scratch)
+		if bok {
 			loM, hiM := marginInterval(lo, hi, m.RefAvgLL)
-			guard := pruneGuardRel * (1 + math.Abs(m.RefAvgLL) + math.Max(math.Abs(lo), math.Abs(hi)))
+			guard := intervalGuardRel * (1 + math.Abs(m.RefAvgLL) + math.Max(math.Abs(lo), math.Abs(hi)))
+			probe = testedModel{m: m, avg: lo, floor: loM - guard}
 			switch {
 			case hiM+guard <= s.cfg.FitEps:
 				s.stats.PruneHits++
 				s.tele.pruneHits.Inc()
-				return lo, hiM, true, false
+				return probe, hiM, true
 			case loM-guard > s.cfg.FitEps:
 				s.stats.PruneHits++
 				s.tele.pruneHits.Inc()
-				return lo, loM, false, false
-			}
-			s.stats.PruneFallbacks++
-			s.tele.pruneFalls.Inc()
-			s.tele.reg.Record(telemetry.Event{
-				Kind: "prune-fallback", Site: s.cfg.SiteID, Model: m.ID,
-				Value: hiM - loM, N: s.chunkNum,
-			})
-			if tr := s.tele.tracer; tr != nil {
-				now := tr.Now()
-				tr.Record(s.curTrace, s.curRoot, "prune-fallback", s.cfg.SiteID, m.ID, now, now, s.chunkNum, "")
+				return probe, loM, false
 			}
 		}
+		s.stats.PruneFallbacks++
+		s.tele.pruneFalls.Inc()
+		s.tele.reg.Record(telemetry.Event{
+			Kind: "prune-fallback", Site: s.cfg.SiteID, Model: m.ID,
+			Value: hi - lo, N: s.chunkNum,
+		})
+		if tr := s.tele.tracer; tr != nil {
+			now := tr.Now()
+			tr.Record(s.curTrace, s.curRoot, "prune-fallback", s.cfg.SiteID, m.ID, now, now, s.chunkNum, "")
+		}
 	}
-	if s.cfg.SharpTest {
-		avg = m.Mixture.AvgMaxComponentLLScratch(eval, s.scratch)
-	} else {
-		avg = m.Mixture.AvgLogLikelihoodScratch(eval, s.scratch)
-	}
+	avg := s.chunkAvgLL(m.Mixture)
 	margin = math.Abs(avg - m.RefAvgLL)
-	return avg, margin, margin <= s.cfg.FitEps, true
+	return testedModel{m: m, avg: avg, exact: true, floor: margin}, margin, margin <= s.cfg.FitEps
+}
+
+// chunkAvgLL is the J_fit statistic of the current chunk under mix,
+// computed exactly over the chunk's complete records — incomplete ones have
+// no well-defined joint likelihood. When no record is complete (a dead
+// attribute), each record is scored by the marginal likelihood of its
+// observed attributes instead; scoring nothing would make every such chunk
+// look like a perfect fit.
+func (s *Site) chunkAvgLL(mix *gaussian.Mixture) float64 {
+	eval := s.scan.Complete()
+	switch {
+	case len(eval) == 0:
+		return em.AvgMarginalLogLikelihood(mix, s.scan.Data())
+	case s.cfg.SharpTest:
+		return mix.AvgMaxComponentLLScratch(eval, s.scratch)
+	}
+	return mix.AvgLogLikelihoodScratch(eval, s.scratch)
 }
 
 // marginInterval maps an interval [lo, hi] around the chunk average onto
@@ -768,12 +780,7 @@ func (s *Site) clusterNewModel(data []linalg.Vector, seed *gaussian.Mixture) ([]
 	}
 	fitSpan.End(s.nextModelID, s.fitNote)
 
-	var refLL float64
-	if s.cfg.SharpTest {
-		refLL = mixture.AvgMaxComponentLLScratch(s.scan.Complete(), s.scratch)
-	} else {
-		refLL = mixture.AvgLogLikelihoodScratch(s.scan.Complete(), s.scratch)
-	}
+	refLL := s.chunkAvgLL(mixture)
 	m := &Model{
 		ID:         s.nextModelID,
 		Mixture:    mixture,

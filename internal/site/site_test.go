@@ -10,9 +10,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cludistream/internal/chunk"
 	"cludistream/internal/events"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
+	"cludistream/internal/stream"
 	"cludistream/internal/telemetry"
 )
 
@@ -490,14 +492,6 @@ func TestIncompleteRecordsEndToEnd(t *testing.T) {
 		}
 		return x
 	}
-	regime2d := func(mean float64) *gaussian.Mixture {
-		return gaussian.MustMixture(
-			[]float64{0.5, 0.5},
-			[]*gaussian.Component{
-				gaussian.Spherical(linalg.Vector{mean - 2, mean}, 0.5),
-				gaussian.Spherical(linalg.Vector{mean + 2, mean}, 0.5),
-			})
-	}
 	for i := 0; i < 200*3; i++ {
 		if _, err := s.Observe(blank(regime2d(0).Sample(rng))); err != nil {
 			t.Fatal(err)
@@ -519,6 +513,60 @@ func TestIncompleteRecordsEndToEnd(t *testing.T) {
 	}
 	if len(s.Models()) < 2 {
 		t.Fatal("regime change missed on incomplete stream")
+	}
+}
+
+// regime2d is regime's 2-d counterpart: two components either side of
+// (mean, mean).
+func regime2d(mean float64) *gaussian.Mixture {
+	return gaussian.MustMixture(
+		[]float64{0.5, 0.5},
+		[]*gaussian.Component{
+			gaussian.Spherical(linalg.Vector{mean - 2, mean}, 0.5),
+			gaussian.Spherical(linalg.Vector{mean + 2, mean}, 0.5),
+		})
+}
+
+// TestDeadAttributeStillDetectsChange: when every record of a chunk misses
+// the same attribute, no record is complete. Scoring that empty view gave
+// an average of 0, the refit on the first such chunk made 0 the reference,
+// and every later dead chunk "fit" — a regime shifted by 40 went unnoticed.
+// The site must score such chunks by the observed attributes instead.
+func TestDeadAttributeStillDetectsChange(t *testing.T) {
+	cfg := testConfig()
+	cfg.Dim = 2
+	cfg.Epsilon = 0.5
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	observe := func(mean float64, dead bool) {
+		for i := 0; i < cfg.ChunkSize; i++ {
+			x := regime2d(mean).Sample(rng)
+			if dead {
+				x[1] = math.NaN()
+			}
+			if _, err := s.Observe(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	observe(0, false)
+	observe(0, true)
+	before := s.Stats()
+	for c := 0; c < 4; c++ {
+		observe(40, true)
+	}
+	after := s.Stats()
+	if after.Refits == before.Refits {
+		t.Fatalf("a regime shifted by 40 passed as %d fits with 0 refits", after.Fits-before.Fits)
+	}
+	if after.Fits == before.Fits {
+		t.Errorf("the shifted regime never fit its own model (%d refits)", after.Refits-before.Refits)
+	}
+	if ref := s.Current().RefAvgLL; ref == 0 || math.IsNaN(ref) {
+		t.Errorf("reference Avg_Pr0 = %v, want the observed attribute's likelihood", ref)
 	}
 }
 
@@ -783,8 +831,7 @@ func TestSiteSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // kRegime builds a k-component 2-d mixture with deterministic means on a
-// circle of the given radius — enough components to engage the pruned
-// scorer (which needs K ≥ 2·pruneTopM).
+// circle of the given radius.
 func kRegime(k int, radius, phase float64) *gaussian.Mixture {
 	comps := make([]*gaussian.Component, k)
 	weights := make([]float64, k)
@@ -840,7 +887,7 @@ func (f updateFingerprint) add(ups []Update) {
 // returns the FNV fingerprint of its update stream, the event table, and
 // the final stats — the full observable behaviour of Algorithm 1. With
 // exact set, the site scores every J_fit test with the exact scan: the
-// oracle of the pruned parity tests.
+// oracle of the interval parity tests.
 func replayStream(t *testing.T, cfg Config, exact bool, stream []linalg.Vector) (uint64, []events.Entry, Stats) {
 	t.Helper()
 	s, err := New(cfg)
@@ -872,7 +919,7 @@ func prunedParityStream(seed int64, chunks int) []linalg.Vector {
 	return stream
 }
 
-// prunedCfg is a K=8 site: large enough for the pruned scorer to engage.
+// prunedCfg is a K=8 site on 160-record chunks.
 func prunedCfg() Config {
 	return Config{
 		SiteID: 1, Dim: 2, K: 8, Epsilon: 0.5, Delta: 0.01,
@@ -880,24 +927,18 @@ func prunedCfg() Config {
 	}
 }
 
-// TestPrunedPathBitIdenticalToExact pins the pruned scorer's contract: the
-// site's update stream, event table and decision counters are
-// bit-identical to the exact scan's — and the fast path actually took
-// pruned shortcuts.
-func TestPrunedPathBitIdenticalToExact(t *testing.T) {
-	stream := prunedParityStream(99, 24)
-	fastFP, fastEv, fastSt := replayStream(t, prunedCfg(), false, stream)
-	refFP, refEv, refSt := replayStream(t, prunedCfg(), true, stream)
+// checkParity replays stream through the interval verdict and through the
+// exact scan and requires bit-identical update streams, event tables and
+// decision counters. It returns the interval run's stats.
+func checkParity(t *testing.T, cfg Config, stream []linalg.Vector) Stats {
+	t.Helper()
+	fastFP, fastEv, fastSt := replayStream(t, cfg, false, stream)
+	refFP, refEv, refSt := replayStream(t, cfg, true, stream)
 	if fastFP != refFP {
-		t.Fatalf("pruned update stream fingerprint %#x != exact %#x", fastFP, refFP)
+		t.Fatalf("interval update stream fingerprint %#x != exact %#x", fastFP, refFP)
 	}
-	if len(fastEv) != len(refEv) {
-		t.Fatalf("event tables differ: %d vs %d entries", len(fastEv), len(refEv))
-	}
-	for i := range fastEv {
-		if fastEv[i] != refEv[i] {
-			t.Fatalf("event %d: pruned %+v != exact %+v", i, fastEv[i], refEv[i])
-		}
+	if !reflect.DeepEqual(fastEv, refEv) {
+		t.Fatalf("event tables differ:\ninterval %+v\nexact    %+v", fastEv, refEv)
 	}
 	for name, pair := range map[string][2]int{
 		"Fits":        {fastSt.Fits, refSt.Fits},
@@ -905,30 +946,83 @@ func TestPrunedPathBitIdenticalToExact(t *testing.T) {
 		"Reactivated": {fastSt.Reactivated, refSt.Reactivated},
 		"Tests":       {fastSt.Tests, refSt.Tests},
 		"EMRuns":      {fastSt.EMRuns, refSt.EMRuns},
+		"WarmRefits":  {fastSt.WarmRefits, refSt.WarmRefits},
+		"ColdRefits":  {fastSt.ColdRefits, refSt.ColdRefits},
 	} {
 		if pair[0] != pair[1] {
-			t.Errorf("%s: pruned %d != exact %d", name, pair[0], pair[1])
+			t.Errorf("%s: interval %d != exact %d", name, pair[0], pair[1])
 		}
 	}
-	if fastSt.PruneHits == 0 {
-		t.Error("pruned path never used a bound verdict — parity test is vacuous")
-	}
 	if refSt.PruneHits != 0 || refSt.PruneFallbacks != 0 || refSt.StatCacheMisses != 0 {
-		t.Errorf("exact scan recorded pruned work: %+v", refSt)
+		t.Errorf("exact scan recorded interval work: %+v", refSt)
+	}
+	return fastSt
+}
+
+// TestPrunedPathBitIdenticalToExact pins the interval verdict's contract
+// on a drifting K=8 stream: the site's update stream, event table and
+// decision counters are bit-identical to the exact scan's — and the fast
+// path actually decided tests from the interval.
+func TestPrunedPathBitIdenticalToExact(t *testing.T) {
+	if st := checkParity(t, prunedCfg(), prunedParityStream(99, 24)); st.PruneHits == 0 {
+		t.Error("no test was decided by the interval — parity test is vacuous")
+	}
+}
+
+// TestIntervalParityDaemonShape runs the parity check at the daemons'
+// configuration (d = 4, K = 5, ε = 0.02, FitEps 0.25, c_max 4) on a
+// stationary stream, a drifting one (Pd 0.5 every 2000 records) and one
+// cycling over a palette of three regimes, two chunks each.
+func TestIntervalParityDaemonShape(t *testing.T) {
+	cfg := Config{SiteID: 1, Dim: 4, K: 5, Epsilon: 0.02, FitEps: 0.25, Delta: 0.01, CMax: 4, Seed: 3}
+	m := chunk.Size(cfg.Dim, cfg.Epsilon, cfg.Delta)
+	synthetic := func(pd float64, seed int64) stream.Generator {
+		g, err := stream.NewSynthetic(stream.SyntheticConfig{Dim: 4, K: 5, Pd: pd, RegimeLen: 2000, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	var palette []*gaussian.Mixture
+	for r := int64(0); r < 3; r++ {
+		palette = append(palette, synthetic(0, 500+r).(*stream.Synthetic).CurrentMixture())
+	}
+	cycling, err := stream.NewAlternating(palette, 2*m, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		gen    stream.Generator
+		chunks int
+	}{
+		{"stationary", synthetic(0, 11), 8},
+		{"drifting", synthetic(0.5, 12), 12},
+		{"cycling", cycling, 14},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := checkParity(t, cfg, stream.Take(tc.gen, tc.chunks*m))
+			if st.PruneHits == 0 {
+				t.Error("no test was decided by the interval")
+			}
+			if tc.name != "stationary" && st.Refits < 2 {
+				t.Errorf("%d refits: the stream never exercised a failed test", st.Refits)
+			}
+		})
 	}
 }
 
 // TestPrunedParityQuick is the testing/quick property: across random
-// regimes (random seeds, drift schedules and component counts) the pruned
-// site produces identical fit/refit event tables and update streams to the
-// exact scan.
+// regimes (random seeds, drift schedules and component counts K = 1..12)
+// the interval verdict produces identical fit/refit event tables and
+// update streams to the exact scan.
 func TestPrunedParityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick property test")
 	}
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		k := 8 + 2*rng.Intn(3) // 8, 10, 12 — all engage pruning at topM=4
+		k := 1 + rng.Intn(12)
 		chunks := 8 + rng.Intn(6)
 		var stream []linalg.Vector
 		for c := 0; c < chunks; c++ {
@@ -951,7 +1045,7 @@ func TestPrunedParityQuick(t *testing.T) {
 		return true
 	}
 	cfg := &quick.Config{
-		MaxCount: 8,
+		MaxCount: 12,
 		Values: func(vals []reflect.Value, rng *rand.Rand) {
 			vals[0] = reflect.ValueOf(rng.Int63n(1 << 30))
 		},
@@ -962,7 +1056,7 @@ func TestPrunedParityQuick(t *testing.T) {
 }
 
 // TestTelemetryDoesNotPerturbPrunedPath asserts bit-identical output with
-// telemetry on and off while the pruned fast path is active.
+// telemetry on and off while the interval verdict is active.
 func TestTelemetryDoesNotPerturbPrunedPath(t *testing.T) {
 	stream := prunedParityStream(123, 12)
 	plainFP, _, plainSt := replayStream(t, prunedCfg(), false, stream)
@@ -977,7 +1071,7 @@ func TestTelemetryDoesNotPerturbPrunedPath(t *testing.T) {
 		t.Fatalf("telemetry changed stats: %+v != %+v", teleSt, plainSt)
 	}
 	if teleSt.PruneHits == 0 {
-		t.Error("stream never hit the pruned path")
+		t.Error("no test was decided by the interval")
 	}
 	// Counters mirror the stats the site already kept.
 	counters := reg.Snapshot().Counters
@@ -996,14 +1090,13 @@ func TestTelemetryDoesNotPerturbPrunedPath(t *testing.T) {
 }
 
 // TestSiteSteadyStatePrunedZeroAlloc: the zero-alloc ingest contract must
-// survive with the pruned scorer engaged (K=16 current model, bound
-// verdicts on every chunk).
+// hold at K=16 too, with the interval deciding every chunk.
 func TestSiteSteadyStatePrunedZeroAlloc(t *testing.T) {
 	cfg := prunedCfg()
 	cfg.K = 16
 	// A K=16 EM fit on 160-record chunks fluctuates chunk to chunk; a
 	// generous ε keeps the stream in pure test mode so the measurement
-	// isolates the pruned scoring path.
+	// isolates the J_fit scoring path.
 	cfg.FitEps = 3
 	s, err := New(cfg)
 	if err != nil {
@@ -1031,9 +1124,9 @@ func TestSiteSteadyStatePrunedZeroAlloc(t *testing.T) {
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("pruned steady-state Observe allocates %v per record, want 0", avg)
+		t.Fatalf("K=16 steady-state Observe allocates %v per record, want 0", avg)
 	}
 	if s.Stats().PruneHits == 0 {
-		t.Error("steady state never used the pruned verdict")
+		t.Error("steady state never used the interval verdict")
 	}
 }
