@@ -794,8 +794,7 @@ func benchPhaseMix(k int, phase float64) *gaussian.Mixture {
 // refitting. The site completes the chunk once for every probe.
 // stat-hits/refit counts refit re-scores served from the multi-test memo;
 // it reads 0 by design, since the interval decides every probe and leaves
-// no exact score to serve: a refit either skips the re-scan (every probe
-// provably past WarmMargin) or re-scores all probes in one fused pass.
+// no exact score to serve: a refit re-scores all probes in one fused pass.
 func BenchmarkMultiTestDepth(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	var data []linalg.Vector

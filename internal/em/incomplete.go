@@ -57,15 +57,12 @@ func FitIncomplete(data []linalg.Vector, cfg Config) (*Result, error) {
 		if len(x) != d {
 			return nil, fmt.Errorf("em: record %d has dim %d, want %d", i, len(x), d)
 		}
-		var mask uint64 // bit set = observed
-		for a, v := range x {
+		for _, v := range x {
 			if math.IsInf(v, 0) {
 				return nil, fmt.Errorf("em: record %d has infinite attribute", i)
 			}
-			if !math.IsNaN(v) {
-				mask |= 1 << a
-			}
 		}
+		mask := observedMask(x)
 		if mask == 0 {
 			return nil, fmt.Errorf("em: record %d has no observed attributes", i)
 		}
@@ -99,13 +96,7 @@ func FitIncomplete(data []linalg.Vector, cfg Config) (*Result, error) {
 		xhat := linalg.NewVector(d)
 		for i, x := range data {
 			mask := masks[i]
-			// Marginal log-densities per component.
-			lse := math.Inf(-1)
-			for j := 0; j < cfg.K; j++ {
-				lp := math.Log(mix.Weight(j)) + cache.marginalLogProb(j, mask, x)
-				post[j] = lp
-				lse = gaussian.LogAdd(lse, lp)
-			}
+			lse := cache.logMarginal(mask, x, post)
 			sumLL += lse
 			for j := 0; j < cfg.K; j++ {
 				w := math.Exp(post[j] - lse)
@@ -156,20 +147,11 @@ func AvgMarginalLogLikelihood(mix *gaussian.Mixture, data []linalg.Vector) float
 	var sum float64
 	n := 0
 	for _, x := range data {
-		var mask uint64
-		for a, v := range x {
-			if !math.IsNaN(v) {
-				mask |= 1 << a
-			}
-		}
+		mask := observedMask(x)
 		if mask == 0 {
 			continue
 		}
-		lse := math.Inf(-1)
-		for j := 0; j < mix.K(); j++ {
-			lse = gaussian.LogAdd(lse, math.Log(mix.Weight(j))+cache.marginalLogProb(j, mask, x))
-		}
-		sum += lse
+		sum += cache.logMarginal(mask, x, nil)
 		n++
 	}
 	if n == 0 {
@@ -297,6 +279,33 @@ func buildCondEntry(comp *gaussian.Component, mask uint64) *condEntry {
 		}
 	}
 	return e
+}
+
+// observedMask returns x's observation mask: bit a set when attribute a is
+// observed (not NaN).
+func observedMask(x linalg.Vector) uint64 {
+	var mask uint64
+	for a, v := range x {
+		if !math.IsNaN(v) {
+			mask |= 1 << a
+		}
+	}
+	return mask
+}
+
+// logMarginal evaluates log Σ_j w_j·N(x_o; μ_o, Σ_oo) for the record x with
+// observation mask mask. When terms is non-nil, terms[j] receives component
+// j's log w_j + log N(x_o; μ_o, Σ_oo).
+func (c *condCache) logMarginal(mask uint64, x linalg.Vector, terms []float64) float64 {
+	lse := math.Inf(-1)
+	for j := 0; j < c.mix.K(); j++ {
+		lp := math.Log(c.mix.Weight(j)) + c.marginalLogProb(j, mask, x)
+		if terms != nil {
+			terms[j] = lp
+		}
+		lse = gaussian.LogAdd(lse, lp)
+	}
+	return lse
 }
 
 // marginalLogProb evaluates log N(x_o; μ_o, Σ_oo).

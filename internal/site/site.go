@@ -368,13 +368,10 @@ type Site struct {
 // testedModel is one multi-test probe: the model, the chunk's average
 // log-likelihood under it when computed exactly, and whether it was (an
 // interval verdict leaves avg as a bound, to be replaced before use).
-// floor is a lower bound on the exact J_fit margin: the margin itself when
-// exact, the interval's guarded lower bound otherwise.
 type testedModel struct {
 	m     *Model
 	avg   float64
 	exact bool
-	floor float64
 }
 
 // New constructs a Site. Dim, K, Epsilon and Delta are required.
@@ -603,17 +600,8 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 // higher average log-likelihood — over exact scores: probes decided by
 // the interval are re-scored exactly here, in one fused pass over the
 // chunk; probes that already ran the exact scan reuse the memoized value.
-//
-// The pass is skipped when every probe's margin floor already exceeds
-// WarmMargin: then the best probe's exact margin does too, so no seed can
-// pass whichever probe ranks first — the case of a chunk from a novel
-// regime, which every probe misses by far.
 func (s *Site) refitSeed() *gaussian.Mixture {
-	novel := true
-	for _, tm := range s.tested {
-		novel = novel && tm.floor > s.cfg.WarmMargin
-	}
-	if novel {
+	if len(s.tested) == 0 {
 		return nil
 	}
 	s.rescanMix = s.rescanMix[:0]
@@ -659,16 +647,18 @@ func (s *Site) refitSeed() *gaussian.Mixture {
 // transcendental call; when the interval decides the ε test with slack
 // beyond the intervalGuardRel roundoff guard, the verdict is provably the
 // exact scan's and the scan is skipped (the probe's avg and the margin then
-// carry the decided bound). An indecisive interval journals a
-// "prune-fallback" event and runs the exact scan.
+// carry the decided bound). An interval that is indecisive or unavailable
+// falls back to the exact scan, which a "prune-fallback" span covers and a
+// "prune-fallback" event journals with the exact margin it computed.
 func (s *Site) fitScore(m *Model) (probe testedModel, margin float64, ok bool) {
 	eval := s.scan.Complete()
+	var fallback telemetry.SpanRef
+	fellBack := false
 	if !s.exactScan && !s.cfg.SharpTest && len(eval) > 0 {
-		lo, hi, bok := m.Mixture.AvgLogLikelihoodInterval(eval, s.scratch)
-		if bok {
+		if lo, hi, bok := m.Mixture.AvgLogLikelihoodInterval(eval, s.scratch); bok {
 			loM, hiM := marginInterval(lo, hi, m.RefAvgLL)
 			guard := intervalGuardRel * (1 + math.Abs(m.RefAvgLL) + math.Max(math.Abs(lo), math.Abs(hi)))
-			probe = testedModel{m: m, avg: lo, floor: loM - guard}
+			probe = testedModel{m: m, avg: lo}
 			switch {
 			case hiM+guard <= s.cfg.FitEps:
 				s.stats.PruneHits++
@@ -680,20 +670,21 @@ func (s *Site) fitScore(m *Model) (probe testedModel, margin float64, ok bool) {
 				return probe, loM, false
 			}
 		}
+		fallback = s.tele.tracer.Begin(s.curTrace, s.curRoot, "prune-fallback", s.cfg.SiteID, m.ID)
+		fellBack = true
+	}
+	avg := s.chunkAvgLL(m.Mixture)
+	margin = math.Abs(avg - m.RefAvgLL)
+	if fellBack {
+		fallback.End(s.chunkNum, "")
 		s.stats.PruneFallbacks++
 		s.tele.pruneFalls.Inc()
 		s.tele.reg.Record(telemetry.Event{
 			Kind: "prune-fallback", Site: s.cfg.SiteID, Model: m.ID,
-			Value: hi - lo, N: s.chunkNum,
+			Value: margin, N: s.chunkNum,
 		})
-		if tr := s.tele.tracer; tr != nil {
-			now := tr.Now()
-			tr.Record(s.curTrace, s.curRoot, "prune-fallback", s.cfg.SiteID, m.ID, now, now, s.chunkNum, "")
-		}
 	}
-	avg := s.chunkAvgLL(m.Mixture)
-	margin = math.Abs(avg - m.RefAvgLL)
-	return testedModel{m: m, avg: avg, exact: true, floor: margin}, margin, margin <= s.cfg.FitEps
+	return testedModel{m: m, avg: avg, exact: true}, margin, margin <= s.cfg.FitEps
 }
 
 // chunkAvgLL is the J_fit statistic of the current chunk under mix,

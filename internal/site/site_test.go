@@ -1089,6 +1089,49 @@ func TestTelemetryDoesNotPerturbPrunedPath(t *testing.T) {
 	}
 }
 
+// TestFallbackJournalsExactMargin sets FitEps to a chunk's exact J_fit
+// margin. The interval brackets that margin, so it cannot clear FitEps by
+// its guard: the exact scan decides, and the "prune-fallback" event
+// carries the margin that scan computed.
+func TestFallbackJournalsExactMargin(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	first, second := regime(0).SampleN(rng, 200), regime(0.3).SampleN(rng, 200)
+	replay := func(fitEps float64, stream ...[]linalg.Vector) (*Site, *telemetry.Registry) {
+		cfg := testConfig()
+		cfg.FitEps = fitEps
+		cfg.Telemetry = telemetry.NewRegistry()
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range stream {
+			for _, x := range c {
+				if _, err := s.Observe(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return s, cfg.Telemetry
+	}
+	trained, _ := replay(0.1, first)
+	ref := trained.Current()
+	margin := math.Abs(ref.Mixture.AvgLogLikelihood(second) - ref.RefAvgLL)
+
+	s, reg := replay(margin, first, second)
+	if st := s.Stats(); st.PruneFallbacks != 1 || st.PruneHits != 0 || st.Fits != 1 {
+		t.Fatalf("want one fit decided by the exact fallback, got %+v", st)
+	}
+	var fallbacks []telemetry.Event
+	for _, e := range reg.Journal().Tail(0) {
+		if e.Kind == "prune-fallback" {
+			fallbacks = append(fallbacks, e)
+		}
+	}
+	if len(fallbacks) != 1 || fallbacks[0].Value != margin {
+		t.Fatalf("prune-fallback events %+v, want one carrying the exact margin %v", fallbacks, margin)
+	}
+}
+
 // TestSiteSteadyStatePrunedZeroAlloc: the zero-alloc ingest contract must
 // hold at K=16 too, with the interval deciding every chunk.
 func TestSiteSteadyStatePrunedZeroAlloc(t *testing.T) {
