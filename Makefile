@@ -14,11 +14,17 @@ vet:
 	$(GO) vet ./...
 
 # Static hygiene gate: vet plus gofmt, failing loudly on any unformatted
-# file instead of silently reformatting it.
+# file instead of silently reformatting it, and no recipe line in this
+# Makefile may start a background job (a lone ampersand, not part of a
+# logical and): an interrupted target must leave nothing running.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
+	@amp=$$(printf '\046'); tab=$$(printf '\t'); \
+	if grep -nE "^$$tab.*(^|[^$$amp])$$amp([^$$amp]|\$$)" Makefile; then \
+		echo "Makefile: the recipe lines above start a background job; run them in the foreground"; exit 1; \
 	fi
 
 test:
@@ -137,6 +143,7 @@ fuzz:
 bench:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkAblation' -benchtime 1x . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkMixture|BenchmarkEMFit|BenchmarkSite|BenchmarkSystem|BenchmarkCholesky|BenchmarkFitMerge|BenchmarkCoordinator|BenchmarkSMEM|BenchmarkScore|BenchmarkPosterior|BenchmarkQuadForm|BenchmarkMultiTest|BenchmarkRemerge' -benchmem . ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSiteRefit' -benchmem ./internal/site/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchmem ./internal/query/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTreeLoad' -benchtime 1x ./internal/tree/ ; } \
 	  | tee /dev/stderr | $(GO) run $(LDFLAGS) ./cmd/benchjson > BENCH_quick.json
@@ -152,14 +159,16 @@ bench-e2e:
 # Paired runs of bench-e2e on a base revision and the working tree, which
 # is how a gain is claimed: the sides alternate with the order flipped every
 # pair, seeds from 11 up, and the script prints each end-to-end metric's
-# medians, quartiles, per-pair ratios and win count. Foreground only, e.g.
+# medians, quartiles, per-pair ratios and win count. The recipe execs the
+# script, so a SIGTERM to make reaches it and it stops its run before
+# exiting. Foreground only, e.g.
 # `make bench-pair BASE=HEAD~1 WORKLOAD=steady PAIRS=10 RUN_SECONDS=28`.
 WORKLOAD ?= steady
 PAIRS ?= 10
 RUN_SECONDS ?= 28
 bench-pair:
 	@test -n "$(BASE)" || { echo "bench-pair: set BASE=<rev>"; exit 2; }
-	bash scripts/bench-pair.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(RUN_SECONDS)"
+	exec bash scripts/bench-pair.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(RUN_SECONDS)"
 
 # The benchmark's own tests: every workload smoke-run with all self-checks,
 # traced-path parity, BENCHMARK.json ↔ metric catalogue, and the pin that
@@ -167,22 +176,16 @@ bench-pair:
 bench-e2e-test:
 	$(GO) test -count=1 ./bench/
 
-# Live observability demo: run the distributed example with debug
-# endpoints up, snapshot them mid-flight with obsdump, and print the
-# event journal. Everything runs on loopback and exits on its own.
+# Live observability demo: a small traced deployment in process (a
+# coordinator with its query tier and two sites over loopback TCP) behind
+# the debug endpoints, rendered from the live endpoints by obsdump's own
+# views: the snapshot, the event journal, the causal traces and the query
+# tier. Runs in the foreground and closes everything it started.
 obs-demo:
-	$(GO) run ./examples/distributed -debug-addr 127.0.0.1:7171 -linger 4s & \
-	sleep 2.5; \
-	$(GO) run ./cmd/obsdump -addr 127.0.0.1:7171; \
-	echo; echo "--- event journal ---"; \
-	$(GO) run ./cmd/obsdump -addr 127.0.0.1:7171 -events -limit 20; \
-	wait
+	$(GO) test -count=1 -v -run 'TestObsdumpViews' ./cmd/obsdump/
 
-# Tracing demo: same distributed example, but the mid-flight snapshot is
-# the causal-trace view — cumulative span counts plus the slowest
-# ingest→visible chunk traces rendered as span waterfalls.
+# Tracing demo: the same deployment, rendered as the causal-trace view —
+# cumulative span counts plus the slowest ingest→visible chunk traces as
+# span waterfalls.
 trace-demo:
-	$(GO) run ./examples/distributed -debug-addr 127.0.0.1:7171 -linger 4s & \
-	sleep 2.5; \
-	$(GO) run ./cmd/obsdump -addr 127.0.0.1:7171 trace; \
-	wait
+	$(GO) test -count=1 -v -run 'TestObsdumpViews/trace' ./cmd/obsdump/

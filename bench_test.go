@@ -601,22 +601,6 @@ func BenchmarkCoordinatorSlidingSteadyState(b *testing.B) {
 	}
 }
 
-// benchDriftMix builds the warm-start drift workload mixture: three
-// overlapping 4-d components centred near mean (overlap is what makes cold
-// k-means++ EM iterate long enough for warm seeding to matter).
-func benchDriftMix(mean float64) *gaussian.Mixture {
-	comps := make([]*gaussian.Component, 3)
-	ws := []float64{0.5, 0.3, 0.2}
-	for j := range comps {
-		mu := linalg.NewVector(4)
-		for i := range mu {
-			mu[i] = mean + float64(j)*2 + 0.3*float64(i)
-		}
-		comps[j] = gaussian.Spherical(mu, 1)
-	}
-	return gaussian.MustMixture(ws, comps)
-}
-
 // BenchmarkSiteSteadyState measures the paper's common case — a stationary
 // stream where every chunk passes the J_fit test and EM never runs — at the
 // daemons' K = 5, and asserts the pooled ingest path stays at 0
@@ -656,47 +640,6 @@ func BenchmarkSiteSteadyState(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-// BenchmarkSiteRefit drives a gradual-drift stream (mean moves 0.3 per
-// chunk, past ε but inside the WarmMargin gate) through a site with warm
-// starts off and on. The em-iters/fit metric is the tentpole number: warm
-// seeding plus the relative early-stop should cut EM iterations per refit
-// well below the cold k-means++ baseline on the same stream.
-func BenchmarkSiteRefit(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	var data []linalg.Vector
-	for d := 0; d <= 14; d++ {
-		data = append(data, benchDriftMix(0.3*float64(d)).SampleN(rng, 300)...)
-	}
-	run := func(b *testing.B, ws string) {
-		reg := telemetry.NewRegistry()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st, err := site.New(site.Config{
-				SiteID: 1, Dim: 4, K: 3, Epsilon: 0.1, Delta: 0.01,
-				Seed: 1, ChunkSize: 300, WarmStart: ws, Telemetry: reg,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, x := range data {
-				if _, err := st.Observe(x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.StopTimer()
-		if fits := reg.Counter("em.fits").Value(); fits > 0 {
-			b.ReportMetric(float64(reg.Counter("em.iterations").Value())/float64(fits), "em-iters/fit")
-		}
-		if n := float64(b.N); n > 0 {
-			b.ReportMetric(float64(reg.Counter("site.warm_refits").Value())/n, "warm-refits")
-			b.ReportMetric(float64(reg.Counter("site.warm_fallbacks").Value())/n, "warm-fallbacks")
-		}
-	}
-	b.Run("cold", func(b *testing.B) { run(b, site.WarmStartCold) })
-	b.Run("warm", func(b *testing.B) { run(b, site.WarmStartOn) })
 }
 
 // BenchmarkScorePruned measures the steady-state J_fit test at growing K:

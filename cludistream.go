@@ -60,37 +60,6 @@ type Config struct {
 	EM em.Config
 	// Merge tunes the coordinator's component merging.
 	Merge gaussian.MergeOptions
-	// SharpTest selects the max-component J_fit statistic.
-	SharpTest bool
-	// UseSMEM clusters chunks with split-and-merge EM (requires K ≥ 3).
-	UseSMEM bool
-	// AutoKMax, when positive, lets every site pick each model's K by BIC
-	// over [AutoKMin, AutoKMax] instead of the fixed K.
-	AutoKMax int
-	// AutoKMin is the lower bound of the AutoKMax sweep (default 1).
-	AutoKMin int
-	// WarmStart controls whether sites seed EM refits from the
-	// best-scoring archived model when the chunk drifted only slightly
-	// past the fit threshold (see site.Config.WarmStart). Empty selects
-	// site.WarmStartOn; site.WarmStartCold restores cold k-means++ inits.
-	WarmStart string
-	// WarmAuditEvery audits every Nth warm refit against a cold run and
-	// keeps the higher-likelihood model (default 8; see site.Config).
-	WarmAuditEvery int
-	// WarmMargin bounds how far past the fit threshold a chunk may land
-	// while still warm-starting (default 4×FitEps; negative disables the
-	// bound; see site.Config.WarmMargin).
-	WarmMargin float64
-
-	// LinkLatency is the one-way site→coordinator delay in simulated
-	// seconds (default 0.05).
-	LinkLatency float64
-	// LinkBandwidth is bytes/second per link; 0 means unlimited.
-	LinkBandwidth float64
-	// ArrivalRate is records/second/site on the simulated clock (default
-	// 1000, the paper's observed CluDistream processing rate).
-	ArrivalRate float64
-
 	// SlidingHorizonChunks, when positive, ages records out of a sliding
 	// window of that many chunks per site, emitting deletion messages
 	// (Section 7). Zero keeps the landmark-window behaviour.
@@ -103,11 +72,6 @@ type Config struct {
 	// applied exactly once. Nil keeps perfect links and the legacy v1
 	// encoding, preserving the figures' byte-for-byte cost model.
 	Fault *netsim.FaultPlan
-	// RetryBackoff is the couriers' first retransmit delay in simulated
-	// seconds (default 0.1); it doubles per failure up to RetryMaxBackoff
-	// (default 2) with deterministic jitter.
-	RetryBackoff    float64
-	RetryMaxBackoff float64
 
 	// Telemetry, when non-nil, instruments the whole deployment — sites,
 	// EM runs, coordinator merges, links and couriers — into the given
@@ -180,14 +144,18 @@ func (c Config) withDefaults() Config {
 	if c.CMax == 0 {
 		c.CMax = 4
 	}
-	if c.LinkLatency == 0 {
-		c.LinkLatency = 0.05
-	}
-	if c.ArrivalRate == 0 {
-		c.ArrivalRate = 1000
-	}
 	return c
 }
+
+// The simulated network every System runs on: a one-way site→coordinator
+// delay of linkLatency simulated seconds on links of unlimited bandwidth,
+// and arrivalRate records/second/site on the simulated clock (the paper's
+// observed CluDistream processing rate). Couriers retransmit with
+// tree.Config's default backoff.
+const (
+	linkLatency = 0.05
+	arrivalRate = 1000
+)
 
 // System is a running deployment: r sites, one coordinator, and the links
 // between them on a discrete-event simulated network — the flat star of
@@ -207,35 +175,26 @@ func New(cfg Config) (*System, error) {
 	}
 	leaves := make([]tree.LeafSpec, cfg.NumSites)
 	for i := range leaves {
-		leaves[i].Link = tree.LinkSpec{Latency: cfg.LinkLatency, Bandwidth: cfg.LinkBandwidth}
+		leaves[i].Link = tree.LinkSpec{Latency: linkLatency}
 	}
 	tc := tree.Config{
 		Topology: tree.Topology{Leaves: leaves},
 		Site: site.Config{
-			Dim:            cfg.Dim,
-			K:              cfg.K,
-			Epsilon:        cfg.Epsilon,
-			FitEps:         cfg.FitEps,
-			Delta:          cfg.Delta,
-			CMax:           cfg.CMax,
-			EM:             cfg.EM,
-			SharpTest:      cfg.SharpTest,
-			UseSMEM:        cfg.UseSMEM,
-			AutoKMax:       cfg.AutoKMax,
-			AutoKMin:       cfg.AutoKMin,
-			ChunkSize:      cfg.ChunkSize,
-			WarmStart:      cfg.WarmStart,
-			WarmAuditEvery: cfg.WarmAuditEvery,
-			WarmMargin:     cfg.WarmMargin,
-			Telemetry:      cfg.Telemetry,
+			Dim:       cfg.Dim,
+			K:         cfg.K,
+			Epsilon:   cfg.Epsilon,
+			FitEps:    cfg.FitEps,
+			Delta:     cfg.Delta,
+			CMax:      cfg.CMax,
+			EM:        cfg.EM,
+			ChunkSize: cfg.ChunkSize,
+			Telemetry: cfg.Telemetry,
 		},
 		Coord:                coordinator.Config{Dim: cfg.Dim, Merge: cfg.Merge, Telemetry: cfg.Telemetry},
 		Seed:                 cfg.Seed,
-		ArrivalRate:          cfg.ArrivalRate,
+		ArrivalRate:          arrivalRate,
 		SlidingHorizonChunks: cfg.SlidingHorizonChunks,
 		Fault:                cfg.Fault,
-		RetryBackoff:         cfg.RetryBackoff,
-		RetryMaxBackoff:      cfg.RetryMaxBackoff,
 		Telemetry:            cfg.Telemetry,
 	}
 	if dur := cfg.Durability; dur != nil {
@@ -255,8 +214,8 @@ func New(cfg Config) (*System, error) {
 }
 
 // Feed delivers one record to site siteIdx (0-based). The simulated clock
-// advances to the record's arrival time (records arrive at ArrivalRate per
-// site); any updates the site emits are encoded and sent on the site's
+// advances to the record's arrival time (records arrive at 1000 per second
+// per site); any updates the site emits are encoded and sent on the site's
 // link. A delivery failure inside the simulation surfaces here.
 func (s *System) Feed(siteIdx int, x linalg.Vector) error { return s.d.Feed(siteIdx, x) }
 

@@ -193,30 +193,6 @@ func TestSystemFeedValidation(t *testing.T) {
 	}
 }
 
-func TestSystemAutoK(t *testing.T) {
-	cfg := smallConfig()
-	cfg.NumSites = 1
-	cfg.AutoKMax = 4
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(21))
-	mix := bimodal(0)
-	for i := 0; i < 200*2; i++ {
-		if err := sys.Feed(0, mix.Sample(rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cur := sys.Site(0).Current()
-	if cur == nil {
-		t.Fatal("no model")
-	}
-	if cur.Mixture.K() != 2 {
-		t.Fatalf("auto-K chose %d on bimodal data", cur.Mixture.K())
-	}
-}
-
 func TestSystemIncompleteRecords(t *testing.T) {
 	// A 2-d stream where 20% of attributes are missing (NaN): sites route
 	// such chunks to missing-data EM and the pipeline stays healthy.

@@ -3,17 +3,15 @@
 // Usage:
 //
 //	experiments -list
-//	experiments [-profile quick|paper] [-seed N] [-cold]
+//	experiments [-profile quick|paper] [-seed N]
 //	            [-telemetry text|json|FILE [-trace]]
 //	            [-cpuprofile out.pprof] [-memprofile out.pprof] [name ...]
 //
 // With no names, the whole suite runs in paper order. Each experiment
 // prints its table (series + notes comparing the measured shape with the
-// paper's claim) to stdout. -cold refits every model from a cold k-means++
-// start (the warm-start A/B baseline). The -cpuprofile/-memprofile flags
-// write pprof profiles covering the selected experiments, so kernel
-// regressions in the hot scoring/E-step paths can be diagnosed with
-// `go tool pprof`.
+// paper's claim) to stdout. The -cpuprofile/-memprofile flags write pprof
+// profiles covering the selected experiments, so kernel regressions in the
+// hot scoring/E-step paths can be diagnosed with `go tool pprof`.
 package main
 
 import (
@@ -29,7 +27,6 @@ import (
 	"time"
 
 	"cludistream/internal/experiments"
-	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
 )
 
@@ -37,7 +34,6 @@ func main() {
 	profile := flag.String("profile", "quick", "parameter profile: quick or paper")
 	seed := flag.Int64("seed", 1, "global random seed")
 	list := flag.Bool("list", false, "list experiment names and exit")
-	cold := flag.Bool("cold", false, "disable warm-start refit seeding (A/B baseline: every EM refit uses cold k-means++ init)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	telemetryOut := flag.String("telemetry", "", `end-of-run telemetry dump: "text", "json", or a file path (.json gets JSON)`)
@@ -62,9 +58,6 @@ func main() {
 		os.Exit(2)
 	}
 	p.Seed = *seed
-	if *cold {
-		p.WarmStart = site.WarmStartCold
-	}
 	var reg *telemetry.Registry
 	if *telemetryOut != "" {
 		reg = telemetry.NewRegistry()

@@ -53,15 +53,15 @@ func main() {
 		if flag.NArg() >= 2 {
 			id = flag.Arg(1)
 		}
-		err = dumpTrace(*addr, id, *raw)
+		err = dumpTrace(os.Stdout, *addr, id, *raw)
 	case *addr != "" && flag.NArg() >= 1 && flag.Arg(0) == "query":
-		err = dumpQuery(*addr, *interval, *raw)
+		err = dumpQuery(os.Stdout, *addr, *interval, *raw)
 	case *addr == "" && flag.NArg() == 1:
-		err = dumpFile(flag.Arg(0), *raw)
+		err = dumpFile(os.Stdout, flag.Arg(0), *raw)
 	case *addr != "" && *events:
-		err = dumpEvents(*addr, *after, *limit, *follow)
+		err = dumpEvents(os.Stdout, *addr, *after, *limit, *follow)
 	case *addr != "":
-		err = dumpSnapshot(*addr, *raw)
+		err = dumpSnapshot(os.Stdout, *addr, *raw)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: obsdump -addr host:port [-events] [-json] [trace [ID] | query] | obsdump snapshot.json")
 		os.Exit(2)
@@ -88,74 +88,74 @@ func fetch(rawURL string) ([]byte, error) {
 	return body, nil
 }
 
-func dumpSnapshot(addr string, raw bool) error {
+func dumpSnapshot(w io.Writer, addr string, raw bool) error {
 	body, err := fetch("http://" + addr + "/debug/vars")
 	if err != nil {
 		return err
 	}
 	if raw {
-		_, err = os.Stdout.Write(body)
+		_, err = w.Write(body)
 		return err
 	}
 	var snap telemetry.Snapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return fmt.Errorf("decode snapshot: %w", err)
 	}
-	printSnapshot(&snap)
+	printSnapshot(w, &snap)
 	return nil
 }
 
-func dumpFile(path string, raw bool) error {
+func dumpFile(w io.Writer, path string, raw bool) error {
 	body, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	if raw {
-		_, err = os.Stdout.Write(body)
+		_, err = w.Write(body)
 		return err
 	}
 	var snap telemetry.Snapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return fmt.Errorf("decode %s: %w", path, err)
 	}
-	printSnapshot(&snap)
+	printSnapshot(w, &snap)
 	return nil
 }
 
-func printSnapshot(snap *telemetry.Snapshot) {
+func printSnapshot(w io.Writer, snap *telemetry.Snapshot) {
 	if snap.TakenUnixNs > 0 {
-		fmt.Printf("snapshot taken %s\n", time.Unix(0, snap.TakenUnixNs).Format(time.RFC3339))
+		fmt.Fprintf(w, "snapshot taken %s\n", time.Unix(0, snap.TakenUnixNs).Format(time.RFC3339))
 	}
 	if len(snap.Counters) > 0 {
-		fmt.Println("\ncounters:")
+		fmt.Fprintln(w, "\ncounters:")
 		for _, name := range sortedKeys(snap.Counters) {
-			fmt.Printf("  %-28s %d\n", name, snap.Counters[name])
+			fmt.Fprintf(w, "  %-28s %d\n", name, snap.Counters[name])
 		}
 	}
 	if len(snap.Gauges) > 0 {
-		fmt.Println("\ngauges:")
+		fmt.Fprintln(w, "\ngauges:")
 		for _, name := range sortedKeys(snap.Gauges) {
-			fmt.Printf("  %-28s %g\n", name, snap.Gauges[name])
+			fmt.Fprintf(w, "  %-28s %g\n", name, snap.Gauges[name])
 		}
 	}
 	if len(snap.Histograms) > 0 {
-		fmt.Println("\nhistograms:")
+		fmt.Fprintln(w, "\nhistograms:")
 		for _, name := range sortedKeys(snap.Histograms) {
 			h := snap.Histograms[name]
 			mean := 0.0
 			if h.Count > 0 {
 				mean = h.Sum / float64(h.Count)
 			}
-			fmt.Printf("  %-28s count=%d mean=%.4g\n", name, h.Count, mean)
+			fmt.Fprintf(w, "  %-28s count=%d mean=%.4g\n", name, h.Count, mean)
 			for _, b := range h.Buckets {
-				fmt.Printf("    ≤ %-10g %-8d %s\n", b.Le, b.Count, bar(b.Count, h.Count))
+				fmt.Fprintf(w, "    ≤ %-10g %-8d %s\n", b.Le, b.Count, bar(b.Count, h.Count))
 			}
 			if h.Overflow > 0 {
-				fmt.Printf("    > %-10g %-8d %s\n", h.Buckets[len(h.Buckets)-1].Le, h.Overflow, bar(h.Overflow, h.Count))
+				fmt.Fprintf(w, "    > %-10g %-8d %s\n", h.Buckets[len(h.Buckets)-1].Le, h.Overflow, bar(h.Overflow, h.Count))
 			}
 		}
 	}
-	fmt.Printf("\njournal: %d events buffered, last seq %d, %d evicted\n",
+	fmt.Fprintf(w, "\njournal: %d events buffered, last seq %d, %d evicted\n",
 		snap.Journal.Len, snap.Journal.LastSeq, snap.Journal.Dropped)
 }
 
@@ -183,7 +183,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // dumpTrace renders /debug/traces: with an ID, one trace's span
 // waterfall; without, the tracer overview (span counts plus the
 // slowest-trace exemplars, each as a waterfall).
-func dumpTrace(addr, id string, raw bool) error {
+func dumpTrace(w io.Writer, addr, id string, raw bool) error {
 	u := "http://" + addr + "/debug/traces"
 	if id != "" {
 		u += "?id=" + url.QueryEscape(id)
@@ -193,7 +193,7 @@ func dumpTrace(addr, id string, raw bool) error {
 		return err
 	}
 	if raw {
-		_, err = os.Stdout.Write(body)
+		_, err = w.Write(body)
 		return err
 	}
 	if id != "" {
@@ -201,27 +201,27 @@ func dumpTrace(addr, id string, raw bool) error {
 		if err := json.Unmarshal(body, &tr); err != nil {
 			return fmt.Errorf("decode trace: %w", err)
 		}
-		printTrace(&tr)
+		printTrace(w, &tr)
 		return nil
 	}
 	var snap telemetry.TracerSnapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return fmt.Errorf("decode traces: %w", err)
 	}
-	fmt.Printf("tracer: %d active traces, %d evicted\n", snap.Active, snap.Evicted)
+	fmt.Fprintf(w, "tracer: %d active traces, %d evicted\n", snap.Active, snap.Evicted)
 	if len(snap.SpanCounts) > 0 {
-		fmt.Println("\nspan counts:")
+		fmt.Fprintln(w, "\nspan counts:")
 		for _, name := range sortedKeys(snap.SpanCounts) {
-			fmt.Printf("  %-28s %d\n", name, snap.SpanCounts[name])
+			fmt.Fprintf(w, "  %-28s %d\n", name, snap.SpanCounts[name])
 		}
 	}
 	if len(snap.Slowest) == 0 {
-		fmt.Println("\nno completed traces yet")
+		fmt.Fprintln(w, "\nno completed traces yet")
 		return nil
 	}
-	fmt.Printf("\nslowest %d ingest→visible traces:\n", len(snap.Slowest))
+	fmt.Fprintf(w, "\nslowest %d ingest→visible traces:\n", len(snap.Slowest))
 	for i := range snap.Slowest {
-		printTrace(&snap.Slowest[i])
+		printTrace(w, &snap.Slowest[i])
 	}
 	return nil
 }
@@ -232,7 +232,7 @@ const waterfallWidth = 32
 // printTrace renders one trace as a span waterfall: spans sorted by start
 // time, each with its offset from the trace's first instant, duration,
 // and a proportional position bar.
-func printTrace(tr *telemetry.Trace) {
+func printTrace(w io.Writer, tr *telemetry.Trace) {
 	spans := make([]telemetry.Span, len(tr.Spans))
 	copy(spans, tr.Spans)
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
@@ -248,13 +248,13 @@ func printTrace(tr *telemetry.Trace) {
 		}
 	}
 	total := t1 - t0
-	fmt.Printf("\ntrace %d  site %d chunk %d", tr.ID, tr.Site, tr.Chunk)
+	fmt.Fprintf(w, "\ntrace %d  site %d chunk %d", tr.ID, tr.Site, tr.Chunk)
 	if tr.Completed {
-		fmt.Printf("  ingest→visible %.6gs", tr.VisibleT-t0)
+		fmt.Fprintf(w, "  ingest→visible %.6gs", tr.VisibleT-t0)
 	} else {
-		fmt.Printf("  (in flight, %.6gs so far)", total)
+		fmt.Fprintf(w, "  (in flight, %.6gs so far)", total)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, sp := range spans {
 		off, dur := sp.Start-t0, sp.End-sp.Start
 		var pos, width int
@@ -285,7 +285,7 @@ func printTrace(tr *telemetry.Trace) {
 		if sp.Note != "" {
 			line += fmt.Sprintf(" (%s)", sp.Note)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 }
 
@@ -297,7 +297,7 @@ var queryOps = []string{"query.classify", "query.density", "query.topk", "query.
 // served snapshot version (against the coordinator's mixture version),
 // per-op qps computed from two samples an interval apart, and the
 // read-path staleness histogram.
-func dumpQuery(addr string, interval time.Duration, raw bool) error {
+func dumpQuery(w io.Writer, addr string, interval time.Duration, raw bool) error {
 	grab := func() (*telemetry.Snapshot, error) {
 		body, err := fetch("http://" + addr + "/debug/vars")
 		if err != nil {
@@ -324,38 +324,38 @@ func dumpQuery(addr string, interval time.Duration, raw bool) error {
 	}
 	dt := time.Since(t0).Seconds()
 	if raw {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(snap)
 	}
 	if _, ok := snap.Gauges["query.snapshot_version"]; !ok {
-		fmt.Println("no query tier published yet (query.snapshot_version gauge absent)")
+		fmt.Fprintln(w, "no query tier published yet (query.snapshot_version gauge absent)")
 		return nil
 	}
-	fmt.Printf("query tier @ %s (window %.3gs)\n\n", addr, dt)
-	fmt.Printf("  %-28s %.0f\n", "snapshot version", snap.Gauges["query.snapshot_version"])
+	fmt.Fprintf(w, "query tier @ %s (window %.3gs)\n\n", addr, dt)
+	fmt.Fprintf(w, "  %-28s %.0f\n", "snapshot version", snap.Gauges["query.snapshot_version"])
 	if v, ok := snap.Gauges["coord.mixture_version"]; ok {
-		fmt.Printf("  %-28s %.0f\n", "coordinator mixture version", v)
+		fmt.Fprintf(w, "  %-28s %.0f\n", "coordinator mixture version", v)
 		if lag := v - snap.Gauges["query.snapshot_version"]; lag > 0 {
-			fmt.Printf("  %-28s %.0f version(s) behind\n", "publish lag", lag)
+			fmt.Fprintf(w, "  %-28s %.0f version(s) behind\n", "publish lag", lag)
 		}
 	}
-	fmt.Println("\nper-op rates:")
+	fmt.Fprintln(w, "\nper-op rates:")
 	for _, name := range queryOps {
 		delta := snap.Counters[name] - first.Counters[name]
-		fmt.Printf("  %-28s %12.4g qps  (total %d)\n", name, float64(delta)/dt, snap.Counters[name])
+		fmt.Fprintf(w, "  %-28s %12.4g qps  (total %d)\n", name, float64(delta)/dt, snap.Counters[name])
 	}
 	for _, name := range []string{"query.staleness_seconds", "query.refresh_seconds"} {
 		h, ok := snap.Histograms[name]
 		if !ok || h.Count == 0 {
 			continue
 		}
-		fmt.Printf("\n%s: count=%d mean=%.4g\n", name, h.Count, h.Sum/float64(h.Count))
+		fmt.Fprintf(w, "\n%s: count=%d mean=%.4g\n", name, h.Count, h.Sum/float64(h.Count))
 		for _, b := range h.Buckets {
-			fmt.Printf("  ≤ %-10g %-8d %s\n", b.Le, b.Count, bar(b.Count, h.Count))
+			fmt.Fprintf(w, "  ≤ %-10g %-8d %s\n", b.Le, b.Count, bar(b.Count, h.Count))
 		}
 		if h.Overflow > 0 {
-			fmt.Printf("  > %-10g %-8d %s\n", h.Buckets[len(h.Buckets)-1].Le, h.Overflow, bar(h.Overflow, h.Count))
+			fmt.Fprintf(w, "  > %-10g %-8d %s\n", h.Buckets[len(h.Buckets)-1].Le, h.Overflow, bar(h.Overflow, h.Count))
 		}
 	}
 	return nil
@@ -367,7 +367,7 @@ type eventsPage struct {
 	Events  []telemetry.Event `json:"events"`
 }
 
-func dumpEvents(addr string, after uint64, limit int, follow time.Duration) error {
+func dumpEvents(w io.Writer, addr string, after uint64, limit int, follow time.Duration) error {
 	for {
 		q := url.Values{}
 		if after > 0 {
@@ -389,7 +389,7 @@ func dumpEvents(addr string, after uint64, limit int, follow time.Duration) erro
 			return fmt.Errorf("decode events: %w", err)
 		}
 		for _, e := range page.Events {
-			printEvent(e)
+			printEvent(w, e)
 		}
 		if page.LastSeq > after {
 			after = page.LastSeq
@@ -401,7 +401,7 @@ func dumpEvents(addr string, after uint64, limit int, follow time.Duration) erro
 	}
 }
 
-func printEvent(e telemetry.Event) {
+func printEvent(w io.Writer, e telemetry.Event) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%8d %s %-18s", e.Seq, time.Unix(0, e.UnixNs).Format("15:04:05.000"), e.Kind)
 	if e.Site != 0 {
@@ -419,5 +419,5 @@ func printEvent(e telemetry.Event) {
 	if e.Note != "" {
 		fmt.Fprintf(&b, " (%s)", e.Note)
 	}
-	fmt.Println(b.String())
+	fmt.Fprintln(w, b.String())
 }

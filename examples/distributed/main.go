@@ -12,9 +12,8 @@
 //
 //	go run ./examples/distributed
 //
-// With -debug-addr the run also serves live /debug/vars and /debug/events
-// telemetry; -linger keeps the process (and those endpoints) up after the
-// stream finishes so they can be inspected — `make obs-demo` uses both.
+// With -debug-addr the run also serves live /debug/vars, /debug/events and
+// /debug/traces telemetry while it runs (`obsdump -addr` renders them).
 package main
 
 import (
@@ -36,12 +35,11 @@ import (
 
 func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars, /debug/events and pprof on this address (empty = off)")
-	linger := flag.Duration("linger", 0, "keep the process alive this long after the run (for inspecting -debug-addr)")
 	flag.Parse()
 
-	// Tracing is always on in the demo: `make trace-demo` renders the span
-	// waterfalls from /debug/traces, and the clustering output is
-	// bit-identical with or without it.
+	// Tracing is always on with -debug-addr: `obsdump -addr … trace`
+	// renders the span waterfalls from /debug/traces, and the clustering
+	// output is bit-identical with or without it.
 	reg := daemon.Registry(*debugAddr, true)
 	if reg != nil {
 		dbg, err := telemetry.Serve(*debugAddr, reg)
@@ -157,10 +155,5 @@ func main() {
 		archiveBytes, len(loaded.Models), len(loaded.Events))
 	if m := loaded.WindowMixture(1, 3); m != nil {
 		fmt.Printf("chunks 1-3 were modelled by a %d-component mixture\n", m.K())
-	}
-
-	if *linger > 0 {
-		fmt.Printf("\nlingering %v for telemetry inspection...\n", *linger)
-		time.Sleep(*linger)
 	}
 }

@@ -49,12 +49,6 @@ type Params struct {
 	SEMBuffer int
 	// SamplePoints is how many x-axis points sweeps produce.
 	SamplePoints int
-	// WarmStart selects the sites' refit-seeding policy (empty ⇒
-	// site.WarmStartOn): warm refits seed EM from the best-scoring tested
-	// model when drift stayed inside the WarmMargin gate, which cuts EM
-	// iterations without changing which chunks refit. site.WarmStartCold
-	// restores the pre-warm-start cold k-means++ path for A/B runs.
-	WarmStart string
 	// Telemetry, when non-nil, instruments every site, EM fit, system and
 	// coordinator the suite constructs. Figures are unchanged with it on
 	// (telemetry never alters clustering output).
@@ -117,7 +111,6 @@ func (p Params) siteConfig(id int) site.Config {
 		CMax:      p.CMax,
 		Seed:      p.Seed + int64(id)*7919,
 		EM:        em.Config{MaxIter: 50, Tol: 1e-3, MinVar: 1e-4},
-		WarmStart: p.WarmStart,
 		Telemetry: p.Telemetry,
 	}
 }
@@ -213,7 +206,6 @@ func newSystem(p Params, dim, sites int) (*root.System, error) {
 		CMax:      p.CMax,
 		Seed:      p.Seed,
 		EM:        em.Config{MaxIter: 50, Tol: 1e-3, MinVar: 1e-4},
-		WarmStart: p.WarmStart,
 		Telemetry: p.Telemetry,
 	})
 }

@@ -116,34 +116,6 @@ type Config struct {
 	// ChunkSize overrides the Theorem-1 chunk size when positive. Used by
 	// tests and by experiments that sweep M directly.
 	ChunkSize int
-	// WarmStart selects the refit initialization strategy. The default
-	// (WarmStartOn) seeds each refit's EM from the best-scoring model the
-	// multi-test loop just evaluated — those scores are already computed,
-	// and a nearby seed skips k-means++ and most iterations (the lever the
-	// streaming-GMM literature measures). WarmStartCold is the escape
-	// hatch: always initialize from scratch, bit-identical to the
-	// pre-warm-start code path. Warm starts never apply to the SMEM,
-	// auto-K or incomplete-data fitters, which keep their own init.
-	WarmStart string
-	// WarmAuditEvery is the cold-audit cadence of the warm-start quality
-	// guard (default 8): every Nth warm refit also runs the cold fit and
-	// keeps whichever converged to the higher log-likelihood, so a
-	// systematic warm-start quality regression cannot persist silently.
-	// Set to 1 to audit every refit (output log-likelihood then provably
-	// never trails cold start). Warm results that come back non-finite
-	// fall back to cold immediately, regardless of cadence.
-	WarmAuditEvery int
-	// WarmMargin bounds how far from fitting the best tested model may be
-	// and still seed a warm start, measured on the J_fit margin
-	// |Avg_Prn − Avg_Pr0|. Warm starts are a drift optimization: a model
-	// that barely failed the ε test is one EM polish away from the new
-	// regime, while a model hundreds of nats off describes a different
-	// regime entirely, and seeding EM from it parks the fit in a worse
-	// local optimum than k-means++ would find. Candidates with margin
-	// above WarmMargin are treated as novel regimes and refit cold.
-	// Default 4×FitEps (a few Theorem-2 noise widths past the test
-	// boundary); negative means no bound.
-	WarmMargin float64
 	// EmitFitWeightUpdates makes a fitting chunk emit a WeightUpdate for
 	// the current model instead of staying silent. Landmark-window
 	// deployments leave this off (Section 5.3's stability property);
@@ -172,14 +144,6 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// Accepted Config.WarmStart values.
-const (
-	// WarmStartOn seeds refit EM from the best-scoring tested model.
-	WarmStartOn = "on"
-	// WarmStartCold always initializes refit EM from scratch (k-means++).
-	WarmStartCold = "cold"
-)
-
 // intervalGuardRel scales the decision slack of the interval J_fit verdict
 // (gaussian.AvgLogLikelihoodInterval): the interval must clear the ε
 // threshold by intervalGuardRel·(1 + |Avg_Pr0| + |bound|) before its verdict
@@ -199,23 +163,18 @@ const intervalGuardRel = 1e-9
 // audit losses rather than silent quality drift.
 const warmRelTol = 1e-4
 
+// warmAuditEvery is the cold-audit cadence of the warm-start quality
+// guard: every warmAuditEvery-th warm refit also runs the cold fit and
+// keeps whichever converged to the higher log-likelihood, so a systematic
+// warm-start quality regression cannot persist silently.
+const warmAuditEvery = 8
+
 func (c Config) withDefaults() Config {
 	if c.CMax <= 0 {
 		c.CMax = 4
 	}
 	if c.FitEps == 0 {
 		c.FitEps = c.Epsilon
-	}
-	if c.WarmStart == "" {
-		c.WarmStart = WarmStartOn
-	}
-	if c.WarmAuditEvery <= 0 {
-		c.WarmAuditEvery = 8
-	}
-	if c.WarmMargin == 0 {
-		c.WarmMargin = 4 * c.FitEps
-	} else if c.WarmMargin < 0 {
-		c.WarmMargin = math.Inf(1)
 	}
 	c.EM.K = c.K
 	if c.EM.Seed == 0 {
@@ -238,9 +197,9 @@ type Stats struct {
 	Refits      int // chunks that required new EM models
 	Reactivated int // chunks explained by re-activating an archived model
 
-	// Warm-start refit accounting (zero under WarmStartCold).
+	// Warm-start refit accounting.
 	WarmRefits      int // refits that kept the warm-started fit
-	ColdRefits      int // refits run cold (disabled, no seed, or K mismatch)
+	ColdRefits      int // refits run cold (no seed within the warm-start margin, or K mismatch)
 	WarmFallbacks   int // warm fits discarded for a cold result (audit loss or non-finite)
 	WarmAudits      int // warm refits that also ran the cold comparison fit
 	IterationsSaved int // Σ (cold iters − warm iters) over audited refits; can go negative
@@ -346,6 +305,22 @@ type Site struct {
 	rescanAvg []float64
 	rescanIdx []int
 
+	// warmMargin bounds how far from fitting the best tested model may be
+	// and still seed a warm start, on the J_fit margin |Avg_Prn − Avg_Pr0|:
+	// 4×FitEps, a few Theorem-2 noise widths past the test boundary. A
+	// model that barely failed the ε test is one EM polish away from the
+	// new regime; one hundreds of nats off describes a different regime,
+	// and seeding EM from it parks the fit in a worse local optimum than
+	// k-means++ finds, so such refits run cold. A negative FitEps (the
+	// always-cluster ablation) gives a negative margin: every refit is cold.
+	warmMargin float64
+	// alwaysCold turns warm seeding off, so every refit initializes from
+	// k-means++: the pre-warm-start path, the oracle of the warm-start
+	// tests.
+	alwaysCold bool
+	// auditEvery is the cold-audit cadence (warmAuditEvery; tests set 1 to
+	// audit every warm refit).
+	auditEvery int
 	// warmSeq counts warm-start refit attempts, driving the audit cadence.
 	warmSeq int
 
@@ -383,9 +358,6 @@ func New(cfg Config) (*Site, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("site: K = %d", cfg.K)
 	}
-	if cfg.WarmStart != WarmStartOn && cfg.WarmStart != WarmStartCold {
-		return nil, fmt.Errorf("site: WarmStart = %q (want %q or %q)", cfg.WarmStart, WarmStartOn, WarmStartCold)
-	}
 	m := cfg.ChunkSize
 	if m <= 0 {
 		m = chunk.Size(cfg.Dim, cfg.Epsilon, cfg.Delta)
@@ -405,6 +377,8 @@ func New(cfg Config) (*Site, error) {
 		rescanMix:   make([]*gaussian.Mixture, 0, cfg.CMax),
 		rescanAvg:   make([]float64, cfg.CMax),
 		rescanIdx:   make([]int, 0, cfg.CMax),
+		warmMargin:  4 * cfg.FitEps,
+		auditEvery:  warmAuditEvery,
 	}, nil
 }
 
@@ -585,7 +559,7 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 	// No model fits: archive the current model (lines 8–9) and cluster,
 	// seeding EM from the best-scoring model the tests just evaluated —
 	// but only if that model nearly fit (drift); a seed far past the
-	// WarmMargin bound describes a different regime and would steer EM
+	// warm-start margin describes a different regime and would steer EM
 	// into a worse basin than a cold start.
 	testSpan.End(len(s.tested), "refit")
 	bestSeed := s.refitSeed()
@@ -595,7 +569,7 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 
 // refitSeed selects the warm-start seed for a refit: the best-scoring
 // model of the failed multi-test pass, or nil when even the best margin
-// exceeds WarmMargin. The selection replays the exact path's bookkeeping
+// exceeds the warm-start margin. The selection replays the exact path's bookkeeping
 // — first tested model initializes, later ones replace it on strictly
 // higher average log-likelihood — over exact scores: probes decided by
 // the interval are re-scored exactly here, in one fused pass over the
@@ -630,7 +604,7 @@ func (s *Site) refitSeed() *gaussian.Mixture {
 			best = tm
 		}
 	}
-	if math.Abs(best.avg-best.m.RefAvgLL) > s.cfg.WarmMargin {
+	if math.Abs(best.avg-best.m.RefAvgLL) > s.warmMargin {
 		return nil
 	}
 	return best.m.Mixture
@@ -794,19 +768,22 @@ func (s *Site) clusterNewModel(data []linalg.Vector, seed *gaussian.Mixture) ([]
 	}}, nil
 }
 
-// fitChunk runs the plain-EM refit, warm-started from seed when enabled.
+// fitChunk runs the plain-EM refit, warm-started from seed when there is
+// one (and the site is not the always-cold test oracle). Warm starts never
+// apply to the SMEM, auto-K or incomplete-data fitters, which keep their
+// own init.
 //
 // The warm path replaces k-means++ initialization with the seed mixture
 // (em.Config.InitModel), which typically converges in a fraction of the
 // iterations because the seed was scored as the closest existing
 // explanation of the chunk. Two guards keep clustering quality from
 // silently degrading: a non-finite warm log-likelihood falls back to a
-// cold fit immediately, and every WarmAuditEvery-th warm refit also runs
+// cold fit immediately, and every warmAuditEvery-th warm refit also runs
 // the cold fit and keeps whichever model converged to the higher
 // log-likelihood. Both arms derive from the same deterministic seed, so
 // site output remains a pure function of the stream.
 func (s *Site) fitChunk(data []linalg.Vector, cfg em.Config, seed *gaussian.Mixture) (*em.Result, error) {
-	warmOK := s.cfg.WarmStart == WarmStartOn && seed != nil &&
+	warmOK := !s.alwaysCold && seed != nil &&
 		seed.K() == cfg.K && seed.Dim() == s.cfg.Dim
 	if !warmOK {
 		s.stats.ColdRefits++
@@ -826,7 +803,7 @@ func (s *Site) fitChunk(data []linalg.Vector, cfg em.Config, seed *gaussian.Mixt
 		warmCfg.RelTol = warmRelTol
 	}
 	warm, warmErr := em.Fit(data, warmCfg)
-	audit := s.warmSeq%s.cfg.WarmAuditEvery == 0
+	audit := s.warmSeq%s.auditEvery == 0
 	s.warmSeq++
 	healthy := warmErr == nil && isFiniteLL(warm.AvgLogLikelihood)
 	if healthy && !audit {

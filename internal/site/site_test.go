@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -612,13 +613,14 @@ func driftMix(mean float64) *gaussian.Mixture {
 	return gaussian.MustMixture(ws, comps)
 }
 
-// driftSites runs a warm-start site and a cold-start site over the same
+// driftSites runs a warm-start site (auditing every auditEvery-th warm
+// refit; 0 keeps New's cadence) and an always-cold site over the same
 // gradual-drift stream (the mean moves 0.3 per chunk — a J_fit margin past
-// ε but inside the WarmMargin gate, so refits are warm-eligible) and
+// ε but inside the warm-start margin, so refits are warm-eligible) and
 // returns both.
-func driftSites(t *testing.T, warmAuditEvery int) (warm, cold *Site) {
+func driftSites(t *testing.T, auditEvery int) (warm, cold *Site) {
 	t.Helper()
-	mk := func(ws string) *Site {
+	mk := func(alwaysCold bool) *Site {
 		cfg := Config{
 			SiteID:    1,
 			Dim:       4,
@@ -629,16 +631,18 @@ func driftSites(t *testing.T, warmAuditEvery int) (warm, cold *Site) {
 			Seed:      1,
 			ChunkSize: 300,
 		}
-		cfg.WarmStart = ws
-		cfg.WarmAuditEvery = warmAuditEvery
 		cfg.Telemetry = telemetry.NewRegistry()
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.alwaysCold = alwaysCold
+		if auditEvery > 0 {
+			s.auditEvery = auditEvery
+		}
 		return s
 	}
-	warm, cold = mk(WarmStartOn), mk(WarmStartCold)
+	warm, cold = mk(false), mk(true)
 	for _, s := range []*Site{warm, cold} {
 		rng := rand.New(rand.NewSource(9))
 		for d := 0; d <= 14; d++ {
@@ -656,10 +660,29 @@ func driftSites(t *testing.T, warmAuditEvery int) (warm, cold *Site) {
 }
 
 func TestWarmStartReducesIterations(t *testing.T) {
-	warm, cold := driftSites(t, 0) // default audit cadence (8)
+	warm, cold := driftSites(t, 0)
 	ws, cs := warm.Stats(), cold.Stats()
 	if ws.WarmRefits == 0 {
 		t.Fatalf("drift stream triggered no warm refits: %+v", ws)
+	}
+	// Every warm attempt journals one warm-refit event, and attempts 1, 9,
+	// 17, … are the audited ones (they also ran the cold comparison fit).
+	attempts := 0
+	for _, e := range warm.cfg.Telemetry.Journal().Tail(0) {
+		if e.Kind != "warm-refit" {
+			continue
+		}
+		if audited := strings.HasPrefix(e.Note, "audit-"); audited != (attempts%warmAuditEvery == 0) {
+			t.Fatalf("warm attempt %d audited = %v, want every %dth attempt audited from the first",
+				attempts+1, audited, warmAuditEvery)
+		}
+		attempts++
+	}
+	if attempts != ws.WarmRefits+ws.WarmFallbacks {
+		t.Fatalf("%d warm-refit events, want one per warm attempt: %+v", attempts, ws)
+	}
+	if want := (attempts + warmAuditEvery - 1) / warmAuditEvery; ws.WarmAudits != want {
+		t.Fatalf("WarmAudits = %d over %d warm attempts, want %d", ws.WarmAudits, attempts, want)
 	}
 	if cs.WarmRefits != 0 || cs.ColdRefits == 0 {
 		t.Fatalf("cold site ran warm refits: %+v", cs)
@@ -674,8 +697,8 @@ func TestWarmStartReducesIterations(t *testing.T) {
 }
 
 func TestWarmStartQualityNotDegraded(t *testing.T) {
-	// With WarmAuditEvery=1 every refit keeps the better of warm and cold,
-	// so no single accepted fit can trail the cold fit of its own chunk.
+	// Auditing every warm refit, each refit keeps the better of warm and
+	// cold, so no single accepted fit can trail the cold fit of its chunk.
 	// End to end the two sites' refit *schedules* still diverge (different
 	// models pass different J_fit tests), so their final models are fits
 	// of different chunks; the holdout comparison is therefore bounded by
@@ -691,14 +714,14 @@ func TestWarmStartQualityNotDegraded(t *testing.T) {
 		t.Fatalf("warm-start holdout log-likelihood %v degraded vs cold %v beyond ε", warmLL, coldLL)
 	}
 	if got := warm.Stats().WarmAudits; got == 0 {
-		t.Fatalf("WarmAuditEvery=1 recorded no audits: %+v", warm.Stats())
+		t.Fatalf("auditing every refit recorded no audits: %+v", warm.Stats())
 	}
 	t.Logf("holdout avg LL: warm=%v cold=%v", warmLL, coldLL)
 }
 
 func TestWarmMarginGatesNovelRegimes(t *testing.T) {
 	// Jumps between far-apart regimes: every tested model is hundreds of
-	// nats off, so the WarmMargin gate must force cold refits even with
+	// nats off, so the warm-start margin must force cold refits even with
 	// warm start on — warm seeding is a drift optimization only.
 	cfg := testConfig()
 	cfg.Telemetry = telemetry.NewRegistry()
@@ -726,25 +749,42 @@ func TestWarmMarginGatesNovelRegimes(t *testing.T) {
 	}
 }
 
-func TestWarmStartConfigValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.WarmStart = "lukewarm"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("invalid WarmStart value accepted")
+func TestNegativeFitEpsRefitsCold(t *testing.T) {
+	// A negative FitEps fails every J_fit test (the always-cluster
+	// ablation) and makes the warm-start margin negative, so every chunk
+	// refits and every refit runs cold, even on a gently drifting stream
+	// whose refits would otherwise be warm.
+	cfg := Config{
+		SiteID: 1, Dim: 4, K: 3, Epsilon: 0.1, FitEps: -1, Delta: 0.01,
+		CMax: 4, Seed: 1, ChunkSize: 300,
 	}
-}
-
-// TestWarmStartColdBitIdenticalPrePR pins the WarmStartCold escape hatch
-// (and the recycled-chunk ingest path) bit-identical to the code base
-// before warm starts existed: the golden value was produced by running
-// this exact stream through the pre-warm-start site implementation.
-func TestWarmStartColdBitIdenticalPrePR(t *testing.T) {
-	cfg := testConfig()
-	cfg.WarmStart = WarmStartCold
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(9))
+	for d := 0; d <= 6; d++ {
+		feed(t, s, driftMix(0.3*float64(d)), 300, rng)
+	}
+	st := s.Stats()
+	if st.WarmRefits != 0 || st.WarmFallbacks != 0 || st.WarmAudits != 0 {
+		t.Fatalf("negative FitEps ran warm refits: %+v", st)
+	}
+	if st.Chunks != 7 || st.ColdRefits != st.Chunks {
+		t.Fatalf("ColdRefits = %d over %d chunks, want every chunk cold: %+v", st.ColdRefits, st.Chunks, st)
+	}
+}
+
+// TestWarmStartColdBitIdenticalPrePR pins the always-cold refit path (and
+// the recycled-chunk ingest path) bit-identical to the code base
+// before warm starts existed: the golden value was produced by running
+// this exact stream through the pre-warm-start site implementation.
+func TestWarmStartColdBitIdenticalPrePR(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.alwaysCold = true
 	rng := rand.New(rand.NewSource(42))
 	h := fnv.New64a()
 	wf := func(v float64) {
@@ -795,7 +835,7 @@ func TestWarmStartColdBitIdenticalPrePR(t *testing.T) {
 	digest(regime(0), 400)
 	const golden uint64 = 0x8ebee668420803af // pre-warm-start site on this stream
 	if got := h.Sum64(); got != golden {
-		t.Fatalf("WarmStartCold update stream fingerprint = %#x, want %#x", got, golden)
+		t.Fatalf("always-cold update stream fingerprint = %#x, want %#x", got, golden)
 	}
 }
 

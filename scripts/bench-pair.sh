@@ -16,9 +16,13 @@
 # won (ties count for neither side).
 #
 # The base is extracted with `git archive` into a temporary directory,
-# which leaves nothing behind in .git. Everything runs in the foreground;
-# the EXIT trap removes the temporary directory on every exit path.
+# which leaves nothing behind in .git. Each run is a tracked child in its own
+# process group that the script waits for, so an interrupted comparison
+# (SIGINT, SIGTERM, SIGHUP) kills the run — its build or the benchmark
+# binary — and then removes the temporary directory; so does every other
+# exit path.
 set -euo pipefail
+set -m # each background run gets its own process group
 
 if [ $# -ne 4 ]; then
 	echo "usage: $0 <base-rev> <workload> <pairs> <run-seconds>" >&2
@@ -33,7 +37,18 @@ repo=$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)
 rev=$(git -C "$repo" rev-parse --verify "$base_rev^{commit}")
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench-pair.XXXXXX")
-trap 'rm -rf "$tmp"' EXIT
+child=
+cleanup() {
+	if [ -n "$child" ]; then
+		kill -TERM -- "-$child" 2>/dev/null || true
+		wait "$child" 2>/dev/null || true
+	fi
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 129' HUP
+trap 'exit 130' INT
+trap 'exit 143' TERM
 mkdir "$tmp/base"
 git -C "$repo" archive "$rev" | tar -x -C "$tmp/base"
 
@@ -44,7 +59,10 @@ git -C "$repo" archive "$rev" | tar -x -C "$tmp/base"
 run() {
 	local out=$tmp/$1.$3
 	echo "# $1 seed $3" >&2
-	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$3" --seconds "$run_seconds" --trace 0) >"$out" || true
+	(cd "$2" && exec bash bench/run.sh --workload "$workload" --seed "$3" --seconds "$run_seconds" --trace 0) >"$out" &
+	child=$!
+	wait "$child" || true
+	child=
 	tail -n 1 "$out" >"$out.json"
 	if ! jq -r '"#   correct=\(.correct) failed=\(.failed)/\(.attempted) " + ([.metrics | to_entries[] | "\(.key)=\(.value.value)"] | join(" "))' <"$out.json" >&2; then
 		echo "bench-pair: $1 seed $3 printed no result; its output ends:" >&2
