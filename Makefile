@@ -3,7 +3,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -ldflags "-X cludistream/internal/buildinfo.Version=$(VERSION) -X cludistream/internal/buildinfo.Commit=$(COMMIT)"
 
-.PHONY: all build vet lint test race race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-long
+.PHONY: all build vet lint test race race-score race-query alloc-gate alloc-gate-query recover check no-strays tier1 fuzz bench bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-long
 
 all: check
 
@@ -77,12 +77,14 @@ alloc-gate-query:
 # BenchmarkSiteSteadyStatePruned (K=16); both also fail unless the
 # interval verdict decided tests, so the gate covers that path.
 # Neither may one evaluation of the merge objective: FitMerge's simplex
-# runs ~160 of them per group re-fit on the coordinator's critical path.
+# runs ~160 of them per group re-fit on the coordinator's critical path;
+# and one whole re-fit stays at most 50 allocations (the panel, the
+# vertices and the result — none per iteration).
 alloc-gate:
 	$(REQUIRE_TESTS) 'BenchmarkSiteSteadyState' .
-	$(REQUIRE_TESTS) 'TestMergeObjectiveDoesNotAllocate' ./internal/gaussian/
+	$(REQUIRE_TESTS) 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs' ./internal/gaussian/
 	$(GO) test -run '^$$' -bench 'BenchmarkSiteSteadyState' -benchtime 100x .
-	$(GO) test -run 'TestMergeObjectiveDoesNotAllocate' -count=1 ./internal/gaussian/
+	$(GO) test -run 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs' -count=1 ./internal/gaussian/
 
 # Crash-recovery gate: the coordinator is killed mid-merge under 20%
 # message loss and must recover bit-identical state from its checkpoint +
@@ -95,8 +97,14 @@ recover:
 	$(GO) test -race -run 'TestChaosCoordinatorCrashRecovery' .
 	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix' ./internal/netio/
 
-# Full pre-merge gate.
-check: build lint race-score race-query alloc-gate alloc-gate-query race dst bench-e2e-test
+# Full pre-merge gate. Its last step fails if anything a target started
+# (a daemon, the example, the benchmark, a bench-pair) is still running.
+check: build lint race-score race-query alloc-gate alloc-gate-query race dst bench-e2e-test no-strays
+
+# Lists, and fails on, every process of this repository's targets that is
+# still running (scripts/no-strays.sh); it prints nothing when none is.
+no-strays:
+	@bash scripts/no-strays.sh
 
 # Deterministic simulation testing (internal/dst): sweep seeded
 # whole-system scenarios — flat stars, then random 1-2-layer trees of 100+
@@ -158,17 +166,19 @@ bench-e2e:
 
 # Paired runs of bench-e2e on a base revision and the working tree, which
 # is how a gain is claimed: the sides alternate with the order flipped every
-# pair, seeds from 11 up, and the script prints each end-to-end metric's
-# medians, quartiles, per-pair ratios and win count. The recipe execs the
-# script, so a SIGTERM to make reaches it and it stops its run before
-# exiting. Foreground only, e.g.
-# `make bench-pair BASE=HEAD~1 WORKLOAD=steady PAIRS=10 RUN_SECONDS=28`.
+# pair, seeds from FIRST_SEED up, and the script prints each end-to-end
+# metric's medians, quartiles, per-pair ratios and win count. The recipe
+# execs the script, so a SIGTERM to make reaches it and it stops its run
+# before exiting. Foreground only, e.g.
+# `make bench-pair BASE=HEAD~1 WORKLOAD=steady PAIRS=10 RUN_SECONDS=28`;
+# ten 28 s pairs split into PAIRS=5 with FIRST_SEED=11, then FIRST_SEED=16.
 WORKLOAD ?= steady
 PAIRS ?= 10
 RUN_SECONDS ?= 28
+FIRST_SEED ?= 11
 bench-pair:
 	@test -n "$(BASE)" || { echo "bench-pair: set BASE=<rev>"; exit 2; }
-	exec bash scripts/bench-pair.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(RUN_SECONDS)"
+	exec bash scripts/bench-pair.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)" "$(RUN_SECONDS)" "$(FIRST_SEED)"
 
 # The benchmark's own tests: every workload smoke-run with all self-checks,
 # traced-path parity, BENCHMARK.json ↔ metric catalogue, and the pin that

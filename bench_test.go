@@ -537,15 +537,10 @@ func BenchmarkFitMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkCoordinatorSlidingSteadyState is one chunk of a full sliding
-// window at the coordinator, at the daemons' shape: two sites hold their own
-// fit of one K = 5, d = 4 palette, so every cluster is a two-member group,
-// and a chunk is a WeightUpdate(+M) and the Deletion(−M) of the chunk that
-// left the window, the sites taking turns. The counters oscillate, so after
-// one turn each every pair merge is one the coordinator has fitted before:
-// the benchmark fails unless fits/op is 0.
-func BenchmarkCoordinatorSlidingSteadyState(b *testing.B) {
-	const m, window = 1567, 12 // records per chunk at d = 4, chunks per window
+// slidingCoordinator is a coordinator at the daemons' sliding shape: two
+// sites hold their own fit of one K = 5, d = 4 palette, each counting count
+// records, so every cluster is a two-member group.
+func slidingCoordinator(b *testing.B, count int) (*coordinator.Coordinator, *telemetry.Registry) {
 	reg := telemetry.NewRegistry()
 	c, err := coordinator.New(coordinator.Config{Dim: 4, Telemetry: reg})
 	if err != nil {
@@ -565,13 +560,29 @@ func BenchmarkCoordinatorSlidingSteadyState(b *testing.B) {
 			ws[j] = 1 + 0.1*rng.Float64()
 		}
 		if err := c.HandleUpdate(site.Update{SiteID: siteID, ModelID: 1, Kind: site.NewModel,
-			Mixture: gaussian.MustMixture(ws, comps), Count: window * m}); err != nil {
+			Mixture: gaussian.MustMixture(ws, comps), Count: count}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	if got := len(c.Groups()); got != truth.K() {
 		b.Fatalf("%d groups, want %d two-member groups", got, truth.K())
 	}
+	return c, reg
+}
+
+// slidingChunk is the records per chunk at d = 4, slidingWindow the chunks
+// per window.
+const slidingChunk, slidingWindow = 1567, 12
+
+// BenchmarkCoordinatorSlidingSteadyState is one chunk of a full sliding
+// window at the coordinator, at the daemons' shape (slidingCoordinator):
+// a chunk is a WeightUpdate(+M) and the Deletion(−M) of the chunk that
+// left the window, the sites taking turns. The counters oscillate, so after
+// one turn each every pair merge is one the coordinator has fitted before:
+// the benchmark fails unless fits/op is 0.
+func BenchmarkCoordinatorSlidingSteadyState(b *testing.B) {
+	const m = slidingChunk
+	c, reg := slidingCoordinator(b, slidingWindow*m)
 	chunk := func(i int) {
 		siteID := 1 + i%2
 		if err := c.HandleUpdate(site.Update{SiteID: siteID, ModelID: 1, Kind: site.WeightUpdate, Count: m}); err != nil {
@@ -598,6 +609,31 @@ func BenchmarkCoordinatorSlidingSteadyState(b *testing.B) {
 	b.ReportMetric(perOp, "fits/op")
 	if perOp != 0 {
 		b.Fatalf("%v merges fitted per steady-state chunk, want 0", perOp)
+	}
+}
+
+// BenchmarkCoordinatorSlidingGrowth is one chunk of a sliding window that
+// is still filling, at the same shape: a chunk is a WeightUpdate(+M) alone,
+// the sites taking turns. Every count is new, so no pair merge is one the
+// coordinator has fitted before and each of the five two-member groups
+// re-fits its representative: the benchmark fails unless fits/op is 5.
+func BenchmarkCoordinatorSlidingGrowth(b *testing.B) {
+	const m = slidingChunk
+	c, reg := slidingCoordinator(b, m)
+	fits := reg.Counter("coord.merge_fits")
+	before := fits.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.HandleUpdate(site.Update{SiteID: 1 + i%2, ModelID: 1, Kind: site.WeightUpdate, Count: m}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	perOp := float64(fits.Value()-before) / float64(b.N)
+	b.ReportMetric(perOp, "fits/op")
+	if perOp != 5 {
+		b.Fatalf("%v merges fitted per growing chunk, want 5", perOp)
 	}
 }
 

@@ -47,7 +47,8 @@ func MomentMerge(wi float64, ci *Component, wj float64, cj *Component) (float64,
 // q(x) = (w_i·p_i + w_j·p_j)/(w_i+w_j) and the integrand is averaged as
 // |a(x) − b(x)|/q(x). The estimator is unbiased wherever q > 0, and the
 // merged density i′ always lives between the parents, so coverage is good.
-// nSamples around 256 gives a stable enough signal to steer Nelder–Mead.
+// nSamples ≤ 0 selects 256; FitMerge steers Nelder–Mead with 128 by
+// default (MergeOptions.Samples).
 //
 // The draws and the parent densities do not depend on the merged component,
 // so they live in a lossPanel; L1Loss draws one and scores merged on it.
@@ -71,15 +72,17 @@ type lossPanel struct {
 	xs []linalg.Vector
 	a  []float64 // w_i·p_i(x) + w_j·p_j(x)
 	q  []float64 // a / w, the importance density
-	// Scratch of one evaluation: the d × len(xs) dimension-major panel of
-	// x − μ′ and the squared Mahalanobis distances it reduces to.
+	// Scratch of one evaluation: the d × n panel of x − μ′ that
+	// Cholesky.QuadFormRows works on at every order but 4 (at the daemons'
+	// d = 4 it is not touched), and the squared Mahalanobis distances.
 	diff []float64
 	maha []float64
 }
 
 // newLossPanel draws nSamples points from the normalized parent pair,
-// consuming rng exactly as a per-candidate estimator would, and evaluates
-// the parents on them.
+// consuming rng exactly as a per-candidate estimator would, and then
+// evaluates the parents on all of them; the evaluation draws nothing, so
+// the draws are those of an estimator that interleaves the two.
 func newLossPanel(wi float64, ci *Component, wj float64, cj *Component, nSamples int, rng *rand.Rand) *lossPanel {
 	d := ci.Dim()
 	w := wi + wj
@@ -87,41 +90,51 @@ func newLossPanel(wi float64, ci *Component, wj float64, cj *Component, nSamples
 	p := &lossPanel{
 		w:    w,
 		n:    nSamples,
-		xs:   make([]linalg.Vector, 0, nSamples),
-		a:    make([]float64, 0, nSamples),
-		q:    make([]float64, 0, nSamples),
+		xs:   make([]linalg.Vector, nSamples),
+		a:    make([]float64, nSamples),
+		q:    make([]float64, nSamples),
 		diff: make([]float64, d*nSamples),
 		maha: make([]float64, nSamples),
 	}
 	points := make([]float64, d*nSamples)
-	diff, half := linalg.NewVector(d), linalg.NewVector(d)
-	for s := 0; s < nSamples; s++ {
+	for s := range p.xs {
 		x := linalg.Vector(points[s*d : (s+1)*d : (s+1)*d])
 		if rng.Float64() < pi {
 			ci.SampleInto(rng, x)
 		} else {
 			cj.SampleInto(rng, x)
 		}
-		a := wi*math.Exp(ci.LogProbScratch(x, diff, half)) + wj*math.Exp(cj.LogProbScratch(x, diff, half))
+		p.xs[s] = x
+	}
+	// Each parent's log-density is Component.LogProbScratch's expression,
+	// logNorm − 0.5·maha, on the batched kernel, which is bit-identical to
+	// it per sample. p.a holds p_i(x) until p_j's pass folds it in.
+	ci.chol.QuadFormRows(p.xs, ci.mean, p.diff, p.maha)
+	for s, m := range p.maha {
+		p.a[s] = math.Exp(ci.logNorm - 0.5*m)
+	}
+	cj.chol.QuadFormRows(p.xs, cj.mean, p.diff, p.maha)
+	kept := 0
+	for s, m := range p.maha {
+		a := wi*p.a[s] + wj*math.Exp(cj.logNorm-0.5*m)
 		q := a / w
 		if q <= 0 || math.IsInf(q, 0) || math.IsNaN(q) {
 			continue
 		}
-		p.xs = append(p.xs, x)
-		p.a = append(p.a, a)
-		p.q = append(p.q, q)
+		p.xs[kept], p.a[kept], p.q[kept] = p.xs[s], a, q
+		kept++
 	}
+	p.xs, p.a, p.q = p.xs[:kept], p.a[:kept], p.q[:kept]
 	return p
 }
 
 // loss scores the Gaussian with the given mean, covariance factor and log
 // normalizing constant on the panel. It does not allocate. The candidate's
-// log-densities go through the batched kernels, which are bit-identical to
-// Component.LogProb per sample (see Mixture.scoreBlock).
+// squared Mahalanobis distances come from QuadFormRows, bit-identical per
+// sample to Component.LogProb's.
 func (p *lossPanel) loss(mean linalg.Vector, chol *linalg.Cholesky, logNorm float64) float64 {
 	count := len(p.xs)
-	linalg.SubRowsInto(p.xs, mean, p.diff, count, count)
-	chol.QuadFormPanel(p.diff, count, count, p.maha)
+	chol.QuadFormRows(p.xs, mean, p.diff, p.maha)
 	var acc float64
 	for s := 0; s < count; s++ {
 		b := p.w * math.Exp(logNorm-0.5*p.maha[s])

@@ -488,3 +488,22 @@ func TestMergeObjectiveDoesNotAllocate(t *testing.T) {
 		t.Fatalf("objective at the moment merge = %v", sink)
 	}
 }
+
+// TestFitMergeAllocs bounds the allocations of one whole re-fit of a
+// daemon-shaped pair (d = 4, record-count weights, the coordinator's
+// default options): the panel, the simplex's vertices and the result, none
+// per objective evaluation or per simplex iteration.
+func TestFitMergeAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(69))
+	wi, ci, wj, cj := nearPair(rng, 4)
+	opt := MergeOptions{Seed: 1}
+	_, mean0, cov0 := MomentMerge(wi, ci, wj, cj)
+	if _, c := FitMerge(wi, ci, wj, cj, opt); sameComponentBits(c, MustComponent(mean0, cov0)) {
+		t.Fatal("the pair is not refined past the moment merge: the search is not measured")
+	}
+	allocs := testing.AllocsPerRun(50, func() { FitMerge(wi, ci, wj, cj, opt) })
+	if allocs > 50 {
+		t.Fatalf("one FitMerge allocates %v times, want at most 50", allocs)
+	}
+	t.Logf("%v allocations per FitMerge", allocs)
+}

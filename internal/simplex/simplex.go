@@ -11,9 +11,10 @@
 package simplex
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Options configures a Minimize run. The zero value selects sensible
@@ -54,6 +55,11 @@ type vertex struct {
 	x []float64
 	f float64
 }
+
+// byF orders vertices by objective value. f is never NaN (eval maps NaN to
+// +Inf), so byF(a, b) < 0 exactly when a.f < b.f, and slices.SortFunc —
+// the same pdqsort as sort.Slice — leaves ties where sort.Slice would.
+func byF(a, b vertex) int { return cmp.Compare(a.f, b.f) }
 
 // Minimize runs Nelder–Mead on f starting from x0 and returns the best
 // point found. f must be defined (finite) at x0; elsewhere it may return
@@ -123,7 +129,7 @@ func Minimize(f func([]float64) float64, x0 []float64, opt Options) (Result, err
 	var iter int
 	converged := false
 	for iter = 0; iter < opt.MaxIter; iter++ {
-		sort.Slice(verts, func(a, b int) bool { return verts[a].f < verts[b].f })
+		slices.SortFunc(verts, byF)
 		best, worst := verts[0], verts[n]
 
 		// Convergence: function spread and simplex diameter.
@@ -206,7 +212,7 @@ func Minimize(f func([]float64) float64, x0 []float64, opt Options) (Result, err
 		}
 	}
 
-	sort.Slice(verts, func(a, b int) bool { return verts[a].f < verts[b].f })
+	slices.SortFunc(verts, byF)
 	return Result{
 		X:          verts[0].x,
 		F:          verts[0].f,

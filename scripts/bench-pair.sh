@@ -2,15 +2,17 @@
 # bench-pair: paired runs of the benchmark on a base revision and on the
 # working tree, for claiming (or refuting) a gain on one workload.
 #
-#	bash scripts/bench-pair.sh <base-rev> <workload> <pairs> <run-seconds>
-#	make bench-pair BASE=<rev> WORKLOAD=<w> PAIRS=<n> RUN_SECONDS=<s>
+#	bash scripts/bench-pair.sh <base-rev> <workload> <pairs> <run-seconds> [first-seed]
+#	make bench-pair BASE=<rev> WORKLOAD=<w> PAIRS=<n> RUN_SECONDS=<s> FIRST_SEED=<k>
 #
 # Each side runs the command BENCHMARK.json names, unmodified, from its own
 # checkout: `bash bench/run.sh --workload <w> --seed <k> --seconds <s>
-# --trace 0`, pair i with seed 10+i on both sides. The sides alternate and
-# the order flips every pair (base first in odd pairs, the working tree first
-# in even ones), so a box that speeds up or slows down mid-session moves both
-# sides alike. At the end it prints, per end-to-end metric, each side's
+# --trace 0`, pair i with seed first-seed+i−1 on both sides (first-seed
+# defaults to 11). The sides alternate and the order flips every pair (base
+# first on odd seeds, the working tree first on even ones), so a box that
+# speeds up or slows down mid-session moves both sides alike, and a
+# comparison split over consecutive seed ranges — PAIRS=5 FIRST_SEED=11,
+# then PAIRS=5 FIRST_SEED=16 — runs the pairs one call of PAIRS=10 would. At the end it prints, per end-to-end metric, each side's
 # median [q1, q3] over the runs (statistics.quantiles' exclusive method),
 # the change/base ratio of every pair, and how many pairs the working tree
 # won (ties count for neither side).
@@ -24,14 +26,15 @@
 set -euo pipefail
 set -m # each background run gets its own process group
 
-if [ $# -ne 4 ]; then
-	echo "usage: $0 <base-rev> <workload> <pairs> <run-seconds>" >&2
+if [ $# -ne 4 ] && [ $# -ne 5 ]; then
+	echo "usage: $0 <base-rev> <workload> <pairs> <run-seconds> [first-seed]" >&2
 	exit 2
 fi
-base_rev=$1 workload=$2 pairs=$3 run_seconds=$4
+base_rev=$1 workload=$2 pairs=$3 run_seconds=$4 first_seed=${5:-11}
 command -v jq >/dev/null || { echo "bench-pair: needs jq to read the runs' JSON" >&2; exit 2; }
 case $pairs in '' | *[!0-9]*) echo "bench-pair: PAIRS must be a positive integer" >&2; exit 2 ;; esac
 [ "$pairs" -ge 1 ] || { echo "bench-pair: PAIRS must be a positive integer" >&2; exit 2; }
+case $first_seed in '' | *[!0-9]*) echo "bench-pair: FIRST_SEED must be a non-negative integer" >&2; exit 2 ;; esac
 
 repo=$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)
 rev=$(git -C "$repo" rev-parse --verify "$base_rev^{commit}")
@@ -71,10 +74,10 @@ run() {
 	fi
 }
 
-echo "# bench-pair: $workload, $pairs pairs of $run_seconds s, base $base_rev (${rev:0:12}) vs the working tree of $repo" >&2
+echo "# bench-pair: $workload, $pairs pairs of $run_seconds s from seed $first_seed, base $base_rev (${rev:0:12}) vs the working tree of $repo" >&2
 for ((i = 1; i <= pairs; i++)); do
-	seed=$((10 + i))
-	if ((i % 2)); then
+	seed=$((first_seed + i - 1))
+	if ((seed % 2)); then
 		run base "$tmp/base" "$seed"
 		run change "$repo" "$seed"
 	else
@@ -100,18 +103,19 @@ quartiles() {
 
 value() { jq -r --arg m "$2" '.metrics[$m].value // empty' <"$tmp/$1.json"; }
 
-printf '\n%-24s %-6s  %-42s  %-42s  %s\n' metric better "base median [q1, q3]" "change median [q1, q3]" "change/base per pair (seed 11 up), wins"
+printf '\n%-24s %-6s  %-42s  %-42s  %s\n' metric better "base median [q1, q3]" "change median [q1, q3]" "change/base per pair (seed $first_seed up), wins"
 failed=0
 for ((i = 1; i <= pairs; i++)); do
 	for side in base change; do
-		f=$(jq -r '.failed' <"$tmp/$side.$((10 + i)).json")
+		f=$(jq -r '.failed' <"$tmp/$side.$((first_seed + i - 1)).json")
 		failed=$((failed + f))
 	done
 done
 jq -r '.end_to_end[] | "\(.name) \(.better)"' <"$repo/BENCHMARK.json" | while read -r metric better; do
 	b=() c=() ratios=() wins=0 ties=0
 	for ((i = 1; i <= pairs; i++)); do
-		bv=$(value "base.$((10 + i))" "$metric") cv=$(value "change.$((10 + i))" "$metric")
+		seed=$((first_seed + i - 1))
+		bv=$(value "base.$seed" "$metric") cv=$(value "change.$seed" "$metric")
 		[ -n "$bv" ] && [ -n "$cv" ] || continue
 		b+=("$bv") c+=("$cv")
 		ratios+=("$(awk -v b="$bv" -v c="$cv" 'BEGIN { printf (b == 0 ? "-" : "%.3f"), c / (b == 0 ? 1 : b) }')")
