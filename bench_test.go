@@ -251,6 +251,29 @@ func BenchmarkEMFitChunk(b *testing.B) {
 	}
 }
 
+// BenchmarkEMFitSiteChunk is one refit of the shape a site runs: d = 4,
+// K = 5, a full 1567-record chunk (seven E-step shards) under the site's
+// em.Config defaults (MaxIter 100, Tol 1e-4). ns/record-iter divides the
+// fit time by records × EM iterations, the cost of one fused E+M visit to
+// one record.
+func BenchmarkEMFitSiteChunk(b *testing.B) {
+	m := benchMixture(5, 4)
+	data := m.SampleN(rand.New(rand.NewSource(2)), 1567)
+	var iters int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := em.Fit(data, em.Config{K: 5, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters = res.Iterations
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(iters), "iters/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)*iters), "ns/record-iter")
+}
+
 func BenchmarkSiteObserve(b *testing.B) {
 	st, err := site.New(site.Config{
 		SiteID: 1, Dim: 4, K: 5, Epsilon: 0.1, FitEps: 0.8, Delta: 0.01, Seed: 1,

@@ -368,7 +368,9 @@ func initialModel(data []linalg.Vector, cfg Config, rng *rand.Rand) (*gaussian.M
 // modelFromStats is the M-step: weights, means and covariances from the
 // per-component sufficient statistics. Empty or near-empty components are
 // re-seeded at a random record with the global covariance so EM can recover
-// rather than divide by zero.
+// rather than divide by zero. The global covariance costs a pass over data,
+// so it is computed once, on the first dead component, and shared by the
+// rest (NewComponent keeps its own copy).
 func modelFromStats(stats []*SuffStats, data []linalg.Vector, cfg Config, rng *rand.Rand) (*gaussian.Mixture, error) {
 	k := len(stats)
 	var totalW float64
@@ -377,12 +379,15 @@ func modelFromStats(stats []*SuffStats, data []linalg.Vector, cfg Config, rng *r
 	}
 	weights := make([]float64, k)
 	comps := make([]*gaussian.Component, k)
+	var gcov *linalg.Sym
 	for j, s := range stats {
 		if s.W < 1e-9 {
 			// Dead component: restart it at a random record.
 			mean := data[rng.Intn(len(data))].Clone()
-			cov := globalCov(data, cfg.MinVar)
-			c, err := gaussian.NewComponent(mean, cov, cfg.MinVar)
+			if gcov == nil {
+				gcov = globalCov(data, cfg.MinVar)
+			}
+			c, err := gaussian.NewComponent(mean, gcov, cfg.MinVar)
 			if err != nil {
 				return nil, err
 			}

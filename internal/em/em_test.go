@@ -1,6 +1,7 @@
 package em
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -359,5 +360,78 @@ func TestFitInitModelNearSingular(t *testing.T) {
 		if w := res.Mixture.Weight(j); math.IsNaN(w) || w <= 0 {
 			t.Fatalf("component %d weight = %v", j, w)
 		}
+	}
+}
+
+// perComponentGlobalCovModel is modelFromStats as it was before the global
+// covariance was shared: every dead component recomputes it with its own
+// pass over data. deadMax records the most dead components one call saw.
+func perComponentGlobalCovModel(deadMax *int) mStep {
+	return func(stats []*SuffStats, data []linalg.Vector, cfg Config, rng *rand.Rand) (*gaussian.Mixture, error) {
+		k := len(stats)
+		var totalW float64
+		for _, s := range stats {
+			totalW += s.W
+		}
+		weights := make([]float64, k)
+		comps := make([]*gaussian.Component, k)
+		dead := 0
+		for j, s := range stats {
+			if s.W < 1e-9 {
+				dead++
+				mean := data[rng.Intn(len(data))].Clone()
+				cov := globalCov(data, cfg.MinVar)
+				c, err := gaussian.NewComponent(mean, cov, cfg.MinVar)
+				if err != nil {
+					return nil, err
+				}
+				comps[j] = c
+				weights[j] = 1 / float64(len(data))
+				continue
+			}
+			cov := s.Cov(cfg.MinVar)
+			if cfg.CovType == DiagCov {
+				cov = linalg.Diagonal(cov.Diag())
+			}
+			c, err := gaussian.NewComponent(s.Mean(), cov, cfg.MinVar)
+			if err != nil {
+				return nil, err
+			}
+			comps[j] = c
+			weights[j] = s.W / totalW
+		}
+		*deadMax = max(*deadMax, dead)
+		return gaussian.NewMixture(weights, comps)
+	}
+}
+
+// TestFitSharedGlobalCovBitIdentical: K = 5 on data holding two distinct
+// points leaves several components dead in one M-step. Computing the
+// global covariance once for all of them must give the fit that
+// recomputing it per dead component gave, bit for bit, with every rng draw
+// in place.
+func TestFitSharedGlobalCovBitIdentical(t *testing.T) {
+	for _, d := range []int{2, 4} {
+		data := make([]linalg.Vector, 60)
+		for i := range data {
+			data[i] = linalg.NewVector(d)
+			if i%3 == 0 {
+				data[i][0], data[i][d-1] = 4, -1.5
+			}
+		}
+		cfg := Config{K: 5, Seed: 3}
+		got, err := Fit(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var deadMax int
+		want, err := recordOuterFit(data, cfg, perComponentGlobalCovModel(&deadMax))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deadMax < 2 {
+			t.Fatalf("d=%d: at most %d dead components in one M-step, want at least 2", d, deadMax)
+		}
+		resultsBitIdentical(t, fmt.Sprintf("d=%d", d), got, want)
 	}
 }

@@ -75,25 +75,22 @@ func newEWorkspace(n, d, k int) *eWorkspace {
 }
 
 // runShard computes shard si: batched posteriors over its record range and
-// the shard-local sufficient statistics, accumulated in record order.
+// the shard-local sufficient statistics. Components run outer and records
+// inner (SuffStats.AddColumn), so at order 4 each component's sums stay in
+// registers across the shard. Every accumulator still receives its
+// additions in record order, the sequence a record-outer loop gives it, so
+// the fit is bit-identical to one.
 func (ws *eWorkspace) runShard(si int, data []linalg.Vector, mix *gaussian.Mixture, st *workerState) {
 	k := mix.K()
 	lo := si * eShardSize
 	hi := min(lo+eShardSize, len(data))
 	xs := data[lo:hi]
 	sh := &ws.shards[si]
-	for j := range sh.stats {
-		sh.stats[j].Reset()
-	}
 	sh.sumLL = mix.PosteriorBatch(xs, st.post, nil, st.batch)
 	post := st.post.Data()
-	for p, x := range xs {
-		row := post[p*k : p*k+k]
-		for j, r := range row {
-			if r > 0 {
-				sh.stats[j].Add(x, r)
-			}
-		}
+	for j, s := range sh.stats {
+		s.Reset()
+		s.AddColumn(xs, post, k, j)
 	}
 }
 

@@ -1,6 +1,7 @@
 package em
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -55,17 +56,32 @@ func mixturesBitIdentical(a, b *gaussian.Mixture) bool {
 	return true
 }
 
-// assertFitInvariant fits data once per GOMAXPROCS value in procs and
-// fails unless every fit is bit-identical to the first: same iterations,
-// convergence flag, average log-likelihood and mixture.
-func assertFitInvariant(t *testing.T, data []linalg.Vector, procs []int) {
+// resultsBitIdentical fails unless two fits agree to the last bit: same
+// iterations, convergence flag, average log-likelihood and mixture.
+func resultsBitIdentical(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	if got.Iterations != want.Iterations || got.Converged != want.Converged {
+		t.Fatalf("%s: iterations/converged (%d,%v) != (%d,%v)",
+			what, got.Iterations, got.Converged, want.Iterations, want.Converged)
+	}
+	if math.Float64bits(got.AvgLogLikelihood) != math.Float64bits(want.AvgLogLikelihood) {
+		t.Fatalf("%s: avgLL %v != %v", what, got.AvgLogLikelihood, want.AvgLogLikelihood)
+	}
+	if !mixturesBitIdentical(got.Mixture, want.Mixture) {
+		t.Fatalf("%s: mixture differs", what)
+	}
+}
+
+// assertFitInvariant fits data with k components once per GOMAXPROCS
+// value in procs and fails unless every fit is bit-identical to the first.
+func assertFitInvariant(t *testing.T, data []linalg.Vector, k int, procs []int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
 	var ref *Result
 	for _, p := range procs {
 		runtime.GOMAXPROCS(p)
-		res, err := Fit(data, Config{K: 4, Seed: 5})
+		res, err := Fit(data, Config{K: k, Seed: 5})
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", p, err)
 		}
@@ -73,16 +89,7 @@ func assertFitInvariant(t *testing.T, data []linalg.Vector, procs []int) {
 			ref = res
 			continue
 		}
-		if res.Iterations != ref.Iterations || res.Converged != ref.Converged {
-			t.Fatalf("GOMAXPROCS=%d: iterations/converged (%d,%v) != (%d,%v)",
-				p, res.Iterations, res.Converged, ref.Iterations, ref.Converged)
-		}
-		if math.Float64bits(res.AvgLogLikelihood) != math.Float64bits(ref.AvgLogLikelihood) {
-			t.Fatalf("GOMAXPROCS=%d: avgLL %v != %v", p, res.AvgLogLikelihood, ref.AvgLogLikelihood)
-		}
-		if !mixturesBitIdentical(res.Mixture, ref.Mixture) {
-			t.Fatalf("GOMAXPROCS=%d: mixture differs from GOMAXPROCS=%d", p, procs[0])
-		}
+		resultsBitIdentical(t, fmt.Sprintf("GOMAXPROCS=%d vs %d", p, procs[0]), res, ref)
 	}
 }
 
@@ -103,22 +110,32 @@ func TestFitWorkerCountInvariant(t *testing.T) {
 		}
 	}
 	runtime.GOMAXPROCS(old)
-	assertFitInvariant(t, data, counts)
+	assertFitInvariant(t, data, 4, counts)
 }
 
-// TestFitGOMAXPROCSInvariant repeats the invariance check on a second
-// dataset under the runtime's own parallelism knob, which sizes the pool.
+// TestFitGOMAXPROCSInvariant repeats the invariance check on more datasets
+// under the runtime's own parallelism knob, which sizes the pool: one at
+// d = 8 and one of the daemons' shape (d = 4, K = 5), which runs the
+// order-4 register kernel.
 func TestFitGOMAXPROCSInvariant(t *testing.T) {
-	assertFitInvariant(t, parallelTestData(1500, 4, 8, 22), []int{1, 2, 8})
+	assertFitInvariant(t, parallelTestData(1500, 4, 8, 22), 4, []int{1, 2, 8})
+	assertFitInvariant(t, parallelTestData(1567, 5, 4, 22), 5, []int{1, 2, 8})
 }
 
 // TestFitMatchesScalarSequential pins the batched/sharded Fit to the
 // pre-batching scalar algorithm, replicated here point-at-a-time with
 // PosteriorInto. With n ≤ one shard the fixed-order reduction degenerates
-// to plain sequential accumulation, so the match must be bit-exact.
+// to plain sequential accumulation, so the match must be bit-exact. It runs
+// at d = 2, 8 and at d = 4, where the accumulation is the register kernel.
 func TestFitMatchesScalarSequential(t *testing.T) {
+	for _, d := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) { fitMatchesScalarSequential(t, d) })
+	}
+}
+
+func fitMatchesScalarSequential(t *testing.T, d int) {
 	n := eShardSize - 6 // single shard
-	data := parallelTestData(n, 3, 8, 23)
+	data := parallelTestData(n, 3, d, 23)
 	cfg := Config{K: 3, Seed: 9}.withDefaults()
 
 	res, err := Fit(data, cfg)
@@ -132,7 +149,6 @@ func TestFitMatchesScalarSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := len(data[0])
 	post := make([]float64, cfg.K)
 	stats := make([]*SuffStats, cfg.K)
 	for j := range stats {
@@ -217,5 +233,120 @@ func TestFitMultiShardCloseToScalar(t *testing.T) {
 
 	if !res.Mixture.ApproxEqual(mix, 1e-9, 1e-9) {
 		t.Fatal("multi-shard Fit drifted from the scalar sequential reference")
+	}
+}
+
+// mStep is modelFromStats's signature, so an oracle can swap in another
+// M-step.
+type mStep func([]*SuffStats, []linalg.Vector, Config, *rand.Rand) (*gaussian.Mixture, error)
+
+// recordOuterFit is Fit with the fused E+M pass written the plain way:
+// each fixed shard's posteriors from PosteriorBatch, its statistics
+// accumulated record-outer (every component of one record before the next
+// record) through Add, and the shards reduced in ascending order. It is the
+// oracle the component-outer runShard must match bit for bit. mstep is the
+// M-step it runs, initial model included.
+func recordOuterFit(data []linalg.Vector, cfg Config, mstep mStep) (*Result, error) {
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	d, k := len(data[0]), cfg.K
+	mix := cfg.InitModel
+	if mix == nil {
+		centers := kMeansPlusPlus(data, k, rng)
+		init := make([]*SuffStats, k)
+		for j := range init {
+			init[j] = NewSuffStats(d)
+		}
+		for i, j := range hardAssign(data, centers) {
+			init[j].Add(data[i], 1)
+		}
+		var err error
+		if mix, err = mstep(init, data, cfg, rng); err != nil {
+			return nil, err
+		}
+	}
+	stats := make([]*SuffStats, k)
+	shard := make([]*SuffStats, k)
+	for j := range stats {
+		stats[j], shard[j] = NewSuffStats(d), NewSuffStats(d)
+	}
+	postM := linalg.NewMatrix(0, 0)
+	scratch := gaussian.NewBatchScratch()
+	prevAvgLL := math.Inf(-1)
+	converged := false
+	var iter int
+	for iter = 0; iter < cfg.MaxIter; iter++ {
+		for j := range stats {
+			stats[j].Reset()
+		}
+		var sumLL float64
+		for lo := 0; lo < len(data); lo += eShardSize {
+			xs := data[lo:min(lo+eShardSize, len(data))]
+			for j := range shard {
+				shard[j].Reset()
+			}
+			sumLL += mix.PosteriorBatch(xs, postM, nil, scratch)
+			post := postM.Data()
+			for p, x := range xs {
+				for j, r := range post[p*k : p*k+k] {
+					if r > 0 {
+						shard[j].Add(x, r)
+					}
+				}
+			}
+			for j := range stats {
+				stats[j].Merge(shard[j])
+			}
+		}
+		avgLL := sumLL / float64(len(data))
+		var err error
+		if mix, err = mstep(stats, data, cfg, rng); err != nil {
+			return nil, err
+		}
+		if cfg.converged(avgLL, prevAvgLL) {
+			converged = true
+			iter++
+			break
+		}
+		prevAvgLL = avgLL
+	}
+	return &Result{
+		Mixture:          mix,
+		AvgLogLikelihood: mix.AvgLogLikelihood(data),
+		Iterations:       iter,
+		Converged:        converged,
+	}, nil
+}
+
+// TestFitMatchesRecordOuterDaemonShape pins Fit at the daemons' shape — d
+// = 4, K = 5, a 1567-record chunk (seven shards) under the site's em.Config
+// defaults — to the record-outer oracle, bit for bit, cold and warm-started
+// from the cold fit of another chunk. This is the only em test that runs
+// the order-4 register kernel over many shards and iterations.
+func TestFitMatchesRecordOuterDaemonShape(t *testing.T) {
+	for _, seed := range []int64{25, 26, 27} {
+		data := parallelTestData(1567, 5, 4, seed)
+		cold := Config{K: 5, Seed: seed}
+		got, err := Fit(data, cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := recordOuterFit(data, cold, modelFromStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsBitIdentical(t, fmt.Sprintf("seed %d cold", seed), got, want)
+
+		next := parallelTestData(1567, 5, 4, seed+100)
+		warm := Config{K: 5, Seed: seed, InitModel: got.Mixture, RelTol: 1e-4}
+		got, err = Fit(next, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = recordOuterFit(next, warm, modelFromStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsBitIdentical(t, fmt.Sprintf("seed %d warm", seed), got, want)
 	}
 }

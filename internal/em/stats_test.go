@@ -162,3 +162,67 @@ func TestHardAssign(t *testing.T) {
 		}
 	}
 }
+
+// suffStatsBitIdentical reports whether two statistics are equal to the
+// last bit: W, every Sum entry and every packed Scatter entry.
+func suffStatsBitIdentical(a, b *SuffStats) bool {
+	if math.Float64bits(a.W) != math.Float64bits(b.W) {
+		return false
+	}
+	for i := range a.Sum {
+		if math.Float64bits(a.Sum[i]) != math.Float64bits(b.Sum[i]) {
+			return false
+		}
+	}
+	ap, bp := a.Scatter.Packed(), b.Scatter.Packed()
+	for i := range ap {
+		if math.Float64bits(ap[i]) != math.Float64bits(bp[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAddColumnMatchesAdd pins the E+M accumulation kernel to per-record
+// Add, bit for bit, at every order from 1 to 8 (order 4 is the
+// register-resident path): every column of a posterior tile, starting from
+// non-zero statistics, with weights that are zero, negative, NaN,
+// subnormal, near the ends of the float64 range and ordinary.
+func TestAddColumnMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	special := []float64{0, -0.5, math.NaN(), 5e-324, 2.5e-310, 1e300, 1e-300, 1}
+	const n, k = 97, 5
+	for d := 1; d <= 8; d++ {
+		xs := make([]linalg.Vector, n)
+		for p := range xs {
+			xs[p] = linalg.NewVector(d)
+			for i := range xs[p] {
+				xs[p][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+		}
+		post := make([]float64, n*k)
+		for i := range post {
+			if rng.Intn(3) == 0 {
+				post[i] = special[rng.Intn(len(special))]
+			} else {
+				post[i] = rng.Float64()
+			}
+		}
+		for col := 0; col < k; col++ {
+			want, got := NewSuffStats(d), NewSuffStats(d)
+			for _, s := range []*SuffStats{want, got} {
+				s.Add(xs[col], 0.25+float64(col))
+			}
+			for p, x := range xs {
+				if r := post[p*k+col]; r > 0 {
+					want.Add(x, r)
+				}
+			}
+			got.AddColumn(xs, post, k, col)
+			if !suffStatsBitIdentical(got, want) {
+				t.Fatalf("d=%d column %d: AddColumn differs from per-record Add:\ngot  %v %v %v\nwant %v %v %v",
+					d, col, got.W, got.Sum, got.Scatter.Packed(), want.W, want.Sum, want.Scatter.Packed())
+			}
+		}
+	}
+}

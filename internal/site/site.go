@@ -708,6 +708,8 @@ func (s *Site) clusterNewModel(data []linalg.Vector, seed *gaussian.Mixture) ([]
 	s.fitNote = ""
 
 	var mixture *gaussian.Mixture
+	var refLL float64
+	haveRef := false
 	switch {
 	case s.cfg.AutoKMax > 0:
 		kMin := s.cfg.AutoKMin
@@ -742,10 +744,18 @@ func (s *Site) clusterNewModel(data []linalg.Vector, seed *gaussian.Mixture) ([]
 			return nil, fmt.Errorf("site %d: EM on chunk %d: %w", s.cfg.SiteID, s.chunkNum, err)
 		}
 		mixture = res.Mixture
+		if !s.cfg.SharpTest {
+			// IsIncomplete sent every chunk with a NaN attribute to the
+			// case above, so Complete() is data itself and the fit's own
+			// final scan is exactly chunkAvgLL's.
+			refLL, haveRef = res.AvgLogLikelihood, true
+		}
 	}
 	fitSpan.End(s.nextModelID, s.fitNote)
 
-	refLL := s.chunkAvgLL(mixture)
+	if !haveRef {
+		refLL = s.chunkAvgLL(mixture)
+	}
 	m := &Model{
 		ID:         s.nextModelID,
 		Mixture:    mixture,

@@ -1213,3 +1213,71 @@ func TestSiteSteadyStatePrunedZeroAlloc(t *testing.T) {
 		t.Error("steady state never used the interval verdict")
 	}
 }
+
+// TestRefAvgLLIsChunkScan pins every installed model's Avg_Pr0 to the exact
+// chunk scan chunkAvgLL would compute for it, bit for bit, whichever fitter
+// produced the model: cold and warm plain-EM refits (whose reference is the
+// fit's own final scan), audited refits won by either arm, SharpTest's
+// max-component statistic, SMEM, the BIC K-sweep and incomplete-data EM.
+func TestRefAvgLLIsChunkScan(t *testing.T) {
+	base := Config{
+		SiteID: 1, Dim: 4, K: 3, Epsilon: 0.1, Delta: 0.01,
+		CMax: 4, Seed: 1, ChunkSize: 300,
+	}
+	notes := map[string]int{}
+	run := func(name string, cfg Config, auditEvery int, missing float64) {
+		t.Helper()
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if auditEvery > 0 {
+			s.auditEvery = auditEvery
+		}
+		rng := rand.New(rand.NewSource(9))
+		refits := 0
+		for d := 0; d <= 14; d++ {
+			data := driftMix(0.3*float64(d)).SampleN(rng, s.ChunkSize())
+			for _, x := range data {
+				if rng.Float64() < missing {
+					x[rng.Intn(len(x))] = math.NaN()
+				}
+			}
+			before := s.Stats().Refits
+			if _, err := s.ProcessChunk(data); err != nil {
+				t.Fatalf("%s: chunk %d: %v", name, d, err)
+			}
+			if s.Stats().Refits == before {
+				continue
+			}
+			refits++
+			notes[s.fitNote]++
+			got, want := s.Current().RefAvgLL, s.chunkAvgLL(s.Current().Mixture)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: chunk %d (%s refit): RefAvgLL = %v, chunk scan = %v",
+					name, d, s.fitNote, got, want)
+			}
+		}
+		if refits < 2 {
+			t.Fatalf("%s: %d refits over the drift stream, want at least 2", name, refits)
+		}
+	}
+	run("plain", base, 0, 0)
+	run("audit-every-refit", base, 1, 0)
+	sharp := base
+	sharp.SharpTest = true
+	run("sharp", sharp, 1, 0)
+	smem := base
+	smem.UseSMEM = true
+	run("smem", smem, 0, 0)
+	autoK := base
+	autoK.AutoKMax = 4
+	run("auto-k", autoK, 0, 0)
+	run("missing-attributes", base, 0, 0.2)
+	for _, note := range []string{"cold", "warm", "audit-cold-win", "audit-warm-win", "smem", "auto-k", "incomplete"} {
+		if notes[note] == 0 {
+			t.Errorf("no refit took the %q path: %v", note, notes)
+		}
+	}
+	t.Logf("refits by path: %v", notes)
+}
