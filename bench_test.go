@@ -229,17 +229,6 @@ func BenchmarkMixtureLogPDF(b *testing.B) {
 	}
 }
 
-func BenchmarkMixturePosterior(b *testing.B) {
-	m := benchMixture(5, 4)
-	x := linalg.Vector{1, -1, 0.5, 2}
-	dst := make([]float64, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.PosteriorInto(x, dst)
-	}
-}
-
 func BenchmarkEMFitChunk(b *testing.B) {
 	m := benchMixture(5, 4)
 	data := m.SampleN(rand.New(rand.NewSource(2)), 314)
@@ -366,24 +355,8 @@ func benchData(m *gaussian.Mixture, n int, seed int64) []linalg.Vector {
 	return m.SampleN(rand.New(rand.NewSource(seed)), n)
 }
 
-// BenchmarkScoreScalar / BenchmarkScoreBatch compare per-record LogPDF
-// against the blocked panel scorer on the same 1024-record workload
+// BenchmarkScoreBatch times the blocked scorer on a 1024-record workload
 // (d=8, K=4 — the regime the batch layer targets).
-func BenchmarkScoreScalar(b *testing.B) {
-	m := benchMixture(4, 8)
-	data := benchData(m, 1024, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum float64
-		for _, x := range data {
-			sum += m.LogPDF(x)
-		}
-		_ = sum
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(data)), "ns/record")
-}
-
 func BenchmarkScoreBatch(b *testing.B) {
 	m := benchMixture(4, 8)
 	data := benchData(m, 1024, 4)
@@ -397,25 +370,8 @@ func BenchmarkScoreBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(data)), "ns/record")
 }
 
-// BenchmarkPosteriorScalar / BenchmarkPosteriorBatch compare the E-step
-// responsibility computation record-at-a-time against the batched panel
-// path.
-func BenchmarkPosteriorScalar(b *testing.B) {
-	m := benchMixture(4, 8)
-	data := benchData(m, 1024, 5)
-	post := make([]float64, m.K())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum float64
-		for _, x := range data {
-			sum += m.PosteriorInto(x, post)
-		}
-		_ = sum
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(data)), "ns/record")
-}
-
+// BenchmarkPosteriorBatch times the E-step responsibility kernel on the
+// same shape.
 func BenchmarkPosteriorBatch(b *testing.B) {
 	m := benchMixture(4, 8)
 	data := benchData(m, 1024, 5)
@@ -472,44 +428,8 @@ func BenchmarkCholeskyDecompose(b *testing.B) {
 	}
 }
 
-// BenchmarkQuadFormScalar / BenchmarkQuadFormPanel compare the scalar
-// Mahalanobis quadratic form against the blocked panel solve at d=8 over
-// a 128-record panel (one batch block).
-func BenchmarkQuadFormScalar(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	const d, n = 8, 128
-	cov := linalg.NewSym(d)
-	for t := 0; t < d+2; t++ {
-		v := linalg.NewVector(d)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		cov.AddOuterScaled(1, v)
-	}
-	chol, err := linalg.CholeskyDecompose(cov)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := make([]linalg.Vector, n)
-	for p := range xs {
-		xs[p] = linalg.NewVector(d)
-		for i := range xs[p] {
-			xs[p][i] = rng.NormFloat64()
-		}
-	}
-	scratch := linalg.NewVector(d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum float64
-		for _, x := range xs {
-			sum += chol.QuadFormScratch(x, scratch)
-		}
-		_ = sum
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/record")
-}
-
+// BenchmarkQuadFormPanel times the blocked Mahalanobis solve at d=8 over a
+// 128-record panel (one batch block).
 func BenchmarkQuadFormPanel(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	const d, n = 8, 128

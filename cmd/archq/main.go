@@ -8,11 +8,14 @@
 //	archq -in site1.arch -at 7             # which model governed chunk 7
 //	archq -in site1.arch -eval data.csv    # avg log-likelihood of the
 //	                                       # landmark model on a CSV data set
+//	                                       # (exit 2 unless its width is d)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -92,18 +95,39 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		data, err := stream.ReadCSV(ef)
+		err = evalCSV(os.Stdout, a, ef)
 		ef.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
+			if errors.Is(err, errWidth) {
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
-		lm := a.LandmarkMixture()
-		if lm == nil {
-			fmt.Println("archive has no models to evaluate")
-			return
-		}
-		fmt.Printf("landmark model avg log-likelihood on %d records: %.4f\n",
-			len(data), lm.AvgLogLikelihood(data))
 	}
+}
+
+// errWidth marks a CSV whose records do not have the archive's width.
+var errWidth = errors.New("archq: -eval CSV width does not match the archive")
+
+// evalCSV scores the CSV records read from r under the archive's landmark
+// model and prints their average log-likelihood to w. The scoring kernels
+// read the first Dim coordinates of a record and check no length, so a
+// CSV of any other width is refused before anything is scored.
+func evalCSV(w io.Writer, a *persist.SiteArchive, r io.Reader) error {
+	data, err := stream.ReadCSV(r)
+	if err != nil {
+		return err
+	}
+	if len(data) > 0 && len(data[0]) != a.Dim {
+		return fmt.Errorf("%w: %d columns, want d=%d", errWidth, len(data[0]), a.Dim)
+	}
+	lm := a.LandmarkMixture()
+	if lm == nil {
+		fmt.Fprintln(w, "archive has no models to evaluate")
+		return nil
+	}
+	fmt.Fprintf(w, "landmark model avg log-likelihood on %d records: %.4f\n",
+		len(data), lm.AvgLogLikelihood(data))
+	return nil
 }

@@ -122,9 +122,28 @@ func TestFitGOMAXPROCSInvariant(t *testing.T) {
 	assertFitInvariant(t, parallelTestData(1567, 5, 4, 22), 5, []int{1, 2, 8})
 }
 
+// scalarPosterior writes Pr(j|x) (Eq. 2) into post and returns log p(x),
+// one record at a time from Component.LogProb, log(w_j) and LogAdd: the
+// scalar E-step the batched PosteriorBatch kernel replaced.
+func scalarPosterior(mix *gaussian.Mixture, x linalg.Vector, post []float64) float64 {
+	lse := math.Inf(-1)
+	for j := range post {
+		post[j] = math.Log(mix.Weight(j)) + mix.Component(j).LogProb(x)
+		lse = gaussian.LogAdd(lse, post[j])
+	}
+	for j, lp := range post {
+		if math.IsInf(lp, -1) {
+			post[j] = 0
+		} else {
+			post[j] = math.Exp(lp - lse)
+		}
+	}
+	return lse
+}
+
 // TestFitMatchesScalarSequential pins the batched/sharded Fit to the
 // pre-batching scalar algorithm, replicated here point-at-a-time with
-// PosteriorInto. With n ≤ one shard the fixed-order reduction degenerates
+// scalarPosterior. With n ≤ one shard the fixed-order reduction degenerates
 // to plain sequential accumulation, so the match must be bit-exact. It runs
 // at d = 2, 8 and at d = 4, where the accumulation is the register kernel.
 func TestFitMatchesScalarSequential(t *testing.T) {
@@ -161,7 +180,7 @@ func fitMatchesScalarSequential(t *testing.T, d int) {
 		}
 		var sumLL float64
 		for _, x := range data {
-			sumLL += mix.PosteriorInto(x, post)
+			sumLL += scalarPosterior(mix, x, post)
 			for j := 0; j < cfg.K; j++ {
 				if post[j] > 0 {
 					stats[j].Add(x, post[j])
@@ -213,7 +232,7 @@ func TestFitMultiShardCloseToScalar(t *testing.T) {
 		}
 		var sumLL float64
 		for _, x := range data {
-			sumLL += mix.PosteriorInto(x, post)
+			sumLL += scalarPosterior(mix, x, post)
 			for j := 0; j < cfg.K; j++ {
 				if post[j] > 0 {
 					stats[j].Add(x, post[j])

@@ -54,9 +54,8 @@ var scratchPool = sync.Pool{New: func() any { return NewBatchScratch() }}
 // scoreBlock fills s.logp[p*K+j] = log(w_j·p(x_p|j)) for the records xs
 // (at most BatchBlock of them), batched per component: one
 // Cholesky.QuadFormRows call per component. Per record the arithmetic and
-// its order match the scalar logW[j] + (logNorm − ½·QuadForm) path
-// exactly, so every entry is bit-identical to what
-// PosteriorInto/logPDFScratch would compute.
+// its order match the scalar log(w_j) + Component.LogProb(x) exactly, so
+// every entry is bit-identical to it.
 func (m *Mixture) scoreBlock(xs []linalg.Vector, s *BatchScratch) {
 	k := len(m.comps)
 	count := len(xs)
@@ -75,9 +74,9 @@ func (m *Mixture) scoreBlock(xs []linalg.Vector, s *BatchScratch) {
 	}
 }
 
-// lseRows reduces each K-wide row of logp with the same sequential LogAdd
-// chain the scalar path uses (−Inf entries are no-ops), keeping the fused
-// reduction bit-identical to LogPDF.
+// lseRows reduces each K-wide row of logp with one sequential LogAdd chain
+// in component order (−Inf entries are no-ops), the reduction every
+// kernel below shares.
 func lseRows(logp []float64, count, k int, dst []float64) {
 	for p := 0; p < count; p++ {
 		row := logp[p*k : p*k+k]
@@ -90,10 +89,10 @@ func lseRows(logp []float64, count, k int, dst []float64) {
 }
 
 // ScoreBatch writes log p(x) for every record of data into dst (len(data)
-// long), bit-identical to calling LogPDF per record but batched: per-model
-// constants are loaded once per block instead of once per record. Pass a
-// reusable scratch for allocation-free operation, or nil to borrow one
-// from an internal pool.
+// long), batched: per-model constants are loaded once per block instead of
+// once per record. LogPDF is ScoreBatch on one record. Pass a reusable
+// scratch for allocation-free operation, or nil to borrow one from an
+// internal pool.
 func (m *Mixture) ScoreBatch(data []linalg.Vector, dst []float64, s *BatchScratch) {
 	if len(dst) != len(data) {
 		panic("gaussian: ScoreBatch dst length mismatch")
@@ -114,7 +113,7 @@ func (m *Mixture) ScoreBatch(data []linalg.Vector, dst []float64, s *BatchScratc
 // ClassifyBatch assigns every record of data to its argmax-posterior
 // component: idx[p] is the winner (strict >, so ties go to the lowest
 // index), logPDF[p] is log p(x) reduced with the same sequential LogAdd
-// chain as LogPDF, and logPost[p] is the winner's log w_j·p(x|j) minus
+// chain as ScoreBatch, and logPost[p] is the winner's log w_j·p(x|j) minus
 // logPDF[p]. All three must be len(data) long. It is the block kernel of
 // classification, as ScoreBatch is of density.
 func (m *Mixture) ClassifyBatch(data []linalg.Vector, idx []int, logPost, logPDF []float64, s *BatchScratch) {
@@ -148,8 +147,8 @@ func (m *Mixture) ClassifyBatch(data []linalg.Vector, idx []int, logPost, logPDF
 // PosteriorBatch computes posteriors Pr(j|x) (Eq. 2) for every record of
 // data into the rows of post (reshaped to len(data)×K) and, when logpdf is
 // non-nil, the per-record log p(x) into it. It returns Σ log p(x) summed
-// in record order. Results are bit-identical to PosteriorInto per record;
-// this is the E-step kernel.
+// in record order. It is the E-step kernel, and the one source of
+// posteriors for SMEM's split score and J_merge.
 func (m *Mixture) PosteriorBatch(data []linalg.Vector, post *linalg.Matrix, logpdf []float64, s *BatchScratch) float64 {
 	if logpdf != nil && len(logpdf) != len(data) {
 		panic("gaussian: PosteriorBatch logpdf length mismatch")

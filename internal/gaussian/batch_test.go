@@ -56,9 +56,9 @@ func randData(rng *rand.Rand, n, d int) []linalg.Vector {
 	return out
 }
 
-// TestScoreBatchBitIdentical pins the batched scorer to the scalar LogPDF
-// path bit-for-bit, across dimensions, component counts, zero weights, and
-// data sizes that straddle the block boundary.
+// TestScoreBatchBitIdentical pins the batched scorer, and LogPDF on top of
+// it, to the scalar oracle bit-for-bit, across dimensions, component
+// counts, zero weights, and data sizes that straddle the block boundary.
 func TestScoreBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct {
@@ -77,17 +77,21 @@ func TestScoreBatchBitIdentical(t *testing.T) {
 		got := make([]float64, tc.n)
 		m.ScoreBatch(data, got, NewBatchScratch())
 		for i, x := range data {
-			want := m.LogPDF(x)
+			want := oracleLogPDF(m, x)
 			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("K=%d d=%d n=%d zero=%v: record %d ScoreBatch=%v LogPDF=%v",
+				t.Fatalf("K=%d d=%d n=%d zero=%v: record %d ScoreBatch=%v oracle=%v",
 					tc.k, tc.d, tc.n, tc.zeroWeight, i, got[i], want)
+			}
+			if lp := m.LogPDF(x); math.Float64bits(lp) != math.Float64bits(want) {
+				t.Fatalf("K=%d d=%d n=%d zero=%v: record %d LogPDF=%v oracle=%v",
+					tc.k, tc.d, tc.n, tc.zeroWeight, i, lp, want)
 			}
 		}
 	}
 }
 
 // TestPosteriorBatchBitIdentical pins PosteriorBatch (posteriors, per-record
-// log-likelihoods, and their ordered sum) to PosteriorInto bit-for-bit.
+// log-likelihoods, and their ordered sum) to the scalar oracle bit-for-bit.
 func TestPosteriorBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, tc := range []struct {
@@ -107,7 +111,7 @@ func TestPosteriorBatchBitIdentical(t *testing.T) {
 		scalarPost := make([]float64, tc.k)
 		var scalarSum float64
 		for i, x := range data {
-			lse := m.PosteriorInto(x, scalarPost)
+			lse := oraclePosterior(m, x, scalarPost)
 			scalarSum += lse
 			if math.Float64bits(logpdf[i]) != math.Float64bits(lse) {
 				t.Fatalf("record %d logpdf=%v want %v", i, logpdf[i], lse)
@@ -125,7 +129,7 @@ func TestPosteriorBatchBitIdentical(t *testing.T) {
 }
 
 // TestAvgLogLikelihoodBitIdentical pins the batched Definition-1 statistic
-// to an explicit in-order scalar sum of LogPDF — the quantity the J_fit
+// to an explicit in-order sum of the scalar oracle — the quantity the J_fit
 // test thresholds, so a single flipped bit could flip a clustering
 // decision.
 func TestAvgLogLikelihoodBitIdentical(t *testing.T) {
@@ -135,7 +139,7 @@ func TestAvgLogLikelihoodBitIdentical(t *testing.T) {
 
 	var sum float64
 	for _, x := range data {
-		sum += m.LogPDF(x)
+		sum += oracleLogPDF(m, x)
 	}
 	want := sum / float64(len(data))
 	if got := m.AvgLogLikelihood(data); math.Float64bits(got) != math.Float64bits(want) {
@@ -144,7 +148,7 @@ func TestAvgLogLikelihoodBitIdentical(t *testing.T) {
 
 	var maxSum float64
 	for _, x := range data {
-		maxSum += m.MaxComponentLogPDF(x)
+		maxSum += oracleMaxComponentLogPDF(m, x)
 	}
 	wantMax := maxSum / float64(len(data))
 	if got := m.AvgMaxComponentLL(data); math.Float64bits(got) != math.Float64bits(wantMax) {
@@ -185,7 +189,7 @@ func TestBatchScratchReuse(t *testing.T) {
 		got := make([]float64, len(data))
 		m.ScoreBatch(data, got, s)
 		for i, x := range data {
-			if want := m.LogPDF(x); math.Float64bits(got[i]) != math.Float64bits(want) {
+			if want := oracleLogPDF(m, x); math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("shape %+v record %d: %v want %v", shape, i, got[i], want)
 			}
 		}
@@ -193,10 +197,10 @@ func TestBatchScratchReuse(t *testing.T) {
 }
 
 // TestBatchKernelsMatchScalarEveryDim runs every block kernel against the
-// scalar per-record path for d = 1..8 (order 4 takes QuadFormRows'
+// scalar per-record oracle for d = 1..8 (order 4 takes QuadFormRows'
 // register path, every other order the panel) and counts on both sides of
-// a block: ScoreBatch against LogPDF, PosteriorBatch against
-// PosteriorInto, NearestComponents against MahalanobisSq, and
+// a block: ScoreBatch against oracleLogPDF, PosteriorBatch against
+// oraclePosterior, NearestComponents against MahalanobisSq, and
 // ClassifyBatch against an ascending strict-> argmax over
 // log w_j + LogProb with a sequential LogAdd chain.
 func TestBatchKernelsMatchScalarEveryDim(t *testing.T) {
@@ -220,8 +224,8 @@ func TestBatchKernelsMatchScalarEveryDim(t *testing.T) {
 
 			scalarPost := make([]float64, k)
 			for p, x := range data {
-				want := m.LogPDF(x)
-				lse := m.PosteriorInto(x, scalarPost)
+				want := oracleLogPDF(m, x)
+				lse := oraclePosterior(m, x, scalarPost)
 				best, bestLP, bestN, bestD := 0, math.Inf(-1), 0, math.Inf(1)
 				total := math.Inf(-1)
 				for j := 0; j < k; j++ {
@@ -242,7 +246,7 @@ func TestBatchKernelsMatchScalarEveryDim(t *testing.T) {
 				}
 				switch {
 				case !same(dens[p], want):
-					t.Fatalf("d=%d n=%d record %d: ScoreBatch %v, LogPDF %v", d, n, p, dens[p], want)
+					t.Fatalf("d=%d n=%d record %d: ScoreBatch %v, oracle %v", d, n, p, dens[p], want)
 				case !same(logpdf[p], lse):
 					t.Fatalf("d=%d n=%d record %d: PosteriorBatch logpdf %v, want %v", d, n, p, logpdf[p], lse)
 				case near[p] != bestN || !same(nearD[p], bestD):

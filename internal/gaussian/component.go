@@ -123,14 +123,6 @@ func (c *Component) LogProb(x linalg.Vector) float64 {
 	return c.logNorm - 0.5*c.MahalanobisSq(x)
 }
 
-// LogProbScratch is LogProb with caller-provided scratch vectors of
-// dimension d, for allocation-free hot loops (the E-step calls this once
-// per record per component).
-func (c *Component) LogProbScratch(x, diff, half linalg.Vector) float64 {
-	x.SubInto(c.mean, diff)
-	return c.logNorm - 0.5*c.chol.QuadFormScratch(diff, half)
-}
-
 // Prob returns the density p(x | component).
 func (c *Component) Prob(x linalg.Vector) float64 {
 	return math.Exp(c.LogProb(x))

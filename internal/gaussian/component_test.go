@@ -45,6 +45,9 @@ func TestComponentMahalanobis(t *testing.T) {
 	}
 }
 
+// TestComponentLogProbScratchMatches pins Component.LogProb, the scalar
+// primitive other packages' oracles build on, to the scratch-vector form of
+// the gaussian oracle, bit for bit.
 func TestComponentLogProbScratchMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	c := randComponent(rng, 5)
@@ -53,9 +56,9 @@ func TestComponentLogProbScratchMatches(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		x := randVec(rng, 5)
 		a := c.LogProb(x)
-		b := c.LogProbScratch(x, diff, half)
-		if math.Abs(a-b) > 1e-12*(1+math.Abs(a)) {
-			t.Fatalf("LogProbScratch = %v, LogProb = %v", b, a)
+		b := oracleLogProb(c, x, diff, half)
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("oracleLogProb = %v, LogProb = %v", b, a)
 		}
 	}
 }

@@ -15,13 +15,14 @@ import (
 // JMerge is SMEM's merge criterion J_merge(i,j) = Σ_x Pr(i|x)·Pr(j|x): two
 // components that claim the same records with similar posteriors are merge
 // candidates. It needs the raw data, so CluDistream only uses it offline to
-// validate M_merge (Figure 1); scratch allocations are fine here.
+// validate M_merge (Figure 1); the posteriors come from one PosteriorBatch
+// pass.
 func JMerge(m *Mixture, i, j int, data []linalg.Vector) float64 {
-	post := make([]float64, m.K())
+	post := linalg.NewMatrix(0, 0)
+	m.PosteriorBatch(data, post, nil, nil)
 	var sum float64
-	for _, x := range data {
-		m.PosteriorInto(x, post)
-		sum += post[i] * post[j]
+	for p := range data {
+		sum += post.At(p, i) * post.At(p, j)
 	}
 	return sum
 }

@@ -100,6 +100,46 @@ func TestJMergeIdentifiesOverlap(t *testing.T) {
 	}
 }
 
+// TestJMergeMatchesScalar pins JMerge, which reads its posteriors from one
+// PosteriorBatch pass, bit for bit to a per-record reference built from
+// Component.LogProb, log(w_j) and LogAdd, at d = 2, 4 and 8 with component
+// 0 at weight zero, over every pair.
+func TestJMergeMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for _, d := range []int{2, 4, 8} {
+		m := randMixture(t, rng, 4, d, true)
+		data := randData(rng, 301, d)
+		want := make([]float64, m.K()*m.K())
+		lp := make([]float64, m.K())
+		for _, x := range data {
+			lse := math.Inf(-1)
+			for j := range lp {
+				lp[j] = math.Log(m.Weight(j)) + m.Component(j).LogProb(x)
+				lse = LogAdd(lse, lp[j])
+			}
+			for j := range lp {
+				if math.IsInf(lp[j], -1) {
+					lp[j] = 0
+				} else {
+					lp[j] = math.Exp(lp[j] - lse)
+				}
+			}
+			for i := range lp {
+				for j := range lp {
+					want[i*m.K()+j] += lp[i] * lp[j]
+				}
+			}
+		}
+		for i := 0; i < m.K(); i++ {
+			for j := 0; j < m.K(); j++ {
+				if got := JMerge(m, i, j, data); math.Float64bits(got) != math.Float64bits(want[i*m.K()+j]) {
+					t.Fatalf("d=%d J_merge(%d,%d) = %v, scalar %v", d, i, j, got, want[i*m.K()+j])
+				}
+			}
+		}
+	}
+}
+
 func TestMMergeTracksJMerge(t *testing.T) {
 	// The Figure-1 claim in miniature: rank correlation between M_merge and
 	// J_merge across all pairs of a fitted model should be strongly

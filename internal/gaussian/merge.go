@@ -106,7 +106,7 @@ func newLossPanel(wi float64, ci *Component, wj float64, cj *Component, nSamples
 		}
 		p.xs[s] = x
 	}
-	// Each parent's log-density is Component.LogProbScratch's expression,
+	// Each parent's log-density is Component.LogProb's expression,
 	// logNorm − 0.5·maha, on the batched kernel, which is bit-identical to
 	// it per sample. p.a holds p_i(x) until p_j's pass folds it in.
 	ci.chol.QuadFormRows(p.xs, ci.mean, p.diff, p.maha)

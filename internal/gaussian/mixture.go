@@ -134,96 +134,33 @@ func (m *Mixture) Components() []*Component {
 	return append([]*Component(nil), m.comps...)
 }
 
-// LogPDF returns log p(x) = log Σ_j w_j p(x|j), evaluated stably with
-// log-sum-exp. Two scratch vectors are allocated per call (not per
-// component); the fit test and the E-step funnel through here, so the
-// allocation profile matters.
+// LogPDF returns log p(x) = log Σ_j w_j p(x|j): ScoreBatch on a
+// one-record slice with a pooled scratch, so it allocates nothing and
+// agrees bit for bit with every batched scorer.
 func (m *Mixture) LogPDF(x linalg.Vector) float64 {
-	diff := linalg.NewVector(m.Dim())
-	half := linalg.NewVector(m.Dim())
-	return m.logPDFScratch(x, diff, half)
-}
-
-func (m *Mixture) logPDFScratch(x, diff, half linalg.Vector) float64 {
-	lse := math.Inf(-1)
-	for j, c := range m.comps {
-		if m.weights[j] == 0 {
-			continue
-		}
-		lp := m.logW[j] + c.LogProbScratch(x, diff, half)
-		lse = LogAdd(lse, lp)
-	}
-	return lse
+	var dst [1]float64
+	m.ScoreBatch([]linalg.Vector{x}, dst[:], nil)
+	return dst[0]
 }
 
 // PDF returns the density p(x).
 func (m *Mixture) PDF(x linalg.Vector) float64 { return math.Exp(m.LogPDF(x)) }
 
-// MaxComponentLogPDF returns max_j log(w_j·p(x|j)) — the "sharpened"
-// statistic the proof of Theorem 2 substitutes for the full mixture
-// likelihood ("we use the maximal probability of x belongs to one of the
-// clusters instead of the overall probability").
-func (m *Mixture) MaxComponentLogPDF(x linalg.Vector) float64 {
-	best := math.Inf(-1)
-	for j, c := range m.comps {
-		if m.weights[j] == 0 {
-			continue
-		}
-		if lp := m.logW[j] + c.LogProb(x); lp > best {
-			best = lp
-		}
-	}
-	return best
-}
-
 // AvgLogLikelihood is Definition 1: (1/|D|)·Σ_x log p(x). It is the quality
 // measure used by every experiment in Section 6 and the statistic of the
 // J_fit test. An empty data set yields 0. It runs on the batched scoring
-// kernel (see batch.go), which is bit-identical to summing LogPDF per
-// record but streams through the data block-wise.
+// kernel (see batch.go), which streams through the data block-wise and
+// sums the per-record log p(x) in record order.
 func (m *Mixture) AvgLogLikelihood(data []linalg.Vector) float64 {
 	return m.AvgLogLikelihoodScratch(data, nil)
 }
 
 // AvgMaxComponentLL is AvgLogLikelihood with the sharpened per-record
-// statistic of Theorem 2's proof. Batched like AvgLogLikelihood.
+// statistic of Theorem 2's proof, max_j log(w_j·p(x|j)) — "we use the
+// maximal probability of x belongs to one of the clusters instead of the
+// overall probability". Batched like AvgLogLikelihood.
 func (m *Mixture) AvgMaxComponentLL(data []linalg.Vector) float64 {
 	return m.AvgMaxComponentLLScratch(data, nil)
-}
-
-// PosteriorInto writes Pr(j|x) = w_j·p(x|j) / p(x) (Eq. 2) for all j into
-// dst, which must have length K. It returns log p(x) as a by-product (the
-// E-step wants both).
-func (m *Mixture) PosteriorInto(x linalg.Vector, dst []float64) float64 {
-	if len(dst) != len(m.comps) {
-		panic("gaussian: posterior buffer length mismatch")
-	}
-	diff := linalg.NewVector(m.Dim())
-	half := linalg.NewVector(m.Dim())
-	lse := math.Inf(-1)
-	for j, c := range m.comps {
-		if m.weights[j] == 0 {
-			dst[j] = math.Inf(-1)
-			continue
-		}
-		dst[j] = m.logW[j] + c.LogProbScratch(x, diff, half)
-		lse = LogAdd(lse, dst[j])
-	}
-	for j := range dst {
-		if math.IsInf(dst[j], -1) {
-			dst[j] = 0
-			continue
-		}
-		dst[j] = math.Exp(dst[j] - lse)
-	}
-	return lse
-}
-
-// Posterior returns Pr(·|x) as a fresh slice.
-func (m *Mixture) Posterior(x linalg.Vector) []float64 {
-	dst := make([]float64, len(m.comps))
-	m.PosteriorInto(x, dst)
-	return dst
 }
 
 // Sample draws one record: pick a component by weight, then sample it.

@@ -66,6 +66,24 @@ func TestMixtureLogPDFMatchesDirectSum(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestMixtureLogPDFNoAllocs: LogPDF is ScoreBatch on one record with a
+// pooled scratch, so a warm call allocates nothing.
+func TestMixtureLogPDFNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	m := randMixture(t, rand.New(rand.NewSource(42)), 5, 4, false)
+	x := linalg.Vector{1, -1, 0.5, 2}
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() { sink += m.LogPDF(x) }); allocs != 0 {
+		t.Fatalf("LogPDF allocates %v times per call, want 0", allocs)
+	}
+	_ = sink
+}
+
 func TestMixturePosteriorSumsToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	f := func(n uint8) bool {
@@ -78,9 +96,10 @@ func TestMixturePosteriorSumsToOne(t *testing.T) {
 		}
 		m := MustMixture(ws, comps)
 		x := randVec(rng, 3)
-		post := m.Posterior(x)
+		post := linalg.NewMatrix(0, 0)
+		m.PosteriorBatch([]linalg.Vector{x}, post, nil, nil)
 		var sum float64
-		for _, p := range post {
+		for _, p := range post.Row(0) {
 			if p < -1e-12 || p > 1+1e-12 {
 				return false
 			}
@@ -96,15 +115,16 @@ func TestMixturePosteriorSumsToOne(t *testing.T) {
 func TestMixturePosteriorExtremePoint(t *testing.T) {
 	m := twoComponentMixture()
 	// Far to the left, component 0 should own the point.
-	post := m.Posterior(linalg.Vector{-10})
-	if post[0] < 0.999 {
-		t.Fatalf("posterior = %v", post)
+	x := linalg.Vector{-10}
+	post := linalg.NewMatrix(0, 0)
+	logpdf := make([]float64, 1)
+	sum := m.PosteriorBatch([]linalg.Vector{x}, post, logpdf, nil)
+	if post.At(0, 0) < 0.999 {
+		t.Fatalf("posterior = %v", post.Row(0))
 	}
-	// Return value is log p(x).
-	dst := make([]float64, 2)
-	lp := m.PosteriorInto(linalg.Vector{-10}, dst)
-	if math.Abs(lp-m.LogPDF(linalg.Vector{-10})) > 1e-12 {
-		t.Fatalf("PosteriorInto logpdf = %v, want %v", lp, m.LogPDF(linalg.Vector{-10}))
+	// The per-record and summed by-products are log p(x).
+	if lp := m.LogPDF(x); logpdf[0] != lp || sum != lp {
+		t.Fatalf("PosteriorBatch logpdf = %v, sum = %v, want %v", logpdf[0], sum, lp)
 	}
 }
 
@@ -124,15 +144,19 @@ func TestMixtureMaxComponentLL(t *testing.T) {
 	m := twoComponentMixture()
 	x := linalg.Vector{-3}
 	want := math.Log(0.4) + m.Component(0).LogProb(x)
-	if got := m.MaxComponentLogPDF(x); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MaxComponentLogPDF = %v, want %v", got, want)
+	got := m.AvgMaxComponentLLScratch([]linalg.Vector{x}, nil)
+	if math.Abs(got-want) > 1e-12 {
+		t.Fatalf("max-component log-density = %v, want %v", got, want)
+	}
+	if o := oracleMaxComponentLogPDF(m, x); math.Float64bits(got) != math.Float64bits(o) {
+		t.Fatalf("max-component log-density = %v, oracle %v", got, o)
 	}
 	// Sharpened statistic is never above the full mixture log-density...
-	if m.MaxComponentLogPDF(x) > m.LogPDF(x) {
+	if got > m.LogPDF(x) {
 		t.Fatal("max-component exceeds mixture log-density")
 	}
 	// ...and within log(K) of it.
-	if m.LogPDF(x)-m.MaxComponentLogPDF(x) > math.Log(2)+1e-12 {
+	if m.LogPDF(x)-got > math.Log(2)+1e-12 {
 		t.Fatal("max-component more than log K below mixture")
 	}
 }
@@ -259,7 +283,7 @@ func TestMixtureAccessors(t *testing.T) {
 func TestMixtureAvgMaxComponentLL(t *testing.T) {
 	m := twoComponentMixture()
 	data := []linalg.Vector{{-3}, {3}}
-	want := (m.MaxComponentLogPDF(data[0]) + m.MaxComponentLogPDF(data[1])) / 2
+	want := (oracleMaxComponentLogPDF(m, data[0]) + oracleMaxComponentLogPDF(m, data[1])) / 2
 	if got := m.AvgMaxComponentLL(data); math.Abs(got-want) > 1e-15 {
 		t.Fatalf("AvgMaxComponentLL = %v, want %v", got, want)
 	}

@@ -156,15 +156,15 @@ func (c *Cholesky) HalfSolvePanel(panel []float64, stride, count int) {
 
 // QuadFormPanel computes dst[p] = bₚᵀ A⁻¹ bₚ for the count right-hand
 // sides held dimension-major in panel, destroying the panel (it becomes
-// the half-solved L⁻¹b). Each dst[p] is bit-identical to QuadFormScratch
-// on the corresponding column.
+// the half-solved L⁻¹b). Each dst[p] is bit-identical to QuadForm on the
+// corresponding column.
 func (c *Cholesky) QuadFormPanel(panel []float64, stride, count int, dst []float64) {
 	c.HalfSolvePanel(panel, stride, count)
 	SumSqPanel(panel, stride, count, c.n, dst)
 }
 
 // QuadFormRows computes dst[p] = (xs[p]−mean)ᵀ A⁻¹ (xs[p]−mean) for every
-// record of xs, each bit-identical to QuadFormScratch on xs[p].Sub(mean).
+// record of xs, each bit-identical to QuadForm on xs[p].Sub(mean).
 // It is the one Mahalanobis kernel behind every batched scorer. At order 4
 // the ten factor entries and the mean stay in registers and each record is
 // solved on its own, in HalfSolveInto's order: v = x_i−μ_i, then
@@ -209,17 +209,12 @@ func (c *Cholesky) QuadFormRows(xs []Vector, mean Vector, panel, dst []float64) 
 }
 
 // QuadForm returns the quadratic form bᵀ A⁻¹ b using the factor, allocating
-// one scratch vector.
+// one scratch vector. It is the scalar form the batched kernels above are
+// pinned to.
 func (c *Cholesky) QuadForm(b Vector) float64 {
 	y := NewVector(c.n)
 	c.HalfSolveInto(b, y)
 	return y.Dot(y)
-}
-
-// QuadFormScratch is QuadForm with caller-provided scratch, for hot loops.
-func (c *Cholesky) QuadFormScratch(b, scratch Vector) float64 {
-	c.HalfSolveInto(b, scratch)
-	return scratch.Dot(scratch)
 }
 
 // Inverse returns A⁻¹ as a symmetric matrix. CluDistream's merge criteria

@@ -254,7 +254,8 @@ func randFactor(rng *rand.Rand, n int, nearSingular bool) *Cholesky {
 	return c
 }
 
-// TestQuadFormRowsBitIdentical pins QuadFormRows to QuadFormScratch on the
+// TestQuadFormRowsBitIdentical pins QuadFormRows to the scalar half-solve
+// and dot product (QuadForm's arithmetic, on caller scratch) on the
 // per-record difference, bit for bit: 10⁶ order-4 records (the register
 // path) against ordinary, near-singular and decomposed factors with
 // adversarial coordinates, then every other order 1..8 (the panel path)
@@ -270,9 +271,10 @@ func TestQuadFormRowsBitIdentical(t *testing.T) {
 		diff, half := NewVector(n), NewVector(n)
 		for p, x := range xs {
 			x.SubInto(mean, diff)
-			want := c.QuadFormScratch(diff, half)
+			c.HalfSolveInto(diff, half)
+			want := half.Dot(half)
 			if math.Float64bits(got[p]) != math.Float64bits(want) {
-				t.Fatalf("order %d record %d x=%v mean=%v: QuadFormRows=%v (%#x), QuadFormScratch=%v (%#x)",
+				t.Fatalf("order %d record %d x=%v mean=%v: QuadFormRows=%v (%#x), scalar=%v (%#x)",
 					n, p, x, mean, got[p], math.Float64bits(got[p]), want, math.Float64bits(want))
 			}
 		}

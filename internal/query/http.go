@@ -16,12 +16,6 @@ import (
 	"cludistream/internal/gaussian"
 )
 
-// Source is anything that serves snapshots: a Publisher or a ShardSet.
-type Source interface {
-	Current() *Snapshot
-	NewQuerier() *Querier
-}
-
 // Handler serves the query tier over HTTP:
 //
 //	/query/classify?x=1,2,3       — argmax-posterior component (JSON)
@@ -39,9 +33,9 @@ type Source interface {
 // so steady-state request handling does not allocate on the scoring path
 // (the HTTP stack itself still allocates per request; the binary batch
 // endpoint amortizes that across records).
-func Handler(src Source) http.Handler {
-	h := &httpHandler{src: src}
-	h.pool.New = func() any { return src.NewQuerier() }
+func Handler(pub *Publisher) http.Handler {
+	h := &httpHandler{pub: pub}
+	h.pool.New = func() any { return pub.NewQuerier() }
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query/classify", h.classify)
 	mux.HandleFunc("/query/density", h.density)
@@ -52,30 +46,20 @@ func Handler(src Source) http.Handler {
 }
 
 type httpHandler struct {
-	src  Source
+	pub  *Publisher
 	pool sync.Pool // of *Querier
-}
-
-// observe records serve-time staleness when the source carries telemetry.
-func (h *httpHandler) observe(sn *Snapshot) {
-	switch s := h.src.(type) {
-	case *Publisher:
-		s.ObserveStaleness(sn)
-	case *ShardSet:
-		s.Merged().ObserveStaleness(sn)
-	}
 }
 
 // acquire returns a pooled Querier plus the current snapshot; a nil
 // snapshot means nothing is published and the caller already got a 503.
 func (h *httpHandler) acquire(w http.ResponseWriter) (*Querier, *Snapshot) {
-	sn := h.src.Current()
+	sn := h.pub.Current()
 	if sn == nil {
 		http.Error(w, "query: no snapshot published yet", http.StatusServiceUnavailable)
 		return nil, nil
 	}
 	q := h.pool.Get().(*Querier)
-	h.observe(sn)
+	h.pub.ObserveStaleness(sn)
 	return q, sn
 }
 
@@ -195,7 +179,7 @@ func (h *httpHandler) topk(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *httpHandler) snapshot(w http.ResponseWriter, r *http.Request) {
-	sn := h.src.Current()
+	sn := h.pub.Current()
 	if sn == nil {
 		http.Error(w, "query: no snapshot published yet", http.StatusServiceUnavailable)
 		return
@@ -383,12 +367,12 @@ type Server struct {
 
 // Serve starts the query endpoints on addr (":0" for ephemeral) in a
 // background goroutine.
-func Serve(addr string, src Source) (*Server, error) {
+func Serve(addr string, pub *Publisher) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Handler(src), ReadHeaderTimeout: 10 * time.Second}
+	srv := &http.Server{Handler: Handler(pub), ReadHeaderTimeout: 10 * time.Second}
 	go srv.Serve(ln) // returns when ln closes; nothing to report
 	return &Server{ln: ln, srv: srv}, nil
 }

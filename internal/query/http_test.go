@@ -331,34 +331,6 @@ func TestHTTPNonFinite(t *testing.T) {
 	}
 }
 
-// TestHTTPServesShardSet: the handler accepts a ShardSet source and
-// serves the reduced mixture.
-func TestHTTPServesShardSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	shardA, shardB := NewPublisher(Options{}), NewPublisher(Options{})
-	if _, err := shardA.Publish(randMixture(rng, 2, 2), 1, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shardB.Publish(randMixture(rng, 3, 2), 5, 30); err != nil {
-		t.Fatal(err)
-	}
-	ss := NewShardSet([]*Publisher{shardA, shardB}, Options{})
-	if _, err := ss.Reduce(); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(Handler(ss))
-	defer srv.Close()
-	var meta struct {
-		Version uint64  `json:"version"`
-		K       int     `json:"k"`
-		Mass    float64 `json:"mass"`
-	}
-	getJSON(t, srv.URL+"/query/snapshot", &meta)
-	if meta.Version != 6 || meta.K != 5 || meta.Mass != 40 {
-		t.Fatalf("shard-set snapshot meta = %+v", meta)
-	}
-}
-
 func getJSON(t *testing.T, url string, dst any) {
 	t.Helper()
 	resp, err := http.Get(url)

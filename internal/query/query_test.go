@@ -122,10 +122,12 @@ func TestClassifyMatchesPosterior(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewScratch()
+	postM := linalg.NewMatrix(0, 0)
 	for i := 0; i < 200; i++ {
 		x := randPoint(rng, 2)
 		res := sn.Classify(x, s)
-		post := mix.Posterior(x)
+		mix.PosteriorBatch([]linalg.Vector{x}, postM, nil, nil)
+		post := postM.Row(0)
 		best := 0
 		for j := range post {
 			if post[j] > post[best] {

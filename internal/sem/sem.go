@@ -18,7 +18,6 @@ package sem
 
 import (
 	"fmt"
-	"math"
 
 	"cludistream/internal/em"
 	"cludistream/internal/gaussian"
@@ -176,18 +175,6 @@ func (s *SEM) refit() error {
 	}
 	s.buffer = append([]linalg.Vector(nil), retained...)
 	return nil
-}
-
-// nearestComponent returns the component with the smallest squared
-// Mahalanobis distance to x, and that distance.
-func (s *SEM) nearestComponent(x linalg.Vector) (int, float64) {
-	best, bestD := 0, math.Inf(1)
-	for j := 0; j < s.mix.K(); j++ {
-		if d := s.mix.Component(j).MahalanobisSq(x); d < bestD {
-			best, bestD = j, d
-		}
-	}
-	return best, bestD
 }
 
 // Model returns the current mixture, fitting one on demand if the buffer

@@ -155,19 +155,22 @@ func candidates(m *gaussian.Mixture, data []linalg.Vector, max int) []move {
 // fixed kernel-free implementation, to how much worse the component
 // explains its own points than the full mixture does. High score = the
 // component is covering structure it cannot represent = split candidate.
+// Posteriors and log p(x) come from one PosteriorBatch pass.
 func splitScores(m *gaussian.Mixture, data []linalg.Vector) []float64 {
 	k := m.K()
-	post := make([]float64, k)
+	post := linalg.NewMatrix(0, 0)
+	logpdf := make([]float64, len(data))
+	m.PosteriorBatch(data, post, logpdf, nil)
 	num := make([]float64, k)
 	den := make([]float64, k)
-	for _, x := range data {
-		m.PosteriorInto(x, post)
+	for p, x := range data {
 		for j := 0; j < k; j++ {
-			if post[j] <= 0 {
+			pj := post.At(p, j)
+			if pj <= 0 {
 				continue
 			}
-			num[j] += post[j] * (m.LogPDF(x) - m.Component(j).LogProb(x))
-			den[j] += post[j]
+			num[j] += pj * (logpdf[p] - m.Component(j).LogProb(x))
+			den[j] += pj
 		}
 	}
 	out := make([]float64, k)

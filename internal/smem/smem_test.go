@@ -1,6 +1,7 @@
 package smem
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -140,5 +141,81 @@ func TestSplitScoresFlagMisfit(t *testing.T) {
 	scores := splitScores(m, data)
 	if !(scores[0] > scores[1]) {
 		t.Fatalf("misfit component not flagged: scores = %v", scores)
+	}
+}
+
+// refSplitScores is splitScores one record at a time, its posteriors and
+// log p(x) built from Component.LogProb, log(w_j) and LogAdd.
+func refSplitScores(m *gaussian.Mixture, data []linalg.Vector) []float64 {
+	k := m.K()
+	lp := make([]float64, k)
+	num, den := make([]float64, k), make([]float64, k)
+	for _, x := range data {
+		lse := math.Inf(-1)
+		for j := range lp {
+			lp[j] = math.Log(m.Weight(j)) + m.Component(j).LogProb(x)
+			lse = gaussian.LogAdd(lse, lp[j])
+		}
+		for j := range lp {
+			if math.IsInf(lp[j], -1) {
+				continue
+			}
+			post := math.Exp(lp[j] - lse)
+			if post <= 0 {
+				continue
+			}
+			num[j] += post * (lse - m.Component(j).LogProb(x))
+			den[j] += post
+		}
+	}
+	out := make([]float64, k)
+	for j := range out {
+		if den[j] > 0 {
+			out[j] = num[j] / den[j]
+		} else {
+			out[j] = math.Inf(1)
+		}
+	}
+	return out
+}
+
+// TestSplitScoresMatchScalar pins splitScores, which reads posteriors and
+// log p(x) from one PosteriorBatch pass, bit for bit to the per-record
+// reference at d = 2, 4 and 8 with component 0 at weight zero (its score
+// must be +Inf, a dead component).
+func TestSplitScoresMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, d := range []int{2, 4, 8} {
+		const k = 4
+		comps := make([]*gaussian.Component, k)
+		ws := make([]float64, k)
+		for j := range comps {
+			mean := linalg.NewVector(d)
+			for i := range mean {
+				mean[i] = rng.NormFloat64() * 2
+			}
+			cov := linalg.NewSym(d)
+			for r := 0; r < d+2; r++ {
+				v := linalg.NewVector(d)
+				for i := range v {
+					v[i] = rng.NormFloat64()
+				}
+				cov.AddOuterScaled(0.5, v)
+			}
+			comps[j] = gaussian.MustComponent(mean, cov)
+			ws[j] = 0.2 + rng.Float64()
+		}
+		ws[0] = 0
+		m := gaussian.MustMixture(ws, comps)
+		data := m.SampleN(rng, 517)
+		got, want := splitScores(m, data), refSplitScores(m, data)
+		if !math.IsInf(got[0], 1) {
+			t.Fatalf("d=%d: zero-weight component scores %v, want +Inf", d, got[0])
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("d=%d component %d: splitScores %v, scalar %v", d, j, got[j], want[j])
+			}
+		}
 	}
 }
