@@ -128,21 +128,12 @@ dst-long:
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 
-# Short fuzz pass over the wire decoders (sites' and the CLUQ batch
-# endpoint's), the coordinator's receive step behind them, the frame/ack
-# protocol and its restart handshake, the durable formats (site archive, coordinator checkpoint,
-# WAL), and tree topologies as scenario files carry them.
+# Short fuzz pass, 10 s per target, over every fuzz target
+# scripts/fuzz.sh lists (the wire decoders, the receive step, the
+# frame/ack protocol, the durable formats and tree topologies); a target
+# its pattern no longer selects fails the pass instead of fuzzing nothing.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/transport/
-	$(GO) test -run=^$$ -fuzz=FuzzReceive -fuzztime=10s ./internal/durable/
-	$(GO) test -run=^$$ -fuzz=FuzzBatch -fuzztime=10s ./internal/query/
-	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/netio/
-	$(GO) test -run=^$$ -fuzz=FuzzReadAck -fuzztime=5s ./internal/netio/
-	$(GO) test -run=^$$ -fuzz=FuzzWatermarkAck -fuzztime=10s ./internal/netio/
-	$(GO) test -run=^$$ -fuzz=FuzzLoad$$ -fuzztime=10s ./internal/persist/
-	$(GO) test -run=^$$ -fuzz=FuzzLoadCoordinatorState -fuzztime=10s ./internal/persist/
-	$(GO) test -run=^$$ -fuzz=FuzzReadWAL -fuzztime=10s ./internal/persist/
-	$(GO) test -run=^$$ -fuzz=FuzzTopology -fuzztime=10s ./internal/tree/
+	GO=$(GO) bash scripts/fuzz.sh 10s
 
 # Machine-readable benchmark snapshot: one pass over every figure
 # reproduction (-benchtime 1x — each figure is a full experiment) plus the

@@ -24,67 +24,79 @@ import (
 	"cludistream/internal/stream"
 )
 
-func main() {
-	in := flag.String("in", "", "archive file (required)")
-	window := flag.String("window", "", "chunk window start:end to rebuild")
-	at := flag.Int("at", 0, "report the model governing this chunk")
-	eval := flag.String("eval", "", "CSV file to score under the landmark model")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is archq on the given arguments and streams; it returns the exit
+// code: 2 for a usage error or a CSV of the wrong width, 1 for an archive
+// or CSV that cannot be read.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("archq", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "archive file (required)")
+	window := fs.String("window", "", "chunk window start:end to rebuild")
+	at := fs.Int("at", 0, "report the model governing this chunk")
+	eval := fs.String("eval", "", "CSV file to score under the landmark model")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *in == "" {
-		fmt.Fprintln(os.Stderr, "archq: -in is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "archq: -in is required")
+		return 2
 	}
 	f, err := os.Open(*in)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer f.Close()
 	a, err := persist.Load(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
-	fmt.Printf("archive: site %d, d=%d, chunk size %d, %d chunks seen\n",
+	fmt.Fprintf(stdout, "archive: site %d, d=%d, chunk size %d, %d chunks seen\n",
 		a.SiteID, a.Dim, a.ChunkSize, a.ChunksSeen)
-	fmt.Printf("models: %d | events: %d closed spans\n", len(a.Models), len(a.Events))
+	fmt.Fprintf(stdout, "models: %d | events: %d closed spans\n", len(a.Models), a.Events.Len())
 	for _, m := range a.Models {
-		fmt.Printf("  model %d: K=%d, %d records, ref avgLL %.4f\n",
+		fmt.Fprintf(stdout, "  model %d: K=%d, %d records, ref avgLL %.4f\n",
 			m.ID, m.Mixture.K(), m.Counter, m.RefAvgLL)
 	}
-	for _, e := range a.Events {
-		fmt.Printf("  event %v\n", e)
+	for _, e := range a.Events.All() {
+		fmt.Fprintf(stdout, "  event %v\n", e)
 	}
 
 	if *at > 0 {
 		if id, ok := a.ModelAt(*at); ok {
-			fmt.Printf("chunk %d was governed by model %d\n", *at, id)
+			fmt.Fprintf(stdout, "chunk %d was governed by model %d\n", *at, id)
 		} else {
-			fmt.Printf("chunk %d is outside the archive's range\n", *at)
+			fmt.Fprintf(stdout, "chunk %d is outside the archive's range\n", *at)
 		}
 	}
 
 	if *window != "" {
 		parts := strings.SplitN(*window, ":", 2)
 		if len(parts) != 2 {
-			fmt.Fprintln(os.Stderr, "archq: -window wants start:end")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "archq: -window wants start:end")
+			return 2
 		}
 		start, err1 := strconv.Atoi(parts[0])
 		end, err2 := strconv.Atoi(parts[1])
 		if err1 != nil || err2 != nil {
-			fmt.Fprintln(os.Stderr, "archq: -window wants integer start:end")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "archq: -window wants integer start:end")
+			return 2
 		}
-		m := a.WindowMixture(start, end)
+		m := a.Mixture(start, end)
 		if m == nil {
-			fmt.Printf("window %d:%d covers no chunks\n", start, end)
+			fmt.Fprintf(stdout, "window %d:%d covers no chunks\n", start, end)
 		} else {
-			fmt.Printf("window %d:%d mixture (K=%d):\n", start, end, m.K())
+			fmt.Fprintf(stdout, "window %d:%d mixture (K=%d):\n", start, end, m.K())
 			for j := 0; j < m.K(); j++ {
-				fmt.Printf("  weight %.4f, mean %v\n", m.Weight(j), m.Component(j).Mean())
+				fmt.Fprintf(stdout, "  weight %.4f, mean %v\n", m.Weight(j), m.Component(j).Mean())
 			}
 		}
 	}
@@ -92,19 +104,20 @@ func main() {
 	if *eval != "" {
 		ef, err := os.Open(*eval)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		err = evalCSV(os.Stdout, a, ef)
+		err = evalCSV(stdout, a, ef)
 		ef.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			if errors.Is(err, errWidth) {
-				os.Exit(2)
+				return 2
 			}
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // errWidth marks a CSV whose records do not have the archive's width.
@@ -122,7 +135,7 @@ func evalCSV(w io.Writer, a *persist.SiteArchive, r io.Reader) error {
 	if len(data) > 0 && len(data[0]) != a.Dim {
 		return fmt.Errorf("%w: %d columns, want d=%d", errWidth, len(data[0]), a.Dim)
 	}
-	lm := a.LandmarkMixture()
+	lm := a.Landmark()
 	if lm == nil {
 		fmt.Fprintln(w, "archive has no models to evaluate")
 		return nil

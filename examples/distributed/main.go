@@ -152,8 +152,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsite 1 archive: %d bytes, %d models, %d events\n",
-		archiveBytes, len(loaded.Models), len(loaded.Events))
-	if m := loaded.WindowMixture(1, 3); m != nil {
+		archiveBytes, len(loaded.Models), loaded.Events.Len())
+	if m := loaded.Mixture(1, 3); m != nil {
 		fmt.Printf("chunks 1-3 were modelled by a %d-component mixture\n", m.K())
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"cludistream/internal/linalg"
 	"cludistream/internal/site"
 	"cludistream/internal/stream"
-	"cludistream/internal/window"
 
 	cludistream "cludistream"
 )
@@ -63,8 +62,9 @@ func main() {
 	fmt.Printf("model list: %d models (the multi-test strategy re-activates repeats)\n", len(st.Models()))
 
 	// Evolving analysis: rebuild the model for arbitrary past windows.
+	h := st.History()
 	for _, w := range [][2]int{{1, 4}, {5, 8}, {9, 12}, {1, 24}} {
-		m := window.Mixture(st, w[0], w[1])
+		m := h.Mixture(w[0], w[1])
 		if m == nil {
 			continue
 		}

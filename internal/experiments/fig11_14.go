@@ -6,7 +6,6 @@ import (
 	"cludistream/internal/sem"
 	"cludistream/internal/site"
 	"cludistream/internal/stream"
-	"cludistream/internal/window"
 )
 
 // sweepQualityAndTime runs a CluDistream site over a synthetic stream with
@@ -55,7 +54,7 @@ func sweepQualityAndTime(p Params, wantSEM bool) (cludQ, semQ, cludSec float64, 
 			}
 			if next < len(checkpoints) && rec == checkpoints[next] {
 				next++
-				cw := window.Mixture(st, st.ChunksSeen()-windowChunks+1, st.ChunksSeen())
+				cw := st.History().Mixture(st.ChunksSeen()-windowChunks+1, st.ChunksSeen())
 				qSum += quality(cw, recent)
 				if sm != nil {
 					sSum += quality(sm.Model(), recent)

@@ -7,7 +7,6 @@ import (
 	"cludistream/internal/sem"
 	"cludistream/internal/site"
 	"cludistream/internal/stream"
-	"cludistream/internal/window"
 )
 
 // Fig5 reproduces Figure 5: clustering quality in a horizon (sliding
@@ -53,7 +52,7 @@ func Fig5(p Params) (*Table, error) {
 		}
 		if next < len(checkpoints) && rec == checkpoints[next] {
 			next++
-			cw := window.Mixture(st, st.ChunksSeen()-windowChunks+1, st.ChunksSeen())
+			cw := st.History().Mixture(st.ChunksSeen()-windowChunks+1, st.ChunksSeen())
 			if cw == nil || sm.Model() == nil {
 				continue // cold start
 			}
@@ -114,11 +113,12 @@ func Fig6(p Params) (*Table, error) {
 		}
 		if next < len(checkpoints) && rec == checkpoints[next] {
 			next++
-			if st.LandmarkMixture() == nil || sm.Model() == nil || sampler.Model() == nil {
+			lm := st.History().Landmark()
+			if lm == nil || sm.Model() == nil || sampler.Model() == nil {
 				continue // cold start
 			}
 			t.AddRow(float64(rec),
-				quality(st.LandmarkMixture(), eval),
+				quality(lm, eval),
 				quality(sm.Model(), eval),
 				quality(sampler.Model(), eval))
 		}

@@ -102,16 +102,14 @@ func AblationSnapshots(p Params) (*Table, error) {
 	}
 
 	// Event-driven historian.
+	h := st.History()
 	models := map[int]*gaussian.Mixture{}
-	for _, mm := range st.Models() {
+	for _, mm := range h.Models {
 		models[mm.ID] = mm.Mixture
 	}
 	eventAnswer := func(c int) *gaussian.Mixture {
-		if id, ok := st.Events().ModelAt(c); ok {
+		if id, ok := h.ModelAt(c); ok {
 			return models[id]
-		}
-		if cur := st.Current(); cur != nil {
-			return cur.Mixture
 		}
 		return nil
 	}
@@ -126,7 +124,7 @@ func AblationSnapshots(p Params) (*Table, error) {
 		Title:   "Ablation: event-driven history vs static snapshots (§7)",
 		Columns: []string{"interval S (0=event-driven)", "stored entries", "accuracy"},
 	}
-	t.AddRow(0, float64(st.Events().Len()+1), float64(eventCorrect)/totalChunks)
+	t.AddRow(0, float64(h.Events.Len()+1), float64(eventCorrect)/totalChunks)
 	for _, s := range []int{1, 2, 4} {
 		snaps := snapshotsAt[s]
 		staticAnswer := func(c int) *gaussian.Mixture {

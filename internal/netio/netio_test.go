@@ -365,11 +365,9 @@ func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
 			// The coordinator's counters must be the site's in-window record
 			// counts.
 			inWindow := map[int]int{}
-			for chunk := st.ChunksSeen() - horizon + 1; chunk <= st.ChunksSeen(); chunk++ {
-				id, ok := st.Events().ModelAt(chunk)
-				if !ok {
-					id = st.Current().ID
-				}
+			h := st.History()
+			for chunk := h.ChunksSeen - horizon + 1; chunk <= h.ChunksSeen; chunk++ {
+				id, _ := h.ModelAt(chunk)
 				inWindow[id] += chunkSize
 			}
 			var want []coordinator.ModelWeight

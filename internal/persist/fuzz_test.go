@@ -2,17 +2,84 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
+
+	"cludistream/internal/events"
+	"cludistream/internal/gaussian"
+	"cludistream/internal/linalg"
+	"cludistream/internal/site"
 )
+
+// rawArchive writes a with the given event table in place of its own,
+// bypassing events.List's checks, so a test can hand Load a table the live
+// site could never produce.
+func rawArchive(t testing.TB, a *SiteArchive, spans []events.Entry) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.Bytes()[:buf.Len()-4] // drop the empty table's count
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(spans)))
+	for _, e := range spans {
+		for _, v := range []int{e.ModelID, e.StartChunk, e.EndChunk} {
+			out = binary.LittleEndian.AppendUint32(out, uint32(v))
+		}
+	}
+	return out
+}
+
+func span(id, start, end int) events.Entry {
+	return events.Entry{ModelID: id, StartChunk: start, EndChunk: end}
+}
+
+// oneModel is a header-d archive holding one d-dimensional model.
+func oneModel(header, d, chunksSeen int) *SiteArchive {
+	mix := gaussian.MustMixture([]float64{1}, []*gaussian.Component{gaussian.Spherical(linalg.NewVector(d), 1)})
+	return &SiteArchive{SiteID: 1, Dim: header, History: site.History{
+		Models: []site.Model{{ID: 1, Counter: 10, Mixture: mix}}, ChunksSeen: chunksSeen, ChunkSize: 10,
+	}}
+}
+
+// badArchives are archives Load must refuse: a model wider than the
+// header's d (which used to load, and then panic when scored); an event
+// table of three bad spans (which used to load, and then answer ModelAt(2)
+// from the span running past the end); and one of each defect alone — a
+// span past ChunksSeen, a span of a model not in the list, a malformed
+// span, overlapping spans.
+func badArchives(t testing.TB) map[string][]byte {
+	good := oneModel(2, 2, 9)
+	return map[string][]byte{
+		"model wider than header": rawArchive(t, oneModel(2, 4, 3), nil),
+		"three bad spans":         rawArchive(t, oneModel(2, 2, 3), []events.Entry{span(1, 1, 9), span(7, 2, 3), span(1, 5, 1)}),
+		"span past chunks seen":   rawArchive(t, oneModel(2, 2, 3), []events.Entry{span(1, 1, 4)}),
+		"unknown model":           rawArchive(t, good, []events.Entry{span(1, 1, 2), span(7, 3, 4)}),
+		"malformed span":          rawArchive(t, good, []events.Entry{span(1, 5, 1)}),
+		"overlapping spans":       rawArchive(t, good, []events.Entry{span(1, 1, 4), span(1, 4, 6)}),
+	}
+}
+
+func TestLoadRejectsInconsistentArchives(t *testing.T) {
+	for name, data := range badArchives(t) {
+		if a, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: Load = %v, %v; want ErrBadFormat", name, a, err)
+		}
+	}
+	if _, err := Load(bytes.NewReader(rawArchive(t, oneModel(2, 2, 9), []events.Entry{span(1, 1, 4), span(1, 5, 9)}))); err != nil {
+		t.Fatalf("consistent archive refused: %v", err)
+	}
+}
 
 // FuzzLoad feeds arbitrary bytes to the archive loader: it must never
 // panic or over-allocate, every rejection must wrap ErrBadFormat (the
-// input is in memory, so no genuine I/O error can occur), and accepted
-// archives must round-trip.
+// input is in memory, so no genuine I/O error can occur), accepted
+// archives must round-trip, and their queries must answer as the oracle's
+// without panicking (checkArchive).
 func FuzzLoad(f *testing.F) {
 	// Seed with a small real archive and corruptions of it.
-	a := &SiteArchive{SiteID: 1, Dim: 2, ChunkSize: 10, ChunksSeen: 3}
+	a := &SiteArchive{SiteID: 1, Dim: 2, History: site.History{ChunkSize: 10, ChunksSeen: 3}}
 	var buf bytes.Buffer
 	if err := Save(&buf, a); err != nil {
 		f.Fatal(err)
@@ -25,6 +92,9 @@ func FuzzLoad(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[5] ^= 0xFF
 	f.Add(flipped)
+	bad := badArchives(f)
+	f.Add(bad["model wider than header"])
+	f.Add(bad["three bad spans"])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Load(bytes.NewReader(data))
@@ -34,6 +104,7 @@ func FuzzLoad(f *testing.F) {
 			}
 			return
 		}
+		checkArchive(t, got)
 		var out bytes.Buffer
 		if err := Save(&out, got); err != nil {
 			t.Fatalf("accepted archive failed to save: %v", err)

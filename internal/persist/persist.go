@@ -1,9 +1,10 @@
 // Package persist serializes CluDistream state for offline use: a
 // SiteArchive captures everything a remote site has learned — its model
 // list with counters and reference likelihoods, and its event table — in a
-// versioned binary format. An archive answers the same evolving-analysis
-// queries (Section 7) as the live site: which model governed chunk n, and
-// what mixture covered any past window.
+// versioned binary format. An archive holds the same site.History as the
+// live site, so it answers the same evolving-analysis queries (Section 7)
+// through the same code: which model governed chunk n, and what mixture
+// covered any past window.
 //
 // The format is explicit little-endian binary (not gob) so files are
 // stable across Go versions and readable from other languages.
@@ -31,43 +32,20 @@ const version = 1
 // ErrBadFormat is returned for files that are not CluDistream archives.
 var ErrBadFormat = errors.New("persist: not a CluDistream archive")
 
-// ArchivedModel is one model-list entry.
-type ArchivedModel struct {
-	ID       int
-	RefAvgLL float64
-	Counter  int
-	Mixture  *gaussian.Mixture
-}
-
-// SiteArchive is a site's complete persisted state.
+// SiteArchive is a site's complete persisted state: its identity and its
+// History, which answers the evolving-analysis queries.
 type SiteArchive struct {
-	SiteID     int
-	Dim        int
-	ChunkSize  int
-	ChunksSeen int
-	Models     []ArchivedModel
-	Events     []events.Entry
+	SiteID int
+	Dim    int
+	site.History
 }
 
 // FromSite captures a snapshot of a live site. The mixtures are shared
 // (immutable), so the snapshot is cheap.
 func FromSite(s *site.Site) *SiteArchive {
-	a := &SiteArchive{
-		SiteID:     s.ID(),
-		ChunkSize:  s.ChunkSize(),
-		ChunksSeen: s.ChunksSeen(),
-		Events:     s.Events().All(),
-	}
-	for _, m := range s.Models() {
-		if a.Dim == 0 {
-			a.Dim = m.Mixture.Dim()
-		}
-		a.Models = append(a.Models, ArchivedModel{
-			ID:       m.ID,
-			RefAvgLL: m.RefAvgLL,
-			Counter:  m.Counter,
-			Mixture:  m.Mixture,
-		})
+	a := &SiteArchive{SiteID: s.ID(), History: s.History()}
+	if len(a.Models) > 0 {
+		a.Dim = a.Models[0].Mixture.Dim()
 	}
 	return a
 }
@@ -92,8 +70,8 @@ func Save(w io.Writer, a *SiteArchive) error {
 			return err
 		}
 	}
-	writeU32(bw, uint32(len(a.Events)))
-	for _, e := range a.Events {
+	writeU32(bw, uint32(a.Events.Len()))
+	for _, e := range a.Events.All() {
 		writeU32(bw, uint32(e.ModelID))
 		writeU32(bw, uint32(e.StartChunk))
 		writeU32(bw, uint32(e.EndChunk))
@@ -104,8 +82,11 @@ func Save(w io.Writer, a *SiteArchive) error {
 // Load reads an archive written by Save. Any input that is not a complete,
 // well-formed archive — wrong magic, unknown version, truncation, or
 // decoded values that cannot form a valid model — yields an error wrapping
-// ErrBadFormat. Errors from the reader itself (a failing disk, a closed
-// pipe) pass through untouched so callers can tell corruption from I/O.
+// ErrBadFormat, as do a model whose dimension is not the header's and an
+// event span that is malformed, overlaps its predecessor, ends after
+// ChunksSeen or names a model not in the list. Errors from the reader
+// itself (a failing disk, a closed pipe) pass through untouched so callers
+// can tell corruption from I/O.
 func Load(r io.Reader) (*SiteArchive, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
@@ -142,8 +123,9 @@ func Load(r io.Reader) (*SiteArchive, error) {
 	if nModels < 0 || nModels > 1<<24 {
 		return nil, badFormat("implausible model count %d", nModels)
 	}
+	ids := map[int]bool{} // the model IDs, for the event table's check
 	for i := 0; i < nModels; i++ {
-		var am ArchivedModel
+		var am site.Model
 		if am.ID, err = readInt(br); err != nil {
 			return nil, readErr("model list", err)
 		}
@@ -156,6 +138,10 @@ func Load(r io.Reader) (*SiteArchive, error) {
 		if am.Mixture, err = readMixture(br); err != nil {
 			return nil, fmt.Errorf("model %d: %w", am.ID, err)
 		}
+		if d := am.Mixture.Dim(); d != a.Dim {
+			return nil, badFormat("model %d has d=%d in a d=%d archive", am.ID, d, a.Dim)
+		}
+		ids[am.ID] = true
 		a.Models = append(a.Models, am)
 	}
 	nEvents, err := readInt(br)
@@ -176,112 +162,14 @@ func Load(r io.Reader) (*SiteArchive, error) {
 		if e.EndChunk, err = readInt(br); err != nil {
 			return nil, readErr("event table", err)
 		}
-		a.Events = append(a.Events, e)
+		if err := a.Events.Append(e); err != nil {
+			return nil, badFormat("%v", err)
+		}
+		if e.EndChunk > a.ChunksSeen || !ids[e.ModelID] {
+			return nil, badFormat("event %v outside %d chunks seen or of an unknown model", e, a.ChunksSeen)
+		}
 	}
 	return a, nil
-}
-
-// ModelAt returns the id of the model governing the given chunk, falling
-// back to the last model for the open span, and false when the chunk was
-// never processed.
-func (a *SiteArchive) ModelAt(chunk int) (int, bool) {
-	if chunk < 1 || chunk > a.ChunksSeen {
-		return 0, false
-	}
-	for _, e := range a.Events {
-		if e.StartChunk <= chunk && chunk <= e.EndChunk {
-			return e.ModelID, true
-		}
-	}
-	if len(a.Models) == 0 {
-		return 0, false
-	}
-	// Open span of the model that was current at snapshot time — the last
-	// model in list order.
-	return a.Models[len(a.Models)-1].ID, true
-}
-
-// WindowMixture rebuilds the mixture covering chunks [start, end] exactly
-// as window.Mixture does on a live site. Returns nil for empty windows.
-func (a *SiteArchive) WindowMixture(start, end int) *gaussian.Mixture {
-	if start < 1 {
-		start = 1
-	}
-	if end > a.ChunksSeen {
-		end = a.ChunksSeen
-	}
-	if end < start || len(a.Models) == 0 {
-		return nil
-	}
-	counts := map[int]int{}
-	var order []int
-	add := func(id, n int) {
-		if n <= 0 {
-			return
-		}
-		if _, seen := counts[id]; !seen {
-			order = append(order, id)
-		}
-		counts[id] += n
-	}
-	lastClosed := 0
-	for _, e := range a.Events {
-		lo, hi := maxInt(e.StartChunk, start), minInt(e.EndChunk, end)
-		add(e.ModelID, hi-lo+1)
-		if e.EndChunk > lastClosed {
-			lastClosed = e.EndChunk
-		}
-	}
-	// Open span: (lastClosed, ChunksSeen] belongs to the final model.
-	cur := a.Models[len(a.Models)-1]
-	lo, hi := maxInt(lastClosed+1, start), minInt(a.ChunksSeen, end)
-	add(cur.ID, hi-lo+1)
-
-	byID := map[int]*ArchivedModel{}
-	for i := range a.Models {
-		byID[a.Models[i].ID] = &a.Models[i]
-	}
-	var comps []*gaussian.Component
-	var weights []float64
-	for _, id := range order {
-		m := byID[id]
-		if m == nil {
-			continue
-		}
-		w := float64(counts[id] * a.ChunkSize)
-		for j := 0; j < m.Mixture.K(); j++ {
-			comps = append(comps, m.Mixture.Component(j))
-			weights = append(weights, m.Mixture.Weight(j)*w)
-		}
-	}
-	if len(comps) == 0 {
-		return nil
-	}
-	mix, err := gaussian.NewMixture(weights, comps)
-	if err != nil {
-		return nil
-	}
-	return mix
-}
-
-// LandmarkMixture composes all models weighted by their counters.
-func (a *SiteArchive) LandmarkMixture() *gaussian.Mixture {
-	var comps []*gaussian.Component
-	var weights []float64
-	for _, m := range a.Models {
-		for j := 0; j < m.Mixture.K(); j++ {
-			comps = append(comps, m.Mixture.Component(j))
-			weights = append(weights, m.Mixture.Weight(j)*float64(m.Counter))
-		}
-	}
-	if len(comps) == 0 {
-		return nil
-	}
-	mix, err := gaussian.NewMixture(weights, comps)
-	if err != nil {
-		return nil
-	}
-	return mix
 }
 
 // --- low-level encoding ---
@@ -405,18 +293,4 @@ func readErr(what string, err error) error {
 		return badFormat("truncated reading %s", what)
 	}
 	return err
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -9,7 +9,6 @@ import (
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
 	"cludistream/internal/site"
-	"cludistream/internal/window"
 )
 
 func builtSite(t *testing.T) *site.Site {
@@ -71,11 +70,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if len(got.Events) != len(a.Events) {
-		t.Fatalf("events = %d, want %d", len(got.Events), len(a.Events))
+	if got.Events.Len() != a.Events.Len() {
+		t.Fatalf("events = %d, want %d", got.Events.Len(), a.Events.Len())
 	}
-	for i := range a.Events {
-		if got.Events[i] != a.Events[i] {
+	for i := 0; i < a.Events.Len(); i++ {
+		if got.Events.At(i) != a.Events.At(i) {
 			t.Fatalf("event %d differs", i)
 		}
 	}
@@ -92,12 +91,10 @@ func TestArchiveAnswersSameQueriesAsLiveSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := s.History()
 	// ModelAt parity across every chunk.
 	for chunk := 1; chunk <= s.ChunksSeen(); chunk++ {
-		liveID, liveOK := s.Events().ModelAt(chunk)
-		if !liveOK && s.Current() != nil {
-			liveID = s.Current().ID
-		}
+		liveID, _ := h.ModelAt(chunk)
 		gotID, ok := loaded.ModelAt(chunk)
 		if !ok {
 			t.Fatalf("archive has no model for chunk %d", chunk)
@@ -113,10 +110,10 @@ func TestArchiveAnswersSameQueriesAsLiveSite(t *testing.T) {
 		t.Fatal("future chunk should be out of range")
 	}
 
-	// WindowMixture parity with the live window package on several windows.
+	// Window mixture parity with the live site on several windows.
 	for _, w := range [][2]int{{1, 3}, {4, 6}, {2, 8}, {1, 9}} {
-		live := window.Mixture(s, w[0], w[1])
-		arch := loaded.WindowMixture(w[0], w[1])
+		live := h.Mixture(w[0], w[1])
+		arch := loaded.Mixture(w[0], w[1])
 		if (live == nil) != (arch == nil) {
 			t.Fatalf("window %v: nil mismatch", w)
 		}
@@ -133,8 +130,8 @@ func TestArchiveAnswersSameQueriesAsLiveSite(t *testing.T) {
 	}
 
 	// Landmark parity.
-	liveLM := s.LandmarkMixture()
-	archLM := loaded.LandmarkMixture()
+	liveLM := h.Landmark()
+	archLM := loaded.Landmark()
 	if liveLM.K() != archLM.K() {
 		t.Fatalf("landmark K %d vs %d", archLM.K(), liveLM.K())
 	}
@@ -168,7 +165,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestEmptyArchive(t *testing.T) {
-	a := &SiteArchive{SiteID: 1, Dim: 2, ChunkSize: 100}
+	a := &SiteArchive{SiteID: 1, Dim: 2, History: site.History{ChunkSize: 100}}
 	var buf bytes.Buffer
 	if err := Save(&buf, a); err != nil {
 		t.Fatal(err)
@@ -177,10 +174,10 @@ func TestEmptyArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LandmarkMixture() != nil {
+	if got.Landmark() != nil {
 		t.Fatal("empty archive produced a mixture")
 	}
-	if got.WindowMixture(1, 10) != nil {
+	if got.Mixture(1, 10) != nil {
 		t.Fatal("empty archive produced a window mixture")
 	}
 	if _, ok := got.ModelAt(1); ok {

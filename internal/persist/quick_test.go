@@ -10,6 +10,7 @@ import (
 	"cludistream/internal/events"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
+	"cludistream/internal/site"
 )
 
 // randomMixture builds a mixture whose serialization is a fixed point of
@@ -52,15 +53,12 @@ func randomMixture(rng *rand.Rand, d int) *gaussian.Mixture {
 // randomArchive builds an arbitrary but valid SiteArchive.
 func randomArchive(rng *rand.Rand) *SiteArchive {
 	d := 1 + rng.Intn(3)
-	a := &SiteArchive{
-		SiteID:     1 + rng.Intn(100),
-		Dim:        d,
-		ChunkSize:  50 + rng.Intn(500),
-		ChunksSeen: rng.Intn(1000),
-	}
+	a := &SiteArchive{SiteID: 1 + rng.Intn(100), Dim: d}
+	a.ChunkSize = 50 + rng.Intn(500)
+	a.ChunksSeen = rng.Intn(1000)
 	nModels := 1 + rng.Intn(4)
 	for id := 1; id <= nModels; id++ {
-		a.Models = append(a.Models, ArchivedModel{
+		a.Models = append(a.Models, site.Model{
 			ID:       id,
 			RefAvgLL: rng.NormFloat64() * 10,
 			Counter:  rng.Intn(1 << 20),
@@ -70,13 +68,13 @@ func randomArchive(rng *rand.Rand) *SiteArchive {
 	start := 1
 	for i, n := 0, rng.Intn(5); i < n; i++ {
 		end := start + rng.Intn(10)
-		a.Events = append(a.Events, events.Entry{
-			ModelID:    1 + rng.Intn(nModels),
-			StartChunk: start,
-			EndChunk:   end,
-		})
+		if err := a.Events.Append(events.Entry{ModelID: 1 + rng.Intn(nModels), StartChunk: start, EndChunk: end}); err != nil {
+			panic(err)
+		}
 		start = end + 1
 	}
+	// Load refuses a span past the chunks seen.
+	a.ChunksSeen = max(a.ChunksSeen, start-1)
 	return a
 }
 

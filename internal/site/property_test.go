@@ -127,7 +127,7 @@ func TestLandmarkWeightsMatchCounters(t *testing.T) {
 			}
 		}
 	}
-	lm := s.LandmarkMixture()
+	lm := s.History().Landmark()
 	var total float64
 	for _, m := range s.Models() {
 		total += float64(m.Counter)

@@ -928,57 +928,6 @@ func (s *Site) Stats() Stats { return s.stats }
 // Pending returns records buffered toward the next chunk.
 func (s *Site) Pending() int { return s.chunker.Pending() }
 
-// LandmarkMixture composes a single mixture over everything the site has
-// seen (landmark window): each model's components enter weighted by the
-// model's record counter. Returns nil before any model exists.
-func (s *Site) LandmarkMixture() *gaussian.Mixture {
-	return composeModels(s.Models())
-}
-
-// ModelsInWindow returns the models governing any chunk in
-// [startChunk, endChunk] — the Section 7 evolving-analysis query. The
-// current model is included if its open span intersects the window.
-func (s *Site) ModelsInWindow(startChunk, endChunk int) []*Model {
-	byID := make(map[int]*Model, len(s.archive)+1)
-	for _, m := range s.Models() {
-		byID[m.ID] = m
-	}
-	seen := make(map[int]bool)
-	var out []*Model
-	for _, e := range s.events.Query(startChunk, endChunk) {
-		if m := byID[e.ModelID]; m != nil && !seen[m.ID] {
-			seen[m.ID] = true
-			out = append(out, m)
-		}
-	}
-	if s.current != nil && !seen[s.current.ID] &&
-		s.current.startChunk <= endChunk && s.chunkNum >= startChunk {
-		out = append(out, s.current)
-	}
-	return out
-}
-
-// composeModels flattens a set of models into one mixture, weighting every
-// component by its model weight times the model's counter.
-func composeModels(models []*Model) *gaussian.Mixture {
-	var comps []*gaussian.Component
-	var weights []float64
-	for _, m := range models {
-		for j := 0; j < m.Mixture.K(); j++ {
-			comps = append(comps, m.Mixture.Component(j))
-			weights = append(weights, m.Mixture.Weight(j)*float64(m.Counter))
-		}
-	}
-	if len(comps) == 0 {
-		return nil
-	}
-	mix, err := gaussian.NewMixture(weights, comps)
-	if err != nil {
-		return nil
-	}
-	return mix
-}
-
 // ModelListBytes estimates the memory the model list occupies — Theorem 3's
 // second term, B·K·(d²+d+1) floats: per component one weight, a d-vector
 // mean, and a covariance (d(d+1)/2 packed floats; the theorem's d² is the

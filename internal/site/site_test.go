@@ -312,7 +312,7 @@ func TestLandmarkMixture(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	feed(t, s, regime(0), 200*4, rng)
 	feed(t, s, regime(60), 200*2, rng)
-	lm := s.LandmarkMixture()
+	lm := s.History().Landmark()
 	if lm == nil {
 		t.Fatal("nil landmark mixture")
 	}
@@ -337,45 +337,9 @@ func TestLandmarkMixture(t *testing.T) {
 	}
 
 	empty, _ := New(testConfig())
-	if empty.LandmarkMixture() != nil {
+	if empty.History().Landmark() != nil {
 		t.Fatal("empty site should have nil landmark mixture")
 	}
-}
-
-func TestModelsInWindow(t *testing.T) {
-	cfg := testConfig()
-	cfg.Epsilon = 0.5 // loose enough that each regime maps to exactly one model
-	s, _ := New(cfg)
-	rng := rand.New(rand.NewSource(9))
-	feed(t, s, regime(0), 200*3, rng)   // model 1, chunks 1-3
-	feed(t, s, regime(60), 200*3, rng)  // model 2, chunks 4-6
-	feed(t, s, regime(-60), 200*3, rng) // model 3, chunks 7-9 (current)
-
-	got := s.ModelsInWindow(2, 2)
-	if len(got) != 1 || got[0].ID != 1 {
-		t.Fatalf("window [2,2] = %v", ids(got))
-	}
-	got = s.ModelsInWindow(3, 5)
-	if len(got) != 2 {
-		t.Fatalf("window [3,5] = %v", ids(got))
-	}
-	got = s.ModelsInWindow(1, 100)
-	if len(got) != 3 {
-		t.Fatalf("window [1,100] = %v", ids(got))
-	}
-	// Window entirely in the current model's open span.
-	got = s.ModelsInWindow(8, 9)
-	if len(got) != 1 || got[0].ID != 3 {
-		t.Fatalf("window [8,9] = %v", ids(got))
-	}
-}
-
-func ids(ms []*Model) []int {
-	out := make([]int, len(ms))
-	for i, m := range ms {
-		out[i] = m.ID
-	}
-	return out
 }
 
 func TestMemoryAccounting(t *testing.T) {

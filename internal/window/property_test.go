@@ -41,7 +41,7 @@ func TestQuickSlidingDeletionEqualsRecomputed(t *testing.T) {
 			t.Logf("seed %d: expiry before any chunk: %v", seed, ds)
 			return false
 		}
-		if Mixture(s, 1, horizon) != nil {
+		if s.History().Mixture(1, horizon) != nil {
 			t.Logf("seed %d: empty site produced a window mixture", seed)
 			return false
 		}
@@ -54,7 +54,7 @@ func TestQuickSlidingDeletionEqualsRecomputed(t *testing.T) {
 			feedChunk(t, s, mean, chunkSize, rng)
 
 			newest := s.ChunksSeen()
-			id, ok := governingModel(s, newest)
+			id, ok := s.History().ModelAt(newest)
 			if !ok {
 				t.Logf("seed %d: chunk %d has no governing model", seed, newest)
 				return false
@@ -68,7 +68,7 @@ func TestQuickSlidingDeletionEqualsRecomputed(t *testing.T) {
 			}
 
 			// The window must hold exactly min(newest, horizon) chunks.
-			want := chunkSize * minInt(newest, horizon)
+			want := chunkSize * min(newest, horizon)
 			got := 0
 			for _, n := range net {
 				got += n
@@ -78,7 +78,7 @@ func TestQuickSlidingDeletionEqualsRecomputed(t *testing.T) {
 				return false
 			}
 
-			direct := Mixture(s, newest-horizon+1, newest)
+			direct := s.History().Mixture(newest-horizon+1, newest)
 			if !sameMixtureAsNetCounts(t, s, net, direct) {
 				t.Logf("seed %d: chunk %d: deletion-maintained window diverged from recomputed mixture", seed, newest)
 				return false

@@ -1,13 +1,13 @@
-// Package window implements the windowing extensions of Section 7 on top
-// of the remote site's model/event lists: landmark windows (native to
-// CluDistream), sliding windows via negative-weight deletion messages, and
-// evolving analysis over arbitrary chunk ranges.
+// Package window implements Section 7's sliding windows: a sender's
+// Tracker turns the chunks that leave a window into negative-weight
+// Deletion messages. Landmark windows are native to CluDistream and need
+// no tracker; the window mixtures themselves (sliding, landmark and
+// evolving-analysis queries) are site.History's.
 package window
 
 import (
 	"fmt"
 
-	"cludistream/internal/gaussian"
 	"cludistream/internal/site"
 )
 
@@ -70,137 +70,29 @@ func (t *Tracker) Send(u site.Update) site.Update {
 // Expire returns deletion messages for every chunk that has fallen out of
 // the window since the last call, and counts them against their models.
 // Call it after feeding records to the site and sending its updates.
+// A call that expires no chunk allocates nothing.
 func (t *Tracker) Expire(siteID int) []Deletion {
-	var out []Deletion
-	newest := t.s.ChunksSeen()
-	for t.expired < newest-t.horizonChunks {
-		chunk := t.expired + 1
-		id, ok := governingModel(t.s, chunk)
-		if ok {
-			out = append(out, Deletion{SiteID: siteID, ModelID: id, Count: t.s.ChunkSize()})
-		}
-		t.expired++
+	last := t.s.ChunksSeen() - t.horizonChunks
+	if t.expired >= last {
+		return nil
 	}
-	out = coalesce(out)
-	for _, d := range out {
-		t.outstanding[d.ModelID] -= d.Count
+	h := t.s.History()
+	var out []Deletion
+	for ; t.expired < last; t.expired++ {
+		id, ok := h.ModelAt(t.expired + 1)
+		if !ok {
+			continue
+		}
+		t.outstanding[id] -= h.ChunkSize
+		// Consecutive chunks of one model leave in one message.
+		if n := len(out); n > 0 && out[n-1].ModelID == id {
+			out[n-1].Count += h.ChunkSize
+		} else {
+			out = append(out, Deletion{SiteID: siteID, ModelID: id, Count: h.ChunkSize})
+		}
 	}
 	return out
 }
 
 // ExpiredChunks returns how many chunks have been expired so far.
 func (t *Tracker) ExpiredChunks() int { return t.expired }
-
-// coalesce merges consecutive deletions for the same model.
-func coalesce(ds []Deletion) []Deletion {
-	var out []Deletion
-	for _, d := range ds {
-		if n := len(out); n > 0 && out[n-1].SiteID == d.SiteID && out[n-1].ModelID == d.ModelID {
-			out[n-1].Count += d.Count
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// governingModel resolves which model explained the given chunk: a closed
-// event-list span, or the current model's open span.
-func governingModel(s *site.Site, chunk int) (int, bool) {
-	if id, ok := s.Events().ModelAt(chunk); ok {
-		return id, true
-	}
-	if cur := s.Current(); cur != nil && chunk <= s.ChunksSeen() {
-		return cur.ID, true
-	}
-	return 0, false
-}
-
-// Mixture composes the site's models into one mixture covering chunks
-// [startChunk, endChunk], weighting each model by the number of window
-// chunks it governed times the chunk size. This serves sliding windows
-// (start = newest-H+1), landmark windows (start = 1) and evolving-analysis
-// queries alike. Returns nil when the range covers no chunks.
-func Mixture(s *site.Site, startChunk, endChunk int) *gaussian.Mixture {
-	if startChunk < 1 {
-		startChunk = 1
-	}
-	if endChunk > s.ChunksSeen() {
-		endChunk = s.ChunksSeen()
-	}
-	if endChunk < startChunk {
-		return nil
-	}
-	counts := map[int]int{} // modelID → chunks governed inside the window
-	order := []int{}
-	for _, e := range s.Events().Query(startChunk, endChunk) {
-		lo, hi := maxInt(e.StartChunk, startChunk), minInt(e.EndChunk, endChunk)
-		if _, seen := counts[e.ModelID]; !seen {
-			order = append(order, e.ModelID)
-		}
-		counts[e.ModelID] += hi - lo + 1
-	}
-	if cur := s.Current(); cur != nil {
-		curStart := s.ChunksSeen() - chunksGoverned(s, cur) + 1
-		lo, hi := maxInt(curStart, startChunk), minInt(s.ChunksSeen(), endChunk)
-		if hi >= lo {
-			if _, seen := counts[cur.ID]; !seen {
-				order = append(order, cur.ID)
-			}
-			counts[cur.ID] += hi - lo + 1
-		}
-	}
-
-	byID := map[int]*site.Model{}
-	for _, m := range s.Models() {
-		byID[m.ID] = m
-	}
-	var comps []*gaussian.Component
-	var weights []float64
-	for _, id := range order {
-		m := byID[id]
-		if m == nil {
-			continue
-		}
-		w := float64(counts[id] * s.ChunkSize())
-		for j := 0; j < m.Mixture.K(); j++ {
-			comps = append(comps, m.Mixture.Component(j))
-			weights = append(weights, m.Mixture.Weight(j)*w)
-		}
-	}
-	if len(comps) == 0 {
-		return nil
-	}
-	mix, err := gaussian.NewMixture(weights, comps)
-	if err != nil {
-		return nil
-	}
-	return mix
-}
-
-// chunksGoverned counts the chunks of the current open span: the site's
-// total minus everything in closed spans... except re-activated models also
-// have closed spans, so derive from the event list instead: open span =
-// total chunks − last closed end.
-func chunksGoverned(s *site.Site, cur *site.Model) int {
-	ev := s.Events()
-	lastEnd := 0
-	if n := ev.Len(); n > 0 {
-		lastEnd = ev.At(n - 1).EndChunk
-	}
-	return s.ChunksSeen() - lastEnd
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

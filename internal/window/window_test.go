@@ -157,8 +157,8 @@ func TestMixtureLandmarkEqualsSiteLandmark(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	feed(t, s, regime(0), 200*4, rng)
 	feed(t, s, regime(50), 200*2, rng)
-	wm := Mixture(s, 1, s.ChunksSeen())
-	lm := s.LandmarkMixture()
+	wm := s.History().Mixture(1, s.ChunksSeen())
+	lm := s.History().Landmark()
 	if wm.K() != lm.K() {
 		t.Fatalf("K mismatch: %d vs %d", wm.K(), lm.K())
 	}
@@ -176,7 +176,7 @@ func TestMixtureSlidingWindowFollowsRecentRegime(t *testing.T) {
 	feed(t, s, regime(0), 200*5, rng)
 	feed(t, s, regime(50), 200*5, rng)
 	// Window = last 3 chunks: only the new regime.
-	recent := Mixture(s, s.ChunksSeen()-2, s.ChunksSeen())
+	recent := s.History().Mixture(s.ChunksSeen()-2, s.ChunksSeen())
 	if recent == nil {
 		t.Fatal("nil window mixture")
 	}
@@ -186,7 +186,7 @@ func TestMixtureSlidingWindowFollowsRecentRegime(t *testing.T) {
 		}
 	}
 	// Full landmark window has both regimes.
-	full := Mixture(s, 1, s.ChunksSeen())
+	full := s.History().Mixture(1, s.ChunksSeen())
 	var hasOld bool
 	for j := 0; j < full.K(); j++ {
 		if full.Component(j).Mean()[0] < 30 {
@@ -204,7 +204,7 @@ func TestMixtureEvolvingQueryMidStream(t *testing.T) {
 	feed(t, s, regime(0), 200*3, rng)   // chunks 1-3
 	feed(t, s, regime(50), 200*3, rng)  // chunks 4-6
 	feed(t, s, regime(-50), 200*3, rng) // chunks 7-9
-	mid := Mixture(s, 4, 6)
+	mid := s.History().Mixture(4, 6)
 	if mid == nil {
 		t.Fatal("nil mid-stream mixture")
 	}
@@ -218,16 +218,16 @@ func TestMixtureEvolvingQueryMidStream(t *testing.T) {
 
 func TestMixtureEdgeCases(t *testing.T) {
 	s := newSite(t)
-	if Mixture(s, 1, 10) != nil {
+	if s.History().Mixture(1, 10) != nil {
 		t.Fatal("empty site produced a mixture")
 	}
 	rng := rand.New(rand.NewSource(7))
 	feed(t, s, regime(0), 200*2, rng)
-	if Mixture(s, 5, 3) != nil {
+	if s.History().Mixture(5, 3) != nil {
 		t.Fatal("inverted range produced a mixture")
 	}
 	// Clamping: a huge range behaves like the landmark window.
-	m := Mixture(s, -100, 1000)
+	m := s.History().Mixture(-100, 1000)
 	if m == nil || m.K() != 2 {
 		t.Fatalf("clamped mixture = %v", m)
 	}
@@ -239,7 +239,7 @@ func TestMixturePartialOverlapWeights(t *testing.T) {
 	feed(t, s, regime(0), 200*4, rng)  // model 1: chunks 1-4
 	feed(t, s, regime(50), 200*4, rng) // model 2: chunks 5-8
 	// Window [4,5]: one chunk each → equal total weight per model.
-	m := Mixture(s, 4, 5)
+	m := s.History().Mixture(4, 5)
 	var w1, w2 float64
 	for j := 0; j < m.K(); j++ {
 		if m.Component(j).Mean()[0] < 30 {
