@@ -130,8 +130,9 @@ tier1:
 
 # Short fuzz pass, 10 s per target, over every fuzz target
 # scripts/fuzz.sh lists (the wire decoders, the receive step, the
-# frame/ack protocol, the durable formats and tree topologies); a target
-# its pattern no longer selects fails the pass instead of fuzzing nothing.
+# frame/ack protocol, the delivery state machine, the durable formats and
+# tree topologies); a target its pattern no longer selects fails the pass
+# instead of fuzzing nothing.
 fuzz:
 	GO=$(GO) bash scripts/fuzz.sh 10s
 

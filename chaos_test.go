@@ -77,7 +77,7 @@ func TestChaosBitIdenticalRecovery(t *testing.T) {
 		// The records span ~3 simulated seconds at the default arrival
 		// rate; this 5-second window blacks out the coordinator from
 		// mid-stream until well past the end, so recovery rides entirely
-		// on courier retransmission during Drain.
+		// on the sites' retransmissions during Drain.
 		Outages: []netsim.Outage{{Start: 1.2, End: 6.2}},
 	}
 	faulty, err := New(cfg)

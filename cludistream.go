@@ -67,14 +67,14 @@ type Config struct {
 
 	// Fault, when non-nil, subjects every site→coordinator link to the
 	// given fault plan and switches delivery to fault-tolerant mode: each
-	// site sends through a retransmitting Courier with sequence-numbered,
-	// epoch-tagged messages, and the coordinator dedupes so updates are
-	// applied exactly once. Nil keeps perfect links and the legacy v1
-	// encoding, preserving the figures' byte-for-byte cost model.
+	// site sends through the daemons' retransmitting sender with
+	// sequence-numbered, epoch-tagged messages, and the coordinator dedupes
+	// so updates are applied exactly once. Nil keeps perfect links and the
+	// legacy v1 encoding, preserving the figures' byte-for-byte cost model.
 	Fault *netsim.FaultPlan
 
 	// Telemetry, when non-nil, instruments the whole deployment — sites,
-	// EM runs, coordinator merges, links and couriers — into the given
+	// EM runs, coordinator merges, links and senders — into the given
 	// registry. Nil (the default) keeps every hot path on a bare nil
 	// check; clustering output is bit-identical either way, because
 	// telemetry only reads values the algorithms already computed.
@@ -150,8 +150,8 @@ func (c Config) withDefaults() Config {
 // The simulated network every System runs on: a one-way site→coordinator
 // delay of linkLatency simulated seconds on links of unlimited bandwidth,
 // and arrivalRate records/second/site on the simulated clock (the paper's
-// observed CluDistream processing rate). Couriers retransmit with
-// tree.Config's default backoff.
+// observed CluDistream processing rate). Under faults, sites retransmit
+// with the sender's default backoff.
 const (
 	linkLatency = 0.05
 	arrivalRate = 1000
@@ -231,7 +231,7 @@ func (s *System) CrashSite(siteIdx int) error { return s.d.CrashLeaf(siteIdx) }
 // from its durable store (requires Config.Durability): the in-memory
 // coordinator and dedupe table are dropped, the WAL is abandoned without
 // flushing, and the replacement coordinator is rebuilt from the latest
-// checkpoint plus the surviving WAL tail. Queued courier retransmissions
+// checkpoint plus the surviving WAL tail. Queued site retransmissions
 // are unaffected — sites keep retrying through the outage, and the
 // recovered dedupe table drops what was already applied. With
 // DurabilityConfig.SelfCheck, a recovered state that differs from the

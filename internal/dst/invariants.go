@@ -536,7 +536,7 @@ func (c *checker) checkConservation() {
 		"sim.retransmit_bytes": d.RetransmitBytes,
 		"sim.dropped_bytes":    d.DroppedBytes,
 		"sim.dup_delivered":    d.DupDelivered,
-		"sim.courier_retries":  d.Retries,
+		"net.retries":          d.Retries,
 		"coord.dedupe_dropped": d.Duplicates,
 		"coord.epoch_resets":   d.SiteResets,
 	} {
@@ -591,7 +591,7 @@ func (c *checker) finalChecks() {
 		return
 	}
 	if p := c.dep.Pending(); p != 0 {
-		c.fail("delivery", fmt.Sprintf("%d payloads still pending in couriers after drain", p))
+		c.fail("delivery", fmt.Sprintf("%d payloads still pending in edge outboxes after drain", p))
 		return
 	}
 	for _, es := range c.dep.EdgeStatsAll() {

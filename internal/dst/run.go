@@ -136,8 +136,9 @@ func run(sc Scenario, opts Options) (*Result, *checker, error) {
 		// replication at every hop, not tolerance-suppressed drift.
 		ExactSync: true,
 		// One Rand, derived from the seed, for every edge's drops,
-		// duplicates and backoff jitter. Never nil: every hop runs couriers
-		// and versioned frames, what the per-hop exactly-once shadow checks.
+		// duplicates and backoff jitter. Never nil: every hop runs the
+		// daemons' sender and versioned frames, what the per-hop
+		// exactly-once shadow checks.
 		Fault: &netsim.FaultPlan{
 			DropProb: sc.DropProb,
 			DupProb:  sc.DupProb,

@@ -39,7 +39,7 @@ type Regime struct {
 }
 
 // Outage is a receiver-down window on one internal node: arrivals inside
-// it are lost, the node's state stays intact, and couriers retransmit
+// it are lost, the node's state stays intact, and the senders retransmit
 // after it lifts. Restart, allowed only on the root (node 0), also kills
 // the root's process and recovers it from checkpoint + WAL when the window
 // ends, with a byte-level self-check that the recovered state matches the
@@ -370,7 +370,7 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("dst: site %d CrashAfter %d outside stream of %d", i, s.CrashAfter, s.totalRecords(sc.ChunkSize))
 		}
 	}
-	// A certain drop would leave couriers retrying forever.
+	// A certain drop would leave the senders retrying forever.
 	if sc.DropProb >= 1 {
 		return fmt.Errorf("dst: DropProb %v", sc.DropProb)
 	}

@@ -20,7 +20,8 @@ import (
 // deletion followed by a fresh NewModel — whenever the locally merged global
 // mixture changes, and transmits nothing while the mixture is stable. Sync
 // returns the wire messages to transmit; the caller owns the transport
-// (netio connection, netsim courier, or an in-process coordinator call).
+// (a sender.Sender over a netio connection or a simulated tree edge, or an
+// in-process coordinator call).
 type UploadMirror struct {
 	// NodeID is the pseudo-site id the parent sees on every message.
 	NodeID int

@@ -33,6 +33,16 @@ func chaosRecords(n int) []linalg.Vector {
 	return recs
 }
 
+// observe feeds records to c one by one and stops at the first error.
+func observe(c *Client, records []linalg.Vector) error {
+	for _, x := range records {
+		if err := c.Observe(x); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // encodeMixture canonicalizes a mixture to its exact wire bytes so "same
 // final model" means bit-identical, not approximately close.
 func encodeMixture(t *testing.T, mix *gaussian.Mixture) []byte {
@@ -59,7 +69,7 @@ func runDirect(t *testing.T, records []linalg.Vector) []byte {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.ObserveAll(records); err != nil {
+	if err := observe(c, records); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(5 * time.Second); err != nil {
@@ -102,7 +112,7 @@ func TestChaosConnectionKills(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.ObserveAll(records); err != nil {
+	if err := observe(c, records); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(30 * time.Second); err != nil {
@@ -159,7 +169,7 @@ func TestChaosSiteCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.ObserveAll(records[:len(records)/2]); err != nil {
+	if err := observe(c1, records[:len(records)/2]); err != nil {
 		t.Fatal(err)
 	}
 	if err := c1.Flush(5 * time.Second); err != nil {
@@ -175,7 +185,7 @@ func TestChaosSiteCrashRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if err := c2.ObserveAll(records); err != nil {
+	if err := observe(c2, records); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.Flush(5 * time.Second); err != nil {
@@ -227,7 +237,7 @@ func TestChaosCoordinatorOutage(t *testing.T) {
 	defer c.Close()
 
 	third := len(records) / 3
-	if err := c.ObserveAll(records[:third]); err != nil {
+	if err := observe(c, records[:third]); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(5 * time.Second); err != nil {
@@ -236,7 +246,7 @@ func TestChaosCoordinatorOutage(t *testing.T) {
 
 	// Coordinator goes dark; the site streams on regardless.
 	proxy.SetPaused(true)
-	if err := c.ObserveAll(records[third : 2*third]); err != nil {
+	if err := observe(c, records[third:2*third]); err != nil {
 		t.Fatalf("observe during outage: %v", err)
 	}
 	if d := c.Delivery(); d.Queued == 0 {
@@ -245,7 +255,7 @@ func TestChaosCoordinatorOutage(t *testing.T) {
 
 	// Recovery: the backlog drains in order, then the rest of the stream.
 	proxy.SetPaused(false)
-	if err := c.ObserveAll(records[2*third:]); err != nil {
+	if err := observe(c, records[2*third:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(30 * time.Second); err != nil {

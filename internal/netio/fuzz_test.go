@@ -6,6 +6,9 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"cludistream/internal/sender"
+	"cludistream/internal/transport"
 )
 
 // FuzzReadFrame mirrors internal/transport's decoder fuzz: readFrame must
@@ -106,21 +109,24 @@ func FuzzReadAck(f *testing.F) {
 
 // FuzzWatermarkAck covers the client half of the restart handshake:
 // readWatermarkAck accepts exactly the 13-byte replies that open with a
-// watermark status byte, round-trips writeWatermarkAck, and pruneOutbox
-// keeps exactly the queued entries above the decoded (epoch, maxSeq)
-// watermark, in their original order. outbox encodes one queued entry per
-// byte pair (epoch mod 4, seq mod 8) so entries straddle small watermarks.
+// watermark status byte and round-trips writeWatermarkAck, and the sender
+// Conn drives, handed the decoded (epoch, maxSeq) watermark on a
+// reconnect, retransmits exactly the queued entries above it, in their
+// original order. outbox scripts the sender: its first byte picks the
+// epoch (1–4); every later byte enqueues one message, and an odd byte
+// then delivers the outbox head, so the queue the watermark meets is any
+// suffix of the sequence space.
 func FuzzWatermarkAck(f *testing.F) {
 	reply := func(status byte, epoch uint32, maxSeq uint64) []byte {
 		b := []byte{status}
 		b = binary.LittleEndian.AppendUint32(b, epoch)
 		return binary.LittleEndian.AppendUint64(b, maxSeq)
 	}
-	f.Add(reply(ackWatermark, 1, 3), []byte{1, 1, 1, 2, 1, 3, 1, 4, 2, 1})
-	f.Add(reply(ackWatermarkTraced, 2, 0), []byte{0, 7, 1, 5, 2, 0, 2, 1, 3, 3})
-	f.Add(reply(ackWatermark, 0, 0), []byte{0, 0, 0, 1})
-	f.Add(append(reply(ackWatermark, 3, 7), 0xEE), []byte{3, 7, 3, 6, 3, 8})
-	f.Add(reply(ackOK, 1, 1), []byte{1, 1})
+	f.Add(reply(ackWatermark, 1, 3), []byte{0, 1, 1, 0, 0, 0, 0})
+	f.Add(reply(ackWatermarkTraced, 3, 0), []byte{1, 0, 0, 1})
+	f.Add(reply(ackWatermark, 0, 0), []byte{0, 0})
+	f.Add(append(reply(ackWatermark, 3, 7), 0xEE), []byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(reply(ackOK, 1, 1), []byte{0, 0})
 	f.Add(reply(ackWatermark, 1, 1)[:12], []byte{})
 	f.Fuzz(func(t *testing.T, data, outbox []byte) {
 		epoch, maxSeq, traced, err := readWatermarkAck(bytes.NewReader(data))
@@ -141,25 +147,67 @@ func FuzzWatermarkAck(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data[:watermarkAckSize]) {
 			t.Fatalf("re-encoded % x, read % x", buf.Bytes(), data[:watermarkAckSize])
 		}
+		if len(outbox) == 0 {
+			return
+		}
 
-		c := &Conn{}
-		var want []pending
-		for i := 0; i+1 < len(outbox); i += 2 {
-			p := pending{payload: []byte{byte(i)}, epoch: uint32(outbox[i] % 4), seq: uint64(outbox[i+1] % 8)}
-			c.outbox = append(c.outbox, p)
-			if p.epoch > epoch || (p.epoch == epoch && p.seq > maxSeq) {
-				want = append(want, p)
+		s := sender.New(sender.Config{Epoch: uint32(outbox[0]%4) + 1, Handshake: true})
+		var queued []uint64 // the outbox's seqs, head first, as the test expects them
+		now := 0.0
+		var wmEpoch uint32
+		var wmSeq uint64 // the first connection meets an empty watermark
+		next := func() sender.Action {
+			for {
+				switch act := s.Next(now); act.Kind {
+				case sender.Dial:
+					s.OnConnected()
+				case sender.Hello:
+					s.OnWatermark(wmEpoch, wmSeq)
+				default:
+					return act
+				}
 			}
 		}
-		total := len(c.outbox)
-		c.pruneOutbox(epoch, maxSeq)
-		if len(c.outbox) != len(want) || c.stats.HandshakePruned != total-len(want) {
-			t.Fatalf("watermark (%d,%d): kept %d pruned %d of %d, want kept %d",
-				epoch, maxSeq, len(c.outbox), c.stats.HandshakePruned, total, len(want))
+		for i, b := range outbox[1:] {
+			queued = append(queued, s.Enqueue(transport.Message{Kind: transport.MsgWeightUpdate, SiteID: 1, ModelID: int32(i), Count: 1}).Seq)
+			if b%2 == 1 {
+				if act := next(); act.Kind != sender.Transmit || act.Entry.Seq != queued[0] {
+					t.Fatalf("delivering seq %d: action %+v", queued[0], act)
+				}
+				s.OnAck()
+				queued = queued[1:]
+			}
 		}
-		for i, p := range c.outbox {
-			if p.epoch != want[i].epoch || p.seq != want[i].seq || !bytes.Equal(p.payload, want[i].payload) {
-				t.Fatalf("kept entry %d = %+v, want %+v", i, p, want[i])
+		if len(queued) == 0 {
+			return
+		}
+		// Break the connection and reconnect past the backoff: the new
+		// connection's handshake meets the fuzzed watermark.
+		if act := next(); act.Kind != sender.Transmit {
+			t.Fatalf("queued %v: action %+v", queued, act)
+		}
+		s.OnError(now)
+		now += 2 * sender.DefaultMaxBackoff
+		wmEpoch, wmSeq = epoch, maxSeq
+		senderEpoch := uint32(outbox[0]%4) + 1
+		var want []uint64
+		for _, seq := range queued {
+			if senderEpoch > epoch || (senderEpoch == epoch && seq > maxSeq) {
+				want = append(want, seq)
+			}
+		}
+		var got []uint64
+		for act := next(); act.Kind == sender.Transmit; act = next() {
+			got = append(got, act.Entry.Seq)
+			s.OnAck()
+		}
+		if len(got) != len(want) || s.Stats().HandshakePruned != len(queued)-len(want) {
+			t.Fatalf("watermark (%d,%d) over epoch %d seqs %v: retransmitted %v, pruned %d; want %v",
+				epoch, maxSeq, senderEpoch, queued, got, s.Stats().HandshakePruned, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("watermark (%d,%d): retransmitted %v, want %v", epoch, maxSeq, got, want)
 			}
 		}
 	})

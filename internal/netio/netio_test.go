@@ -527,7 +527,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestClientObserveAllAndSite(t *testing.T) {
+func TestClientObserveAndSite(t *testing.T) {
 	coord := newCoord(t)
 	srv, err := NewServer("127.0.0.1:0", coord)
 	if err != nil {
@@ -549,15 +549,15 @@ func TestClientObserveAllAndSite(t *testing.T) {
 	for i := range batch {
 		batch[i] = mix.Sample(rng)
 	}
-	if err := c.ObserveAll(batch); err != nil {
+	if err := observe(c, batch); err != nil {
 		t.Fatal(err)
 	}
 	if acked := c.Delivery().Acked; acked != 1 {
 		t.Fatalf("messages = %d", acked)
 	}
-	// A wrong-dimension record aborts the batch with the site's error.
-	if err := c.ObserveAll([]linalg.Vector{{1, 2, 3}}); err == nil {
-		t.Fatal("bad batch accepted")
+	// A wrong-dimension record fails with the site's error.
+	if err := c.Observe(linalg.Vector{1, 2, 3}); err == nil {
+		t.Fatal("bad record accepted")
 	}
 }
 
@@ -602,6 +602,38 @@ func TestDialInvalidHorizon(t *testing.T) {
 	if _, err := Dial(srv.Addr().String(), newSite(t, 1), 1, DialOptions{SlidingHorizonChunks: -1}); err == nil {
 		t.Fatal("negative horizon accepted")
 	}
+}
+
+// TestDialRejectsForeignSiteID: updates carry the site's own id, so a
+// siteID argument (or a handshake RetryPolicy.SiteID) naming another site
+// would send this site's deletions and watermark prune under that site's
+// id. Dial refuses the mismatch against a live coordinator.
+func TestDialRejectsForeignSiteID(t *testing.T) {
+	coord := newCoord(t)
+	srv, err := NewServer("127.0.0.1:0", coord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, tc := range []struct {
+		name   string
+		siteID int
+		opts   DialOptions
+	}{
+		{"siteID argument", 2, DialOptions{SlidingHorizonChunks: 2}},
+		{"handshake SiteID", 1, DialOptions{Retry: RetryPolicy{SiteID: 2}}},
+	} {
+		c, err := Dial(srv.Addr().String(), newSite(t, 1), tc.siteID, tc.opts)
+		if err == nil {
+			c.Close()
+			t.Fatalf("%s: dial as site %d for site 1 accepted", tc.name, tc.siteID)
+		}
+	}
+	c, err := Dial(srv.Addr().String(), newSite(t, 1), 1, DialOptions{Retry: RetryPolicy{SiteID: 1}})
+	if err != nil {
+		t.Fatalf("matching ids refused: %v", err)
+	}
+	c.Close()
 }
 
 func TestServerCloseDegradesGracefully(t *testing.T) {

@@ -17,13 +17,15 @@
 //
 // # Outbox policy
 //
-// The client's outbox is bounded (RetryPolicy.OutboxLimit, default 4096
-// messages). Send never blocks: while the coordinator is unreachable,
-// messages queue, and once the outbox is full the *oldest* queued message
-// is dropped to admit the new one (drop-oldest, counted in
-// DeliveryStats.Dropped and net.outbox_dropped). The newest model
-// synopses are the ones the coordinator's global model still needs;
-// stale ones it would supersede anyway. Flush is the blocking
+// The delivery protocol — seq/epoch stamping, the outbox, backoff, the
+// watermark prune, storm detection — is internal/sender's state machine,
+// the same one the simulated tree's edges drive; Conn is its TCP driver.
+// The outbox is bounded (sender.OutboxLimit, 4096 messages). Send never
+// blocks: while the coordinator is unreachable, messages queue, and once
+// the outbox is full the *oldest* queued message is dropped to admit the
+// new one (counted in DeliveryStats.Dropped and net.dropped). A dropped
+// message is lost — nothing re-sends it, so the coordinator's view of the
+// site stays short of it (ROADMAP item 4(d)). Flush is the blocking
 // counterpart: it drains the outbox through the retry schedule and
 // reports what could not be delivered.
 package netio

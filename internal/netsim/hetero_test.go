@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestSlowLinkDoesNotStallSiblings: links are independently serialized —
 // a bandwidth-starved child queues behind its own busyUntil, while a
@@ -42,83 +39,6 @@ func TestSlowLinkDoesNotStallSiblings(t *testing.T) {
 		want := float64(i+1) + 0.01
 		if at != want {
 			t.Fatalf("slow delivery %d at %v, want %v", i, at, want)
-		}
-	}
-}
-
-// TestPerLinkAccountingSumsToCourierTotals: across a heterogeneous set of
-// lossy links, every link's wire bytes must decompose exactly into
-// goodput + dropped, goodput must equal the courier's delivered payload
-// bytes, and attempt counts must reconcile with courier retries.
-func TestPerLinkAccountingSumsToCourierTotals(t *testing.T) {
-	sim := NewSimulator()
-	shapes := []struct {
-		latency, bandwidth, drop float64
-	}{
-		{0.01, 0, 0.3},
-		{0.05, 5000, 0.2},
-		{0.2, 200, 0},
-	}
-	type edge struct {
-		link *Link
-		cour *Courier
-		sent int // payload bytes handed to the courier (excl. retransmits)
-		msgs int
-	}
-	var edges []*edge
-	for i, sh := range shapes {
-		e := &edge{}
-		var plan *FaultPlan
-		if sh.drop > 0 {
-			plan = &FaultPlan{DropProb: sh.drop, Rand: rand.New(rand.NewSource(int64(i + 1)))}
-		}
-		link, err := sim.NewFaultyLink(sh.latency, sh.bandwidth, plan, func([]byte) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cour, err := sim.NewCourier(link, 0.05, 1.0, rand.New(rand.NewSource(int64(100+i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.link, e.cour = link, cour
-		edges = append(edges, e)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for rec := 0; rec < 60; rec++ {
-		e := edges[rec%len(edges)]
-		payload := make([]byte, 20+rng.Intn(200))
-		e.sent += len(payload)
-		e.msgs++
-		e.cour.Send(payload)
-	}
-	sim.Run()
-	for i, e := range edges {
-		if e.cour.Pending() != 0 {
-			t.Fatalf("link %d: %d payloads still queued", i, e.cour.Pending())
-		}
-		_, droppedBytes := e.link.Dropped()
-		if e.link.BytesSent() != e.link.GoodputBytes()+droppedBytes {
-			t.Fatalf("link %d: wire %d != goodput %d + dropped %d",
-				i, e.link.BytesSent(), e.link.GoodputBytes(), droppedBytes)
-		}
-		// Exactly-once goodput: each payload crosses successfully once, so
-		// the link's goodput equals the courier's accepted payload bytes.
-		if e.link.GoodputBytes() != e.sent {
-			t.Fatalf("link %d: goodput %d != courier payload bytes %d",
-				i, e.link.GoodputBytes(), e.sent)
-		}
-		if e.cour.Delivered() != e.msgs {
-			t.Fatalf("link %d: courier delivered %d of %d", i, e.cour.Delivered(), e.msgs)
-		}
-		// Every wire message is either the first attempt or a courier
-		// retry, and retransmitted bytes are exactly the re-sent copies.
-		if e.link.Messages() != e.msgs+e.cour.Retries() {
-			t.Fatalf("link %d: %d wire messages != %d payloads + %d retries",
-				i, e.link.Messages(), e.msgs, e.cour.Retries())
-		}
-		if e.link.RetransmitBytes() != e.link.BytesSent()-e.sent {
-			t.Fatalf("link %d: retransmit bytes %d != wire %d - first-attempt %d",
-				i, e.link.RetransmitBytes(), e.link.BytesSent(), e.sent)
 		}
 	}
 }

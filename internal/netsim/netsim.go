@@ -263,23 +263,18 @@ func (s *Simulator) NewFaultyLink(latency, bandwidth float64, plan *FaultPlan, d
 
 // Send transmits payload: bytes are accounted at send time; delivery is
 // scheduled after transmission delay (serialized on the link) plus latency.
-func (l *Link) Send(payload []byte) { l.TrySend(payload, false) }
+func (l *Link) Send(payload []byte) { l.TrySendTraced(payload, false, 0, 0) }
 
-// TrySend transmits payload, classifying it as an original send or a
+// TrySendTraced transmits payload, classifying it as an original send or a
 // retransmission for the byte accounting, and reports whether delivery
 // was scheduled — the simulation shorthand for the receiver's ack. Lost
 // messages still consume wire bytes (and transmission time on a
-// finite-bandwidth link); only delivered payload counts as goodput.
-func (l *Link) TrySend(payload []byte, retransmit bool) bool {
-	return l.TrySendTraced(payload, retransmit, 0, 0)
-}
-
-// TrySendTraced is TrySend with causal trace context: when the link's
-// registry has tracing enabled and traceID is non-zero, a "wire-send"
-// span is recorded under parentSpan covering send-initiation → scheduled
-// arrival (noting "retransmit" and "dropped" transmissions), one span per
-// transmission attempt — so a trace's waterfall shows every time its
-// update touched the wire.
+// finite-bandwidth link); only delivered payload counts as goodput. When
+// the link's registry has tracing enabled and traceID is non-zero, a
+// "wire-send" span is recorded under parentSpan covering send-initiation →
+// scheduled arrival (noting "retransmit" and "dropped" transmissions), one
+// span per transmission attempt — so a trace's waterfall shows every time
+// its update touched the wire.
 func (l *Link) TrySendTraced(payload []byte, retransmit bool, traceID, parentSpan uint64) bool {
 	n := len(payload)
 	l.bytesSent += n

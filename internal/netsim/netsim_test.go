@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// mustLink / mustFaultyLink / mustCourier unwrap the error-returning
+// mustLink / mustFaultyLink unwrap the error-returning
 // constructors for tests whose configurations are valid by construction.
 func mustLink(t *testing.T, s *Simulator, latency, bandwidth float64, deliver func([]byte)) *Link {
 	t.Helper()
@@ -25,15 +25,6 @@ func mustFaultyLink(t *testing.T, s *Simulator, latency, bandwidth float64, plan
 		t.Fatal(err)
 	}
 	return l
-}
-
-func mustCourier(t *testing.T, s *Simulator, link *Link, base, max float64, rng *rand.Rand) *Courier {
-	t.Helper()
-	c, err := s.NewCourier(link, base, max, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 func TestEventOrdering(t *testing.T) {
@@ -220,32 +211,6 @@ func TestLinkValidation(t *testing.T) {
 	}
 }
 
-func TestCourierValidation(t *testing.T) {
-	s := NewSimulator()
-	rng := rand.New(rand.NewSource(1))
-	l := mustLink(t, s, 0, 0, nil)
-	for _, tc := range []struct {
-		name string
-		do   func() error
-	}{
-		{"zero backoff", func() error { _, err := s.NewCourier(l, 0, 1, rng); return err }},
-		{"negative backoff", func() error { _, err := s.NewCourier(l, -0.5, 1, rng); return err }},
-		{"NaN backoff", func() error { _, err := s.NewCourier(l, math.NaN(), 1, rng); return err }},
-		{"negative max backoff", func() error { _, err := s.NewCourier(l, 0.1, -1, rng); return err }},
-		{"nil rng", func() error { _, err := s.NewCourier(l, 0.1, 1, nil); return err }},
-		{"nil link", func() error { _, err := s.NewCourier(nil, 0.1, 1, rng); return err }},
-	} {
-		if err := tc.do(); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-	// max < base is raised, not rejected.
-	c, err := s.NewCourier(l, 0.5, 0.1, rng)
-	if err != nil || c == nil {
-		t.Fatalf("max<base rejected: %v", err)
-	}
-}
-
 func TestFaultPlanDupDelivery(t *testing.T) {
 	s := NewSimulator()
 	var got []float64
@@ -399,77 +364,6 @@ func TestFaultPlanOutageWindow(t *testing.T) {
 	}
 	if d, _ := l.Dropped(); d != 2 {
 		t.Fatalf("dropped = %d, want 2", d)
-	}
-}
-
-func TestCourierRetransmitsInOrder(t *testing.T) {
-	s := NewSimulator()
-	var got []byte
-	// Outage by arrival time: everything arriving before t=2 is lost.
-	plan := &FaultPlan{Outages: []Outage{{Start: 0, End: 2}}}
-	l := mustFaultyLink(t, s, 0.1, 0, plan, func(p []byte) { got = append(got, p[0]) })
-	c := mustCourier(t, s, l, 0.05, 0.4, rand.New(rand.NewSource(3)))
-	for i := byte(0); i < 5; i++ {
-		c.Send([]byte{i})
-	}
-	s.Run()
-	if len(got) != 5 {
-		t.Fatalf("delivered %d of 5 (pending %d)", len(got), c.Pending())
-	}
-	for i := byte(0); i < 5; i++ {
-		if got[i] != i {
-			t.Fatalf("order violated: %v", got)
-		}
-	}
-	if c.Retries() == 0 || l.RetransmitBytes() == 0 {
-		t.Fatalf("outage survived without retries (retries=%d, retransmit=%d)", c.Retries(), l.RetransmitBytes())
-	}
-	// Goodput counts each payload once; the rest of the wire bytes are
-	// retransmissions and losses.
-	if l.GoodputBytes() != 5 {
-		t.Fatalf("goodput = %d, want 5", l.GoodputBytes())
-	}
-	if l.BytesSent() != l.GoodputBytes()+l.RetransmitBytes() {
-		// First attempts that were dropped are neither goodput nor
-		// retransmit... unless every loss was a head retry. Account exactly:
-		_, dropBytes := l.Dropped()
-		if l.BytesSent() != l.GoodputBytes()+dropBytes {
-			t.Fatalf("bytes %d != goodput %d + dropped %d", l.BytesSent(), l.GoodputBytes(), dropBytes)
-		}
-	}
-	if c.Delivered() != 5 {
-		t.Fatalf("courier delivered = %d", c.Delivered())
-	}
-}
-
-func TestCourierCrashDropsQueue(t *testing.T) {
-	s := NewSimulator()
-	var got int
-	plan := &FaultPlan{Outages: []Outage{{Start: 0, End: 10}}}
-	l := mustFaultyLink(t, s, 0, 0, plan, func(p []byte) { got++ })
-	c := mustCourier(t, s, l, 0.1, 0.1, rand.New(rand.NewSource(4)))
-	c.Send([]byte{1})
-	c.Send([]byte{2})
-	if c.Pending() != 2 {
-		t.Fatalf("pending = %d", c.Pending())
-	}
-	c.Crash()
-	if c.Pending() != 0 {
-		t.Fatal("crash kept the queue")
-	}
-	// The orphaned retry timer fires harmlessly; nothing is delivered.
-	s.Run()
-	if got != 0 {
-		t.Fatalf("delivered %d after crash", got)
-	}
-	// The restarted incarnation can send again.
-	s2 := NewSimulator()
-	l2 := mustLink(t, s2, 0, 0, func(p []byte) { got++ })
-	c2 := mustCourier(t, s2, l2, 0.1, 0.1, rand.New(rand.NewSource(4)))
-	c2.Send([]byte{3})
-	s2.Run()
-	if got != 1 {
-		t.Fatalf("restart delivery failed: got %d", got)
 	}
 }
 

@@ -8,17 +8,18 @@ import (
 // Event is one structured journal entry: a runtime decision the paper
 // reasons about (a chunk passing or failing the J_fit test, an archived
 // model re-activating at some depth, an EM run converging, a coordinator
-// split, a transport backoff). The fixed fields cover every producer in
+// split, a transport reconnect). The fixed fields cover every producer in
 // the codebase without a per-event allocation map:
 //
-//	Kind  — the decision, e.g. "chunk-fit", "chunk-refit", "em-fit",
-//	        "split", "reconnect", "courier-backoff"
+//	Kind  — the decision, e.g. "chunk-fit", "chunk-refit", "warm-refit",
+//	        "split", "net-reconnect", "net-reconnect-storm"
 //	Site  — originating site id (0 when not site-scoped)
 //	Model — model/group id involved (0 when none)
-//	Value — the decision's scalar: J_fit margin, final avg log-likelihood,
-//	        backoff seconds
-//	N     — the decision's count: archive-hit depth, EM iterations, bytes
-//	Note  — short free-form qualifier ("converged", "outbox-overflow")
+//	Value — the decision's scalar: J_fit margin, final avg log-likelihood
+//	N     — the decision's count: archive-hit depth, EM iterations, the
+//	        failures a reconnect ended
+//	Note  — short free-form qualifier ("warm", "fallback-cold", a peer's
+//	        address)
 type Event struct {
 	Seq    uint64  `json:"seq"`
 	UnixNs int64   `json:"unix_ns"`

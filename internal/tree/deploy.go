@@ -14,6 +14,7 @@ import (
 	"cludistream/internal/linalg"
 	"cludistream/internal/netsim"
 	"cludistream/internal/persist"
+	"cludistream/internal/sender"
 	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
 	"cludistream/internal/transport"
@@ -42,7 +43,7 @@ type Config struct {
 	Site site.Config
 	// Coord is the per-internal-node coordinator template.
 	Coord coordinator.Config
-	// Seed drives the leaf seeds and the couriers' backoff jitter.
+	// Seed drives the leaf seeds and the edges' backoff jitter.
 	Seed int64
 	// ArrivalRate is records/second per site on the virtual clock
 	// (default 1000).
@@ -65,14 +66,12 @@ type Config struct {
 	// Crashes, which lose in-memory state and recover from disk). A
 	// deployment with no Fault, no NodeOutages and no Crashes has perfect
 	// links: every edge sends the legacy v1 encoding straight onto its
-	// link, with no courier, preserving the paper's byte-for-byte cost
-	// model. Anything else puts a retransmitting courier on every edge and
-	// stamps each frame with the edge's epoch and sequence number.
+	// link, preserving the paper's byte-for-byte cost model. Anything else
+	// runs the daemons' delivery protocol (internal/sender) on every edge:
+	// each frame stamped with the edge's epoch and sequence number, and
+	// retransmitted with the default backoff until the link delivers it.
 	Fault       *netsim.FaultPlan
 	NodeOutages map[int][]netsim.Outage
-	// RetryBackoff/RetryMaxBackoff shape courier retransmission (defaults
-	// 0.1/2 simulated seconds).
-	RetryBackoff, RetryMaxBackoff float64
 
 	// Crashes schedules interior-node crash/recovery through the durable
 	// path. Only crashing nodes, and the root under DurableRoot, pay for a
@@ -102,16 +101,27 @@ type Config struct {
 }
 
 // edge is one directed uplink: child (a leaf or an aggregator) → internal
-// node, carrying frames straight onto a perfect link or through an
-// exactly-once courier.
+// node, carrying frames straight onto a perfect link or through the
+// sender's delivery protocol, driven on the virtual clock. A simulated
+// dial always succeeds at once, and the restart handshake is off: netsim
+// loses frames but never an ack, so the watermark prune would have
+// nothing to remove.
 type edge struct {
 	fromID int // wire SiteID of the sender
 	toNode int
+	sim    *netsim.Simulator
 	link   *netsim.Link
-	cour   *netsim.Courier // nil on a perfect link
 	epoch  uint32
-	seq    uint64
-	dups   int // deliveries the receiver's dedupe dropped
+	// snd is the current incarnation's sender (nil on a perfect link).
+	// The jitter source, the pending-retry-timer flag and the link
+	// survive a crash; the sender does not.
+	snd     *sender.Sender
+	jitter  *rand.Rand
+	reg     *telemetry.Registry
+	tracer  *telemetry.Tracer // nil unless tracing
+	waiting bool              // a retry timer is pending
+	retries int               // failed transmissions of dead incarnations
+	dups    int               // deliveries the receiver's dedupe dropped
 	// sent is the per-epoch sender-side entitlement at exact wire sizes:
 	// what the receiver applies can never exceed it, and must equal the
 	// current epoch's tally once the deployment drains.
@@ -131,6 +141,78 @@ func (e *edge) tally() *SendTally {
 		e.sent[e.epoch] = t
 	}
 	return t
+}
+
+// send charges the sender-side entitlement and hands msg, as wire sender
+// fromID, to the edge: on a perfect link straight onto the wire in the v1
+// encoding, otherwise to the sender, which stamps it with the edge's epoch
+// and next sequence number. Trace context rides along, so every
+// transmission records its wire-send span under the message's trace.
+func (e *edge) send(msg transport.Message) {
+	msg.SiteID = int32(e.fromID)
+	if e.tracer != nil && msg.TraceID != 0 {
+		// Enqueue is a point span: in the simulation the outbox hands the
+		// payload to the link at the same virtual instant.
+		now := e.tracer.Now()
+		e.tracer.Record(msg.TraceID, msg.SpanID, "enqueue",
+			int(msg.SiteID), int(msg.ModelID), now, now, msg.WireSize(), "")
+	}
+	t := e.tally()
+	t.Msgs++
+	if e.snd == nil {
+		payload := transport.Encode(msg)
+		t.Bytes += len(payload)
+		e.link.TrySendTraced(payload, false, msg.TraceID, msg.SpanID)
+		return
+	}
+	t.Bytes += e.snd.Enqueue(msg).WireSize()
+	if !e.waiting {
+		e.pump()
+	}
+}
+
+// pump performs the sender's actions until its outbox drains or a frame
+// the link refused arms a retry timer.
+func (e *edge) pump() {
+	for {
+		now := e.sim.Now()
+		switch act := e.snd.Next(now); act.Kind {
+		case sender.Idle:
+			return
+		case sender.Wait:
+			e.waiting = true
+			e.sim.ScheduleAt(act.Until, func() {
+				e.waiting = false
+				e.pump()
+			})
+			return
+		case sender.Dial:
+			e.snd.OnConnected()
+		case sender.Transmit:
+			h := act.Entry
+			if e.link.TrySendTraced(h.Frame(true), h.Attempts > 1, h.TraceID, h.SpanID) {
+				e.snd.OnAck()
+			} else {
+				e.snd.OnError(now)
+			}
+		default:
+			panic(fmt.Sprintf("tree: edge %d->%d: sender action %d without a simulated counterpart", e.fromID, e.toNode, act.Kind))
+		}
+	}
+}
+
+// restart models the sending process dying: its outbox — every message it
+// would still have retried — dies with it, and its successor speaks under
+// the next epoch with a fresh sequence space. Only fault-tolerant edges
+// restart: any crash makes the whole deployment fault-tolerant.
+func (e *edge) restart() {
+	e.epoch++
+	e.retries += e.snd.Stats().Retries
+	e.snd = e.newSender()
+}
+
+func (e *edge) newSender() *sender.Sender {
+	return sender.New(sender.Config{Epoch: e.epoch, Rand: e.jitter, Telemetry: e.reg})
 }
 
 type node struct {
@@ -175,7 +257,7 @@ type DeliveryStats struct {
 	Retries         int
 	Duplicates      int
 	SiteResets      int
-	Pending         int // payloads still queued in couriers
+	Pending         int // payloads still queued in edge outboxes
 }
 
 // Deployment is a live tree on the virtual clock.
@@ -204,20 +286,14 @@ type Deployment struct {
 
 // NewDeployment validates the configuration and builds the tree: leaves
 // are real site processors, internal nodes are real coordinators with
-// upload mirrors, edges are netsim links, behind couriers unless the
-// deployment has perfect links.
+// upload mirrors, edges are netsim links, each driven by a sender unless
+// the deployment has perfect links.
 func NewDeployment(cfg Config) (*Deployment, error) {
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.ArrivalRate <= 0 {
 		cfg.ArrivalRate = 1000
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 0.1
-	}
-	if cfg.RetryMaxBackoff <= 0 {
-		cfg.RetryMaxBackoff = 2
 	}
 	if cfg.Fsync == "" {
 		cfg.Fsync = persist.FsyncAlways
@@ -371,10 +447,10 @@ func (d *Deployment) storeOptions() durable.Options {
 }
 
 // newEdge builds the uplink from wire sender fromID to internal node
-// toNode. Its courier's jitter is seeded from the sender id, so a leaf's
+// toNode. Its backoff jitter is seeded from the sender id, so a leaf's
 // retransmission schedule does not depend on the shape of the tree.
 func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, perfect bool, outages []netsim.Outage) (*edge, error) {
-	e := &edge{fromID: fromID, toNode: toNode, epoch: 1, sent: map[uint32]*SendTally{}}
+	e := &edge{fromID: fromID, toNode: toNode, sim: d.sim, epoch: 1, reg: d.cfg.Telemetry, tracer: d.tracer, sent: map[uint32]*SendTally{}}
 	var plan *netsim.FaultPlan
 	if d.cfg.Fault != nil || len(outages) > 0 {
 		plan = &netsim.FaultPlan{}
@@ -395,41 +471,9 @@ func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, perfect bool, ou
 	if perfect {
 		return e, nil
 	}
-	rng := rand.New(rand.NewSource(d.cfg.Seed + 104729*int64(fromID)))
-	if e.cour, err = d.sim.NewCourier(link, d.cfg.RetryBackoff, d.cfg.RetryMaxBackoff, rng); err != nil {
-		return nil, err
-	}
-	e.cour.SetTelemetry(d.cfg.Telemetry)
+	e.jitter = rand.New(rand.NewSource(d.cfg.Seed + 104729*int64(fromID)))
+	e.snd = e.newSender()
 	return e, nil
-}
-
-// send charges the sender-side entitlement and hands msg to the edge: on a
-// perfect link straight onto the wire in the v1 encoding, otherwise
-// stamped with the edge's epoch and next sequence number and queued on the
-// courier. Trace context rides along, so every transmission records its
-// wire-send span under the message's trace.
-func (d *Deployment) send(e *edge, msg transport.Message) {
-	msg.SiteID = int32(e.fromID)
-	if d.tracer != nil && msg.TraceID != 0 {
-		// Enqueue is a point span: in the simulation the outbox hands the
-		// payload to the link or courier at the same virtual instant.
-		now := d.tracer.Now()
-		d.tracer.Record(msg.TraceID, msg.SpanID, "enqueue",
-			int(msg.SiteID), int(msg.ModelID), now, now, msg.WireSize(), "")
-	}
-	if e.cour != nil {
-		e.seq++
-		msg.Seq, msg.Epoch = e.seq, e.epoch
-	}
-	payload := transport.Encode(msg)
-	t := e.tally()
-	t.Msgs++
-	t.Bytes += len(payload)
-	if e.cour == nil {
-		e.link.TrySendTraced(payload, false, msg.TraceID, msg.SpanID)
-		return
-	}
-	e.cour.SendTraced(payload, msg.TraceID, msg.SpanID)
 }
 
 // deliver is every edge's receive path: the receive step (WAL append on
@@ -473,7 +517,7 @@ func (d *Deployment) syncUp(n *node) bool {
 	}
 	msgs := n.mirror.Sync(n.recv.Coord.GlobalMixture(), n.recv.Coord.TotalWeight())
 	for _, msg := range msgs {
-		d.send(n.up, msg)
+		n.up.send(msg)
 	}
 	return len(msgs) > 0
 }
@@ -495,9 +539,10 @@ func (d *Deployment) crashNode(n *node) {
 		d.deliveryErr = fmt.Errorf("tree: node %d crash: %w", n.idx, err)
 		return
 	}
-	if n.up != nil && n.up.cour != nil {
-		// The uplink retransmission queue lives in the dead process.
-		n.up.cour.Crash()
+	if n.up != nil {
+		// The uplink outbox lives in the dead process; the recovered
+		// incarnation rejoins the parent under the next epoch.
+		n.up.restart()
 	}
 }
 
@@ -530,11 +575,9 @@ func (d *Deployment) recoverNode(n *node) {
 		n.preCrash = nil
 	}
 	if n.up != nil {
-		// Rejoin the parent as a new incarnation: fresh sequence space,
-		// no deletion owed for models the parent will discard on the
-		// first new-epoch frame.
-		n.up.epoch++
-		n.up.seq = 0
+		// Rejoin the parent as the new incarnation crashNode started: no
+		// deletion owed for models the parent will discard on the first
+		// new-epoch frame.
 		n.mirror.Reset()
 		d.syncUp(n)
 	}
@@ -595,23 +638,20 @@ func (d *Deployment) CrashLeaf(i int) error {
 		return fmt.Errorf("tree: leaf index %d of %d", i, len(d.leaves))
 	}
 	lf := d.leaves[i]
-	if lf.up.cour == nil {
+	if lf.up.snd == nil {
 		return fmt.Errorf("tree: crashing a leaf requires fault-tolerant links (Config.Fault)")
 	}
 	if err := d.startLeaf(lf); err != nil {
 		return err
 	}
-	lf.up.cour.Crash()
-	lf.up.epoch++
-	lf.up.seq = 0
+	lf.up.restart()
 	lf.fed = 0
 	return nil
 }
 
 // Feed hands one record to leaf i, advancing the virtual clock by the
-// leaf's arrival rate, and ships any resulting site updates on its uplink
-// — under a sliding window through the leaf's tracker, followed by the
-// deletions for chunks that left the window.
+// leaf's arrival rate, and ships every message the leaf owes for it on its
+// uplink (window.Emit), each shown to OnEmit first.
 func (d *Deployment) Feed(i int, x linalg.Vector) error {
 	if i < 0 || i >= len(d.leaves) {
 		return fmt.Errorf("tree: leaf index %d of %d", i, len(d.leaves))
@@ -620,41 +660,17 @@ func (d *Deployment) Feed(i int, x linalg.Vector) error {
 	t := float64(lf.fed) / d.cfg.ArrivalRate
 	lf.fed++
 	d.sim.RunUntil(t)
-	ups, err := lf.st.Observe(x)
+	msgs, err := window.Emit(lf.st, lf.win, x)
 	if err != nil {
 		return err
 	}
-	for _, u := range ups {
-		if lf.win != nil {
-			u = lf.win.Send(u)
+	for _, msg := range msgs {
+		if d.cfg.OnEmit != nil {
+			d.cfg.OnEmit(msg)
 		}
-		d.sendLeaf(lf, transport.FromSiteUpdate(u))
-	}
-	if lf.win != nil {
-		// Deletions ride the trace of the chunk whose completion expired
-		// them: the site has no Update in hand, so the trace context comes
-		// from the last minted chunk trace.
-		trace, span := lf.st.LastTrace()
-		for _, del := range lf.win.Expire(i + 1) {
-			d.sendLeaf(lf, transport.Message{
-				Kind:    transport.MsgDeletion,
-				SiteID:  int32(i + 1),
-				ModelID: int32(del.ModelID),
-				Count:   int64(del.Count),
-				TraceID: trace,
-				SpanID:  span,
-			})
-		}
+		lf.up.send(msg)
 	}
 	return d.deliveryErr
-}
-
-// sendLeaf shows one of a leaf's messages to OnEmit, then sends it.
-func (d *Deployment) sendLeaf(lf *leafNode, msg transport.Message) {
-	if d.cfg.OnEmit != nil {
-		d.cfg.OnEmit(msg)
-	}
-	d.send(lf.up, msg)
 }
 
 // Drain runs the simulator dry and then forces exact final sync rounds,
@@ -752,9 +768,10 @@ func (d *Deployment) DeliveryStats() DeliveryStats {
 		s.DroppedMessages += m
 		s.DroppedBytes += b
 		s.DupDelivered += e.link.DupDelivered()
-		if e.cour != nil {
-			s.Retries += e.cour.Retries()
-			s.Pending += e.cour.Pending()
+		if e.snd != nil {
+			st := e.snd.Stats()
+			s.Retries += e.retries + st.Retries
+			s.Pending += st.Queued
 		}
 	}
 	for _, n := range d.nodes {
@@ -765,7 +782,7 @@ func (d *Deployment) DeliveryStats() DeliveryStats {
 	return s
 }
 
-// Pending sums undelivered courier queue depths across all edges.
+// Pending sums undelivered outbox depths across all edges.
 func (d *Deployment) Pending() int { return d.DeliveryStats().Pending }
 
 // SenderEpoch returns the current epoch of the edge child→node (child is

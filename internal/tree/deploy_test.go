@@ -136,7 +136,7 @@ func TestTopologyValidation(t *testing.T) {
 }
 
 // TestDeploymentIndexBounds: leaf and node indices are bounds-checked, and
-// a crash needs what it recovers through: couriers for a leaf, a durable
+// a crash needs what it recovers through: a sender for a leaf, a durable
 // store for a node.
 func TestDeploymentIndexBounds(t *testing.T) {
 	d, err := NewDeployment(Config{

@@ -5,11 +5,13 @@
 // the real coordinator-merge plus upload-on-change logic of `coordd
 // -connect` (hier.UploadMirror). The flat star of the base paper is the
 // topology with no aggregators; the cludistream facade runs exactly that.
-// Perfect links carry the legacy v1 encoding straight onto the wire; under any
-// fault configuration every edge carries the versioned v2 protocol
-// through an exactly-once courier. Interior crashes recover through the
-// durable checkpoint/WAL path and re-join their parent under a bumped
-// epoch, exactly like a real aggregator process restarting.
+// Perfect links carry the legacy v1 encoding straight onto the wire; under
+// any fault configuration every edge carries the versioned v2 protocol
+// through the daemons' own delivery protocol (internal/sender), driven on
+// the virtual clock, and receivers dedupe it to exactly-once. Interior
+// crashes recover through the durable checkpoint/WAL path and re-join
+// their parent under a bumped epoch, exactly like a real aggregator
+// process restarting.
 package tree
 
 import (

@@ -8,7 +8,9 @@ package window
 import (
 	"fmt"
 
+	"cludistream/internal/linalg"
 	"cludistream/internal/site"
+	"cludistream/internal/transport"
 )
 
 // Deletion is the negative-weight message of Section 7: count records of
@@ -96,3 +98,37 @@ func (t *Tracker) Expire(siteID int) []Deletion {
 
 // ExpiredChunks returns how many chunks have been expired so far.
 func (t *Tracker) ExpiredChunks() int { return t.expired }
+
+// Emit is a leaf's one step: it feeds record x to st and returns the
+// messages the leaf owes upstream — every site update, sent through tr
+// (see Send), then the deletions of the chunks that left the window (see
+// Expire), carrying the site's last chunk trace. A nil tr is a landmark
+// window: the updates alone.
+func Emit(st *site.Site, tr *Tracker, x linalg.Vector) ([]transport.Message, error) {
+	ups, err := st.Observe(x)
+	if err != nil {
+		return nil, err
+	}
+	var out []transport.Message
+	for _, u := range ups {
+		if tr != nil {
+			u = tr.Send(u)
+		}
+		out = append(out, transport.FromSiteUpdate(u))
+	}
+	if tr == nil {
+		return out, nil
+	}
+	trace, span := st.LastTrace()
+	for _, d := range tr.Expire(st.ID()) {
+		out = append(out, transport.Message{
+			Kind:    transport.MsgDeletion,
+			SiteID:  int32(d.SiteID),
+			ModelID: int32(d.ModelID),
+			Count:   int64(d.Count),
+			TraceID: trace,
+			SpanID:  span,
+		})
+	}
+	return out, nil
+}

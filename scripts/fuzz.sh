@@ -18,7 +18,8 @@ dir=$(dirname "$0")
 
 # target package — the wire decoders (sites' and the CLUQ batch
 # endpoint's), the coordinator's receive step behind them, the frame/ack
-# protocol and its restart handshake, the durable formats (site archive,
+# protocol and its restart handshake, the delivery state machine both
+# runtimes drive, the durable formats (site archive,
 # coordinator checkpoint, WAL), and tree topologies as scenario files carry
 # them.
 targets=(
@@ -28,6 +29,7 @@ targets=(
 	"FuzzReadFrame ./internal/netio/"
 	"FuzzReadAck ./internal/netio/"
 	"FuzzWatermarkAck ./internal/netio/"
+	"FuzzSender ./internal/sender/"
 	"FuzzLoad ./internal/persist/"
 	"FuzzLoadCoordinatorState ./internal/persist/"
 	"FuzzReadWAL ./internal/persist/"

@@ -88,7 +88,7 @@ func TestTelemetryBitIdentical(t *testing.T) {
 }
 
 // TestTelemetryBitIdenticalFaulty repeats the pin under fault-tolerant
-// delivery, which exercises the courier, link-drop, and dedupe paths.
+// delivery, which exercises the sender, link-drop, and dedupe paths.
 func TestTelemetryBitIdenticalFaulty(t *testing.T) {
 	faulty := func(reg *telemetry.Registry) Config {
 		cfg := smallConfig()
@@ -112,8 +112,8 @@ func TestTelemetryBitIdenticalFaulty(t *testing.T) {
 	if got := snap.Counters["coord.dedupe_dropped"]; got != int64(d.Duplicates) {
 		t.Fatalf("coord.dedupe_dropped = %d, DeliveryStats says %d", got, d.Duplicates)
 	}
-	if got := snap.Counters["sim.courier_retries"]; got != int64(d.Retries) {
-		t.Fatalf("sim.courier_retries = %d, DeliveryStats says %d", got, d.Retries)
+	if got := snap.Counters["net.retries"]; got != int64(d.Retries) {
+		t.Fatalf("net.retries = %d, DeliveryStats says %d", got, d.Retries)
 	}
 }
 

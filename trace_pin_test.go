@@ -80,7 +80,7 @@ func TestTracingBitIdentical(t *testing.T) {
 }
 
 // TestTracingBitIdenticalFaulty repeats the pin under lossy links, which
-// exercises the courier retransmission and dedupe spans: drops and
+// exercises the retransmission and dedupe spans: drops and
 // retransmits each record their own wire-send span, so the suffix
 // accounting still reconciles exactly.
 func TestTracingBitIdenticalFaulty(t *testing.T) {
