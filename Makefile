@@ -129,10 +129,10 @@ tier1:
 	$(GO) build ./... && $(GO) test ./...
 
 # Short fuzz pass, 10 s per target, over every fuzz target
-# scripts/fuzz.sh lists (the wire decoders, the receive step, the
-# frame/ack protocol, the delivery state machine, the durable formats and
-# tree topologies); a target its pattern no longer selects fails the pass
-# instead of fuzzing nothing.
+# scripts/fuzz.sh lists (the mixture codec, the wire decoders, the receive
+# step, the frame/ack protocol, the delivery state machine, the durable
+# formats and tree topologies); a target its pattern no longer selects
+# fails the pass instead of fuzzing nothing.
 fuzz:
 	GO=$(GO) bash scripts/fuzz.sh 10s
 

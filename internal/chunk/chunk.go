@@ -49,12 +49,11 @@ func Size(d int, epsilon, delta float64) int {
 // steady state; a caller that never calls Recycle simply costs one slab
 // allocation per chunk, matching the pre-recycle behaviour.
 type Chunker struct {
-	size    int
-	dim     int
-	buf     []linalg.Vector // size row headers into one flat slab
-	fill    int             // records currently in buf
-	spare   []linalg.Vector // recycled buffer awaiting reuse (nil if none)
-	emitted int
+	size  int
+	dim   int
+	buf   []linalg.Vector // size row headers into one flat slab
+	fill  int             // records currently in buf
+	spare []linalg.Vector // recycled buffer awaiting reuse (nil if none)
 }
 
 // NewChunker returns a Chunker producing chunks of exactly size records of
@@ -111,7 +110,6 @@ func (c *Chunker) Add(x linalg.Vector) ([]linalg.Vector, error) {
 		c.buf = c.newBuf()
 	}
 	c.fill = 0
-	c.emitted++
 	return out, nil
 }
 
@@ -129,9 +127,6 @@ func (c *Chunker) Recycle(chunk []linalg.Vector) {
 
 // Pending returns the number of buffered records not yet forming a chunk.
 func (c *Chunker) Pending() int { return c.fill }
-
-// Emitted returns how many full chunks have been produced.
-func (c *Chunker) Emitted() int { return c.emitted }
 
 // Flush returns the partial buffer (possibly empty) and resets it. Used at
 // stream end or when a window query must account for in-flight records.

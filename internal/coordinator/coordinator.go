@@ -24,11 +24,6 @@ import (
 type Config struct {
 	// Dim is the data dimensionality.
 	Dim int
-	// MaxMergeDistance is the largest CrossMahalanobisSq (the reciprocal of
-	// M_merge) at which a new component still joins an existing group; a
-	// component farther than this from every group seeds a new group.
-	// Default 4·d: means within ~√2 pooled standard deviations merge.
-	MaxMergeDistance float64
 	// Merge tunes the pairwise merge fitting (simplex budget, samples,
 	// MomentOnly ablation).
 	Merge gaussian.MergeOptions
@@ -39,10 +34,13 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
+// MergeGate is the largest CrossMahalanobisSq (the reciprocal of M_merge)
+// at which a new d-dimensional component still joins an existing group; a
+// component farther than this from every group seeds a new group. It is
+// 4·d: means within ~√2 pooled standard deviations merge.
+func MergeGate(d int) float64 { return 4 * float64(d) }
+
 func (c Config) withDefaults() Config {
-	if c.MaxMergeDistance <= 0 {
-		c.MaxMergeDistance = 4 * float64(c.Dim)
-	}
 	if c.Merge.Seed == 0 {
 		c.Merge.Seed = 1
 	}
@@ -55,7 +53,7 @@ func (c Config) withDefaults() Config {
 // The index pre-selects the indexCandidates nearest-mean groups and the
 // exact M_merge criterion is evaluated on those, so placement only differs
 // from the exhaustive scan when the best group is not among the nearest
-// means — rare, and bounded by the same MaxMergeDistance gate.
+// means — rare, and bounded by the same MergeGate.
 const indexMinGroups = 32
 
 // indexCandidates is how many nearest-mean groups the index hands to the
@@ -428,7 +426,7 @@ func (c *Coordinator) refreshModelGroups(sm *siteModel) {
 
 // place inserts a leaf into the group with the largest M_merge against the
 // group representative, or seeds a new group when every group is farther
-// than MaxMergeDistance. From indexMinGroups groups on, the k-d index
+// than MergeGate. From indexMinGroups groups on, the k-d index
 // pre-selects the nearest-mean candidates and the exact criterion is
 // evaluated on those only.
 func (c *Coordinator) place(m *member) {
@@ -443,7 +441,7 @@ func (c *Coordinator) place(m *member) {
 			best, bestDist = g, d
 		}
 	}
-	if best == nil || bestDist > c.cfg.MaxMergeDistance {
+	if best == nil || bestDist > MergeGate(c.cfg.Dim) {
 		g := &Group{id: c.nextID}
 		c.nextID++
 		c.stats.GroupsCreated++

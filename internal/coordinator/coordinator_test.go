@@ -9,6 +9,15 @@ import (
 	"cludistream/internal/site"
 )
 
+// MemberKeys returns the member keys in deterministic order.
+func (g *Group) MemberKeys() []MemberKey {
+	out := make([]MemberKey, len(g.members))
+	for i, m := range g.members {
+		out[i] = m.key
+	}
+	return out
+}
+
 // mix1d builds a 1-d mixture from (mean, weight) pairs with unit variance.
 func mix1d(means ...float64) *gaussian.Mixture {
 	comps := make([]*gaussian.Component, len(means))

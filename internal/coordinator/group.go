@@ -68,15 +68,6 @@ func (g *Group) Size() int { return len(g.members) }
 // Representative returns the merged Gaussian standing for the whole group.
 func (g *Group) Representative() *gaussian.Component { return g.rep }
 
-// MemberKeys returns the member keys in deterministic order.
-func (g *Group) MemberKeys() []MemberKey {
-	out := make([]MemberKey, len(g.members))
-	for i, m := range g.members {
-		out[i] = m.key
-	}
-	return out
-}
-
 func (g *Group) find(key MemberKey) int {
 	for i, m := range g.members {
 		if m.key == key {

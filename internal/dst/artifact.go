@@ -9,7 +9,7 @@ import (
 	"cludistream/internal/telemetry"
 )
 
-// Artifact serialization tags (persist's versioned JSON envelope).
+// Artifact serialization tags, held in the JSON envelope around it.
 // Version 3 gave flat and tree runs one scenario shape — a topology,
 // node outages and aggregator crashes — and one artifact; files of
 // earlier versions no longer load (regenerate them from their seed).
@@ -70,24 +70,49 @@ func (r *Result) ToArtifact() *Artifact {
 	return &Artifact{Core: r.Core(), Scenario: r.Scenario, Journal: r.Journal, Traces: r.Traces}
 }
 
-// WriteArtifact serializes an artifact into persist's envelope.
+// envelope is an artifact file's outer frame: a format tag and version
+// outside the payload, so a reader rejects foreign or outdated files
+// before it parses a byte of the body.
+type envelope struct {
+	Format  string          `json:"format"`
+	Version int             `json:"version"`
+	Payload json.RawMessage `json:"payload"`
+}
+
+// WriteArtifact serializes an artifact inside its envelope.
 func WriteArtifact(w io.Writer, a *Artifact) error {
-	return persist.SaveJSONEnvelope(w, artifactFormat, formatVersion, a)
+	body, err := json.Marshal(a)
+	if err != nil {
+		return fmt.Errorf("dst: encoding artifact: %w", err)
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(envelope{Format: artifactFormat, Version: formatVersion, Payload: body})
 }
 
 // ReadArtifact loads an artifact written by WriteArtifact and validates
 // its scenario; foreign, outdated or corrupted inputs return
-// persist.ErrBadFormat-wrapped errors.
+// persist.ErrBadFormat-wrapped errors, and I/O errors pass through.
 func ReadArtifact(r io.Reader) (*Artifact, error) {
-	payload, version, err := persist.LoadJSONEnvelope(r, artifactFormat, formatVersion)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if version < formatVersion {
-		return nil, fmt.Errorf("%w: version %d predates the one scenario shape of version %d", persist.ErrBadFormat, version, formatVersion)
+	var env envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, fmt.Errorf("%w: %v", persist.ErrBadFormat, err)
+	}
+	if env.Format != artifactFormat {
+		return nil, fmt.Errorf("%w: format %q, want %q", persist.ErrBadFormat, env.Format, artifactFormat)
+	}
+	if env.Version != formatVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d, the one scenario shape", persist.ErrBadFormat, env.Version, formatVersion)
+	}
+	if len(env.Payload) == 0 {
+		return nil, fmt.Errorf("%w: missing payload", persist.ErrBadFormat)
 	}
 	var a Artifact
-	if err := json.Unmarshal(payload, &a); err != nil {
+	if err := json.Unmarshal(env.Payload, &a); err != nil {
 		return nil, fmt.Errorf("%w: %v", persist.ErrBadFormat, err)
 	}
 	if err := a.Scenario.Validate(); err != nil {

@@ -659,7 +659,7 @@ func weightsDiff(got, want []coordinator.ModelWeight) string {
 	return ""
 }
 
-// gateBand bounds how far, in units of the coordinator's MaxMergeDistance,
+// gateBand bounds how far, in units of the coordinator's MergeGate,
 // a regrouped component may lie from its counterpart in the other mixture.
 const gateBand = 2
 
@@ -673,10 +673,10 @@ const gateBand = 2
 // Components left unpaired pass only as a regrouping at the merge gate. An
 // aggregator groups its subtree before the root sees it, and the
 // coordinator's greedy grouping depends on arrival order, so a component
-// whose distance to a group lies near MaxMergeDistance can join it in one
+// whose distance to a group lies near the MergeGate can join it in one
 // coordinator and stand apart, or join another group, in the other. Such a
 // regrouping is local and moves no mass: every unpaired component must lie
-// within gateBand·MaxMergeDistance (CrossMahalanobisSq) of an unpaired
+// within gateBand·MergeGate (CrossMahalanobisSq) of an unpaired
 // component of the other mixture, and the unpaired components of each
 // mixture must fold to the same moment-preserving merge.
 func mixturesDiff(rm, fm *gaussian.Mixture) (unpaired int, diff string) {
@@ -705,8 +705,7 @@ func mixturesDiff(rm, fm *gaussian.Mixture) (unpaired int, diff string) {
 		}
 	}
 	unpaired = len(rest[0]) + len(rest[1])
-	// Both coordinators run on the default gate, 4·d.
-	limit := gateBand * 4 * float64(rm.Dim())
+	limit := gateBand * coordinator.MergeGate(rm.Dim())
 	var w [2]float64
 	var merged [2]*gaussian.Component
 	for s, mix := range mixes {

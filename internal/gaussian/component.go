@@ -9,7 +9,6 @@ package gaussian
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"cludistream/internal/linalg"
@@ -121,11 +120,6 @@ func (c *Component) CovInverse() *linalg.Sym {
 // LogProb returns log p(x | this component) = logNorm - ½·Mahalanobis²(x).
 func (c *Component) LogProb(x linalg.Vector) float64 {
 	return c.logNorm - 0.5*c.MahalanobisSq(x)
-}
-
-// Prob returns the density p(x | component).
-func (c *Component) Prob(x linalg.Vector) float64 {
-	return math.Exp(c.LogProb(x))
 }
 
 // MahalanobisSq returns (x-μ)ᵀ Σ⁻¹ (x-μ).

@@ -13,12 +13,12 @@ func TestComponentStandardNormalDensity(t *testing.T) {
 	c := Spherical(linalg.Vector{0}, 1)
 	// φ(0) = 1/sqrt(2π)
 	want := 1 / math.Sqrt(2*math.Pi)
-	if got := c.Prob(linalg.Vector{0}); math.Abs(got-want) > 1e-12 {
+	if got := prob(c, linalg.Vector{0}); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("φ(0) = %v, want %v", got, want)
 	}
 	// φ(1) = exp(-1/2)/sqrt(2π)
 	want1 := math.Exp(-0.5) / math.Sqrt(2*math.Pi)
-	if got := c.Prob(linalg.Vector{1}); math.Abs(got-want1) > 1e-12 {
+	if got := prob(c, linalg.Vector{1}); math.Abs(got-want1) > 1e-12 {
 		t.Fatalf("φ(1) = %v, want %v", got, want1)
 	}
 }
@@ -28,7 +28,7 @@ func TestComponentMultivariateDensity(t *testing.T) {
 	cov := linalg.Diagonal(linalg.Vector{4, 9})
 	c := MustComponent(linalg.Vector{1, 2}, cov)
 	want := 1 / (2 * math.Pi * 6)
-	if got := c.Prob(linalg.Vector{1, 2}); math.Abs(got-want) > 1e-12 {
+	if got := prob(c, linalg.Vector{1, 2}); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("p(μ) = %v, want %v", got, want)
 	}
 }
@@ -159,7 +159,7 @@ func TestComponentDensityIntegratesToOne(t *testing.T) {
 			if i == 0 || i == steps {
 				wgt = 0.5
 			}
-			integral += wgt * c.Prob(linalg.Vector{x})
+			integral += wgt * prob(c, linalg.Vector{x})
 		}
 		integral *= h
 		if math.Abs(integral-1) > 1e-6 {
@@ -201,6 +201,9 @@ func randVec(rng *rand.Rand, d int) linalg.Vector {
 	}
 	return v
 }
+
+// prob is the density p(x | c).
+func prob(c *Component, x linalg.Vector) float64 { return math.Exp(c.LogProb(x)) }
 
 func randComponent(rng *rand.Rand, d int) *Component {
 	mean := randVec(rng, d)

@@ -77,7 +77,7 @@ func TestAvgLogLikelihoodIntervalSound(t *testing.T) {
 				if k > 2 && trial == 1 {
 					w := m.Weights()
 					w[0], w[k/2] = 0, 0
-					m = MustMixture(w, m.Components())
+					m = MustMixture(w, m.comps)
 				}
 				near := m.SampleN(rng, 40+rng.Intn(200))
 				checkSound(t, "near", m, near, s)
@@ -221,7 +221,7 @@ func TestZeroWeightComponentsSkipped(t *testing.T) {
 	base := randSepMixture(rng, 8, 3, 20)
 	weights := base.Weights()
 	weights[2], weights[5] = 0, 0
-	m := MustMixture(weights, base.Components())
+	m := MustMixture(weights, base.comps)
 	checkSound(t, "zero weights", m, m.SampleN(rng, 128), NewBatchScratch())
 }
 

@@ -42,9 +42,9 @@ func TestMomentMergeMatchesMixtureMoments(t *testing.T) {
 	a, b := randComponent(rng, 3), randComponent(rng, 3)
 	wi, wj := 0.3, 0.5
 	_, mean, cov := MomentMerge(wi, a, wj, b)
-	// Compare with Moments() of the normalized 2-component mixture.
+	// Compare with the moments of the normalized 2-component mixture.
 	m := MustMixture([]float64{wi, wj}, []*Component{a, b})
-	mMean, mCov := m.Moments()
+	mMean, mCov := moments(m)
 	if !mean.Equal(mMean, 1e-12) {
 		t.Fatalf("mean %v vs %v", mean, mMean)
 	}
@@ -195,8 +195,8 @@ func refL1Loss(wi float64, ci *Component, wj float64, cj *Component, merged *Com
 		} else {
 			cj.SampleInto(rng, x)
 		}
-		a := wi*ci.Prob(x) + wj*cj.Prob(x)
-		b := w * merged.Prob(x)
+		a := wi*prob(ci, x) + wj*prob(cj, x)
+		b := w * prob(merged, x)
 		q := a / w
 		if q <= 0 || math.IsInf(q, 0) || math.IsNaN(q) {
 			continue

@@ -102,15 +102,6 @@ func MustMixture(weights []float64, comps []*Component) *Mixture {
 	return m
 }
 
-// Uniform builds a mixture with equal weights over comps.
-func Uniform(comps []*Component) (*Mixture, error) {
-	ws := make([]float64, len(comps))
-	for i := range ws {
-		ws[i] = 1
-	}
-	return NewMixture(ws, comps)
-}
-
 // K returns the number of components.
 func (m *Mixture) K() int { return len(m.comps) }
 
@@ -127,12 +118,6 @@ func (m *Mixture) Weights() []float64 {
 
 // Component returns component j (immutable).
 func (m *Mixture) Component(j int) *Component { return m.comps[j] }
-
-// Components returns a copy of the component slice (components themselves
-// are shared — they are immutable).
-func (m *Mixture) Components() []*Component {
-	return append([]*Component(nil), m.comps...)
-}
 
 // LogPDF returns log p(x) = log Σ_j w_j p(x|j): ScoreBatch on a
 // one-record slice with a pooled scratch, so it allocates nothing and
@@ -191,50 +176,9 @@ func (m *Mixture) SampleN(rng *rand.Rand, n int) []linalg.Vector {
 	return out
 }
 
-// Reweighted returns a mixture with the same components and new weights.
-func (m *Mixture) Reweighted(weights []float64) (*Mixture, error) {
-	return NewMixture(weights, m.comps)
-}
-
-// Moments returns the overall mean and covariance of the mixture:
-// μ = Σ w_j μ_j and Σ = Σ w_j (Σ_j + μ_j μ_jᵀ) − μμᵀ. The coordinator uses
-// these as the parameters (μ_Mix, Σ_Mix) of a father mixture node in the
-// M_split/M_remerge criteria (Eq. 6).
-func (m *Mixture) Moments() (linalg.Vector, *linalg.Sym) {
-	d := m.Dim()
-	mean := linalg.NewVector(d)
-	for j, c := range m.comps {
-		mean.AXPYInPlace(m.weights[j], c.Mean())
-	}
-	cov := linalg.NewSym(d)
-	for j, c := range m.comps {
-		cov.AddSym(m.weights[j], c.Cov())
-		diff := c.Mean().Sub(mean)
-		cov.AddOuterScaled(m.weights[j], diff)
-	}
-	return mean, cov
-}
-
 // String renders a compact summary.
 func (m *Mixture) String() string {
 	return fmt.Sprintf("Mixture(K=%d, d=%d)", m.K(), m.Dim())
-}
-
-// Signature returns a cheap change-detection fingerprint of the mixture:
-// component count plus a weighted hash of means and weights. Two mixtures
-// with equal signatures are almost surely identical; hierarchy nodes use
-// this to decide whether their locally-observed model changed enough to
-// re-upload (Section 7's event-driven propagation).
-func (m *Mixture) Signature() float64 {
-	sig := float64(m.K()) * 1e9
-	for j := 0; j < m.K(); j++ {
-		w := m.weights[j]
-		for i, v := range m.comps[j].Mean() {
-			sig += w * v * float64(i+1)
-		}
-		sig += w * float64(j+1) * 13.37
-	}
-	return sig
 }
 
 // ApproxEqual reports whether two mixtures describe materially the same

@@ -15,7 +15,9 @@ import (
 // oracleLogProb is log p(x|c) = logNorm − ½·‖L⁻¹(x−μ)‖² with
 // caller-provided scratch vectors of dimension d.
 func oracleLogProb(c *Component, x, diff, half linalg.Vector) float64 {
-	x.SubInto(c.mean, diff)
+	for i := range x {
+		diff[i] = x[i] - c.mean[i]
+	}
 	c.chol.HalfSolveInto(diff, half)
 	return c.logNorm - 0.5*half.Dot(half)
 }

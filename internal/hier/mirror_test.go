@@ -147,12 +147,3 @@ func TestMirrorInvalidateForcesResend(t *testing.T) {
 		t.Fatalf("post-invalidate ids = %d, %d", msgs[0].ModelID, msgs[1].ModelID)
 	}
 }
-
-func TestSignatureDetectsChange(t *testing.T) {
-	if mirrorMix(0, 0.5).Signature() == mirrorMix(1, 0.5).Signature() {
-		t.Fatal("different mixtures share a signature")
-	}
-	if mirrorMix(0, 0.5).Signature() != mirrorMix(0, 0.5).Signature() {
-		t.Fatal("identical mixtures have different signatures")
-	}
-}

@@ -251,8 +251,3 @@ func (c *Cholesky) MulLVecInto(v, dst Vector) {
 		dst[i] = acc
 	}
 }
-
-// Det returns the determinant |A| = exp(LogDet). It underflows to 0 for
-// very ill-conditioned matrices; callers that only need the log scale
-// should use LogDet.
-func (c *Cholesky) Det() float64 { return math.Exp(c.LogDet()) }

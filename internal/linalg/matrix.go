@@ -41,9 +41,6 @@ func (m *Matrix) Reset(rows, cols int) {
 // Rows returns the row count.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols returns the column count.
-func (m *Matrix) Cols() int { return m.cols }
-
 // Row returns row i as a Vector aliasing the backing array (no copy).
 func (m *Matrix) Row(i int) Vector {
 	return Vector(m.data[i*m.cols : (i+1)*m.cols])
@@ -62,19 +59,6 @@ func (m *Matrix) Data() []float64 { return m.data }
 func (m *Matrix) CopyRow(i int, x Vector) {
 	mustSameDim(m.cols, len(x))
 	copy(m.data[i*m.cols:(i+1)*m.cols], x)
-}
-
-// MatrixFromVectors packs the records xs as the rows of a fresh matrix.
-// All records must share one dimensionality.
-func MatrixFromVectors(xs []Vector) *Matrix {
-	if len(xs) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(xs), len(xs[0]))
-	for i, x := range xs {
-		m.CopyRow(i, x)
-	}
-	return m
 }
 
 // SubRowsInto writes (xs[p] - mean) for p in [0, count) into panel in

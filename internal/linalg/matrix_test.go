@@ -8,8 +8,8 @@ import (
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(3, 2)
-	if m.Rows() != 3 || m.Cols() != 2 {
-		t.Fatalf("shape = %d×%d", m.Rows(), m.Cols())
+	if m.Rows() != 3 || m.cols != 2 {
+		t.Fatalf("shape = %d×%d", m.Rows(), m.cols)
 	}
 	m.Set(2, 1, 7)
 	if m.At(2, 1) != 7 || m.Row(2)[1] != 7 {
@@ -26,8 +26,8 @@ func TestMatrixResetReuse(t *testing.T) {
 	m.Set(0, 0, 5)
 	base := &m.Data()[0]
 	m.Reset(2, 3) // smaller: must reuse and zero
-	if m.Rows() != 2 || m.Cols() != 3 {
-		t.Fatalf("shape after Reset = %d×%d", m.Rows(), m.Cols())
+	if m.Rows() != 2 || m.cols != 3 {
+		t.Fatalf("shape after Reset = %d×%d", m.Rows(), m.cols)
 	}
 	if &m.Data()[0] != base {
 		t.Fatal("Reset to a smaller shape reallocated")
@@ -40,16 +40,6 @@ func TestMatrixResetReuse(t *testing.T) {
 	m.Reset(10, 10) // larger: must grow
 	if len(m.Data()) != 100 {
 		t.Fatalf("grown len = %d", len(m.Data()))
-	}
-}
-
-func TestMatrixFromVectors(t *testing.T) {
-	m := MatrixFromVectors([]Vector{{1, 2}, {3, 4}, {5, 6}})
-	if m.Rows() != 3 || m.Cols() != 2 || m.At(1, 1) != 4 || m.At(2, 0) != 5 {
-		t.Fatalf("packed matrix wrong: %v", m.Data())
-	}
-	if e := MatrixFromVectors(nil); e.Rows() != 0 {
-		t.Fatal("empty pack should have zero rows")
 	}
 }
 

@@ -185,18 +185,6 @@ func (s *Sym) Trace() float64 {
 	return t
 }
 
-// MaxAbs returns the largest absolute element value (an inexpensive norm
-// used for scaling tolerances).
-func (s *Sym) MaxAbs() float64 {
-	var m float64
-	for _, v := range s.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Equal reports whether s and t agree element-wise within tol.
 func (s *Sym) Equal(t *Sym, tol float64) bool {
 	if s.n != t.n {

@@ -115,6 +115,16 @@ func TestSymCloneIndependence(t *testing.T) {
 	}
 }
 
+// MaxAbs returns the largest absolute element value, the scale of the
+// eigen-reconstruction tolerance.
+func (s *Sym) MaxAbs() float64 {
+	var m float64
+	for _, v := range s.data {
+		m = math.Max(m, math.Abs(v))
+	}
+	return m
+}
+
 func TestSymMaxAbsAndFinite(t *testing.T) {
 	s := NewSymFrom(2, []float64{1, -5, -5, 2})
 	if s.MaxAbs() != 5 {

@@ -64,16 +64,6 @@ func (v Vector) Sub(u Vector) Vector {
 	return out
 }
 
-// SubInto writes v - u into dst, which must have the same dimension. It
-// exists so hot loops can avoid allocation.
-func (v Vector) SubInto(u, dst Vector) {
-	mustSameDim(len(v), len(u))
-	mustSameDim(len(v), len(dst))
-	for i := range v {
-		dst[i] = v[i] - u[i]
-	}
-}
-
 // ScaleInPlace multiplies every element of v by a.
 func (v Vector) ScaleInPlace(a float64) {
 	for i := range v {
@@ -104,11 +94,6 @@ func (v Vector) Dot(u Vector) float64 {
 		s += v[i] * u[i]
 	}
 	return s
-}
-
-// Norm returns the Euclidean norm of v.
-func (v Vector) Norm() float64 {
-	return math.Sqrt(v.Dot(v))
 }
 
 // DistSq returns the squared Euclidean distance between v and u.

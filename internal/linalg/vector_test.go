@@ -48,6 +48,19 @@ func TestVectorAXPY(t *testing.T) {
 	}
 }
 
+// SubInto writes v − u into dst: the per-record difference the panel
+// kernels (SubRowsInto, QuadFormRows) are pinned against bit for bit.
+func (v Vector) SubInto(u, dst Vector) {
+	mustSameDim(len(v), len(u))
+	mustSameDim(len(v), len(dst))
+	for i := range v {
+		dst[i] = v[i] - u[i]
+	}
+}
+
+// Norm returns the Euclidean norm of v, the scale of solve tolerances.
+func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
+
 func TestVectorSubInto(t *testing.T) {
 	v := Vector{5, 5}
 	dst := NewVector(2)

@@ -1,13 +1,11 @@
 // Package metrics provides the measurement helpers the experiments share:
-// histograms (Figure 3), the Theorem-3 memory model, and simple descriptive
-// statistics over series.
+// histograms (Figure 3) and simple descriptive statistics over series.
 package metrics
 
 import (
 	"fmt"
 	"math"
 
-	"cludistream/internal/chunk"
 	"cludistream/internal/linalg"
 )
 
@@ -34,14 +32,6 @@ func Histogram(data []linalg.Vector, attr, bins int, lo, hi float64) []int {
 		out[idx]++
 	}
 	return out
-}
-
-// Theorem3Bytes evaluates the paper's per-site memory bound
-// O(M + B·K·(d²+d+1)) in bytes (float64 entries): the chunk buffer plus B
-// models of K components each.
-func Theorem3Bytes(d, k, b int, epsilon, delta float64) int {
-	m := chunk.Size(d, epsilon, delta)
-	return 8 * (m*d + b*k*(d*d+d+1))
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).

@@ -55,6 +55,14 @@ func TestHistogramPanics(t *testing.T) {
 	}
 }
 
+// Theorem3Bytes evaluates the paper's per-site memory bound
+// O(M + B·K·(d²+d+1)) in bytes (float64 entries): the chunk buffer of
+// chunk.Size records plus B models of K components each.
+func Theorem3Bytes(d, k, b int, epsilon, delta float64) int {
+	m := chunk.Size(d, epsilon, delta)
+	return 8 * (m*d + b*k*(d*d+d+1))
+}
+
 func TestTheorem3Bytes(t *testing.T) {
 	// Paper defaults: d=4, K=5, ε=0.02, δ=0.01 → M=1567.
 	// One model (B=1): 8·(1567·4 + 1·5·(16+4+1)) = 8·(6268+105) = 50984.

@@ -20,6 +20,11 @@ import (
 	"cludistream/internal/tree"
 )
 
+// NewServer is NewServerOpts with no telemetry and no durability.
+func NewServer(addr string, coord *coordinator.Coordinator) (*Server, error) {
+	return NewServerOpts(addr, coord, ServerOptions{})
+}
+
 func newCoord(t *testing.T) *coordinator.Coordinator {
 	t.Helper()
 	c, err := coordinator.New(coordinator.Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}})

@@ -90,16 +90,10 @@ type ServerOptions struct {
 	Dedupe *durable.Dedupe
 }
 
-// NewServer listens on addr ("host:port", ":0" for an ephemeral port) and
-// serves the given coordinator until Close. Serving starts immediately in
-// background goroutines.
-func NewServer(addr string, coord *coordinator.Coordinator) (*Server, error) {
-	return NewServerOpts(addr, coord, ServerOptions{})
-}
-
-// NewServerOpts is the full constructor: telemetry plus optional
-// durability (a store and a recovered dedupe table from durable.Open).
-// Instruments are attached here because serving starts before it
+// NewServerOpts listens on addr ("host:port", ":0" for an ephemeral port)
+// and serves the given coordinator until Close, with optional telemetry
+// and durability (a store and a recovered dedupe table from durable.Open).
+// Serving starts immediately in background goroutines. Instruments are attached here because serving starts before it
 // returns, so they cannot be added after the fact without racing apply.
 func NewServerOpts(addr string, coord *coordinator.Coordinator, opts ServerOptions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)

@@ -20,7 +20,6 @@ type Simulator struct {
 	now    float64
 	events eventHeap
 	seq    int64
-	ran    int
 }
 
 // NewSimulator returns a simulator at time 0.
@@ -28,18 +27,6 @@ func NewSimulator() *Simulator { return &Simulator{} }
 
 // Now returns the current virtual time in seconds.
 func (s *Simulator) Now() float64 { return s.now }
-
-// EventsRun returns how many events have executed.
-func (s *Simulator) EventsRun() int { return s.ran }
-
-// Schedule runs fn delay seconds from now. Negative delays panic —
-// causality violations are bugs, not data.
-func (s *Simulator) Schedule(delay float64, fn func()) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("netsim: negative or NaN delay %v", delay))
-	}
-	s.ScheduleAt(s.now+delay, fn)
-}
 
 // ScheduleAt runs fn at absolute virtual time t (>= Now).
 func (s *Simulator) ScheduleAt(t float64, fn func()) {
@@ -57,7 +44,6 @@ func (s *Simulator) Step() bool {
 	}
 	e := heap.Pop(&s.events).(*event)
 	s.now = e.at
-	s.ran++
 	e.fn()
 	return true
 }
@@ -235,17 +221,10 @@ type sendRecord struct {
 	bytes int
 }
 
-// NewLink creates a perfect link on sim. deliver is invoked (inside the
+// NewFaultyLink creates a link on sim whose deliveries are subject to
+// plan; a nil plan is a perfect link. deliver is invoked (inside the
 // simulation) when a payload arrives; it may be nil for fire-and-forget
-// accounting. It returns an error for configurations that would schedule
-// events at negative times (negative latency) or divide by a nonsense
-// bandwidth, instead of misbehaving at send time.
-func (s *Simulator) NewLink(latency, bandwidth float64, deliver func([]byte)) (*Link, error) {
-	return s.NewFaultyLink(latency, bandwidth, nil, deliver)
-}
-
-// NewFaultyLink creates a link whose deliveries are subject to plan; a
-// nil plan is a perfect link. The latency, bandwidth and fault plan are
+// accounting. The latency, bandwidth and fault plan are
 // validated here, at construction, so a misconfigured scenario fails with
 // a clear error rather than panicking mid-simulation.
 func (s *Simulator) NewFaultyLink(latency, bandwidth float64, plan *FaultPlan, deliver func([]byte)) (*Link, error) {

@@ -1,12 +1,14 @@
 package persist
 
 import (
-	"bufio"
+	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
 	"math"
 
 	"cludistream/internal/coordinator"
+	"cludistream/internal/gaussian"
 )
 
 // Coordinator checkpoint format: magic "CLUC", explicit little-endian
@@ -20,7 +22,9 @@ var coordMagic = [4]byte{'C', 'L', 'U', 'C'}
 
 const coordVersion = 1
 
-// plausibleCount caps list lengths before allocation, mirroring Load.
+// plausibleCount caps the model and group counts a loader accepts: their
+// entries vary in size, so the count cannot be checked against the bytes
+// left, as the fixed-size event and dedupe entries are.
 const plausibleCount = 1 << 24
 
 // DedupeEntry is one site's exactly-once watermark: the highest (epoch,
@@ -45,205 +49,136 @@ type CoordinatorState struct {
 	Dedupe []DedupeEntry
 }
 
-// crcWriter forwards writes and accumulates an IEEE CRC32.
-type crcWriter struct {
-	w   io.Writer
-	sum uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p)
-	return c.w.Write(p)
-}
-
-// crcReader forwards reads and accumulates an IEEE CRC32.
-type crcReader struct {
-	r   io.Reader
-	sum uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-func writeU64(w io.Writer, v uint64) {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	w.Write(b[:]) //nolint:errcheck — bufio defers errors to Flush
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, nil
-}
-
 // SaveCoordinatorState writes the checkpoint format.
 func SaveCoordinatorState(w io.Writer, st *CoordinatorState) error {
 	if st == nil || st.Snapshot == nil {
 		return badFormat("nil coordinator state")
 	}
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if _, err := cw.Write(coordMagic[:]); err != nil {
-		return err
-	}
-	writeU32(cw, coordVersion)
 	snap := st.Snapshot
-	writeU32(cw, uint32(snap.Dim))
-	writeU64(cw, st.Applied)
-	writeU32(cw, uint32(snap.NextGroupID))
+	buf := append([]byte(nil), coordMagic[:]...)
+	buf = appendU32(buf, coordVersion)
+	buf = appendU32(buf, snap.Dim)
+	buf = binary.LittleEndian.AppendUint64(buf, st.Applied)
+	buf = appendU32(buf, snap.NextGroupID)
 	for _, v := range statsFields(snap.Stats) {
-		writeU32(cw, uint32(v))
+		buf = appendU32(buf, v)
 	}
-	writeU32(cw, uint32(len(snap.Models)))
+	buf = appendU32(buf, len(snap.Models))
 	for _, m := range snap.Models {
-		writeU32(cw, uint32(m.SiteID))
-		writeU32(cw, uint32(m.ModelID))
-		writeU32(cw, uint32(m.Counter))
-		if err := writeMixture(cw, m.Mixture); err != nil {
-			return err
+		if m.Mixture == nil {
+			return errors.New("persist: nil mixture")
 		}
+		buf = appendU32(buf, m.SiteID)
+		buf = appendU32(buf, m.ModelID)
+		buf = appendU32(buf, m.Counter)
+		buf = gaussian.AppendMixture(buf, m.Mixture)
 	}
-	writeU32(cw, uint32(len(snap.Groups)))
+	buf = appendU32(buf, len(snap.Groups))
 	for _, g := range snap.Groups {
-		writeU32(cw, uint32(g.ID))
-		writeU32(cw, uint32(len(g.Members)))
+		buf = appendU32(buf, g.ID)
+		buf = appendU32(buf, len(g.Members))
 		for _, mem := range g.Members {
-			writeU32(cw, uint32(mem.Key.SiteID))
-			writeU32(cw, uint32(mem.Key.ModelID))
-			writeU32(cw, uint32(mem.Key.Comp))
-			writeF64(cw, mem.MRemergeAtJoin)
+			buf = appendU32(buf, mem.Key.SiteID)
+			buf = appendU32(buf, mem.Key.ModelID)
+			buf = appendU32(buf, mem.Key.Comp)
+			buf = appendF64(buf, mem.MRemergeAtJoin)
 		}
 	}
-	writeU32(cw, uint32(len(st.Dedupe)))
+	buf = appendU32(buf, len(st.Dedupe))
 	for _, d := range st.Dedupe {
-		writeU32(cw, uint32(d.SiteID))
-		writeU32(cw, d.Epoch)
-		writeU64(cw, d.MaxSeq)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.SiteID))
+		buf = binary.LittleEndian.AppendUint32(buf, d.Epoch)
+		buf = binary.LittleEndian.AppendUint64(buf, d.MaxSeq)
 	}
-	// Trailer: CRC of everything above, written outside the CRC stream.
-	writeU32(bw, cw.sum)
-	return bw.Flush()
+	// Trailer: CRC of everything above.
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	_, err := w.Write(buf)
+	return err
 }
 
 // LoadCoordinatorState reads a checkpoint written by SaveCoordinatorState.
-// Wrong magic, an unknown version, truncation, implausible counts, invalid
-// mixtures, or a CRC mismatch all return errors wrapping ErrBadFormat; I/O
-// errors from the reader pass through untouched.
+// It reads the whole input and verifies the CRC trailer before it parses
+// a field. A CRC mismatch, wrong magic, an unknown version, truncation,
+// implausible counts or invalid mixtures all return errors wrapping
+// ErrBadFormat; I/O errors from the reader pass through untouched.
 func LoadCoordinatorState(r io.Reader) (*CoordinatorState, error) {
-	br := bufio.NewReader(r)
-	cr := &crcReader{r: br}
-	var m [4]byte
-	if _, err := io.ReadFull(cr, m[:]); err != nil {
-		return nil, readErr("magic", err)
-	}
-	if m != coordMagic {
-		return nil, badFormat("bad coordinator-state magic %q", m[:])
-	}
-	ver, err := readU32(cr)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, readErr("version", err)
+		return nil, err
 	}
-	if ver != coordVersion {
+	if len(data) < 4 {
+		return nil, badFormat("truncated coordinator state (%d bytes)", len(data))
+	}
+	body := data[:len(data)-4]
+	if stored, sum := binary.LittleEndian.Uint32(data[len(body):]), crc32.ChecksumIEEE(body); stored != sum {
+		return nil, badFormat("checksum mismatch: stored %08x, computed %08x", stored, sum)
+	}
+	if len(body) < len(coordMagic) || [4]byte(body) != coordMagic {
+		return nil, badFormat("bad coordinator-state magic %q", body[:min(len(body), len(coordMagic))])
+	}
+	in := &decoder{b: body[len(coordMagic):]}
+	if ver := in.u32(); ver != coordVersion {
 		return nil, badFormat("unsupported coordinator-state version %d", ver)
 	}
 	st := &CoordinatorState{Snapshot: &coordinator.Snapshot{}}
 	snap := st.Snapshot
-	if snap.Dim, err = readInt(cr); err != nil {
-		return nil, readErr("header", err)
+	snap.Dim, st.Applied, snap.NextGroupID = in.int(), in.u64(), in.int()
+	var stats [statsFieldCount]int
+	for i := range stats {
+		stats[i] = in.int()
+	}
+	nModels := in.int()
+	if err := in.check("header"); err != nil {
+		return nil, err
 	}
 	if snap.Dim < 1 || snap.Dim > 1<<20 {
 		return nil, badFormat("implausible dim %d", snap.Dim)
 	}
-	if st.Applied, err = readU64(cr); err != nil {
-		return nil, readErr("header", err)
-	}
-	if snap.NextGroupID, err = readInt(cr); err != nil {
-		return nil, readErr("header", err)
-	}
 	if snap.NextGroupID < 1 {
 		return nil, badFormat("next group id %d", snap.NextGroupID)
 	}
-	var stats [statsFieldCount]int
-	for i := range stats {
-		if stats[i], err = readInt(cr); err != nil {
-			return nil, readErr("stats", err)
-		}
-		if stats[i] < 0 {
-			return nil, badFormat("negative stats counter %d", stats[i])
+	for _, v := range stats {
+		if v < 0 {
+			return nil, badFormat("negative stats counter %d", v)
 		}
 	}
 	snap.Stats = statsFromFields(stats)
-	nModels, err := readInt(cr)
-	if err != nil {
-		return nil, readErr("model count", err)
-	}
 	if nModels < 0 || nModels > plausibleCount {
 		return nil, badFormat("implausible model count %d", nModels)
 	}
 	for i := 0; i < nModels; i++ {
-		var sm coordinator.SnapshotModel
-		if sm.SiteID, err = readInt(cr); err != nil {
-			return nil, readErr("model list", err)
-		}
-		if sm.ModelID, err = readInt(cr); err != nil {
-			return nil, readErr("model list", err)
-		}
-		if sm.Counter, err = readInt(cr); err != nil {
-			return nil, readErr("model list", err)
+		sm := coordinator.SnapshotModel{SiteID: in.int(), ModelID: in.int(), Counter: in.int()}
+		if err := in.check("model list"); err != nil {
+			return nil, err
 		}
 		if sm.Counter <= 0 {
 			return nil, badFormat("model %d/%d counter %d", sm.SiteID, sm.ModelID, sm.Counter)
 		}
-		if sm.Mixture, err = readMixture(cr); err != nil {
+		if sm.Mixture, err = in.mixture(); err != nil {
 			return nil, err
 		}
 		snap.Models = append(snap.Models, sm)
 	}
-	nGroups, err := readInt(cr)
-	if err != nil {
-		return nil, readErr("group count", err)
+	nGroups := in.int()
+	if err := in.check("group count"); err != nil {
+		return nil, err
 	}
 	if nGroups < 0 || nGroups > plausibleCount {
 		return nil, badFormat("implausible group count %d", nGroups)
 	}
 	for i := 0; i < nGroups; i++ {
-		var g coordinator.SnapshotGroup
-		if g.ID, err = readInt(cr); err != nil {
-			return nil, readErr("group list", err)
+		g := coordinator.SnapshotGroup{ID: in.int()}
+		nMembers := in.int()
+		if err := in.check("group list"); err != nil {
+			return nil, err
 		}
-		nMembers, err := readInt(cr)
-		if err != nil {
-			return nil, readErr("group list", err)
-		}
-		if nMembers < 1 || nMembers > plausibleCount {
-			return nil, badFormat("implausible member count %d in group %d", nMembers, g.ID)
+		if nMembers < 1 || nMembers > len(in.b)/20 {
+			return nil, badFormat("member count %d in group %d, %d bytes left", nMembers, g.ID, len(in.b))
 		}
 		for j := 0; j < nMembers; j++ {
 			var mem coordinator.SnapshotMember
-			if mem.Key.SiteID, err = readInt(cr); err != nil {
-				return nil, readErr("group members", err)
-			}
-			if mem.Key.ModelID, err = readInt(cr); err != nil {
-				return nil, readErr("group members", err)
-			}
-			if mem.Key.Comp, err = readInt(cr); err != nil {
-				return nil, readErr("group members", err)
-			}
-			if mem.MRemergeAtJoin, err = readF64(cr); err != nil {
-				return nil, readErr("group members", err)
-			}
+			mem.Key = coordinator.MemberKey{SiteID: in.int(), ModelID: in.int(), Comp: in.int()}
+			mem.MRemergeAtJoin = in.f64()
 			if math.IsNaN(mem.MRemergeAtJoin) || mem.MRemergeAtJoin <= 0 {
 				return nil, badFormat("member %v MRemergeAtJoin %v", mem.Key, mem.MRemergeAtJoin)
 			}
@@ -251,40 +186,24 @@ func LoadCoordinatorState(r io.Reader) (*CoordinatorState, error) {
 		}
 		snap.Groups = append(snap.Groups, g)
 	}
-	nDedupe, err := readInt(cr)
-	if err != nil {
-		return nil, readErr("dedupe count", err)
+	nDedupe := in.int()
+	if err := in.check("dedupe count"); err != nil {
+		return nil, err
 	}
-	if nDedupe < 0 || nDedupe > plausibleCount {
-		return nil, badFormat("implausible dedupe count %d", nDedupe)
+	if nDedupe < 0 || nDedupe > len(in.b)/16 {
+		return nil, badFormat("dedupe count %d, %d bytes left", nDedupe, len(in.b))
 	}
 	var prevSite int64 = math.MinInt64
 	for i := 0; i < nDedupe; i++ {
-		var d DedupeEntry
-		site, err := readInt(cr)
-		if err != nil {
-			return nil, readErr("dedupe table", err)
-		}
-		d.SiteID = int32(site)
+		d := DedupeEntry{SiteID: int32(in.u32()), Epoch: in.u32(), MaxSeq: in.u64()}
 		if int64(d.SiteID) <= prevSite {
 			return nil, badFormat("dedupe table not strictly sorted at site %d", d.SiteID)
 		}
 		prevSite = int64(d.SiteID)
-		if d.Epoch, err = readU32(cr); err != nil {
-			return nil, readErr("dedupe table", err)
-		}
-		if d.MaxSeq, err = readU64(cr); err != nil {
-			return nil, readErr("dedupe table", err)
-		}
 		st.Dedupe = append(st.Dedupe, d)
 	}
-	sum := cr.sum
-	stored, err := readU32(br)
-	if err != nil {
-		return nil, readErr("checksum", err)
-	}
-	if stored != sum {
-		return nil, badFormat("checksum mismatch: stored %08x, computed %08x", stored, sum)
+	if len(in.b) != 0 {
+		return nil, badFormat("%d trailing bytes before the checksum", len(in.b))
 	}
 	return st, nil
 }

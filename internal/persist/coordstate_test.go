@@ -183,6 +183,10 @@ func FuzzLoadCoordinatorState(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[9] ^= 0xFF
 	f.Add(flipped)
+	for _, d := range []int{2048, 4096} {
+		_, checkpoint := cutAfterMeans(d)
+		f.Add(checkpoint)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadCoordinatorState(bytes.NewReader(data))
@@ -274,16 +278,15 @@ func TestCoordStateKeepsOffNormalWeights(t *testing.T) {
 // TestReadMixtureRejectsBadWeights: weights are loaded verbatim, so the
 // reader itself must refuse what normalization used to refuse or repair.
 func TestReadMixtureRejectsBadWeights(t *testing.T) {
-	encode := func(w0, w1 float64) []byte {
-		var buf bytes.Buffer
-		writeU32(&buf, 2) // K
-		writeU32(&buf, 1) // d
+	read := func(w0, w1 float64) error {
+		buf := appendU32(appendU32(nil, 2), 1) // K, d
 		for _, v := range []float64{w0, w1, -1, 1, 1, 1} {
-			writeF64(&buf, v) // weights, means, variances
+			buf = appendF64(buf, v) // weights, means, variances
 		}
-		return buf.Bytes()
+		_, err := (&decoder{b: buf}).mixture()
+		return err
 	}
-	if _, err := readMixture(bytes.NewReader(encode(0.25, 0.75))); err != nil {
+	if err := read(0.25, 0.75); err != nil {
 		t.Fatalf("valid mixture rejected: %v", err)
 	}
 	for name, w := range map[string][2]float64{
@@ -293,7 +296,7 @@ func TestReadMixtureRejectsBadWeights(t *testing.T) {
 		"infinite":     {math.Inf(1), 0},
 		"unnormalized": {1, 1},
 	} {
-		if _, err := readMixture(bytes.NewReader(encode(w[0], w[1]))); !errors.Is(err, ErrBadFormat) {
+		if err := read(w[0], w[1]); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%s weights: err = %v, want ErrBadFormat", name, err)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"cludistream/internal/events"
@@ -61,6 +63,62 @@ func badArchives(t testing.TB) map[string][]byte {
 	}
 }
 
+// cutAfterMeans returns a site archive and a coordinator checkpoint, each
+// holding one K = 1, d-dimensional model whose input ends right after the
+// mean: the header promises a d(d+1)/2 covariance that is not there. The
+// checkpoint carries a valid CRC trailer over what is there, so its parse
+// gets as far as the archive's.
+func cutAfterMeans(d int) (archive, checkpoint []byte) {
+	mixture := func(buf []byte) []byte {
+		buf = appendF64(appendU32(appendU32(buf, 1), d), 1) // K, d, weight
+		return append(buf, make([]byte, 8*d)...)            // the mean
+	}
+	archive = append([]byte(nil), magic[:]...)
+	for _, v := range []int{version, 1, d, 10, 0, 1, 1} { // version … model count, model ID
+		archive = appendU32(archive, v)
+	}
+	archive = mixture(appendU32(appendF64(archive, 0), 1)) // RefAvgLL, counter
+	checkpoint = appendU32(appendU32(append([]byte(nil), coordMagic[:]...), coordVersion), d)
+	checkpoint = appendU32(binary.LittleEndian.AppendUint64(checkpoint, 0), 1) // applied, next group ID
+	for _, v := range []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1} {           // stats, model count, site, model, counter
+		checkpoint = appendU32(checkpoint, v)
+	}
+	checkpoint = mixture(checkpoint)
+	checkpoint = binary.LittleEndian.AppendUint32(checkpoint, crc32.ChecksumIEEE(checkpoint))
+	return archive, checkpoint
+}
+
+// TestLoadersBoundAllocation: a loader given a truncated model must
+// refuse it with ErrBadFormat before allocating what the header promises.
+// Cut after the mean, a d = 4096 model's 33 kB of input used to allocate
+// the 67 MB its covariance would take; at the accepted ceiling d = 2²⁰ an
+// 8 MiB input would ask for terabytes. The bound is 4× the input (the
+// loaders read it whole) plus 64 KiB.
+func TestLoadersBoundAllocation(t *testing.T) {
+	loaders := map[string]func([]byte) error{
+		"Load": func(b []byte) error { _, err := Load(bytes.NewReader(b)); return err },
+		"LoadCoordinatorState": func(b []byte) error {
+			_, err := LoadCoordinatorState(bytes.NewReader(b))
+			return err
+		},
+	}
+	for _, d := range []int{2048, 4096} {
+		archive, checkpoint := cutAfterMeans(d)
+		for name, data := range map[string][]byte{"Load": archive, "LoadCoordinatorState": checkpoint} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := loaders[name](data)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadFormat) {
+				t.Errorf("%s, d=%d: err = %v, want ErrBadFormat", name, d, err)
+			}
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+64<<10); got > limit {
+				t.Errorf("%s, d=%d: %d bytes of input allocated %d bytes, limit %d", name, d, len(data), got, limit)
+			}
+		}
+	}
+}
+
 func TestLoadRejectsInconsistentArchives(t *testing.T) {
 	for name, data := range badArchives(t) {
 		if a, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
@@ -95,6 +153,10 @@ func FuzzLoad(f *testing.F) {
 	bad := badArchives(f)
 	f.Add(bad["model wider than header"])
 	f.Add(bad["three bad spans"])
+	for _, d := range []int{2048, 4096} {
+		archive, _ := cutAfterMeans(d)
+		f.Add(archive)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Load(bytes.NewReader(data))

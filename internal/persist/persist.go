@@ -11,7 +11,6 @@
 package persist
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,7 +19,6 @@ import (
 
 	"cludistream/internal/events"
 	"cludistream/internal/gaussian"
-	"cludistream/internal/linalg"
 	"cludistream/internal/site"
 )
 
@@ -52,31 +50,27 @@ func FromSite(s *site.Site) *SiteArchive {
 
 // Save writes the archive.
 func Save(w io.Writer, a *SiteArchive) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
+	buf := append([]byte(nil), magic[:]...)
+	for _, v := range []int{version, a.SiteID, a.Dim, a.ChunkSize, a.ChunksSeen, len(a.Models)} {
+		buf = appendU32(buf, v)
 	}
-	writeU32(bw, version)
-	writeU32(bw, uint32(a.SiteID))
-	writeU32(bw, uint32(a.Dim))
-	writeU32(bw, uint32(a.ChunkSize))
-	writeU32(bw, uint32(a.ChunksSeen))
-	writeU32(bw, uint32(len(a.Models)))
 	for _, m := range a.Models {
-		writeU32(bw, uint32(m.ID))
-		writeF64(bw, m.RefAvgLL)
-		writeU32(bw, uint32(m.Counter))
-		if err := writeMixture(bw, m.Mixture); err != nil {
-			return err
+		if m.Mixture == nil {
+			return errors.New("persist: nil mixture")
 		}
+		buf = appendU32(buf, m.ID)
+		buf = appendF64(buf, m.RefAvgLL)
+		buf = appendU32(buf, m.Counter)
+		buf = gaussian.AppendMixture(buf, m.Mixture)
 	}
-	writeU32(bw, uint32(a.Events.Len()))
+	buf = appendU32(buf, a.Events.Len())
 	for _, e := range a.Events.All() {
-		writeU32(bw, uint32(e.ModelID))
-		writeU32(bw, uint32(e.StartChunk))
-		writeU32(bw, uint32(e.EndChunk))
+		buf = appendU32(buf, e.ModelID)
+		buf = appendU32(buf, e.StartChunk)
+		buf = appendU32(buf, e.EndChunk)
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // Load reads an archive written by Save. Any input that is not a complete,
@@ -86,56 +80,33 @@ func Save(w io.Writer, a *SiteArchive) error {
 // event span that is malformed, overlaps its predecessor, ends after
 // ChunksSeen or names a model not in the list. Errors from the reader
 // itself (a failing disk, a closed pipe) pass through untouched so callers
-// can tell corruption from I/O.
+// can tell corruption from I/O. It reads the whole input before parsing
+// it, and allocates no more than the input holds.
 func Load(r io.Reader) (*SiteArchive, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, readErr("magic", err)
-	}
-	if m != magic {
-		return nil, badFormat("bad magic %q", m[:])
-	}
-	ver, err := readU32(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, readErr("version", err)
+		return nil, err
 	}
-	if ver != version {
+	if len(data) < len(magic) || [4]byte(data) != magic {
+		return nil, badFormat("bad magic %q", data[:min(len(data), len(magic))])
+	}
+	in := &decoder{b: data[len(magic):]}
+	if ver := in.u32(); ver != version {
 		return nil, badFormat("unsupported version %d", ver)
 	}
-	a := &SiteArchive{}
-	if a.SiteID, err = readInt(br); err != nil {
-		return nil, readErr("header", err)
+	a := &SiteArchive{SiteID: in.int(), Dim: in.int()}
+	a.ChunkSize, a.ChunksSeen = in.int(), in.int()
+	nModels := in.int()
+	if err := in.check("header"); err != nil {
+		return nil, err
 	}
-	if a.Dim, err = readInt(br); err != nil {
-		return nil, readErr("header", err)
-	}
-	if a.ChunkSize, err = readInt(br); err != nil {
-		return nil, readErr("header", err)
-	}
-	if a.ChunksSeen, err = readInt(br); err != nil {
-		return nil, readErr("header", err)
-	}
-	nModels, err := readInt(br)
-	if err != nil {
-		return nil, readErr("model count", err)
-	}
-	if nModels < 0 || nModels > 1<<24 {
+	if nModels < 0 || nModels > plausibleCount {
 		return nil, badFormat("implausible model count %d", nModels)
 	}
 	ids := map[int]bool{} // the model IDs, for the event table's check
 	for i := 0; i < nModels; i++ {
-		var am site.Model
-		if am.ID, err = readInt(br); err != nil {
-			return nil, readErr("model list", err)
-		}
-		if am.RefAvgLL, err = readF64(br); err != nil {
-			return nil, readErr("model list", err)
-		}
-		if am.Counter, err = readInt(br); err != nil {
-			return nil, readErr("model list", err)
-		}
-		if am.Mixture, err = readMixture(br); err != nil {
+		am := site.Model{ID: in.int(), RefAvgLL: in.f64(), Counter: in.int()}
+		if am.Mixture, err = in.mixture(); err != nil {
 			return nil, fmt.Errorf("model %d: %w", am.ID, err)
 		}
 		if d := am.Mixture.Dim(); d != a.Dim {
@@ -144,24 +115,15 @@ func Load(r io.Reader) (*SiteArchive, error) {
 		ids[am.ID] = true
 		a.Models = append(a.Models, am)
 	}
-	nEvents, err := readInt(br)
-	if err != nil {
-		return nil, readErr("event count", err)
+	nEvents := in.int()
+	if err := in.check("event count"); err != nil {
+		return nil, err
 	}
-	if nEvents < 0 || nEvents > 1<<24 {
-		return nil, badFormat("implausible event count %d", nEvents)
+	if nEvents < 0 || nEvents > len(in.b)/12 {
+		return nil, badFormat("event count %d, %d bytes left", nEvents, len(in.b))
 	}
 	for i := 0; i < nEvents; i++ {
-		var e events.Entry
-		if e.ModelID, err = readInt(br); err != nil {
-			return nil, readErr("event table", err)
-		}
-		if e.StartChunk, err = readInt(br); err != nil {
-			return nil, readErr("event table", err)
-		}
-		if e.EndChunk, err = readInt(br); err != nil {
-			return nil, readErr("event table", err)
-		}
+		e := events.Entry{ModelID: in.int(), StartChunk: in.int(), EndChunk: in.int()}
 		if err := a.Events.Append(e); err != nil {
 			return nil, badFormat("%v", err)
 		}
@@ -174,105 +136,60 @@ func Load(r io.Reader) (*SiteArchive, error) {
 
 // --- low-level encoding ---
 
-func writeU32(w io.Writer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:]) //nolint:errcheck — bufio defers errors to Flush
+func appendU32(buf []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint32(buf, uint32(v))
 }
 
-func writeF64(w io.Writer, v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.Write(b[:]) //nolint:errcheck
+func appendF64(buf []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+// decoder reads the fixed-width fields of an archive or checkpoint held in
+// memory. A read past the end marks the input short and returns zero, so a
+// parse checks for truncation once per record instead of once per field.
+type decoder struct {
+	b     []byte
+	short bool
 }
 
-func readInt(r io.Reader) (int, error) {
-	v, err := readU32(r)
-	return int(int32(v)), err
+// zeros is what a read past the end returns.
+var zeros [8]byte
+
+func (d *decoder) next(n int) []byte {
+	if len(d.b) < n {
+		d.b, d.short = nil, true
+		return zeros[:n]
+	}
+	v := d.b[:n]
+	d.b = d.b[n:]
+	return v
 }
 
-func readF64(r io.Reader) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
-}
+func (d *decoder) u32() uint32  { return binary.LittleEndian.Uint32(d.next(4)) }
+func (d *decoder) int() int     { return int(int32(d.u32())) }
+func (d *decoder) u64() uint64  { return binary.LittleEndian.Uint64(d.next(8)) }
+func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
-func writeMixture(w io.Writer, m *gaussian.Mixture) error {
-	if m == nil {
-		return errors.New("persist: nil mixture")
-	}
-	k, d := m.K(), m.Dim()
-	writeU32(w, uint32(k))
-	writeU32(w, uint32(d))
-	for j := 0; j < k; j++ {
-		writeF64(w, m.Weight(j))
-	}
-	for j := 0; j < k; j++ {
-		for _, v := range m.Component(j).Mean() {
-			writeF64(w, v)
-		}
-	}
-	for j := 0; j < k; j++ {
-		for _, v := range m.Component(j).Cov().Packed() {
-			writeF64(w, v)
-		}
+// check reports a read past the end as a truncated input.
+func (d *decoder) check(what string) error {
+	if d.short {
+		return badFormat("truncated reading %s", what)
 	}
 	return nil
 }
 
-func readMixture(r io.Reader) (*gaussian.Mixture, error) {
-	k, err := readInt(r)
+// mixture parses a mixture body (gaussian.ParseMixture). The weights were
+// normalized when the mixture was built; they are kept bit for bit so that
+// a checkpoint round trip is the identity.
+func (d *decoder) mixture() (*gaussian.Mixture, error) {
+	if err := d.check("mixture"); err != nil {
+		return nil, err
+	}
+	weights, comps, rest, err := gaussian.ParseMixture(d.b)
 	if err != nil {
-		return nil, readErr("mixture header", err)
+		return nil, badFormat("%v", err)
 	}
-	d, err := readInt(r)
-	if err != nil {
-		return nil, readErr("mixture header", err)
-	}
-	if k < 1 || d < 1 || k > 1<<20 || d > 1<<20 {
-		return nil, badFormat("implausible mixture K=%d d=%d", k, d)
-	}
-	weights := make([]float64, k)
-	for j := range weights {
-		if weights[j], err = readF64(r); err != nil {
-			return nil, readErr("mixture weights", err)
-		}
-	}
-	means := make([]linalg.Vector, k)
-	for j := range means {
-		means[j] = linalg.NewVector(d)
-		for i := 0; i < d; i++ {
-			if means[j][i], err = readF64(r); err != nil {
-				return nil, readErr("mixture means", err)
-			}
-		}
-	}
-	comps := make([]*gaussian.Component, k)
-	for j := range comps {
-		packed := make([]float64, linalg.PackedLen(d))
-		for i := range packed {
-			if packed[i], err = readF64(r); err != nil {
-				return nil, readErr("mixture covariances", err)
-			}
-		}
-		c, err := gaussian.NewComponent(means[j], linalg.SymFromPacked(d, packed), 0)
-		if err != nil {
-			return nil, badFormat("invalid component: %v", err)
-		}
-		comps[j] = c
-	}
-	// The weights were normalized when the mixture was built; they are kept
-	// bit for bit so that a checkpoint round trip is the identity.
+	d.b = rest
 	mix, err := gaussian.NewNormalizedMixture(weights, comps)
 	if err != nil {
 		return nil, badFormat("invalid mixture: %v", err)
@@ -283,14 +200,4 @@ func readMixture(r io.Reader) (*gaussian.Mixture, error) {
 // badFormat reports malformed input, wrapping ErrBadFormat with detail.
 func badFormat(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrBadFormat}, args...)...)
-}
-
-// readErr classifies a failed low-level read: running out of bytes means
-// the input is a truncated archive (ErrBadFormat); anything else is a
-// genuine I/O failure and passes through untouched.
-func readErr(what string, err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return badFormat("truncated reading %s", what)
-	}
-	return err
 }

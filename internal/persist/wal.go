@@ -85,12 +85,12 @@ func CreateWAL(path string, gen uint64, mode FsyncMode, interval int) (*WAL, err
 		return nil, err
 	}
 	w := &WAL{f: f, w: bufio.NewWriter(f), mode: mode, interval: interval, gen: gen}
-	if _, err := w.w.Write(walMagic[:]); err != nil {
+	hdr := appendU32(append([]byte(nil), walMagic[:]...), walVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, gen)
+	if _, err := w.w.Write(hdr); err != nil {
 		f.Close()
 		return nil, err
 	}
-	writeU32(w.w, walVersion)
-	writeU64(w.w, gen)
 	if err := w.sync(); err != nil {
 		f.Close()
 		return nil, err

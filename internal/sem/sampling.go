@@ -51,13 +51,6 @@ func (s *SamplingEM) Observe(x linalg.Vector) {
 	}
 }
 
-// ObserveAll consumes a batch.
-func (s *SamplingEM) ObserveAll(xs []linalg.Vector) {
-	for _, x := range xs {
-		s.Observe(x)
-	}
-}
-
 // Model fits (or returns the cached) EM model over the reservoir. Returns
 // nil when the reservoir holds fewer than K records.
 func (s *SamplingEM) Model() *gaussian.Mixture {
@@ -75,9 +68,3 @@ func (s *SamplingEM) Model() *gaussian.Mixture {
 	s.dirty = false
 	return s.mix
 }
-
-// Seen returns the number of records observed.
-func (s *SamplingEM) Seen() int { return s.seen }
-
-// SampleSize returns the current reservoir fill.
-func (s *SamplingEM) SampleSize() int { return len(s.reservoir) }

@@ -65,7 +65,6 @@ type SEM struct {
 	mix     *gaussian.Mixture
 	discard []*em.SuffStats // one per component, compressed mass
 	buffer  []linalg.Vector
-	seen    int // records observed
 	refits  int // EM runs performed (cost accounting)
 	// scratch backs the batched compression sweep across refits.
 	scratch *gaussian.BatchScratch
@@ -95,20 +94,9 @@ func (s *SEM) Observe(x linalg.Vector) error {
 	if len(x) != s.cfg.Dim {
 		return fmt.Errorf("sem: record dim %d, want %d", len(x), s.cfg.Dim)
 	}
-	s.seen++
 	s.buffer = append(s.buffer, x.Clone())
 	if len(s.buffer) >= s.cfg.BufferSize {
 		return s.refit()
-	}
-	return nil
-}
-
-// ObserveAll consumes a batch.
-func (s *SEM) ObserveAll(xs []linalg.Vector) error {
-	for _, x := range xs {
-		if err := s.Observe(x); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -196,25 +184,10 @@ func (s *SEM) fitBufferOnly() error {
 	return nil
 }
 
-// Seen returns the number of records observed.
-func (s *SEM) Seen() int { return s.seen }
-
 // Refits returns how many inner EM runs have occurred (the dominant CPU
 // cost — SEM reclusters on every full buffer, which is exactly why Figure 8
 // shows it processing under 400 updates/second).
 func (s *SEM) Refits() int { return s.refits }
-
-// BufferedRecords returns the current retained-set size.
-func (s *SEM) BufferedRecords() int { return len(s.buffer) }
-
-// CompressedWeight returns the total mass held in discard sets.
-func (s *SEM) CompressedWeight() float64 {
-	var w float64
-	for _, d := range s.discard {
-		w += d.W
-	}
-	return w
-}
 
 // MemoryBytes estimates resident bytes: buffer records + K discard blocks.
 // Used by the Figure 10 comparison.

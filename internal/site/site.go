@@ -127,13 +127,11 @@ type Config struct {
 	// can park in. Requires K ≥ 3.
 	UseSMEM bool
 	// AutoKMax, when positive, selects each new model's component count by
-	// BIC over K ∈ [max(AutoKMin,1), AutoKMax] instead of using the fixed
+	// BIC over K ∈ [1, AutoKMax] instead of using the fixed
 	// K — operationalizing the paper's "we do not assume the constant
 	// number of component models for the data stream". Mutually exclusive
 	// with UseSMEM.
 	AutoKMax int
-	// AutoKMin is the lower bound of the AutoKMax sweep (default 1).
-	AutoKMin int
 	// Telemetry, when non-nil, receives per-chunk decision counters and
 	// journal events (chunk tested/fit/refit/reactivated with the J_fit
 	// margin, archive-hit depth, EM iteration counts) and is propagated to
@@ -421,19 +419,6 @@ func (s *Site) Observe(x linalg.Vector) ([]Update, error) {
 	return ups, err
 }
 
-// ObserveAll consumes a batch of records, collecting all updates.
-func (s *Site) ObserveAll(xs []linalg.Vector) ([]Update, error) {
-	var out []Update
-	for _, x := range xs {
-		u, err := s.Observe(x)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, u...)
-	}
-	return out, nil
-}
-
 // ProcessChunk runs one iteration of Algorithm 1 on a complete chunk. It is
 // exported so the experiment harness can drive sites chunk-at-a-time.
 //
@@ -712,11 +697,7 @@ func (s *Site) clusterNewModel(data []linalg.Vector, seed *gaussian.Mixture) ([]
 	haveRef := false
 	switch {
 	case s.cfg.AutoKMax > 0:
-		kMin := s.cfg.AutoKMin
-		if kMin < 1 {
-			kMin = 1
-		}
-		sel, err := em.FitBestK(data, kMin, s.cfg.AutoKMax, cfg)
+		sel, err := em.FitBestK(data, 1, s.cfg.AutoKMax, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("site %d: K-sweep on chunk %d: %w", s.cfg.SiteID, s.chunkNum, err)
 		}

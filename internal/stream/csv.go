@@ -67,35 +67,3 @@ func ReadCSV(r io.Reader) ([]linalg.Vector, error) {
 	}
 	return out, nil
 }
-
-// Normalize min-max scales each attribute of data into [0,1] in place and
-// returns the per-attribute (min, max) used — the paper's NFD
-// preprocessing. Constant attributes map to 0.
-func Normalize(data []linalg.Vector) (mins, maxs linalg.Vector) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	d := len(data[0])
-	mins = data[0].Clone()
-	maxs = data[0].Clone()
-	for _, x := range data[1:] {
-		for i := 0; i < d; i++ {
-			if x[i] < mins[i] {
-				mins[i] = x[i]
-			}
-			if x[i] > maxs[i] {
-				maxs[i] = x[i]
-			}
-		}
-	}
-	for _, x := range data {
-		for i := 0; i < d; i++ {
-			if span := maxs[i] - mins[i]; span > 0 {
-				x[i] = (x[i] - mins[i]) / span
-			} else {
-				x[i] = 0
-			}
-		}
-	}
-	return mins, maxs
-}

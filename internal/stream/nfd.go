@@ -158,9 +158,6 @@ func (g *NFD) Dim() int { return NFDDim }
 // Regimes returns how many traffic regimes have occurred.
 func (g *NFD) Regimes() int { return g.regimes }
 
-// Emitted returns the number of records produced.
-func (g *NFD) Emitted() int { return g.count }
-
 // pareto draws from a Pareto distribution with the given tail index and
 // minimum: x = min / U^{1/alpha}.
 func pareto(rng *rand.Rand, alpha, min float64) float64 {

@@ -54,8 +54,8 @@ func TestSyntheticRegimeSwitching(t *testing.T) {
 	if got := g0.Regimes(); got != 1 {
 		t.Fatalf("regimes = %d, want 1", got)
 	}
-	if g0.Emitted() != 1000 {
-		t.Fatalf("Emitted = %d", g0.Emitted())
+	if g0.count != 1000 {
+		t.Fatalf("emitted %d records, want 1000", g0.count)
 	}
 }
 
@@ -138,9 +138,6 @@ func TestAlternatingCycles(t *testing.T) {
 		if wantNeg != (x[0] < 0) {
 			t.Fatalf("record %d = %v on wrong side", i, x[0])
 		}
-	}
-	if g.ActiveIndex() != 1 {
-		t.Fatalf("ActiveIndex = %d", g.ActiveIndex())
 	}
 }
 
@@ -299,25 +296,5 @@ func TestCSVErrors(t *testing.T) {
 	got, err := ReadCSV(strings.NewReader("\n\n1,2\n\n"))
 	if err != nil || len(got) != 1 {
 		t.Errorf("blank-line handling: %v %v", got, err)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	data := []linalg.Vector{{0, 5, 7}, {10, 5, 14}, {5, 5, 0}}
-	mins, maxs := Normalize(data)
-	if mins[0] != 0 || maxs[0] != 10 {
-		t.Fatalf("mins/maxs = %v %v", mins, maxs)
-	}
-	if data[0][0] != 0 || data[1][0] != 1 || data[2][0] != 0.5 {
-		t.Fatalf("attr0 = %v %v %v", data[0][0], data[1][0], data[2][0])
-	}
-	// Constant attribute maps to 0.
-	for i := range data {
-		if data[i][1] != 0 {
-			t.Fatalf("constant attr not zeroed: %v", data[i][1])
-		}
-	}
-	if m, _ := Normalize(nil); m != nil {
-		t.Fatal("empty normalize")
 	}
 }

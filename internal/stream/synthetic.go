@@ -160,9 +160,6 @@ func (g *Synthetic) CurrentMixture() *gaussian.Mixture { return g.current }
 // Regimes returns the number of distinct distributions drawn so far.
 func (g *Synthetic) Regimes() int { return g.regimes }
 
-// Emitted returns the number of records produced.
-func (g *Synthetic) Emitted() int { return g.count }
-
 // Take returns the next n records.
 func Take(g Generator, n int) []linalg.Vector {
 	out := make([]linalg.Vector, n)
@@ -208,11 +205,3 @@ func (g *Alternating) Next() linalg.Vector {
 
 // Dim returns the record dimensionality.
 func (g *Alternating) Dim() int { return g.mixes[0].Dim() }
-
-// ActiveIndex returns which mixture generated the most recent record.
-func (g *Alternating) ActiveIndex() int {
-	if g.count == 0 {
-		return 0
-	}
-	return ((g.count - 1) / g.regimeLen) % len(g.mixes)
-}

@@ -32,10 +32,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"io"
 
 	"cludistream/internal/gaussian"
-	"cludistream/internal/linalg"
 	"cludistream/internal/site"
 )
 
@@ -131,19 +130,16 @@ func (m Message) WireSize() int {
 		n += TraceSuffixSize
 	}
 	if m.Kind == MsgNewModel && m.Mixture != nil {
-		k, d := m.Mixture.K(), m.Mixture.Dim()
-		n += 4 + 4 // K, d
-		n += k * 8 // weights
-		n += k * d * 8
-		n += k * linalg.PackedLen(d) * 8
+		n += len(gaussian.AppendMixture(nil, m.Mixture))
 	}
 	return n
 }
 
-// Encode serializes the message (little-endian, fixed layout). Messages
+// Encode serializes the message (little-endian, fixed layout; the
+// mixture of a NewModel in gaussian.AppendMixture's layout). Messages
 // with a Seq or Epoch use the v2 framing; all others stay v1.
 func Encode(m Message) []byte {
-	buf := make([]byte, 0, m.WireSize())
+	buf := make([]byte, 0, headerSize+v2ExtraSize+TraceSuffixSize)
 	if m.versioned() {
 		buf = append(buf, verMarker)
 	}
@@ -156,22 +152,7 @@ func Encode(m Message) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 	}
 	if m.Kind == MsgNewModel && m.Mixture != nil {
-		k, d := m.Mixture.K(), m.Mixture.Dim()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
-		for j := 0; j < k; j++ {
-			buf = appendFloat(buf, m.Mixture.Weight(j))
-		}
-		for j := 0; j < k; j++ {
-			for _, v := range m.Mixture.Component(j).Mean() {
-				buf = appendFloat(buf, v)
-			}
-		}
-		for j := 0; j < k; j++ {
-			for _, v := range m.Mixture.Component(j).Cov().Packed() {
-				buf = appendFloat(buf, v)
-			}
-		}
+		buf = gaussian.AppendMixture(buf, m.Mixture)
 	}
 	if m.traced() {
 		buf = AppendTraceSuffix(buf, m.TraceID, m.SpanID)
@@ -219,52 +200,19 @@ func Decode(b []byte) (Message, error) {
 	default:
 		return Message{}, fmt.Errorf("transport: unknown kind %d", m.Kind)
 	}
-	if len(b) < 8 {
+	weights, comps, rest, err := gaussian.ParseMixture(b)
+	if errors.Is(err, io.ErrUnexpectedEOF) {
 		return Message{}, ErrTruncated
 	}
-	k := int(binary.LittleEndian.Uint32(b))
-	d := int(binary.LittleEndian.Uint32(b[4:]))
-	b = b[8:]
-	if k < 1 || d < 1 || k > 1<<20 || d > 1<<20 {
-		return Message{}, fmt.Errorf("transport: implausible K=%d d=%d", k, d)
-	}
-	need := (k + k*d + k*linalg.PackedLen(d)) * 8
-	if len(b) < need {
-		return Message{}, ErrTruncated
-	}
-	weights := make([]float64, k)
-	for j := range weights {
-		weights[j] = readFloat(b)
-		b = b[8:]
-	}
-	means := make([]linalg.Vector, k)
-	for j := range means {
-		means[j] = linalg.NewVector(d)
-		for i := 0; i < d; i++ {
-			means[j][i] = readFloat(b)
-			b = b[8:]
-		}
-	}
-	comps := make([]*gaussian.Component, k)
-	for j := range comps {
-		packed := make([]float64, linalg.PackedLen(d))
-		for i := range packed {
-			packed[i] = readFloat(b)
-			b = b[8:]
-		}
-		cov := linalg.SymFromPacked(d, packed)
-		c, err := gaussian.NewComponent(means[j], cov, 0)
-		if err != nil {
-			return Message{}, fmt.Errorf("transport: component %d: %w", j, err)
-		}
-		comps[j] = c
+	if err != nil {
+		return Message{}, fmt.Errorf("transport: %w", err)
 	}
 	mix, err := gaussian.NewMixture(weights, comps)
 	if err != nil {
 		return Message{}, fmt.Errorf("transport: %w", err)
 	}
 	m.Mixture = mix
-	m.readTraceSuffix(b)
+	m.readTraceSuffix(rest)
 	return m, nil
 }
 
@@ -314,12 +262,4 @@ func (m Message) ToSiteUpdate() site.Update {
 		SpanID:  m.SpanID,
 		Mixture: m.Mixture,
 	}
-}
-
-func appendFloat(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-}
-
-func readFloat(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }

@@ -748,9 +748,6 @@ func (d *Deployment) LeafSite(i int) *site.Site { return d.leaves[i].st }
 // NodeCoordinator returns internal node n's coordinator.
 func (d *Deployment) NodeCoordinator(n int) *coordinator.Coordinator { return d.nodes[n].recv.Coord }
 
-// NodePseudoID returns the wire id node n presents to its parent.
-func (d *Deployment) NodePseudoID(n int) int { return d.nodes[n].pseudoID }
-
 // RootMixture returns the root coordinator's merged model.
 func (d *Deployment) RootMixture() *gaussian.Mixture { return d.nodes[0].recv.Coord.GlobalMixture() }
 
@@ -784,15 +781,6 @@ func (d *Deployment) DeliveryStats() DeliveryStats {
 
 // Pending sums undelivered outbox depths across all edges.
 func (d *Deployment) Pending() int { return d.DeliveryStats().Pending }
-
-// SenderEpoch returns the current epoch of the edge child→node (child is
-// the wire SiteID the receiver sees).
-func (d *Deployment) SenderEpoch(toNode, childID int) uint32 {
-	if e := d.findEdge(toNode, childID); e != nil {
-		return e.epoch
-	}
-	return 0
-}
 
 // SentTally returns the sender-side entitlement of edge child→node for one
 // epoch: how many messages and exact wire bytes were handed to transport.

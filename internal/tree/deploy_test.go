@@ -14,6 +14,18 @@ import (
 	"cludistream/internal/transport"
 )
 
+// SenderEpoch returns the current epoch of the edge child→node (child is
+// the wire SiteID the receiver sees).
+func (d *Deployment) SenderEpoch(toNode, childID int) uint32 {
+	if e := d.findEdge(toNode, childID); e != nil {
+		return e.epoch
+	}
+	return 0
+}
+
+// NodePseudoID returns the wire id node n presents to its parent.
+func (d *Deployment) NodePseudoID(n int) int { return d.nodes[n].pseudoID }
+
 func testSiteCfg() site.Config {
 	return site.Config{Dim: 1, K: 2, Epsilon: 0.5, Delta: 0.01, ChunkSize: 100}
 }

@@ -10,6 +10,20 @@ import (
 	"cludistream/internal/site"
 )
 
+// Layers groups internal node indices by depth: Layers()[0] = {0} (the
+// root), Layers()[1] = the aggregators directly under it, and so on.
+func (t *Topology) Layers() [][]int {
+	var layers [][]int
+	for n := 0; n < t.NumNodes(); n++ {
+		d := t.NodeDepth(n)
+		for len(layers) <= d {
+			layers = append(layers, nil)
+		}
+		layers[d] = append(layers[d], n)
+	}
+	return layers
+}
+
 // FuzzTopology feeds arbitrary JSON through the path a topology file takes
 // (cmd/dst replay -scenario reads them): decode, Validate, and — for a
 // valid topology small enough to run — a deployment that feeds every leaf

@@ -122,20 +122,6 @@ func (t *Topology) Depth() int {
 	return max
 }
 
-// Layers groups internal node indices by depth: Layers()[0] = {0} (the
-// root), Layers()[1] = the aggregators directly under it, and so on.
-func (t *Topology) Layers() [][]int {
-	var layers [][]int
-	for n := 0; n < t.NumNodes(); n++ {
-		d := t.NodeDepth(n)
-		for len(layers) <= d {
-			layers = append(layers, nil)
-		}
-		layers[d] = append(layers[d], n)
-	}
-	return layers
-}
-
 // Spec is the declarative shape of a balanced deployment: Leaves sites
 // behind AggLayers layers of fan-in aggregators, every edge sharing the
 // default Link shape. Build assigns leaves round-robin to the bottom

@@ -96,9 +96,6 @@ func (t *Tracker) Expire(siteID int) []Deletion {
 	return out
 }
 
-// ExpiredChunks returns how many chunks have been expired so far.
-func (t *Tracker) ExpiredChunks() int { return t.expired }
-
 // Emit is a leaf's one step: it feeds record x to st and returns the
 // messages the leaf owes upstream — every site update, sent through tr
 // (see Send), then the deletions of the chunks that left the window (see

@@ -124,8 +124,8 @@ func TestTrackerExpiresOldChunks(t *testing.T) {
 	if len(ds) != 1 {
 		t.Fatalf("deletions not coalesced: %v", ds)
 	}
-	if tr.ExpiredChunks() != 4 {
-		t.Fatalf("ExpiredChunks = %d", tr.ExpiredChunks())
+	if tr.expired != 4 {
+		t.Fatalf("expired %d chunks, want 4", tr.expired)
 	}
 	// Second call: nothing new.
 	if ds := tr.Expire(1); len(ds) != 0 {

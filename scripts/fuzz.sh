@@ -16,13 +16,14 @@ fuzztime=$1
 go=${GO:-go}
 dir=$(dirname "$0")
 
-# target package — the wire decoders (sites' and the CLUQ batch
-# endpoint's), the coordinator's receive step behind them, the frame/ack
-# protocol and its restart handshake, the delivery state machine both
-# runtimes drive, the durable formats (site archive,
-# coordinator checkpoint, WAL), and tree topologies as scenario files carry
-# them.
+# target package — the mixture codec every format below shares, the wire
+# decoders (sites' and the CLUQ batch endpoint's), the coordinator's
+# receive step behind them, the frame/ack protocol and its restart
+# handshake, the delivery state machine both runtimes drive, the durable
+# formats (site archive, coordinator checkpoint, WAL), and tree topologies
+# as scenario files carry them.
 targets=(
+	"FuzzMixtureCodec ./internal/gaussian/"
 	"FuzzDecode ./internal/transport/"
 	"FuzzReceive ./internal/durable/"
 	"FuzzBatch ./internal/query/"
