@@ -3,7 +3,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -ldflags "-X cludistream/internal/buildinfo.Version=$(VERSION) -X cludistream/internal/buildinfo.Commit=$(COMMIT)"
 
-.PHONY: all build vet lint test race race-score race-query alloc-gate alloc-gate-query recover check no-strays tier1 fuzz bench bench-e2e bench-pair bench-e2e-test obs-demo trace-demo dst dst-long
+.PHONY: all build vet lint test race race-score race-query alloc-gate alloc-gate-query recover check no-strays tier1 fuzz bench bench-e2e bench-pair bench-e2e-test bench-smoke obs-demo trace-demo dst dst-long
 
 all: check
 
@@ -99,7 +99,7 @@ recover:
 
 # Full pre-merge gate. Its last step fails if anything a target started
 # (a daemon, the example, the benchmark, a bench-pair) is still running.
-check: build lint race-score race-query alloc-gate alloc-gate-query race dst bench-e2e-test no-strays
+check: build lint race-score race-query alloc-gate alloc-gate-query race dst bench-e2e-test bench-smoke no-strays
 
 # Lists, and fails on, every process of this repository's targets that is
 # still running (scripts/no-strays.sh); it prints nothing when none is.
@@ -177,6 +177,13 @@ bench-pair:
 # its configuration mirrors the daemons' defaults.
 bench-e2e-test:
 	$(GO) test -count=1 ./bench/
+
+# The benchmark binary end to end at smoke sizes, every workload once: it
+# must exit on its own. A handshake the coordinator refuses would keep a
+# site retrying forever, and this target would hang instead of passing
+# on to no-strays.
+bench-smoke:
+	bash bench/run.sh -smoke
 
 # Live observability demo: a small traced deployment in process (a
 # coordinator with its query tier and two sites over loopback TCP) behind

@@ -9,7 +9,6 @@ import (
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
 	"cludistream/internal/netsim"
-	"cludistream/internal/transport"
 )
 
 // chaosStream is a deterministic single-site stream crossing three
@@ -38,7 +37,7 @@ func singleSiteConfig() Config {
 	}
 }
 
-// encodeGlobal canonicalizes the final model to exact wire bytes:
+// encodeGlobal canonicalizes the final model to its exact codec bytes:
 // "recovered" means bit-identical, not merely close.
 func encodeGlobal(t *testing.T, sys *System) []byte {
 	t.Helper()
@@ -46,7 +45,7 @@ func encodeGlobal(t *testing.T, sys *System) []byte {
 	if gm == nil {
 		t.Fatal("nil global mixture")
 	}
-	return transport.Encode(transport.Message{Kind: transport.MsgNewModel, Mixture: gm})
+	return gaussian.AppendMixture(nil, gm)
 }
 
 // TestChaosBitIdenticalRecovery is the acceptance scenario: 20% message
@@ -124,6 +123,49 @@ func TestChaosBitIdenticalRecovery(t *testing.T) {
 	}
 	if cd.GoodputBytes != clean.TotalBytes() {
 		t.Fatalf("clean goodput %d != wire total %d", cd.GoodputBytes, clean.TotalBytes())
+	}
+}
+
+// TestCrashSiteWithoutFaultPlan: a site crash needs no fault plan. On
+// fault-free links the restarted site's first frame discards its dead
+// incarnation at the coordinator, so the root holds exactly the records
+// the surviving incarnations were fed. The horizon outlasts the stream:
+// nothing expires, and every chunk reports its weight.
+func TestCrashSiteWithoutFaultPlan(t *testing.T) {
+	cfg := smallConfig()
+	cfg.NumSites = 2
+	cfg.SlidingHorizonChunks = 100
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	var fed [2]int
+	feed := func(n int, mean float64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			for s := range fed {
+				if err := sys.Feed(s, bimodal(mean).Sample(rng)); err != nil {
+					t.Fatal(err)
+				}
+				fed[s]++
+			}
+		}
+	}
+	feed(600, 0)
+	if err := sys.CrashSite(1); err != nil {
+		t.Fatal(err)
+	}
+	fed[1] = 0
+	feed(800, 20)
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if d := sys.DeliveryStats(); d.SiteResets != 1 || d.Pending != 0 {
+		t.Fatalf("delivery after one site crash: %+v, want 1 site reset and nothing pending", d)
+	}
+	if got, want := sys.Coordinator().TotalWeight(), float64(fed[0]+fed[1]); got != want {
+		t.Fatalf("root weight %v, want the %v records of the surviving incarnations", got, want)
 	}
 }
 

@@ -66,11 +66,10 @@ type Config struct {
 	SlidingHorizonChunks int
 
 	// Fault, when non-nil, subjects every site→coordinator link to the
-	// given fault plan and switches delivery to fault-tolerant mode: each
-	// site sends through the daemons' retransmitting sender with
-	// sequence-numbered, epoch-tagged messages, and the coordinator dedupes
-	// so updates are applied exactly once. Nil keeps perfect links and the
-	// legacy v1 encoding, preserving the figures' byte-for-byte cost model.
+	// given fault plan: drops, duplicates and outages. Nil keeps the links
+	// fault-free. Either way each site sends through the daemons'
+	// retransmitting sender with sequence-numbered, epoch-tagged frames,
+	// and the coordinator dedupes so updates are applied exactly once.
 	Fault *netsim.FaultPlan
 
 	// Telemetry, when non-nil, instruments the whole deployment — sites,
@@ -122,7 +121,7 @@ type RecoveryStats = tree.RecoveryStats
 // DeliveryStats aggregates the fault-tolerance accounting across the
 // deployment: goodput (payload bytes that reached the coordinator, counted
 // once), the retransmission overhead on top, losses, and the coordinator's
-// dedupe work. All zeros on a fault-free system.
+// dedupe work. Without faults or crashes only the goodput is non-zero.
 type DeliveryStats = tree.DeliveryStats
 
 func (c Config) withDefaults() Config {
@@ -219,12 +218,12 @@ func New(cfg Config) (*System, error) {
 // link. A delivery failure inside the simulation surfaces here.
 func (s *System) Feed(siteIdx int, x linalg.Vector) error { return s.d.Feed(siteIdx, x) }
 
-// CrashSite models a site process dying and restarting (fault-tolerant
-// mode only): the in-memory site state and any queued retransmissions are
+// CrashSite models a site process dying and restarting, with or without a
+// fault plan: the in-memory site state and any queued retransmissions are
 // lost, and the replacement site — same configuration and seed — comes
 // back with a higher epoch and a fresh sequence space, so the coordinator
-// discards the dead incarnation's contribution when the restarted site
-// replays its stream from the beginning.
+// discards the dead incarnation's contribution on the restarted site's
+// first frame.
 func (s *System) CrashSite(siteIdx int) error { return s.d.CrashLeaf(siteIdx) }
 
 // CrashCoordinator models the coordinator process dying and recovering

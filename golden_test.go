@@ -14,8 +14,8 @@ import (
 )
 
 // goldenConfig is the paper-shaped deployment the golden pins run: 4 sites,
-// d = 4, K = 5, the default simplex merge, perfect links and a landmark
-// window. A short chunk keeps the run small.
+// d = 4, K = 5, the default simplex merge, fault-free links and a
+// landmark window. A short chunk keeps the run small.
 func goldenConfig() Config {
 	return Config{NumSites: 4, Dim: 4, K: 5, Seed: 3, ChunkSize: 250}
 }
@@ -62,7 +62,7 @@ func goldenHash(t *testing.T, sys *System, tr *telemetry.Tracer) uint64 {
 }
 
 // TestSystemGolden pins the facade's complete observable output on three
-// configurations — perfect links, a sliding window, and faulty links with
+// configurations — fault-free links, a sliding window, and faulty links with
 // a durable coordinator, a site crash, a scheduled coordinator restart and
 // tracing — so a change to the simulated runtime underneath cannot move a
 // single bit unnoticed.
@@ -75,12 +75,12 @@ func TestSystemGolden(t *testing.T) {
 	}{
 		{"perfect", func(*testing.T) (Config, *telemetry.Tracer) {
 			return goldenConfig(), nil
-		}, false, 0x821ceac268035aa3},
+		}, false, 0x8ba65054aae886e2},
 		{"sliding", func(*testing.T) (Config, *telemetry.Tracer) {
 			cfg := goldenConfig()
 			cfg.SlidingHorizonChunks = 3
 			return cfg, nil
-		}, false, 0x9141b7521fd53fb2},
+		}, false, 0x22bb4286f204186b},
 		{"faulty", func(t *testing.T) (Config, *telemetry.Tracer) {
 			cfg := goldenConfig()
 			cfg.Fault = &netsim.FaultPlan{

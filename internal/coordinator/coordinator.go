@@ -790,6 +790,9 @@ func (c *Coordinator) TotalWeight() float64 {
 	return total
 }
 
+// Dim returns the record dimensionality every model must have.
+func (c *Coordinator) Dim() int { return c.cfg.Dim }
+
 // Stats returns a copy of the work counters.
 func (c *Coordinator) Stats() Stats { return c.stats }
 

@@ -107,10 +107,10 @@ func newChecker(sc Scenario, reg *telemetry.Registry) (*checker, error) {
 		leaves:   make([]int, sc.Topology.NumNodes()),
 		live:     make([]uint32, len(sc.Sites)),
 		qscratch: query.NewScratch(),
-		// v2 framing: header (17) + marker/epoch/seq (13) + the 16-byte
-		// trace suffix every leaf message carries; a NewModel adds K, d and
-		// K·(1 + d + packed(d)) float64s.
-		smallWire: 17 + 13 + transport.TraceSuffixSize,
+		// The 30-byte frame header + the 16-byte trace suffix every leaf
+		// message carries; a NewModel adds K, d and K·(1 + d + packed(d))
+		// float64s.
+		smallWire: 30 + transport.TraceSuffixSize,
 	}
 	c.newModelWire = c.smallWire + 8 + sc.K*8*(1+sc.Dim+linalg.PackedLen(sc.Dim))
 	for i := range c.live {
@@ -172,10 +172,6 @@ func (c *checker) onApply(node int, msg transport.Message) {
 	// Invariant: exactly-once through this hop. The shadow replays the
 	// dedupe protocol from scratch; any applied message it would have
 	// dropped is a duplicate or stale-epoch leak at this specific edge.
-	if msg.Seq == 0 {
-		c.fail("exactly-once", fmt.Sprintf("node %d applied an unversioned (v1) message from sender %d", node, msg.SiteID))
-		return
-	}
 	w := c.marks[h]
 	if w == nil {
 		w = &shadowMark{}

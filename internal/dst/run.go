@@ -135,10 +135,8 @@ func run(sc Scenario, opts Options) (*Result, *checker, error) {
 		// Bit-level change detection on every mirror: DST demands faithful
 		// replication at every hop, not tolerance-suppressed drift.
 		ExactSync: true,
-		// One Rand, derived from the seed, for every edge's drops,
-		// duplicates and backoff jitter. Never nil: every hop runs the
-		// daemons' sender and versioned frames, what the per-hop
-		// exactly-once shadow checks.
+		// One Rand, derived from the seed, for every edge's drops and
+		// duplicates.
 		Fault: &netsim.FaultPlan{
 			DropProb: sc.DropProb,
 			DupProb:  sc.DupProb,

@@ -23,7 +23,7 @@ type Watermark struct {
 	MaxSeq uint64
 }
 
-// Verdict is Dedupe.Admit's decision for one versioned message.
+// Verdict is Dedupe.Admit's decision for one message.
 type Verdict int
 
 const (
@@ -80,13 +80,10 @@ func DedupeFromEntries(entries []persist.DedupeEntry) *Dedupe {
 	return d
 }
 
-// Admit runs the dedupe protocol for one versioned message and advances
-// the watermark when the message is admitted. Messages with seq 0 (legacy
-// v1) bypass the table and are always AdmitFresh.
+// Admit runs the dedupe protocol for one message and advances the
+// watermark when the message is admitted. Seq is at least 1, as
+// transport.Decode guarantees of every data frame.
 func (d *Dedupe) Admit(siteID int32, epoch uint32, seq uint64) Verdict {
-	if seq == 0 {
-		return AdmitFresh
-	}
 	w := d.seen[siteID]
 	if w == nil {
 		w = &Watermark{}

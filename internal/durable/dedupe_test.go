@@ -24,8 +24,6 @@ func TestDedupeProtocol(t *testing.T) {
 		{1, 2, 1, AdmitNewEpoch}, // restart: higher epoch resets the seq space
 		{1, 1, 9, DropStale},     // the dead incarnation's frames are refused
 		{1, 2, 2, AdmitFresh},    // new incarnation proceeds
-		{3, 0, 0, AdmitFresh},    // legacy v1 (seq 0) always bypasses
-		{3, 0, 0, AdmitFresh},    // ... every time
 	}
 	for i, s := range steps {
 		if got := d.Admit(s.site, s.ep, s.seq); got != s.want {

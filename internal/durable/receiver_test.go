@@ -177,7 +177,7 @@ func FuzzReceive(f *testing.F) {
 		{Kind: transport.MsgWeightUpdate, SiteID: 1, ModelID: 5, Count: -9, Epoch: 1, Seq: 3},
 		{Kind: transport.MsgDeletion, SiteID: 1, ModelID: 1, Count: 256, Epoch: 1, Seq: 2, TraceID: 3, SpanID: 4},
 		{Kind: transport.MsgDeletion, SiteID: 1, ModelID: 1, Count: 1 << 40, Epoch: 2, Seq: 1},
-		{Kind: transport.MsgWeightUpdate, SiteID: 1, ModelID: 1, Count: 10},
+		{Kind: transport.MsgWeightUpdate, SiteID: 1, ModelID: 1, Count: 10, Epoch: 1}, // seq 0: refused
 		{Kind: transport.MsgHello, SiteID: 1, Epoch: 1},
 	}
 	for _, m := range seeds {

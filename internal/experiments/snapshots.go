@@ -227,7 +227,7 @@ func AblationHierarchy(p Params) (*Table, error) {
 	}
 
 	// Tree: same leaf streams, one aggregator per pair of leaves, on the
-	// flat star's perfect links; root-link bytes = the layer into the root.
+	// flat star's fault-free links; root-link bytes = the layer into the root.
 	// No Drain: its exact final sync flushes drift the aggregators'
 	// tolerances suppressed — end-of-run bookkeeping, not steady state.
 	topo, err := tree.Spec{Leaves: leaves, AggLayers: 1, FanOut: branching, Link: tree.LinkSpec{Latency: 0.05}}.Build()

@@ -47,6 +47,15 @@ func AppendMixture(buf []byte, m *Mixture) []byte {
 	return buf
 }
 
+// MixtureShape returns the K and d an encoded mixture's header declares,
+// without reading its body; ok is false when b is shorter than the header.
+func MixtureShape(b []byte) (k, d int, ok bool) {
+	if len(b) < 8 {
+		return 0, 0, false
+	}
+	return int(binary.LittleEndian.Uint32(b)), int(binary.LittleEndian.Uint32(b[4:])), true
+}
+
 // ParseMixture reads one mixture that AppendMixture wrote from the front
 // of b. It returns the weights and components as written and the bytes
 // after them.
@@ -62,11 +71,10 @@ func AppendMixture(buf []byte, m *Mixture) []byte {
 // NewMixture renormalizes them; NewNormalizedMixture keeps them bit for
 // bit.
 func ParseMixture(b []byte) (weights []float64, comps []*Component, rest []byte, err error) {
-	if len(b) < 8 {
+	k, d, ok := MixtureShape(b)
+	if !ok {
 		return nil, nil, nil, fmt.Errorf("gaussian: mixture header: %w", io.ErrUnexpectedEOF)
 	}
-	k := int(binary.LittleEndian.Uint32(b))
-	d := int(binary.LittleEndian.Uint32(b[4:]))
 	b = b[8:]
 	if k < 1 || d < 1 || k > maxShape || d > maxShape {
 		return nil, nil, nil, fmt.Errorf("gaussian: implausible mixture K=%d d=%d", k, d)

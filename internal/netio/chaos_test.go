@@ -9,7 +9,6 @@ import (
 	"cludistream/internal/coordinator"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
-	"cludistream/internal/transport"
 )
 
 // fastRetry keeps chaos tests quick: failures on loopback surface
@@ -43,14 +42,14 @@ func observe(c *Client, records []linalg.Vector) error {
 	return nil
 }
 
-// encodeMixture canonicalizes a mixture to its exact wire bytes so "same
+// encodeMixture canonicalizes a mixture to its exact codec bytes so "same
 // final model" means bit-identical, not approximately close.
 func encodeMixture(t *testing.T, mix *gaussian.Mixture) []byte {
 	t.Helper()
 	if mix == nil {
 		t.Fatal("nil global mixture")
 	}
-	return transport.Encode(transport.Message{Kind: transport.MsgNewModel, Mixture: mix})
+	return gaussian.AppendMixture(nil, mix)
 }
 
 // runDirect replays records against a pristine server with no faults and
@@ -103,9 +102,10 @@ func TestChaosConnectionKills(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	// Budget fits one full NewModel round trip, then dies mid-frame on the
-	// next message: every connection delivers a little and is murdered.
-	proxy.KillAfter(130)
+	// Budget fits the hello and its watermark ack (47 B) and one full
+	// NewModel round trip (91 B), then dies mid-frame on the next message:
+	// every connection delivers a little and is murdered.
+	proxy.KillAfter(139)
 
 	c, err := Dial(proxy.Addr(), newSite(t, 1), 1, DialOptions{Retry: fastRetry()})
 	if err != nil {

@@ -115,7 +115,7 @@ func (c *Conn) Send(msg transport.Message) error {
 	defer c.mu.Unlock()
 	// The payload is queued suffix-free; whether the trace suffix goes on
 	// the wire is the connection's per-transmission capability decision
-	// (see transmit), so the queued bytes stay bit-identical to v1/v2.
+	// (see transmit), so the queued bytes are the untraced frame.
 	msg = c.snd.Enqueue(msg)
 	if c.tracer != nil && msg.TraceID != 0 {
 		now := c.tracer.Now()

@@ -254,7 +254,7 @@ func TestSlidingWindowDeletionsOverTCP(t *testing.T) {
 // WeightUpdate, which the coordinator can only refuse; the sender, which
 // emitted the deletions, must send the synopsis again instead. The one
 // scenario runs through every sender: a netio.Client over TCP, the facade
-// on perfect and on lossy, duplicating links, and a tree.Deployment whose
+// on fault-free and on lossy, duplicating links, and a tree.Deployment whose
 // sliding leaf sits behind an aggregator.
 func TestSlidingReactivatedModelIsNotLost(t *testing.T) {
 	const chunkSize, horizon = 200, 2

@@ -52,8 +52,8 @@ const (
 	// ackWatermarkTraced is ackWatermark with the trace capability granted:
 	// same 13-byte layout, but the status byte tells the site it may append
 	// the 16-byte trace suffix to subsequent frames. Sent only when the
-	// hello requested tracing (Count bit 0) AND the server has a tracer; a
-	// legacy peer on either side falls back to plain v1/v2 frames.
+	// hello requested tracing (Count bit 0) AND the server has a tracer;
+	// otherwise frames travel without the suffix.
 	ackWatermarkTraced byte = 0x03
 
 	// helloTraceBit, set in a hello frame's Count field, requests the trace

@@ -2,6 +2,9 @@ package netio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -220,5 +223,58 @@ func TestServerRestartRecoveryOverTCP(t *testing.T) {
 	}
 	if got := coordStateBytes(t, rec3.Coord, rec3.Dedupe, store3.Applied()); !bytes.Equal(got, want) {
 		t.Fatal("second recovery diverged from the reference state")
+	}
+}
+
+// TestWrongDimRefusedFromHeader: a NewModel whose mixture header declares
+// another d than the coordinator's is nacked from its header alone. A
+// K = 1, d = 2048 frame (16.8 MB of covariance) sent to a durable d = 4
+// coordinator is refused before any covariance is parsed or factored, and
+// before the WAL sees it.
+func TestWrongDimRefusedFromHeader(t *testing.T) {
+	const d = 2048
+	store, rec, err := durable.Open(t.TempDir(), coordinator.Config{Dim: 4}, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServerOpts("127.0.0.1:0", rec.Coord, ServerOptions{Store: store, Dedupe: rec.Dedupe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Logf = func(string, ...any) {}
+
+	// The frame is written by hand: building the Mixture would factor the
+	// covariance the receiver must not.
+	frame := transport.Encode(transport.Message{Kind: transport.MsgNewModel, SiteID: 1, ModelID: 1, Count: 10, Epoch: 1, Seq: 1})
+	frame = binary.LittleEndian.AppendUint32(frame, 1)
+	frame = binary.LittleEndian.AppendUint32(frame, d)
+	frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(1))
+	frame = append(frame, make([]byte, 8*d)...) // the mean
+	for r := 0; r < d; r++ {
+		frame = append(frame, make([]byte, 8*r)...)
+		frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(1))
+	}
+
+	walBefore := store.WALRecords()
+	var reply bytes.Buffer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = srv.respond(&reply, frame)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reply.Bytes(), []byte{ackErr}) {
+		t.Fatalf("reply %x, want the nack %x", reply.Bytes(), ackErr)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing a %d-byte frame allocated %d bytes, want < 1 MB", len(frame), got)
+	}
+	if got := store.WALRecords(); got != walBefore {
+		t.Errorf("WAL grew from %d to %d records", walBefore, got)
+	}
+	if st := srv.DeliveryStats(); st.ApplyErrors != 1 || st.Applied != 0 {
+		t.Errorf("delivery stats %+v, want one refusal and nothing applied", st)
 	}
 }

@@ -188,10 +188,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// respond processes one frame and writes its reply: a watermark ack for a
-// hello, a one-byte status for everything else.
-func (s *Server) respond(conn net.Conn, payload []byte) error {
-	msg, err := transport.Decode(payload)
+// respond processes one frame and writes its reply to conn: a watermark
+// ack for a hello, a one-byte status for everything else.
+func (s *Server) respond(conn io.Writer, payload []byte) error {
+	msg, err := transport.DecodeFor(payload, s.recv.Coord.Dim())
 	if err != nil {
 		s.logf("netio: decode: %v", err)
 		s.mu.Lock()

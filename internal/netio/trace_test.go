@@ -24,7 +24,7 @@ func tracedRegistry(on bool) *telemetry.Registry {
 // TestTraceCapabilityNegotiation pins the wire contract of the trace
 // suffix: it crosses the TCP link only when the client asked for it in the
 // hello AND the server has a tracer — in every other combination the bytes
-// on the wire are exactly the untraced v1/v2 encoding. The byte proof is
+// on the wire are exactly the untraced frames. The byte proof is
 // accounting: the client's goodput counts queued (suffix-free) payload
 // bytes, the server counts received payload bytes, so the difference is
 // precisely the suffixes that crossed.

@@ -119,7 +119,7 @@ type FaultPlan struct {
 
 // Validate reports configuration errors: probabilities outside [0, 1],
 // missing random sources, and inverted or negative outage windows. A nil
-// plan is valid (a perfect link).
+// plan is valid (a fault-free link).
 func (p *FaultPlan) Validate() error {
 	if p == nil {
 		return nil
@@ -222,7 +222,7 @@ type sendRecord struct {
 }
 
 // NewFaultyLink creates a link on sim whose deliveries are subject to
-// plan; a nil plan is a perfect link. deliver is invoked (inside the
+// plan; a nil plan is a fault-free link. deliver is invoked (inside the
 // simulation) when a payload arrives; it may be nil for fire-and-forget
 // accounting. The latency, bandwidth and fault plan are
 // validated here, at construction, so a misconfigured scenario fails with

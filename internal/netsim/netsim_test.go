@@ -17,7 +17,7 @@ func (s *Simulator) Schedule(delay float64, fn func()) {
 	s.ScheduleAt(s.now+delay, fn)
 }
 
-// NewLink is NewFaultyLink with a nil plan: a perfect link.
+// NewLink is NewFaultyLink with a nil plan: a fault-free link.
 func (s *Simulator) NewLink(latency, bandwidth float64, deliver func([]byte)) (*Link, error) {
 	return s.NewFaultyLink(latency, bandwidth, nil, deliver)
 }

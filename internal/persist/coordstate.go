@@ -102,7 +102,7 @@ func SaveCoordinatorState(w io.Writer, st *CoordinatorState) error {
 // implausible counts or invalid mixtures all return errors wrapping
 // ErrBadFormat; I/O errors from the reader pass through untouched.
 func LoadCoordinatorState(r io.Reader) (*CoordinatorState, error) {
-	data, err := io.ReadAll(r)
+	data, err := readInput(r)
 	if err != nil {
 		return nil, err
 	}

@@ -92,8 +92,8 @@ func cutAfterMeans(d int) (archive, checkpoint []byte) {
 // refuse it with ErrBadFormat before allocating what the header promises.
 // Cut after the mean, a d = 4096 model's 33 kB of input used to allocate
 // the 67 MB its covariance would take; at the accepted ceiling d = 2²⁰ an
-// 8 MiB input would ask for terabytes. The bound is 4× the input (the
-// loaders read it whole) plus 64 KiB.
+// 8 MiB input would ask for terabytes. The bound is 2× the input (the
+// loaders read it whole, in one allocation of its size) plus 64 KiB.
 func TestLoadersBoundAllocation(t *testing.T) {
 	loaders := map[string]func([]byte) error{
 		"Load": func(b []byte) error { _, err := Load(bytes.NewReader(b)); return err },
@@ -112,7 +112,7 @@ func TestLoadersBoundAllocation(t *testing.T) {
 			if !errors.Is(err, ErrBadFormat) {
 				t.Errorf("%s, d=%d: err = %v, want ErrBadFormat", name, d, err)
 			}
-			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+64<<10); got > limit {
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(data)+64<<10); got > limit {
 				t.Errorf("%s, d=%d: %d bytes of input allocated %d bytes, limit %d", name, d, len(data), got, limit)
 			}
 		}

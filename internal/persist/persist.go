@@ -11,10 +11,12 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 
 	"cludistream/internal/events"
@@ -83,7 +85,7 @@ func Save(w io.Writer, a *SiteArchive) error {
 // can tell corruption from I/O. It reads the whole input before parsing
 // it, and allocates no more than the input holds.
 func Load(r io.Reader) (*SiteArchive, error) {
-	data, err := io.ReadAll(r)
+	data, err := readInput(r)
 	if err != nil {
 		return nil, err
 	}
@@ -142,6 +144,22 @@ func appendU32(buf []byte, v int) []byte {
 
 func appendF64(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+// readInput reads r to its end, in one allocation of its size when the
+// reader knows it (a bytes.Reader's Len, a file's Stat).
+func readInput(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		buf.Grow(v.Len() + bytes.MinRead)
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // decoder reads the fixed-width fields of an archive or checkpoint held in

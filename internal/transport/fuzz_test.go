@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,23 +9,23 @@ import (
 )
 
 // FuzzDecode hammers the wire decoder with arbitrary bytes: it must never
-// panic, and anything it accepts must re-encode to a decodable message.
+// panic, every frame it accepts must re-encode to the same header and
+// decode again, and every data frame it accepts has seq ≥ 1.
 func FuzzDecode(f *testing.F) {
-	// Seed corpus: valid messages of each kind plus classic corruptions.
+	// Seed corpus: valid frames of each kind plus classic corruptions.
 	rng := rand.New(rand.NewSource(1))
-	valid := Encode(Message{Kind: MsgNewModel, SiteID: 1, ModelID: 2, Count: 3, Mixture: sampleMixture(rng, 2, 3)})
+	valid := Encode(Message{Kind: MsgNewModel, SiteID: 1, ModelID: 2, Count: 3, Epoch: 1, Seq: 1, Mixture: sampleMixture(rng, 2, 3)})
 	f.Add(valid)
-	f.Add(Encode(Message{Kind: MsgWeightUpdate, SiteID: 1, ModelID: 2, Count: 3}))
-	f.Add(Encode(Message{Kind: MsgDeletion, SiteID: 9, ModelID: 1, Count: -50}))
-	validV2 := Encode(Message{Kind: MsgNewModel, SiteID: 1, ModelID: 3, Count: 9, Epoch: 2, Seq: 5, Mixture: sampleMixture(rng, 2, 2)})
-	f.Add(validV2)
-	f.Add(Encode(Message{Kind: MsgWeightUpdate, SiteID: 1, ModelID: 2, Count: 3, Epoch: 1, Seq: 1}))
-	f.Add(validV2[:headerSize+v2ExtraSize-3]) // v2 header cut inside seq
+	f.Add(Encode(Message{Kind: MsgWeightUpdate, SiteID: 1, ModelID: 2, Count: 3, Epoch: 1, Seq: 2}))
+	f.Add(Encode(Message{Kind: MsgDeletion, SiteID: 9, ModelID: 1, Count: -50, Epoch: 3, Seq: 4}))
+	f.Add(Encode(Message{Kind: MsgHello, SiteID: 5, Count: 1}))
+	f.Add(Encode(Message{Kind: MsgWeightUpdate, SiteID: 1, ModelID: 2, Count: 3, Epoch: 1, Seq: 5, TraceID: 7, SpanID: 8}))
+	f.Add(valid[:headerSize-3]) // header cut inside seq
 	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
+	f.Add(Encode(Message{Kind: MsgWeightUpdate, SiteID: 1, ModelID: 2, Count: 3, Epoch: 1})) // seq 0
 	f.Add(valid[:len(valid)-4])
 	corrupt := append([]byte(nil), valid...)
-	corrupt[0] = 200
+	corrupt[1] = 200
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -32,8 +33,13 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted messages must round-trip.
+		if msg.Kind != MsgHello && msg.Seq == 0 {
+			t.Fatalf("accepted a %v frame with seq 0", msg.Kind)
+		}
 		re := Encode(msg)
+		if !bytes.Equal(re[:headerSize], data[:headerSize]) {
+			t.Fatalf("re-encoded header %x, read %x", re[:headerSize], data[:headerSize])
+		}
 		msg2, err := Decode(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -58,6 +64,7 @@ func TestQuickEncodeDecode(t *testing.T) {
 			SiteID:  siteID,
 			ModelID: modelID,
 			Count:   count,
+			Seq:     1,
 			Mixture: sampleMixture(rng, k, d),
 		}
 		buf := Encode(m)

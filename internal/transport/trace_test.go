@@ -6,33 +6,36 @@ import (
 	"testing"
 )
 
-// TestGoldenV1Bytes pins the exact v1 wire encoding of an untraced weight
-// update. Any byte-level drift here would break interoperability with
-// deployed peers, so the expectation is hard-coded rather than derived.
-func TestGoldenV1Bytes(t *testing.T) {
-	m := Message{Kind: MsgWeightUpdate, SiteID: 4, ModelID: 2, Count: 300}
+// TestGoldenFrameBytes pins the exact wire encoding of an untraced
+// weight update. Any byte-level drift here would break interoperability
+// with deployed peers, so the expectation is hard-coded rather than
+// derived.
+func TestGoldenFrameBytes(t *testing.T) {
+	m := Message{Kind: MsgWeightUpdate, SiteID: 4, ModelID: 2, Count: 300, Epoch: 3, Seq: 7}
 	want := []byte{
+		0xC2,                  // marker
 		byte(MsgWeightUpdate), // kind
 		4, 0, 0, 0,            // site (LE)
 		2, 0, 0, 0, // model (LE)
 		0x2C, 0x01, 0, 0, 0, 0, 0, 0, // count = 300 (LE)
+		3, 0, 0, 0, // epoch (LE)
+		7, 0, 0, 0, 0, 0, 0, 0, // seq (LE)
 	}
 	if got := Encode(m); !bytes.Equal(got, want) {
-		t.Fatalf("v1 encoding drifted:\n got  %x\n want %x", got, want)
+		t.Fatalf("frame encoding drifted:\n got  %x\n want %x", got, want)
 	}
 }
 
-// TestTraceSuffixRoundTrip covers the suffix across all message kinds and
-// framings: WireSize accounts for the 16 bytes, Decode restores the IDs,
+// TestTraceSuffixRoundTrip covers the suffix across all message kinds: WireSize accounts for the 16 bytes, Decode restores the IDs,
 // and a zero trace context leaves the frame untouched.
 func TestTraceSuffixRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	msgs := []Message{
-		{Kind: MsgWeightUpdate, SiteID: 1, ModelID: 2, Count: 10, TraceID: 7, SpanID: 9},
+		{Kind: MsgWeightUpdate, SiteID: 1, ModelID: 2, Count: 10, Seq: 1, TraceID: 7, SpanID: 9},
 		{Kind: MsgDeletion, SiteID: 3, ModelID: 1, Count: -40, Epoch: 2, Seq: 5, TraceID: 1 << 40, SpanID: 1},
 		{Kind: MsgNewModel, SiteID: 2, ModelID: 6, Count: 800, Epoch: 1, Seq: 9,
 			Mixture: sampleMixture(rng, 2, 3), TraceID: 12345, SpanID: 0},
-		{Kind: MsgWeightUpdate, SiteID: 5, ModelID: 5, Count: 1, TraceID: 0, SpanID: 77}, // span without trace
+		{Kind: MsgWeightUpdate, SiteID: 5, ModelID: 5, Count: 1, Seq: 2, TraceID: 0, SpanID: 77}, // span without trace
 	}
 	for _, m := range msgs {
 		buf := Encode(m)

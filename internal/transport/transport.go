@@ -4,28 +4,28 @@
 // counts, so the encoding *is* the cost model: a NewModel message carries
 // the full synopsis (weights, means, packed covariances — Section 5.3's
 // "synopsis-based information exchange"), a WeightUpdate or Deletion
-// message carries 21 bytes.
+// message carries 30 bytes.
 //
-// # Wire versions
+// # Frame layout
 //
-// Version 1 (the original format) starts with the kind byte (1–3) and has
-// no delivery metadata. Version 2 prefixes the same layout with the marker
-// byte 0xC2 and inserts a site epoch (uint32) and a per-site monotone
-// sequence number (uint64) after the header, making every message
-// idempotently identifiable for at-least-once delivery with receiver-side
-// dedupe. Encode picks v2 exactly when Seq or Epoch is set, so legacy
-// senders (and the byte-for-byte cost model of the figures) are untouched;
-// Decode accepts both.
+// Every frame opens with the same 30-byte header, little-endian:
+//
+//	0xC2 | kind u8 | site i32 | model i32 | count i64 | epoch u32 | seq u64
+//
+// The marker byte 0xC2 collides with no kind. Epoch names the sender's
+// incarnation and seq numbers its messages from 1, so every data message
+// is idempotently identifiable for at-least-once delivery with
+// receiver-side dedupe; only a Hello carries seq 0. A NewModel's mixture
+// follows the header in gaussian.AppendMixture's layout.
 //
 // # Trace suffix
 //
 // A traced message (TraceID or SpanID set) appends a 16-byte suffix —
 // trace ID then parent span ID, both uint64 little-endian — after the
-// payload. The suffix rides behind every existing layout, so untraced
-// bytes are bit-identical to what they always were; Decode recognizes the
-// suffix by the exact 16 bytes remaining after the body. Over TCP the
+// payload, so untraced bytes are unchanged by tracing; Decode recognizes
+// the suffix by the exact 16 bytes remaining after the body. Over TCP the
 // suffix is additionally gated by a handshake capability (see
-// internal/netio), so an unupgraded coordinator never sees it.
+// internal/netio), so a coordinator without a tracer never sees it.
 package transport
 
 import (
@@ -78,20 +78,17 @@ type Message struct {
 	Count   int64
 	// Epoch identifies the sender's incarnation: a site that crashes and
 	// restarts resumes with a higher epoch, telling the coordinator to
-	// discard state from the dead incarnation. Zero (with Seq zero) selects
-	// the legacy v1 encoding.
+	// discard state from the dead incarnation.
 	Epoch uint32
-	// Seq is the per-site monotone delivery sequence number (1-based).
-	// Receivers drop (siteID, epoch, seq) duplicates, so retransmitted
-	// frames are exactly-once in effect. Zero (with Epoch zero) selects the
-	// legacy v1 encoding.
+	// Seq is the per-incarnation delivery sequence number, numbered from
+	// 1 (a Hello carries 0). Receivers drop (siteID, epoch, seq)
+	// duplicates, so retransmitted frames are exactly-once in effect.
 	Seq uint64
 	// TraceID and SpanID carry the causal trace context of the chunk that
 	// produced this message (see internal/telemetry): the trace minted at
 	// the site and the parent span the receiver should hang its own spans
 	// under. Both zero (the default) means untraced and the encoding emits
-	// no suffix, keeping untraced wire bytes bit-identical to earlier
-	// releases.
+	// no suffix.
 	TraceID uint64
 	SpanID  uint64
 	// Mixture is present iff Kind == MsgNewModel.
@@ -102,20 +99,16 @@ type Message struct {
 var ErrTruncated = errors.New("transport: truncated message")
 
 const (
-	headerSize = 1 + 4 + 4 + 8 // kind + site + model + count
-
-	// verMarker introduces a v2 message; it collides with no MsgKind.
-	verMarker byte = 0xC2
-	// v2ExtraSize is the v2 overhead: marker + epoch + seq.
-	v2ExtraSize = 1 + 4 + 8
+	// marker opens every frame; it collides with no MsgKind.
+	marker byte = 0xC2
+	// headerSize is the frame header: marker, kind, site, model, count,
+	// epoch and seq.
+	headerSize = 1 + 1 + 4 + 4 + 8 + 4 + 8
 )
 
 // TraceSuffixSize is the encoded size of the trace context suffix a traced
 // message carries: trace ID + parent span ID, uint64 little-endian each.
 const TraceSuffixSize = 8 + 8
-
-// versioned reports whether the message needs the v2 encoding.
-func (m Message) versioned() bool { return m.Seq != 0 || m.Epoch != 0 }
 
 // traced reports whether the message carries the trace suffix.
 func (m Message) traced() bool { return m.TraceID != 0 || m.SpanID != 0 }
@@ -123,9 +116,6 @@ func (m Message) traced() bool { return m.TraceID != 0 || m.SpanID != 0 }
 // WireSize returns the exact encoded size in bytes.
 func (m Message) WireSize() int {
 	n := headerSize
-	if m.versioned() {
-		n += v2ExtraSize
-	}
 	if m.traced() {
 		n += TraceSuffixSize
 	}
@@ -135,22 +125,17 @@ func (m Message) WireSize() int {
 	return n
 }
 
-// Encode serializes the message (little-endian, fixed layout; the
-// mixture of a NewModel in gaussian.AppendMixture's layout). Messages
-// with a Seq or Epoch use the v2 framing; all others stay v1.
+// Encode serializes the message: the frame header, then the mixture of a
+// NewModel in gaussian.AppendMixture's layout, then the trace suffix of a
+// traced message.
 func Encode(m Message) []byte {
-	buf := make([]byte, 0, headerSize+v2ExtraSize+TraceSuffixSize)
-	if m.versioned() {
-		buf = append(buf, verMarker)
-	}
-	buf = append(buf, byte(m.Kind))
+	buf := make([]byte, 0, headerSize+TraceSuffixSize)
+	buf = append(buf, marker, byte(m.Kind))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.SiteID))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.ModelID))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Count))
-	if m.versioned() {
-		buf = binary.LittleEndian.AppendUint32(buf, m.Epoch)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, m.Epoch)
+	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 	if m.Kind == MsgNewModel && m.Mixture != nil {
 		buf = gaussian.AppendMixture(buf, m.Mixture)
 	}
@@ -169,36 +154,33 @@ func AppendTraceSuffix(buf []byte, traceID, spanID uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, spanID)
 }
 
-// Decode parses a message produced by Encode, accepting both the legacy
-// v1 framing and the v2 framing carrying epoch and sequence number.
+// Decode parses a frame produced by Encode. It refuses a frame that does
+// not open with the marker, and a NewModel, WeightUpdate or Deletion
+// whose seq is 0.
 func Decode(b []byte) (Message, error) {
-	var m Message
-	v2 := len(b) > 0 && b[0] == verMarker
-	if v2 {
-		if len(b) < headerSize+v2ExtraSize {
-			return Message{}, ErrTruncated
-		}
-		b = b[1:] // kind/site/model/count sit at the v1 offsets now
-	} else if len(b) < headerSize {
+	if len(b) > 0 && b[0] != marker {
+		return Message{}, fmt.Errorf("transport: frame opens with 0x%02x, not the marker 0x%02x", b[0], marker)
+	}
+	if len(b) < headerSize {
 		return Message{}, ErrTruncated
 	}
-	m.Kind = MsgKind(b[0])
-	m.SiteID = int32(binary.LittleEndian.Uint32(b[1:]))
-	m.ModelID = int32(binary.LittleEndian.Uint32(b[5:]))
-	m.Count = int64(binary.LittleEndian.Uint64(b[9:]))
-	b = b[headerSize:]
-	if v2 {
-		m.Epoch = binary.LittleEndian.Uint32(b)
-		m.Seq = binary.LittleEndian.Uint64(b[4:])
-		b = b[4+8:]
+	m := Message{
+		Kind:    MsgKind(b[1]),
+		SiteID:  int32(binary.LittleEndian.Uint32(b[2:])),
+		ModelID: int32(binary.LittleEndian.Uint32(b[6:])),
+		Count:   int64(binary.LittleEndian.Uint64(b[10:])),
+		Epoch:   binary.LittleEndian.Uint32(b[18:]),
+		Seq:     binary.LittleEndian.Uint64(b[22:]),
 	}
-	switch m.Kind {
-	case MsgWeightUpdate, MsgDeletion, MsgHello:
+	b = b[headerSize:]
+	switch {
+	case m.Kind < MsgNewModel || m.Kind > MsgHello:
+		return Message{}, fmt.Errorf("transport: unknown kind %d", m.Kind)
+	case m.Seq == 0 && m.Kind != MsgHello:
+		return Message{}, fmt.Errorf("transport: %v frame with seq 0", m.Kind)
+	case m.Kind != MsgNewModel:
 		m.readTraceSuffix(b)
 		return m, nil
-	case MsgNewModel:
-	default:
-		return Message{}, fmt.Errorf("transport: unknown kind %d", m.Kind)
 	}
 	weights, comps, rest, err := gaussian.ParseMixture(b)
 	if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -214,6 +196,18 @@ func Decode(b []byte) (Message, error) {
 	m.Mixture = mix
 	m.readTraceSuffix(rest)
 	return m, nil
+}
+
+// DecodeFor is Decode for a receiver of dimension dim: a NewModel whose
+// mixture header declares another dimension is refused from the header
+// alone, before any of its body is parsed.
+func DecodeFor(b []byte, dim int) (Message, error) {
+	if len(b) >= headerSize && b[0] == marker && MsgKind(b[1]) == MsgNewModel {
+		if _, d, ok := gaussian.MixtureShape(b[headerSize:]); ok && d != dim {
+			return Message{}, fmt.Errorf("transport: NewModel of dimension %d, receiver dimension %d", d, dim)
+		}
+	}
+	return Decode(b)
 }
 
 // readTraceSuffix parses the optional 16-byte trace context from the

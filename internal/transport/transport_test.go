@@ -43,6 +43,8 @@ func TestRoundTripNewModel(t *testing.T) {
 			SiteID:  7,
 			ModelID: 42,
 			Count:   1567,
+			Epoch:   1,
+			Seq:     3,
 			Mixture: sampleMixture(rng, kd[0], kd[1]),
 		}
 		buf := Encode(m)
@@ -72,7 +74,7 @@ func TestRoundTripNewModel(t *testing.T) {
 
 func TestRoundTripWeightUpdateAndDeletion(t *testing.T) {
 	for _, kind := range []MsgKind{MsgWeightUpdate, MsgDeletion} {
-		m := Message{Kind: kind, SiteID: 3, ModelID: 9, Count: -250}
+		m := Message{Kind: kind, SiteID: 3, ModelID: 9, Count: -250, Epoch: 2, Seq: 5}
 		buf := Encode(m)
 		if len(buf) != headerSize {
 			t.Fatalf("%v wire size = %d, want %d", kind, len(buf), headerSize)
@@ -89,13 +91,13 @@ func TestRoundTripWeightUpdateAndDeletion(t *testing.T) {
 
 func TestWireSizeFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
-	// K=5, d=4 (paper defaults): 17 + 8 + 5·8 + 5·4·8 + 5·10·8 = 625.
+	// K=5, d=4 (paper defaults): 30 + 8 + 5·8 + 5·4·8 + 5·10·8 = 638.
 	m := Message{Kind: MsgNewModel, Mixture: sampleMixture(rng, 5, 4)}
-	if got := m.WireSize(); got != 625 {
-		t.Fatalf("WireSize(K=5,d=4) = %d, want 625", got)
+	if got := m.WireSize(); got != 638 {
+		t.Fatalf("WireSize(K=5,d=4) = %d, want 638", got)
 	}
-	// A weight update is 17 bytes — the synopsis saving in one number.
-	if got := (Message{Kind: MsgWeightUpdate}).WireSize(); got != 17 {
+	// A weight update is 30 bytes — the synopsis saving in one number.
+	if got := (Message{Kind: MsgWeightUpdate}).WireSize(); got != 30 {
 		t.Fatalf("weight update size = %d", got)
 	}
 }
@@ -104,17 +106,15 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(nil); err != ErrTruncated {
 		t.Errorf("nil: %v", err)
 	}
-	if _, err := Decode(make([]byte, 5)); err != ErrTruncated {
+	if _, err := Decode([]byte{marker, byte(MsgWeightUpdate), 1, 0, 0}); err != ErrTruncated {
 		t.Errorf("short: %v", err)
 	}
-	bad := make([]byte, headerSize)
-	bad[0] = 99
-	if _, err := Decode(bad); err == nil {
+	if _, err := Decode(Encode(Message{Kind: 99, Seq: 1})); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	// Truncated NewModel body.
 	rng := rand.New(rand.NewSource(103))
-	full := Encode(Message{Kind: MsgNewModel, Mixture: sampleMixture(rng, 2, 2)})
+	full := Encode(Message{Kind: MsgNewModel, Seq: 1, Mixture: sampleMixture(rng, 2, 2)})
 	for _, cut := range []int{headerSize, headerSize + 4, len(full) - 1} {
 		if _, err := Decode(full[:cut]); err == nil {
 			t.Errorf("truncated at %d accepted", cut)
@@ -150,7 +150,8 @@ func TestRoundTripVersioned(t *testing.T) {
 		{Kind: MsgNewModel, SiteID: 2, ModelID: 5, Count: 900, Epoch: 3, Seq: 17, Mixture: sampleMixture(rng, 2, 3)},
 		{Kind: MsgWeightUpdate, SiteID: 2, ModelID: 5, Count: 200, Epoch: 1, Seq: 1},
 		{Kind: MsgDeletion, SiteID: 9, ModelID: 1, Count: -50, Seq: math.MaxUint64},
-		{Kind: MsgWeightUpdate, SiteID: 1, ModelID: 1, Count: 10, Epoch: 7}, // epoch without seq
+		{Kind: MsgWeightUpdate, SiteID: 1, ModelID: 1, Count: 10, Seq: 1}, // seq without epoch
+		{Kind: MsgHello, SiteID: 6, Epoch: 4},                             // a Hello carries seq 0
 	}
 	for _, m := range msgs {
 		buf := Encode(m)
@@ -174,37 +175,75 @@ func TestRoundTripVersioned(t *testing.T) {
 	}
 }
 
-func TestVersionedBackwardCompatible(t *testing.T) {
-	// A v1 frame and a v2 frame of the same logical message decode to the
-	// same payload; the v2 frame costs exactly the marker + epoch + seq.
-	v1 := Message{Kind: MsgWeightUpdate, SiteID: 4, ModelID: 2, Count: 300}
-	v2 := v1
-	v2.Epoch, v2.Seq = 1, 42
-	b1, b2 := Encode(v1), Encode(v2)
-	if len(b2)-len(b1) != v2ExtraSize {
-		t.Fatalf("v2 overhead = %d bytes, want %d", len(b2)-len(b1), v2ExtraSize)
+// TestDecodeRefusesUnframed: Decode reads one frame layout. A frame that
+// opens with a bare kind byte instead of the marker is refused, and so is
+// a data frame with seq 0; a Hello, which carries seq 0, still decodes.
+func TestDecodeRefusesUnframed(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	hello := Encode(Message{Kind: MsgHello, SiteID: 4, Count: 1})
+	type frameCase struct {
+		name  string
+		frame []byte
+		ok    bool
 	}
-	got, err := Decode(b2)
-	if err != nil {
-		t.Fatal(err)
+	cases := []frameCase{
+		{"hello", hello, true},
+		{"weight-update", Encode(Message{Kind: MsgWeightUpdate, SiteID: 4, ModelID: 2, Count: 300, Epoch: 1, Seq: 42}), true},
+		{"unsequenced-new-model", Encode(Message{Kind: MsgNewModel, SiteID: 4, ModelID: 2, Count: 300, Epoch: 1, Mixture: sampleMixture(rng, 2, 2)}), false},
+		{"unsequenced-weight-update", Encode(Message{Kind: MsgWeightUpdate, SiteID: 4, ModelID: 2, Count: 300, Epoch: 1}), false},
+		{"unsequenced-deletion", Encode(Message{Kind: MsgDeletion, SiteID: 4, ModelID: 2, Count: 300, Epoch: 1}), false},
 	}
-	got.Epoch, got.Seq = 0, 0
-	if got != v1 {
-		t.Fatalf("v2 payload diverged: %+v vs %+v", got, v1)
+	for kind := MsgNewModel; kind <= MsgHello; kind++ {
+		// The retired unframed layout: the kind byte first, the marker
+		// and the delivery fields absent.
+		bare := append([]byte{byte(kind)}, make([]byte, headerSize)...)
+		cases = append(cases, frameCase{"bare-" + kind.String(), bare, false})
 	}
-	// Truncated v2 headers are rejected, not misparsed as v1.
-	for cut := 1; cut < len(b2); cut++ {
-		if _, err := Decode(b2[:cut]); err == nil {
-			t.Fatalf("truncated v2 frame of %d bytes accepted", cut)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			msg, err := Decode(tc.frame)
+			if tc.ok && err != nil {
+				t.Fatalf("refused: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatalf("accepted: %+v", msg)
+			}
+		})
+	}
+	// Truncated headers are refused, not misparsed.
+	for cut := 1; cut < len(hello); cut++ {
+		if _, err := Decode(hello[:cut]); err == nil {
+			t.Fatalf("truncated frame of %d bytes accepted", cut)
 		}
 	}
 }
 
 func TestDecodeRejectsImplausibleShape(t *testing.T) {
-	buf := make([]byte, headerSize+8)
-	buf[0] = byte(MsgNewModel)
 	// K = 0 encoded.
+	buf := append(Encode(Message{Kind: MsgNewModel, Seq: 1}), make([]byte, 8)...)
 	if _, err := Decode(buf); err == nil {
 		t.Fatal("K=0 accepted")
+	}
+}
+
+// TestDecodeFor: a NewModel is refused when its mixture header declares
+// another dimension than the receiver's, and every other frame decodes as
+// Decode decodes it.
+func TestDecodeFor(t *testing.T) {
+	rng := rand.New(rand.NewSource(108))
+	nm := Encode(Message{Kind: MsgNewModel, Seq: 1, Mixture: sampleMixture(rng, 2, 3)})
+	if _, err := DecodeFor(nm, 3); err != nil {
+		t.Fatalf("d = 3 model refused by a d = 3 receiver: %v", err)
+	}
+	if _, err := DecodeFor(nm, 4); err == nil {
+		t.Fatal("d = 3 model accepted by a d = 4 receiver")
+	}
+	if _, err := DecodeFor(nm[:headerSize+7], 4); err != ErrTruncated {
+		t.Fatalf("mixture header cut short: %v, want ErrTruncated", err)
+	}
+	for _, m := range []Message{{Kind: MsgWeightUpdate, Seq: 1}, {Kind: MsgHello}} {
+		if _, err := DecodeFor(Encode(m), 4); err != nil {
+			t.Fatalf("%v refused: %v", m.Kind, err)
+		}
 	}
 }

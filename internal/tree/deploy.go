@@ -63,13 +63,11 @@ type Config struct {
 	// duplicates draw from the plan's one Rand, shared by all edges, and its
 	// outages black out every receiver. NodeOutages adds receiver-down
 	// windows on single internal nodes (state intact — distinct from
-	// Crashes, which lose in-memory state and recover from disk). A
-	// deployment with no Fault, no NodeOutages and no Crashes has perfect
-	// links: every edge sends the legacy v1 encoding straight onto its
-	// link, preserving the paper's byte-for-byte cost model. Anything else
-	// runs the daemons' delivery protocol (internal/sender) on every edge:
-	// each frame stamped with the edge's epoch and sequence number, and
-	// retransmitted with the default backoff until the link delivers it.
+	// Crashes, which lose in-memory state and recover from disk). Every
+	// edge, faulty or not, runs the daemons' delivery protocol
+	// (internal/sender): each frame stamped with the edge's epoch and
+	// sequence number, and retransmitted with the default backoff until the
+	// link delivers it.
 	Fault       *netsim.FaultPlan
 	NodeOutages map[int][]netsim.Outage
 
@@ -101,20 +99,19 @@ type Config struct {
 }
 
 // edge is one directed uplink: child (a leaf or an aggregator) → internal
-// node, carrying frames straight onto a perfect link or through the
-// sender's delivery protocol, driven on the virtual clock. A simulated
-// dial always succeeds at once, and the restart handshake is off: netsim
-// loses frames but never an ack, so the watermark prune would have
-// nothing to remove.
+// node, carrying frames through the sender's delivery protocol, driven on
+// the virtual clock. A simulated dial always succeeds at once, and the
+// restart handshake is off: netsim loses frames but never an ack, so the
+// watermark prune would have nothing to remove.
 type edge struct {
 	fromID int // wire SiteID of the sender
 	toNode int
 	sim    *netsim.Simulator
 	link   *netsim.Link
 	epoch  uint32
-	// snd is the current incarnation's sender (nil on a perfect link).
-	// The jitter source, the pending-retry-timer flag and the link
-	// survive a crash; the sender does not.
+	// snd is the current incarnation's sender. The jitter source, the
+	// pending-retry-timer flag and the link survive a crash; the sender
+	// does not.
 	snd     *sender.Sender
 	jitter  *rand.Rand
 	reg     *telemetry.Registry
@@ -144,28 +141,22 @@ func (e *edge) tally() *SendTally {
 }
 
 // send charges the sender-side entitlement and hands msg, as wire sender
-// fromID, to the edge: on a perfect link straight onto the wire in the v1
-// encoding, otherwise to the sender, which stamps it with the edge's epoch
-// and next sequence number. Trace context rides along, so every
+// fromID, to the edge's sender, which stamps it with the edge's epoch and
+// next sequence number. Trace context rides along, so every
 // transmission records its wire-send span under the message's trace.
 func (e *edge) send(msg transport.Message) {
 	msg.SiteID = int32(e.fromID)
+	size := e.snd.Enqueue(msg).WireSize()
 	if e.tracer != nil && msg.TraceID != 0 {
 		// Enqueue is a point span: in the simulation the outbox hands the
 		// payload to the link at the same virtual instant.
 		now := e.tracer.Now()
 		e.tracer.Record(msg.TraceID, msg.SpanID, "enqueue",
-			int(msg.SiteID), int(msg.ModelID), now, now, msg.WireSize(), "")
+			int(msg.SiteID), int(msg.ModelID), now, now, size, "")
 	}
 	t := e.tally()
 	t.Msgs++
-	if e.snd == nil {
-		payload := transport.Encode(msg)
-		t.Bytes += len(payload)
-		e.link.TrySendTraced(payload, false, msg.TraceID, msg.SpanID)
-		return
-	}
-	t.Bytes += e.snd.Enqueue(msg).WireSize()
+	t.Bytes += size
 	if !e.waiting {
 		e.pump()
 	}
@@ -203,8 +194,7 @@ func (e *edge) pump() {
 
 // restart models the sending process dying: its outbox — every message it
 // would still have retried — dies with it, and its successor speaks under
-// the next epoch with a fresh sequence space. Only fault-tolerant edges
-// restart: any crash makes the whole deployment fault-tolerant.
+// the next epoch with a fresh sequence space.
 func (e *edge) restart() {
 	e.epoch++
 	e.retries += e.snd.Stats().Retries
@@ -247,7 +237,7 @@ type RecoveryStats struct {
 // DeliveryStats is the fault-tolerance accounting summed over every edge
 // and internal node: goodput (payload bytes that reached a receiver,
 // counted once), the retransmission overhead on top, losses, and the
-// receivers' dedupe work. All zeros on perfect links.
+// receivers' dedupe work.
 type DeliveryStats struct {
 	GoodputBytes    int
 	RetransmitBytes int
@@ -286,8 +276,7 @@ type Deployment struct {
 
 // NewDeployment validates the configuration and builds the tree: leaves
 // are real site processors, internal nodes are real coordinators with
-// upload mirrors, edges are netsim links, each driven by a sender unless
-// the deployment has perfect links.
+// upload mirrors, edges are netsim links, each driven by a sender.
 func NewDeployment(cfg Config) (*Deployment, error) {
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
@@ -368,7 +357,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	}
 
 	// Receiver-side fault windows: partitions plus crash windows.
-	perfect := cfg.Fault == nil && len(cfg.NodeOutages) == 0 && len(crashing) == 0
 	outages := func(n int) []netsim.Outage {
 		return append(append([]netsim.Outage(nil), cfg.NodeOutages[n]...), crashing[n]...)
 	}
@@ -376,7 +364,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	// Aggregator uplinks.
 	for n := 1; n < topo.NumNodes(); n++ {
 		spec := topo.Aggs[n-1]
-		e, err := d.newEdge(d.nodes[n].pseudoID, spec.Parent, spec.Link, perfect, outages(spec.Parent))
+		e, err := d.newEdge(d.nodes[n].pseudoID, spec.Parent, spec.Link, outages(spec.Parent))
 		if err != nil {
 			return nil, err
 		}
@@ -396,7 +384,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		if err := d.startLeaf(lf); err != nil {
 			return nil, err
 		}
-		e, err := d.newEdge(sc.SiteID, spec.Parent, spec.Link, perfect, outages(spec.Parent))
+		e, err := d.newEdge(sc.SiteID, spec.Parent, spec.Link, outages(spec.Parent))
 		if err != nil {
 			return nil, err
 		}
@@ -449,16 +437,13 @@ func (d *Deployment) storeOptions() durable.Options {
 // newEdge builds the uplink from wire sender fromID to internal node
 // toNode. Its backoff jitter is seeded from the sender id, so a leaf's
 // retransmission schedule does not depend on the shape of the tree.
-func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, perfect bool, outages []netsim.Outage) (*edge, error) {
+func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, outages []netsim.Outage) (*edge, error) {
 	e := &edge{fromID: fromID, toNode: toNode, sim: d.sim, epoch: 1, reg: d.cfg.Telemetry, tracer: d.tracer, sent: map[uint32]*SendTally{}}
-	var plan *netsim.FaultPlan
-	if d.cfg.Fault != nil || len(outages) > 0 {
-		plan = &netsim.FaultPlan{}
-		if d.cfg.Fault != nil {
-			*plan = *d.cfg.Fault // shares the plan's Rand across edges
-		}
-		plan.Outages = append(append([]netsim.Outage(nil), plan.Outages...), outages...)
+	plan := &netsim.FaultPlan{}
+	if d.cfg.Fault != nil {
+		*plan = *d.cfg.Fault // shares the plan's Rand across edges
 	}
+	plan.Outages = append(append([]netsim.Outage(nil), plan.Outages...), outages...)
 	link, err := d.sim.NewFaultyLink(spec.Latency, spec.Bandwidth, plan, func(payload []byte) {
 		d.deliver(e, payload)
 	})
@@ -468,9 +453,6 @@ func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, perfect bool, ou
 	link.SetTelemetry(d.cfg.Telemetry)
 	e.link = link
 	d.uplinks = append(d.uplinks, e)
-	if perfect {
-		return e, nil
-	}
 	e.jitter = rand.New(rand.NewSource(d.cfg.Seed + 104729*int64(fromID)))
 	e.snd = e.newSender()
 	return e, nil
@@ -491,7 +473,7 @@ func (d *Deployment) deliver(e *edge, payload []byte) {
 		// inside it: the process is down, the frame dies at the socket.
 		return
 	}
-	msg, err := transport.Decode(payload)
+	msg, err := transport.DecodeFor(payload, n.recv.Coord.Dim())
 	if err != nil {
 		d.deliveryErr = fmt.Errorf("tree: node %d decode: %w", n.idx, err)
 		return
@@ -631,16 +613,12 @@ func (d *Deployment) RestartNodeAt(n int, t float64) {
 // lost, and the replacement — same configuration and seed — comes back
 // under a bumped epoch with a fresh sequence space and its clock at record
 // zero, so the parent discards the dead incarnation's contribution when
-// the restarted site replays its stream. Perfect links have no epochs to
-// bump, so a crash needs fault-tolerant edges.
+// the restarted site replays its stream.
 func (d *Deployment) CrashLeaf(i int) error {
 	if i < 0 || i >= len(d.leaves) {
 		return fmt.Errorf("tree: leaf index %d of %d", i, len(d.leaves))
 	}
 	lf := d.leaves[i]
-	if lf.up.snd == nil {
-		return fmt.Errorf("tree: crashing a leaf requires fault-tolerant links (Config.Fault)")
-	}
 	if err := d.startLeaf(lf); err != nil {
 		return err
 	}
@@ -765,11 +743,9 @@ func (d *Deployment) DeliveryStats() DeliveryStats {
 		s.DroppedMessages += m
 		s.DroppedBytes += b
 		s.DupDelivered += e.link.DupDelivered()
-		if e.snd != nil {
-			st := e.snd.Stats()
-			s.Retries += e.retries + st.Retries
-			s.Pending += st.Queued
-		}
+		st := e.snd.Stats()
+		s.Retries += e.retries + st.Retries
+		s.Pending += st.Queued
 	}
 	for _, n := range d.nodes {
 		st := n.recv.Stats()

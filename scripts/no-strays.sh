@@ -9,10 +9,27 @@
 #	make no-strays
 #
 # The bracketed letters keep each alternative from matching the command line
-# of a shell that carries the pattern itself.
+# of a shell that carries the pattern itself. The script's own ancestors are
+# skipped too: the shell of `bash -c 'bash bench/run.sh -smoke; bash
+# scripts/no-strays.sh'` names the benchmark and is still running.
 set -uo pipefail
 
-if pgrep -fl '[c]oordd|[s]ited|[e]xamples/distributed|[.]bench_build/bench|bench-pair[.]sh|bench/run[.]sh'; then
+ancestors=" "
+pid=$$
+while [ -n "$pid" ] && [ "$pid" -gt 1 ]; do
+	ancestors+="$pid "
+	pid=$(ps -o ppid= -p "$pid" | tr -d ' ')
+done
+
+strays=$(pgrep -fl '[c]oordd|[s]ited|[e]xamples/distributed|[.]bench_build/bench|bench-pair[.]sh|bench/run[.]sh' |
+	while read -r pid name; do
+		case "$ancestors" in
+		*" $pid "*) ;;
+		*) echo "$pid $name" ;;
+		esac
+	done)
+if [ -n "$strays" ]; then
+	echo "$strays"
 	echo "no-strays: the processes above are still running; stop them" >&2
 	exit 1
 fi
