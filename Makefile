@@ -40,10 +40,11 @@ race:
 REQUIRE_TESTS = GO=$(GO) bash scripts/require-tests.sh
 
 # The J_fit and remerge fast paths under the race detector at several
-# GOMAXPROCS settings: concurrent interval scoring of one mixture, and the
+# GOMAXPROCS settings: concurrent interval scoring of one mixture, the
 # interval-verdict and dirty-group remerge parity tests against their test
-# oracles (the exact scan, the every-group sweep).
-RACE_SCORE_TESTS = TestIntervalConcurrentScoring|TestPrunedPathBitIdenticalToExact|TestIntervalParityDaemonShape|TestPrunedParityQuick|TestIncrementalRemergeMatchesExact
+# oracles (the exact scan, the every-group sweep), and the coordinator's
+# concurrent group re-fits against the serial loop and the from-scratch fold.
+RACE_SCORE_TESTS = TestIntervalConcurrentScoring|TestPrunedPathBitIdenticalToExact|TestIntervalParityDaemonShape|TestPrunedParityQuick|TestIncrementalRemergeMatchesExact|TestBatchedRefitMatchesSerial
 race-score:
 	$(REQUIRE_TESTS) '$(RACE_SCORE_TESTS)' ./internal/site/ ./internal/gaussian/ ./internal/coordinator/
 	for procs in 1 2 4; do \

@@ -12,6 +12,7 @@ package coordinator
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cludistream/internal/gaussian"
@@ -174,17 +175,22 @@ type Coordinator struct {
 	// hasEmpty records that some group may have been emptied, so compact's
 	// O(groups) scan runs only when it can find something to drop.
 	hasEmpty bool
-	// workScratch/keysScratch are sweep workspaces, reused across updates.
-	workScratch []int
-	keysScratch []MemberKey
+	// workScratch/keysScratch are sweep workspaces, groupScratch the batch
+	// of groups one update re-folds (refreshGroups); reused across updates.
+	workScratch  []int
+	keysScratch  []MemberKey
+	groupScratch []*Group
 
-	// merge is memoMerge, the remembered pair merge every representative is
-	// folded with; memoCur/memoOld are its two generations of at most
-	// memoLimit (= memoGeneration) entries. The parity tests swap merge for
-	// the unremembered gaussian.FitMerge and shrink memoLimit.
-	merge            pairMerge
+	// memoCur/memoOld are the two generations, of at most memoLimit (=
+	// memoGeneration) entries, of the memo every representative is folded
+	// through (recordMerge). The parity tests shrink memoLimit, and set
+	// fromScratch to fold with the unremembered gaussian.FitMerge.
 	memoLimit        int
 	memoCur, memoOld map[mergeKey]mergeVal
+	fromScratch      bool
+	// prefitted counts the merges refreshGroups' fold phase has fitted off
+	// the apply goroutine; the batch parity tests read it.
+	prefitted int
 
 	// Trace context of the message being handled (zeros when untraced):
 	// installed from the update itself or via SetTraceContext, cleared by
@@ -205,7 +211,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("coordinator: Dim = %d", cfg.Dim)
 	}
 	cfg = cfg.withDefaults()
-	c := &Coordinator{
+	return &Coordinator{
 		cfg:      cfg,
 		byID:     make(map[int]*Group),
 		nextID:   1,
@@ -218,9 +224,7 @@ func New(cfg Config) (*Coordinator, error) {
 
 		memoLimit: memoGeneration,
 		memoCur:   make(map[mergeKey]mergeVal, memoGeneration),
-	}
-	c.merge = c.memoMerge
-	return c, nil
+	}, nil
 }
 
 // SetTraceContext installs the causal trace context of the next handled
@@ -363,11 +367,11 @@ func (c *Coordinator) ResetSite(siteID int) {
 	if byModel == nil {
 		return
 	}
+	sms := make([]*siteModel, 0, len(byModel))
 	for _, sm := range byModel {
-		for j := 0; j < sm.mix.K(); j++ {
-			c.removeLeaf(MemberKey{SiteID: sm.siteID, ModelID: sm.modelID, Comp: j})
-		}
+		sms = append(sms, sm)
 	}
+	c.removeLeaves(sms...)
 	delete(c.models, siteID)
 	c.stabilize()
 	c.stats.SiteResets++
@@ -382,10 +386,7 @@ func (c *Coordinator) shiftWeight(sm *siteModel, delta int) error {
 	if sm.counter <= 0 {
 		// "The model is deleted from the model list if its weight becomes
 		// non-positive."
-		for j := 0; j < sm.mix.K(); j++ {
-			key := MemberKey{SiteID: sm.siteID, ModelID: sm.modelID, Comp: j}
-			c.removeLeaf(key)
-		}
+		c.removeLeaves(sm)
 		delete(c.models[sm.siteID], sm.modelID)
 		// The departures changed representatives of the surviving groups;
 		// re-check them.
@@ -411,16 +412,18 @@ func (c *Coordinator) shiftWeight(sm *siteModel, delta int) error {
 	return nil
 }
 
-// refreshModelGroups recomputes representatives of all groups touching sm.
+// refreshModelGroups recomputes representatives of all groups touching sm,
+// in the order of sm's components, as one batch (refreshGroups).
 func (c *Coordinator) refreshModelGroups(sm *siteModel) {
-	seen := map[int]bool{}
+	gs := c.groupScratch[:0]
 	for j := 0; j < sm.mix.K(); j++ {
 		key := MemberKey{SiteID: sm.siteID, ModelID: sm.modelID, Comp: j}
-		if g := c.groupOf(key); g != nil && !seen[g.id] {
-			seen[g.id] = true
-			c.refreshGroup(g)
+		if g := c.groupOf(key); g != nil && !slices.Contains(gs, g) {
+			gs = append(gs, g)
 		}
 	}
+	c.refreshGroups(gs)
+	c.recycleGroups(gs)
 	c.compact()
 }
 
@@ -474,23 +477,6 @@ func (c *Coordinator) candidates(m *member) []*Group {
 		out = append(out, c.byID[nb.ID])
 	}
 	return out
-}
-
-// refreshGroup recomputes a group's representative and keeps the index in
-// sync with the new mean. Every membership or weight mutation funnels
-// through here, so it is also the single point where groups are marked
-// dirty for the incremental stability sweep.
-func (c *Coordinator) refreshGroup(g *Group) {
-	g.recomputeRep(c.merge)
-	c.dirty[g.id] = struct{}{}
-	if g.Size() == 0 {
-		c.hasEmpty = true
-	}
-	if g.rep == nil {
-		c.index.Remove(g.id)
-		return
-	}
-	c.index.Insert(g.id, g.rep.Mean())
 }
 
 // stabilize is Algorithm 2's stability pass, run after every update: sweep
@@ -585,18 +571,41 @@ func (c *Coordinator) checkGroup(g *Group) {
 	}
 }
 
-// removeLeaf deletes a leaf from its group entirely.
-func (c *Coordinator) removeLeaf(key MemberKey) {
-	g := c.groupOf(key)
-	if g == nil {
-		return
+// removeLeaves deletes every leaf of the given models from the tree: it
+// takes the leaves out of their groups, re-folds each group they left once,
+// as one batch in ascending id order (refreshGroups), and compacts once. A
+// group that loses several leaves — twin components of one model, models
+// of one reset site — is fitted for its final members only: nothing reads
+// the representative of a group between two of its removals.
+func (c *Coordinator) removeLeaves(sms ...*siteModel) {
+	gs := c.groupScratch[:0]
+	for _, sm := range sms {
+		for j := 0; j < sm.mix.K(); j++ {
+			key := MemberKey{SiteID: sm.siteID, ModelID: sm.modelID, Comp: j}
+			g := c.groupOf(key)
+			if g == nil {
+				continue
+			}
+			if i := g.find(key); i >= 0 {
+				g.remove(i)
+				if !slices.Contains(gs, g) {
+					gs = append(gs, g)
+				}
+			}
+			delete(c.location, key)
+		}
 	}
-	if i := g.find(key); i >= 0 {
-		g.remove(i)
-		c.refreshGroup(g)
-	}
-	delete(c.location, key)
+	slices.SortFunc(gs, func(a, b *Group) int { return a.id - b.id })
+	c.refreshGroups(gs)
+	c.recycleGroups(gs)
 	c.compact()
+}
+
+// recycleGroups keeps gs's array as groupScratch, cleared so that it pins no
+// group compact drops.
+func (c *Coordinator) recycleGroups(gs []*Group) {
+	clear(gs)
+	c.groupScratch = gs[:0]
 }
 
 // compact drops empty groups. The scan is skipped entirely unless some

@@ -9,15 +9,15 @@ import (
 // UseFromScratchFold makes c fold every representative with the
 // unremembered gaussian.FitMerge, as every coordinator did before the memo:
 // the oracle of the memo parity tests.
-func (c *Coordinator) UseFromScratchFold() {
-	c.merge = func(wi float64, ci *gaussian.Component, wj float64, cj *gaussian.Component) (float64, *gaussian.Component) {
-		return gaussian.FitMerge(wi, ci, wj, cj, c.cfg.Merge)
-	}
-}
+func (c *Coordinator) UseFromScratchFold() { c.fromScratch = true }
 
 // SetMemoGeneration replaces the memo's generation size (memoGeneration) so
 // a short test sequence can make it roll over.
 func (c *Coordinator) SetMemoGeneration(n int) { c.memoLimit = n }
+
+// PrefittedMerges returns how many merges refreshGroups' fold phase has
+// fitted concurrently, so a parity test can show that it ran.
+func (c *Coordinator) PrefittedMerges() int { return c.prefitted }
 
 // UseFullSweep makes every stability sweep visit every group, not only the
 // dirty ones: the oracle of the dirty-tracking parity tests.

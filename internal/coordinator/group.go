@@ -97,18 +97,23 @@ func (g *Group) remove(i int) *member {
 
 // recomputeRep rebuilds the representative by pairwise merging the members
 // in deterministic (key) order through merge — the coordinator's remembered
-// gaussian.FitMerge (see Coordinator.memoMerge).
+// gaussian.FitMerge (see Coordinator.recordMerge).
 func (g *Group) recomputeRep(merge pairMerge) {
+	g.weight, g.rep = g.fold(merge)
+}
+
+// fold merges the members pairwise in key order through merge and returns
+// the father's weight and component — nil with weight 0 for an empty group.
+// It writes nothing, so the fold phase of refreshGroups runs it on several
+// groups at once.
+func (g *Group) fold(merge pairMerge) (float64, *gaussian.Component) {
 	if len(g.members) == 0 {
-		g.rep = nil
-		g.weight = 0
-		return
+		return 0, nil
 	}
 	w := g.members[0].weight
 	rep := g.members[0].comp
 	for _, m := range g.members[1:] {
 		w, rep = merge(w, rep, m.weight, m.comp)
 	}
-	g.rep = rep
-	g.weight = w
+	return w, rep
 }

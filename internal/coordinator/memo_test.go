@@ -216,23 +216,10 @@ func TestMemoSlidingSteadyStateFitsNothing(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := newDaemonCoordinator(t, reg)
 	palettes := [][]*gaussian.Mixture{1: sitePalette(1), 2: sitePalette(2)}
-	chunk := func(n int) {
-		for s := 1; s <= 2; s++ {
-			model := 1 + (n/perRegime)%regimes
-			if n < regimes*perRegime && n%perRegime == 0 { // a regime's first chunk
-				memoOp{kind: 'n', siteID: s, model: model, count: memoChunk, mix: palettes[s][model-1]}.apply(t, c)
-			} else {
-				memoOp{kind: 'w', siteID: s, model: model, count: memoChunk}.apply(t, c)
-			}
-			if old := n - horizon; old >= 0 {
-				memoOp{kind: 'd', siteID: s, model: 1 + (old/perRegime)%regimes, count: memoChunk}.apply(t, c)
-			}
-		}
-	}
 	fits, hits := reg.Counter("coord.merge_fits"), reg.Counter("coord.merge_memo_hits")
-	n := 0
-	for ; n < horizon+regimes*perRegime; n++ { // fill the window, then one full cycle
-		chunk(n)
+	warm := horizon + regimes*perRegime // fill the window, then one full cycle
+	for _, op := range slidingOps(palettes, 0, warm) {
+		op.apply(t, c)
 	}
 	multi := 0
 	for _, g := range c.Groups() {
@@ -247,8 +234,8 @@ func TestMemoSlidingSteadyStateFitsNothing(t *testing.T) {
 	if warmFits == 0 {
 		t.Fatal("no merge was fitted while the window filled")
 	}
-	for ; n < horizon+6*regimes*perRegime; n++ {
-		chunk(n)
+	for _, op := range slidingOps(palettes, warm, horizon+6*regimes*perRegime) {
+		op.apply(t, c)
 	}
 	if got := fits.Value(); got != warmFits {
 		t.Fatalf("%d merges were fitted in the steady state (fits %d → %d)", got-warmFits, warmFits, got)

@@ -171,17 +171,20 @@ func FromSnapshot(cfg Config, snap *Snapshot) (*Coordinator, error) {
 			})
 			c.location[smem.Key] = g.id
 		}
-		// recomputeRep runs after every live mutation (refreshGroup), so
-		// the live rep and weight always equal this recomputation.
-		g.recomputeRep(c.merge)
 		c.groups = append(c.groups, g)
 		c.byID[g.id] = g
-		if g.rep != nil {
-			c.index.Insert(g.id, g.rep.Mean())
-		}
 	}
+	// recomputeRep runs after every live mutation (refreshGroup), so the
+	// live reps and weights always equal this recomputation. Snapshots do
+	// not persist the dirty-group set, so recovery marks every group dirty,
+	// as refreshGroup does: a provably-safe superset — re-checking a group
+	// that was clean in the original is a no-op (its members were verified
+	// stable against a representative the snapshot reproduced
+	// bit-identically), while any group the original still had pending gets
+	// its sweep.
+	c.refreshGroups(c.groups)
 	// Every component of every registered model must sit in exactly one
-	// group (placement is total; removeLeaf always precedes model removal).
+	// group (placement is total; removeLeaves always precedes model removal).
 	for _, byModel := range c.models {
 		for _, sm := range byModel {
 			for j := 0; j < sm.mix.K(); j++ {
@@ -194,14 +197,6 @@ func FromSnapshot(cfg Config, snap *Snapshot) (*Coordinator, error) {
 	}
 	if snap.NextGroupID >= 1 {
 		c.nextID = snap.NextGroupID
-	}
-	// Snapshots do not persist the dirty-group set, so recovery marks every
-	// group dirty: a provably-safe superset — re-checking a group that was
-	// clean in the original is a no-op (its members were verified stable
-	// against a representative the snapshot reproduced bit-identically),
-	// while any group the original still had pending gets its sweep.
-	for _, g := range c.groups {
-		c.dirty[g.id] = struct{}{}
 	}
 	c.stats = snap.Stats
 	c.tele.setSizes(len(c.groups), len(c.location))

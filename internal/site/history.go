@@ -44,13 +44,34 @@ func (s *Site) History() History {
 // closed span holding it, else the last model's open span. It reports
 // false for a chunk outside [1, ChunksSeen] or a history with no model.
 func (h History) ModelAt(chunk int) (int, bool) {
-	if chunk < 1 || chunk > h.ChunksSeen || len(h.Models) == 0 {
+	var last *Model
+	if n := len(h.Models); n > 0 {
+		last = &h.Models[n-1]
+	}
+	return modelAt(&h.Events, h.ChunksSeen, last, chunk)
+}
+
+// ModelAt is History().ModelAt(chunk) read off the live site, without
+// copying the model list: the sliding-window tracker asks it once per
+// expiring chunk.
+func (s *Site) ModelAt(chunk int) (int, bool) {
+	last := s.current
+	if last == nil && len(s.archive) > 0 {
+		last = s.archive[len(s.archive)-1]
+	}
+	return modelAt(s.events, s.chunkNum, last, chunk)
+}
+
+// modelAt answers ModelAt from an event table, the chunks seen and the last
+// model of the list (nil when it is empty).
+func modelAt(ev *events.List, chunksSeen int, last *Model, chunk int) (int, bool) {
+	if chunk < 1 || chunk > chunksSeen || last == nil {
 		return 0, false
 	}
-	if id, ok := h.Events.ModelAt(chunk); ok {
+	if id, ok := ev.ModelAt(chunk); ok {
 		return id, true
 	}
-	return h.Models[len(h.Models)-1].ID, true
+	return last.ID, true
 }
 
 // Mixture composes the models that governed chunks [start, end] (clipped

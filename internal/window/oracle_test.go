@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cludistream/internal/gaussian"
@@ -244,5 +245,54 @@ func TestExpireWithoutExpiryAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { tr.Expire(1) }); allocs != 0 {
 		t.Fatalf("Expire with nothing to expire: %v allocs, want 0", allocs)
+	}
+}
+
+// TestExpireCostFlatInRetiredModels: an expiring call reads the live
+// site's Site.ModelAt and allocates only its result, the same at 10² as at
+// 10⁴ retired models. (Reading a History copied the model list: 40 B per
+// retired model a call, 400 KB at 10⁴.) A negative FitEps fails every
+// J_fit test, so every chunk retires the model before it.
+func TestExpireCostFlatInRetiredModels(t *testing.T) {
+	s, err := site.New(site.Config{
+		SiteID: 1, Dim: 1, K: 1, Epsilon: 0.5, FitEps: -1, Delta: 0.01, Seed: 1, ChunkSize: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _ := NewTracker(s, 1)
+	rng := rand.New(rand.NewSource(1))
+	// perCall re-expires the newest expired chunk 100 times and returns the
+	// allocations and bytes of one call.
+	perCall := func() (allocs, bytes float64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 100
+		last := tr.expired
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			tr.expired = last - 1
+			if ds := tr.Expire(1); len(ds) != 1 {
+				t.Fatalf("expired %v, want one deletion", ds)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	var allocs, bytes []float64
+	for _, retired := range []int{100, 10_000} {
+		for s.ChunksSeen() <= retired {
+			feed(t, s, regime(float64(s.ChunksSeen()%7)*50), s.ChunkSize(), rng)
+		}
+		if got := len(s.Models()) - 1; got != retired {
+			t.Fatalf("%d retired models, want %d", got, retired)
+		}
+		tr.Expire(1)
+		a, b := perCall()
+		allocs, bytes = append(allocs, a), append(bytes, b)
+	}
+	t.Logf("per expiring call: %v allocs, %v B at 10², %v allocs, %v B at 10⁴", allocs[0], bytes[0], allocs[1], bytes[1])
+	if allocs[1] > allocs[0] || bytes[1] > bytes[0]+16 {
+		t.Fatalf("an expiring call allocates %v times, %v B at 10⁴ retired models against %v, %v B at 10²", allocs[1], bytes[1], allocs[0], bytes[0])
 	}
 }

@@ -72,25 +72,23 @@ func (t *Tracker) Send(u site.Update) site.Update {
 // Expire returns deletion messages for every chunk that has fallen out of
 // the window since the last call, and counts them against their models.
 // Call it after feeding records to the site and sending its updates.
-// A call that expires no chunk allocates nothing.
+// A call that expires no chunk allocates nothing, and one that does
+// allocates only its result: it reads the live site's Site.ModelAt, so
+// its cost does not grow with the number of retired models.
 func (t *Tracker) Expire(siteID int) []Deletion {
 	last := t.s.ChunksSeen() - t.horizonChunks
-	if t.expired >= last {
-		return nil
-	}
-	h := t.s.History()
 	var out []Deletion
-	for ; t.expired < last; t.expired++ {
-		id, ok := h.ModelAt(t.expired + 1)
+	for m := t.s.ChunkSize(); t.expired < last; t.expired++ {
+		id, ok := t.s.ModelAt(t.expired + 1)
 		if !ok {
 			continue
 		}
-		t.outstanding[id] -= h.ChunkSize
+		t.outstanding[id] -= m
 		// Consecutive chunks of one model leave in one message.
 		if n := len(out); n > 0 && out[n-1].ModelID == id {
-			out[n-1].Count += h.ChunkSize
+			out[n-1].Count += m
 		} else {
-			out = append(out, Deletion{SiteID: siteID, ModelID: id, Count: h.ChunkSize})
+			out = append(out, Deletion{SiteID: siteID, ModelID: id, Count: m})
 		}
 	}
 	return out
