@@ -43,8 +43,9 @@ REQUIRE_TESTS = GO=$(GO) bash scripts/require-tests.sh
 # GOMAXPROCS settings: concurrent interval scoring of one mixture, the
 # interval-verdict and dirty-group remerge parity tests against their test
 # oracles (the exact scan, the every-group sweep), and the coordinator's
-# concurrent group re-fits against the serial loop and the from-scratch fold.
-RACE_SCORE_TESTS = TestIntervalConcurrentScoring|TestPrunedPathBitIdenticalToExact|TestIntervalParityDaemonShape|TestPrunedParityQuick|TestIncrementalRemergeMatchesExact|TestBatchedRefitMatchesSerial
+# concurrent group re-fits against the serial loop and the from-scratch fold,
+# and a group memo kept while the rest of the tree churns.
+RACE_SCORE_TESTS = TestIntervalConcurrentScoring|TestPrunedPathBitIdenticalToExact|TestIntervalParityDaemonShape|TestPrunedParityQuick|TestIncrementalRemergeMatchesExact|TestBatchedRefitMatchesSerial|TestMemoKeepsGroupFoldsAcrossTree
 race-score:
 	$(REQUIRE_TESTS) '$(RACE_SCORE_TESTS)' ./internal/site/ ./internal/gaussian/ ./internal/coordinator/
 	for procs in 1 2 4; do \

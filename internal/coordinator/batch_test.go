@@ -58,15 +58,15 @@ func drainResetOps() []memoOp {
 }
 
 // TestBatchedRefitMatchesSerial replays seeded sequences on three
-// coordinators: the shipped one at GOMAXPROCS ≥ 2, whose refreshGroups fits
+// coordinators: the shipped one at GOMAXPROCS ≥ 2, whose refreshGroups folds
 // the groups an update touches concurrently; the same code at GOMAXPROCS 1,
 // where the batch is the serial loop; and the from-scratch oracle. After
 // every call the batched coordinator's checkpoint bytes and GlobalMixture
-// encoding equal both others', and its memo — entries, coord.merge_fits,
-// coord.merge_memo_hits — equals the serial run's. The cases cover sliding
+// encoding equal both others', and its memos — entries, coord.merge_fits,
+// coord.merge_memo_hits — equal the serial run's. The cases cover sliding
 // growth and steady state, drained models and site resets, random
-// sequences, and generations of four entries, so that the memo would rotate
-// inside most batches: there the batch must fall back to the serial loop.
+// sequences, and generations of four entries, so that the group memos roll
+// over inside most batches.
 func TestBatchedRefitMatchesSerial(t *testing.T) {
 	procs := max(2, runtime.GOMAXPROCS(0))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -75,12 +75,12 @@ func TestBatchedRefitMatchesSerial(t *testing.T) {
 		name       string
 		ops        []memoOp
 		generation int
-		concurrent string // op kinds that must have fitted on the fold phase
+		concurrent string // op kinds that must have fitted off the calling goroutine
 	}{
 		{"sliding", slidingOps(palettes, 0, 36), 0, "w"},
 		{"drain-and-reset", drainResetOps(), 0, "wdr"},
 		{"random", randomMemoOps(3, 90), 0, "wd"},
-		{"rollover", randomMemoOps(4, 90), 4, ""},
+		{"rollover", randomMemoOps(4, 90), 4, "wd"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			batchedReg, serialReg := telemetry.NewRegistry(), telemetry.NewRegistry()
@@ -91,12 +91,12 @@ func TestBatchedRefitMatchesSerial(t *testing.T) {
 				batched.SetMemoGeneration(tc.generation)
 				serial.SetMemoGeneration(tc.generation)
 			}
-			prefitted := map[string]int{}
+			concurrent := map[string]int{}
 			for i, op := range tc.ops {
-				before := batched.PrefittedMerges()
+				before := batched.ConcurrentFits()
 				runtime.GOMAXPROCS(procs)
 				op.apply(t, batched)
-				prefitted[string(op.kind)] += batched.PrefittedMerges() - before
+				concurrent[string(op.kind)] += batched.ConcurrentFits() - before
 				runtime.GOMAXPROCS(1)
 				op.apply(t, serial)
 				op.apply(t, oracle)
@@ -115,15 +115,15 @@ func TestBatchedRefitMatchesSerial(t *testing.T) {
 					t.Fatalf("op %d (%c): memo holds %d entries batched, %d serial", i, op.kind, batched.MergeMemoEntries(), serial.MergeMemoEntries())
 				}
 			}
-			if got := serial.PrefittedMerges(); got != 0 {
-				t.Fatalf("the GOMAXPROCS 1 run fitted %d merges on a fold phase", got)
+			if got := serial.ConcurrentFits(); got != 0 {
+				t.Fatalf("the GOMAXPROCS 1 run fitted %d merges concurrently", got)
 			}
 			for _, kind := range tc.concurrent {
-				if prefitted[string(kind)] == 0 {
-					t.Errorf("no %c call fitted a merge on the fold phase", kind)
+				if concurrent[string(kind)] == 0 {
+					t.Errorf("no %c call fitted a merge concurrently", kind)
 				}
 			}
-			t.Logf("fold-phase fits by call kind: %v; %d fits in all", prefitted, batchedReg.Counter("coord.merge_fits").Value())
+			t.Logf("concurrent fits by call kind: %v; %d fits in all", concurrent, batchedReg.Counter("coord.merge_fits").Value())
 		})
 	}
 }

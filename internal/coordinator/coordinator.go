@@ -181,16 +181,15 @@ type Coordinator struct {
 	keysScratch  []MemberKey
 	groupScratch []*Group
 
-	// memoCur/memoOld are the two generations, of at most memoLimit (=
-	// memoGeneration) entries, of the memo every representative is folded
-	// through (recordMerge). The parity tests shrink memoLimit, and set
+	// memoEntries counts the pair merges the groups' memos hold (settle).
+	// The rollover tests fix every generation at memoGen merges, and set
 	// fromScratch to fold with the unremembered gaussian.FitMerge.
-	memoLimit        int
-	memoCur, memoOld map[mergeKey]mergeVal
-	fromScratch      bool
-	// prefitted counts the merges refreshGroups' fold phase has fitted off
-	// the apply goroutine; the batch parity tests read it.
-	prefitted int
+	memoEntries int
+	memoGen     int
+	fromScratch bool
+	// concurrentFits counts the merges refreshGroups has fitted off the
+	// calling goroutine; the batch parity tests read it.
+	concurrentFits int
 
 	// Trace context of the message being handled (zeros when untraced):
 	// installed from the update itself or via SetTraceContext, cleared by
@@ -221,9 +220,6 @@ func New(cfg Config) (*Coordinator, error) {
 		location: make(map[MemberKey]int),
 		dirty:    make(map[int]struct{}),
 		tele:     newCoordTele(cfg.Telemetry),
-
-		memoLimit: memoGeneration,
-		memoCur:   make(map[mergeKey]mergeVal, memoGeneration),
 	}, nil
 }
 

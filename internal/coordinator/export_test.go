@@ -11,13 +11,13 @@ import (
 // the oracle of the memo parity tests.
 func (c *Coordinator) UseFromScratchFold() { c.fromScratch = true }
 
-// SetMemoGeneration replaces the memo's generation size (memoGeneration) so
-// a short test sequence can make it roll over.
-func (c *Coordinator) SetMemoGeneration(n int) { c.memoLimit = n }
+// SetMemoGeneration fixes every group memo's generation at n merges instead
+// of memoGeneration(|g|), so a short test sequence makes the memos roll over.
+func (c *Coordinator) SetMemoGeneration(n int) { c.memoGen = n }
 
-// PrefittedMerges returns how many merges refreshGroups' fold phase has
-// fitted concurrently, so a parity test can show that it ran.
-func (c *Coordinator) PrefittedMerges() int { return c.prefitted }
+// ConcurrentFits returns how many merges refreshGroups has fitted off the
+// calling goroutine, so a parity test can show that the concurrent path ran.
+func (c *Coordinator) ConcurrentFits() int { return c.concurrentFits }
 
 // UseFullSweep makes every stability sweep visit every group, not only the
 // dirty ones: the oracle of the dirty-tracking parity tests.

@@ -54,6 +54,7 @@ type Group struct {
 	members []*member // kept sorted by key for determinism
 	rep     *gaussian.Component
 	weight  float64
+	memo    foldMemo // the pair merges of its folds (refreshGroup)
 }
 
 // ID returns the group's stable identifier.
@@ -96,16 +97,14 @@ func (g *Group) remove(i int) *member {
 }
 
 // recomputeRep rebuilds the representative by pairwise merging the members
-// in deterministic (key) order through merge — the coordinator's remembered
-// gaussian.FitMerge (see Coordinator.recordMerge).
+// in deterministic (key) order through merge — gaussian.FitMerge remembered
+// in the group's memo (see Coordinator.foldGroup).
 func (g *Group) recomputeRep(merge pairMerge) {
 	g.weight, g.rep = g.fold(merge)
 }
 
 // fold merges the members pairwise in key order through merge and returns
 // the father's weight and component — nil with weight 0 for an empty group.
-// It writes nothing, so the fold phase of refreshGroups runs it on several
-// groups at once.
 func (g *Group) fold(merge pairMerge) (float64, *gaussian.Component) {
 	if len(g.members) == 0 {
 		return 0, nil
@@ -116,4 +115,20 @@ func (g *Group) fold(merge pairMerge) (float64, *gaussian.Component) {
 		w, rep = merge(w, rep, m.weight, m.comp)
 	}
 	return w, rep
+}
+
+// misses reports whether g's fold fits at least one merge: it follows the
+// fold through g's memo up to its first miss.
+func (g *Group) misses() bool {
+	missed := false
+	g.fold(func(wi float64, ci *gaussian.Component, wj float64, cj *gaussian.Component) (float64, *gaussian.Component) {
+		if !missed {
+			if v, _, ok := g.memo.lookup(newMergeKey(wi, ci, wj, cj)); ok {
+				return v.w, v.rep
+			}
+			missed = true
+		}
+		return wi, ci
+	})
+	return missed
 }

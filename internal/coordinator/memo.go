@@ -30,41 +30,13 @@ type mergeVal struct {
 	rep *gaussian.Component
 }
 
-// prefits are one group's fold-phase fits (see refreshGroups): the merges
-// its fold missed in the memo, keyed by input, for the record phase to
-// record instead of fitting them again.
-type prefits []prefit
+// memoGeneration is how many merges one generation of the memo of a group of
+// size members holds: a touch at fold position p re-fits at most the
+// size−1−p merges after it, so a few folds' worth of prefixes stay
+// remembered, and the memo's entries are bounded by the live leaves.
+func memoGeneration(size int) int { return max(8, 4*size) }
 
-type prefit struct {
-	k mergeKey
-	v mergeVal
-}
-
-func (p prefits) find(k mergeKey) (mergeVal, bool) {
-	for _, f := range p {
-		if f.k == k {
-			return f.v, true
-		}
-	}
-	return mergeVal{}, false
-}
-
-// memoGeneration bounds the memo: it keeps at most two generations of this
-// many merges (see recordMerge), each pinning its two inputs and its output.
-const memoGeneration = 256
-
-// memoLookup is the memo's read-only half: the remembered merge of k, and
-// whether it sits in the current generation. It writes nothing, so the fold
-// phase of refreshGroups calls it from several goroutines at once.
-func (c *Coordinator) memoLookup(k mergeKey) (v mergeVal, inCur, ok bool) {
-	if v, ok = c.memoCur[k]; ok {
-		return v, true, true
-	}
-	v, ok = c.memoOld[k]
-	return v, false, ok
-}
-
-// recordMerge is the coordinator's one pair merge: gaussian.FitMerge,
+// foldMemo is one group's memo of its pair merges: gaussian.FitMerge,
 // remembered by exact input. Sliding windows re-fit the same pair over and
 // over — a model's counter oscillates +M, −M once its window is full, and a
 // founder split by its first sibling is placed straight back — and a
@@ -73,39 +45,69 @@ func (c *Coordinator) memoLookup(k mergeKey) (v mergeVal, inCur, ok bool) {
 // hit returns the remembered *Component, the next fold of a 3+-member group
 // sees the same left input and hits too.
 //
-// It is the memo's ordered half, and every fold goes through it, one merge
-// after another on the apply goroutine: a miss is fitted — or taken from
-// pre, the fold phase's fits of the group, when they hold its key — and
-// counted, and new and re-used merges go to cur; when cur is full it becomes
-// old and the previous old is dropped. Under the from-scratch oracle
-// (fromScratch) every merge is fitted and nothing is remembered.
-func (c *Coordinator) recordMerge(pre prefits, wi float64, ci *gaussian.Component, wj float64, cj *gaussian.Component) (float64, *gaussian.Component) {
-	if c.fromScratch {
-		return gaussian.FitMerge(wi, ci, wj, cj, c.cfg.Merge)
+// It keeps two generations and at most 2·limit merges: new and re-used
+// merges go to cur; when cur holds limit merges, or the memo 2·limit, cur
+// becomes old and the previous old is dropped. Only its group's fold touches
+// it, so the folds of distinct groups run concurrently (refreshGroups).
+type foldMemo struct {
+	cur, old map[mergeKey]mergeVal
+	// fits, hits and grown are the merges fitted, the merges found and the
+	// change in entries since the coordinator last collected them (settle).
+	fits, hits, grown int
+}
+
+func (m *foldMemo) lookup(k mergeKey) (v mergeVal, inCur, ok bool) {
+	if v, ok = m.cur[k]; ok {
+		return v, true, true
 	}
+	v, ok = m.old[k]
+	return v, false, ok
+}
+
+func (m *foldMemo) len() int { return len(m.cur) + len(m.old) }
+
+// bound brings a memo filled while its group was larger back to at most
+// 2·limit merges, and cur below 2·limit so that the next rotation keeps
+// that: it drops old, then cur if that is still too many.
+func (m *foldMemo) bound(limit int) {
+	if m.len() > 2*limit {
+		m.grown -= len(m.old)
+		m.old = nil
+	}
+	if len(m.cur) >= 2*limit {
+		m.grown -= len(m.cur)
+		m.cur = nil
+	}
+}
+
+// merge is gaussian.FitMerge of the pair through the memo: a hit is counted
+// and returned, a miss fitted and counted, and either is recorded in cur.
+func (m *foldMemo) merge(limit int, opts gaussian.MergeOptions, wi float64, ci *gaussian.Component, wj float64, cj *gaussian.Component) (float64, *gaussian.Component) {
 	k := newMergeKey(wi, ci, wj, cj)
-	v, inCur, ok := c.memoLookup(k)
+	v, inCur, ok := m.lookup(k)
 	switch {
 	case inCur:
-		c.tele.memoHits.Inc()
+		m.hits++
 		return v.w, v.rep
 	case ok:
-		c.tele.memoHits.Inc()
+		m.hits++
 	default:
-		if v, ok = pre.find(k); !ok {
-			v.w, v.rep = gaussian.FitMerge(wi, ci, wj, cj, c.cfg.Merge)
-		}
-		c.tele.mergeFits.Inc()
+		v.w, v.rep = gaussian.FitMerge(wi, ci, wj, cj, opts)
+		m.fits++
 	}
-	if len(c.memoCur) >= c.memoLimit {
-		c.memoOld, c.memoCur = c.memoCur, make(map[mergeKey]mergeVal, c.memoLimit)
+	if len(m.cur) >= limit || m.len() >= 2*limit {
+		m.grown -= len(m.old)
+		m.old, m.cur = m.cur, nil
 	}
-	c.memoCur[k] = v
-	c.tele.memoEntries.Set(float64(c.MergeMemoEntries()))
+	if m.cur == nil {
+		m.cur = make(map[mergeKey]mergeVal, limit)
+	}
+	m.cur[k] = v
+	m.grown++
 	return v.w, v.rep
 }
 
-// MergeMemoEntries returns how many pair merges the memo holds, at most
-// 2·memoGeneration. They are not part of MemoryBytes, which stays the
-// Theorem-3 model tree.
-func (c *Coordinator) MergeMemoEntries() int { return len(c.memoCur) + len(c.memoOld) }
+// MergeMemoEntries returns how many pair merges the groups' memos hold, at
+// most Σ 2·memoGeneration(|g|) ≤ 8·leaves + 16·groups. They are not part of
+// MemoryBytes, which stays the Theorem-3 model tree.
+func (c *Coordinator) MergeMemoEntries() int { return c.memoEntries }

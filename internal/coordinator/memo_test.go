@@ -7,6 +7,7 @@ import (
 
 	"cludistream/internal/coordinator"
 	"cludistream/internal/gaussian"
+	"cludistream/internal/linalg"
 	"cludistream/internal/persist"
 	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
@@ -129,10 +130,25 @@ func requireSameState(t *testing.T, step int, op memoOp, got, want *coordinator.
 	}
 }
 
+// memoBound is the most merges c's memos may hold: two generations a group,
+// of gen merges, or of max(8, 4·|g|) — the production rule — when gen is 0.
+// It is at most 8·leaves + 16·groups.
+func memoBound(c *coordinator.Coordinator, gen int) int {
+	n := 0
+	for _, g := range c.Groups() {
+		if gen > 0 {
+			n += 2 * gen
+		} else {
+			n += 2 * max(8, 4*g.Size())
+		}
+	}
+	return n
+}
+
 // TestMemoMatchesFromScratchFold drives a memoizing coordinator and the
 // from-scratch oracle through the same random sequences and compares them
 // after every call — once with the production bound, once with generations
-// of three entries so the memo rolls over all the time.
+// of three entries so every group's memo rolls over all the time.
 func TestMemoMatchesFromScratchFold(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -153,8 +169,8 @@ func TestMemoMatchesFromScratchFold(t *testing.T) {
 					op.apply(t, memo)
 					op.apply(t, oracle)
 					requireSameState(t, i, op, memo, oracle)
-					if tc.generation > 0 && memo.MergeMemoEntries() > 2*tc.generation {
-						t.Fatalf("op %d: memo holds %d entries, bound is %d", i, memo.MergeMemoEntries(), 2*tc.generation)
+					if got, bound := memo.MergeMemoEntries(), memoBound(memo, tc.generation); got > bound {
+						t.Fatalf("op %d: memos hold %d entries, bound is %d", i, got, bound)
 					}
 					for _, g := range memo.Groups() {
 						multi = multi || g.Size() > 2
@@ -243,10 +259,88 @@ func TestMemoSlidingSteadyStateFitsNothing(t *testing.T) {
 	if got := hits.Value(); got <= warmHits {
 		t.Fatalf("memo hits did not grow in the steady state (%d → %d)", warmHits, got)
 	}
-	if got, max := c.MergeMemoEntries(), 512; got == 0 || got > max {
-		t.Fatalf("memo holds %d entries, want 1..%d", got, max)
+	if got, bound := c.MergeMemoEntries(), memoBound(c, 0); got == 0 || got > bound {
+		t.Fatalf("memos hold %d entries, want 1..%d", got, bound)
 	}
 	if got := reg.Snapshot().Gauges["coord.merge_memo_entries"]; int(got) != c.MergeMemoEntries() {
 		t.Fatalf("gauge coord.merge_memo_entries = %v, MergeMemoEntries() = %d", got, c.MergeMemoEntries())
+	}
+}
+
+// TestMemoKeepsGroupFoldsAcrossTree: what the rest of the tree does never
+// evicts a group's folds. One model's groups are folded, its weight moves
+// +M, every model of the other groups is touched — thousands of merges,
+// far more than the groups hold live — and the weight moves back −M: the
+// model's groups are then in a state they were folded in before, and that
+// fold fits nothing. MomentOnly keeps the thousands of merges cheap.
+func TestMemoKeepsGroupFoldsAcrossTree(t *testing.T) {
+	const (
+		d, k     = 4, 4 // dimensions, components a model
+		palettes = 21   // palette 0 is model X's, with partners
+		partners = 3    // models sharing palette 0 with X, never touched
+		models   = 8    // models a palette from 1 on
+		m        = memoChunk
+	)
+	reg := telemetry.NewRegistry()
+	c, err := coordinator.New(coordinator.Config{Dim: d, Merge: gaussian.MergeOptions{MomentOnly: true}, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits := reg.Counter("coord.merge_fits")
+	rng := rand.New(rand.NewSource(5))
+	// mixture returns a model of palette p: k far-apart unit clusters,
+	// seen through a small estimation error.
+	mixture := func(p int) *gaussian.Mixture {
+		ws := make([]float64, k)
+		comps := make([]*gaussian.Component, k)
+		for j := range comps {
+			mean := linalg.NewVector(d)
+			for i := range mean {
+				mean[i] = 0.05 * rng.NormFloat64()
+			}
+			mean[0] += float64(100 * (p*k + j))
+			cov := linalg.NewSym(d)
+			for i := 0; i < d; i++ {
+				cov.Set(i, i, 1)
+			}
+			comps[j] = gaussian.MustComponent(mean, cov)
+			ws[j] = 1 + rng.Float64()
+		}
+		return gaussian.MustMixture(ws, comps)
+	}
+	x := memoOp{kind: 'w', siteID: 1, model: 1, count: m}
+	var others []memoOp // one weight update per model of palettes 1..
+	for s := 1; s <= 1+partners; s++ {
+		memoOp{kind: 'n', siteID: s, model: 1, count: m, mix: mixture(0)}.apply(t, c)
+	}
+	for p := 1; p < palettes; p++ {
+		for n := 0; n < models; n++ {
+			s := 100*p + n
+			memoOp{kind: 'n', siteID: s, model: 1, count: m, mix: mixture(p)}.apply(t, c)
+			others = append(others, memoOp{kind: 'w', siteID: s, model: 1, count: m})
+		}
+	}
+	live := 0 // the merges the groups' current folds are made of
+	for _, g := range c.Groups() {
+		live += g.Size() - 1
+	}
+	if groups := len(c.Groups()); groups != palettes*k || live <= 512 {
+		t.Fatalf("%d groups holding %d live fold merges, want %d groups and more than 512", groups, live, palettes*k)
+	}
+	x.apply(t, c) // +M
+	before := fits.Value()
+	for _, op := range others {
+		op.apply(t, c)
+	}
+	if churn := fits.Value() - before; churn <= 512 {
+		t.Fatalf("touching the other models fitted %d merges, want more than 512", churn)
+	}
+	before = fits.Value()
+	memoOp{kind: 'd', siteID: x.siteID, model: x.model, count: m}.apply(t, c) // −M
+	if got := fits.Value() - before; got != 0 {
+		t.Fatalf("moving the model's weight back fitted %d merges, want 0: its groups' folds were evicted", got)
+	}
+	if got, bound := c.MergeMemoEntries(), memoBound(c, 0); got > bound {
+		t.Fatalf("memos hold %d entries, bound is %d", got, bound)
 	}
 }

@@ -82,8 +82,11 @@ func TestTelemetryBitIdentical(t *testing.T) {
 		t.Errorf("coord.merge_fits = %d, coord.merge_memo_hits = %d: want both > 0",
 			snap.Counters["coord.merge_fits"], snap.Counters["coord.merge_memo_hits"])
 	}
-	if got := snap.Gauges["coord.merge_memo_entries"]; got <= 0 || got > 512 {
-		t.Errorf("coord.merge_memo_entries = %v, want in 1..512", got)
+	// Two generations of max(8, 4·|g|) merges a group: at most 8 a leaf
+	// plus 16 a group.
+	bound := 8*snap.Gauges["coord.leaves"] + 16*snap.Gauges["coord.groups"]
+	if got := snap.Gauges["coord.merge_memo_entries"]; got <= 0 || got > bound {
+		t.Errorf("coord.merge_memo_entries = %v, want in 1..%v", got, bound)
 	}
 }
 
