@@ -142,9 +142,16 @@ fuzz:
 # reproduction (-benchtime 1x — each figure is a full experiment) plus the
 # hot-path micro-benchmarks, converted to JSON. Commit the refreshed file
 # when performance-relevant code changes.
+BENCH_FIGS = BenchmarkFig|BenchmarkAblation
+BENCH_HOT = BenchmarkMixture|BenchmarkEMFit|BenchmarkSite|BenchmarkSystem|BenchmarkCholesky|BenchmarkFitMerge|BenchmarkCoordinator|BenchmarkScore|BenchmarkPosterior|BenchmarkQuadForm|BenchmarkMultiTest|BenchmarkRemerge
 bench:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkFig|BenchmarkAblation' -benchtime 1x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkMixture|BenchmarkEMFit|BenchmarkSite|BenchmarkSystem|BenchmarkCholesky|BenchmarkFitMerge|BenchmarkCoordinator|BenchmarkSMEM|BenchmarkScore|BenchmarkPosterior|BenchmarkQuadForm|BenchmarkMultiTest|BenchmarkRemerge' -benchmem . ; \
+	$(REQUIRE_TESTS) '$(BENCH_FIGS)' .
+	$(REQUIRE_TESTS) '$(BENCH_HOT)' .
+	$(REQUIRE_TESTS) 'BenchmarkSiteRefit' ./internal/site/
+	$(REQUIRE_TESTS) 'BenchmarkQuery' ./internal/query/
+	$(REQUIRE_TESTS) 'BenchmarkTreeLoad' ./internal/tree/
+	{ $(GO) test -run '^$$' -bench '$(BENCH_FIGS)' -benchtime 1x . ; \
+	  $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSiteRefit' -benchmem ./internal/site/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchmem ./internal/query/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTreeLoad' -benchtime 1x ./internal/tree/ ; } \
@@ -161,7 +168,9 @@ bench-e2e:
 # Paired runs of bench-e2e on a base revision and the working tree, which
 # is how a gain is claimed: the sides alternate with the order flipped every
 # pair, seeds from FIRST_SEED up, and the script prints each end-to-end
-# metric's medians, quartiles, per-pair ratios and win count. The recipe
+# metric's medians, quartiles, per-pair ratios, win count and a verdict
+# against the metric's bound in BENCHMARK.json (worse, unresolved, within
+# bound or gain). The recipe
 # execs the script, so a SIGTERM to make reaches it and it stops its run
 # before exiting. Foreground only, e.g.
 # `make bench-pair BASE=HEAD~1 WORKLOAD=steady PAIRS=10 RUN_SECONDS=28`;

@@ -20,7 +20,6 @@ import (
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
 	"cludistream/internal/site"
-	"cludistream/internal/smem"
 	"cludistream/internal/stream"
 	"cludistream/internal/telemetry"
 
@@ -334,17 +333,6 @@ func BenchmarkEMFitIncomplete(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := em.FitIncomplete(data, em.Config{K: 5, Seed: 1, MaxIter: 50, Tol: 1e-3}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSMEMFit(b *testing.B) {
-	m := benchMixture(3, 2)
-	data := m.SampleN(rand.New(rand.NewSource(7)), 600)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := smem.Fit(data, smem.Config{EM: em.Config{K: 3, Seed: 1, MaxIter: 40, Tol: 1e-3}}); err != nil {
 			b.Fatal(err)
 		}
 	}

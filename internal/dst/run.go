@@ -23,10 +23,11 @@ type Options struct {
 	// dedupe (tree.Deployment.InjectDedupeFault). Used by the harness's own
 	// tests to prove the exactly-once invariant catches a real regression.
 	InjectDedupeFault bool
-	// JournalTail is how many telemetry journal events a failure artifact
-	// embeds (default 200).
-	JournalTail int
 }
+
+// journalTail is how many telemetry journal events a failure artifact
+// embeds.
+const journalTail = 200
 
 // Violation is one invariant failure, pinned to the deterministic point
 // in the run where it was detected.
@@ -101,9 +102,6 @@ func Run(sc Scenario, opts Options) (*Result, error) {
 func run(sc Scenario, opts Options) (*Result, *checker, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, nil, err
-	}
-	if opts.JournalTail <= 0 {
-		opts.JournalTail = 200
 	}
 	streams := make([][]linalg.Vector, len(sc.Sites))
 	for i, script := range sc.Sites {
@@ -244,7 +242,7 @@ func run(sc Scenario, opts Options) (*Result, *checker, error) {
 		RefMemoryBytes:  chk.ref.MemoryBytes(),
 	}
 	if res.Violation != nil {
-		res.Journal = reg.Journal().Tail(opts.JournalTail)
+		res.Journal = reg.Journal().Tail(journalTail)
 		snap := reg.Tracer().Snapshot()
 		res.Traces = &snap
 	}

@@ -57,11 +57,8 @@ type Config struct {
 	// Seed drives initialization. The same seed and data give bitwise
 	// identical results.
 	Seed int64
-	// InitMeans optionally warm-starts the component means (length K).
-	// When set, k-means++ is skipped.
-	InitMeans []linalg.Vector
 	// InitModel optionally warm-starts EM from a full existing mixture
-	// (weights, means and covariances); it takes precedence over InitMeans.
+	// (weights, means and covariances); k-means++ is then skipped.
 	// This is how SEM continues from its current model on every refit.
 	InitModel *gaussian.Mixture
 	// Telemetry, when non-nil, receives per-fit counters (runs, iteration
@@ -334,8 +331,8 @@ func FitStats(blocks []*SuffStats, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// initialModel builds the iteration-0 mixture: k-means++ centers (or the
-// provided warm start), hard assignments, and per-cluster moments.
+// initialModel builds the iteration-0 mixture: the provided warm start, or
+// k-means++ centers, hard assignments, and per-cluster moments.
 func initialModel(data []linalg.Vector, cfg Config, rng *rand.Rand) (*gaussian.Mixture, error) {
 	d := len(data[0])
 	if cfg.InitModel != nil {
@@ -345,16 +342,7 @@ func initialModel(data []linalg.Vector, cfg Config, rng *rand.Rand) (*gaussian.M
 		}
 		return cfg.InitModel, nil
 	}
-	var centers []linalg.Vector
-	if cfg.InitMeans != nil {
-		if len(cfg.InitMeans) != cfg.K {
-			return nil, fmt.Errorf("em: %d InitMeans for K=%d", len(cfg.InitMeans), cfg.K)
-		}
-		centers = cfg.InitMeans
-	} else {
-		centers = kMeansPlusPlus(data, cfg.K, rng)
-	}
-	assign := hardAssign(data, centers)
+	assign := hardAssign(data, kMeansPlusPlus(data, cfg.K, rng))
 	stats := make([]*SuffStats, cfg.K)
 	for j := range stats {
 		stats[j] = NewSuffStats(d)

@@ -137,15 +137,17 @@ func TestFitErrors(t *testing.T) {
 	if _, err := Fit([]linalg.Vector{{math.NaN()}, {1}}, Config{K: 1}); err == nil {
 		t.Error("NaN data should error")
 	}
-	if _, err := Fit(data, Config{K: 1, InitMeans: []linalg.Vector{{0}, {1}}}); err == nil {
-		t.Error("InitMeans length mismatch should error")
-	}
 }
 
+// TestFitWarmStart seeds EM with a stale model, as a site's warm refit
+// does when the stream has moved since that model was fitted, and checks
+// that EM walks the means to the new data instead of staying put.
 func TestFitWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	data, _ := genMixtureData(rng, []linalg.Vector{{-6}, {6}}, 1, 600)
-	res, err := Fit(data, Config{K: 2, Seed: 1, InitMeans: []linalg.Vector{{-6}, {6}}})
+	stale := gaussian.MustMixture([]float64{1, 1}, []*gaussian.Component{
+		gaussian.Spherical(linalg.Vector{-4}, 1), gaussian.Spherical(linalg.Vector{4}, 1)})
+	res, err := Fit(data, Config{K: 2, Seed: 1, InitModel: stale})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,24 +26,25 @@ type UploadMirror struct {
 	// NodeID is the pseudo-site id the parent sees on every message.
 	NodeID int
 
-	// WeightTol and MeanTol define a "material" mixture change (see
-	// gaussian.Mixture.ApproxEqual); drift inside the tolerance does not
-	// re-upload. Exact forces bit-level change detection over weights,
-	// means and covariances regardless of the tolerances — ApproxEqual
-	// ignores covariances, so exact replication (as DST requires) cannot
-	// be expressed as a zero tolerance.
-	WeightTol, MeanTol float64
-	Exact              bool
+	// Exact forces bit-level change detection over weights, means and
+	// covariances instead of the weightTol/meanTol tolerances —
+	// ApproxEqual ignores covariances, so exact replication (as DST
+	// requires) cannot be expressed as a zero tolerance.
+	Exact bool
 
 	lastModelID int
 	lastCount   int
 	lastMix     *gaussian.Mixture
 }
 
-// NewUploadMirror returns a mirror for pseudo-site nodeID with the
-// aggregator's default tolerances (0.05, 0.25).
+// weightTol and meanTol define a "material" mixture change (see
+// gaussian.Mixture.ApproxEqual); drift inside the tolerance does not
+// re-upload.
+const weightTol, meanTol = 0.05, 0.25
+
+// NewUploadMirror returns a mirror for pseudo-site nodeID.
 func NewUploadMirror(nodeID int) *UploadMirror {
-	return &UploadMirror{NodeID: nodeID, WeightTol: 0.05, MeanTol: 0.25}
+	return &UploadMirror{NodeID: nodeID}
 }
 
 // Sync compares mix (with total record weight) against the last uploaded
@@ -103,7 +104,7 @@ func (u *UploadMirror) unchanged(mix *gaussian.Mixture) bool {
 	if u.Exact {
 		return mixEqualBits(mix, u.lastMix)
 	}
-	return mix.ApproxEqual(u.lastMix, u.WeightTol, u.MeanTol)
+	return mix.ApproxEqual(u.lastMix, weightTol, meanTol)
 }
 
 // mixEqualBits reports bit-level equality of weights, means and covariances.

@@ -33,11 +33,6 @@ type Config struct {
 	// BufferSize bounds the raw-record buffer; when it fills, SEM refits
 	// and compresses (default 1000).
 	BufferSize int
-	// CompressRadius is the squared Mahalanobis radius inside which a
-	// record is considered confidently owned by its best component and is
-	// folded into that component's sufficient statistics (default: d, the
-	// expectation of a chi-square with d degrees of freedom).
-	CompressRadius float64
 	// EM configures the inner EM runs.
 	EM em.Config
 	// Seed drives the deterministic inner EM initialization.
@@ -47,9 +42,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BufferSize <= 0 {
 		c.BufferSize = 1000
-	}
-	if c.CompressRadius <= 0 {
-		c.CompressRadius = float64(c.Dim)
 	}
 	c.EM.K = c.K
 	if c.EM.Seed == 0 {
@@ -133,6 +125,9 @@ func (s *SEM) refit() error {
 
 	// Primary compression: fold confidently-owned buffer records into the
 	// owning component's discard set; retain the rest (ambiguous region).
+	// A record is confidently owned when its squared Mahalanobis distance
+	// to its nearest component is at most d, the expectation of a
+	// chi-square with d degrees of freedom.
 	// The nearest-component classification runs batched over the whole
 	// buffer — one blocked Mahalanobis sweep per component instead of a
 	// factor walk per record per component.
@@ -142,7 +137,7 @@ func (s *SEM) refit() error {
 	retained := s.buffer[:0]
 	var kept int
 	for i, x := range s.buffer {
-		if maha[i] <= s.cfg.CompressRadius {
+		if maha[i] <= float64(s.cfg.Dim) {
 			s.discard[owner[i]].Add(x, 1)
 		} else {
 			owner[kept] = owner[i]

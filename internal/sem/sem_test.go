@@ -103,6 +103,72 @@ func TestSEMCompressionActuallyCompresses(t *testing.T) {
 	}
 }
 
+// TestSEMCompressionRadiusIsDim pins the primary-compression boundary at a
+// squared Mahalanobis distance of d from the owning component: one buffered
+// record 2 % inside it is folded into the discard set, one 2 % outside it is
+// retained. With K = 1 the fitted component is the buffer's own mean and
+// covariance, so the probes are placed by solving a²/((S + 2a²)/n) = t for
+// the share S of the axis' spread that the rest of the buffer holds.
+func TestSEMCompressionRadiusIsDim(t *testing.T) {
+	const d, n = 2, 200
+	var bulk []linalg.Vector
+	for i := 0; len(bulk) < n-4; i++ {
+		u := 0.2 + 0.05*float64(i%25)
+		for _, sx := range []float64{-1, 1} {
+			for _, sy := range []float64{-1, 1} {
+				bulk = append(bulk, linalg.Vector{sx * u, sy * u})
+			}
+		}
+	}
+	var sxx, syy float64
+	for _, x := range bulk {
+		sxx += x[0] * x[0]
+		syy += x[1] * x[1]
+	}
+	probe := func(spread, share float64) float64 {
+		tgt := share * d
+		return math.Sqrt(tgt * spread / (n - 2*tgt))
+	}
+	a, b := probe(sxx, 0.98), probe(syy, 1.02)
+	inside, outside := linalg.Vector{a, 0}, linalg.Vector{0, b}
+	records := append(bulk, inside, linalg.Vector{-a, 0}, outside, linalg.Vector{0, -b})
+
+	s, err := New(Config{K: 1, Dim: d, BufferSize: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ObserveAll(records); err != nil {
+		t.Fatal(err)
+	}
+	if s.Refits() != 1 {
+		t.Fatalf("%d refits, want 1", s.Refits())
+	}
+	comp := s.Model().Component(0)
+	if m := comp.MahalanobisSq(inside); m <= 0.97*d || m > d {
+		t.Fatalf("inner probe at squared distance %v, want just under %d", m, d)
+	}
+	if m := comp.MahalanobisSq(outside); m <= d || m > 1.03*d {
+		t.Fatalf("outer probe at squared distance %v, want just over %d", m, d)
+	}
+	buffered := func(x linalg.Vector) bool {
+		for _, r := range s.buffer {
+			if r.Equal(x, 0) {
+				return true
+			}
+		}
+		return false
+	}
+	if buffered(inside) {
+		t.Error("record inside the radius was retained")
+	}
+	if !buffered(outside) {
+		t.Error("record outside the radius was folded into the discard set")
+	}
+	if got := s.CompressedWeight() + float64(s.BufferedRecords()); got != n {
+		t.Fatalf("discard + buffer hold %v records, want %d", got, n)
+	}
+}
+
 func TestSEMDimValidation(t *testing.T) {
 	s, _ := New(Config{K: 1, Dim: 2, Seed: 1})
 	if err := s.Observe(linalg.Vector{1}); err == nil {

@@ -18,7 +18,7 @@ import (
 )
 
 // Options configures a Minimize run. The zero value selects sensible
-// defaults (standard Nelder–Mead coefficients, 200·dim iterations).
+// defaults (200·dim iterations, tolerances of 1e-10).
 type Options struct {
 	// MaxIter caps the number of iterations (default 200·dim).
 	MaxIter int
@@ -30,14 +30,15 @@ type Options struct {
 	// Step is the initial perturbation applied per coordinate to build the
 	// starting simplex (default 0.1·|x_i| or 0.1 when x_i == 0).
 	Step float64
-
-	// Reflection, Expansion, Contraction, Shrink override the standard
-	// coefficients (1, 2, 0.5, 0.5) when non-zero.
-	Reflection  float64
-	Expansion   float64
-	Contraction float64
-	Shrink      float64
 }
+
+// The standard Nelder–Mead coefficients.
+const (
+	reflection  = 1.0
+	expansion   = 2.0
+	contraction = 0.5
+	shrink      = 0.5
+)
 
 // Result reports the outcome of a minimization.
 type Result struct {
@@ -80,19 +81,6 @@ func Minimize(f func([]float64) float64, x0 []float64, opt Options) (Result, err
 	}
 	if opt.Step <= 0 {
 		opt.Step = 0.1
-	}
-	alpha, gamma, rho, sigma := 1.0, 2.0, 0.5, 0.5
-	if opt.Reflection > 0 {
-		alpha = opt.Reflection
-	}
-	if opt.Expansion > 0 {
-		gamma = opt.Expansion
-	}
-	if opt.Contraction > 0 {
-		rho = opt.Contraction
-	}
-	if opt.Shrink > 0 {
-		sigma = opt.Shrink
 	}
 
 	evals := 0
@@ -163,14 +151,14 @@ func Minimize(f func([]float64) float64, x0 []float64, opt Options) (Result, err
 
 		// Reflection.
 		for j := 0; j < n; j++ {
-			xr[j] = centroid[j] + alpha*(centroid[j]-worst.x[j])
+			xr[j] = centroid[j] + reflection*(centroid[j]-worst.x[j])
 		}
 		fr := eval(xr)
 		switch {
 		case fr < best.f:
 			// Expansion.
 			for j := 0; j < n; j++ {
-				xe[j] = centroid[j] + gamma*(xr[j]-centroid[j])
+				xe[j] = centroid[j] + expansion*(xr[j]-centroid[j])
 			}
 			fe := eval(xe)
 			if fe < fr {
@@ -189,11 +177,11 @@ func Minimize(f func([]float64) float64, x0 []float64, opt Options) (Result, err
 			// worst, inside otherwise).
 			if fr < worst.f {
 				for j := 0; j < n; j++ {
-					xc[j] = centroid[j] + rho*(xr[j]-centroid[j])
+					xc[j] = centroid[j] + contraction*(xr[j]-centroid[j])
 				}
 			} else {
 				for j := 0; j < n; j++ {
-					xc[j] = centroid[j] + rho*(worst.x[j]-centroid[j])
+					xc[j] = centroid[j] + contraction*(worst.x[j]-centroid[j])
 				}
 			}
 			fc := eval(xc)
@@ -204,7 +192,7 @@ func Minimize(f func([]float64) float64, x0 []float64, opt Options) (Result, err
 				// Shrink toward the best vertex.
 				for i := 1; i <= n; i++ {
 					for j := 0; j < n; j++ {
-						verts[i].x[j] = best.x[j] + sigma*(verts[i].x[j]-best.x[j])
+						verts[i].x[j] = best.x[j] + shrink*(verts[i].x[j]-best.x[j])
 					}
 					verts[i].f = eval(verts[i].x)
 				}

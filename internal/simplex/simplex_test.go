@@ -187,19 +187,6 @@ func minimizeRef(f func([]float64) float64, x0 []float64, opt Options) (Result, 
 	if opt.Step <= 0 {
 		opt.Step = 0.1
 	}
-	alpha, gamma, rho, sigma := 1.0, 2.0, 0.5, 0.5
-	if opt.Reflection > 0 {
-		alpha = opt.Reflection
-	}
-	if opt.Expansion > 0 {
-		gamma = opt.Expansion
-	}
-	if opt.Contraction > 0 {
-		rho = opt.Contraction
-	}
-	if opt.Shrink > 0 {
-		sigma = opt.Shrink
-	}
 
 	evals := 0
 	eval := func(x []float64) float64 {
@@ -269,14 +256,14 @@ func minimizeRef(f func([]float64) float64, x0 []float64, opt Options) (Result, 
 
 		// Reflection.
 		for j := 0; j < n; j++ {
-			xr[j] = centroid[j] + alpha*(centroid[j]-worst.x[j])
+			xr[j] = centroid[j] + reflection*(centroid[j]-worst.x[j])
 		}
 		fr := eval(xr)
 		switch {
 		case fr < best.f:
 			// Expansion.
 			for j := 0; j < n; j++ {
-				xe[j] = centroid[j] + gamma*(xr[j]-centroid[j])
+				xe[j] = centroid[j] + expansion*(xr[j]-centroid[j])
 			}
 			fe := eval(xe)
 			if fe < fr {
@@ -295,11 +282,11 @@ func minimizeRef(f func([]float64) float64, x0 []float64, opt Options) (Result, 
 			// worst, inside otherwise).
 			if fr < worst.f {
 				for j := 0; j < n; j++ {
-					xc[j] = centroid[j] + rho*(xr[j]-centroid[j])
+					xc[j] = centroid[j] + contraction*(xr[j]-centroid[j])
 				}
 			} else {
 				for j := 0; j < n; j++ {
-					xc[j] = centroid[j] + rho*(worst.x[j]-centroid[j])
+					xc[j] = centroid[j] + contraction*(worst.x[j]-centroid[j])
 				}
 			}
 			fc := eval(xc)
@@ -310,7 +297,7 @@ func minimizeRef(f func([]float64) float64, x0 []float64, opt Options) (Result, 
 				// Shrink toward the best vertex.
 				for i := 1; i <= n; i++ {
 					for j := 0; j < n; j++ {
-						verts[i].x[j] = best.x[j] + sigma*(verts[i].x[j]-best.x[j])
+						verts[i].x[j] = best.x[j] + shrink*(verts[i].x[j]-best.x[j])
 					}
 					verts[i].f = eval(verts[i].x)
 				}

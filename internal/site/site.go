@@ -19,7 +19,6 @@ import (
 	"cludistream/internal/events"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
-	"cludistream/internal/smem"
 	"cludistream/internal/telemetry"
 )
 
@@ -122,16 +121,6 @@ type Config struct {
 	// sliding-window deployments need it so the coordinator's per-model
 	// weights stay in sync with the deletions that will follow (Section 7).
 	EmitFitWeightUpdates bool
-	// UseSMEM clusters chunks with split-and-merge EM (Ueda et al. [23])
-	// instead of plain EM — slower, but escapes the local optima plain EM
-	// can park in. Requires K ≥ 3.
-	UseSMEM bool
-	// AutoKMax, when positive, selects each new model's component count by
-	// BIC over K ∈ [1, AutoKMax] instead of using the fixed
-	// K — operationalizing the paper's "we do not assume the constant
-	// number of component models for the data stream". Mutually exclusive
-	// with UseSMEM.
-	AutoKMax int
 	// Telemetry, when non-nil, receives per-chunk decision counters and
 	// journal events (chunk tested/fit/refit/reactivated with the J_fit
 	// margin, archive-hit depth, EM iteration counts) and is propagated to
@@ -676,11 +665,11 @@ func marginInterval(lo, hi, ref float64) (loM, hiM float64) {
 	}
 }
 
-// clusterNewModel applies the configured clustering (plain EM, SMEM or a
-// BIC K-sweep) to the chunk and installs the result as the current model
-// (lines 2 and 10 of Algorithm 1). seed, when non-nil, is the best-scoring
-// model of the failed multi-test pass, offered to the plain-EM path as a
-// warm start.
+// clusterNewModel clusters the chunk with EM (the marginal-likelihood
+// variant when records miss attributes) and installs the result as the
+// current model (lines 2 and 10 of Algorithm 1). seed, when non-nil, is
+// the best-scoring model of the failed multi-test pass, offered to the
+// plain-EM path as a warm start.
 func (s *Site) clusterNewModel(data []linalg.Vector, seed *gaussian.Mixture) ([]Update, error) {
 	s.stats.EMRuns++
 	s.stats.Refits++
@@ -692,54 +681,32 @@ func (s *Site) clusterNewModel(data []linalg.Vector, seed *gaussian.Mixture) ([]
 	cfg.TraceID, cfg.TraceParent = fitSpan.Context()
 	s.fitNote = ""
 
-	var mixture *gaussian.Mixture
-	var refLL float64
-	haveRef := false
-	switch {
-	case s.cfg.AutoKMax > 0:
-		sel, err := em.FitBestK(data, 1, s.cfg.AutoKMax, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("site %d: K-sweep on chunk %d: %w", s.cfg.SiteID, s.chunkNum, err)
-		}
-		mixture = sel.Best.Mixture
-		s.fitNote = "auto-k"
-	case s.cfg.UseSMEM:
-		res, err := smem.Fit(data, smem.Config{EM: cfg})
-		if err != nil {
-			return nil, fmt.Errorf("site %d: SMEM on chunk %d: %w", s.cfg.SiteID, s.chunkNum, err)
-		}
-		mixture = res.Mixture
-		s.fitNote = "smem"
-	case em.IsIncomplete(data):
-		// Records with missing (NaN) attributes: the marginal-likelihood EM
-		// of §3's "incomplete data" claim.
-		res, err := em.FitIncomplete(data, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("site %d: incomplete-data EM on chunk %d: %w", s.cfg.SiteID, s.chunkNum, err)
-		}
-		mixture = res.Mixture
+	// Records with missing (NaN) attributes go to the marginal-likelihood
+	// EM of §3's "incomplete data" claim.
+	incomplete := em.IsIncomplete(data)
+	var res *em.Result
+	var err error
+	if incomplete {
+		res, err = em.FitIncomplete(data, cfg)
 		s.fitNote = "incomplete"
-	default:
-		res, err := s.fitChunk(data, cfg, seed)
-		if err != nil {
-			return nil, fmt.Errorf("site %d: EM on chunk %d: %w", s.cfg.SiteID, s.chunkNum, err)
-		}
-		mixture = res.Mixture
-		if !s.cfg.SharpTest {
-			// IsIncomplete sent every chunk with a NaN attribute to the
-			// case above, so Complete() is data itself and the fit's own
-			// final scan is exactly chunkAvgLL's.
-			refLL, haveRef = res.AvgLogLikelihood, true
-		}
+	} else {
+		res, err = s.fitChunk(data, cfg, seed)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("site %d: EM on chunk %d: %w", s.cfg.SiteID, s.chunkNum, err)
 	}
 	fitSpan.End(s.nextModelID, s.fitNote)
 
-	if !haveRef {
-		refLL = s.chunkAvgLL(mixture)
+	// A complete chunk's Complete() is data itself, so the plain fit's own
+	// final scan is exactly chunkAvgLL's; the marginal likelihood and
+	// SharpTest's statistic are not, so those chunks are scanned again.
+	refLL := res.AvgLogLikelihood
+	if incomplete || s.cfg.SharpTest {
+		refLL = s.chunkAvgLL(res.Mixture)
 	}
 	m := &Model{
 		ID:         s.nextModelID,
-		Mixture:    mixture,
+		Mixture:    res.Mixture,
 		RefAvgLL:   refLL,
 		Counter:    s.m,
 		startChunk: s.chunkNum,
@@ -761,8 +728,7 @@ func (s *Site) clusterNewModel(data []linalg.Vector, seed *gaussian.Mixture) ([]
 
 // fitChunk runs the plain-EM refit, warm-started from seed when there is
 // one (and the site is not the always-cold test oracle). Warm starts never
-// apply to the SMEM, auto-K or incomplete-data fitters, which keep their
-// own init.
+// apply to the incomplete-data fitter, which keeps its own init.
 //
 // The warm path replaces k-means++ initialization with the seed mixture
 // (em.Config.InitModel), which typically converges in a fraction of the

@@ -400,46 +400,6 @@ func TestEmitFitWeightUpdates(t *testing.T) {
 	}
 }
 
-func TestUseSMEMSite(t *testing.T) {
-	cfg := testConfig()
-	cfg.K = 3 // SMEM needs K ≥ 3
-	cfg.UseSMEM = true
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(14))
-	ups := feed(t, s, regime(0), 200*3, rng)
-	if len(ups) == 0 || s.Current() == nil {
-		t.Fatal("SMEM site produced no model")
-	}
-	if s.Current().Mixture.K() != 3 {
-		t.Fatalf("SMEM model K = %d", s.Current().Mixture.K())
-	}
-	// The model must explain the regime well.
-	if ll := s.Current().Mixture.AvgLogLikelihood([]linalg.Vector{{-2}, {2}}); ll < -4 {
-		t.Fatalf("SMEM model LL = %v", ll)
-	}
-}
-
-func TestAutoKSite(t *testing.T) {
-	cfg := testConfig()
-	cfg.AutoKMax = 4
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(15))
-	// regime() is bimodal: BIC should pick K=2 regardless of cfg.K.
-	feed(t, s, regime(0), 200*2, rng)
-	if s.Current() == nil {
-		t.Fatal("no model")
-	}
-	if got := s.Current().Mixture.K(); got != 2 {
-		t.Fatalf("auto-K chose %d on bimodal data, want 2", got)
-	}
-}
-
 func TestIncompleteRecordsEndToEnd(t *testing.T) {
 	// 20% of attributes missing: the site must still learn the regime and
 	// detect the change — the paper's "incomplete data records" claim.
@@ -1182,7 +1142,7 @@ func TestSiteSteadyStatePrunedZeroAlloc(t *testing.T) {
 // chunk scan chunkAvgLL would compute for it, bit for bit, whichever fitter
 // produced the model: cold and warm plain-EM refits (whose reference is the
 // fit's own final scan), audited refits won by either arm, SharpTest's
-// max-component statistic, SMEM, the BIC K-sweep and incomplete-data EM.
+// max-component statistic and incomplete-data EM.
 func TestRefAvgLLIsChunkScan(t *testing.T) {
 	base := Config{
 		SiteID: 1, Dim: 4, K: 3, Epsilon: 0.1, Delta: 0.01,
@@ -1231,14 +1191,8 @@ func TestRefAvgLLIsChunkScan(t *testing.T) {
 	sharp := base
 	sharp.SharpTest = true
 	run("sharp", sharp, 1, 0)
-	smem := base
-	smem.UseSMEM = true
-	run("smem", smem, 0, 0)
-	autoK := base
-	autoK.AutoKMax = 4
-	run("auto-k", autoK, 0, 0)
 	run("missing-attributes", base, 0, 0.2)
-	for _, note := range []string{"cold", "warm", "audit-cold-win", "audit-warm-win", "smem", "auto-k", "incomplete"} {
+	for _, note := range []string{"cold", "warm", "audit-cold-win", "audit-warm-win", "incomplete"} {
 		if notes[note] == 0 {
 			t.Errorf("no refit took the %q path: %v", note, notes)
 		}

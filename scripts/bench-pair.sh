@@ -14,8 +14,16 @@
 # comparison split over consecutive seed ranges — PAIRS=5 FIRST_SEED=11,
 # then PAIRS=5 FIRST_SEED=16 — runs the pairs one call of PAIRS=10 would. At the end it prints, per end-to-end metric, each side's
 # median [q1, q3] over the runs (statistics.quantiles' exclusive method),
-# the change/base ratio of every pair, and how many pairs the working tree
-# won (ties count for neither side).
+# the change/base ratio of every pair, how many pairs the working tree
+# won (ties count for neither side), and a verdict against the metric's
+# `bound` in BENCHMARK.json:
+#   worse         the change's median is worse than the base's by more
+#                 than the bound;
+#   unresolved    the base's own IQR ÷ median exceeds the bound, unless
+#                 every change run beats every base run;
+#   gain          the change won ≥ 9/10 of the pairs and the medians
+#                 differ, in its favour, by more than the base's IQR;
+#   within bound  otherwise.
 #
 # The base is extracted with `git archive` into a temporary directory,
 # which leaves nothing behind in .git. Each run is a tracked child in its own
@@ -103,7 +111,25 @@ quartiles() {
 
 value() { jq -r --arg m "$2" '.metrics[$m].value // empty' <"$tmp/$1.json"; }
 
-printf '\n%-24s %-6s  %-42s  %-42s  %s\n' metric better "base median [q1, q3]" "change median [q1, q3]" "change/base per pair (seed $first_seed up), wins"
+# verdict <better> <bound> <base median> <q1> <q3> <change median> <wins>
+# <pairs> <base min> <base max> <change min> <change max>: the rule above.
+verdict() {
+	awk -v better="$1" -v bound="$2" -v bm="$3" -v bq1="$4" -v bq3="$5" -v cm="$6" \
+		-v wins="$7" -v n="$8" -v bmin="$9" -v bmax="${10}" -v cmin="${11}" -v cmax="${12}" 'BEGIN {
+		up = better == "higher"
+		gap = up ? cm - bm : bm - cm # > 0: the change is better
+		# every metric is ≥ 0; a zero median takes any worsening or spread
+		worse = bm == 0 ? gap < 0 : -gap / bm > bound
+		spread = bm == 0 ? (bq3 > bq1 ? bound + 1 : 0) : (bq3 - bq1) / bm
+		apart = up ? cmin > bmax : cmax < bmin
+		if (worse) print "worse"
+		else if (spread > bound && !apart) print "unresolved"
+		else if (wins >= 0.9 * n && gap > bq3 - bq1) print "gain"
+		else print "within bound"
+	}'
+}
+
+printf '\n%-24s %-6s  %-42s  %-42s  %s\n' metric better "base median [q1, q3]" "change median [q1, q3]" "change/base per pair (seed $first_seed up), wins, verdict"
 failed=0
 for ((i = 1; i <= pairs; i++)); do
 	for side in base change; do
@@ -111,7 +137,7 @@ for ((i = 1; i <= pairs; i++)); do
 		failed=$((failed + f))
 	done
 done
-jq -r '.end_to_end[] | "\(.name) \(.better)"' <"$repo/BENCHMARK.json" | while read -r metric better; do
+jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' <"$repo/BENCHMARK.json" | while read -r metric better bound; do
 	b=() c=() ratios=() wins=0 ties=0
 	for ((i = 1; i <= pairs; i++)); do
 		seed=$((first_seed + i - 1))
@@ -128,6 +154,9 @@ jq -r '.end_to_end[] | "\(.name) \(.better)"' <"$repo/BENCHMARK.json" | while re
 	[ ${#b[@]} -gt 0 ] || continue # the workload does not report it
 	read -r bm bq1 bq3 < <(printf '%s\n' "${b[@]}" | quartiles)
 	read -r cm cq1 cq3 < <(printf '%s\n' "${c[@]}" | quartiles)
-	printf '%-24s %-6s  %-42s  %-42s  %s  %d/%d, %d ties\n' "$metric" "$better" "$bm [$bq1, $bq3]" "$cm [$cq1, $cq3]" "${ratios[*]}" "$wins" "${#b[@]}" "$ties"
+	read -r bmin bmax < <(printf '%s\n' "${b[@]}" | sort -g | sed -n '1p;$p' | paste -sd ' ')
+	read -r cmin cmax < <(printf '%s\n' "${c[@]}" | sort -g | sed -n '1p;$p' | paste -sd ' ')
+	v=$(verdict "$better" "$bound" "$bm" "$bq1" "$bq3" "$cm" "$wins" "${#b[@]}" "$bmin" "$bmax" "$cmin" "$cmax")
+	printf '%-24s %-6s  %-42s  %-42s  %s  %d/%d, %d ties, %s\n' "$metric" "$better" "$bm [$bq1, $bq3]" "$cm [$cq1, $cq3]" "${ratios[*]}" "$wins" "${#b[@]}" "$ties" "$v"
 done
 echo "failed operations over all $((2 * pairs)) runs: $failed"
