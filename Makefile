@@ -81,11 +81,15 @@ alloc-gate-query:
 # Neither may one evaluation of the merge objective: FitMerge's simplex
 # runs ~160 of them per group re-fit on the coordinator's critical path;
 # and one whole re-fit stays at most 50 allocations (the panel, the
-# vertices and the result — none per iteration).
+# vertices and the result — none per iteration). The linalg rung's
+# Mahalanobis kernels (exact and bound, d = 4 and 6) assert 0 allocs per
+# 128-record block the same way.
 alloc-gate:
 	$(REQUIRE_TESTS) 'BenchmarkSiteSteadyState' .
 	$(REQUIRE_TESTS) 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs' ./internal/gaussian/
+	$(REQUIRE_TESTS) 'BenchmarkQuadFormRows' ./internal/linalg/
 	$(GO) test -run '^$$' -bench 'BenchmarkSiteSteadyState' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkQuadFormRows' -benchtime 100x ./internal/linalg/
 	$(GO) test -run 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs' -count=1 ./internal/gaussian/
 
 # Crash-recovery gate: the coordinator is killed mid-merge under 20%

@@ -55,8 +55,11 @@ var scratchPool = sync.Pool{New: func() any { return NewBatchScratch() }}
 // (at most BatchBlock of them), batched per component: one
 // Cholesky.QuadFormRows call per component. Per record the arithmetic and
 // its order match the scalar log(w_j) + Component.LogProb(x) exactly, so
-// every entry is bit-identical to it.
-func (m *Mixture) scoreBlock(xs []linalg.Vector, s *BatchScratch) {
+// every entry is bit-identical to it. With bound set the Mahalanobis terms
+// come from Cholesky.QuadFormRowsBound instead, and each entry is only
+// within the allowance AvgLogLikelihoodInterval derives; nothing else
+// scores that way.
+func (m *Mixture) scoreBlock(xs []linalg.Vector, s *BatchScratch, bound bool) {
 	k := len(m.comps)
 	count := len(xs)
 	for j, c := range m.comps {
@@ -66,22 +69,45 @@ func (m *Mixture) scoreBlock(xs []linalg.Vector, s *BatchScratch) {
 			}
 			continue
 		}
-		c.chol.QuadFormRows(xs, c.mean, s.panel, s.maha)
+		if bound {
+			c.chol.QuadFormRowsBound(xs, c.mean, s.panel, s.maha)
+		} else {
+			c.chol.QuadFormRows(xs, c.mean, s.panel, s.maha)
+		}
 		lw, ln := m.logW[j], c.logNorm
-		for p := 0; p < count; p++ {
-			s.logp[p*k+j] = lw + (ln - 0.5*s.maha[p])
+		i := j
+		for _, q := range s.maha[:count] {
+			s.logp[i] = lw + (ln - 0.5*q)
+			i += k
 		}
 	}
 }
 
 // lseRows reduces each K-wide row of logp with one sequential LogAdd chain
 // in component order (−Inf entries are no-ops), the reduction every
-// kernel below shares.
+// kernel below shares. Four records' chains run in one loop, so each
+// step's Exp/Log1p overlaps the other three chains' instead of waiting on
+// its own predecessor; every chain keeps its own order, so each result is
+// bit-identical to a lone chain's.
 func lseRows(logp []float64, count, k int, dst []float64) {
-	for p := 0; p < count; p++ {
-		row := logp[p*k : p*k+k]
+	p := 0
+	for ; p+4 <= count; p += 4 {
+		r0 := logp[p*k : p*k+k]
+		r1 := logp[(p+1)*k : (p+1)*k+k]
+		r2 := logp[(p+2)*k : (p+2)*k+k]
+		r3 := logp[(p+3)*k : (p+3)*k+k]
+		l0, l1, l2, l3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
+		for j := range r0 {
+			l0 = LogAdd(l0, r0[j])
+			l1 = LogAdd(l1, r1[j])
+			l2 = LogAdd(l2, r2[j])
+			l3 = LogAdd(l3, r3[j])
+		}
+		dst[p], dst[p+1], dst[p+2], dst[p+3] = l0, l1, l2, l3
+	}
+	for ; p < count; p++ {
 		lse := math.Inf(-1)
-		for _, lp := range row {
+		for _, lp := range logp[p*k : p*k+k] {
 			lse = LogAdd(lse, lp)
 		}
 		dst[p] = lse
@@ -105,7 +131,7 @@ func (m *Mixture) ScoreBatch(data []linalg.Vector, dst []float64, s *BatchScratc
 	s.ensure(m.Dim(), k)
 	for base := 0; base < len(data); base += BatchBlock {
 		xs := data[base:min(base+BatchBlock, len(data))]
-		m.scoreBlock(xs, s)
+		m.scoreBlock(xs, s, false)
 		lseRows(s.logp, len(xs), k, dst[base:base+len(xs)])
 	}
 }
@@ -128,7 +154,7 @@ func (m *Mixture) ClassifyBatch(data []linalg.Vector, idx []int, logPost, logPDF
 	s.ensure(m.Dim(), k)
 	for base := 0; base < len(data); base += BatchBlock {
 		xs := data[base:min(base+BatchBlock, len(data))]
-		m.scoreBlock(xs, s)
+		m.scoreBlock(xs, s, false)
 		lse := logPDF[base : base+len(xs)]
 		lseRows(s.logp, len(xs), k, lse)
 		for p := range xs {
@@ -164,7 +190,7 @@ func (m *Mixture) PosteriorBatch(data []linalg.Vector, post *linalg.Matrix, logp
 	var sum float64
 	for base := 0; base < len(data); base += BatchBlock {
 		xs := data[base:min(base+BatchBlock, len(data))]
-		m.scoreBlock(xs, s)
+		m.scoreBlock(xs, s, false)
 		lseRows(s.logp, len(xs), k, s.vals)
 		for p := 0; p < len(xs); p++ {
 			lse := s.vals[p]
@@ -202,7 +228,7 @@ func (m *Mixture) AvgLogLikelihoodScratch(data []linalg.Vector, s *BatchScratch)
 	var sum float64
 	for base := 0; base < len(data); base += BatchBlock {
 		xs := data[base:min(base+BatchBlock, len(data))]
-		m.scoreBlock(xs, s)
+		m.scoreBlock(xs, s, false)
 		lseRows(s.logp, len(xs), k, s.vals)
 		for p := 0; p < len(xs); p++ {
 			sum += s.vals[p]
@@ -212,20 +238,35 @@ func (m *Mixture) AvgLogLikelihoodScratch(data []linalg.Vector, s *BatchScratch)
 }
 
 // AvgLogLikelihoodInterval returns an interval [lo, hi] around
-// AvgLogLikelihoodScratch(data) without a single Exp or Log1p call. The
-// per-record terms l_j = log(w_j·p(x|j)) come from scoreBlock, bit-identical
-// to the exact path's, and each record's log-sum-exp is bounded by its row
-// maximum m:
+// AvgLogLikelihoodScratch(data) without a single Exp or Log1p call, and
+// without a division per record: it scores through scoreBlock's bound
+// mode, whose terms b_j differ from the exact path's l_j = log(w_j·p(x|j))
+// by the rounding of the division-free Mahalanobis kernel. Each record's
+// log-sum-exp is then bounded through the row maximum t = b_a:
 //
-//	m ≤ log Σ_j e^(l_j) = m + log1p(S) ≤ m + S,   S = Σ_{j≠argmax} e^(l_j−m),
+//	t − E ≤ l_a ≤ log Σ_j e^(l_j) ≤ t + E + (1 + 64ρ)·(1 + 2E)·S,
+//	S = Σ_{j≠a} e^(b_j−t),
 //
-// with every term of S replaced by expUpper's bound. lo is the mean of the
-// row maxima; the exact LogAdd chain never falls below its largest term and
-// float addition is monotone, so lo never exceeds the exact average. hi
-// brackets it up to the rounding of that chain, of order K·2⁻⁵²·|avg|, so a
-// caller that decides on the interval keeps a guard of that order. ok is
-// false — run the exact scan — for empty data, any NaN, and a non-finite lo
-// or hi.
+// with every term of S replaced by expUpper's bound, ρ =
+// linalg.QuadFormBoundRel and the allowance E = ρ·(A + |t|) +
+// linalg.QuadFormBoundAbs, A = max_j (|log w_j| + |log-norm_j|) over the
+// weighted components. The allowance holds because the kernel's ½q is
+// within (ρ/2)·½q of the exact one's and ½q ≤ A + |b_j| up to rounding, so
+// |l_j − b_j| ≤ ρ·(A + |b_j|) with the roundings of both evaluations of
+// lw + (ln − ½q) absorbed; since b_j ≤ t, ρ·|b_j| ≤ ρ·|t| + ρ·(t − b_j),
+// which turns e^(l_j−l_a) into at most e^((1−ρ)(b_j−t)+E), and
+// e^((1−ρ)d) ≤ (1 + 64ρ)·expUpper(d) for every d ≤ 0. The right-hand form
+// needs E ≤ 1 (e^E ≤ 1 + 2E); a record beyond that (|t| above ~4·10¹²,
+// only at absurd distances) takes t + E + log K, from log Σ_j e^(l_j) ≤
+// max_j l_j + log K. At K = 1 the interval is 2E wide on average.
+//
+// lo is the mean of the t − E; the exact LogAdd chain never falls below
+// any of its terms and float addition is monotone, so lo never exceeds the
+// exact average. hi brackets it up to the rounding of that chain, of order
+// K·2⁻⁵²·|avg|, so a caller that decides on the interval keeps a guard of
+// that order (the allowance sits thousands of times below the site's).
+// ok is false — run the exact scan — for empty data, any NaN, and a
+// non-finite lo or hi.
 func (m *Mixture) AvgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch) (lo, hi float64, ok bool) {
 	if len(data) == 0 {
 		return 0, 0, false
@@ -236,10 +277,18 @@ func (m *Mixture) AvgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch
 	}
 	k := len(m.comps)
 	s.ensure(m.Dim(), k)
+	const rho = linalg.QuadFormBoundRel
+	var a float64
+	for j, c := range m.comps {
+		if m.weights[j] != 0 {
+			a = math.Max(a, math.Abs(m.logW[j])+math.Abs(c.logNorm))
+		}
+	}
+	logK := math.Log(float64(k))
 	var sumLo, sumHi float64
 	for base := 0; base < len(data); base += BatchBlock {
 		xs := data[base:min(base+BatchBlock, len(data))]
-		m.scoreBlock(xs, s)
+		m.scoreBlock(xs, s, true)
 		for p := range xs {
 			row := s.logp[p*k : p*k+k]
 			top, arg := row[0], 0
@@ -254,8 +303,15 @@ func (m *Mixture) AvgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch
 					rest += expUpper(lp - top)
 				}
 			}
-			sumLo += top
-			sumHi += top + rest
+			e := rho*(a+math.Abs(top)) + linalg.QuadFormBoundAbs
+			sumLo += top - e
+			if e <= 1 {
+				sumHi += top + e + rest*((1+64*rho)*(1+2*e))
+			} else if rest == rest {
+				sumHi += top + e + logK
+			} else {
+				sumHi = rest // NaN: refuse below
+			}
 		}
 	}
 	n := float64(len(data))
@@ -318,7 +374,7 @@ func AvgLogLikelihoodMulti(ms []*Mixture, data []linalg.Vector, dst []float64, s
 		for i, m := range ms {
 			k := len(m.comps)
 			s.ensure(m.Dim(), k)
-			m.scoreBlock(xs, s)
+			m.scoreBlock(xs, s, false)
 			lseRows(s.logp, len(xs), k, s.vals)
 			for p := 0; p < len(xs); p++ {
 				dst[i] += s.vals[p]
@@ -344,7 +400,7 @@ func (m *Mixture) AvgMaxComponentLLScratch(data []linalg.Vector, s *BatchScratch
 	var sum float64
 	for base := 0; base < len(data); base += BatchBlock {
 		xs := data[base:min(base+BatchBlock, len(data))]
-		m.scoreBlock(xs, s)
+		m.scoreBlock(xs, s, false)
 		for p := 0; p < len(xs); p++ {
 			row := s.logp[p*k : p*k+k]
 			best := math.Inf(-1)

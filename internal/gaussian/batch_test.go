@@ -90,6 +90,34 @@ func TestScoreBatchBitIdentical(t *testing.T) {
 	}
 }
 
+// TestLseRowsInterleavedBitIdentical pins the four-chain log-sum-exp to the
+// scalar oracle's one chain per record, bit for bit, at record counts that
+// leave every remainder of the four-record loop and straddle the block
+// boundary, and at K = 1, 5 and 56, with and without zero weights.
+func TestLseRowsInterleavedBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, k := range []int{1, 5, 56} {
+		for _, n := range []int{1, 3, 5, 127, 128, 129} {
+			zero := n%2 == 1 && k > 1
+			m := randMixture(t, rng, k, 3, zero)
+			data := randData(rng, n, 3)
+			got := make([]float64, n)
+			m.ScoreBatch(data, got, NewBatchScratch())
+			var sum float64
+			for i, x := range data {
+				want := oracleLogPDF(m, x)
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("K=%d n=%d zero=%v: record %d ScoreBatch=%v oracle=%v", k, n, zero, i, got[i], want)
+				}
+				sum += want
+			}
+			if avg := m.AvgLogLikelihoodScratch(data, nil); math.Float64bits(avg) != math.Float64bits(sum/float64(n)) {
+				t.Fatalf("K=%d n=%d: AvgLogLikelihood %v, oracle %v", k, n, avg, sum/float64(n))
+			}
+		}
+	}
+}
+
 // TestPosteriorBatchBitIdentical pins PosteriorBatch (posteriors, per-record
 // log-likelihoods, and their ordered sum) to the scalar oracle bit-for-bit.
 func TestPosteriorBatchBitIdentical(t *testing.T) {

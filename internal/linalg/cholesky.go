@@ -15,30 +15,36 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix not positive definite")
 // distances all go through the factor rather than an explicit inverse,
 // which is both faster and far better conditioned.
 type Cholesky struct {
-	n int
-	l []float64 // packed lower triangular, same layout as Sym
+	n     int
+	l     []float64 // packed lower triangular, same layout as Sym
+	bound bool      // QuadFormRowsBound may take its division-free loop
 }
 
 // CholeskyDecompose factors a into L·Lᵀ. It returns
-// ErrNotPositiveDefinite if a pivot is not strictly positive.
+// ErrNotPositiveDefinite if a pivot is not strictly positive. It also
+// decides, once, whether QuadFormRowsBound may take its division-free loop
+// on the factor (an O(n³) condition estimate).
 func CholeskyDecompose(a *Sym) (*Cholesky, error) {
 	c := &Cholesky{}
 	if err := CholeskyDecomposeInto(a, c); err != nil {
 		return nil, err
 	}
+	c.bound = c.boundEligible()
 	return c, nil
 }
 
 // CholeskyDecomposeInto is CholeskyDecompose into a caller-owned factor,
 // for loops that factor one candidate matrix after another: c's storage is
 // reused once it has a's order (the zero Cholesky is a valid first
-// argument). When it returns an error, c holds no usable factor.
+// argument). When it returns an error, c holds no usable factor. It skips
+// the condition estimate, so QuadFormRowsBound on c is the exact kernel.
 func CholeskyDecomposeInto(a *Sym, c *Cholesky) error {
 	n := a.n
 	if c.n != n {
 		c.n, c.l = n, make([]float64, len(a.data))
 	}
 	copy(c.l, a.data)
+	c.bound = false
 	for j := 0; j < n; j++ {
 		// Diagonal pivot: l[j][j] = sqrt(a[j][j] - sum_k l[j][k]^2).
 		d := c.at(j, j)

@@ -328,11 +328,14 @@ type Site struct {
 }
 
 // testedModel is one multi-test probe: the model, the chunk's average
-// log-likelihood under it when computed exactly, and whether it was (an
-// interval verdict leaves avg as a bound, to be replaced before use).
+// log-likelihood under it when computed exactly, and whether it was. An
+// interval verdict leaves avg as the interval's lo and hi as its hi plus
+// the guard, so the exact average lies in [avg, hi]; an exact probe has
+// hi = avg.
 type testedModel struct {
 	m     *Model
 	avg   float64
+	hi    float64
 	exact bool
 }
 
@@ -543,45 +546,94 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 
 // refitSeed selects the warm-start seed for a refit: the best-scoring
 // model of the failed multi-test pass, or nil when even the best margin
-// exceeds the warm-start margin. The selection replays the exact path's bookkeeping
-// — first tested model initializes, later ones replace it on strictly
-// higher average log-likelihood — over exact scores: probes decided by
-// the interval are re-scored exactly here, in one fused pass over the
-// chunk; probes that already ran the exact scan reuse the memoized value.
+// exceeds the warm-start margin. The selection is the exact path's — the
+// first tested model initializes, later ones replace it on strictly higher
+// exact average log-likelihood — decided on as few exact scores as the
+// probes' intervals allow. A probe whose hi (guard included) is below the
+// highest lo cannot win or tie, so only the others are candidates; when
+// two or more are, those the interval decided are re-scored exactly, in one
+// fused pass over the chunk, and the first maximum among the candidates is
+// the first maximum among all. A lone candidate wins without a score, and
+// is re-scored only if its interval does not decide the warm-margin test.
+// Probes that already ran the exact scan reuse the memoized value.
 func (s *Site) refitSeed() *gaussian.Mixture {
 	if len(s.tested) == 0 {
 		return nil
 	}
-	s.rescanMix = s.rescanMix[:0]
+	if t0 := s.tested[0]; t0.avg != t0.avg {
+		// A NaN first score is never replaced, and fails no margin test.
+		return t0.m.Mixture
+	}
+	maxLo := math.Inf(-1)
+	for _, tm := range s.tested {
+		if tm.avg > maxLo {
+			maxLo = tm.avg
+		}
+	}
 	s.rescanIdx = s.rescanIdx[:0]
-	for i := range s.tested {
-		if s.tested[i].exact {
+	candidates := 0
+	for i, tm := range s.tested {
+		if tm.exact {
 			s.stats.StatCacheHits++
 			s.tele.statHits.Inc()
-			continue
 		}
-		s.stats.StatCacheMisses++
-		s.tele.statMisses.Inc()
-		s.rescanMix = append(s.rescanMix, s.tested[i].m.Mixture)
-		s.rescanIdx = append(s.rescanIdx, i)
-	}
-	if len(s.rescanMix) > 0 {
-		gaussian.AvgLogLikelihoodMulti(s.rescanMix, s.scan.Complete(), s.rescanAvg[:len(s.rescanMix)], s.scratch)
-		for j, i := range s.rescanIdx {
-			s.tested[i].avg = s.rescanAvg[j]
-			s.tested[i].exact = true
+		if tm.hi >= maxLo {
+			candidates++
+			if !tm.exact {
+				s.rescanIdx = append(s.rescanIdx, i)
+			}
 		}
 	}
-	best := s.tested[0]
-	for _, tm := range s.tested[1:] {
-		if tm.avg > best.avg {
-			best = tm
+	if candidates > 1 {
+		s.rescan(s.rescanIdx)
+	}
+	// Exact scores below maxLo never win, so every exact probe may take
+	// part; an interval probe takes part only as the lone candidate, with
+	// its lo = maxLo.
+	best := -1
+	for i, tm := range s.tested {
+		if (tm.exact || tm.hi >= maxLo) && (best < 0 || tm.avg > s.tested[best].avg) {
+			best = i
 		}
 	}
-	if math.Abs(best.avg-best.m.RefAvgLL) > s.warmMargin {
+	w := &s.tested[best]
+	if !w.exact {
+		// |avg − ref| is monotone in avg on each side of ref, so the
+		// interval's margin bounds decide the exact test unless they
+		// straddle the warm margin.
+		loM, hiM := marginInterval(w.avg, w.hi, w.m.RefAvgLL)
+		switch {
+		case loM > s.warmMargin:
+			return nil
+		case hiM <= s.warmMargin:
+			return w.m.Mixture
+		}
+		s.rescan(append(s.rescanIdx[:0], best))
+	}
+	if math.Abs(w.avg-w.m.RefAvgLL) > s.warmMargin {
 		return nil
 	}
-	return best.m.Mixture
+	return w.m.Mixture
+}
+
+// rescan replaces the interval scores of the probes at idx by exact ones,
+// in one fused pass over the chunk.
+func (s *Site) rescan(idx []int) {
+	if len(idx) == 0 {
+		return
+	}
+	s.rescanMix = s.rescanMix[:0]
+	for _, i := range idx {
+		s.rescanMix = append(s.rescanMix, s.tested[i].m.Mixture)
+	}
+	s.stats.StatCacheMisses += len(idx)
+	s.tele.statMisses.Add(int64(len(idx)))
+	gaussian.AvgLogLikelihoodMulti(s.rescanMix, s.scan.Complete(), s.rescanAvg[:len(idx)], s.scratch)
+	for j, i := range idx {
+		s.tested[i].avg = s.rescanAvg[j]
+		s.tested[i].hi = s.rescanAvg[j]
+		s.tested[i].exact = true
+	}
 }
 
 // fitScore evaluates the test criterion J_fit = |Avg_Prn − Avg_Pr0| ≤ ε
@@ -606,7 +658,7 @@ func (s *Site) fitScore(m *Model) (probe testedModel, margin float64, ok bool) {
 		if lo, hi, bok := m.Mixture.AvgLogLikelihoodInterval(eval, s.scratch); bok {
 			loM, hiM := marginInterval(lo, hi, m.RefAvgLL)
 			guard := intervalGuardRel * (1 + math.Abs(m.RefAvgLL) + math.Max(math.Abs(lo), math.Abs(hi)))
-			probe = testedModel{m: m, avg: lo}
+			probe = testedModel{m: m, avg: lo, hi: hi + guard}
 			switch {
 			case hiM+guard <= s.cfg.FitEps:
 				s.stats.PruneHits++
@@ -632,7 +684,7 @@ func (s *Site) fitScore(m *Model) (probe testedModel, margin float64, ok bool) {
 			Value: margin, N: s.chunkNum,
 		})
 	}
-	return testedModel{m: m, avg: avg, exact: true}, margin, margin <= s.cfg.FitEps
+	return testedModel{m: m, avg: avg, hi: avg, exact: true}, margin, margin <= s.cfg.FitEps
 }
 
 // chunkAvgLL is the J_fit statistic of the current chunk under mix,
