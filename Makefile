@@ -16,8 +16,11 @@ vet:
 # Static hygiene gate: vet plus gofmt, failing loudly on any unformatted
 # file instead of silently reformatting it, and no recipe line in this
 # Makefile may start a background job (a lone ampersand, not part of a
-# logical and): an interrupted target must leave nothing running.
+# logical and): an interrupted target must leave nothing running. vet runs
+# a second time for arm64, so the portable build — the Go-only stubs of the
+# amd64 assembly kernels — keeps compiling and passing vet.
 lint: vet
+	GOARCH=arm64 $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
@@ -83,13 +86,15 @@ alloc-gate-query:
 # and one whole re-fit stays at most 50 allocations (the panel, the
 # vertices and the result — none per iteration). The linalg rung's
 # Mahalanobis kernels (exact and bound, d = 4 and 6) assert 0 allocs per
-# 128-record block the same way.
+# 128-record block the same way, and the J_fit interval's rung (the
+# two-record kernel and its Go path, d = 4, K = 5) 0 allocs per chunk.
 alloc-gate:
 	$(REQUIRE_TESTS) 'BenchmarkSiteSteadyState' .
-	$(REQUIRE_TESTS) 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs' ./internal/gaussian/
+	$(REQUIRE_TESTS) 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs|BenchmarkAvgLogLikelihoodInterval' ./internal/gaussian/
 	$(REQUIRE_TESTS) 'BenchmarkQuadFormRows' ./internal/linalg/
 	$(GO) test -run '^$$' -bench 'BenchmarkSiteSteadyState' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkQuadFormRows' -benchtime 100x ./internal/linalg/
+	$(GO) test -run '^$$' -bench 'BenchmarkAvgLogLikelihoodInterval' -benchtime 100x ./internal/gaussian/
 	$(GO) test -run 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs' -count=1 ./internal/gaussian/
 
 # Crash-recovery gate: the coordinator is killed mid-merge under 20%

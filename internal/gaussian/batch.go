@@ -3,6 +3,7 @@ package gaussian
 import (
 	"math"
 	"sync"
+	"unsafe"
 
 	"cludistream/internal/linalg"
 )
@@ -24,6 +25,7 @@ type BatchScratch struct {
 	logp  []float64 // BatchBlock × K per-record component log-probs
 	maha  []float64 // BatchBlock squared Mahalanobis distances
 	vals  []float64 // BatchBlock per-record reductions (logpdf, max, min)
+	tab   []float64 // intervalPairs' constant table (intervalTable)
 }
 
 // NewBatchScratch returns an empty scratch; buffers are sized lazily.
@@ -267,7 +269,18 @@ func (m *Mixture) AvgLogLikelihoodScratch(data []linalg.Vector, s *BatchScratch)
 // that order (the allowance sits thousands of times below the site's).
 // ok is false — run the exact scan — for empty data, any NaN, and a
 // non-finite lo or hi.
+//
+// On amd64 at d = 4 the records go through intervalPairs, two at a time,
+// bit-identical to the Go path below (see intervalTable); the Go path
+// scores whatever the kernel hands back, every other shape, and every
+// call on other architectures.
 func (m *Mixture) AvgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch) (lo, hi float64, ok bool) {
+	return m.avgLogLikelihoodInterval(data, s, true)
+}
+
+// avgLogLikelihoodInterval is AvgLogLikelihoodInterval; with simd false it
+// never enters the two-record kernel, which makes it the kernel's oracle.
+func (m *Mixture) avgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch, simd bool) (lo, hi float64, ok bool) {
 	if len(data) == 0 {
 		return 0, 0, false
 	}
@@ -277,49 +290,140 @@ func (m *Mixture) AvgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch
 	}
 	k := len(m.comps)
 	s.ensure(m.Dim(), k)
-	const rho = linalg.QuadFormBoundRel
+	a := m.intervalA()
+	var tab *float64
+	if simd {
+		tab = m.intervalTable(a, s)
+	}
+	logK := math.Log(float64(k))
+	var sums [2]float64 // Σ lo, Σ hi over the records, in record order
+	for p := 0; p < len(data); {
+		n := min(BatchBlock, len(data)-p)
+		if tab != nil {
+			p += intervalPairs(tab, k, data[p:], &sums)
+			// The pair the kernel handed back, or the odd tail record.
+			if n = min(2, len(data)-p); n == 0 {
+				break
+			}
+		}
+		m.intervalRows(data[p:p+n], s, a, logK, &sums)
+		p += n
+	}
+	nf := float64(len(data))
+	lo, hi = sums[0]/nf, sums[1]/nf
+	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return 0, 0, false
+	}
+	return lo, hi, true
+}
+
+// intervalA is the A of AvgLogLikelihoodInterval's allowance: the largest
+// |log w_j| + |log-norm_j| over the weighted components.
+func (m *Mixture) intervalA() float64 {
 	var a float64
 	for j, c := range m.comps {
 		if m.weights[j] != 0 {
 			a = math.Max(a, math.Abs(m.logW[j])+math.Abs(c.logNorm))
 		}
 	}
-	logK := math.Log(float64(k))
-	var sumLo, sumHi float64
-	for base := 0; base < len(data); base += BatchBlock {
-		xs := data[base:min(base+BatchBlock, len(data))]
-		m.scoreBlock(xs, s, true)
-		for p := range xs {
-			row := s.logp[p*k : p*k+k]
-			top, arg := row[0], 0
-			for j := 1; j < k; j++ {
-				if row[j] > top {
-					top, arg = row[j], j
-				}
-			}
-			var rest float64
-			for j, lp := range row {
-				if j != arg {
-					rest += expUpper(lp - top)
-				}
-			}
-			e := rho*(a+math.Abs(top)) + linalg.QuadFormBoundAbs
-			sumLo += top - e
-			if e <= 1 {
-				sumHi += top + e + rest*((1+64*rho)*(1+2*e))
-			} else if rest == rest {
-				sumHi += top + e + logK
-			} else {
-				sumHi = rest // NaN: refuse below
+	return a
+}
+
+// intervalRows adds the interval bounds of the records xs (at most
+// BatchBlock of them) to sums, one record after another: the Go path of
+// AvgLogLikelihoodInterval.
+func (m *Mixture) intervalRows(xs []linalg.Vector, s *BatchScratch, a, logK float64, sums *[2]float64) {
+	const rho = linalg.QuadFormBoundRel
+	k := len(m.comps)
+	m.scoreBlock(xs, s, true)
+	sumLo, sumHi := sums[0], sums[1]
+	for p := range xs {
+		row := s.logp[p*k : p*k+k]
+		top, arg := row[0], 0
+		for j := 1; j < k; j++ {
+			if row[j] > top {
+				top, arg = row[j], j
 			}
 		}
+		var rest float64
+		for j, lp := range row {
+			if j != arg {
+				rest += expUpper(lp - top)
+			}
+		}
+		e := rho*(a+math.Abs(top)) + linalg.QuadFormBoundAbs
+		sumLo += top - e
+		if e <= 1 {
+			sumHi += top + e + rest*((1+64*rho)*(1+2*e))
+		} else if rest == rest {
+			sumHi += top + e + logK
+		} else {
+			sumHi = rest // NaN: refuse below
+		}
 	}
-	n := float64(len(data))
-	lo, hi = sumLo/n, sumHi/n
-	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-		return 0, 0, false
+	sums[0], sums[1] = sumLo, sumHi
+}
+
+// The layout of intervalPairs' constant table, in float64s. Every constant
+// is stored twice, once per SSE2 lane, and the table starts on a 16-byte
+// boundary so the kernel reads it as aligned memory operands. The header
+// holds, in this order, log₂e, −60, ½, 1, the |·| mask, A,
+// linalg.QuadFormBoundRel, linalg.QuadFormBoundAbs and 1 + 64ρ; each
+// component then holds μ0..μ3, l10, l20, l21, l30, l31, l32, 1/l00..1/l33,
+// log w and its log-norm; K term slots follow, where the kernel keeps one
+// pair of records' terms b_j between its two passes.
+const (
+	intervalHead = 2 * 9
+	intervalComp = 2 * 16
+)
+
+// intervalTable lays out intervalPairs' constants for m in s and returns
+// the table, or nil when the kernel does not serve m: on an architecture
+// without it, at d ≠ 4, or when the factor of a weighted component is not
+// one QuadFormRowsBound's division-free order-4 loop takes. The factor
+// constants come from Cholesky.Bound4, which that loop reads too, so each
+// term is computed from the same values in the same order as scoreBlock's
+// bound mode computes it. A zero-weight component gets zero factor
+// constants and log w = −Inf: its term is then −Inf, as scoreBlock writes
+// it, for every finite record, and a record with a non-finite coordinate
+// has no finite term, so its top is −Inf or NaN and the kernel hands it
+// back.
+func (m *Mixture) intervalTable(a float64, s *BatchScratch) *float64 {
+	if !intervalKernel || m.Dim() != 4 {
+		return nil
 	}
-	return lo, hi, true
+	k := len(m.comps)
+	need := intervalHead + intervalComp*k + 2*k + 1 // + 1: room to align
+	if cap(s.tab) < need {
+		s.tab = make([]float64, need)
+	}
+	t := s.tab[:need]
+	if uintptr(unsafe.Pointer(&t[0]))&15 != 0 {
+		t = t[1:]
+	}
+	const rho = linalg.QuadFormBoundRel
+	for i, v := range [9]float64{math.Log2E, -60, 0.5, 1, math.Float64frombits(1<<63 - 1), a, rho, linalg.QuadFormBoundAbs, 1 + 64*rho} {
+		t[2*i], t[2*i+1] = v, v
+	}
+	for j, c := range m.comps {
+		var row [16]float64
+		if m.weights[j] == 0 {
+			row[14] = math.Inf(-1)
+		} else {
+			lr, ok := c.chol.Bound4()
+			if !ok {
+				return nil
+			}
+			copy(row[:4], c.mean)
+			copy(row[4:14], lr[:])
+			row[14], row[15] = m.logW[j], c.logNorm
+		}
+		dst := t[intervalHead+intervalComp*j:]
+		for i, v := range row {
+			dst[2*i], dst[2*i+1] = v, v
+		}
+	}
+	return &t[0]
 }
 
 // expUpper bounds e^d from above for d ≤ 0 without a transcendental call.

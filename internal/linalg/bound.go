@@ -118,12 +118,25 @@ func (c *Cholesky) QuadFormRowsBound(xs []Vector, mean Vector, panel, dst []floa
 	}
 }
 
+// Bound4 returns the constants of QuadFormRowsBound's order-4 loop — the
+// below-diagonal entries l10, l20, l21, l30, l31, l32, then the reciprocals
+// 1/l00, 1/l11, 1/l22, 1/l33 — and ok = true when QuadFormRowsBound takes
+// that loop on c, so a caller that runs the same substitution elsewhere
+// (the J_fit interval's two-record kernel) gets every constant bit for bit.
+func (c *Cholesky) Bound4() (k [10]float64, ok bool) {
+	if !c.bound || c.n != 4 {
+		return k, false
+	}
+	l := c.l[:10]
+	return [10]float64{l[1], l[3], l[4], l[6], l[7], l[8], 1 / l[0], 1 / l[2], 1 / l[5], 1 / l[9]}, true
+}
+
 // quadFormRows4Recip is QuadFormRows' order-4 register loop with each
 // division by l_ii replaced by a multiply with its reciprocal.
 func (c *Cholesky) quadFormRows4Recip(xs []Vector, mean Vector, dst []float64) {
-	l := c.l[:10]
-	l10, l20, l21, l30, l31, l32 := l[1], l[3], l[4], l[6], l[7], l[8]
-	r0, r1, r2, r3 := 1/l[0], 1/l[2], 1/l[5], 1/l[9]
+	k, _ := c.Bound4()
+	l10, l20, l21, l30, l31, l32 := k[0], k[1], k[2], k[3], k[4], k[5]
+	r0, r1, r2, r3 := k[6], k[7], k[8], k[9]
 	mean = mean[:4]
 	m0, m1, m2, m3 := mean[0], mean[1], mean[2], mean[3]
 	for p, x := range xs {

@@ -25,8 +25,13 @@
 #                 differ, in its favour, by more than the base's IQR;
 #   within bound  otherwise.
 #
-# The base is extracted with `git archive` into a temporary directory,
-# which leaves nothing behind in .git. Each run is a tracked child in its own
+# Both sides run from fresh sibling directories of one temporary directory,
+# each with its own cold build cache and its own bench/results: the base is
+# extracted there with `git archive`, which leaves nothing behind in .git,
+# and the working tree's tracked and untracked, not ignored files are copied
+# next to it, so neither side gets a warm .bench_build/ or earlier result
+# files the other lacks. The log names each run's directory and UTC start
+# time. Each run is a tracked child in its own
 # process group that the script waits for, so an interrupted comparison
 # (SIGINT, SIGTERM, SIGHUP) kills the run — its build or the benchmark
 # binary — and then removes the temporary directory; so does every other
@@ -60,8 +65,14 @@ trap cleanup EXIT
 trap 'exit 129' HUP
 trap 'exit 130' INT
 trap 'exit 143' TERM
-mkdir "$tmp/base"
+mkdir "$tmp/base" "$tmp/change"
 git -C "$repo" archive "$rev" | tar -x -C "$tmp/base"
+# The working tree as `git status` sees it: tracked files that still exist,
+# plus untracked files that no .gitignore excludes.
+git -C "$repo" ls-files -z --cached --others --exclude-standard |
+	(cd "$repo" && while IFS= read -r -d '' f; do
+		if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+	done | tar --null -T - -cf -) | tar -x -C "$tmp/change"
 
 # run <side> <dir> <seed>: one run; its output is kept as $tmp/<side>.<seed>
 # and its last line, the JSON result, as $tmp/<side>.<seed>.json. A run
@@ -69,7 +80,7 @@ git -C "$repo" archive "$rev" | tar -x -C "$tmp/base"
 # counts the failures; a run that prints no result stops the comparison.
 run() {
 	local out=$tmp/$1.$3
-	echo "# $1 seed $3" >&2
+	echo "# $1 seed $3 in $2, start $(date -u +%Y-%m-%dT%H:%M:%SZ)" >&2
 	(cd "$2" && exec bash bench/run.sh --workload "$workload" --seed "$3" --seconds "$run_seconds" --trace 0) >"$out" &
 	child=$!
 	wait "$child" || true
@@ -87,9 +98,9 @@ for ((i = 1; i <= pairs; i++)); do
 	seed=$((first_seed + i - 1))
 	if ((seed % 2)); then
 		run base "$tmp/base" "$seed"
-		run change "$repo" "$seed"
+		run change "$tmp/change" "$seed"
 	else
-		run change "$repo" "$seed"
+		run change "$tmp/change" "$seed"
 		run base "$tmp/base" "$seed"
 	fi
 done

@@ -16,7 +16,8 @@ fuzztime=$1
 go=${GO:-go}
 dir=$(dirname "$0")
 
-# target package — the mixture codec every format below shares, the wire
+# target package — the mixture codec every format below shares, the J_fit
+# interval's two-record kernel against its Go path, the wire
 # decoders (sites' and the CLUQ batch endpoint's), the coordinator's
 # receive step behind them, the frame/ack protocol and its restart
 # handshake, the delivery state machine both runtimes drive, the durable
@@ -24,6 +25,7 @@ dir=$(dirname "$0")
 # as scenario files carry them.
 targets=(
 	"FuzzMixtureCodec ./internal/gaussian/"
+	"FuzzIntervalSIMDMatchesGo ./internal/gaussian/"
 	"FuzzDecode ./internal/transport/"
 	"FuzzReceive ./internal/durable/"
 	"FuzzBatch ./internal/query/"
