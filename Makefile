@@ -86,13 +86,17 @@ alloc-gate-query:
 # and one whole re-fit stays at most 50 allocations (the panel, the
 # vertices and the result — none per iteration). The linalg rung's
 # Mahalanobis kernels (exact and bound, d = 4 and 6) assert 0 allocs per
-# 128-record block the same way, and the J_fit interval's rung (the
-# two-record kernel and its Go path, d = 4, K = 5) 0 allocs per chunk.
+# 128-record block the same way, the J_fit interval's rung (the
+# four-record kernel and its Go path, d = 4, K = 5) 0 allocs per chunk,
+# and the chunker's rung (d = 4, M = 1567, every chunk recycled) 0 allocs
+# per chunk.
 alloc-gate:
 	$(REQUIRE_TESTS) 'BenchmarkSiteSteadyState' .
 	$(REQUIRE_TESTS) 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs|BenchmarkAvgLogLikelihoodInterval' ./internal/gaussian/
 	$(REQUIRE_TESTS) 'BenchmarkQuadFormRows' ./internal/linalg/
+	$(REQUIRE_TESTS) 'BenchmarkChunkerAdd' ./internal/chunk/
 	$(GO) test -run '^$$' -bench 'BenchmarkSiteSteadyState' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkChunkerAdd' -benchtime 100x ./internal/chunk/
 	$(GO) test -run '^$$' -bench 'BenchmarkQuadFormRows' -benchtime 100x ./internal/linalg/
 	$(GO) test -run '^$$' -bench 'BenchmarkAvgLogLikelihoodInterval' -benchtime 100x ./internal/gaussian/
 	$(GO) test -run 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs' -count=1 ./internal/gaussian/

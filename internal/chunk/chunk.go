@@ -49,11 +49,13 @@ func Size(d int, epsilon, delta float64) int {
 // steady state; a caller that never calls Recycle simply costs one slab
 // allocation per chunk, matching the pre-recycle behaviour.
 type Chunker struct {
-	size  int
-	dim   int
-	buf   []linalg.Vector // size row headers into one flat slab
-	fill  int             // records currently in buf
-	spare []linalg.Vector // recycled buffer awaiting reuse (nil if none)
+	size       int
+	dim        int
+	buf        []linalg.Vector // size row headers into one flat slab
+	fill       int             // records currently in buf
+	nan        int             // records in buf with a NaN attribute
+	incomplete int             // records with a NaN attribute in the chunk last emitted
+	spare      []linalg.Vector // recycled buffer awaiting reuse (nil if none)
 }
 
 // NewChunker returns a Chunker producing chunks of exactly size records of
@@ -87,30 +89,51 @@ func (c *Chunker) Size() int { return c.size }
 // size, the full chunk is returned (valid until the caller recycles it)
 // and filling switches to the spare buffer; otherwise Add returns nil.
 // Records of the wrong dimension and records with an infinite attribute are
-// rejected with an error, before anything is copied, so a rejected record
-// leaves the Chunker untouched. NaN is accepted: it marks a missing
-// attribute (see em.IsIncomplete).
+// rejected with an error; a rejected record leaves Pending() and every
+// chunk unchanged. NaN is accepted: it marks a missing attribute (see
+// em.IsIncomplete), and Incomplete counts such records per chunk.
 func (c *Chunker) Add(x linalg.Vector) ([]linalg.Vector, error) {
 	if len(x) != c.dim {
 		return nil, fmt.Errorf("chunk: record dim %d, want %d", len(x), c.dim)
 	}
+	// One pass copies the record into the next free row and sums v − v,
+	// which is +0 when every attribute is finite and NaN when one is NaN
+	// or ±Inf. The row counts only once fill moves past it.
+	row := c.buf[c.fill][:len(x)]
+	var z float64
 	for j, v := range x {
-		if math.IsInf(v, 0) {
-			return nil, fmt.Errorf("chunk: record attribute %d is %v", j, v)
-		}
+		row[j] = v
+		z += v - v
 	}
-	copy(c.buf[c.fill], x)
+	if z != 0 {
+		for j, v := range x {
+			if math.IsInf(v, 0) {
+				return nil, fmt.Errorf("chunk: record attribute %d is %v", j, v)
+			}
+		}
+		c.nan++
+	}
 	c.fill++
 	if c.fill < c.size {
 		return nil, nil
 	}
 	out := c.buf
+	c.incomplete = c.nan
+	c.next()
+	return out, nil
+}
+
+// Incomplete returns how many records of the chunk Add last returned have a
+// NaN attribute; 0 means chunk.Scan need not filter it (Scan.ResetComplete).
+func (c *Chunker) Incomplete() int { return c.incomplete }
+
+// next switches filling to the spare buffer, or to a new one.
+func (c *Chunker) next() {
 	c.buf, c.spare = c.spare, nil
 	if c.buf == nil {
 		c.buf = c.newBuf()
 	}
-	c.fill = 0
-	return out, nil
+	c.fill, c.nan = 0, 0
 }
 
 // Recycle returns a chunk previously emitted by Add to the Chunker for
@@ -137,10 +160,6 @@ func (c *Chunker) Flush() []linalg.Vector {
 		return nil
 	}
 	out := c.buf[:c.fill]
-	c.buf, c.spare = c.spare, nil
-	if c.buf == nil {
-		c.buf = c.newBuf()
-	}
-	c.fill = 0
+	c.next()
 	return out
 }

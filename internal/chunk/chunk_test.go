@@ -116,9 +116,9 @@ func TestChunkerDimValidation(t *testing.T) {
 	}
 }
 
-// TestChunkerRejectsInfinity: a ±Inf attribute is refused before anything
-// is copied, so the buffered records and the next chunk are exactly those
-// of the stream without the bad record; NaN (a missing attribute) is kept.
+// TestChunkerRejectsInfinity: a ±Inf attribute is refused, so the buffered
+// records and the next chunk are exactly those of the stream without the
+// bad record; NaN (a missing attribute) is kept.
 func TestChunkerRejectsInfinity(t *testing.T) {
 	c := NewChunker(3, 2)
 	if _, err := c.Add(linalg.Vector{1, 2}); err != nil {
@@ -245,4 +245,120 @@ func TestChunkerFlushKeepsRecordsValid(t *testing.T) {
 	if len(got) != 1 || got[0][0] != 1 {
 		t.Fatalf("flushed records clobbered: %v", got)
 	}
+}
+
+// TestChunkerRejectsNaNAndInf: a record with both a NaN and an infinite
+// attribute is rejected like any infinite one: it is neither buffered nor
+// counted as incomplete, and the chunk it arrived in is the stream's
+// without it.
+func TestChunkerRejectsNaNAndInf(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	c := NewChunker(2, 3)
+	if _, err := c.Add(linalg.Vector{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []linalg.Vector{{nan, inf, 0}, {-inf, 0, nan}, {nan, nan, inf}} {
+		if full, err := c.Add(bad); err == nil || full != nil {
+			t.Fatalf("Add(%v) = %v, %v; want an error and no chunk", bad, full, err)
+		}
+	}
+	if c.Pending() != 1 {
+		t.Fatalf("pending = %d after rejected records, want 1", c.Pending())
+	}
+	full, err := c.Add(linalg.Vector{4, 5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != 2 || full[0][2] != 3 || full[1][0] != 4 || full[1][2] != 6 {
+		t.Fatalf("chunk = %v, want [[1 2 3] [4 5 6]]", full)
+	}
+	if n := c.Incomplete(); n != 0 {
+		t.Fatalf("Incomplete() = %d, want 0", n)
+	}
+}
+
+// TestChunkerIncompleteMatchesScan: per emitted chunk, Incomplete counts
+// the records with a NaN attribute, and the scan view a site binds from it
+// (ResetComplete at 0, else Reset) equals CompleteInto's, for chunks with
+// no, one, some and only incomplete records. ±0, subnormals and
+// ±MaxFloat64 are finite and accepted as complete.
+func TestChunkerIncompleteMatchesScan(t *testing.T) {
+	nan := math.NaN()
+	finite := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1070, math.MaxFloat64, -math.MaxFloat64, 1.5}
+	const size, dim = 5, 3
+	c := NewChunker(size, dim)
+	var s Scan
+	var buf []linalg.Vector
+	for _, nanRows := range [][]int{{}, {2}, {0, 4}, {0, 1, 2, 3, 4}, {}, {4}} {
+		var full []linalg.Vector
+		for i := 0; i < size; i++ {
+			x := make(linalg.Vector, dim)
+			for j := range x {
+				x[j] = finite[(i*dim+j)%len(finite)]
+			}
+			for _, r := range nanRows {
+				if r == i {
+					x[i%dim] = nan
+				}
+			}
+			got, err := c.Add(x)
+			if err != nil {
+				t.Fatalf("Add(%v): %v", x, err)
+			}
+			full = got
+		}
+		if full == nil {
+			t.Fatalf("no chunk after %d records", size)
+		}
+		if n := c.Incomplete(); n != len(nanRows) {
+			t.Fatalf("NaN rows %v: Incomplete() = %d", nanRows, n)
+		}
+		if c.Incomplete() == 0 {
+			s.ResetComplete(full)
+		} else {
+			s.Reset(full)
+		}
+		view, want := s.Complete(), CompleteInto(full, &buf)
+		if len(view) != len(want) || len(view) != size-len(nanRows) {
+			t.Fatalf("NaN rows %v: scan view has %d records, CompleteInto %d", nanRows, len(view), len(want))
+		}
+		for i := range view {
+			if &view[i][0] != &want[i][0] {
+				t.Fatalf("NaN rows %v: scan view record %d differs from CompleteInto's", nanRows, i)
+			}
+		}
+		c.Recycle(full)
+	}
+}
+
+// BenchmarkChunkerAdd is the chunker's rung at the daemons' shape (d = 4,
+// M = 1567), with every chunk recycled: ns per record at 0 allocations.
+func BenchmarkChunkerAdd(b *testing.B) {
+	const size, dim = 1567, 4
+	data := make([]linalg.Vector, size)
+	for i := range data {
+		data[i] = linalg.Vector{float64(i), -1.5, 0.25 * float64(i%7), 3}
+	}
+	c := NewChunker(size, dim)
+	add := func() {
+		for _, x := range data {
+			full, err := c.Add(x)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if full != nil {
+				c.Recycle(full)
+			}
+		}
+	}
+	add()
+	if allocs := testing.AllocsPerRun(10, add); allocs != 0 {
+		b.Fatalf("%.1f allocations per chunk, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		add()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/record")
 }

@@ -29,6 +29,14 @@ func (s *Scan) Reset(data []linalg.Vector) {
 	s.done = false
 }
 
+// ResetComplete binds the scan to a chunk known to hold no incomplete
+// record (Chunker.Incomplete is 0): Complete returns it without a scan.
+func (s *Scan) ResetComplete(data []linalg.Vector) {
+	s.data = data
+	s.complete = data
+	s.done = true
+}
+
 // Data returns the chunk the scan is bound to, incomplete records included.
 func (s *Scan) Data() []linalg.Vector { return s.data }
 

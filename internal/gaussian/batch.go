@@ -25,7 +25,7 @@ type BatchScratch struct {
 	logp  []float64 // BatchBlock × K per-record component log-probs
 	maha  []float64 // BatchBlock squared Mahalanobis distances
 	vals  []float64 // BatchBlock per-record reductions (logpdf, max, min)
-	tab   []float64 // intervalPairs' constant table (intervalTable)
+	tab   []float64 // intervalQuads' constant table (intervalTable)
 }
 
 // NewBatchScratch returns an empty scratch; buffers are sized lazily.
@@ -270,16 +270,16 @@ func (m *Mixture) AvgLogLikelihoodScratch(data []linalg.Vector, s *BatchScratch)
 // ok is false — run the exact scan — for empty data, any NaN, and a
 // non-finite lo or hi.
 //
-// On amd64 at d = 4 the records go through intervalPairs, two at a time,
-// bit-identical to the Go path below (see intervalTable); the Go path
-// scores whatever the kernel hands back, every other shape, and every
-// call on other architectures.
+// On amd64 CPUs with AVX2 at d = 4 the records go through intervalQuads,
+// four at a time, bit-identical to the Go path below (see intervalTable);
+// the Go path scores whatever the kernel hands back, every other shape, and
+// every call on other CPUs and architectures.
 func (m *Mixture) AvgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch) (lo, hi float64, ok bool) {
 	return m.avgLogLikelihoodInterval(data, s, true)
 }
 
 // avgLogLikelihoodInterval is AvgLogLikelihoodInterval; with simd false it
-// never enters the two-record kernel, which makes it the kernel's oracle.
+// never enters the four-record kernel, which makes it the kernel's oracle.
 func (m *Mixture) avgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch, simd bool) (lo, hi float64, ok bool) {
 	if len(data) == 0 {
 		return 0, 0, false
@@ -300,9 +300,9 @@ func (m *Mixture) avgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch
 	for p := 0; p < len(data); {
 		n := min(BatchBlock, len(data)-p)
 		if tab != nil {
-			p += intervalPairs(tab, k, data[p:], &sums)
-			// The pair the kernel handed back, or the odd tail record.
-			if n = min(2, len(data)-p); n == 0 {
+			p += intervalQuads(tab, k, data[p:], &sums)
+			// The quad the kernel handed back, or the tail of fewer than four.
+			if n = min(4, len(data)-p); n == 0 {
 				break
 			}
 		}
@@ -364,26 +364,27 @@ func (m *Mixture) intervalRows(xs []linalg.Vector, s *BatchScratch, a, logK floa
 	sums[0], sums[1] = sumLo, sumHi
 }
 
-// The layout of intervalPairs' constant table, in float64s. Every constant
-// is stored twice, once per SSE2 lane, and the table starts on a 16-byte
-// boundary so the kernel reads it as aligned memory operands. The header
-// holds, in this order, log₂e, −60, ½, 1, the |·| mask, A,
+// The layout of intervalQuads' constant table, in float64s. Every constant
+// is stored four times, once per AVX2 lane, and the table starts on a
+// 32-byte boundary so the kernel reads it as aligned memory operands. The
+// header holds, in this order, log₂e, −60, ½, 1, the |·| mask, A,
 // linalg.QuadFormBoundRel, linalg.QuadFormBoundAbs and 1 + 64ρ; each
 // component then holds μ0..μ3, l10, l20, l21, l30, l31, l32, 1/l00..1/l33,
 // log w and its log-norm; K term slots follow, where the kernel keeps one
-// pair of records' terms b_j between its two passes.
+// quad of records' terms b_j between its two passes.
 const (
-	intervalHead = 2 * 9
-	intervalComp = 2 * 16
+	intervalLanes = 4
+	intervalHead  = intervalLanes * 9
+	intervalComp  = intervalLanes * 16
 )
 
-// intervalTable lays out intervalPairs' constants for m in s and returns
+// intervalTable lays out intervalQuads' constants for m in s and returns
 // the table, or nil when the kernel does not serve m: on an architecture
-// without it, at d ≠ 4, or when the factor of a weighted component is not
-// one QuadFormRowsBound's division-free order-4 loop takes. The factor
-// constants come from Cholesky.Bound4, which that loop reads too, so each
-// term is computed from the same values in the same order as scoreBlock's
-// bound mode computes it. A zero-weight component gets zero factor
+// or CPU without it, at d ≠ 4, or when the factor of a weighted component
+// is not one QuadFormRowsBound's division-free order-4 loop takes. The
+// factor constants come from Cholesky.Bound4, which that loop reads too, so
+// each term is computed from the same values in the same order as
+// scoreBlock's bound mode computes it. A zero-weight component gets zero factor
 // constants and log w = −Inf: its term is then −Inf, as scoreBlock writes
 // it, for every finite record, and a record with a non-finite coordinate
 // has no finite term, so its top is −Inf or NaN and the kernel hands it
@@ -393,17 +394,15 @@ func (m *Mixture) intervalTable(a float64, s *BatchScratch) *float64 {
 		return nil
 	}
 	k := len(m.comps)
-	need := intervalHead + intervalComp*k + 2*k + 1 // + 1: room to align
+	need := intervalHead + intervalComp*k + intervalLanes*k + intervalLanes - 1 // room to align
 	if cap(s.tab) < need {
 		s.tab = make([]float64, need)
 	}
 	t := s.tab[:need]
-	if uintptr(unsafe.Pointer(&t[0]))&15 != 0 {
-		t = t[1:]
-	}
+	t = t[(-uintptr(unsafe.Pointer(&t[0]))&31)/8:] // to the first 32-byte boundary
 	const rho = linalg.QuadFormBoundRel
 	for i, v := range [9]float64{math.Log2E, -60, 0.5, 1, math.Float64frombits(1<<63 - 1), a, rho, linalg.QuadFormBoundAbs, 1 + 64*rho} {
-		t[2*i], t[2*i+1] = v, v
+		fillLanes(t[intervalLanes*i:], v)
 	}
 	for j, c := range m.comps {
 		var row [16]float64
@@ -420,10 +419,15 @@ func (m *Mixture) intervalTable(a float64, s *BatchScratch) *float64 {
 		}
 		dst := t[intervalHead+intervalComp*j:]
 		for i, v := range row {
-			dst[2*i], dst[2*i+1] = v, v
+			fillLanes(dst[intervalLanes*i:], v)
 		}
 	}
 	return &t[0]
+}
+
+// fillLanes stores v in the first intervalLanes entries of dst.
+func fillLanes(dst []float64, v float64) {
+	*(*[intervalLanes]float64)(dst) = [intervalLanes]float64{v, v, v, v}
 }
 
 // expUpper bounds e^d from above for d ≤ 0 without a transcendental call.

@@ -1,55 +1,66 @@
 #include "textflag.h"
 
-// The header of the constant table (intervalTable), one lane pair each.
+// The header of the constant table (intervalTable), one four-lane row each.
 #define LOG2E 0(SI)
-#define MINUS60 16(SI)
-#define HALF 32(SI)
-#define ONE 48(SI)
-#define ABSMASK 64(SI)
-#define ALLOW_A 80(SI)
-#define RHO 96(SI)
-#define QABS 112(SI)
-#define HIGAIN 128(SI)
+#define MINUS60 32(SI)
+#define HALF 64(SI)
+#define ONE 96(SI)
+#define ABSMASK 128(SI)
+#define ALLOW_A 160(SI)
+#define RHO 192(SI)
+#define QABS 224(SI)
+#define HIGAIN 256(SI)
 
-// func intervalPairs(tab *float64, k int, xs []linalg.Vector, sums *[2]float64) int
+// func intervalQuads(tab *float64, k int, xs []linalg.Vector, sums *[2]float64) int
 //
 // Registers: SI the header, R13 the first component's constants, R9 the
-// term slots, DI the next pair's slice headers, AX the records scored, BX
-// len(xs), CX k, DX sums. X0–X3 hold the pair's coordinates, X9 top, X10
-// the "seen" mask of the first maximum, X11 rest, X12 Σ lo and X13 Σ hi
-// (low lanes).
-TEXT ·intervalPairs(SB), NOSPLIT, $0-56
-	MOVQ  tab+0(FP), SI
-	MOVQ  k+8(FP), CX
-	MOVQ  xs_base+16(FP), DI
-	MOVQ  xs_len+24(FP), BX
-	MOVQ  sums+40(FP), DX
-	MOVSD 0(DX), X12
-	MOVSD 8(DX), X13
-	XORQ  AX, AX
-	LEAQ  144(SI), R13
-	MOVQ  CX, R9
-	SHLQ  $8, R9
-	ADDQ  R13, R9
+// term slots, DI the next quad's slice headers, AX the records scored, BX
+// len(xs), CX k, DX sums. Y0–Y3 hold the quad's coordinates, Y9 top, Y10
+// the "seen" mask of the first maximum, Y11 rest, Y14 −60, X12 Σ lo and
+// X13 Σ hi (low lanes).
+TEXT ·intervalQuads(SB), NOSPLIT, $0-56
+	MOVQ    tab+0(FP), SI
+	MOVQ    k+8(FP), CX
+	MOVQ    xs_base+16(FP), DI
+	MOVQ    xs_len+24(FP), BX
+	MOVQ    sums+40(FP), DX
+	VMOVSD  0(DX), X12
+	VMOVSD  8(DX), X13
+	VMOVAPD MINUS60, Y14
+	XORQ    AX, AX
+	LEAQ    288(SI), R13
+	MOVQ    CX, R9
+	SHLQ    $9, R9
+	ADDQ    R13, R9
 
-pair:
-	LEAQ 2(AX), R10
+quad:
+	LEAQ 4(AX), R10
 	CMPQ R10, BX
 	JGT  done
 	CMPQ 8(DI), $4
 	JNE  done
 	CMPQ 32(DI), $4
 	JNE  done
-	MOVQ 0(DI), R11
-	MOVQ 24(DI), R12
-	MOVSD  0(R11), X0
-	MOVHPD 0(R12), X0
-	MOVSD  8(R11), X1
-	MOVHPD 8(R12), X1
-	MOVSD  16(R11), X2
-	MOVHPD 16(R12), X2
-	MOVSD  24(R11), X3
-	MOVHPD 24(R12), X3
+	CMPQ 56(DI), $4
+	JNE  done
+	CMPQ 80(DI), $4
+	JNE  done
+
+	// Records a, b, c, d to coordinate rows: Y0 = (a0, b0, c0, d0), …
+	MOVQ       0(DI), R11
+	MOVQ       24(DI), R12
+	VMOVUPD    0(R11), Y4
+	VUNPCKLPD  0(R12), Y4, Y6 // (a0, b0, a2, b2)
+	VUNPCKHPD  0(R12), Y4, Y7 // (a1, b1, a3, b3)
+	MOVQ       48(DI), R11
+	MOVQ       72(DI), R12
+	VMOVUPD    0(R11), Y5
+	VUNPCKLPD  0(R12), Y5, Y8 // (c0, d0, c2, d2)
+	VUNPCKHPD  0(R12), Y5, Y5 // (c1, d1, c3, d3)
+	VPERM2F128 $0x20, Y8, Y6, Y0
+	VPERM2F128 $0x20, Y5, Y7, Y1
+	VPERM2F128 $0x31, Y8, Y6, Y2
+	VPERM2F128 $0x31, Y5, Y7, Y3
 
 	// Pass 1: b_j = log w_j + (log-norm_j − ½q_j), q_j from the
 	// division-free substitution in quadFormRows4Recip's order, stored in
@@ -59,60 +70,49 @@ pair:
 	XORQ R11, R11
 
 terms:
-	MOVAPD X0, X4
-	SUBPD  0(R8), X4
-	MULPD  160(R8), X4 // y0 = (x0 − μ0)·r0
-	MOVAPD X1, X5
-	SUBPD  16(R8), X5
-	MOVAPD X4, X8
-	MULPD  64(R8), X8
-	SUBPD  X8, X5
-	MULPD  176(R8), X5 // y1 = (x1 − μ1 − l10·y0)·r1
-	MOVAPD X2, X6
-	SUBPD  32(R8), X6
-	MOVAPD X4, X8
-	MULPD  80(R8), X8
-	SUBPD  X8, X6
-	MOVAPD X5, X8
-	MULPD  96(R8), X8
-	SUBPD  X8, X6
-	MULPD  192(R8), X6 // y2 = (x2 − μ2 − l20·y0 − l21·y1)·r2
-	MOVAPD X3, X7
-	SUBPD  48(R8), X7
-	MOVAPD X4, X8
-	MULPD  112(R8), X8
-	SUBPD  X8, X7
-	MOVAPD X5, X8
-	MULPD  128(R8), X8
-	SUBPD  X8, X7
-	MOVAPD X6, X8
-	MULPD  144(R8), X8
-	SUBPD  X8, X7
-	MULPD  208(R8), X7 // y3 = (x3 − μ3 − l30·y0 − l31·y1 − l32·y2)·r3
-	MULPD  X4, X4
-	MULPD  X5, X5
-	ADDPD  X5, X4
-	MULPD  X6, X6
-	ADDPD  X6, X4
-	MULPD  X7, X7
-	ADDPD  X7, X4      // q = ((y0² + y1²) + y2²) + y3²
-	MULPD  HALF, X4
-	MOVAPD 240(R8), X8
-	SUBPD  X4, X8
-	ADDPD  224(R8), X8 // b = log w + (log-norm − ½q)
-	MOVAPD X8, 0(R10)
-	TESTQ  R11, R11
-	JNZ    later
-	MOVAPD X8, X9
-	JMP    next
+	VSUBPD  0(R8), Y0, Y4
+	VMULPD  320(R8), Y4, Y4 // y0 = (x0 − μ0)·r0
+	VSUBPD  32(R8), Y1, Y5
+	VMULPD  128(R8), Y4, Y8
+	VSUBPD  Y8, Y5, Y5
+	VMULPD  352(R8), Y5, Y5 // y1 = (x1 − μ1 − l10·y0)·r1
+	VSUBPD  64(R8), Y2, Y6
+	VMULPD  160(R8), Y4, Y8
+	VSUBPD  Y8, Y6, Y6
+	VMULPD  192(R8), Y5, Y8
+	VSUBPD  Y8, Y6, Y6
+	VMULPD  384(R8), Y6, Y6 // y2 = (x2 − μ2 − l20·y0 − l21·y1)·r2
+	VSUBPD  96(R8), Y3, Y7
+	VMULPD  224(R8), Y4, Y8
+	VSUBPD  Y8, Y7, Y7
+	VMULPD  256(R8), Y5, Y8
+	VSUBPD  Y8, Y7, Y7
+	VMULPD  288(R8), Y6, Y8
+	VSUBPD  Y8, Y7, Y7
+	VMULPD  416(R8), Y7, Y7 // y3 = (x3 − μ3 − l30·y0 − l31·y1 − l32·y2)·r3
+	VMULPD  Y4, Y4, Y4
+	VMULPD  Y5, Y5, Y5
+	VADDPD  Y5, Y4, Y4
+	VMULPD  Y6, Y6, Y6
+	VADDPD  Y6, Y4, Y4
+	VMULPD  Y7, Y7, Y7
+	VADDPD  Y7, Y4, Y4      // q = ((y0² + y1²) + y2²) + y3²
+	VMULPD  HALF, Y4, Y4
+	VMOVAPD 480(R8), Y8
+	VSUBPD  Y4, Y8, Y8
+	VADDPD  448(R8), Y8, Y8 // b = log w + (log-norm − ½q)
+	VMOVAPD Y8, 0(R10)
+	TESTQ   R11, R11
+	JNZ     later
+	VMOVAPD Y8, Y9
+	JMP     next
 
 later:
-	MAXPD  X9, X8 // (b > top) ? b : top, as the Go loop's strict >
-	MOVAPD X8, X9
+	VMAXPD Y9, Y8, Y9 // (b > top) ? b : top, as the Go loop's strict >
 
 next:
-	ADDQ $256, R8
-	ADDQ $16, R10
+	ADDQ $512, R8
+	ADDQ $32, R10
 	INCQ R11
 	CMPQ R11, CX
 	JLT  terms
@@ -120,73 +120,108 @@ next:
 	// Pass 2: rest = Σ expUpper(b_j − top) over every j but the first
 	// maximum, in j order. The first slot equal to top is the Go loop's
 	// arg: an earlier equal slot would have stopped its strict > scan.
-	XORPD X10, X10
-	XORPD X11, X11
-	MOVQ  R9, R10
-	MOVQ  CX, R11
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	MOVQ   R9, R10
+	MOVQ   CX, R11
 
 rest:
-	MOVAPD    0(R10), X4
-	MOVAPD    X4, X5
-	CMPPD     X9, X5, $0 // b == top
-	MOVAPD    X10, X6
-	ANDNPD    X5, X6     // the first maximum: equal and not seen before
-	ORPD      X5, X10
-	SUBPD     X9, X4
-	MULPD     LOG2E, X4  // y = (b − top)·log₂e
-	MOVAPD    MINUS60, X7
-	MAXPD     X4, X7     // (−60 > y) ? −60 : y, so NaN passes and −60 gives 2⁻⁶⁰
-	CVTTPD2PL X7, X8     // n = ⌈y⌉ for y ≤ 0
-	CVTPL2PD  X8, X5
-	SUBPD     X5, X7     // f = y − n
-	MULPD     HALF, X7
-	ADDPD     ONE, X7    // 1 + ½f
-	PSHUFD    $0x50, X8, X8
-	PSLLQ     $52, X8
-	PADDQ     X8, X7     // · 2ⁿ through the exponent bits
-	ANDNPD    X7, X6     // 0 for the first maximum
-	ADDPD     X6, X11
-	ADDQ      $16, R10
-	DECQ      R11
-	JNZ       rest
+	VMOVAPD     0(R10), Y4
+	VCMPPD      $0, Y9, Y4, Y5 // b == top
+	VANDNPD     Y5, Y10, Y6    // the first maximum: equal and not seen before
+	VORPD       Y5, Y10, Y10
+	VSUBPD      Y9, Y4, Y4
+	VMULPD      LOG2E, Y4, Y4  // y = (b − top)·log₂e
+	VMAXPD      Y4, Y14, Y7    // (−60 > y) ? −60 : y, so NaN passes and −60 gives 2⁻⁶⁰
+	VCVTTPD2DQY Y7, X8         // n = ⌈y⌉ for y ≤ 0
+	VCVTDQ2PD   X8, Y5
+	VSUBPD      Y5, Y7, Y7     // f = y − n
+	VMULPD      HALF, Y7, Y7
+	VADDPD      ONE, Y7, Y7    // 1 + ½f
+	VPMOVSXDQ   X8, Y8
+	VPSLLQ      $52, Y8, Y8
+	VPADDQ      Y8, Y7, Y7     // · 2ⁿ through the exponent bits
+	VANDNPD     Y7, Y6, Y6     // 0 for the first maximum
+	VADDPD      Y6, Y11, Y11
+	ADDQ        $32, R10
+	DECQ        R11
+	JNZ         rest
 
-	// e = ρ·(A + |top|) + QuadFormBoundAbs; either lane above 1 or NaN
-	// hands the pair back before it touches the sums.
-	MOVAPD   X9, X4
-	ANDPD    ABSMASK, X4
-	ADDPD    ALLOW_A, X4
-	MULPD    RHO, X4
-	ADDPD    QABS, X4
-	MOVAPD   X4, X5
-	CMPPD    ONE, X5, $2 // e <= 1
-	MOVMSKPD X5, R10
-	CMPQ     R10, $3
-	JNE      done
+	// e = ρ·(A + |top|) + QuadFormBoundAbs; any lane above 1 or NaN hands
+	// the quad back before it touches the sums.
+	VANDPD    ABSMASK, Y9, Y4
+	VADDPD    ALLOW_A, Y4, Y4
+	VMULPD    RHO, Y4, Y4
+	VADDPD    QABS, Y4, Y4
+	VCMPPD    $2, ONE, Y4, Y5 // e <= 1
+	VMOVMSKPD Y5, R10
+	CMPQ      R10, $15
+	JNE       done
 
-	MOVAPD X9, X6
-	SUBPD  X4, X6      // top − e
-	MOVAPD X4, X7
-	ADDPD  X4, X7
-	ADDPD  ONE, X7
-	MULPD  HIGAIN, X7
-	MULPD  X11, X7     // rest·((1 + 64ρ)·(1 + 2e))
-	MOVAPD X9, X8
-	ADDPD  X4, X8
-	ADDPD  X7, X8      // top + e + rest·(…)
+	VSUBPD Y4, Y9, Y6     // top − e
+	VADDPD Y4, Y4, Y7
+	VADDPD ONE, Y7, Y7
+	VMULPD HIGAIN, Y7, Y7
+	VMULPD Y11, Y7, Y7    // rest·((1 + 64ρ)·(1 + 2e))
+	VADDPD Y4, Y9, Y8
+	VADDPD Y7, Y8, Y8     // top + e + rest·(…)
 
-	// Record p, then record p+1, as the Go loop adds them.
-	ADDSD    X6, X12
-	UNPCKHPD X6, X6
-	ADDSD    X6, X12
-	ADDSD    X8, X13
-	UNPCKHPD X8, X8
-	ADDSD    X8, X13
-	ADDQ     $2, AX
-	ADDQ     $48, DI
-	JMP      pair
+	// Records p, p+1, p+2, p+3, as the Go loop adds them.
+	VEXTRACTF128 $1, Y6, X4
+	VEXTRACTF128 $1, Y8, X5
+	VADDSD       X6, X12, X12
+	VUNPCKHPD    X6, X6, X6
+	VADDSD       X6, X12, X12
+	VADDSD       X4, X12, X12
+	VUNPCKHPD    X4, X4, X4
+	VADDSD       X4, X12, X12
+	VADDSD       X8, X13, X13
+	VUNPCKHPD    X8, X8, X8
+	VADDSD       X8, X13, X13
+	VADDSD       X5, X13, X13
+	VUNPCKHPD    X5, X5, X5
+	VADDSD       X5, X13, X13
+	ADDQ         $4, AX
+	ADDQ         $96, DI
+	JMP          quad
 
 done:
-	MOVSD X12, 0(DX)
-	MOVSD X13, 8(DX)
-	MOVQ  AX, ret+48(FP)
+	VMOVSD     X12, 0(DX)
+	VMOVSD     X13, 8(DX)
+	VZEROUPPER
+	MOVQ       AX, ret+48(FP)
+	RET
+
+// func hasAVX2() bool
+//
+// CPUID.1:ECX reports OSXSAVE (bit 27) and AVX (bit 28), XGETBV's XCR0
+// whether the operating system saves the XMM (bit 1) and YMM (bit 2)
+// state, and CPUID.7.0:EBX AVX2 (bit 5).
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	XORL   AX, AX
+	XORL   CX, CX
+	CPUID         // EAX: the highest basic leaf
+	CMPL   AX, $7
+	JLT    no
+	MOVL   $1, AX
+	XORL   CX, CX
+	CPUID
+	ANDL   $0x18000000, CX
+	CMPL   CX, $0x18000000
+	JNE    no
+	XORL   CX, CX
+	XGETBV
+	ANDL   $6, AX
+	CMPL   AX, $6
+	JNE    no
+	MOVL   $7, AX
+	XORL   CX, CX
+	CPUID
+	ANDL   $0x20, BX
+	JZ     no
+	MOVB   $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
 	RET

@@ -4,10 +4,10 @@ package gaussian
 
 import "cludistream/internal/linalg"
 
-// intervalKernel reports whether intervalPairs scores records on this
+// intervalKernel reports whether intervalQuads scores records on this
 // architecture.
 const intervalKernel = false
 
-// intervalPairs scores no record here; intervalTable never builds a table
+// intervalQuads scores no record here; intervalTable never builds a table
 // for it to read.
-func intervalPairs(tab *float64, k int, xs []linalg.Vector, sums *[2]float64) int { return 0 }
+func intervalQuads(tab *float64, k int, xs []linalg.Vector, sums *[2]float64) int { return 0 }

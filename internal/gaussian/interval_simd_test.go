@@ -11,7 +11,7 @@ import (
 )
 
 // checkIntervalParity asserts that AvgLogLikelihoodInterval, which takes
-// the two-record kernel where it can, returns the bits of its Go path.
+// the four-record kernel where it can, returns the bits of its Go path.
 func checkIntervalParity(t testing.TB, what string, m *Mixture, data []linalg.Vector, s *BatchScratch) {
 	t.Helper()
 	lo, hi, ok := m.AvgLogLikelihoodInterval(data, s)
@@ -21,7 +21,7 @@ func checkIntervalParity(t testing.TB, what string, m *Mixture, data []linalg.Ve
 	}
 }
 
-// kernelScored returns how many leading records of data intervalPairs
+// kernelScored returns how many leading records of data intervalQuads
 // scores for m in one call, and the sums it reaches: −1 when it does not
 // serve m.
 func kernelScored(m *Mixture, data []linalg.Vector, s *BatchScratch) (int, [2]float64) {
@@ -31,7 +31,7 @@ func kernelScored(m *Mixture, data []linalg.Vector, s *BatchScratch) (int, [2]fl
 	if tab == nil {
 		return -1, sums
 	}
-	return intervalPairs(tab, m.K(), data, &sums), sums
+	return intervalQuads(tab, m.K(), data, &sums), sums
 }
 
 // withTerms is m with its log-weights and log-norms replaced, so a test can
@@ -89,15 +89,16 @@ func illConditioned4(t testing.TB, rng *rand.Rand) *Component {
 	return c
 }
 
-// TestIntervalSIMDMatchesGo pins the two-record kernel bit for bit to the
-// Go path of AvgLogLikelihoodInterval: K = 1..16, zero-weight components,
-// record counts 1, 2, 3, 127 and 1567, exact ties and signed zeros among
-// the terms, a NaN coordinate in either lane, records far enough out for
-// the e > 1 hand-back, a record of length 3 the kernel must not read, and
-// d = 6 and ill-conditioned factors, which the kernel must not serve.
+// TestIntervalSIMDMatchesGo pins the four-record kernel bit for bit to
+// the Go path of AvgLogLikelihoodInterval: K = 1..16, zero-weight
+// components, record counts 1..8, 127 and 1567, exact ties and signed
+// zeros among the terms, and in every lane position a NaN or infinite
+// coordinate, a record far enough out for the e > 1 hand-back, a record of
+// length 3 the kernel must not read and one of length 5; and d = 6 and
+// ill-conditioned factors, which the kernel must not serve.
 func TestIntervalSIMDMatchesGo(t *testing.T) {
 	if !intervalKernel {
-		t.Skip("no two-record kernel on " + runtime.GOARCH)
+		t.Skip("no AVX2 kernel on this " + runtime.GOARCH + " CPU")
 	}
 	rng := rand.New(rand.NewSource(53))
 	s := NewBatchScratch()
@@ -109,11 +110,11 @@ func TestIntervalSIMDMatchesGo(t *testing.T) {
 				w[0], w[k-1] = 0, 0
 				m = MustMixture(w, m.comps)
 			}
-			for _, n := range []int{1, 2, 3, 127, 1567} {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 127, 1567} {
 				what := fmt.Sprintf("K=%d sep=%v n=%d", k, sep, n)
 				data := m.SampleN(rng, n)
-				if got, _ := kernelScored(m, data, s); got != n&^1 {
-					t.Fatalf("%s: the kernel scored %d records, want %d", what, got, n&^1)
+				if got, _ := kernelScored(m, data, s); got != n&^3 {
+					t.Fatalf("%s: the kernel scored %d records, want %d", what, got, n&^3)
 				}
 				checkIntervalParity(t, what, m, data, s)
 				far := append([]linalg.Vector(nil), data...)
@@ -127,15 +128,15 @@ func TestIntervalSIMDMatchesGo(t *testing.T) {
 		}
 	}
 
-	// e > 1: |top| above 4·10¹² in one lane hands the pair back, and the
+	// e > 1: |top| above 4·10¹² in one lane hands the quad back, and the
 	// Go path adds top + e + log K for it.
 	m := randSepMixture(rng, 5, 4, 3)
 	data := m.SampleN(rng, 40)
-	for _, at := range []int{0, 1, 17, 39} {
+	for _, at := range []int{0, 1, 2, 3, 17, 38, 39} {
 		bad := append([]linalg.Vector(nil), data...)
 		bad[at] = linalg.Vector{3e7, -2e7, 1e7, 5e6}
-		if got, _ := kernelScored(m, bad, s); got != at&^1 {
-			t.Fatalf("far record at %d: the kernel scored %d records, want %d", at, got, at&^1)
+		if got, _ := kernelScored(m, bad, s); got != at&^3 {
+			t.Fatalf("far record at %d: the kernel scored %d records, want %d", at, got, at&^3)
 		}
 		checkIntervalParity(t, fmt.Sprintf("far record at %d", at), m, bad, s)
 		if _, _, ok := m.AvgLogLikelihoodInterval(bad, s); !ok {
@@ -143,9 +144,9 @@ func TestIntervalSIMDMatchesGo(t *testing.T) {
 		}
 	}
 
-	// A NaN or infinite coordinate in either lane: every path refuses.
+	// A NaN or infinite coordinate in any lane: every path refuses.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, at := range []int{0, 1, 22, 39} {
+		for _, at := range []int{0, 1, 2, 3, 22, 39} {
 			for coord := 0; coord < 4; coord++ {
 				bad := append([]linalg.Vector(nil), data...)
 				x := append(linalg.Vector(nil), data[at]...)
@@ -185,9 +186,9 @@ func TestIntervalSIMDMatchesGo(t *testing.T) {
 	}
 
 	// A record of length 3 (its backing array holds a fourth value) is
-	// never read, in either lane: the kernel stops before its pair, with
-	// the sums of the records before it.
-	for _, at := range []int{4, 5} {
+	// never read, in any lane: the kernel stops before its quad, with the
+	// sums of the records before it.
+	for _, at := range []int{4, 5, 6, 7} {
 		short := append([]linalg.Vector(nil), data...)
 		arr := [4]float64{data[at][0], data[at][1], data[at][2], math.NaN()}
 		short[at] = arr[:3]
@@ -197,12 +198,14 @@ func TestIntervalSIMDMatchesGo(t *testing.T) {
 			t.Fatalf("length-3 record at %d: the kernel scored %d records to %v, want 4 to %v", at, got, sums, want)
 		}
 	}
-	long := append([]linalg.Vector(nil), data...)
-	long[8] = linalg.Vector{data[8][0], data[8][1], data[8][2], data[8][3], 7}
-	if got, _ := kernelScored(m, long, s); got != 8 {
-		t.Fatalf("length-5 record at 8: the kernel scored %d records, want 8", got)
+	for _, at := range []int{8, 9, 10, 11} {
+		long := append([]linalg.Vector(nil), data...)
+		long[at] = linalg.Vector{data[at][0], data[at][1], data[at][2], data[at][3], 7}
+		if got, _ := kernelScored(m, long, s); got != 8 {
+			t.Fatalf("length-5 record at %d: the kernel scored %d records, want 8", at, got)
+		}
+		checkIntervalParity(t, fmt.Sprintf("length-5 record at %d", at), m, long, s)
 	}
-	checkIntervalParity(t, "length-5 record", m, long, s)
 
 	// Shapes the kernel does not serve.
 	m6 := randSepMixture(rng, 5, 6, 3)
@@ -226,7 +229,7 @@ func TestIntervalSIMDMatchesGo(t *testing.T) {
 	checkIntervalParity(t, "ill-conditioned zero-weight factor", zeroIll, data, s)
 }
 
-// FuzzIntervalSIMDMatchesGo drives the two-record kernel with fuzzed
+// FuzzIntervalSIMDMatchesGo drives the four-record kernel with fuzzed
 // mixtures and records: K up to 16, zero weights, duplicated components,
 // and raw coordinate bits (NaN, ±Inf, ±0, huge) written over the sampled
 // records. Kernel and Go path must agree bit for bit.
@@ -276,7 +279,7 @@ func FuzzIntervalSIMDMatchesGo(f *testing.F) {
 }
 
 // BenchmarkAvgLogLikelihoodInterval is the J_fit interval's rung at the
-// daemons' shape (d = 4, K = 5, one 1567-record chunk): the two-record
+// daemons' shape (d = 4, K = 5, one 1567-record chunk): the four-record
 // kernel against the Go path, each at 0 allocations per call.
 func BenchmarkAvgLogLikelihoodInterval(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))

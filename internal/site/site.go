@@ -404,7 +404,7 @@ func (s *Site) Observe(x linalg.Vector) ([]Update, error) {
 	if full == nil {
 		return nil, nil
 	}
-	ups, err := s.ProcessChunk(full)
+	ups, err := s.runChunk(full, s.chunker.Incomplete() == 0)
 	// Nothing downstream retains chunk records (EM and the scorers copy
 	// what they keep), so the buffer can go straight back into rotation.
 	s.chunker.Recycle(full)
@@ -419,6 +419,13 @@ func (s *Site) Observe(x linalg.Vector) ([]Update, error) {
 // stamps the trace context onto every emitted update, and marks the
 // site-decision point when Algorithm 1 settles the chunk's fate.
 func (s *Site) ProcessChunk(data []linalg.Vector) ([]Update, error) {
+	return s.runChunk(data, false)
+}
+
+// runChunk is ProcessChunk; complete reports that data holds no record
+// with a NaN attribute (the chunker counted them as it copied the chunk),
+// so the complete-records view is data itself and needs no scan.
+func (s *Site) runChunk(data []linalg.Vector, complete bool) ([]Update, error) {
 	tr := s.tele.tracer
 	if tr != nil {
 		ingest := s.chunkIngestT
@@ -428,7 +435,7 @@ func (s *Site) ProcessChunk(data []linalg.Vector) ([]Update, error) {
 		s.chunkIngestSet = false
 		s.curTrace, s.curRoot = tr.StartTrace(s.cfg.SiteID, s.chunkNum+1, ingest)
 	}
-	ups, err := s.processChunk(data)
+	ups, err := s.processChunk(data, complete)
 	if tr != nil && s.curTrace != 0 {
 		tr.FinishDecision(s.curTrace, tr.Now())
 		for i := range ups {
@@ -449,7 +456,7 @@ func (s *Site) LastTrace() (traceID, spanID uint64) { return s.lastTrace, s.last
 
 // processChunk is Algorithm 1's body, with the trace context of the
 // current chunk (if any) in s.curTrace/s.curRoot.
-func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
+func (s *Site) processChunk(data []linalg.Vector, complete bool) ([]Update, error) {
 	if len(data) != s.m {
 		return nil, fmt.Errorf("site: chunk of %d records, want %d", len(data), s.m)
 	}
@@ -458,7 +465,11 @@ func (s *Site) processChunk(data []linalg.Vector) ([]Update, error) {
 	s.tele.chunks.Inc()
 	// Bind the shared per-chunk workspace and clear the probe memo; every
 	// test below scores the same complete-records view.
-	s.scan.Reset(data)
+	if complete {
+		s.scan.ResetComplete(data)
+	} else {
+		s.scan.Reset(data)
+	}
 	s.tested = s.tested[:0]
 
 	// Line 2: the very first chunk is always clustered.

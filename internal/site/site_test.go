@@ -495,6 +495,98 @@ func TestDeadAttributeStillDetectsChange(t *testing.T) {
 	}
 }
 
+// TestObserveMatchesProcessChunk: a chunk that arrives through Observe
+// takes its complete-records view from the chunker's NaN count, a chunk
+// handed to ProcessChunk from a scan of the chunk. Both sites must decide
+// every chunk alike — updates, mixtures, references and counters — over
+// chunks with no, one, some and only incomplete records and a regime
+// change, with rejected ±Inf records among Observe's input.
+func TestObserveMatchesProcessChunk(t *testing.T) {
+	cfg := testConfig()
+	cfg.Dim = 2
+	cfg.Epsilon = 0.5
+	cfg.FitEps = 1
+	viaObserve, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaChunk, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(54))
+	every := func(i int) bool { return true }
+	for c, plan := range []struct {
+		mean float64
+		nan  func(i int) bool
+	}{
+		{0, nil},
+		{0, func(i int) bool { return i == 7 }},
+		{0, func(i int) bool { return i%5 == 0 }},
+		{0, every},
+		{40, nil},
+		{40, every},
+		{40, func(i int) bool { return i == cfg.ChunkSize-1 }},
+		{0, nil},
+	} {
+		data := make([]linalg.Vector, cfg.ChunkSize)
+		for i := range data {
+			data[i] = regime2d(plan.mean).Sample(rng)
+			if plan.nan != nil && plan.nan(i) {
+				data[i][i%2] = math.NaN()
+			}
+		}
+		var got []Update
+		for i, x := range data {
+			if i%50 == 3 {
+				if _, err := viaObserve.Observe(linalg.Vector{math.NaN(), math.Inf(-1)}); err == nil {
+					t.Fatalf("chunk %d: a record with -Inf accepted", c)
+				}
+			}
+			ups, err := viaObserve.Observe(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, ups...)
+		}
+		want, err := viaChunk.ProcessChunk(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("chunk %d: %d updates through Observe, %d through ProcessChunk", c, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Kind != w.Kind || g.ModelID != w.ModelID || g.Count != w.Count ||
+				(g.Mixture == nil) != (w.Mixture == nil) ||
+				(g.Mixture != nil && string(gaussian.AppendMixture(nil, g.Mixture)) != string(gaussian.AppendMixture(nil, w.Mixture))) {
+				t.Fatalf("chunk %d update %d: %+v through Observe, %+v through ProcessChunk", c, i, g, w)
+			}
+		}
+	}
+	gs, ws := viaObserve.Stats(), viaChunk.Stats()
+	if gs.Records != 8*cfg.ChunkSize {
+		t.Fatalf("Observe counted %d records, want %d", gs.Records, 8*cfg.ChunkSize)
+	}
+	gs.Records = ws.Records
+	if gs != ws {
+		t.Fatalf("stats through Observe %+v, through ProcessChunk %+v", gs, ws)
+	}
+	if gs.Fits == 0 || gs.Refits == 0 {
+		t.Fatalf("%d fits and %d refits; the chunks must exercise both", gs.Fits, gs.Refits)
+	}
+	gm, wm := viaObserve.Models(), viaChunk.Models()
+	if len(gm) < 2 || len(gm) != len(wm) {
+		t.Fatalf("%d models through Observe, %d through ProcessChunk; want the same, at least 2", len(gm), len(wm))
+	}
+	for i := range gm {
+		if math.Float64bits(gm[i].RefAvgLL) != math.Float64bits(wm[i].RefAvgLL) {
+			t.Fatalf("model %d: reference %v through Observe, %v through ProcessChunk", i, gm[i].RefAvgLL, wm[i].RefAvgLL)
+		}
+	}
+}
+
 func TestNoisyStreamStability(t *testing.T) {
 	// 5% uniform noise (the Figure 4(d) scenario) must not fragment the
 	// model list: EM's mixture absorbs the noise.

@@ -15,14 +15,18 @@
 # then PAIRS=5 FIRST_SEED=16 — runs the pairs one call of PAIRS=10 would. At the end it prints, per end-to-end metric, each side's
 # median [q1, q3] over the runs (statistics.quantiles' exclusive method),
 # the change/base ratio of every pair, how many pairs the working tree
-# won (ties count for neither side), and a verdict against the metric's
+# won (ties count for neither side), the one-sided sign-test p of those
+# wins (the chance of at least as many among the non-tied pairs if either
+# side won each with probability ½), and a verdict against the metric's
 # `bound` in BENCHMARK.json:
 #   worse         the change's median is worse than the base's by more
 #                 than the bound;
 #   unresolved    the base's own IQR ÷ median exceeds the bound, unless
 #                 every change run beats every base run;
-#   gain          the change won ≥ 9/10 of the pairs and the medians
-#                 differ, in its favour, by more than the base's IQR;
+#   gain          the change won ≥ 9/10 of the pairs, the sign-test p is
+#                 at most 0.05 and the medians differ, in its favour, by
+#                 more than the base's IQR; 4 pairs or fewer never give
+#                 a gain (4/4 wins is p = 1/16);
 #   within bound  otherwise.
 #
 # Both sides run from fresh sibling directories of one temporary directory,
@@ -122,11 +126,22 @@ quartiles() {
 
 value() { jq -r --arg m "$2" '.metrics[$m].value // empty' <"$tmp/$1.json"; }
 
+# signp <wins> <losses>: the one-sided sign-test p, P(X ≥ wins) for X ~
+# Binomial(wins + losses, ½); 1 when every pair tied.
+signp() {
+	awk -v w="$1" -v l="$2" 'BEGIN {
+		n = w + l; c = 1; p = 0
+		for (i = 0; i <= n; i++) { if (i >= w) p += c; c = c * (n - i) / (i + 1) }
+		printf "%.4f\n", n == 0 ? 1 : p / 2 ^ n
+	}'
+}
+
 # verdict <better> <bound> <base median> <q1> <q3> <change median> <wins>
-# <pairs> <base min> <base max> <change min> <change max>: the rule above.
+# <pairs> <base min> <base max> <change min> <change max> <sign-test p>:
+# the rule above.
 verdict() {
 	awk -v better="$1" -v bound="$2" -v bm="$3" -v bq1="$4" -v bq3="$5" -v cm="$6" \
-		-v wins="$7" -v n="$8" -v bmin="$9" -v bmax="${10}" -v cmin="${11}" -v cmax="${12}" 'BEGIN {
+		-v wins="$7" -v n="$8" -v bmin="$9" -v bmax="${10}" -v cmin="${11}" -v cmax="${12}" -v p="${13}" 'BEGIN {
 		up = better == "higher"
 		gap = up ? cm - bm : bm - cm # > 0: the change is better
 		# every metric is ≥ 0; a zero median takes any worsening or spread
@@ -135,12 +150,12 @@ verdict() {
 		apart = up ? cmin > bmax : cmax < bmin
 		if (worse) print "worse"
 		else if (spread > bound && !apart) print "unresolved"
-		else if (wins >= 0.9 * n && gap > bq3 - bq1) print "gain"
+		else if (wins >= 0.9 * n && p <= 0.05 && gap > bq3 - bq1) print "gain"
 		else print "within bound"
 	}'
 }
 
-printf '\n%-24s %-6s  %-42s  %-42s  %s\n' metric better "base median [q1, q3]" "change median [q1, q3]" "change/base per pair (seed $first_seed up), wins, verdict"
+printf '\n%-24s %-6s  %-42s  %-42s  %s\n' metric better "base median [q1, q3]" "change median [q1, q3]" "change/base per pair (seed $first_seed up), wins, sign-test p, verdict"
 failed=0
 for ((i = 1; i <= pairs; i++)); do
 	for side in base change; do
@@ -167,7 +182,8 @@ jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' <"$repo/BENCHMARK.json" 
 	read -r cm cq1 cq3 < <(printf '%s\n' "${c[@]}" | quartiles)
 	read -r bmin bmax < <(printf '%s\n' "${b[@]}" | sort -g | sed -n '1p;$p' | paste -sd ' ')
 	read -r cmin cmax < <(printf '%s\n' "${c[@]}" | sort -g | sed -n '1p;$p' | paste -sd ' ')
-	v=$(verdict "$better" "$bound" "$bm" "$bq1" "$bq3" "$cm" "$wins" "${#b[@]}" "$bmin" "$bmax" "$cmin" "$cmax")
-	printf '%-24s %-6s  %-42s  %-42s  %s  %d/%d, %d ties, %s\n' "$metric" "$better" "$bm [$bq1, $bq3]" "$cm [$cq1, $cq3]" "${ratios[*]}" "$wins" "${#b[@]}" "$ties" "$v"
+	p=$(signp "$wins" $((${#b[@]} - wins - ties)))
+	v=$(verdict "$better" "$bound" "$bm" "$bq1" "$bq3" "$cm" "$wins" "${#b[@]}" "$bmin" "$bmax" "$cmin" "$cmax" "$p")
+	printf '%-24s %-6s  %-42s  %-42s  %s  %d/%d, %d ties, p=%s, %s\n' "$metric" "$better" "$bm [$bq1, $bq3]" "$cm [$cq1, $cq3]" "${ratios[*]}" "$wins" "${#b[@]}" "$ties" "$p" "$v"
 done
 echo "failed operations over all $((2 * pairs)) runs: $failed"

@@ -17,7 +17,7 @@ go=${GO:-go}
 dir=$(dirname "$0")
 
 # target package — the mixture codec every format below shares, the J_fit
-# interval's two-record kernel against its Go path, the wire
+# interval's AVX2 four-record kernel against its Go path, the wire
 # decoders (sites' and the CLUQ batch endpoint's), the coordinator's
 # receive step behind them, the frame/ack protocol and its restart
 # handshake, the delivery state machine both runtimes drive, the durable
