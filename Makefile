@@ -85,8 +85,9 @@ alloc-gate-query:
 # runs ~160 of them per group re-fit on the coordinator's critical path;
 # and one whole re-fit stays at most 50 allocations (the panel, the
 # vertices and the result — none per iteration). The linalg rung's
-# Mahalanobis kernels (exact and bound, d = 4 and 6) assert 0 allocs per
-# 128-record block the same way, the J_fit interval's rung (the
+# Mahalanobis kernels (exact and bound, d = 4 and 6, and at d = 4 the exact
+# kernel's Go loop beside its AVX2 path) assert 0 allocs per 128-record
+# block the same way, the J_fit interval's rung (the
 # four-record kernel and its Go path, d = 4, K = 5) 0 allocs per chunk,
 # and the chunker's rung (d = 4, M = 1567, every chunk recycled) 0 allocs
 # per chunk.

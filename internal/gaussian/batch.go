@@ -26,6 +26,12 @@ type BatchScratch struct {
 	maha  []float64 // BatchBlock squared Mahalanobis distances
 	vals  []float64 // BatchBlock per-record reductions (logpdf, max, min)
 	tab   []float64 // intervalQuads' constant table (intervalTable)
+	// tabFor is the mixture intervalTable last laid out tab for, and
+	// tabAt its table in tab, nil when the kernel does not serve it.
+	// Mixtures are immutable and the pointer keeps tabFor alive, so the
+	// same pointer means the same constants.
+	tabFor *Mixture
+	tabAt  *float64
 }
 
 // NewBatchScratch returns an empty scratch; buffers are sized lazily.
@@ -378,8 +384,19 @@ const (
 	intervalComp  = intervalLanes * 16
 )
 
-// intervalTable lays out intervalQuads' constants for m in s and returns
-// the table, or nil when the kernel does not serve m: on an architecture
+// intervalTable returns intervalQuads' constants for m, laid out in s,
+// or nil when the kernel does not serve m. It lays them out only when s
+// last held another mixture's: a stationary site tests one mixture chunk
+// after chunk. a is m.intervalA().
+func (m *Mixture) intervalTable(a float64, s *BatchScratch) *float64 {
+	if s.tabFor != m {
+		s.tabFor, s.tabAt = m, m.layOutIntervalTable(a, s)
+	}
+	return s.tabAt
+}
+
+// layOutIntervalTable lays out intervalQuads' constants for m in s and
+// returns the table, or nil when the kernel does not serve m: on an architecture
 // or CPU without it, at d ≠ 4, or when the factor of a weighted component
 // is not one QuadFormRowsBound's division-free order-4 loop takes. The
 // factor constants come from Cholesky.Bound4, which that loop reads too, so
@@ -389,7 +406,7 @@ const (
 // it, for every finite record, and a record with a non-finite coordinate
 // has no finite term, so its top is −Inf or NaN and the kernel hands it
 // back.
-func (m *Mixture) intervalTable(a float64, s *BatchScratch) *float64 {
+func (m *Mixture) layOutIntervalTable(a float64, s *BatchScratch) *float64 {
 	if !intervalKernel || m.Dim() != 4 {
 		return nil
 	}

@@ -3,12 +3,9 @@ package gaussian
 import "cludistream/internal/linalg"
 
 // intervalKernel reports whether intervalQuads scores records here: on an
-// amd64 CPU with AVX2 whose operating system saves the YMM registers.
-var intervalKernel = hasAVX2()
-
-// hasAVX2 reports whether the CPU runs AVX2 code and the operating system
-// saves the YMM registers across context switches.
-func hasAVX2() bool
+// amd64 CPU with AVX2 whose operating system saves the YMM registers, by
+// linalg's one CPUID check.
+var intervalKernel = linalg.HasAVX2()
 
 // intervalQuads runs AvgLogLikelihoodInterval's per-record step on the
 // records of xs four at a time, records p…p+3 in the four lanes of AVX2

@@ -191,37 +191,3 @@ done:
 	VZEROUPPER
 	MOVQ       AX, ret+48(FP)
 	RET
-
-// func hasAVX2() bool
-//
-// CPUID.1:ECX reports OSXSAVE (bit 27) and AVX (bit 28), XGETBV's XCR0
-// whether the operating system saves the XMM (bit 1) and YMM (bit 2)
-// state, and CPUID.7.0:EBX AVX2 (bit 5).
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	XORL   AX, AX
-	XORL   CX, CX
-	CPUID         // EAX: the highest basic leaf
-	CMPL   AX, $7
-	JLT    no
-	MOVL   $1, AX
-	XORL   CX, CX
-	CPUID
-	ANDL   $0x18000000, CX
-	CMPL   CX, $0x18000000
-	JNE    no
-	XORL   CX, CX
-	XGETBV
-	ANDL   $6, AX
-	CMPL   AX, $6
-	JNE    no
-	MOVL   $7, AX
-	XORL   CX, CX
-	CPUID
-	ANDL   $0x20, BX
-	JZ     no
-	MOVB   $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET

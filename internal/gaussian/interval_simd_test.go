@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"cludistream/internal/linalg"
 )
@@ -227,6 +228,61 @@ func TestIntervalSIMDMatchesGo(t *testing.T) {
 		t.Fatalf("ill-conditioned zero-weight factor: the kernel scored %d records, want %d", got, len(data))
 	}
 	checkIntervalParity(t, "ill-conditioned zero-weight factor", zeroIll, data, s)
+}
+
+// TestIntervalTableReusedPerMixture pins the scratch's table memo: the
+// same mixture finds its table laid out already (a value written into it
+// survives the next call), another mixture — one of the same shape, one
+// the kernel does not serve, then the first again — gets its own, and
+// every interval stays bit-identical to one from a fresh scratch.
+func TestIntervalTableReusedPerMixture(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	m1 := randSepMixture(rng, 5, 4, 3)
+	m2 := randSepMixture(rng, 5, 4, 3)
+	comps := append([]*Component(nil), m1.comps...)
+	comps[2] = illConditioned4(t, rng)
+	ill := MustMixture(m1.Weights(), comps)
+	m6 := randSepMixture(rng, 5, 6, 3)
+	data := m1.SampleN(rng, 403)
+	data6 := m6.SampleN(rng, 403)
+
+	s := NewBatchScratch()
+	check := func(what string, m *Mixture, data []linalg.Vector) {
+		t.Helper()
+		lo, hi, ok := m.AvgLogLikelihoodInterval(data, s)
+		wlo, whi, wok := m.AvgLogLikelihoodInterval(data, NewBatchScratch())
+		if math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) || ok != wok {
+			t.Fatalf("%s: reused scratch (%v, %v, %v) != fresh scratch (%v, %v, %v)", what, lo, hi, ok, wlo, whi, wok)
+		}
+		if s.tabFor != m {
+			t.Fatalf("%s: the scratch remembers another mixture", what)
+		}
+	}
+	check("first mixture", m1, data)
+	tab := m1.intervalTable(m1.intervalA(), s)
+	if intervalKernel {
+		if tab == nil {
+			t.Fatal("the kernel does not serve the first mixture")
+		}
+		one := &unsafe.Slice(tab, intervalHead)[intervalLanes*3] // the header's 1
+		*one = 2
+		if again := m1.intervalTable(m1.intervalA(), s); again != tab || *one != 2 {
+			t.Fatal("the same mixture's table was laid out again")
+		}
+		*one = 1
+	}
+	check("first mixture again", m1, data)
+	check("second mixture", m2, data)
+	check("ill-conditioned mixture", ill, data)
+	if s.tabAt != nil {
+		t.Fatal("the ill-conditioned mixture has a table")
+	}
+	check("ill-conditioned mixture again", ill, data)
+	check("d = 6", m6, data6)
+	check("first mixture after d = 6", m1, data)
+	if intervalKernel && s.tabAt == nil {
+		t.Fatal("the first mixture lost its table")
+	}
 }
 
 // FuzzIntervalSIMDMatchesGo drives the four-record kernel with fuzzed

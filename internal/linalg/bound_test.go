@@ -126,11 +126,15 @@ func checkBoundKernel(t *testing.T, what string, c *Cholesky, xs []Vector, mean 
 
 // BenchmarkQuadFormRows is the linalg rung of the scoring ladder: one
 // Mahalanobis pass over a block of 128 records, exact kernel against the
-// bound kernel, at the register-loop order 4 and the panel order 6. It
-// asserts 0 allocations before timing.
+// bound kernel, at order 4 and the panel order 6, and at order 4 the Go
+// loop (exact-go) beside QuadFormRows (exact, the four-record kernel on
+// AVX2). It asserts 0 allocations before timing.
 func BenchmarkQuadFormRows(b *testing.B) {
-	for _, kernel := range []string{"exact", "bound"} {
+	for _, kernel := range []string{"exact", "exact-go", "bound"} {
 		for _, n := range []int{4, 6} {
+			if kernel == "exact-go" && n != 4 {
+				continue
+			}
 			b.Run(fmt.Sprintf("%s/d=%d", kernel, n), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(int64(n)))
 				c, err := CholeskyDecompose(randSPD(rng, n))
@@ -148,7 +152,10 @@ func BenchmarkQuadFormRows(b *testing.B) {
 				panel := make([]float64, n*len(xs))
 				dst := make([]float64, len(xs))
 				run := func() { c.QuadFormRows(xs, mean, panel, dst) }
-				if kernel == "bound" {
+				switch kernel {
+				case "exact-go":
+					run = func() { c.quadFormRows4(xs, mean, dst) }
+				case "bound":
 					run = func() { c.QuadFormRowsBound(xs, mean, panel, dst) }
 				}
 				if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
