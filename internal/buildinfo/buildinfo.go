@@ -15,11 +15,6 @@ import (
 // Version is the ldflags-injected release string.
 var Version = "dev"
 
-// Commit is the ldflags-injected git commit hash ("unknown" for plain
-// `go build`). benchjson stamps it into emitted benchmark reports so a
-// stored baseline records exactly which tree produced it.
-var Commit = "unknown"
-
 // String returns a one-line identity suitable for -version output:
 // program version, Go toolchain, and target platform.
 func String(program string) string {

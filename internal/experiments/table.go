@@ -1,7 +1,9 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (Section 6). Each FigN function runs the corresponding experiment and
 // returns a Table whose rows are the series the paper plots; cmd/experiments
-// renders them as text and bench_test.go wraps them in testing.B benchmarks.
+// renders them as text, and the root package's TestFiguresMatchQuickGolden
+// holds every cell and note that is not a wall-clock measurement to the
+// committed results_quick.txt.
 //
 // Absolute numbers differ from the paper (different hardware, simulated
 // NFD data), but each Table's Notes records the shape the paper claims so
@@ -25,6 +27,16 @@ type Table struct {
 	// Notes records the paper-claimed shape and any measured summary.
 	Notes []string
 }
+
+// TimingColumn reports whether a column named name holds a wall-clock
+// measurement: "sec", "… sec" or "speedup". Its cells move from run to
+// run; every other cell is a function of Params alone.
+func TimingColumn(name string) bool {
+	return name == "sec" || strings.HasSuffix(name, " sec") || name == "speedup"
+}
+
+// TimingNote reports whether a note quotes a wall-clock rate ("… upd/s").
+func TimingNote(note string) bool { return strings.Contains(note, "upd/s") }
 
 // AddRow appends a row; it panics on column-count mismatch (figure
 // generators are trusted code — a mismatch is a bug, not input error).

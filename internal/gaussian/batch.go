@@ -222,27 +222,11 @@ func (m *Mixture) PosteriorBatch(data []linalg.Vector, post *linalg.Matrix, logp
 
 // AvgLogLikelihoodScratch is AvgLogLikelihood with a caller-owned scratch
 // for allocation-free repeated evaluation (the site's J_fit test scores
-// every chunk through here).
+// every chunk through here). It is AvgLogLikelihoodMulti on one mixture.
 func (m *Mixture) AvgLogLikelihoodScratch(data []linalg.Vector, s *BatchScratch) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	if s == nil {
-		s = scratchPool.Get().(*BatchScratch)
-		defer scratchPool.Put(s)
-	}
-	k := len(m.comps)
-	s.ensure(m.Dim(), k)
-	var sum float64
-	for base := 0; base < len(data); base += BatchBlock {
-		xs := data[base:min(base+BatchBlock, len(data))]
-		m.scoreBlock(xs, s, false)
-		lseRows(s.logp, len(xs), k, s.vals)
-		for p := 0; p < len(xs); p++ {
-			sum += s.vals[p]
-		}
-	}
-	return sum / float64(len(data))
+	ms, avg := [1]*Mixture{m}, [1]float64{}
+	AvgLogLikelihoodMulti(ms[:], data, avg[:], s)
+	return avg[0]
 }
 
 // AvgLogLikelihoodInterval returns an interval [lo, hi] around
@@ -476,10 +460,10 @@ func (m *Mixture) AvgLogLikelihoodBounds(data []linalg.Vector, topM int, s *Batc
 // log-likelihood of data into dst (len(ms) long), reading the data exactly
 // once: every block of records is scored against all mixtures while it is
 // cache-resident, instead of re-traversing the chunk per model. Each entry
-// is bit-identical to AvgLogLikelihoodScratch on that mixture — the
-// per-mixture arithmetic and accumulation order are unchanged; only the
-// data traversal is shared. The site's refit re-scan scores every model it
-// tested through here in one pass.
+// sums its records' log-sum-exp in record order and divides once, so it does
+// not depend on the other mixtures; only the data traversal is shared. The
+// site's refit re-scan scores every model it tested through here in one
+// pass, and AvgLogLikelihoodScratch is the one-mixture call.
 func AvgLogLikelihoodMulti(ms []*Mixture, data []linalg.Vector, dst []float64, s *BatchScratch) {
 	if len(dst) != len(ms) {
 		panic("gaussian: AvgLogLikelihoodMulti dst length mismatch")
