@@ -113,7 +113,7 @@ recover:
 	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix' ./internal/netio/
 
 # Full pre-merge gate. Its last step fails if anything a target started
-# (a daemon, the example, the benchmark, a bench-pair) is still running.
+# (a daemon, the benchmark, a bench-pair) is still running.
 check: build lint race-score race-query alloc-gate alloc-gate-query race dst bench bench-e2e-test bench-smoke no-strays
 
 # Lists, and fails on, every process of this repository's targets that is

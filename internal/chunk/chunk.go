@@ -91,7 +91,7 @@ func (c *Chunker) Size() int { return c.size }
 // Records of the wrong dimension and records with an infinite attribute are
 // rejected with an error; a rejected record leaves Pending() and every
 // chunk unchanged. NaN is accepted: it marks a missing attribute (see
-// em.IsIncomplete), and Incomplete counts such records per chunk.
+// em.FitIncomplete), and Incomplete counts such records per chunk.
 func (c *Chunker) Add(x linalg.Vector) ([]linalg.Vector, error) {
 	if len(x) != c.dim {
 		return nil, fmt.Errorf("chunk: record dim %d, want %d", len(x), c.dim)

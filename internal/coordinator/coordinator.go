@@ -548,7 +548,7 @@ func (c *Coordinator) checkGroup(g *Group) {
 			continue
 		}
 		m.checked = c.sweepGen
-		msplit := gaussian.MSplitComp(m.comp, g.rep)
+		msplit := gaussian.MSplit(m.comp, g.rep)
 		if msplit <= 1/m.mremergeAtJoin {
 			continue // stable
 		}

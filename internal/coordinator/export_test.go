@@ -45,7 +45,7 @@ func (c *Coordinator) AuditStability() int {
 			continue // legitimately awaiting the next sweep
 		}
 		for _, m := range g.members {
-			if gaussian.MSplitComp(m.comp, g.rep) > 1/m.mremergeAtJoin {
+			if gaussian.MSplit(m.comp, g.rep) > 1/m.mremergeAtJoin {
 				violations++
 			}
 		}

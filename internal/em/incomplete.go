@@ -23,18 +23,6 @@ import (
 // uint64).
 const maxMissingDims = 64
 
-// IsIncomplete reports whether any record has a NaN (missing) attribute.
-func IsIncomplete(data []linalg.Vector) bool {
-	for _, x := range data {
-		for _, v := range x {
-			if math.IsNaN(v) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // FitIncomplete runs Gaussian-mixture EM on records whose missing
 // attributes are marked NaN. Records with every attribute missing are
 // rejected. Complete data reduces to the standard algorithm (but prefer

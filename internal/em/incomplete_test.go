@@ -28,15 +28,6 @@ func maskOut(rng *rand.Rand, data []linalg.Vector, frac float64) []linalg.Vector
 	return out
 }
 
-func TestIsIncomplete(t *testing.T) {
-	if IsIncomplete([]linalg.Vector{{1, 2}, {3, 4}}) {
-		t.Fatal("complete data flagged")
-	}
-	if !IsIncomplete([]linalg.Vector{{1, math.NaN()}}) {
-		t.Fatal("NaN not flagged")
-	}
-}
-
 func TestFitIncompleteMatchesFitOnCompleteData(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	data, _ := genMixtureData(rng, []linalg.Vector{{-5, 0}, {5, 0}}, 1, 800)

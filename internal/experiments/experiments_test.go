@@ -14,18 +14,16 @@ func (t *Table) Col(j int) []float64 {
 	return out
 }
 
-// The experiment tests run the Quick() profile and assert the *shape* each
-// paper figure claims — they are the repository's executable statement that
-// the reproduction reproduces.
+// The experiment tests assert the *shape* each paper figure claims on the
+// quick-profile tables that TestFiguresMatchQuickGolden also holds cell by
+// cell (quick, golden_test.go) — they are the repository's executable
+// statement that the reproduction reproduces.
 
 func TestFig1MMergeTracksJMerge(t *testing.T) {
-	for _, nfd := range []bool{true, false} {
-		tb, err := Fig1(Quick(), nfd)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, name := range []string{"fig1-nfd", "fig1-synth"} {
+		tb := quick(t, name)
 		if len(tb.Rows) != 28 {
-			t.Fatalf("nfd=%v: %d pairs, want 28", nfd, len(tb.Rows))
+			t.Fatalf("%s: %d pairs, want 28", name, len(tb.Rows))
 		}
 		// The correlation note must report strong agreement.
 		assertNoteValueAtLeast(t, tb, "Spearman rank correlation", 0.5)
@@ -33,10 +31,7 @@ func TestFig1MMergeTracksJMerge(t *testing.T) {
 }
 
 func TestFig2aCluDistreamCheaperThanSEM(t *testing.T) {
-	tb, err := Fig2a(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig2a")
 	last := tb.Rows[len(tb.Rows)-1]
 	clud, semB := last[1], last[2]
 	if clud <= 0 || semB <= 0 {
@@ -57,10 +52,7 @@ func TestFig2aCluDistreamCheaperThanSEM(t *testing.T) {
 }
 
 func TestFig2bPdOrdering(t *testing.T) {
-	tb, err := Fig2b(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig2b")
 	last := tb.Rows[len(tb.Rows)-1]
 	pd01, pd05, semB := last[1], last[3], last[4]
 	// Higher P_d costs at least as much, and everything stays below SEM.
@@ -75,10 +67,7 @@ func TestFig2bPdOrdering(t *testing.T) {
 }
 
 func TestFig3HistogramsDiffer(t *testing.T) {
-	tb, err := Fig3(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig3")
 	// Each time point's histogram must hold the full horizon mass.
 	p := Quick()
 	for j := 1; j <= 3; j++ {
@@ -104,10 +93,7 @@ func TestFig3HistogramsDiffer(t *testing.T) {
 }
 
 func TestFig4ModelsTrackRegimesAndSurviveNoise(t *testing.T) {
-	tb, err := Fig4(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig4")
 	// Densities integrate to ~1 over the grid (Δx=0.5).
 	for j := 1; j <= 4; j++ {
 		var integral float64
@@ -130,36 +116,21 @@ func TestFig4ModelsTrackRegimesAndSurviveNoise(t *testing.T) {
 }
 
 func TestFig5CluDistreamBeatsSEMInHorizon(t *testing.T) {
-	p := Quick()
-	p.Pd = 0.5 // regime churn is where the horizon comparison bites
-	tb, err := Fig5(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig5")
 	if gap := meanGap(tb, 1, 2); gap <= 0 {
 		t.Fatalf("CluDistream mean horizon quality gap = %v, want > 0", gap)
 	}
 }
 
 func TestFig6LandmarkOrdering(t *testing.T) {
-	p := Quick()
-	p.Pd = 0.5
-	tb, err := Fig6(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig6")
 	if gap := meanGap(tb, 1, 3); gap <= 0 {
 		t.Fatalf("CluDistream does not beat sampling-EM: gap = %v", gap)
 	}
 }
 
 func TestFig7CoordinatorQuality(t *testing.T) {
-	p := Quick()
-	p.Pd = 0.5
-	tb, err := Fig7(p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig7b")
 	if len(tb.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -171,10 +142,7 @@ func TestFig7CoordinatorQuality(t *testing.T) {
 }
 
 func TestFig8CluDistreamFasterThanSEM(t *testing.T) {
-	tb, err := Fig8(Quick(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig8b")
 	last := tb.Rows[len(tb.Rows)-1]
 	if last[1] >= last[2] {
 		t.Fatalf("CluDistream %vs not faster than SEM %vs", last[1], last[2])
@@ -182,19 +150,10 @@ func TestFig8CluDistreamFasterThanSEM(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
-	p := Quick()
-	p.Updates /= 2
-	ta, err := Fig9a(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ta.Rows) != 4 {
+	if ta := quick(t, "fig9a"); len(ta.Rows) != 4 {
 		t.Fatalf("fig9a rows = %d", len(ta.Rows))
 	}
-	tbl, err := Fig9b(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := quick(t, "fig9b")
 	// Time must grow with d overall (first to last).
 	if tbl.Rows[3][1] <= tbl.Rows[0][1] {
 		t.Fatalf("time did not grow with d: %v", tbl.Col(1))
@@ -202,20 +161,14 @@ func TestFig9Shapes(t *testing.T) {
 }
 
 func TestFig10MemoryShapes(t *testing.T) {
-	tb, err := Fig10a(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig10a")
 	col := tb.Col(1)
 	// CluDistream memory must grow far slower than linearly: final/initial
 	// well below the updates ratio.
 	if col[len(col)-1] > col[0]*float64(len(col)) {
 		t.Fatalf("memory grew superlinearly: %v", col)
 	}
-	tb2, err := Fig10b(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb2 := quick(t, "fig10b")
 	// Linear in K: check exact ratios for d=10 column.
 	c := tb2.Col(1)
 	if c[1] != 2*c[0] || c[3] != 4*c[0] {
@@ -229,12 +182,7 @@ func TestFig10MemoryShapes(t *testing.T) {
 }
 
 func TestFig11EpsilonTradeoffs(t *testing.T) {
-	p := Quick()
-	p.Updates /= 2
-	tb, err := Fig11(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig11")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -247,12 +195,7 @@ func TestFig11EpsilonTradeoffs(t *testing.T) {
 }
 
 func TestFig12DeltaTimeMonotoneish(t *testing.T) {
-	p := Quick()
-	p.Updates /= 2
-	tb, err := Fig12(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig12")
 	// Larger δ → smaller chunks → paper says time decreases; wall-clock is
 	// noisy, so compare the extremes with slack.
 	t0, tN := tb.Rows[0][3], tb.Rows[len(tb.Rows)-1][3]
@@ -262,11 +205,7 @@ func TestFig12DeltaTimeMonotoneish(t *testing.T) {
 }
 
 func TestFig13CmaxSweetSpot(t *testing.T) {
-	p := Quick()
-	tb, err := Fig13(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig13")
 	if len(tb.Rows) != 7 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -282,12 +221,7 @@ func TestFig13CmaxSweetSpot(t *testing.T) {
 }
 
 func TestFig14PdCost(t *testing.T) {
-	p := Quick()
-	p.Updates /= 2
-	tb, err := Fig14(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "fig14")
 	// EM runs must increase with P_d, dramatically by P_d=1.
 	emRuns := tb.Col(2)
 	if emRuns[len(emRuns)-1] < 2*emRuns[0] {
@@ -296,22 +230,13 @@ func TestFig14PdCost(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	p := Quick()
-	p.Updates /= 2
-
-	tac, err := AblationTestAndCluster(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tac := quick(t, "ablation-test-and-cluster")
 	// At P_d=0.1, test-and-cluster must be meaningfully faster.
 	if speed := tac.Rows[0][3]; speed < 1.2 {
 		t.Fatalf("test-and-cluster speedup = %v at P_d=0.1", speed)
 	}
 
-	amf, err := AblationMergeFit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	amf := quick(t, "ablation-merge-fit")
 	moment, simplex, naive := amf.Rows[0][0], amf.Rows[0][1], amf.Rows[0][2]
 	// Evaluation uses an independent Monte-Carlo stream, so allow a sliver
 	// of noise — but the simplex must not genuinely lose.
@@ -322,34 +247,22 @@ func TestAblations(t *testing.T) {
 		t.Fatalf("naive floor (%v) beat moment merge (%v)?", naive, moment)
 	}
 
-	act, err := AblationCovType(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	act := quick(t, "ablation-cov-type")
 	if act.Rows[0][3] >= act.Rows[0][2] {
 		t.Fatalf("diagonal storage not smaller: %v", act.Rows[0])
 	}
 
-	ast, err := AblationSharpTest(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ast := quick(t, "ablation-sharp-test")
 	if len(ast.Rows) != 2 {
 		t.Fatal("sharp-test ablation incomplete")
 	}
 
-	amt, err := AblationMergeTree(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	amt := quick(t, "ablation-merge-tree")
 	if amt.Rows[0][0] > amt.Rows[0][1] {
 		t.Fatalf("merged K %v exceeds flat K %v", amt.Rows[0][0], amt.Rows[0][1])
 	}
 
-	avd, err := AblationVsDEM(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	avd := quick(t, "ablation-vs-dem")
 	cludBytes, demBytes := avd.Rows[0][0], avd.Rows[0][1]
 	if cludBytes >= demBytes {
 		t.Fatalf("CluDistream bytes %v not below DEM %v on a stationary stream", cludBytes, demBytes)
@@ -361,10 +274,7 @@ func TestAblations(t *testing.T) {
 		t.Fatalf("CluDistream quality collapsed vs DEM: gap %v", gap)
 	}
 
-	ai, err := AblationIncomplete(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ai := quick(t, "ablation-incomplete")
 	clean, ten, thirty := ai.Rows[0][1], ai.Rows[1][1], ai.Rows[2][1]
 	// Graceful degradation: 30% missing costs at most 1 nat vs clean, and
 	// the ordering never inverts badly.
@@ -377,10 +287,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestAblationSnapshots(t *testing.T) {
-	tb, err := AblationSnapshots(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "ablation-snapshots")
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -410,13 +317,7 @@ func TestAblationSnapshots(t *testing.T) {
 }
 
 func TestAblationHierarchy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hierarchy ablation needs a long steady-state run")
-	}
-	tb, err := AblationHierarchy(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := quick(t, "ablation-hierarchy")
 	flatSteady, treeSteady := tb.Rows[0][2], tb.Rows[1][2]
 	// The §7 claim is about steady state: the tree's root link must be at
 	// least as quiet as the flat star's (ideally silent).

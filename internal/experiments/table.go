@@ -1,9 +1,9 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (Section 6). Each FigN function runs the corresponding experiment and
 // returns a Table whose rows are the series the paper plots; cmd/experiments
-// renders them as text, and the root package's TestFiguresMatchQuickGolden
-// holds every cell and note that is not a wall-clock measurement to the
-// committed results_quick.txt.
+// renders them as text, and TestFiguresMatchQuickGolden holds every cell
+// and note that is not a wall-clock measurement to the committed
+// results_quick.txt.
 //
 // Absolute numbers differ from the paper (different hardware, simulated
 // NFD data), but each Table's Notes records the shape the paper claims so

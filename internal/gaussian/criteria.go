@@ -50,57 +50,13 @@ func MMerge(a, b *Component) float64 {
 }
 
 // MSplit is Eq. 6: M_split(i, Mix) = (μi−μMix)ᵀ(Σi⁻¹+ΣMix⁻¹)(μi−μMix),
-// where (μMix, ΣMix) are the moments of the father mixture. A component far
-// (in this metric) from its father should be split off.
-func MSplit(c *Component, mixMean linalg.Vector, mixCov *linalg.Sym) float64 {
-	father, err := NewComponent(mixMean, mixCov, 0)
-	if err != nil {
-		// A singular father (degenerate merged model) cannot hold anything:
-		// force a split.
-		return math.Inf(1)
-	}
+// where the father Mix is the group's representative component. A
+// component far (in this metric) from its father should be split off.
+// M_remerge is its reciprocal, 1/CrossMahalanobisSq = MMerge: the
+// coordinator records it when a component joins a group, and Algorithm 2's
+// stability test splits the component once M_split exceeds 1/M_remerge.
+func MSplit(c, father *Component) float64 {
 	return CrossMahalanobisSq(c, father)
-}
-
-// MSplitComp is MSplit against a father that is already a Component.
-func MSplitComp(c, father *Component) float64 {
-	return CrossMahalanobisSq(c, father)
-}
-
-// MRemerge is the re-merge criterion: the reciprocal of MSplit. The split
-// component joins the sibling mixture with the largest M_remerge, i.e. the
-// nearest one. Note the identity M_split = 1/M_remerge that Algorithm 2's
-// stability test relies on.
-func MRemerge(c *Component, mixMean linalg.Vector, mixCov *linalg.Sym) float64 {
-	d := MSplit(c, mixMean, mixCov)
-	if d == 0 {
-		return math.Inf(1)
-	}
-	return 1 / d
-}
-
-// KLDivergence returns KL(a ‖ b) for Gaussians in closed form:
-// ½·[tr(Σb⁻¹Σa) + (μb−μa)ᵀΣb⁻¹(μb−μa) − d + log(|Σb|/|Σa|)].
-// The paper observes M_merge's distance is the mean-difference part of the
-// symmetrized KL; this function exists so tests can verify that relation.
-func KLDivergence(a, b *Component) float64 {
-	d := float64(a.Dim())
-	binv := b.CovInverse()
-	// tr(Σb⁻¹ Σa)
-	var tr float64
-	for i := 0; i < a.Dim(); i++ {
-		for k := 0; k < a.Dim(); k++ {
-			tr += binv.At(i, k) * a.Cov().At(k, i)
-		}
-	}
-	diff := b.Mean().Sub(a.Mean())
-	quad := binv.Quad(diff)
-	return 0.5 * (tr + quad - d + b.LogDet() - a.LogDet())
-}
-
-// SymKL returns KL(a‖b) + KL(b‖a).
-func SymKL(a, b *Component) float64 {
-	return KLDivergence(a, b) + KLDivergence(b, a)
 }
 
 // NormalizeSeries min-max normalizes a criterion series to [0,1] the way

@@ -49,36 +49,28 @@ func TestMMergeOrdering(t *testing.T) {
 func TestMSplitRemergeReciprocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	c := randComponent(rng, 2)
-	mixMean := linalg.Vector{5, -1}
-	mixCov := linalg.NewSymFrom(2, []float64{2, 0.3, 0.3, 1})
-	ms := MSplit(c, mixMean, mixCov)
-	mr := MRemerge(c, mixMean, mixCov)
+	father := MustComponent(linalg.Vector{5, -1}, linalg.NewSymFrom(2, []float64{2, 0.3, 0.3, 1}))
+	ms := MSplit(c, father)
+	// M_remerge is what the coordinator records at join: MMerge against
+	// the father.
+	mr := MMerge(c, father)
 	// The paper's identity: M_split = 1/M_remerge.
 	if math.Abs(ms*mr-1) > 1e-9 {
 		t.Fatalf("M_split·M_remerge = %v, want 1", ms*mr)
 	}
 }
 
-func TestMSplitCompMatchesMSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	c := randComponent(rng, 2)
-	father := randComponent(rng, 2)
-	direct := MSplitComp(c, father)
-	viaMoments := MSplit(c, father.Mean(), father.Cov())
-	if math.Abs(direct-viaMoments) > 1e-9*(1+direct) {
-		t.Fatalf("MSplitComp %v != MSplit %v", direct, viaMoments)
-	}
-}
-
 func TestMSplitSingularFather(t *testing.T) {
 	c := Spherical(linalg.Vector{0, 0}, 1)
-	// Perfectly correlated father covariance that cannot be repaired to a
-	// meaningful Gaussian at floor 0 — NewComponent repairs it internally,
-	// so M_split should still return a finite positive number OR +Inf;
-	// either way it must not be NaN.
+	// A perfectly correlated father covariance: NewComponent repairs it,
+	// and M_split against the repaired father must be a number, finite or
+	// +Inf, never NaN.
 	sing := linalg.NewSymFrom(2, []float64{1, 1, 1, 1})
-	got := MSplit(c, linalg.Vector{3, 3}, sing)
-	if math.IsNaN(got) {
+	father, err := NewComponent(linalg.Vector{3, 3}, sing, 0)
+	if err != nil {
+		t.Fatalf("singular father not repaired: %v", err)
+	}
+	if got := MSplit(c, father); math.IsNaN(got) {
 		t.Fatal("M_split returned NaN for singular father")
 	}
 }
@@ -162,6 +154,30 @@ func TestMMergeTracksJMerge(t *testing.T) {
 	if rho := spearman(mm, jm); rho < 0.7 {
 		t.Fatalf("Spearman(M_merge, J_merge) = %v, want ≥ 0.7", rho)
 	}
+}
+
+// KLDivergence returns KL(a ‖ b) for Gaussians in closed form:
+// ½·[tr(Σb⁻¹Σa) + (μb−μa)ᵀΣb⁻¹(μb−μa) − d + log(|Σb|/|Σa|)].
+// The paper observes M_merge's distance is the mean-difference part of the
+// symmetrized KL; TestSymKLRelatesToCrossMahalanobis checks that relation.
+func KLDivergence(a, b *Component) float64 {
+	d := float64(a.Dim())
+	binv := b.CovInverse()
+	// tr(Σb⁻¹ Σa)
+	var tr float64
+	for i := 0; i < a.Dim(); i++ {
+		for k := 0; k < a.Dim(); k++ {
+			tr += binv.At(i, k) * a.Cov().At(k, i)
+		}
+	}
+	diff := b.Mean().Sub(a.Mean())
+	quad := binv.Quad(diff)
+	return 0.5 * (tr + quad - d + b.LogDet() - a.LogDet())
+}
+
+// SymKL returns KL(a‖b) + KL(b‖a).
+func SymKL(a, b *Component) float64 {
+	return KLDivergence(a, b) + KLDivergence(b, a)
 }
 
 func TestKLDivergenceProperties(t *testing.T) {

@@ -97,7 +97,7 @@ func TestChaosConnectionKills(t *testing.T) {
 	defer srv.Close()
 	srv.Logf = func(string, ...any) {} // kill noise is the point
 
-	proxy, err := NewChaosProxy(srv.Addr().String())
+	proxy, err := newChaosProxy(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestChaosCoordinatorOutage(t *testing.T) {
 	}
 	defer srv.Close()
 	srv.Logf = func(string, ...any) {}
-	proxy, err := NewChaosProxy(srv.Addr().String())
+	proxy, err := newChaosProxy(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

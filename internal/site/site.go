@@ -745,8 +745,9 @@ func (s *Site) clusterNewModel(data []linalg.Vector, seed *gaussian.Mixture) ([]
 	s.fitNote = ""
 
 	// Records with missing (NaN) attributes go to the marginal-likelihood
-	// EM of §3's "incomplete data" claim.
-	incomplete := em.IsIncomplete(data)
+	// EM of §3's "incomplete data" claim. processChunk bound s.scan to this
+	// chunk, so the complete-records view is computed at most once.
+	incomplete := len(s.scan.Complete()) < len(data)
 	var res *em.Result
 	var err error
 	if incomplete {

@@ -1,7 +1,7 @@
 #!/bin/bash
 # no-strays: fail if anything this repository's targets start is still
-# running — a coordd or sited daemon, the distributed example, the
-# benchmark's binary or its run.sh, or a bench-pair comparison. It prints
+# running — a coordd or sited daemon, the benchmark's binary or its
+# run.sh, or a bench-pair comparison. It prints
 # each survivor's PID and name and exits 1; it prints nothing and exits 0
 # when none is left.
 #
@@ -21,7 +21,7 @@ while [ -n "$pid" ] && [ "$pid" -gt 1 ]; do
 	pid=$(ps -o ppid= -p "$pid" | tr -d ' ')
 done
 
-strays=$(pgrep -fl '[c]oordd|[s]ited|[e]xamples/distributed|[.]bench_build/bench|bench-pair[.]sh|bench/run[.]sh' |
+strays=$(pgrep -fl '[c]oordd|[s]ited|[.]bench_build/bench|bench-pair[.]sh|bench/run[.]sh' |
 	while read -r pid name; do
 		case "$ancestors" in
 		*" $pid "*) ;;
