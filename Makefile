@@ -88,17 +88,18 @@ alloc-gate-query:
 # kernel's Go loop beside its AVX2 path) assert 0 allocs per 128-record
 # block the same way, the J_fit interval's rung (the
 # four-record kernel and its Go path, d = 4, K = 5) 0 allocs per chunk,
-# and the chunker's rung (d = 4, M = 1567, every chunk recycled) 0 allocs
-# per chunk.
+# the log-sum-exp rung (the kernel and its Go path, K = 5, 55 and 853)
+# 0 allocs per 256-record batch, and the chunker's rung (d = 4, M = 1567,
+# every chunk recycled) 0 allocs per chunk.
 alloc-gate:
 	$(REQUIRE_TESTS) 'BenchmarkSiteSteadyState' .
-	$(REQUIRE_TESTS) 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs|BenchmarkAvgLogLikelihoodInterval' ./internal/gaussian/
+	$(REQUIRE_TESTS) 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs|BenchmarkAvgLogLikelihoodInterval|BenchmarkLSERows' ./internal/gaussian/
 	$(REQUIRE_TESTS) 'BenchmarkQuadFormRows' ./internal/linalg/
 	$(REQUIRE_TESTS) 'BenchmarkChunkerAdd' ./internal/chunk/
 	$(GO) test -run '^$$' -bench 'BenchmarkSiteSteadyState' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkChunkerAdd' -benchtime 100x ./internal/chunk/
 	$(GO) test -run '^$$' -bench 'BenchmarkQuadFormRows' -benchtime 100x ./internal/linalg/
-	$(GO) test -run '^$$' -bench 'BenchmarkAvgLogLikelihoodInterval' -benchtime 100x ./internal/gaussian/
+	$(GO) test -run '^$$' -bench 'BenchmarkAvgLogLikelihoodInterval|BenchmarkLSERows' -benchtime 100x ./internal/gaussian/
 	$(GO) test -run 'TestMergeObjectiveDoesNotAllocate|TestFitMergeAllocs' -count=1 ./internal/gaussian/
 
 # Crash-recovery gate: the coordinator is killed mid-merge under 20%

@@ -32,6 +32,7 @@ type BatchScratch struct {
 	// same pointer means the same constants.
 	tabFor *Mixture
 	tabAt  *float64
+	lse    *lseWork // lseRows' kernel workspace, where lseKernel is set
 }
 
 // NewBatchScratch returns an empty scratch; buffers are sized lazily.
@@ -51,6 +52,9 @@ func (s *BatchScratch) ensure(d, k int) {
 	if cap(s.maha) < BatchBlock {
 		s.maha = make([]float64, BatchBlock)
 		s.vals = make([]float64, BatchBlock)
+	}
+	if s.lse == nil && lseKernel {
+		s.lse = new(lseWork)
 	}
 }
 
@@ -93,11 +97,49 @@ func (m *Mixture) scoreBlock(xs []linalg.Vector, s *BatchScratch, bound bool) {
 
 // lseRows reduces each K-wide row of logp with one sequential LogAdd chain
 // in component order (−Inf entries are no-ops), the reduction every
-// kernel below shares. Four records' chains run in one loop, so each
-// step's Exp/Log1p overlaps the other three chains' instead of waiting on
-// its own predecessor; every chain keeps its own order, so each result is
-// bit-identical to a lone chain's.
-func lseRows(logp []float64, count, k int, dst []float64) {
+// kernel below shares. Where lseKernel is set, lseQuads runs the chains of
+// the leading rows, four at a time; LogAdd takes each row step it hands
+// back, and lseRowsGo the tail of fewer than four rows. Every chain keeps
+// its order, so each result is bit-identical to lseRowsGo's, the path on
+// every other CPU.
+func lseRows(logp []float64, count, k int, dst []float64, w *lseWork) {
+	quads := 0
+	if lseKernel && k > 0 {
+		quads = min(count, BatchBlock) / 4
+	}
+	if quads > 0 {
+		_ = logp[4*quads*k-1]
+		acc := w.acc[:4*quads]
+		for i := range acc {
+			acc[i] = math.Inf(-1)
+		}
+		for j := 0; j < k; {
+			var handed int
+			j, handed = lseQuads(&logp[0], k, quads, j, w)
+			for _, p := range w.handed[:handed] {
+				acc[p] = LogAdd(acc[p], logp[int(p)*k+j-1])
+			}
+		}
+		copy(dst, acc)
+	}
+	n := 4 * quads
+	lseRowsGo(logp[n*k:], count-n, k, dst[n:])
+}
+
+// lseWork is lseQuads' workspace; its layout is the ACC … HANDED offsets
+// of lse_amd64.s. acc[BatchBlock] takes the padding lanes' results.
+type lseWork struct {
+	acc    [BatchBlock + 4]float64 // the chains
+	d, a   [BatchBlock + 4]float64 // the packed formula lanes' b − a and a
+	slot   [BatchBlock + 4]int64   // … and their rows
+	handed [BatchBlock]int64       // the rows a column handed back
+}
+
+// lseRowsGo is lseRows in Go. Four records' chains run in one loop, so
+// each step's Exp/Log1p overlaps the other three chains' instead of
+// waiting on its own predecessor; every chain keeps its own order, so each
+// result is bit-identical to a lone chain's.
+func lseRowsGo(logp []float64, count, k int, dst []float64) {
 	p := 0
 	for ; p+4 <= count; p += 4 {
 		r0 := logp[p*k : p*k+k]
@@ -140,7 +182,7 @@ func (m *Mixture) ScoreBatch(data []linalg.Vector, dst []float64, s *BatchScratc
 	for base := 0; base < len(data); base += BatchBlock {
 		xs := data[base:min(base+BatchBlock, len(data))]
 		m.scoreBlock(xs, s, false)
-		lseRows(s.logp, len(xs), k, dst[base:base+len(xs)])
+		lseRows(s.logp, len(xs), k, dst[base:base+len(xs)], s.lse)
 	}
 }
 
@@ -164,7 +206,7 @@ func (m *Mixture) ClassifyBatch(data []linalg.Vector, idx []int, logPost, logPDF
 		xs := data[base:min(base+BatchBlock, len(data))]
 		m.scoreBlock(xs, s, false)
 		lse := logPDF[base : base+len(xs)]
-		lseRows(s.logp, len(xs), k, lse)
+		lseRows(s.logp, len(xs), k, lse, s.lse)
 		for p := range xs {
 			best, bestLP := 0, math.Inf(-1)
 			for j, lp := range s.logp[p*k : p*k+k] {
@@ -181,8 +223,9 @@ func (m *Mixture) ClassifyBatch(data []linalg.Vector, idx []int, logPost, logPDF
 // PosteriorBatch computes posteriors Pr(j|x) (Eq. 2) for every record of
 // data into the rows of post (reshaped to len(data)×K) and, when logpdf is
 // non-nil, the per-record log p(x) into it. It returns Σ log p(x) summed
-// in record order. It is the E-step kernel, and the one source of
-// posteriors for SMEM's split score and J_merge.
+// in record order. It is the one source of posteriors: em's E-step (and
+// its weighted fit over bucket means), JMerge (Fig 1) and dem's local
+// E-step read it.
 func (m *Mixture) PosteriorBatch(data []linalg.Vector, post *linalg.Matrix, logpdf []float64, s *BatchScratch) float64 {
 	if logpdf != nil && len(logpdf) != len(data) {
 		panic("gaussian: PosteriorBatch logpdf length mismatch")
@@ -199,7 +242,7 @@ func (m *Mixture) PosteriorBatch(data []linalg.Vector, post *linalg.Matrix, logp
 	for base := 0; base < len(data); base += BatchBlock {
 		xs := data[base:min(base+BatchBlock, len(data))]
 		m.scoreBlock(xs, s, false)
-		lseRows(s.logp, len(xs), k, s.vals)
+		lseRows(s.logp, len(xs), k, s.vals, s.lse)
 		for p := 0; p < len(xs); p++ {
 			lse := s.vals[p]
 			row := s.logp[p*k : p*k+k]
@@ -261,9 +304,10 @@ func (m *Mixture) AvgLogLikelihoodScratch(data []linalg.Vector, s *BatchScratch)
 // non-finite lo or hi.
 //
 // On amd64 CPUs with AVX2 at d = 4 the records go through intervalQuads,
-// four at a time, bit-identical to the Go path below (see intervalTable);
-// the Go path scores whatever the kernel hands back, every other shape, and
-// every call on other CPUs and architectures.
+// four at a time, and a last few through intervalTail, both from the
+// kernel's constant table and bit-identical to the Go path below (see
+// intervalTable); the Go path scores whatever the kernel hands back, every
+// other shape, and every call on other CPUs and architectures.
 func (m *Mixture) AvgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch) (lo, hi float64, ok bool) {
 	return m.avgLogLikelihoodInterval(data, s, true)
 }
@@ -292,7 +336,7 @@ func (m *Mixture) avgLogLikelihoodInterval(data []linalg.Vector, s *BatchScratch
 		if tab != nil {
 			p += intervalQuads(tab, k, data[p:], &sums)
 			// The quad the kernel handed back, or the tail of fewer than four.
-			if n = min(4, len(data)-p); n == 0 {
+			if n = min(4, len(data)-p); n == 0 || n < 4 && m.intervalTail(tab, data[p:], s, a, logK, &sums) {
 				break
 			}
 		}
@@ -323,12 +367,57 @@ func (m *Mixture) intervalA() float64 {
 // BatchBlock of them) to sums, one record after another: the Go path of
 // AvgLogLikelihoodInterval.
 func (m *Mixture) intervalRows(xs []linalg.Vector, s *BatchScratch, a, logK float64, sums *[2]float64) {
-	const rho = linalg.QuadFormBoundRel
-	k := len(m.comps)
 	m.scoreBlock(xs, s, true)
-	sumLo, sumHi := sums[0], sums[1]
-	for p := range xs {
+	intervalSums(s.logp, len(xs), len(m.comps), a, logK, sums)
+}
+
+// intervalTail is intervalRows for the records xs after the kernel's last
+// quad (fewer than four), with the terms computed from the constants
+// intervalTable laid out at tab, as intervalQuads computes them, instead
+// of through scoreBlock, whose bound mode redoes Cholesky.Bound4's
+// divisions for every component. It adds nothing and returns false where
+// the kernel would hand the records back: a record not 4 long, or an
+// allowance e above 1 or NaN, which every record with a non-finite
+// coordinate has; the terms of every other record are scoreBlock's, bit
+// for bit.
+func (m *Mixture) intervalTail(tab *float64, xs []linalg.Vector, s *BatchScratch, a, logK float64, sums *[2]float64) bool {
+	k := len(m.comps)
+	comps := unsafe.Slice(tab, intervalHead+intervalComp*k)[intervalHead:]
+	for p, x := range xs {
+		if len(x) != 4 {
+			return false
+		}
 		row := s.logp[p*k : p*k+k]
+		for j := range row {
+			// Row i of a component's constants is c[4i] (intervalTable).
+			c := comps[intervalComp*j : intervalComp*(j+1)]
+			y0 := (x[0] - c[0]) * c[40]
+			y1 := (x[1] - c[4] - c[16]*y0) * c[44]
+			y2 := (x[2] - c[8] - c[20]*y0 - c[24]*y1) * c[48]
+			y3 := (x[3] - c[12] - c[28]*y0 - c[32]*y1 - c[36]*y2) * c[52]
+			row[j] = c[56] + (c[60] - 0.5*(y0*y0+y1*y1+y2*y2+y3*y3))
+		}
+		top := row[0]
+		for _, b := range row[1:] {
+			if b > top {
+				top = b
+			}
+		}
+		if e := linalg.QuadFormBoundRel*(a+math.Abs(top)) + linalg.QuadFormBoundAbs; !(e <= 1) {
+			return false
+		}
+	}
+	intervalSums(s.logp, len(xs), k, a, logK, sums)
+	return true
+}
+
+// intervalSums adds the interval bounds of the count rows of terms in logp
+// (k a row) to sums, one record after another.
+func intervalSums(logp []float64, count, k int, a, logK float64, sums *[2]float64) {
+	const rho = linalg.QuadFormBoundRel
+	sumLo, sumHi := sums[0], sums[1]
+	for p := 0; p < count; p++ {
+		row := logp[p*k : p*k+k]
 		top, arg := row[0], 0
 		for j := 1; j < k; j++ {
 			if row[j] > top {
@@ -484,7 +573,7 @@ func AvgLogLikelihoodMulti(ms []*Mixture, data []linalg.Vector, dst []float64, s
 			k := len(m.comps)
 			s.ensure(m.Dim(), k)
 			m.scoreBlock(xs, s, false)
-			lseRows(s.logp, len(xs), k, s.vals)
+			lseRows(s.logp, len(xs), k, s.vals, s.lse)
 			for p := 0; p < len(xs); p++ {
 				dst[i] += s.vals[p]
 			}

@@ -1,17 +1,21 @@
 package linalg
 
-// avx2 is the one CPUID check of the tree: whether the CPU runs AVX2 code
-// and the operating system saves the YMM registers across context
-// switches. It is read once, at package start-up; nothing else chooses a
-// kernel.
-var avx2 = hasAVX2()
+// avx2 and fma are the one CPUID check of the tree: whether the CPU runs
+// AVX2 code and the operating system saves the YMM registers across
+// context switches, and whether it also runs the FMA3 instructions. They
+// are read once, at package start-up; nothing else chooses a kernel.
+var avx2, fma = cpuFeatures()
 
 // HasAVX2 reports whether this amd64 CPU runs the AVX2 kernels
 // (quadFormQuads here, the J_fit interval's in package gaussian).
 func HasAVX2() bool { return avx2 }
 
-// hasAVX2 runs CPUID and XGETBV; see avx2.
-func hasAVX2() bool
+// HasFMA reports whether this amd64 CPU runs the AVX2 kernels and the FMA3
+// instructions in them (the log-sum-exp kernel in package gaussian).
+func HasFMA() bool { return avx2 && fma }
+
+// cpuFeatures runs CPUID and XGETBV; see avx2.
+func cpuFeatures() (avx2OK, fmaOK bool)
 
 // quadFormQuads runs QuadFormRows' order-4 loop on the records of xs four
 // at a time, records p…p+3 in the four lanes of AVX2 registers, for the

@@ -134,12 +134,15 @@ done:
 	MOVQ AX, ret+48(FP)
 	RET
 
-// func hasAVX2() bool
+// func cpuFeatures() (avx2OK, fmaOK bool)
 //
-// CPUID.1:ECX reports OSXSAVE (bit 27) and AVX (bit 28), XGETBV's XCR0
-// whether the operating system saves the XMM (bit 1) and YMM (bit 2)
-// state, and CPUID.7.0:EBX AVX2 (bit 5).
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+// CPUID.1:ECX reports FMA (bit 12), OSXSAVE (bit 27) and AVX (bit 28),
+// XGETBV's XCR0 whether the operating system saves the XMM (bit 1) and YMM
+// (bit 2) state, and CPUID.7.0:EBX AVX2 (bit 5). fmaOK is set only with
+// avx2OK.
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB   $0, avx2OK+0(FP)
+	MOVB   $0, fmaOK+1(FP)
 	XORL   AX, AX
 	XORL   CX, CX
 	CPUID         // EAX: the highest basic leaf
@@ -148,6 +151,7 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	MOVL   $1, AX
 	XORL   CX, CX
 	CPUID
+	MOVL   CX, R8
 	ANDL   $0x18000000, CX
 	CMPL   CX, $0x18000000
 	JNE    no
@@ -161,9 +165,10 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	CPUID
 	ANDL   $0x20, BX
 	JZ     no
-	MOVB   $1, ret+0(FP)
-	RET
+	MOVB   $1, avx2OK+0(FP)
+	ANDL   $0x1000, R8
+	JZ     no
+	MOVB   $1, fmaOK+1(FP)
 
 no:
-	MOVB $0, ret+0(FP)
 	RET

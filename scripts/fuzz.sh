@@ -16,9 +16,9 @@ fuzztime=$1
 go=${GO:-go}
 dir=$(dirname "$0")
 
-# target package — the mixture codec every format below shares, the two
-# AVX2 four-record kernels against their Go paths (the exact Mahalanobis
-# kernel behind QuadFormRows, the J_fit interval's), the wire
+# target package — the mixture codec every format below shares, the three
+# AVX2 kernels against their Go paths (the exact Mahalanobis kernel behind
+# QuadFormRows, the J_fit interval's, the log-sum-exp chains'), the wire
 # decoders (sites' and the CLUQ batch endpoint's), the coordinator's
 # receive step behind them, the frame/ack protocol and its restart
 # handshake, the delivery state machine both runtimes drive, the durable
@@ -28,6 +28,7 @@ targets=(
 	"FuzzMixtureCodec ./internal/gaussian/"
 	"FuzzQuadFormRowsSIMDMatchesGo ./internal/linalg/"
 	"FuzzIntervalSIMDMatchesGo ./internal/gaussian/"
+	"FuzzLSESIMDMatchesGo ./internal/gaussian/"
 	"FuzzDecode ./internal/transport/"
 	"FuzzReceive ./internal/durable/"
 	"FuzzBatch ./internal/query/"
